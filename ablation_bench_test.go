@@ -46,9 +46,7 @@ func ablationPipeline(b *testing.B, fusion streams.FusionMode, queueCap int) {
 	if _, err := inst.SAM.SubmitJob(app, streams.SubmitOptions{}); err != nil {
 		b.Fatal(err)
 	}
-	for ops.Collector(collector).Finals() != 1 {
-		time.Sleep(100 * time.Microsecond)
-	}
+	awaitFinal(b, collector)
 }
 
 // BenchmarkAblationFusedPipeline: all four operators in one PE.

@@ -161,7 +161,19 @@ func benchPipeline(b *testing.B, withOrca bool) {
 			b.Fatal(err)
 		}
 	}
+	awaitFinal(b, collector)
+}
+
+// awaitFinal spins until the collector has seen the pipeline's final
+// punctuation, failing the benchmark after 30 s: a start-before-wire
+// loss (ROADMAP item 1) then fails the run instead of hanging the job.
+func awaitFinal(b *testing.B, collector string) {
+	b.Helper()
+	deadline := time.Now().Add(30 * time.Second)
 	for ops.Collector(collector).Finals() != 1 {
+		if time.Now().After(deadline) {
+			b.Fatalf("collector %s: no final punctuation within 30s", collector)
+		}
 		time.Sleep(100 * time.Microsecond)
 	}
 }
@@ -463,9 +475,7 @@ func BenchmarkE10Embedded(b *testing.B) {
 		if _, err := inst.SAM.SubmitJob(app, sam.SubmitOptions{}); err != nil {
 			b.Fatal(err)
 		}
-		for ops.Collector(collector).Finals() != 1 {
-			time.Sleep(200 * time.Microsecond)
-		}
+		awaitFinal(b, collector)
 		inst.Close()
 	}
 }
@@ -502,9 +512,7 @@ func BenchmarkE10Orchestrated(b *testing.B) {
 		if _, err := svc.SubmitApplication("Clean", nil); err != nil {
 			b.Fatal(err)
 		}
-		for ops.Collector(collector).Finals() != 1 {
-			time.Sleep(200 * time.Microsecond)
-		}
+		awaitFinal(b, collector)
 		svc.Stop()
 		inst.Close()
 	}

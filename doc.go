@@ -29,34 +29,40 @@
 //
 // # Batch execution
 //
-// Batches survive past the PE boundary: the delivery loop executes
-// whole runs, not single tuples. An operator opts in by implementing
-// streams.BatchOperator — ProcessBatch(port, *tuple.Batch) alongside
-// the mandatory per-tuple Process — and the PE hands it each maximal
-// run of consecutive tuples on a port as one call, reusing a single
-// Batch view per operator (zero allocations on the steady-state path).
-// Punctuation splits runs: marks are always delivered in position
-// through ProcessMark, so window boundaries and final marks keep their
-// ordering guarantees. Operators that do not implement the interface
-// see no change — runs unroll through Process one tuple at a time.
+// The tuple run is the only unit the dataplane moves. Every operator
+// with inputs has one inbox, a bounded swap buffer its consume
+// goroutine drains whole: an idle queue hands over one tuple at once, a
+// busy one a run, with no timer in between (the capacity, QueueCap, and
+// the queueSize gauge count tuples). The loop cuts each drained run into
+// chunks — consecutive tuples of one port, a transport frame's worth at
+// most — and an operator opts into receiving a chunk as one call by
+// implementing streams.BatchOperator: ProcessBatch(port, *tuple.Batch)
+// alongside the mandatory per-tuple Process, against a single reused
+// Batch view (zero allocations on the steady-state path). Punctuation
+// splits chunks: marks are always delivered in position through
+// ProcessMark, so window boundaries and final marks keep their ordering
+// guarantees. For operators that do not implement the interface the
+// chunk unrolls through Process one tuple at a time.
 //
 // The Batch is a borrowed view. It is valid only for the duration of
 // the ProcessBatch call; an operator that retains tuples beyond the
 // call must copy them (tuple.Clone), exactly the contract Process has
-// always had. Submissions made while a batch executes are coalesced:
-// outputs buffer per port and flush as one batch into same-PE
-// consumers (one queue operation) and as one run into cross-PE links,
-// so a chain of batch-aware operators inside a PE never degrades to
-// per-tuple handoff. If ProcessBatch returns an error the buffered
-// outputs of the failing call are discarded rather than forwarded —
-// restart-based recovery replays from upstream, and forwarding the
-// partial effects would double-deliver them — the PE crashes, and the
-// undelivered remainder of the accepted batch is logged and counted on
-// nTuplesDropped. The hot built-ins (Functor, Filter, Aggregate
-// ingest, CountSink, LatencySink) implement the interface with tight
-// column-slice loops; the orcalint batchspi analyzer guards the
-// signature contracts (a mis-typed ProcessBatch would otherwise
-// silently fall back to the per-tuple path).
+// always had. Submissions are coalesced for the length of a chunk, for
+// every operator: outputs buffer per port and flush as one queue entry
+// into same-PE consumers and as one run into cross-PE links, so a fused
+// chain never degrades to per-tuple handoff — which is what makes a
+// fused hop cheaper than a cross-PE one. The chunk is the unit of
+// failure: if a call returns an error the chunk's buffered outputs are
+// discarded rather than forwarded — restart-based recovery replays from
+// upstream, and forwarding the partial effects would double-deliver
+// them — the PE crashes, and the chunk and everything queued behind it
+// is logged and counted on nTuplesDropped, as is every tuple offered to
+// an operator that has finalised or a container that has died. The hot
+// built-ins (Functor, Filter, Aggregate ingest, CountSink, LatencySink)
+// implement the interface with tight column-slice loops; the orcalint
+// batchspi analyzer guards the signature contracts (a mis-typed
+// ProcessBatch would otherwise silently fall back to the per-tuple
+// path).
 //
 // # Operator model
 //

@@ -20,7 +20,7 @@ const (
 	OpTuplesProcessed = "nTuplesProcessed"
 	OpTuplesSubmitted = "nTuplesSubmitted"
 	OpPunctsProcessed = "nPunctsProcessed"
-	OpQueueSize       = "queueSize"
+	OpQueueSize       = "queueSize" // tuples pending in the operator's inbox, refreshed at snapshot time
 	OpExceptions      = "nExceptionsCaught"
 )
 
@@ -37,11 +37,11 @@ const (
 	PETupleBytesSubmitted = "nTupleBytesSubmitted"
 	PETuplesProcessed     = "nTuplesProcessed"
 	PETuplesSubmitted     = "nTuplesSubmitted"
-	// PETuplesDropped counts tuples the container accepted but never
-	// delivered to an operator: the undelivered remainder of a batch
-	// whose earlier tuple crashed the PE mid-delivery. The delivery loop
-	// logs the loss and accounts it here, so a frame tail lost to a
-	// mid-batch failure is visible instead of silent.
+	// PETuplesDropped counts tuples that reached the container but never
+	// an operator: the failed chunk and the undelivered rest of the
+	// drained run when a failure or a kill ends the consume loop
+	// part-way (logged as well), and every tuple offered to an operator
+	// that had already finalised or to a dead container.
 	PETuplesDropped = "nTuplesDropped"
 	PERestarts      = "nRestarts"
 	// PERestartAttempts is the cumulative count of restart attempts SAM

@@ -215,7 +215,9 @@ type Context interface {
 	InputSchema(i int) *tuple.Schema
 	// OutputSchema returns the schema of output port i.
 	OutputSchema(i int) *tuple.Schema
-	// Submit sends a tuple on output port i.
+	// Submit sends a tuple on output port i. From a processing goroutine
+	// the tuple is forwarded once the current chunk of input has been
+	// processed; from a Source's Run goroutine, at once.
 	Submit(i int, t tuple.Tuple) error
 	// SubmitMark sends a punctuation on output port i. Final marks are
 	// normally managed by the runtime; sources emit them via Run's return.
@@ -271,27 +273,32 @@ type Operator interface {
 
 // BatchOperator is an opt-in extension of Operator for columnar batch
 // execution: the PE runtime detects the interface at container assembly
-// and hands whole queue batches — transport frames, coalesced intra-PE
-// runs — to ProcessBatch as one call, instead of unpacking them into
-// per-tuple Process calls. Punctuation never enters a batch; marks
-// interleave in position through ProcessMark as usual.
+// and hands each chunk its consume loop cuts from the input queue —
+// consecutive tuples of one port, a transport frame's worth at most,
+// as few as one when the queue is idle — to ProcessBatch as one call,
+// instead of unrolling it into per-tuple Process calls. Punctuation
+// never enters a batch; marks interleave in position through
+// ProcessMark as usual.
 //
 // Contract:
 //
 //   - ProcessBatch(port, b) must be semantically equivalent to calling
 //     Process(port, t) for each tuple of b in order. Process stays
-//     mandatory and live: single-item deliveries and every non-batch
-//     path still use it (the batchspi analyzer enforces the pair).
+//     mandatory (the batchspi analyzer enforces the pair): it is the
+//     operator's meaning, and what callers outside the PE runtime use.
 //   - The Batch and the slice Tuples returns are valid only for the
 //     duration of the call; the runtime reuses the view. The tuples
 //     themselves follow the normal framing rules: retaining one past
 //     the call requires Clone, submitting it downstream is safe.
-//   - While ProcessBatch runs, Submit/SubmitMark coalesce: outputs are
-//     buffered and forwarded as whole batches when the call returns, so
-//     intra-PE hops between two batch operators stay batched.
-//   - An error crashes the containing PE exactly like a Process error;
-//     the tuples of the delivery not known to have been processed are
-//     accounted as dropped on the PE's nTuplesDropped counter.
+//   - Submit/SubmitMark coalesce for the length of a chunk, for every
+//     operator with inputs, batch-capable or not: outputs are buffered
+//     and forwarded when the chunk is done, so intra-PE hops stay
+//     batched down a whole fused chain.
+//   - An error crashes the containing PE, from ProcessBatch and Process
+//     alike, and the chunk is the unit of failure: its buffered outputs
+//     are discarded, none of its tuples count as processed, and it and
+//     everything queued behind it are accounted as dropped on the PE's
+//     nTuplesDropped counter.
 type BatchOperator interface {
 	Operator
 	ProcessBatch(port int, b *tuple.Batch) error

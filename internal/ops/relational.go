@@ -262,7 +262,8 @@ type functor struct {
 	scaleBy  float64
 	setRef   tuple.FieldRef
 	setVal   string
-	copies   []fieldCopy // compiled input-ref -> output-ref pairs
+	copies   []fieldCopy   // compiled input-ref -> output-ref pairs
+	outs     []tuple.Tuple // ProcessBatch's header scratch, cleared after each run
 }
 
 // fieldCopy moves one attribute between schemas through refs resolved at
@@ -356,13 +357,14 @@ func (f *functor) Process(port int, t tuple.Tuple) error {
 
 // ProcessBatch projects the whole run through column-wise loops: one
 // block allocation covers every output tuple (the outputs escape
-// downstream on Submit, so the block cannot be reused), and each
-// compiled copy / arithmetic spec walks its column across all tuples —
-// the type switch and ref bounds run once per column instead of once
-// per tuple.
+// downstream on Submit, so the block cannot be reused; the headers are
+// copied by Submit, so they can), and each compiled copy / arithmetic
+// spec walks its column across all tuples — the type switch and ref
+// bounds run once per column instead of once per tuple.
 func (f *functor) ProcessBatch(port int, b *tuple.Batch) error {
-	n := b.Len()
-	outs := tuple.NewBlock(f.ctx.OutputSchema(0), n)
+	f.outs = tuple.NewBlockInto(f.ctx.OutputSchema(0), f.outs, b.Len())
+	outs := f.outs
+	defer clear(outs)
 	ins := b.Tuples()
 	for _, c := range f.copies {
 		switch c.in.Type() {

@@ -95,6 +95,18 @@ func (f *midFailer) Process(port int, t tuple.Tuple) error {
 	return nil
 }
 
+// intBatch builds a batch of n int tuples (v = 0..n-1) sharing one block.
+func intBatch(n int) *Batch {
+	b := GetBatch()
+	block := tuple.NewBlock(intSchema, n)
+	ref := intSchema.MustRef("v")
+	for i := 0; i < n; i++ {
+		ref.SetInt(block[i], int64(i))
+		b.Items = append(b.Items, TupleItem(block[i]))
+	}
+	return b
+}
+
 // feedInts pushes one batch of n int tuples (v = 0..n-1) through the
 // operator's external batch inlet, followed by nothing — the test owns
 // when (and whether) a final mark arrives.
@@ -104,14 +116,7 @@ func feedInts(t *testing.T, p *PE, op string, n int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := GetBatch()
-	block := tuple.NewBlock(intSchema, n)
-	ref := intSchema.MustRef("v")
-	for i := 0; i < n; i++ {
-		ref.SetInt(block[i], int64(i))
-		b.Items = append(b.Items, TupleItem(block[i]))
-	}
-	inlet(b)
+	inlet(intBatch(n))
 }
 
 func peCounter(p *PE, name string) int64 {
@@ -226,10 +231,12 @@ func TestBatchDeliveryMarksInterleave(t *testing.T) {
 	}
 }
 
-// TestPartialBatchLossPerTuple pins the partial-batch error contract on
-// the per-tuple fallback path: a mid-batch Process failure crashes the
-// PE, and the undelivered remainder of the accepted batch is counted on
-// nTuplesDropped and logged instead of vanishing silently.
+// TestPartialBatchLossPerTuple pins the loss contract for an operator
+// without ProcessBatch, whose run is unrolled into Process calls: the
+// run is still the unit of failure. A mid-run Process failure crashes
+// the PE, none of the run counts as processed, and the run plus
+// everything queued behind it is counted on nTuplesDropped and logged
+// instead of vanishing silently.
 func TestPartialBatchLossPerTuple(t *testing.T) {
 	var logMu sync.Mutex
 	var logs []string
@@ -254,34 +261,38 @@ func TestPartialBatchLossPerTuple(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	feedInts(t, p, "fail", 16) // fails at v=5: 5 delivered, 1 failing, 10 undelivered
-	e := <-exitCh
+	feedInts(t, p, "fail", 16) // the run fails at v=5 and is lost whole
+	e := waitExit(t, exitCh)
 	if !e.crashed || !strings.Contains(e.reason, "mid boom") {
 		t.Fatalf("exit = %+v, want crash on mid boom", e)
 	}
-	if got := peCounter(p, metrics.PETuplesDropped); got != 10 {
-		t.Fatalf("nTuplesDropped = %d, want the 10 undelivered trailing tuples", got)
+	if got := peCounter(p, metrics.PETuplesDropped); got != 16 {
+		t.Fatalf("nTuplesDropped = %d, want the full 16-tuple run", got)
 	}
-	if got := peCounter(p, metrics.PETuplesProcessed); got != 6 {
-		t.Fatalf("nTuplesProcessed = %d, want 6 (5 ok + the failing one)", got)
+	if got := peCounter(p, metrics.PETuplesProcessed); got != 0 {
+		t.Fatalf("nTuplesProcessed = %d, want 0 (the failed run is not processed)", got)
 	}
 	logMu.Lock()
 	defer logMu.Unlock()
 	for _, l := range logs {
-		if strings.Contains(l, "dropped 10 undelivered tuple(s)") {
+		if strings.Contains(l, "dropped 16 undelivered tuple(s)") {
 			return
 		}
 	}
 	t.Fatalf("no batch-loss log line; got %q", logs)
 }
 
-// TestPartialBatchLossBatchPath pins the same contract on the
-// ProcessBatch path: a failing batch call crashes the PE, the failing
-// run's tuples are not reported processed, and run + remainder land on
-// nTuplesDropped.
+// TestPartialBatchLossBatchPath pins the same contract for a
+// BatchOperator: a failing ProcessBatch call crashes the PE, the failing
+// run's tuples are not reported processed, and the run plus what was
+// queued behind it lands on nTuplesDropped — batch entries weighed by
+// their tuples. Everything is queued before Start so that the consume
+// loop drains it in one swap: an 80-tuple batch, a single tuple and an
+// 8-tuple batch make one 64-tuple run that succeeds and one 25-tuple
+// run (v=70 inside) that fails.
 func TestPartialBatchLossBatchPath(t *testing.T) {
 	reg := opapi.NewRegistry()
-	reg.Register("BatchFailer", func() opapi.Operator { return &batchFailer{failAt: 0} })
+	reg.Register("BatchFailer", func() opapi.Operator { return &batchFailer{failAt: 70} })
 	exitCh := make(chan exit, 1)
 	p, err := New(Config{
 		ID: 1, Job: 1, App: "batch", Host: "h1",
@@ -292,20 +303,25 @@ func TestPartialBatchLossBatchPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	feedInts(t, p, "fail", 80)
+	single, err := p.ExternalInlet("fail", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single(TupleItem(tuple.Build(intSchema).Int("v", 0).Done()))
+	feedInts(t, p, "fail", 8)
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}
-
-	feedInts(t, p, "fail", 16) // the whole run fails as one ProcessBatch call
-	e := <-exitCh
+	e := waitExit(t, exitCh)
 	if !e.crashed || !strings.Contains(e.reason, "batch boom") {
 		t.Fatalf("exit = %+v, want crash on batch boom", e)
 	}
-	if got := peCounter(p, metrics.PETuplesDropped); got != 16 {
-		t.Fatalf("nTuplesDropped = %d, want the full 16-tuple run", got)
+	if got := peCounter(p, metrics.PETuplesDropped); got != 25 {
+		t.Fatalf("nTuplesDropped = %d, want 25: the failed run (16 + 1 + 8)", got)
 	}
-	if got := peCounter(p, metrics.PETuplesProcessed); got != 0 {
-		t.Fatalf("nTuplesProcessed = %d, want 0 (the failed run is not processed)", got)
+	if got := peCounter(p, metrics.PETuplesProcessed); got != 64 {
+		t.Fatalf("nTuplesProcessed = %d, want 64 (the failed run is not processed)", got)
 	}
 }
 
@@ -333,7 +349,7 @@ func TestFailedBatchOutputsDropped(t *testing.T) {
 	}
 
 	feedInts(t, p, "half", 8)
-	e := <-exitCh
+	e := waitExit(t, exitCh)
 	if !e.crashed {
 		t.Fatalf("exit = %+v, want crash", e)
 	}

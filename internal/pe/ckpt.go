@@ -66,13 +66,15 @@ func (rt *opRuntime) capture(st opapi.StatefulOperator, e *ckpt.Encoder) error {
 		return st.SaveState(e)
 	}
 	msg := &syncMsg{fn: func() error { return st.SaveState(e) }, done: make(chan error, 1)}
-	select {
-	case rt.in <- queued{sync: msg}:
-	case <-rt.loopDone:
+	if !rt.in.put(&queued{sync: msg}, 0) {
+		// A closed inbox: the consume loop has exited or, the container
+		// dying, is about to.
+		<-rt.loopDone
 		return rt.captureQuiescent(st, e)
-	case <-rt.pe.kill:
-		return fmt.Errorf("pe %s: died before capturing %s", rt.pe.cfg.ID, rt.spec.Name)
 	}
+	// A dying container needs no case of its own: the loop notices within
+	// one chunk and exits, and until then fn may still be running against
+	// the encoder's pooled buffer, which returning would recycle.
 	select {
 	case err := <-msg.done:
 		return err
@@ -90,26 +92,6 @@ func (rt *opRuntime) capture(st opapi.StatefulOperator, e *ckpt.Encoder) error {
 			return fmt.Errorf("pe %s: capture of %s aborted by operator crash", rt.pe.cfg.ID, rt.spec.Name)
 		}
 		return rt.captureQuiescent(st, e)
-	case <-rt.pe.kill:
-		// Invalidate the queued message before abandoning it: once this
-		// function returns, the encoder's pooled buffer is recycled, so
-		// a claim here guarantees the loop can no longer run fn against
-		// it. Losing the claim means the loop is already running fn —
-		// wait out its buffered result (or its crash) instead.
-		if msg.claim() {
-			return fmt.Errorf("pe %s: died while capturing %s", rt.pe.cfg.ID, rt.spec.Name)
-		}
-		select {
-		case err := <-msg.done:
-			return err
-		case <-rt.loopDone:
-			select {
-			case err := <-msg.done:
-				return err
-			default:
-				return fmt.Errorf("pe %s: capture of %s aborted by operator crash", rt.pe.cfg.ID, rt.spec.Name)
-			}
-		}
 	}
 }
 
@@ -117,9 +99,7 @@ func (rt *opRuntime) capture(st opapi.StatefulOperator, e *ckpt.Encoder) error {
 // Only the clean all-inputs-finalised exit is safe to capture inline: a
 // loop that ended in a crash or panic may have left the state
 // mid-mutation, and persisting it would overwrite the last good
-// snapshot with a CRC-valid but semantically corrupt one. (The crash
-// path also closes loopDone before the PE's kill channel, so this check
-// — not the kill select — is what keeps a crashing capture out.)
+// snapshot with a CRC-valid but semantically corrupt one.
 func (rt *opRuntime) captureQuiescent(st opapi.StatefulOperator, e *ckpt.Encoder) error {
 	if !rt.finalised.Load() {
 		return fmt.Errorf("pe %s: operator %s stopped without finalising", rt.pe.cfg.ID, rt.spec.Name)
@@ -172,11 +152,11 @@ func (p *PE) restoreState() {
 		// does not, and the restore moment stands in for it — optimistic
 		// by at most the capture-to-restart delay, which periodic
 		// checkpointing bounds to about one interval.
-		if at, ok := snap.CapturedAt(); ok {
-			p.noteStateAnchorAt(at)
-		} else {
-			p.noteStateAnchor()
+		at, ok := snap.CapturedAt()
+		if !ok {
+			at = p.cfg.Clock.Now()
 		}
+		p.noteStateAnchorAt(at)
 		p.cfg.Logf("pe %s: restored %d operator state(s) from checkpoint", p.cfg.ID, restored)
 	}
 }

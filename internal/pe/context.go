@@ -14,8 +14,6 @@ type opContext struct {
 	rt *opRuntime
 }
 
-func newOpContext(rt *opRuntime) *opContext { return &opContext{rt: rt} }
-
 func (c *opContext) Name() string { return c.rt.spec.Name }
 func (c *opContext) Kind() string { return c.rt.spec.Kind }
 func (c *opContext) App() string  { return c.rt.pe.cfg.App }

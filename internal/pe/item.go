@@ -46,29 +46,18 @@ func GetBatch() *Batch {
 // dropped). The item slots are cleared so recycled batches do not pin
 // tuple storage.
 func PutBatch(b *Batch) {
-	for i := range b.Items {
-		b.Items[i] = Item{}
-	}
+	clear(b.Items)
 	b.Items = b.Items[:0]
 	batchPool.Put(b)
 }
 
-// controlMsg is an in-band orchestrator control command delivered to a
-// Controllable operator on its processing goroutine, so control actions
-// are serialised with tuple processing.
-type controlMsg struct {
-	cmd  string
-	args map[string]string
-	done chan error
-}
-
-// syncMsg runs an arbitrary function on the operator's processing
-// goroutine — the checkpoint driver uses it to capture operator state
-// at a point serialised with tuple delivery. The claim handshake gives
-// fn exactly one owner: the consume loop claims before running, and a
-// sender that gives up claims to invalidate the message, so an
-// abandoned fn can never run against resources the sender has since
-// released (the capture encoder's pooled buffer).
+// syncMsg runs a function on the operator's processing goroutine,
+// serialised with tuple delivery: an orchestrator control command for a
+// Controllable operator, or the checkpoint driver's state capture. The
+// claim handshake gives fn exactly one owner: the consume loop claims
+// before running, and a sender that gives up claims to invalidate the
+// message, so an abandoned fn can never run against resources the sender
+// has since released (the capture encoder's pooled buffer).
 type syncMsg struct {
 	fn      func() error
 	done    chan error
@@ -78,12 +67,11 @@ type syncMsg struct {
 // claim reports whether the caller won ownership of fn.
 func (m *syncMsg) claim() bool { return m.claimed.CompareAndSwap(false, true) }
 
-// queued is what sits in an operator's input queue: a single item, a
-// whole transport batch, a control command, or a synchronised call.
+// queued is one inbox entry: a single item, a whole batch (a transport
+// frame, a fused neighbour's coalesced emits) or a synchronised call.
 type queued struct {
 	port  int
 	item  Item
 	batch *Batch
-	ctl   *controlMsg
 	sync  *syncMsg
 }

@@ -5,6 +5,16 @@
 // execution, built-in metrics, final-punctuation propagation, and
 // crash-with-state-loss failure semantics (an operator error or panic
 // kills the whole container, §2.2/§5.2).
+//
+// There is one queue type and one delivery path. Every operator with
+// inputs owns an inbox (inbox.go) that its consume goroutine drains
+// whole; the drained run is cut into chunks of at most maxChunk tuples
+// of one port, each handed over as one ProcessBatch call (or unrolled
+// into Process calls); Context.Submit coalesces for every operator for
+// the length of a chunk. Config.QueueCap and the queueSize gauge count
+// tuples, so a queued 64-tuple frame weighs 64. Batch, GetBatch,
+// PutBatch, ExternalInlet and ExternalBatchInlet are thin adapters over
+// that path, kept for the transport and the benchmark.
 package pe
 
 import (
@@ -34,18 +44,10 @@ const (
 
 // String names the state.
 func (s State) String() string {
-	switch s {
-	case Created:
-		return "created"
-	case Running:
-		return "running"
-	case Stopped:
-		return "stopped"
-	case Crashed:
-		return "crashed"
-	default:
+	if s < Created || s > Crashed {
 		return "unknown"
 	}
+	return [...]string{"created", "running", "stopped", "crashed"}[s]
 }
 
 // OpSpec describes one operator instance to run inside the PE.
@@ -75,7 +77,7 @@ type Config struct {
 	Wires    []Wire
 	Clock    vclock.Clock
 	Registry *opapi.Registry
-	QueueCap int // per-operator input queue capacity; default 256
+	QueueCap int // per-operator input queue capacity, in tuples; default 256
 	Logf     func(format string, args ...any)
 	// OnExit is invoked exactly once, from the PE's own goroutine, when
 	// the container leaves the Running state. crashed is false for a
@@ -134,8 +136,7 @@ type PE struct {
 	lastIn     int64
 	lastOut    int64
 
-	kill     chan struct{} // closed on crash or stop
-	stopSrc  chan struct{} // closed to ask sources to finish
+	kill     chan struct{} // closed on crash or stop; asks sources to finish
 	killOnce sync.Once
 	exitOnce sync.Once
 	wg       sync.WaitGroup
@@ -145,30 +146,26 @@ type PE struct {
 }
 
 type opRuntime struct {
-	pe   *PE
-	spec OpSpec
-	op   opapi.Operator
-	// batchOp is non-nil when op implements the opt-in batch SPI; the
-	// consume loop then delivers whole queue batches through
-	// ProcessBatch instead of unpacking them into per-tuple calls.
-	batchOp opapi.BatchOperator
-	// view and viewTs are the reusable batch presented to ProcessBatch:
-	// viewTs accumulates the current run of consecutive tuples, view
-	// wraps it without copying storage. Both live on the consume
-	// goroutine only.
-	view   tuple.Batch
-	viewTs []tuple.Tuple
-	// coalescing is set for the duration of a ProcessBatch call: emits
-	// buffer into outBuf (one pending run per output port) and flush as
-	// whole batches when the call returns, keeping intra-PE hops between
-	// two batch operators batched. Only touched on the consume
-	// goroutine.
-	coalescing bool
-	outBuf     [][]Item
-	in         chan queued
-	om         *metrics.OpMetrics
-	inPM       []*metrics.Set // per input port
-	outPM      []*metrics.Set // per output port
+	pe      *PE
+	spec    OpSpec
+	op      opapi.Operator
+	batchOp opapi.BatchOperator // non-nil when op has the opt-in batch SPI
+	in      *inbox
+	// viewTs accumulates the current chunk (tuples of input port
+	// viewPort) and view wraps it for ProcessBatch without copying
+	// storage. owed counts the tuples of the drained run not processed
+	// yet: what a failure mid-run loses. Consume goroutine only.
+	view     tuple.Batch
+	viewTs   []tuple.Tuple
+	viewPort int
+	owed     int
+	// outBuf holds the pending emits, one buffer per output port, until
+	// flush forwards them: once per chunk for an operator with inputs,
+	// at every emit for a source. Operator's own goroutine only.
+	outBuf [][]Item
+	om     *metrics.OpMetrics
+	inPM   []*metrics.Set // per input port
+	outPM  []*metrics.Set // per output port
 	// Hot-path counter cells resolved once at construction (see the PE
 	// struct's cTuples* fields for the rationale).
 	cProcessed *metrics.Counter   // builtin nTuplesProcessed
@@ -234,12 +231,15 @@ func (s *outletSet) rebuild() {
 	s.next = next
 }
 
-func (s *outletSet) each(it Item) {
+// each hands the items, in order, to every attached outlet.
+func (s *outletSet) each(items []Item) {
 	s.mu.RLock()
 	outs := s.next
 	s.mu.RUnlock()
 	for _, fn := range outs {
-		fn(it)
+		for _, it := range items {
+			fn(it)
+		}
 	}
 }
 
@@ -262,7 +262,6 @@ func New(cfg Config) (*PE, error) {
 		byName:    make(map[string]*opRuntime, len(cfg.Ops)),
 		peMetrics: metrics.NewSet(),
 		kill:      make(chan struct{}),
-		stopSrc:   make(chan struct{}),
 	}
 	for _, n := range []string{metrics.PETupleBytesProcessed, metrics.PETupleBytesSubmitted,
 		metrics.PETuplesProcessed, metrics.PETuplesSubmitted, metrics.PETuplesDropped,
@@ -288,17 +287,15 @@ func New(cfg Config) (*PE, error) {
 			pe:        p,
 			spec:      spec,
 			op:        op,
-			in:        make(chan queued, cfg.QueueCap),
+			in:        newInbox(cfg.QueueCap),
+			outBuf:    make([][]Item, len(spec.Outputs)),
 			om:        metrics.NewOpMetrics(),
 			intra:     make([][]intraTarget, len(spec.Outputs)),
 			outlets:   make([]*outletSet, len(spec.Outputs)),
 			finalSeen: make([]bool, len(spec.Inputs)),
 			loopDone:  make(chan struct{}),
 		}
-		if bo, ok := op.(opapi.BatchOperator); ok {
-			rt.batchOp = bo
-			rt.outBuf = make([][]Item, len(spec.Outputs))
-		}
+		rt.batchOp, _ = op.(opapi.BatchOperator)
 		rt.cProcessed = rt.om.Builtin.Counter(metrics.OpTuplesProcessed)
 		rt.cSubmitted = rt.om.Builtin.Counter(metrics.OpTuplesSubmitted)
 		rt.cPuncts = rt.om.Builtin.Counter(metrics.OpPunctsProcessed)
@@ -316,7 +313,7 @@ func New(cfg Config) (*PE, error) {
 			rt.pOut = append(rt.pOut, s.Counter(metrics.PortTuplesSubmitted))
 			rt.outPM = append(rt.outPM, s)
 		}
-		rt.ctx = newOpContext(rt)
+		rt.ctx = &opContext{rt: rt}
 		if _, dup := p.byName[spec.Name]; dup {
 			return nil, fmt.Errorf("pe %s: duplicate operator %q", cfg.ID, spec.Name)
 		}
@@ -380,6 +377,9 @@ func (p *PE) Start() error {
 	for _, rt := range p.ops {
 		if err := rt.op.Open(rt.ctx); err != nil {
 			p.crash(fmt.Sprintf("operator %s failed to open: %v", rt.spec.Name, err))
+			for _, o := range p.ops {
+				close(o.loopDone) // no loop will run: release a capture waiting for one
+			}
 			return fmt.Errorf("pe %s: open %s: %w", p.cfg.ID, rt.spec.Name, err)
 		}
 	}
@@ -390,7 +390,6 @@ func (p *PE) Start() error {
 		p.restoreState()
 	}
 	for _, rt := range p.ops {
-		rt := rt
 		if len(rt.spec.Inputs) > 0 {
 			p.wg.Add(1)
 			go rt.consumeLoop()
@@ -412,8 +411,7 @@ func (p *PE) Stop() {
 	if !p.state.CompareAndSwap(int32(Running), int32(Stopped)) {
 		return
 	}
-	close(p.stopSrc)
-	p.killOnce.Do(func() { close(p.kill) })
+	p.die()
 	p.wg.Wait()
 	for _, rt := range p.ops {
 		if err := rt.op.Close(); err != nil {
@@ -427,41 +425,41 @@ func (p *PE) Stop() {
 // failure experiments): the container dies immediately, queued items and
 // operator state are lost, and Close is never called.
 func (p *PE) Kill(reason string) {
-	if !p.state.CompareAndSwap(int32(Running), int32(Crashed)) {
-		return
+	if p.state.CompareAndSwap(int32(Running), int32(Crashed)) {
+		p.crashed(reason)
 	}
+}
+
+// crash is the internal failure path for operator errors and panics.
+func (p *PE) crash(reason string) {
+	if p.state.CompareAndSwap(int32(Running), int32(Crashed)) {
+		p.cfg.Logf("pe %s: crash: %s", p.cfg.ID, reason)
+		p.crashed(reason)
+	}
+}
+
+// crashed records the cause of a container that has just entered Crashed,
+// releases its goroutines and fires the exit callback once they are gone.
+func (p *PE) crashed(reason string) {
 	p.mu.Lock()
 	p.reason = reason
 	p.mu.Unlock()
-	p.killOnce.Do(func() { close(p.kill) })
+	p.die()
 	go func() {
 		p.wg.Wait()
 		p.fireExit(true, reason)
 	}()
 }
 
-// crash is the internal failure path for operator errors and panics.
-func (p *PE) crash(reason string) {
-	if !p.state.CompareAndSwap(int32(Running), int32(Crashed)) {
-		// Crash during Start before Running: record and fire.
-		if p.state.CompareAndSwap(int32(Created), int32(Crashed)) {
-			p.mu.Lock()
-			p.reason = reason
-			p.mu.Unlock()
-			p.killOnce.Do(func() { close(p.kill) })
-			p.fireExit(true, reason)
+// die closes the kill channel and every operator's inbox, releasing the
+// consume goroutines and any producer blocked on a full queue.
+func (p *PE) die() {
+	p.killOnce.Do(func() {
+		close(p.kill)
+		for _, rt := range p.ops {
+			rt.in.close()
 		}
-		return
-	}
-	p.mu.Lock()
-	p.reason = reason
-	p.mu.Unlock()
-	p.cfg.Logf("pe %s: crash: %s", p.cfg.ID, reason)
-	p.killOnce.Do(func() { close(p.kill) })
-	go func() {
-		p.wg.Wait()
-		p.fireExit(true, reason)
-	}()
+	})
 }
 
 func (p *PE) fireExit(crashed bool, reason string) {
@@ -472,52 +470,67 @@ func (p *PE) fireExit(crashed bool, reason string) {
 	})
 }
 
+// port resolves an operator's input (or output) port.
+func (p *PE) port(opName string, port int, input bool) (*opRuntime, error) {
+	if rt, ok := p.byName[opName]; ok {
+		n := len(rt.spec.Outputs)
+		if input {
+			n = len(rt.spec.Inputs)
+		}
+		if port >= 0 && port < n {
+			return rt, nil
+		}
+	}
+	return nil, fmt.Errorf("pe %s: no port %s:%d (input: %v)", p.cfg.ID, opName, port, input)
+}
+
 // ExternalInlet returns a function that feeds items into the named
 // operator's input port from outside the PE (cross-PE transport or a
-// cross-job import link). Items arriving after the PE died are dropped —
-// tuple loss on failure, as the paper's §5.2 scenario requires.
+// cross-job import link). Tuples arriving after the PE died, or after the
+// operator finalised, are dropped and counted on nTuplesDropped — tuple
+// loss on failure, as the paper's §5.2 scenario requires.
 func (p *PE) ExternalInlet(opName string, port int) (func(Item), error) {
-	rt, ok := p.byName[opName]
-	if !ok {
-		return nil, fmt.Errorf("pe %s: no operator %q", p.cfg.ID, opName)
+	rt, err := p.port(opName, port, true)
+	if err != nil {
+		return nil, err
 	}
-	if port < 0 || port >= len(rt.spec.Inputs) {
-		return nil, fmt.Errorf("pe %s: operator %q has no input port %d", p.cfg.ID, opName, port)
-	}
-	return func(it Item) { rt.enqueue(port, it) }, nil
+	return func(it Item) {
+		w := 1
+		if it.IsMark() {
+			w = 0
+		}
+		rt.put(&queued{port: port, item: it}, w)
+	}, nil
 }
 
 // ExternalBatchInlet returns a function that feeds whole item batches into
-// the named operator's input port as a single queue operation — the
-// delivery side of the transport's small-batch framing. Ownership of the
-// batch transfers to the PE, which recycles it once its items have been
-// delivered (or immediately, if the PE has died and the batch is dropped).
+// the named operator's input port as a single queue operation (one
+// pointer append) — the delivery side of the transport's small-batch
+// framing. Ownership of the batch transfers to the PE, which recycles it
+// once its items have been delivered or dropped.
 func (p *PE) ExternalBatchInlet(opName string, port int) (func(*Batch), error) {
-	rt, ok := p.byName[opName]
-	if !ok {
-		return nil, fmt.Errorf("pe %s: no operator %q", p.cfg.ID, opName)
+	rt, err := p.port(opName, port, true)
+	if err != nil {
+		return nil, err
 	}
-	if port < 0 || port >= len(rt.spec.Inputs) {
-		return nil, fmt.Errorf("pe %s: operator %q has no input port %d", p.cfg.ID, opName, port)
-	}
-	return func(b *Batch) { rt.enqueueBatch(port, b) }, nil
+	return func(b *Batch) { rt.put(&queued{port: port, batch: b}, countTuples(b.Items)) }, nil
 }
 
 // InputSchema returns the schema of an operator input port, for link
 // compatibility checks.
 func (p *PE) InputSchema(opName string, port int) (*tuple.Schema, error) {
-	rt, ok := p.byName[opName]
-	if !ok || port < 0 || port >= len(rt.spec.Inputs) {
-		return nil, fmt.Errorf("pe %s: no input %s:%d", p.cfg.ID, opName, port)
+	rt, err := p.port(opName, port, true)
+	if err != nil {
+		return nil, err
 	}
 	return rt.spec.Inputs[port], nil
 }
 
 // OutputSchema returns the schema of an operator output port.
 func (p *PE) OutputSchema(opName string, port int) (*tuple.Schema, error) {
-	rt, ok := p.byName[opName]
-	if !ok || port < 0 || port >= len(rt.spec.Outputs) {
-		return nil, fmt.Errorf("pe %s: no output %s:%d", p.cfg.ID, opName, port)
+	rt, err := p.port(opName, port, false)
+	if err != nil {
+		return nil, err
 	}
 	return rt.spec.Outputs[port], nil
 }
@@ -525,22 +538,20 @@ func (p *PE) OutputSchema(opName string, port int) (*tuple.Schema, error) {
 // AddOutlet attaches an external consumer to an operator output port under
 // a link id; RemoveOutlet detaches it.
 func (p *PE) AddOutlet(opName string, port int, linkID string, out Outlet) error {
-	rt, ok := p.byName[opName]
-	if !ok || port < 0 || port >= len(rt.spec.Outputs) {
-		return fmt.Errorf("pe %s: no output %s:%d", p.cfg.ID, opName, port)
+	rt, err := p.port(opName, port, false)
+	if err == nil {
+		rt.outlets[port].add(linkID, out)
 	}
-	rt.outlets[port].add(linkID, out)
-	return nil
+	return err
 }
 
 // RemoveOutlet detaches a previously added external consumer.
 func (p *PE) RemoveOutlet(opName string, port int, linkID string) error {
-	rt, ok := p.byName[opName]
-	if !ok || port < 0 || port >= len(rt.spec.Outputs) {
-		return fmt.Errorf("pe %s: no output %s:%d", p.cfg.ID, opName, port)
+	rt, err := p.port(opName, port, false)
+	if err == nil {
+		rt.outlets[port].remove(linkID)
 	}
-	rt.outlets[port].remove(linkID)
-	return nil
+	return err
 }
 
 // Control delivers a control command to a Controllable operator, returning
@@ -550,18 +561,17 @@ func (p *PE) Control(opName, cmd string, args map[string]string) error {
 	if !ok {
 		return fmt.Errorf("pe %s: no operator %q", p.cfg.ID, opName)
 	}
-	if _, ok := rt.op.(opapi.Controllable); !ok {
+	ctl, ok := rt.op.(opapi.Controllable)
+	if !ok {
 		return fmt.Errorf("pe %s: operator %q is not controllable", p.cfg.ID, opName)
 	}
-	msg := &controlMsg{cmd: cmd, args: args, done: make(chan error, 1)}
 	if len(rt.spec.Inputs) == 0 {
 		// Sources have no consume loop; execute inline (the Run goroutine
 		// must tolerate concurrent Control, documented on Controllable).
-		return rt.op.(opapi.Controllable).Control(cmd, args)
+		return ctl.Control(cmd, args)
 	}
-	select {
-	case rt.in <- queued{ctl: msg}:
-	case <-p.kill:
+	msg := &syncMsg{fn: func() error { return ctl.Control(cmd, args) }, done: make(chan error, 1)}
+	if !rt.in.put(&queued{sync: msg}, 0) {
 		return fmt.Errorf("pe %s: not running", p.cfg.ID)
 	}
 	select {
@@ -574,14 +584,6 @@ func (p *PE) Control(opName, cmd string, args map[string]string) error {
 
 // PEMetrics returns the PE-level metric set.
 func (p *PE) PEMetrics() *metrics.Set { return p.peMetrics }
-
-// noteStateAnchor records that the container's state is anchored to a
-// snapshot as of now (a completed checkpoint, or a restore at start-up)
-// and zeroes the age gauge.
-func (p *PE) noteStateAnchor() {
-	p.ckptAt.Store(p.cfg.Clock.Now().UnixNano())
-	p.peMetrics.Counter(metrics.PECheckpointAgeMs).Set(0)
-}
 
 // noteStateAnchorAt anchors the container's state to a snapshot captured
 // at the given past instant — the restore path uses the capture timestamp
@@ -635,112 +637,88 @@ func (p *PE) MetricsSnapshot() []metrics.Sample {
 	p.refreshCheckpointAge()
 	p.refreshRates(at)
 	var out []metrics.Sample
-	for name, v := range p.peMetrics.Snapshot() {
-		out = append(out, metrics.Sample{
-			Scope: metrics.PEScope, Job: p.cfg.Job, App: p.cfg.App, PE: p.cfg.ID,
-			Name: name, Value: v, At: at,
-		})
+	add := func(base metrics.Sample, scope metrics.Scope, set *metrics.Set) {
+		for name, v := range set.Snapshot() {
+			base.Scope, base.Name, base.Value = scope, name, v
+			out = append(out, base)
+		}
 	}
+	pe := metrics.Sample{Job: p.cfg.Job, App: p.cfg.App, PE: p.cfg.ID, At: at}
+	add(pe, metrics.PEScope, p.peMetrics)
 	for _, rt := range p.ops {
-		base := metrics.Sample{
-			Job: p.cfg.Job, App: p.cfg.App, PE: p.cfg.ID,
-			Operator: rt.spec.Name, OperatorKind: rt.spec.Kind, At: at,
-		}
-		// Refresh the queue gauge at snapshot time.
-		rt.om.Builtin.Counter(metrics.OpQueueSize).Set(int64(len(rt.in)))
-		for name, v := range rt.om.Builtin.Snapshot() {
-			s := base
-			s.Scope, s.Name, s.Value = metrics.OperatorScope, name, v
-			out = append(out, s)
-		}
-		for name, v := range rt.om.Custom.Snapshot() {
-			s := base
-			s.Scope, s.Name, s.Value, s.Custom = metrics.OperatorScope, name, v, true
-			out = append(out, s)
-		}
+		base := pe
+		base.Operator, base.OperatorKind = rt.spec.Name, rt.spec.Kind
+		// Refresh the queue gauge (tuples pending) at snapshot time.
+		rt.om.Builtin.Counter(metrics.OpQueueSize).Set(int64(rt.in.depth()))
+		add(base, metrics.OperatorScope, rt.om.Builtin)
+		custom := base
+		custom.Custom = true
+		add(custom, metrics.OperatorScope, rt.om.Custom)
 		for port, pm := range rt.inPM {
-			for name, v := range pm.Snapshot() {
-				s := base
-				s.Scope, s.Port, s.Dir, s.Name, s.Value = metrics.PortScope, port, metrics.Input, name, v
-				out = append(out, s)
-			}
+			base.Port, base.Dir = port, metrics.Input
+			add(base, metrics.PortScope, pm)
 		}
 		for port, pm := range rt.outPM {
-			for name, v := range pm.Snapshot() {
-				s := base
-				s.Scope, s.Port, s.Dir, s.Name, s.Value = metrics.PortScope, port, metrics.Output, name, v
-				out = append(out, s)
-			}
+			base.Port, base.Dir = port, metrics.Output
+			add(base, metrics.PortScope, pm)
 		}
 	}
 	return out
 }
 
-// enqueue places an item on an operator's input queue, blocking for
-// backpressure, and dropping the item if the PE has died.
-func (rt *opRuntime) enqueue(port int, it Item) {
-	select {
-	case rt.in <- queued{port: port, item: it}:
-	case <-rt.pe.kill:
-	}
-}
+// maxChunk is the most tuples one ProcessBatch call gets: the transport's
+// frame size (MaxFrameTuples), so that a drained run holding a whole
+// queue is still worked through — and a kill noticed — in frame-sized steps.
+const maxChunk = 64
 
-// enqueueBatch places a whole batch on the queue as one element, blocking
-// for backpressure; a batch dropped on PE death is recycled here.
-func (rt *opRuntime) enqueueBatch(port int, b *Batch) {
-	select {
-	case rt.in <- queued{port: port, batch: b}:
-	case <-rt.pe.kill:
-		PutBatch(b)
+// put queues one entry weighing w tuples on the operator's inbox,
+// blocking for backpressure. A closed inbox — the operator finalised or
+// the container died — refuses it: the tuples are counted as dropped and
+// a refused batch is recycled.
+func (rt *opRuntime) put(q *queued, w int) {
+	if rt.in.put(q, w) {
+		return
+	}
+	rt.pe.cTuplesDropped.Add(int64(w))
+	if q.batch != nil {
+		PutBatch(q.batch)
 	}
 }
 
 // consumeLoop is the processing goroutine of one operator *instance*
-// with inputs: all Process/ProcessMark/Control calls on this instance
-// happen here, serialised. Note the unit is the instance, not the
-// logical operator — a logical operator declared parallel runs as
-// several replicated instances in separate PEs, each with its own
-// consumeLoop, so "one goroutine per operator" holds only within a
-// region replica.
+// with inputs: every Process/ProcessBatch/ProcessMark/Control call on
+// the instance happens here, serialised. (The unit is the instance: a
+// logical operator declared parallel runs as several replicas in
+// separate PEs, each with its own consumeLoop.) Each iteration drains
+// the inbox whole. When the container dies or the operator fails
+// part-way through a drained run, the tuples not yet processed — the
+// failed chunk and everything behind it — are logged and counted on the
+// PE's nTuplesDropped instead of vanishing silently; what is left
+// behind the last final mark is not a loss.
 func (rt *opRuntime) consumeLoop() {
 	defer rt.pe.wg.Done()
 	defer func() {
 		if r := recover(); r != nil {
 			rt.pe.crash(fmt.Sprintf("operator %s panicked: %v", rt.spec.Name, r))
 		}
-	}()
-	defer close(rt.loopDone)
-	for {
-		select {
-		case q := <-rt.in:
-			if q.ctl != nil {
-				q.ctl.done <- rt.op.(opapi.Controllable).Control(q.ctl.cmd, q.ctl.args)
-				continue
-			}
-			if q.sync != nil {
-				if q.sync.claim() {
-					q.sync.done <- q.sync.fn()
-				}
-				continue
-			}
-			if q.batch != nil {
-				done := rt.deliverBatch(q.port, q.batch)
-				PutBatch(q.batch)
-				if done {
-					return // all inputs finalised (or crashed)
-				}
-				continue
-			}
-			if rt.deliver(q) {
-				return // all inputs finalised
-			}
-		case <-rt.pe.kill:
-			return
+		if !rt.finalised.Load() && rt.owed > 0 {
+			rt.pe.cTuplesDropped.Add(int64(rt.owed))
+			rt.pe.cfg.Logf("pe %s: operator %s: dropped %d undelivered tuple(s) of a drained run",
+				rt.pe.cfg.ID, rt.spec.Name, rt.owed)
 		}
+	}()
+	defer func() {
+		close(rt.loopDone)
+		rt.in.close()
+	}()
+	var run []queued
+	for ok := true; ok; clear(run) {
+		run, rt.owed, ok = rt.in.take(run)
+		ok = ok && rt.deliverRun(run)
 	}
 }
 
-// countTuples returns the number of tuple (non-mark) items in a run.
+// countTuples returns the number of tuple (non-mark) items.
 func countTuples(items []Item) int {
 	n := 0
 	for _, it := range items {
@@ -751,154 +729,143 @@ func countTuples(items []Item) int {
 	return n
 }
 
-// deliverBatch hands one queued batch to the operator. Batch
-// implementers receive each run of consecutive tuples as one
-// ProcessBatch call (marks interleave in position through the per-item
-// path); everyone else gets the per-item loop. Either way the
-// partial-batch contract holds: when a mid-batch failure crashes the
-// container, the undelivered remainder of the batch is logged and
-// accounted on the PE's nTuplesDropped counter instead of vanishing
-// silently. It reports whether the consume loop should exit.
-func (rt *opRuntime) deliverBatch(port int, b *Batch) bool {
-	items := b.Items
-	if rt.batchOp == nil {
-		for i, it := range items {
-			if rt.deliver(queued{port: port, item: it}) {
-				if !rt.finalised.Load() {
-					rt.noteBatchLoss(countTuples(items[i+1:]))
-				}
-				return true
-			}
-		}
+// deliverRun walks one drained run in order, cutting it into chunks at
+// port changes, marks, synchronised calls and maxChunk. It reports
+// whether the consume loop should go on.
+func (rt *opRuntime) deliverRun(run []queued) bool {
+	if rt.pe.State() != Running {
 		return false
 	}
-	i := 0
-	for i < len(items) {
-		if items[i].IsMark() {
-			if rt.deliver(queued{port: port, item: items[i]}) {
-				if !rt.finalised.Load() {
-					rt.noteBatchLoss(countTuples(items[i+1:]))
-				}
-				return true
+	var one [1]Item
+	for i := range run {
+		q := &run[i]
+		if q.sync != nil {
+			if !rt.deliverChunk() {
+				return false
 			}
-			i++
+			if q.sync.claim() {
+				q.sync.done <- q.sync.fn()
+				rt.flush()
+			}
 			continue
 		}
-		j := i
-		for j < len(items) && !items[j].IsMark() {
-			rt.viewTs = append(rt.viewTs, items[j].T)
-			j++
+		items := one[:]
+		if q.batch != nil {
+			items = q.batch.Items
+		} else {
+			one[0] = q.item
 		}
-		n := int64(j - i)
-		rt.view.SetView(rt.viewTs)
-		rt.coalescing = true
-		err := rt.batchOp.ProcessBatch(port, &rt.view)
-		rt.coalescing = false
-		clear(rt.viewTs)
-		rt.viewTs = rt.viewTs[:0]
+		for k := range items {
+			if it := &items[k]; it.IsMark() {
+				if !rt.deliverChunk() || !rt.deliverMark(q.port, it.Mark) {
+					return false
+				}
+			} else {
+				if (q.port != rt.viewPort || len(rt.viewTs) == maxChunk) && !rt.deliverChunk() {
+					return false
+				}
+				rt.viewPort = q.port
+				rt.viewTs = append(rt.viewTs, it.T)
+			}
+		}
+		if q.batch != nil {
+			PutBatch(q.batch)
+		}
+	}
+	return rt.deliverChunk()
+}
+
+// deliverChunk hands the accumulated chunk to the operator — one
+// ProcessBatch call where the operator has it, unrolled into Process
+// calls here, and only here, where it does not — then forwards what the
+// operator emitted. The chunk is the unit of failure: when a call fails,
+// none of its tuples count as processed and the chunk's emits are never
+// forwarded (a restart that replays upstream of the failure point would
+// double-deliver them). It reports whether the consume loop should go on.
+func (rt *opRuntime) deliverChunk() bool {
+	ts := rt.viewTs
+	if len(ts) == 0 {
+		return true
+	}
+	if rt.pe.State() != Running {
+		return false
+	}
+	var err error
+	if rt.batchOp != nil {
+		rt.view.SetView(ts)
+		err = rt.batchOp.ProcessBatch(rt.viewPort, &rt.view)
 		rt.view.SetView(nil)
-		if err != nil {
-			rt.pe.crash(fmt.Sprintf("operator %s: %v", rt.spec.Name, err))
-			// The failed call's tuples are not known to have been
-			// processed; they and the rest of the batch are lost.
-			rt.dropCoalesced()
-			rt.noteBatchLoss(int(n) + countTuples(items[j:]))
-			return true
+	} else {
+		for i := 0; i < len(ts) && err == nil; i++ {
+			err = rt.op.Process(rt.viewPort, ts[i])
 		}
-		rt.cProcessed.Add(n)
-		rt.pIn[port].Add(n)
-		rt.pe.cTuplesIn.Add(n)
-		rt.flushCoalesced()
-		i = j
 	}
-	return false
+	clear(ts)
+	rt.viewTs = ts[:0]
+	if err != nil {
+		rt.pe.crash(fmt.Sprintf("operator %s: %v", rt.spec.Name, err))
+		return false
+	}
+	rt.owed -= len(ts)
+	rt.cProcessed.Add(int64(len(ts)))
+	rt.pIn[rt.viewPort].Add(int64(len(ts)))
+	rt.pe.cTuplesIn.Add(int64(len(ts)))
+	rt.flush()
+	return true
 }
 
-// noteBatchLoss logs and accounts tuples of an accepted batch that will
-// never reach their operator because an earlier failure crashed the
-// container mid-batch.
-func (rt *opRuntime) noteBatchLoss(lost int) {
-	if lost <= 0 {
-		return
+// deliverMark processes one punctuation; it reports false when the
+// operator failed or has now seen final punctuation on every input port.
+func (rt *opRuntime) deliverMark(port int, m tuple.Mark) bool {
+	rt.cPuncts.Inc()
+	final := m == tuple.FinalMark
+	if final {
+		if rt.finalSeen[port] {
+			return true // duplicate final on a port: ignore
+		}
+		rt.finalSeen[port] = true
+		rt.finals++
+		rt.inPM[port].Counter(metrics.PortFinalPunctsQueued).Inc()
 	}
-	rt.pe.cTuplesDropped.Add(int64(lost))
-	rt.pe.cfg.Logf("pe %s: operator %s: dropped %d undelivered tuple(s) after mid-batch failure",
-		rt.pe.cfg.ID, rt.spec.Name, lost)
+	if err := rt.op.ProcessMark(port, m); err != nil {
+		rt.pe.crash(fmt.Sprintf("operator %s: %v", rt.spec.Name, err))
+		return false
+	}
+	if final = final && rt.finals == len(rt.spec.Inputs); final {
+		rt.forwardFinal()
+		rt.finalised.Store(true)
+	}
+	rt.flush()
+	return !final
 }
 
-// flushCoalesced forwards the outputs buffered during a ProcessBatch
-// call: every intra-PE target receives its port's run as one batch (one
-// queue operation), external outlets receive the items in order (links
-// batch internally), and the submission counters advance by the run's
-// tuple count in one step per port.
-func (rt *opRuntime) flushCoalesced() {
-	for port := range rt.outBuf {
-		buf := rt.outBuf[port]
+// flush forwards the operator's pending emits: every intra-PE target
+// receives its port's items as one queue entry, external outlets receive
+// them in order (links batch internally), and the submission counters
+// advance by the tuple count in one step per port.
+func (rt *opRuntime) flush() {
+	for port, buf := range rt.outBuf {
 		if len(buf) == 0 {
 			continue
 		}
-		if nt := int64(countTuples(buf)); nt > 0 {
-			rt.cSubmitted.Add(nt)
-			rt.pOut[port].Add(nt)
-			rt.pe.cTuplesOut.Add(nt)
-		}
+		nt := countTuples(buf)
+		rt.cSubmitted.Add(int64(nt))
+		rt.pOut[port].Add(int64(nt))
+		rt.pe.cTuplesOut.Add(int64(nt))
 		for _, tgt := range rt.intra[port] {
-			nb := GetBatch()
-			nb.Items = append(nb.Items, buf...)
-			tgt.op.enqueueBatch(tgt.port, nb)
+			q := queued{port: tgt.port}
+			if len(buf) == 1 {
+				q.item = buf[0]
+			} else {
+				q.batch = GetBatch()
+				q.batch.Items = append(q.batch.Items, buf...)
+			}
+			tgt.op.put(&q, nt)
 		}
-		os := rt.outlets[port]
-		for _, it := range buf {
-			os.each(it)
-		}
+		rt.outlets[port].each(buf)
 		clear(buf)
 		rt.outBuf[port] = buf[:0]
 	}
-}
-
-// dropCoalesced discards outputs buffered by a ProcessBatch call that
-// failed: the container is crashing, and forwarding the partial effects
-// of a failed batch would double-deliver them after a restart replays
-// upstream of the failure point.
-func (rt *opRuntime) dropCoalesced() {
-	for port := range rt.outBuf {
-		clear(rt.outBuf[port])
-		rt.outBuf[port] = rt.outBuf[port][:0]
-	}
-}
-
-// deliver processes one queued item; it reports whether the operator has
-// now seen final punctuation on every input port.
-func (rt *opRuntime) deliver(q queued) bool {
-	if q.item.IsMark() {
-		rt.cPuncts.Inc()
-		if q.item.Mark == tuple.FinalMark {
-			if rt.finalSeen[q.port] {
-				return false // duplicate final on a port: ignore
-			}
-			rt.finalSeen[q.port] = true
-			rt.finals++
-			rt.inPM[q.port].Counter(metrics.PortFinalPunctsQueued).Inc()
-		}
-		if err := rt.op.ProcessMark(q.port, q.item.Mark); err != nil {
-			rt.pe.crash(fmt.Sprintf("operator %s: %v", rt.spec.Name, err))
-			return true
-		}
-		if q.item.Mark == tuple.FinalMark && rt.finals == len(rt.spec.Inputs) {
-			rt.forwardFinal()
-			rt.finalised.Store(true)
-			return true
-		}
-		return false
-	}
-	rt.cProcessed.Inc()
-	rt.pIn[q.port].Inc()
-	rt.pe.cTuplesIn.Inc()
-	if err := rt.op.Process(q.port, q.item.T); err != nil {
-		rt.pe.crash(fmt.Sprintf("operator %s: %v", rt.spec.Name, err))
-		return true
-	}
-	return false
 }
 
 // sourceLoop drives a source operator; a nil return from Run emits final
@@ -910,15 +877,7 @@ func (rt *opRuntime) sourceLoop(src opapi.Source) {
 			rt.pe.crash(fmt.Sprintf("source %s panicked: %v", rt.spec.Name, r))
 		}
 	}()
-	stop := make(chan struct{})
-	go func() {
-		select {
-		case <-rt.pe.stopSrc:
-		case <-rt.pe.kill:
-		}
-		close(stop)
-	}()
-	if err := src.Run(stop); err != nil {
+	if err := src.Run(rt.pe.kill); err != nil {
 		rt.pe.crash(fmt.Sprintf("source %s: %v", rt.spec.Name, err))
 		return
 	}
@@ -937,23 +896,12 @@ func (rt *opRuntime) forwardFinal() {
 	}
 }
 
-// emit routes an item leaving an output port to fused neighbours and
-// external outlets, maintaining submission metrics. While a
-// ProcessBatch call is in flight the item is buffered instead —
-// flushCoalesced forwards the whole run (and accounts its metrics in
-// bulk) when the call returns.
+// emit buffers an item leaving an output port. An operator with inputs
+// emits from its consume goroutine, which flushes once per run; a source
+// has no run to coalesce over and forwards at once.
 func (rt *opRuntime) emit(port int, it Item) {
-	if rt.coalescing {
-		rt.outBuf[port] = append(rt.outBuf[port], it)
-		return
+	rt.outBuf[port] = append(rt.outBuf[port], it)
+	if len(rt.spec.Inputs) == 0 {
+		rt.flush()
 	}
-	if !it.IsMark() {
-		rt.cSubmitted.Inc()
-		rt.pOut[port].Inc()
-		rt.pe.cTuplesOut.Inc()
-	}
-	for _, tgt := range rt.intra[port] {
-		tgt.op.enqueue(tgt.port, it)
-	}
-	rt.outlets[port].each(it)
 }

@@ -169,6 +169,18 @@ func waitCond(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// waitExit receives the PE's exit notification, with a deadline.
+func waitExit(t *testing.T, ch <-chan exit) exit {
+	t.Helper()
+	select {
+	case e := <-ch:
+		return e
+	case <-time.After(5 * time.Second):
+		t.Fatal("timed out waiting for the PE to exit")
+		return exit{}
+	}
+}
+
 func TestSinglePEPipeline(t *testing.T) {
 	coll := &collector{}
 	exitCh := make(chan exit, 1)
@@ -200,7 +212,7 @@ func TestSinglePEPipeline(t *testing.T) {
 		}
 	}
 	p.Stop()
-	e := <-exitCh
+	e := waitExit(t, exitCh)
 	if e.crashed {
 		t.Fatalf("clean stop reported as crash: %+v", e)
 	}
@@ -355,7 +367,7 @@ func TestOperatorErrorCrashesPE(t *testing.T) {
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}
-	e := <-exitCh
+	e := waitExit(t, exitCh)
 	if !e.crashed || e.reason == "" {
 		t.Fatalf("exit = %+v", e)
 	}
@@ -379,7 +391,7 @@ func TestOperatorPanicCrashesPE(t *testing.T) {
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}
-	e := <-exitCh
+	e := waitExit(t, exitCh)
 	if !e.crashed {
 		t.Fatalf("exit = %+v", e)
 	}
@@ -402,7 +414,7 @@ func TestKillDropsStateAndSkipsClose(t *testing.T) {
 	gate <- struct{}{}
 	waitCond(t, "one tuple", func() bool { return len(coll.values()) == 1 })
 	p.Kill("injected fault")
-	e := <-exitCh
+	e := waitExit(t, exitCh)
 	if !e.crashed || e.reason != "injected fault" || e.pe != 9 {
 		t.Fatalf("exit = %+v", e)
 	}

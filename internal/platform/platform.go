@@ -32,7 +32,7 @@ type Options struct {
 	Hosts []HostSpec
 	// MetricsInterval is the HC→SRM push period (paper default: 3 s).
 	MetricsInterval time.Duration
-	// QueueCap bounds operator input queues (default 256).
+	// QueueCap bounds operator input queues, in tuples (default 256).
 	QueueCap int
 	// Registry resolves operator kinds; nil means opapi.Default.
 	Registry *opapi.Registry

@@ -74,6 +74,8 @@ type Fission struct {
 	// WidenAboveQueue, when positive, makes a region queue depth
 	// strictly above it count as overload too — the backpressure
 	// signal for loads that saturate without raising the offered rate.
+	// The depth is in tuples (a queued transport frame counts its
+	// tuples), bounded by roughly the platform's QueueCap.
 	WidenAboveQueue int64
 	// WidenDebounce is the number of consecutive overload observations
 	// required before a resize; default DefaultFissionDebounce.

@@ -8,13 +8,22 @@
 // Links batch: a sender enqueues items into a bounded pending buffer and a
 // per-link flusher goroutine drains whatever has accumulated, encoding up
 // to MaxFrameTuples tuples per frame and delivering each decoded frame to
-// the remote PE as one pe.Batch (one queue operation). Under load frames
-// fill and the per-tuple cost of channel synchronisation, codec buffers,
-// and tuple storage amortises to zero steady-state allocations; when the
-// stream is sparse the flusher drains immediately ("flush on queue
-// drain"), so an idle link adds only a goroutine handoff of latency.
-// Punctuation flushes the frame under construction and is delivered in
-// position, preserving stream order.
+// the remote PE as one pe.Batch — one pointer append into the receiving
+// operator's inbox, whose capacity counts the frame's tuples. Under load
+// frames fill and the per-tuple cost of queue synchronisation, codec
+// buffers, and tuple storage amortises to zero steady-state allocations
+// (a frame decodes into one block per typed array; the tuple headers are
+// the link's own scratch, copied into the batch); when the stream is
+// sparse the flusher drains immediately ("flush on queue drain"), so an
+// idle link adds only a goroutine handoff of latency. Punctuation flushes
+// the frame under construction and is delivered in position, preserving
+// stream order.
+//
+// The operator inbox in package pe is the same swap-buffer mechanism.
+// The two stay separate types: a link's Close drains what is pending,
+// Discard drops it and Flush waits on an idle condition under the same
+// mutex, none of which an inbox has, and sharing one queue came out
+// larger than the pending/scratch/cond fields it would replace.
 package transport
 
 import (
@@ -63,7 +72,8 @@ type Link struct {
 	discard  atomic.Bool
 	done     chan struct{}
 
-	offs []int // per-tuple end offsets within the frame buffer
+	offs []int         // per-tuple end offsets within the frame buffer
+	hdrs []tuple.Tuple // decode-block header scratch, cleared after each frame
 }
 
 // NewLink builds a link shipping items to remote, which receives decoded
@@ -244,7 +254,9 @@ func (l *Link) shipFrame(items []pe.Item, i int) int {
 	if l.sentBytes != nil {
 		l.sentBytes.Add(int64(len(buf)))
 	}
-	block := tuple.NewBlock(l.schema, len(offs))
+	l.hdrs = tuple.NewBlockInto(l.schema, l.hdrs, len(offs))
+	block := l.hdrs
+	defer clear(block)
 	b := pe.GetBatch()
 	received := 0
 	start := 0

@@ -34,6 +34,7 @@ package tuple
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -328,7 +329,17 @@ func NewBlock(s *Schema, count int) []Tuple {
 	if count <= 0 {
 		return nil
 	}
-	ts := make([]Tuple, count)
+	return NewBlockInto(s, make([]Tuple, count), count)
+}
+
+// NewBlockInto is NewBlock with caller-owned headers: it returns
+// hdrs[:count] (grown if its capacity is short) filled with fresh
+// zero-valued tuples. A producer that hands each tuple on by value
+// (Submit, a queue entry) reuses one header scratch across blocks, so
+// only the typed arrays are allocated; it should clear the headers once
+// handed on, or the scratch pins the last block.
+func NewBlockInto(s *Schema, hdrs []Tuple, count int) []Tuple {
+	ts := slices.Grow(hdrs[:0], count)[:count]
 	var nums []int64
 	if s.nNums > 0 {
 		nums = make([]int64, count*s.nNums)
@@ -338,7 +349,7 @@ func NewBlock(s *Schema, count int) []Tuple {
 		strs = make([]string, count*s.nStrs)
 	}
 	for i := range ts {
-		ts[i].schema = s
+		ts[i] = Tuple{schema: s}
 		if s.nNums > 0 {
 			ts[i].nums = nums[i*s.nNums : (i+1)*s.nNums : (i+1)*s.nNums]
 			for _, k := range s.tsSlots {

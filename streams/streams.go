@@ -131,9 +131,10 @@ type (
 	// Operator is the stream-operator interface.
 	Operator = opapi.Operator
 	// BatchOperator is the opt-in batch execution SPI: an Operator that
-	// also accepts whole delivery batches through ProcessBatch. The
-	// per-tuple Process remains mandatory — the runtime falls back to it
-	// whenever batching does not apply.
+	// also accepts each chunk of its input queue (up to a transport
+	// frame's worth of tuples) through one ProcessBatch call. The
+	// per-tuple Process remains mandatory — it defines what the batch
+	// call must be equivalent to.
 	BatchOperator = opapi.BatchOperator
 	// Source is an operator with no inputs, driven by Run.
 	Source = opapi.Source
