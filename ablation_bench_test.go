@@ -1,6 +1,6 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out:
-// operator fusion (intra-PE direct calls vs. serialized cross-PE links),
-// and input queue capacity (backpressure granularity).
+// Ablation benchmarks for two dataplane design choices: operator fusion
+// (intra-PE direct calls vs. serialized cross-PE links), and input queue
+// capacity (backpressure granularity).
 package streamorca_test
 
 import (

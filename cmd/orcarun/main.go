@@ -1,19 +1,15 @@
-// Command orcarun runs one of the paper's three use-case scenarios with
-// adjustable scale parameters — a CLI front-end over the same scenario
-// code the examples and experiments use.
+// Command orcarun runs one scenario of the exp.Scenarios catalog — the
+// paper's use cases and claims, and the chaos, load and fission runs —
+// and prints its outcome: the figure series as CSV (when the scenario
+// reproduces one), a "deterministic:" line two same-seed runs must agree
+// on (seeded scenarios), the measurements, and a closing "<name> OK:"
+// line. A failed scenario assertion exits non-zero.
 //
 // Usage:
 //
-//	go run ./cmd/orcarun -scenario sentiment -shift 4000
-//	go run ./cmd/orcarun -scenario failover -window 600ms
-//	go run ./cmd/orcarun -scenario composition -threshold 1500
-//	go run ./cmd/orcarun -scenario recovery
-//	go run ./cmd/orcarun -scenario staleness-failover
-//	go run ./cmd/orcarun -scenario chaos -seed 42
-//	go run ./cmd/orcarun -scenario loadtest -seed 42 -rate 2000 -duration 2s
-//	go run ./cmd/orcarun -scenario chaos-load -seed 42
-//	go run ./cmd/orcarun -scenario fission -seed 42
 //	go run ./cmd/orcarun -list-scenarios
+//	go run ./cmd/orcarun -scenario failover -window 600ms
+//	go run ./cmd/orcarun -scenario chaos-load -seed 42 -bench-out report.json
 package main
 
 import (
@@ -21,251 +17,67 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 	"time"
 
 	"streamorca/internal/exp"
 	"streamorca/internal/load"
 )
 
-// scenarios lists the runnable scenarios in -scenario order; CI's
-// example-drift smoke greps this listing.
-var scenarios = []string{"sentiment", "failover", "composition", "recovery", "staleness-failover", "chaos", "loadtest", "chaos-load", "fission"}
-
 func main() {
-	scenario := flag.String("scenario", "sentiment", "sentiment | failover | composition | recovery | staleness-failover | chaos | loadtest | chaos-load | fission")
+	names := make([]string, len(exp.Scenarios))
+	for i, sc := range exp.Scenarios {
+		names[i] = sc.Name
+	}
+	var p exp.Params
+	scenario := flag.String("scenario", "sentiment", strings.Join(names, " | "))
 	list := flag.Bool("list-scenarios", false, "list available scenarios and exit")
-	shift := flag.Int64("shift", 4000, "sentiment: tweet index of the cause-distribution shift")
-	threshold := flag.Float64("ratio", 1.0, "sentiment: actuation ratio threshold")
-	window := flag.Duration("window", 600*time.Millisecond, "failover: sliding window duration")
-	tick := flag.Duration("tick", time.Millisecond, "failover: tick period")
-	c3thresh := flag.Int64("threshold", 1500, "composition: new-profile threshold for C3 spawn")
-	warm := flag.Int64("warm", 100, "recovery: window fill to reach before the checkpoint")
-	storeDir := flag.String("store", "", "recovery, staleness-failover, chaos, loadtest, chaos-load: checkpoint store directory (default: a temp dir; chaos, loadtest: memory)")
-	maxAge := flag.Duration("max-snapshot-age", 100*time.Millisecond, "staleness-failover: staleness gate bound")
-	seed := flag.Int64("seed", 42, "chaos, loadtest, chaos-load: fault schedule, workload, and retry jitter seed")
-	benchOut := flag.String("bench-out", "", "chaos, loadtest, chaos-load: write the run's bench record to this JSON file")
-	rate := flag.Float64("rate", 0, "offered rate in tuples/sec: loadtest, chaos-load open-loop rate; chaos source rate (0 = scenario default)")
-	duration := flag.Duration("duration", 0, "offered-load schedule length: loadtest, chaos-load duration; chaos injection window (0 = scenario default)")
-	users := flag.Int("users", 0, "loadtest, chaos-load: closed-loop mode with this many concurrent users (0 = open loop)")
-	think := flag.Duration("think", 10*time.Millisecond, "loadtest, chaos-load: closed-loop per-user think time")
-	keys := flag.Int("keys", 0, "loadtest, chaos-load: user key-space size (0 = scenario default)")
-	skew := flag.Float64("skew", -1, "loadtest, chaos-load: Zipf key-skew exponent (-1 = scenario default)")
-	maxDur := flag.Duration("max", 30*time.Second, "run time budget")
+	benchOut := flag.String("bench-out", "", "write the run's report (shared bench schema) to this JSON file")
+	flag.Int64Var(&p.Seed, "seed", 42, "chaos, loadtest, chaos-load, fission: fault schedule, workload, and retry jitter seed")
+	flag.DurationVar(&p.MaxDuration, "max", 30*time.Second, "run time budget")
+	flag.StringVar(&p.StoreDir, "store", "", "checkpoint store directory (default: memory; recovery, staleness-failover: a temp dir)")
+	flag.Int64Var(&p.Shift, "shift", 0, "sentiment: tweet index of the cause-distribution shift (0 = 4000)")
+	flag.Float64Var(&p.Ratio, "ratio", 0, "sentiment: actuation ratio threshold (0 = 1.0)")
+	flag.DurationVar(&p.Window, "window", 0, "failover: sliding window duration (0 = 600ms)")
+	flag.DurationVar(&p.Tick, "tick", 0, "failover: tick period (0 = 1ms)")
+	flag.Int64Var(&p.Threshold, "threshold", 0, "composition: new-profile threshold for C3 spawn (0 = 1500)")
+	flag.Int64Var(&p.Warm, "warm", 0, "recovery: window fill to reach before the checkpoint (0 = 100)")
+	flag.DurationVar(&p.MaxSnapshotAge, "max-snapshot-age", 0, "staleness-failover: staleness gate bound (0 = 100ms)")
+	flag.Float64Var(&p.Rate, "rate", 0, "offered rate in tuples/sec: loadtest, chaos-load open-loop rate; chaos source rate (0 = scenario default)")
+	flag.DurationVar(&p.Duration, "duration", 0, "offered-load schedule length: loadtest, chaos-load, fission duration; chaos injection window (0 = scenario default)")
+	flag.IntVar(&p.Users, "users", 0, "loadtest, chaos-load: closed-loop mode with this many concurrent users (0 = open loop)")
+	flag.DurationVar(&p.Think, "think", 0, "loadtest, chaos-load: closed-loop per-user think time (0 = 10ms)")
+	flag.IntVar(&p.Keys, "keys", 0, "loadtest, chaos-load, fission: user key-space size (0 = scenario default)")
+	flag.Float64Var(&p.Skew, "skew", -1, "loadtest, chaos-load, fission: Zipf key-skew exponent (-1 = scenario default)")
+	flag.Usage = func() {
+		w := flag.CommandLine.Output()
+		fmt.Fprintln(w, "usage: orcarun -scenario <name> [flags]\n\nscenarios:")
+		for _, sc := range exp.Scenarios {
+			fmt.Fprintf(w, "  %-19s %s\n", sc.Name, sc.Doc)
+		}
+		fmt.Fprintln(w, "\nflags:")
+		flag.PrintDefaults()
+	}
 	flag.Parse()
 
 	if *list {
-		for _, s := range scenarios {
-			fmt.Println(s)
+		for _, name := range names {
+			fmt.Println(name)
 		}
 		return
 	}
-
-	switch *scenario {
-	case "sentiment":
-		cfg := exp.DefaultE1()
-		cfg.ShiftAt = *shift
-		cfg.Threshold = *threshold
-		cfg.MaxDuration = *maxDur
-		res, err := exp.RunE1(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("crossed threshold at epoch %d, triggered %d job(s), model v%d, recovered at epoch %d\n",
-			res.CrossEpoch, res.Triggers, res.ModelVersion, res.RecoverEpoch)
-	case "failover":
-		cfg := exp.DefaultE2()
-		cfg.Window = *window
-		cfg.TickPeriod = *tick
-		cfg.MaxDuration = *maxDur
-		res, err := exp.RunE2(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("active %d -> %d; failover %v; output gap %v; window refill %v\n",
-			res.ActiveBefore, res.ActiveAfter, res.FailoverLatency, res.OutputGap, res.RefillTime)
-	case "composition":
-		cfg := exp.DefaultE3()
-		cfg.Threshold = *c3thresh
-		cfg.MaxDuration = *maxDur
-		res, err := exp.RunE3(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("jobs base=%d max=%d final=%d; C3 submissions %v; cancellations %v\n",
-			res.BaseJobs, res.MaxJobs, res.FinalJobs, res.Submissions, res.Cancellations)
-	case "recovery":
-		cfg := exp.DefaultRecovery()
-		cfg.WarmCount = *warm
-		cfg.MaxDuration = *maxDur
-		cfg.StoreDir = *storeDir
-		var tmp string
-		if cfg.StoreDir == "" {
-			dir, err := os.MkdirTemp("", "orca-ckpt-*")
-			if err != nil {
-				log.Fatal(err)
-			}
-			tmp = dir
-			cfg.StoreDir = dir
-		}
-		res, err := exp.RunRecovery(cfg)
-		if tmp != "" {
-			// Remove before any Fatal below: log.Fatal skips defers, and
-			// failing CI retries must not accumulate temp snapshot dirs.
-			os.RemoveAll(tmp)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("checkpointed at count %d; pre-failure max %d; first post-restart count %d; restores %d\n",
-			res.CountAtCheckpoint, res.MaxPreFailure, res.FirstPostRestart, res.Restores)
-		fmt.Println("recovery OK: restarted PE resumed from checkpointed state")
-	case "staleness-failover":
-		cfg := exp.DefaultStalenessFailover()
-		cfg.MaxSnapshotAge = *maxAge
-		cfg.MaxDuration = *maxDur
-		cfg.StoreDir = *storeDir
-		var tmp string
-		if cfg.StoreDir == "" {
-			dir, err := os.MkdirTemp("", "orca-ckpt-*")
-			if err != nil {
-				log.Fatal(err)
-			}
-			tmp = dir
-			cfg.StoreDir = dir
-		}
-		res, err := exp.RunStalenessFailover(cfg)
-		if tmp != "" {
-			// Remove before any Fatal below: log.Fatal skips defers, and
-			// failing CI retries must not accumulate temp snapshot dirs.
-			os.RemoveAll(tmp)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("gate refreshes %d; backup snapshot ages %dms (stale) vs %dms (fresh); promoted replica %d; pre-promotion checkpoints %d; restores %d\n",
-			res.SnapshotRefreshes, res.StaleAgeMs, res.FreshAgeMs,
-			res.PromotedReplica, res.PrePromotionCheckpoints, res.PromotedStateRestores)
-		fmt.Printf("window fill: checkpointed %d, min post-restore %d (no refill)\n",
-			res.CountAtCheckpoint, res.MinPostRestore)
-		fmt.Println("staleness-failover OK: fresher-snapshot replica promoted and resumed from restore")
-	case "chaos":
-		cfg := exp.DefaultChaos(*seed)
-		cfg.MaxDuration = *maxDur
-		cfg.StoreDir = *storeDir
-		if *duration > 0 {
-			cfg.Window = *duration
-		}
-		if *rate > 0 {
-			cfg.TickPeriod = time.Duration(float64(time.Second) / *rate)
-		}
-		res, err := exp.RunChaos(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("schedule fingerprint: %s\n", res.Fingerprint)
-		fmt.Printf("faults applied %d, skipped %d; restarts %d/%d attempts succeeded; degradations %d\n",
-			res.FaultsApplied, res.FaultsSkipped, res.RestartsSucceeded, res.RestartsAttempted, res.Degradations)
-		fmt.Printf("store: %d clean saves, %d failed, %d dropped, %d torn\n",
-			res.StoreStats.Saves, res.StoreStats.FailedSaves, res.StoreStats.DroppedSaves, res.StoreStats.TornSaves)
-		fmt.Printf("output gaps: max %.1fms, p99 %.1fms; final count %d\n",
-			res.MaxGapMs, res.P99GapMs, res.FinalCount)
-		if *benchOut != "" {
-			if err := load.WriteReport(*benchOut, res.BenchReport(*seed)); err != nil {
-				log.Fatal(err)
-			}
-		}
-		fmt.Println("chaos OK: zero PEs lost, pipeline recovered after the sweep")
-	case "loadtest", "chaos-load":
-		var cfg exp.LoadConfig
-		if *scenario == "chaos-load" {
-			cfg = exp.DefaultChaosLoad(*seed)
-		} else {
-			cfg = exp.DefaultLoad(*seed)
-		}
-		cfg.MaxDuration = *maxDur
-		cfg.StoreDir = *storeDir
-		if *rate > 0 {
-			cfg.Rate = *rate
-		}
-		if *duration > 0 {
-			cfg.Duration = *duration
-		}
-		if *users > 0 {
-			cfg.Users = *users
-			cfg.Think = *think
-			cfg.Rate = 0
-		}
-		if *keys > 0 {
-			cfg.Keys = *keys
-		}
-		if *skew >= 0 {
-			cfg.Skew = *skew
-		}
-		res, err := exp.RunLoadTest(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		// The determinism smoke diffs this line across same-seed runs:
-		// everything on it must be wall-clock-independent.
-		fmt.Printf("deterministic: seed=%d offered=%d hotKeyShare=%.4f fingerprint=%s\n",
-			cfg.Seed, res.Offered, res.HotKeyShare, res.Fingerprint)
-		fmt.Printf("offered %.0f tuples/sec for %v: %d offered, %d delivered, %d lost\n",
-			cfg.Rate, cfg.Duration, res.Offered, res.Delivered, res.Lost)
-		fmt.Printf("latency ms: p50 %.2f, p99 %.2f, p999 %.2f, max %.2f, mean %.2f\n",
-			res.P50Ms, res.P99Ms, res.P999Ms, res.MaxMs, res.MeanMs)
-		fmt.Printf("throughput tuples/sec: sustained %.0f; windows %d (min %.0f, max %.0f); PE gauges max in %d, out %d\n",
-			res.SustainedRate, res.Windows, res.MinWindowRate, res.MaxWindowRate,
-			res.MaxIngestRate, res.MaxEgressRate)
-		fmt.Printf("workers: w0=%d w1=%d w2=%d tuples\n",
-			res.WorkerTuples["w0"], res.WorkerTuples["w1"], res.WorkerTuples["w2"])
-		if *scenario == "chaos-load" {
-			fmt.Printf("schedule fingerprint: %s\n", res.Fingerprint)
-			fmt.Printf("faults applied %d, skipped %d; PEs lost forever %d\n",
-				res.FaultsApplied, res.FaultsSkipped, res.LostForever)
-		}
-		if *benchOut != "" {
-			if err := load.WriteReport(*benchOut, res.BenchReport(*scenario, cfg)); err != nil {
-				log.Fatal(err)
-			}
-		}
-		fmt.Printf("%s OK: sustained the offered load with a full latency record\n", *scenario)
-	case "fission":
-		cfg := exp.DefaultFission(*seed)
-		cfg.MaxDuration = *maxDur
-		if *keys > 0 {
-			cfg.Keys = *keys
-		}
-		if *skew >= 0 {
-			cfg.Skew = *skew
-		}
-		if *duration > 0 {
-			cfg.AdaptDuration = *duration
-		}
-		res, err := exp.RunFission(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		// The determinism smoke diffs this line across same-seed runs:
-		// everything on it must be wall-clock-independent.
-		fmt.Printf("deterministic: seed=%d keys=%d skew=%.2f hotKeyShare=%.4f region=work maxWidth=%d workDelay=%s\n",
-			cfg.Seed, cfg.Keys, cfg.Skew, res.HotKeyShare, cfg.MaxWidth, cfg.WorkDelay)
-		fmt.Printf("capacity: width 1 sustained %.0f tps, width %d sustained %.0f tps, speedup %.2fx\n",
-			res.W1Sustained, cfg.MaxWidth, res.WideSustained, res.Speedup)
-		fmt.Printf("adaptive: routine widened %d time(s) to width %d (ingress threshold %d tps, offered %.0f tps)\n",
-			res.Widenings, res.FinalWidth, res.WidenAboveRate, res.AdaptRate)
-		for _, c := range res.Log {
-			fmt.Printf("  width %d -> %d at ingress %d tps (queue depth %d)\n",
-				c.From, c.To, c.IngestPerSec, c.QueueDepth)
-		}
-		fmt.Printf("adaptive delivery: %d offered, %d delivered, %d lost in flight; latency p50 %.2fms p99 %.2fms\n",
-			res.Offered, res.Delivered, res.Lost, res.P50Ms, res.P99Ms)
-		if *benchOut != "" {
-			if err := load.WriteReport(*benchOut, res.BenchReport(cfg)); err != nil {
-				log.Fatal(err)
-			}
-		}
-		fmt.Println("fission OK: the adaptation routine, not the dataplane, widened the region under load")
-	default:
-		log.Fatalf("unknown scenario %q", *scenario)
+	sc, ok := exp.Find(*scenario)
+	if !ok {
+		log.Fatalf("unknown scenario %q (want %s)", *scenario, strings.Join(names, " | "))
 	}
+	out, err := sc.Run(p)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if *benchOut != "" && out.Report != nil {
+		if err := load.WriteReport(*benchOut, out.Report); err != nil {
+			log.Fatal(err)
+		}
+	}
+	out.Print(os.Stdout)
 }

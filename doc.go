@@ -218,14 +218,18 @@
 // transient failures with exponential backoff and seeded jitter,
 // journalling every attempt (SAM.AttemptJournal), and a PE whose retry
 // budget is exhausted is marked unplaceable and announced through a
-// degradation PEFailure event ("restart abandoned ...") instead of
-// being retried forever — policies observe the degradation and decide;
-// the zero-value policy keeps the old single-attempt determinism. The
-// orcarun chaos scenario (internal/exp.RunChaos) layers all of it over
-// a live checkpointing pipeline, then sweeps: disarm the store, revive
-// the cluster, restart what is down, and fail the run unless every PE
-// comes back and output resumes. Recovery-gap statistics land in
-// BENCH_pr6.json.
+// degradation PEFailure event (its Reason starts with
+// sam.RestartAbandoned; handlers test PEFailureContext.Abandoned)
+// instead of being retried forever — policies observe the degradation
+// and decide (internal/policies.Restart, the one restart-on-failure
+// routine every scenario and the Failover policy share, counts it and
+// does not re-actuate); the zero-value policy keeps the old
+// single-attempt determinism. The orcarun chaos scenario (the "chaos"
+// entry of internal/exp.Scenarios) layers all of it over a live
+// checkpointing pipeline, then sweeps: disarm the store, revive the
+// cluster, restart what is down, and fail the run unless every PE
+// comes back and output resumes. Recovery-gap statistics land in the
+// scenario's -bench-out report (BENCH_pr6.json is a committed sample).
 //
 // # Load generation and latency measurement
 //
@@ -257,14 +261,14 @@
 // counter deltas at each metric snapshot — the signal both the load
 // reports and the elastic fission routine read.
 //
-// The orcarun loadtest scenario (internal/exp.RunLoadTest) drives a
+// The orcarun loadtest scenario (internal/exp.Scenarios) drives a
 // checkpointing three-host pipeline — LoadSource -> hash-split over
 // three Functor workers -> merge -> LatencySink, with an Aggregate
 // branch holding checkpointable window state — and writes
 // p50/p99/p999/max latency plus sustained and per-window throughput to
-// BENCH_pr7.json in the shared load.Report schema (one schema for
-// every BENCH_*.json: name, seed, deterministic meta, measured
-// metrics). The chaos-load scenario layers the PR-6 chaos schedule
+// its -bench-out report in the shared load.Report schema (one schema
+// for every scenario report and BENCH_*.json: name, seed,
+// deterministic meta, measured metrics). The chaos-load scenario layers the PR-6 chaos schedule
 // over the same workload, so recovery gaps show up as measured p999
 // and min-window-throughput dips; for a fixed seed the schedule
 // fingerprint, offered count, and hot-key share are identical across

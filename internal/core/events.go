@@ -17,10 +17,12 @@
 package core
 
 import (
+	"strings"
 	"time"
 
 	"streamorca/internal/ids"
 	"streamorca/internal/metrics"
+	"streamorca/internal/sam"
 )
 
 // EventKind enumerates the event types the ORCA service can deliver.
@@ -159,6 +161,14 @@ type PEFailureContext struct {
 	// reliable-delivery extension). Actuations invoked from the handler
 	// are journalled under this id.
 	TxID uint64
+}
+
+// Abandoned reports whether the event is SAM's degradation notification
+// — RestartPE gave up on the PE after exhausting its retry budget —
+// rather than a fresh crash. A handler that answers it with another
+// RestartPE only burns single attempts against the same obstacle.
+func (c *PEFailureContext) Abandoned() bool {
+	return strings.HasPrefix(c.Reason, sam.RestartAbandoned)
 }
 
 // HostFailureContext describes a detected host failure. Its Epoch matches

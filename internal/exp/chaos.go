@@ -1,359 +1,136 @@
 package exp
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"streamorca/internal/chaos"
-	"streamorca/internal/ckpt"
-	"streamorca/internal/compiler"
-	"streamorca/internal/core"
-	"streamorca/internal/ids"
 	"streamorca/internal/load"
 	"streamorca/internal/ops"
-	"streamorca/internal/platform"
-	"streamorca/internal/sam"
-	"streamorca/internal/tuple"
+	"streamorca/internal/policies"
 )
 
-// ChaosConfig parameterises the chaos scenario: a checkpointing
-// three-host platform runs a Beacon -> Aggregate -> CollectSink
-// pipeline while a seeded chaos.Schedule injects PE kills, host
-// outages, checkpoint-store faults, and metric delays, and the ORCA
-// policy rides SAM's bounded-retry actuations through it. After the
-// injection window a recovery sweep disarms the store, revives the
-// cluster, and restarts whatever is still down; the scenario fails if
-// any PE is lost forever or the pipeline stays silent.
-type ChaosConfig struct {
-	// Seed drives schedule generation and the retry jitter; one seed
-	// reproduces the whole run's fault sequence.
-	Seed int64
-	// Faults is the number of scheduled events.
-	Faults int
-	// Window is the injection window the events spread across.
-	Window time.Duration
-	// Kinds restricts the injected fault kinds; nil means all.
-	Kinds []chaos.Kind
-	// TickPeriod is the source's inter-tuple delay.
-	TickPeriod time.Duration
-	// MetricsInterval is the HC push period — deliberately short and
-	// un-flushed, so MetricDelay faults displace real deliveries.
-	MetricsInterval time.Duration
-	// CheckpointInterval is the periodic snapshot period the Ckpt*
-	// faults interfere with.
-	CheckpointInterval time.Duration
-	// StoreDir, when non-empty, backs the checkpoint store with the
-	// filesystem; empty uses memory. Either way the store is wrapped in
-	// a ckpt.FaultStore.
-	StoreDir string
-	// MaxDuration bounds the run.
-	MaxDuration time.Duration
-}
+// chaosFaults is the number of scheduled fault events.
+const chaosFaults = 16
 
-// DefaultChaos returns the scaled-down default configuration.
-func DefaultChaos(seed int64) ChaosConfig {
-	cfg := ChaosConfig{
-		Seed:               seed,
-		Faults:             16,
-		Window:             800 * time.Millisecond,
-		TickPeriod:         time.Millisecond,
-		MetricsInterval:    20 * time.Millisecond,
-		CheckpointInterval: 25 * time.Millisecond,
-		MaxDuration:        30 * time.Second,
+func chaosScenario(p Params) (*Outcome, error) { return runChaos(p, nil) }
+
+// runChaos is the chaos scenario: a checkpointing three-host platform
+// runs the aggregation pipeline while a seeded chaos.Schedule injects PE
+// kills, host outages, checkpoint-store faults, and metric delays
+// (restricted to kinds when non-nil), and the Restart routine rides
+// SAM's bounded-retry actuations through it. After the injection window
+// the recovery sweep disarms the store, revives the cluster, and
+// restarts whatever is still down; the scenario fails if any PE is lost
+// forever or the pipeline stays silent. One seed reproduces the whole
+// run's fault sequence and retry jitter.
+func runChaos(p Params, kinds []chaos.Kind) (*Outcome, error) {
+	var (
+		window = cmp.Or(p.Duration, stretch(800*time.Millisecond, 2))
+		tick   = stretch(time.Millisecond, 4)
+		budget = p.budget(30 * time.Second)
+	)
+	if p.Rate > 0 {
+		tick = time.Duration(float64(time.Second) / p.Rate)
 	}
-	if raceEnabled {
-		cfg.Window *= 2
-		cfg.TickPeriod *= 4
-		cfg.MetricsInterval *= 2
-		cfg.CheckpointInterval *= 2
-		cfg.MaxDuration *= 2
+	collID := uniq("chaos")
+	coll := ops.Collector(collID)
+	app, err := aggPipeline("ChaosSmoke", collID, tick)
+	if err != nil {
+		return nil, err
 	}
-	return cfg
-}
-
-// ChaosResult captures what the run injected and how the platform held
-// up.
-type ChaosResult struct {
-	// Fingerprint is the schedule's stable hash; two runs with one seed
-	// report the same value.
-	Fingerprint string
-	// FaultsApplied and FaultsSkipped split the schedule into events
-	// that took effect and events whose target was unavailable.
-	FaultsApplied int
-	FaultsSkipped int
-	// PerKind maps each fault kind name to its applied count.
-	PerKind map[string]int
-	// RestartsAttempted counts journalled restart attempts;
-	// RestartsSucceeded counts restart actuations that ended in success.
-	RestartsAttempted int
-	RestartsSucceeded int
-	// Degradations counts PEs SAM abandoned after exhausting its retry
-	// budget (each later recovered by the sweep).
-	Degradations int
-	// StoreStats snapshots the fault store's counters.
-	StoreStats ckpt.FaultStats
-	// MaxGapMs and P99GapMs summarise the sink's inter-output gaps over
-	// the whole run — the recovery-gap statistics.
-	MaxGapMs float64
-	P99GapMs float64
-	// LostForever counts PEs the recovery sweep could not bring back;
-	// the scenario errors unless it is zero.
-	LostForever int
-	// FinalCount is the sink's tuple count at the end of the run.
-	FinalCount int
-}
-
-// BenchReport renders the chaos result in the shared BENCH_*.json
-// schema (load.Report): the schedule fingerprint and fault counts are
-// deterministic Meta for a fixed seed; gap statistics and the final
-// count are wall-clock-dependent Metrics.
-func (r *ChaosResult) BenchReport(seed int64) *load.Report {
-	return &load.Report{
-		Name: "chaos",
-		Seed: seed,
-		Meta: map[string]string{
-			"fingerprint":    r.Fingerprint,
-			"faults_applied": strconv.Itoa(r.FaultsApplied),
-			"faults_skipped": strconv.Itoa(r.FaultsSkipped),
-		},
-		Metrics: map[string]float64{
-			"restarts_attempted": float64(r.RestartsAttempted),
-			"restarts_succeeded": float64(r.RestartsSucceeded),
-			"degradations":       float64(r.Degradations),
-			"max_gap_ms":         r.MaxGapMs,
-			"p99_gap_ms":         r.P99GapMs,
-			"final_count":        float64(r.FinalCount),
-		},
-	}
-}
-
-// chaosPolicy restarts every failed PE, leaning on SAM's bounded-retry
-// actuation. Degradation events — SAM announcing it abandoned a PE —
-// are counted, not re-actuated: the post-run sweep recovers them, and
-// re-restarting from inside the handler would hide the retry budget the
-// scenario measures.
-type chaosPolicy struct {
-	app          string
-	degradations atomic.Int64
-}
-
-func (p *chaosPolicy) Name() string { return "chaos" }
-
-func (p *chaosPolicy) Setup(sc *core.SetupContext) error {
-	if _, err := sc.Actions().SubmitApplication(p.app, nil); err != nil {
-		return err
-	}
-	return sc.Subscribe(core.OnPEFailure(
-		core.NewPEFailureScope("cf").AddApplicationFilter(p.app),
-		func(ctx *core.PEFailureContext, act *core.Actions) error {
-			if strings.HasPrefix(ctx.Reason, "restart abandoned") {
-				p.degradations.Add(1)
-				return nil
-			}
-			// Failure can outlive the restart budget (host still down);
-			// the journal records the attempts and the sweep finishes
-			// the job, so the handler itself never errors.
-			_ = act.RestartPE(ctx.PE) //orcalint:ignore actuationcheck the attempt journal records failures and the sweep retries; erroring here would tear down the experiment
-			return nil
-		}))
-}
-
-// gapSampler watches a collector's length on the wall clock and records
-// the gaps between consecutive output arrivals.
-type gapSampler struct {
-	mu   sync.Mutex
-	gaps []time.Duration
-	stop chan struct{}
-	done chan struct{}
-}
-
-func startGapSampler(length func() int) *gapSampler {
-	g := &gapSampler{stop: make(chan struct{}), done: make(chan struct{})}
-	go func() {
-		defer close(g.done)
-		lastLen := length()
-		lastAt := time.Now()
-		for {
-			select {
-			case <-g.stop:
-				return
-			case <-time.After(2 * time.Millisecond):
-			}
-			if n := length(); n > lastLen {
-				now := time.Now()
-				g.mu.Lock()
-				g.gaps = append(g.gaps, now.Sub(lastAt))
-				g.mu.Unlock()
-				lastLen, lastAt = n, now
-			}
-		}
-	}()
-	return g
-}
-
-// halt stops sampling and returns (max, p99) of the recorded gaps in
-// milliseconds.
-func (g *gapSampler) halt() (float64, float64) {
-	close(g.stop)
-	<-g.done
-	g.mu.Lock()
-	gaps := append([]time.Duration(nil), g.gaps...)
-	g.mu.Unlock()
-	if len(gaps) == 0 {
-		return 0, 0
-	}
-	sort.Slice(gaps, func(i, j int) bool { return gaps[i] < gaps[j] })
-	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-	p99 := gaps[len(gaps)*99/100]
-	return ms(gaps[len(gaps)-1]), ms(p99)
-}
-
-// RunChaos executes the scenario: boot, warm up, inject the seeded
-// schedule, sweep, and verify nothing was lost.
-func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
-	var inner ckpt.Store = ckpt.NewMemStore()
-	if cfg.StoreDir != "" {
-		fs, err := ckpt.NewFSStore(cfg.StoreDir)
-		if err != nil {
-			return nil, err
-		}
-		inner = fs
-	}
-	store := ckpt.NewFaultStore(inner, nil)
-
-	inst, err := platform.NewInstance(platform.Options{
-		Hosts:              []platform.HostSpec{{Name: "h1"}, {Name: "h2"}, {Name: "h3"}},
-		MetricsInterval:    cfg.MetricsInterval,
-		Checkpoint:         store,
-		CheckpointInterval: cfg.CheckpointInterval,
-		Retry: sam.RetryPolicy{
-			MaxAttempts: 4,
-			BaseBackoff: 2 * time.Millisecond,
-			MaxBackoff:  20 * time.Millisecond,
-			JitterSeed:  cfg.Seed,
-		},
+	// Abandoned restarts are counted, not re-actuated: the sweep recovers
+	// them, and restarting from inside the handler would hide the retry
+	// budget the scenario measures.
+	routine := &policies.Restart{App: app.Name, Submit: true}
+	// The HC push period is deliberately short and un-flushed, so
+	// MetricDelay faults displace real deliveries; the Ckpt* faults
+	// interfere with the periodic snapshots.
+	r, err := boot(rigSpec{
+		name: "chaos", hosts: 3, store: memStore, dir: p.StoreDir,
+		metrics: stretch(20*time.Millisecond, 2), ckptEvery: stretch(25*time.Millisecond, 2),
+		retry: true, seed: p.Seed, routine: routine, app: app,
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer inst.Close()
+	defer r.close()
 
-	tickS := tuple.MustSchema(
-		tuple.Attribute{Name: "seq", Type: tuple.Int},
-		tuple.Attribute{Name: "price", Type: tuple.Float},
-	)
-	outS := tuple.MustSchema(
-		tuple.Attribute{Name: "avg", Type: tuple.Float},
-		tuple.Attribute{Name: "count", Type: tuple.Int},
-	)
-	appName := "ChaosSmoke"
-	collID := uniq("chaos")
-	b := compiler.NewApp(appName)
-	src := b.AddOperator("src", ops.KindBeacon).Out(tickS).
-		Param("count", "0").Param("period", cfg.TickPeriod.String())
-	agg := b.AddOperator("agg", ops.KindAggregate).In(tickS).Out(outS).
-		Param("window", "10m").Param("valueAttr", "price")
-	sink := b.AddOperator("sink", ops.KindCollectSink).In(outS).Param("collectorId", collID)
-	b.Connect(src, 0, agg, 0)
-	b.Connect(agg, 0, sink, 0)
-	app, err := b.Build(compiler.Options{Fusion: compiler.FuseNone})
-	if err != nil {
-		return nil, err
-	}
-
-	coll := ops.Collector(collID)
-	policy := &chaosPolicy{app: appName}
-	svc, err := core.NewRoutineService(core.Config{
-		Name: "chaosOrca", SAM: inst.SAM, SRM: inst.SRM, PullInterval: cfg.MetricsInterval,
-	}, policy)
-	if err != nil {
-		return nil, err
-	}
-	if err := svc.RegisterApplication(app); err != nil {
-		return nil, err
-	}
-	if err := svc.Start(); err != nil {
-		return nil, err
-	}
-	defer svc.Stop()
-
-	if !waitUntil(cfg.MaxDuration/4, time.Millisecond, func() bool { return coll.Len() >= 5 }) {
+	if !waitUntil(budget/4, time.Millisecond, func() bool { return coll.Len() >= 5 }) {
 		return nil, fmt.Errorf("chaos: pipeline never warmed up")
 	}
 
-	schedule := chaos.Generate(cfg.Seed, chaos.GenOptions{
-		Duration: cfg.Window,
-		Count:    cfg.Faults,
-		Hosts:    3,
-		PEs:      len(app.PEs),
-		Kinds:    cfg.Kinds,
-		Store:    true,
+	// The sampler records the gaps between consecutive output arrivals
+	// over the whole run — the recovery-gap statistics.
+	var gaps []time.Duration
+	lastLen, lastAt := coll.Len(), time.Now()
+	halt := sample(2*time.Millisecond, func() {
+		if n := coll.Len(); n > lastLen {
+			now := time.Now()
+			gaps = append(gaps, now.Sub(lastAt))
+			lastLen, lastAt = n, now
+		}
 	})
-	res := &ChaosResult{Fingerprint: schedule.Fingerprint(), PerKind: map[string]int{}}
-
-	sampler := startGapSampler(coll.Len)
-	runner := &chaos.Runner{Cluster: inst.Cluster, SAM: inst.SAM, Store: store}
-	report := runner.Run(schedule)
-	res.FaultsApplied, res.FaultsSkipped = report.Applied, report.Skipped
-	for k, n := range report.PerKind {
-		res.PerKind[k.String()] = n
-	}
-
-	// Recovery sweep: disarm the store, revive the cluster, and restart
-	// whatever the faults (or the exhausted retry budgets) left down.
-	store.Reset()
-	for _, h := range inst.Cluster.Hosts() {
-		if !h.Up {
-			if err := inst.Cluster.ReviveHost(h.Name); err != nil {
-				return nil, fmt.Errorf("chaos: revive %s: %w", h.Name, err)
-			}
-		}
-	}
-	downPEs := func() []ids.PEID {
-		var down []ids.PEID
-		for _, job := range inst.SAM.Jobs() {
-			for _, p := range job.PEs {
-				if p.State != "running" {
-					down = append(down, p.ID)
-				}
-			}
-		}
-		return down
-	}
-	sweepOK := waitUntil(cfg.MaxDuration/2, 5*time.Millisecond, func() bool {
-		down := downPEs()
-		for _, id := range down {
-			_ = svc.RestartPE(id) //orcalint:ignore actuationcheck recovery sweep keeps retrying until the deadline; stragglers are counted as LostForever
-		}
-		return len(down) == 0
-	})
-	res.LostForever = len(downPEs())
-
-	res.MaxGapMs, res.P99GapMs = sampler.halt()
-	res.Degradations = int(policy.degradations.Load())
-	res.StoreStats = store.Stats()
-	for _, rec := range inst.SAM.AttemptJournal() {
-		if rec.Action != "restart" {
-			continue
-		}
-		res.RestartsAttempted++
-		if rec.Err == "" {
-			res.RestartsSucceeded++
-		}
-	}
-
-	if !sweepOK || res.LostForever > 0 {
-		return res, fmt.Errorf("chaos: %d PEs lost forever after recovery sweep", res.LostForever)
+	defer halt()
+	fingerprint, injected, err := r.shake(p.Seed, chaosFaults, window, kinds, len(app.PEs), budget/2)
+	halt()
+	if err != nil {
+		return nil, err
 	}
 	preLen := coll.Len()
-	if !waitUntil(cfg.MaxDuration/4, time.Millisecond, func() bool { return coll.Len() > preLen }) {
-		return res, fmt.Errorf("chaos: no output after recovery sweep")
+	if !waitUntil(budget/4, time.Millisecond, func() bool { return coll.Len() > preLen }) {
+		return nil, fmt.Errorf("chaos: no output after recovery sweep")
 	}
-	res.FinalCount = coll.Len()
-	return res, nil
+
+	var maxGap, p99Gap time.Duration
+	if len(gaps) > 0 {
+		slices.Sort(gaps)
+		maxGap, p99Gap = gaps[len(gaps)-1], gaps[len(gaps)*99/100]
+	}
+	// Journalled restart attempts, and the ones that ended in success.
+	attempted, succeeded := 0, 0
+	for _, rec := range r.inst.SAM.AttemptJournal() {
+		if rec.Action == "restart" {
+			attempted++
+			if rec.Err == "" {
+				succeeded++
+			}
+		}
+	}
+	store, final := r.store.Stats(), coll.Len()
+
+	out := &Outcome{
+		Deterministic: fmt.Sprintf("seed=%d faults=%d fingerprint=%s", p.Seed, chaosFaults, fingerprint),
+		OK:            "chaos OK: zero PEs lost, pipeline recovered after the sweep",
+	}
+	out.printf("schedule fingerprint: %s", fingerprint)
+	out.printf("faults applied %d, skipped %d; restarts %d/%d attempts succeeded; degradations %d",
+		injected.Applied, injected.Skipped, succeeded, attempted, routine.Abandoned())
+	out.printf("store: %d clean saves, %d failed, %d dropped, %d torn",
+		store.Saves, store.FailedSaves, store.DroppedSaves, store.TornSaves)
+	out.printf("output gaps: max %.1fms, p99 %.1fms; final count %d", ms(maxGap), ms(p99Gap), final)
+	// The schedule fingerprint and fault counts are deterministic Meta
+	// for a fixed seed; gap statistics and the final count are
+	// wall-clock-dependent Metrics.
+	out.Report = &load.Report{
+		Name: "chaos",
+		Seed: p.Seed,
+		Meta: map[string]string{
+			"fingerprint":    fingerprint,
+			"faults_applied": strconv.Itoa(injected.Applied),
+			"faults_skipped": strconv.Itoa(injected.Skipped),
+		},
+		Metrics: map[string]float64{
+			"restarts_attempted": float64(attempted),
+			"restarts_succeeded": float64(succeeded),
+			"degradations":       float64(routine.Abandoned()),
+			"max_gap_ms":         ms(maxGap),
+			"p99_gap_ms":         ms(p99Gap),
+			"final_count":        float64(final),
+		},
+	}
+	return out, nil
 }

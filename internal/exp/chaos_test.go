@@ -16,55 +16,50 @@ var deterministicKinds = []chaos.Kind{
 }
 
 // TestChaosDeterminism: two runs with one seed inject the same fault
-// schedule (identical fingerprints) and apply the same events, and
-// neither loses a PE.
+// schedule (identical fingerprints and deterministic lines) and apply
+// the same events, and neither loses a PE (runChaos errors on a lost
+// one).
 func TestChaosDeterminism(t *testing.T) {
-	cfg := DefaultChaos(42)
-	cfg.Kinds = deterministicKinds
-	first, err := RunChaos(cfg)
+	first, err := runChaos(Params{Seed: 42}, deterministicKinds)
 	if err != nil {
-		t.Fatalf("first run: %v (result %+v)", err, first)
+		t.Fatalf("first run: %v", err)
 	}
-	second, err := RunChaos(cfg)
+	second, err := runChaos(Params{Seed: 42}, deterministicKinds)
 	if err != nil {
-		t.Fatalf("second run: %v (result %+v)", err, second)
+		t.Fatalf("second run: %v", err)
 	}
-	if first.Fingerprint != second.Fingerprint {
-		t.Fatalf("fingerprints diverged: %s vs %s", first.Fingerprint, second.Fingerprint)
+	checkOutcome(t, "chaos", first)
+	if first.Deterministic == "" || first.Deterministic != second.Deterministic {
+		t.Fatalf("deterministic lines diverged: %q vs %q", first.Deterministic, second.Deterministic)
 	}
-	if first.FaultsApplied != second.FaultsApplied || first.FaultsSkipped != second.FaultsSkipped {
-		t.Fatalf("applied/skipped diverged: %d/%d vs %d/%d",
-			first.FaultsApplied, first.FaultsSkipped, second.FaultsApplied, second.FaultsSkipped)
+	a, b := first.Report.Meta, second.Report.Meta
+	if a["fingerprint"] == "" || a["fingerprint"] != b["fingerprint"] {
+		t.Fatalf("fingerprints diverged: %q vs %q", a["fingerprint"], b["fingerprint"])
 	}
-	for _, res := range []*ChaosResult{first, second} {
-		if res.LostForever != 0 {
-			t.Fatalf("lost PEs: %+v", res)
-		}
-		if res.FaultsApplied == 0 {
-			t.Fatalf("no faults applied: %+v", res)
-		}
+	if a["faults_applied"] != b["faults_applied"] || a["faults_skipped"] != b["faults_skipped"] {
+		t.Fatalf("applied/skipped diverged: %v vs %v", a, b)
+	}
+	if a["faults_applied"] == "0" {
+		t.Fatalf("no faults applied: %v", a)
 	}
 }
 
 // TestChaosSmoke runs the full fault mix — host outages included — on
 // a filesystem-backed store and checks the platform comes back whole.
 func TestChaosSmoke(t *testing.T) {
-	cfg := DefaultChaos(7)
-	cfg.StoreDir = t.TempDir()
-	res, err := RunChaos(cfg)
+	out, err := chaosScenario(Params{Seed: 7, StoreDir: t.TempDir()})
 	if err != nil {
-		t.Fatalf("RunChaos: %v (result %+v)", err, res)
+		t.Fatalf("runChaos: %v", err)
 	}
-	if res.LostForever != 0 {
-		t.Fatalf("lost PEs: %+v", res)
+	checkOutcome(t, "chaos", out)
+	meta, m := out.Report.Meta, out.Report.Metrics
+	if atoi(t, meta["faults_applied"])+atoi(t, meta["faults_skipped"]) < chaosFaults {
+		t.Fatalf("schedule not fully driven: %v", meta)
 	}
-	if res.FaultsApplied+res.FaultsSkipped < cfg.Faults {
-		t.Fatalf("schedule not fully driven: %+v", res)
+	if m["restarts_attempted"] == 0 {
+		t.Fatalf("no restarts journalled: %v", m)
 	}
-	if res.RestartsAttempted == 0 {
-		t.Fatalf("no restarts journalled: %+v", res)
-	}
-	if res.FinalCount == 0 {
-		t.Fatalf("no output: %+v", res)
+	if m["final_count"] == 0 {
+		t.Fatalf("no output: %v", m)
 	}
 }

@@ -1,12 +1,13 @@
 package exp
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
 	"streamorca/internal/apps"
-	"streamorca/internal/core"
 	"streamorca/internal/extjob"
+	"streamorca/internal/load"
 	"streamorca/internal/policies"
 )
 
@@ -33,57 +34,33 @@ type E1Config struct {
 	MaxDuration time.Duration
 }
 
-// DefaultE1 returns the scaled-down default configuration.
-func DefaultE1() E1Config {
+// e1Config returns the scaled-down default configuration with the
+// scenario's knobs applied.
+func e1Config(p Params) E1Config {
 	return E1Config{
 		TweetPeriod:  100 * time.Microsecond,
-		ShiftAt:      4000,
+		ShiftAt:      cmp.Or(p.Shift, 4000),
 		RecentWindow: 400,
-		Threshold:    1.0,
+		Threshold:    cmp.Or(p.Ratio, 1.0),
 		JobLatency:   30 * time.Millisecond,
 		Suppression:  300 * time.Millisecond,
 		PullEvery:    4 * time.Millisecond,
-		MaxDuration:  30 * time.Second,
+		MaxDuration:  p.budget(30 * time.Second),
 	}
-}
-
-// E1Result captures the Figure 8 curve and its milestones.
-type E1Result struct {
-	// Series is the unknown/known ratio per metric epoch.
-	Series []policies.RatioPoint
-	// CrossEpoch is the first epoch where the ratio exceeded the
-	// threshold (0 if never).
-	CrossEpoch uint64
-	// RecoverEpoch is the first post-adaptation epoch back below 1.0
-	// (0 if never).
-	RecoverEpoch uint64
-	// Triggers counts launched batch jobs.
-	Triggers int
-	// ModelVersion is the cause model's final version (2 after one
-	// recomputation).
-	ModelVersion int64
-	// FinalCauses is the recomputed cause vocabulary.
-	FinalCauses []string
 }
 
 // RunE1 executes the experiment: start the sentiment application under a
 // ModelRecompute orchestrator, shift the complaint distribution
 // mid-stream, and observe threshold crossing, batch-job triggering, and
-// ratio recovery.
-func RunE1(cfg E1Config) (*E1Result, error) {
-	inst, err := newPlatform("h1", "h2")
-	if err != nil {
-		return nil, err
-	}
-	defer inst.Close()
-
+// ratio recovery. The outcome's series is Figure 8: the unknown/known
+// ratio per metric epoch.
+func RunE1(cfg E1Config) (*Outcome, error) {
 	modelID := uniq("e1-model")
 	storeID := uniq("e1-store")
-	collector := uniq("e1-display")
 	extjob.SetModel(modelID, extjob.NewModel("flash", "screen"))
 
 	app, err := apps.SentimentApp(apps.SentimentConfig{
-		Name: "Sentiment", Collector: collector,
+		Name: "Sentiment", Collector: uniq("e1-display"),
 		ModelID: modelID, StoreID: storeID,
 		Product: "iPhone", Seed: 42,
 		Count: 0, Period: cfg.TweetPeriod,
@@ -93,76 +70,73 @@ func RunE1(cfg E1Config) (*E1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	runner := extjob.NewRunner(nil, cfg.JobLatency)
 	policy := &policies.ModelRecompute{
 		App: "Sentiment", MatcherOp: apps.MatcherOp,
 		ModelID: modelID, StoreID: storeID,
 		Threshold: cfg.Threshold, Suppression: cfg.Suppression,
-		Runner: runner, MinSupport: 10,
+		Runner: extjob.NewRunner(nil, cfg.JobLatency), MinSupport: 10,
 	}
-	svc, err := core.NewRoutineService(core.Config{
-		Name: "sentimentOrca", SAM: inst.SAM, SRM: inst.SRM,
-		PullInterval: time.Hour, // driven explicitly below
-	}, policy)
+	r, err := boot(rigSpec{name: "sentiment", hosts: 2, routine: policy, app: app})
 	if err != nil {
 		return nil, err
 	}
-	if err := svc.RegisterApplication(app); err != nil {
-		return nil, err
-	}
-	if err := svc.Start(); err != nil {
-		return nil, err
-	}
-	defer svc.Stop()
+	defer r.close()
 
 	model := extjob.GetModel(modelID)
-	res := &E1Result{}
-	deadline := time.Now().Add(cfg.MaxDuration)
-	for time.Now().Before(deadline) {
-		time.Sleep(cfg.PullEvery)
-		inst.FlushMetrics()
-		svc.PullMetricsNow()
-		series := policy.Series()
-		res.Series = series
-		if res.CrossEpoch == 0 {
-			for _, p := range series {
-				if p.Ratio > cfg.Threshold {
-					res.CrossEpoch = p.Epoch
-					break
-				}
+	// crossed is the first epoch where the ratio exceeded the threshold,
+	// recovered the first post-adaptation epoch back below 1.0.
+	var crossed, recovered uint64
+	firstEpoch := func(pred func(policies.RatioPoint) bool) uint64 {
+		for _, pt := range policy.Series() {
+			if pred(pt) {
+				return pt.Epoch
 			}
 		}
-		if res.CrossEpoch != 0 && model.Version() >= 2 && res.RecoverEpoch == 0 {
-			for _, p := range series {
-				if p.Epoch > res.CrossEpoch && p.Ratio < 1.0 {
-					res.RecoverEpoch = p.Epoch
-					break
-				}
-			}
+		return 0
+	}
+	halt := sample(cfg.PullEvery, r.pull)
+	defer halt()
+	if waitUntil(cfg.MaxDuration, cfg.PullEvery, func() bool {
+		if crossed == 0 {
+			crossed = firstEpoch(func(pt policies.RatioPoint) bool { return pt.Ratio > cfg.Threshold })
 		}
-		if res.RecoverEpoch != 0 {
-			// Let a few more epochs accumulate for the plot's tail.
-			for i := 0; i < 10; i++ {
-				time.Sleep(cfg.PullEvery)
-				inst.FlushMetrics()
-				svc.PullMetricsNow()
-			}
-			res.Series = policy.Series()
-			break
+		if crossed != 0 && model.Version() >= 2 {
+			recovered = firstEpoch(func(pt policies.RatioPoint) bool { return pt.Epoch > crossed && pt.Ratio < 1.0 })
 		}
+		return recovered != 0
+	}) {
+		// Let a few more epochs accumulate for the plot's tail.
+		time.Sleep(10 * cfg.PullEvery)
 	}
-	res.Triggers = policy.Triggers()
-	res.ModelVersion = model.Version()
-	res.FinalCauses = model.Causes()
-	if res.CrossEpoch == 0 {
-		return res, fmt.Errorf("e1: ratio never crossed the threshold")
+	halt()
+	triggers := policy.Triggers()
+	if crossed == 0 {
+		return nil, fmt.Errorf("sentiment: ratio never crossed the threshold")
 	}
-	if res.Triggers == 0 {
-		return res, fmt.Errorf("e1: orchestrator never triggered the batch job")
+	if triggers == 0 {
+		return nil, fmt.Errorf("sentiment: orchestrator never triggered the batch job")
 	}
-	if res.RecoverEpoch == 0 {
-		return res, fmt.Errorf("e1: ratio never recovered below 1.0")
+	if recovered == 0 {
+		return nil, fmt.Errorf("sentiment: ratio never recovered below 1.0")
 	}
-	return res, nil
+
+	out := &Outcome{
+		CSV: []string{"epoch,unknown_to_known_ratio"},
+		OK:  "sentiment OK: the routine recomputed the model and the unknown/known ratio recovered",
+	}
+	for _, pt := range policy.Series() {
+		out.CSV = append(out.CSV, fmt.Sprintf("%d,%.4f", pt.Epoch, pt.Ratio))
+	}
+	out.printf("crossed threshold at epoch %d, triggered %d job(s), model v%d, recovered at epoch %d",
+		crossed, triggers, model.Version(), recovered)
+	out.printf("recomputed causes: %v", model.Causes())
+	out.Report = &load.Report{Name: "sentiment", Metrics: map[string]float64{
+		"cross_epoch":   float64(crossed),
+		"recover_epoch": float64(recovered),
+		"triggers":      float64(triggers),
+		"model_version": float64(model.Version()),
+	}}
+	return out, nil
 }
+
+func sentiment(p Params) (*Outcome, error) { return RunE1(e1Config(p)) }

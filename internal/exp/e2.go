@@ -1,12 +1,13 @@
 package exp
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
 	"streamorca/internal/apps"
-	"streamorca/internal/core"
 	"streamorca/internal/ids"
+	"streamorca/internal/load"
 	"streamorca/internal/ops"
 	"streamorca/internal/policies"
 )
@@ -26,53 +27,84 @@ type E2Config struct {
 	MaxDuration time.Duration
 }
 
-// DefaultE2 returns the scaled-down default configuration: a 600 ms
-// window over 1 ms ticks — the same 600-sample window as the paper.
-// Under the race detector the instrumented source cannot sustain 1 ms
-// ticks, so the window and tick period stretch together (the window
-// still holds the same ~600 samples).
-func DefaultE2() E2Config {
-	cfg := E2Config{
-		Window:      600 * time.Millisecond,
-		TickPeriod:  time.Millisecond,
-		Sample:      25 * time.Millisecond,
-		MaxDuration: 30 * time.Second,
+// e2Config returns the scaled-down default configuration — a 600 ms
+// window over 1 ms ticks, the same 600-sample window as the paper —
+// with the scenario's knobs applied. Under the race detector the
+// instrumented source cannot sustain 1 ms ticks, so the window and tick
+// period stretch together (the window still holds ~600 samples).
+func e2Config(p Params) E2Config {
+	return E2Config{
+		Window:      cmp.Or(p.Window, stretch(600*time.Millisecond, 4)),
+		TickPeriod:  cmp.Or(p.Tick, stretch(time.Millisecond, 4)),
+		Sample:      stretch(25*time.Millisecond, 4),
+		MaxDuration: p.budget(30 * time.Second),
 	}
-	if raceEnabled {
-		cfg.Window *= 4
-		cfg.TickPeriod *= 4
-		cfg.Sample *= 4
-		cfg.MaxDuration *= 2
-	}
-	return cfg
 }
 
-// E2Sample is one row of the Figure 9 series: the replicas' latest
-// window fill and output volume at a point in time.
-type E2Sample struct {
-	Elapsed time.Duration
-	Active  int // replica index
-	// WindowCounts is each replica's most recent window size (the
-	// "count" attribute of its last output tuple); -1 when no output yet.
-	WindowCounts []int64
-	// Outputs is each replica's cumulative output tuple count.
-	Outputs []int
+// trendRig is three Trend Calculator replicas in exclusive host pools
+// under the §5.2 Failover routine, each writing to its own collector —
+// the setup the failover and staleness-failover scenarios share.
+type trendRig struct {
+	*rig
+	policy *policies.Failover
+	jobs   []ids.JobID
+	// agg is each replica's stateful aggregation PE.
+	agg    []ids.PEID
+	prefix string
 }
 
-// E2Result captures the failover experiment.
-type E2Result struct {
-	Replicas        int
-	Hosts           []string // host of each replica's aggregation PE
-	ActiveBefore    int
-	ActiveAfter     int
-	KilledReplica   int
-	FailoverLatency time.Duration // kill -> promotion observed
-	OutputGap       time.Duration // kill -> first post-restart output from the failed replica
-	RefillTime      time.Duration // kill -> failed replica's window back to >=95% of a healthy one
-	FullWindow      int64         // healthy window size at kill time
-	Series          []E2Sample
-	Failovers       int
-	Restarts        int
+func (t *trendRig) coll(replica int) *ops.Collection {
+	return ops.Collector(apps.ReplicaCollector(t.prefix, replica))
+}
+
+// lastCount is a replica's most recent window fill.
+func (t *trendRig) lastCount(replica int) int64 { return lastCount(t.coll(replica)) }
+
+// bootTrend boots the replicas on spec's platform and waits until every
+// replica's window is at least 80% full.
+func bootTrend(spec rigSpec, seed int64, window, tick, maxAge, budget time.Duration) (*trendRig, error) {
+	app, err := apps.TrendApp(apps.TrendConfig{
+		Name: "TrendCalculator", Symbols: "IBM", Seed: seed,
+		Count: 0, Period: tick, Window: window,
+	})
+	if err != nil {
+		return nil, err
+	}
+	t := &trendRig{prefix: uniq(spec.name)}
+	t.policy = &policies.Failover{
+		App: "TrendCalculator", Replicas: 3, MaxSnapshotAge: maxAge,
+		SubmitParams: func(i int) map[string]string {
+			return map[string]string{"collector": apps.ReplicaCollector(t.prefix, i)}
+		},
+	}
+	spec.hosts, spec.routine, spec.app = 4, t.policy, app
+	if t.rig, err = boot(spec); err != nil {
+		return nil, err
+	}
+	t.jobs = t.policy.Jobs() // all submitted by the routine's Setup, which boot ran
+	for _, job := range t.jobs {
+		pe, err := t.pe(job, apps.TrendAggregateOp)
+		if err != nil {
+			t.close()
+			return nil, err
+		}
+		t.agg = append(t.agg, pe)
+	}
+	full := int64(window / tick)
+	warm := waitUntil(budget/2, time.Millisecond, func() bool {
+		for i := 0; i < 3; i++ {
+			if t.lastCount(i) < full*8/10 {
+				return false
+			}
+		}
+		return true
+	})
+	if !warm {
+		t.close()
+		return nil, fmt.Errorf("%s: windows never filled (counts %d %d %d, want ~%d)",
+			t.name, t.lastCount(0), t.lastCount(1), t.lastCount(2), full)
+	}
+	return t, nil
 }
 
 // RunE2 executes the failover experiment: three Trend Calculator
@@ -81,148 +113,89 @@ type E2Result struct {
 // output gap, and its slow window refill. E2 runs without a checkpoint
 // store — no snapshot ages exist, so the staleness-ranked policy falls
 // back to its uptime tie-break and promotes the oldest backup, exactly
-// the paper's Figure 9 behaviour (RunStalenessFailover covers the
-// checkpoint-aware promotion).
-func RunE2(cfg E2Config) (*E2Result, error) {
-	inst, err := newPlatform("h1", "h2", "h3", "h4")
+// the paper's Figure 9 behaviour (the staleness-failover scenario
+// covers the checkpoint-aware promotion). The outcome's series is
+// Figure 9: per sample, the active replica and each replica's latest
+// window fill (-1 before any output) and cumulative output count.
+func RunE2(cfg E2Config) (*Outcome, error) {
+	t, err := bootTrend(rigSpec{name: "failover"}, 7, cfg.Window, cfg.TickPeriod, 0, cfg.MaxDuration)
 	if err != nil {
 		return nil, err
 	}
-	defer inst.Close()
-
-	app, err := apps.TrendApp(apps.TrendConfig{
-		Name: "TrendCalculator", Symbols: "IBM", Seed: 7,
-		Count: 0, Period: cfg.TickPeriod, Window: cfg.Window,
-	})
-	if err != nil {
-		return nil, err
-	}
-	collPrefix := uniq("e2")
-	collName := func(i int) string { return fmt.Sprintf("%s-replica-%d", collPrefix, i) }
-	policy := &policies.Failover{
-		App: "TrendCalculator", Replicas: 3,
-		SubmitParams: func(i int) map[string]string {
-			return map[string]string{"collector": collName(i)}
-		},
-	}
-	svc, err := core.NewRoutineService(core.Config{
-		Name: "trendOrca", SAM: inst.SAM, SRM: inst.SRM, PullInterval: time.Hour,
-	}, policy)
-	if err != nil {
-		return nil, err
-	}
-	if err := svc.RegisterApplication(app); err != nil {
-		return nil, err
-	}
-	for i := 0; i < 3; i++ {
-		ops.ResetCollector(collName(i))
-	}
-	if err := svc.Start(); err != nil {
-		return nil, err
-	}
-	defer svc.Stop()
-
-	if !waitUntil(cfg.MaxDuration/3, time.Millisecond, func() bool { return len(policy.Jobs()) == 3 }) {
-		return nil, fmt.Errorf("e2: replicas never came up")
-	}
-	jobs := policy.Jobs()
-	res := &E2Result{Replicas: 3}
+	defer t.close()
+	policy := t.policy
 
 	// Exclusive pools must have separated the replicas' hosts.
+	var hosts []string
 	hostSet := map[string]bool{}
-	for _, j := range jobs {
-		pe, ok := svc.PEOfOperator(j, apps.TrendAggregateOp)
-		if !ok {
-			return nil, fmt.Errorf("e2: replica %s has no aggregation PE", j)
-		}
-		host, _ := svc.HostOfPE(pe)
-		res.Hosts = append(res.Hosts, host)
+	for _, pe := range t.agg {
+		host, _ := t.svc.HostOfPE(pe)
+		hosts = append(hosts, host)
 		hostSet[host] = true
 	}
 	if len(hostSet) != 3 {
-		return nil, fmt.Errorf("e2: replicas share hosts: %v", res.Hosts)
+		return nil, fmt.Errorf("failover: replicas share hosts: %v", hosts)
 	}
 
-	lastCount := func(i int) int64 {
-		t, ok := ops.Collector(collName(i)).Last()
-		if !ok {
-			return -1
-		}
-		return t.Int("count")
+	killed := policy.ReplicaIndex(policy.Active())
+	killedLen := t.coll(killed).Len()
+	out := &Outcome{
+		CSV: []string{"elapsed_ms,active_replica,win_r0,win_r1,win_r2,out_r0,out_r1,out_r2"},
+		OK:  "failover OK: a backup was promoted and the failed replica refilled its window from empty",
 	}
-	fullWindow := int64(cfg.Window / cfg.TickPeriod)
-	// Warm up: wait until every replica's window is ~full.
-	warm := waitUntil(cfg.MaxDuration/2, time.Millisecond, func() bool {
-		for i := 0; i < 3; i++ {
-			if lastCount(i) < fullWindow*8/10 {
-				return false
-			}
-		}
-		return true
-	})
-	if !warm {
-		return nil, fmt.Errorf("e2: windows never filled (counts %d %d %d, want ~%d)",
-			lastCount(0), lastCount(1), lastCount(2), fullWindow)
-	}
-	res.FullWindow = lastCount(0)
-
-	activeJob := policy.Active()
-	res.ActiveBefore = policy.ReplicaIndex(activeJob)
-	res.KilledReplica = res.ActiveBefore
-	aggPE, _ := svc.PEOfOperator(activeJob, apps.TrendAggregateOp)
-	killedLen := ops.Collector(collName(res.KilledReplica)).Len()
-
-	sampleTicker := time.NewTicker(cfg.Sample)
-	defer sampleTicker.Stop()
 	start := time.Now()
 	record := func() {
-		s := E2Sample{Elapsed: time.Since(start), Active: policy.ReplicaIndex(policy.Active())}
-		for i := 0; i < 3; i++ {
-			s.WindowCounts = append(s.WindowCounts, lastCount(i))
-			s.Outputs = append(s.Outputs, ops.Collector(collName(i)).Len())
-		}
-		res.Series = append(res.Series, s)
+		out.CSV = append(out.CSV, fmt.Sprintf("%d,%d,%d,%d,%d,%d,%d,%d",
+			time.Since(start).Milliseconds(), policy.ReplicaIndex(policy.Active()),
+			t.lastCount(0), t.lastCount(1), t.lastCount(2),
+			t.coll(0).Len(), t.coll(1).Len(), t.coll(2).Len()))
 	}
 	record()
-	if err := svc.KillPE(aggPE, "injected failure of active replica"); err != nil {
+	if err := t.svc.KillPE(t.agg[killed], "injected failure of active replica"); err != nil {
 		return nil, err
 	}
 
 	// Failover latency: until the policy promotes a backup.
 	if !waitUntil(cfg.MaxDuration/3, 100*time.Microsecond, func() bool { return policy.Failovers() >= 1 }) {
-		return nil, fmt.Errorf("e2: failover never happened")
+		return nil, fmt.Errorf("failover: failover never happened")
 	}
-	res.FailoverLatency = time.Since(start)
-	res.ActiveAfter = policy.ReplicaIndex(policy.Active())
+	failoverLatency := time.Since(start)
+	promoted := policy.ReplicaIndex(policy.Active())
 
 	// Output gap: until the failed replica produces output again.
-	if !waitUntil(cfg.MaxDuration/3, 100*time.Microsecond, func() bool {
-		return ops.Collector(collName(res.KilledReplica)).Len() > killedLen
-	}) {
-		return nil, fmt.Errorf("e2: failed replica never resumed output")
+	if !waitUntil(cfg.MaxDuration/3, 100*time.Microsecond, func() bool { return t.coll(killed).Len() > killedLen }) {
+		return nil, fmt.Errorf("failover: failed replica never resumed output")
 	}
-	res.OutputGap = time.Since(start)
+	outputGap := time.Since(start)
 
 	// Refill: sample the series until the failed replica's window count
 	// is back to >=95% of a healthy replica's.
-	healthy := res.ActiveAfter
-	deadline := time.Now().Add(cfg.MaxDuration / 2)
-	for time.Now().Before(deadline) {
-		<-sampleTicker.C
-		record()
-		kc, hc := lastCount(res.KilledReplica), lastCount(healthy)
-		if kc >= 0 && hc > 0 && kc*100 >= hc*95 {
-			res.RefillTime = time.Since(start)
-			break
-		}
+	halt := sample(cfg.Sample, record)
+	defer halt()
+	refilled := waitUntil(cfg.MaxDuration/2, time.Millisecond, func() bool {
+		kc, hc := t.lastCount(killed), t.lastCount(promoted)
+		return kc >= 0 && hc > 0 && kc*100 >= hc*95
+	})
+	halt()
+	if !refilled {
+		return nil, fmt.Errorf("failover: window never refilled")
 	}
-	if res.RefillTime == 0 {
-		return nil, fmt.Errorf("e2: window never refilled")
-	}
+	refill := time.Since(start)
 	record()
-	res.Failovers = policy.Failovers()
-	res.Restarts = policy.Restarts()
-	return res, nil
+
+	out.printf("replica hosts: %v", hosts)
+	out.printf("active %d -> %d; failover %v; output gap %v; window refill %v",
+		killed, promoted, failoverLatency, outputGap, refill)
+	out.Report = &load.Report{Name: "failover", Metrics: map[string]float64{
+		"killed_replica":   float64(killed),
+		"promoted_replica": float64(promoted),
+		"failovers":        float64(policy.Failovers()),
+		"restarts":         float64(policy.Restarts()),
+		"failover_ms":      ms(failoverLatency),
+		"output_gap_ms":    ms(outputGap),
+		"refill_ms":        ms(refill),
+	}}
+	return out, nil
 }
 
-var _ = ids.InvalidJob
+func failover(p Params) (*Outcome, error) { return RunE2(e2Config(p)) }

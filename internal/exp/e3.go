@@ -1,11 +1,14 @@
 package exp
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
+	"streamorca/internal/adl"
 	"streamorca/internal/apps"
 	"streamorca/internal/core"
+	"streamorca/internal/load"
 	"streamorca/internal/policies"
 )
 
@@ -23,54 +26,25 @@ type E3Config struct {
 	MaxDuration time.Duration
 }
 
-// DefaultE3 returns the scaled default configuration.
-func DefaultE3() E3Config {
+// e3Config returns the scaled default configuration with the scenario's
+// knobs applied.
+func e3Config(p Params) E3Config {
 	return E3Config{
 		ProfilePeriod: 100 * time.Microsecond,
-		Threshold:     1500,
+		Threshold:     cmp.Or(p.Threshold, 1500),
 		PullEvery:     4 * time.Millisecond,
-		MaxDuration:   30 * time.Second,
+		MaxDuration:   p.budget(30 * time.Second),
 	}
-}
-
-// E3Sample is one row of the job-count timeline (the expansion and
-// contraction of Figure 10's application graph).
-type E3Sample struct {
-	Elapsed time.Duration
-	Jobs    int
-}
-
-// E3Result captures the composition experiment.
-type E3Result struct {
-	// BaseJobs is the steady-state job count (2 C1 + 3 C2 = 5).
-	BaseJobs int
-	// MaxJobs is the peak concurrent job count (base + C3 jobs).
-	MaxJobs int
-	// FinalJobs is the job count after contraction.
-	FinalJobs int
-	// Submissions and Cancellations list C3 attributes in event order.
-	Submissions   []string
-	Cancellations []string
-	// StoreProfiles is the deduplicated profile-store size at the end.
-	StoreProfiles int
-	// Timeline is the sampled job count.
-	Timeline []E3Sample
 }
 
 // RunE3 executes the composition experiment: C2 query applications are
 // started through the dependency manager (bringing their C1 readers up
 // automatically); profile-discovery metrics spawn C3 segmentation jobs
-// per attribute; final punctuations contract the graph again.
-func RunE3(cfg E3Config) (*E3Result, error) {
-	inst, err := newPlatform("h1", "h2", "h3")
-	if err != nil {
-		return nil, err
-	}
-	defer inst.Close()
-
+// per attribute; final punctuations contract the graph again. The
+// outcome's series is Figure 10: the running-job count over time.
+func RunE3(cfg E3Config) (*Outcome, error) {
 	storeID := uniq("e3-profiles")
 	social := apps.SocialConfig{StoreID: storeID, Seed: 11, Period: cfg.ProfilePeriod}
-
 	c1 := map[string]string{"TwitterStreamReader": "twitter", "MySpaceStreamReader": "myspace"}
 	c2Names := []string{"TwitterQuery", "BlogQuery", "FacebookQuery"}
 
@@ -83,117 +57,119 @@ func RunE3(cfg E3Config) (*E3Result, error) {
 		},
 		Threshold: cfg.Threshold,
 	}
-	svc, err := core.NewRoutineService(core.Config{
-		Name: "socialOrca", SAM: inst.SAM, SRM: inst.SRM, PullInterval: time.Hour,
-	}, policy)
+	// Applications and dependency configurations register before start.
+	register := func(svc *core.Service) error {
+		add := func(app *adl.Application, err error, cfg core.AppConfig) error {
+			if err == nil {
+				err = svc.RegisterApplication(app)
+			}
+			if err == nil {
+				err = svc.RegisterAppConfig(cfg)
+			}
+			return err
+		}
+		for name, source := range c1 {
+			app, err := apps.C1App(name, source, social)
+			if err := add(app, err, core.AppConfig{
+				ID: "cfg-" + name, AppName: name,
+				GarbageCollectable: true, GCTimeout: 50 * time.Millisecond,
+			}); err != nil {
+				return err
+			}
+		}
+		for _, name := range c2Names {
+			app, err := apps.C2App(name, social)
+			if err := add(app, err, core.AppConfig{ID: "cfg-" + name, AppName: name}); err != nil {
+				return err
+			}
+			// None of the C1 applications build internal state, so all
+			// uptime requirements are zero (§5.3).
+			for c1name := range c1 {
+				if err := svc.RegisterDependency("cfg-"+name, "cfg-"+c1name, 0); err != nil {
+					return err
+				}
+			}
+		}
+		c3, err := apps.C3App("AttributeAggregator", social)
+		if err != nil {
+			return err
+		}
+		return svc.RegisterApplication(c3)
+	}
+	r, err := boot(rigSpec{name: "composition", hosts: 3, routine: policy, prepare: register})
 	if err != nil {
 		return nil, err
 	}
+	defer r.close()
 
-	// Register applications and dependency configurations before start.
-	for name, source := range c1 {
-		app, err := apps.C1App(name, source, social)
-		if err != nil {
-			return nil, err
-		}
-		if err := svc.RegisterApplication(app); err != nil {
-			return nil, err
-		}
-		if err := svc.RegisterAppConfig(core.AppConfig{
-			ID: "cfg-" + name, AppName: name,
-			GarbageCollectable: true, GCTimeout: 50 * time.Millisecond,
-		}); err != nil {
-			return nil, err
-		}
+	// The steady state is 2 C1 readers + 3 C2 queries.
+	const baseJobs = 5
+	jobCount := func() int { return len(r.inst.SAM.Jobs()) }
+	if !waitUntil(cfg.MaxDuration/3, time.Millisecond, func() bool { return jobCount() == baseJobs }) {
+		return nil, fmt.Errorf("composition: C1/C2 set never came up (%d jobs)", jobCount())
 	}
-	for _, name := range c2Names {
-		app, err := apps.C2App(name, social)
-		if err != nil {
-			return nil, err
+
+	out := &Outcome{
+		CSV: []string{"elapsed_ms,running_jobs"},
+		OK:  "composition OK: the application graph expanded per attribute and contracted to its base",
+	}
+	start, maxJobs := time.Now(), 0
+	halt := sample(cfg.PullEvery, func() {
+		r.pull()
+		n := jobCount()
+		out.CSV = append(out.CSV, fmt.Sprintf("%d,%d", time.Since(start).Milliseconds(), n))
+		maxJobs = max(maxJobs, n)
+	})
+	defer halt()
+	wantAttrs := []string{"age", "gender", "location"}
+	// covers reports whether attrs include every wanted attribute.
+	covers := func(attrs []string) bool {
+		have := map[string]bool{}
+		for _, a := range attrs {
+			have[a] = true
 		}
-		if err := svc.RegisterApplication(app); err != nil {
-			return nil, err
-		}
-		if err := svc.RegisterAppConfig(core.AppConfig{ID: "cfg-" + name, AppName: name}); err != nil {
-			return nil, err
-		}
-		// None of the C1 applications build internal state, so all
-		// uptime requirements are zero (§5.3).
-		for c1name := range c1 {
-			if err := svc.RegisterDependency("cfg-"+name, "cfg-"+c1name, 0); err != nil {
-				return nil, err
+		for _, a := range wantAttrs {
+			if !have[a] {
+				return false
 			}
 		}
+		return true
 	}
-	c3, err := apps.C3App("AttributeAggregator", social)
-	if err != nil {
-		return nil, err
-	}
-	if err := svc.RegisterApplication(c3); err != nil {
-		return nil, err
-	}
+	// Done when every attribute's C3 job came and went and the graph is
+	// back at its base size.
+	waitUntil(cfg.MaxDuration, cfg.PullEvery, func() bool {
+		return covers(policy.Cancellations()) && jobCount() == baseJobs
+	})
+	// One more beat, so the series records the contraction it waited for.
+	time.Sleep(2 * cfg.PullEvery)
+	halt()
+	subs, cancels, final := policy.Submissions(), policy.Cancellations(), jobCount()
+	profiles := apps.GetProfileStore(storeID).Len()
 
-	if err := svc.Start(); err != nil {
-		return nil, err
+	if !covers(subs) {
+		return nil, fmt.Errorf("composition: no C3 submission for some attribute of %v (subs %v)", wantAttrs, subs)
 	}
-	defer svc.Stop()
-
-	res := &E3Result{}
-	if !waitUntil(cfg.MaxDuration/3, time.Millisecond, func() bool {
-		return len(inst.SAM.Jobs()) == 5
-	}) {
-		return nil, fmt.Errorf("e3: C1/C2 set never came up (%d jobs)", len(inst.SAM.Jobs()))
+	if len(cancels) < 3 {
+		return nil, fmt.Errorf("composition: contraction incomplete: cancellations %v", cancels)
 	}
-	res.BaseJobs = 5
-
-	start := time.Now()
-	deadline := start.Add(cfg.MaxDuration)
-	wantAttrs := map[string]bool{"age": true, "gender": true, "location": true}
-	for time.Now().Before(deadline) {
-		time.Sleep(cfg.PullEvery)
-		inst.FlushMetrics()
-		svc.PullMetricsNow()
-		n := len(inst.SAM.Jobs())
-		res.Timeline = append(res.Timeline, E3Sample{Elapsed: time.Since(start), Jobs: n})
-		if n > res.MaxJobs {
-			res.MaxJobs = n
-		}
-		done := true
-		cancelled := map[string]bool{}
-		for _, a := range policy.Cancellations() {
-			cancelled[a] = true
-		}
-		for a := range wantAttrs {
-			if !cancelled[a] {
-				done = false
-			}
-		}
-		if done && len(inst.SAM.Jobs()) == res.BaseJobs {
-			break
-		}
+	if maxJobs <= baseJobs {
+		return nil, fmt.Errorf("composition: graph never expanded (max %d)", maxJobs)
 	}
-	res.Submissions = policy.Submissions()
-	res.Cancellations = policy.Cancellations()
-	res.FinalJobs = len(inst.SAM.Jobs())
-	res.StoreProfiles = apps.GetProfileStore(storeID).Len()
-
-	got := map[string]bool{}
-	for _, a := range res.Submissions {
-		got[a] = true
+	if final != baseJobs {
+		return nil, fmt.Errorf("composition: graph did not contract (final %d)", final)
 	}
-	for a := range wantAttrs {
-		if !got[a] {
-			return res, fmt.Errorf("e3: no C3 submission for attribute %q (subs %v)", a, res.Submissions)
-		}
-	}
-	if len(res.Cancellations) < 3 {
-		return res, fmt.Errorf("e3: contraction incomplete: cancellations %v", res.Cancellations)
-	}
-	if res.MaxJobs <= res.BaseJobs {
-		return res, fmt.Errorf("e3: graph never expanded (max %d)", res.MaxJobs)
-	}
-	if res.FinalJobs != res.BaseJobs {
-		return res, fmt.Errorf("e3: graph did not contract (final %d)", res.FinalJobs)
-	}
-	return res, nil
+	out.printf("jobs base=%d max=%d final=%d; C3 submissions %v; cancellations %v",
+		baseJobs, maxJobs, final, subs, cancels)
+	out.printf("%d profiles stored", profiles)
+	out.Report = &load.Report{Name: "composition", Metrics: map[string]float64{
+		"base_jobs":      baseJobs,
+		"max_jobs":       float64(maxJobs),
+		"final_jobs":     float64(final),
+		"submissions":    float64(len(subs)),
+		"cancellations":  float64(len(cancels)),
+		"store_profiles": float64(profiles),
+	}}
+	return out, nil
 }
+
+func composition(p Params) (*Outcome, error) { return RunE3(e3Config(p)) }

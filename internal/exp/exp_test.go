@@ -1,96 +1,107 @@
 package exp
 
 import (
+	"fmt"
+	"strings"
 	"testing"
-	"time"
 )
 
-// TestExperimentE1 asserts Figure 8's shape: the unknown/known ratio
-// starts below the threshold, crosses it after the cause-distribution
-// shift, the orchestrator triggers exactly enough batch jobs, and after
-// the model refresh the ratio stabilises below 1.0 with the new cause in
-// the model.
-func TestExperimentE1(t *testing.T) {
-	res, err := RunE1(DefaultE1())
+// series parses an outcome's CSV rows (header skipped) into numbers.
+func series(t *testing.T, out *Outcome) [][]float64 {
+	t.Helper()
+	var rows [][]float64
+	for _, line := range out.CSV[1:] {
+		var row []float64
+		for _, cell := range strings.Split(line, ",") {
+			var v float64
+			if _, err := fmt.Sscan(cell, &v); err != nil {
+				t.Fatalf("series row %q: %v", line, err)
+			}
+			row = append(row, v)
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+// TestSentimentScenario asserts Figure 8's shape: the unknown/known
+// ratio starts below the threshold, crosses it after the
+// cause-distribution shift, the orchestrator triggers the batch job, and
+// after the model refresh the ratio stabilises below 1.0 with the new
+// cause in the model.
+func TestSentimentScenario(t *testing.T) {
+	out, err := sentiment(Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.CrossEpoch == 0 || res.RecoverEpoch <= res.CrossEpoch {
-		t.Fatalf("milestones: cross=%d recover=%d", res.CrossEpoch, res.RecoverEpoch)
+	checkOutcome(t, "sentiment", out)
+	m, rows := out.Report.Metrics, series(t, out) // epoch, ratio
+	if m["cross_epoch"] == 0 || m["recover_epoch"] <= m["cross_epoch"] {
+		t.Fatalf("milestones: %v", m)
 	}
 	// Early epochs (before the shift propagates) sit below the threshold.
-	var sawLowBeforeCross bool
-	for _, p := range res.Series {
-		if p.Epoch < res.CrossEpoch && p.Ratio < 1.0 {
+	sawLowBeforeCross := false
+	for _, row := range rows {
+		if row[0] < m["cross_epoch"] && row[1] < 1.0 {
 			sawLowBeforeCross = true
-			break
 		}
 	}
 	if !sawLowBeforeCross {
-		t.Fatalf("no pre-shift low-ratio measurements: %+v", res.Series[:min(5, len(res.Series))])
+		t.Fatalf("no pre-shift low-ratio measurements: %v", out.CSV[:min(6, len(out.CSV))])
 	}
-	if res.Triggers < 1 {
-		t.Fatalf("triggers = %d", res.Triggers)
+	if m["triggers"] < 1 || m["model_version"] < 2 {
+		t.Fatalf("no recomputation: %v", m)
 	}
-	if res.ModelVersion < 2 {
-		t.Fatalf("model version = %d", res.ModelVersion)
-	}
-	found := false
-	for _, c := range res.FinalCauses {
-		if c == "antenna" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("recomputed model misses the new cause: %v", res.FinalCauses)
+	if !strings.Contains(strings.Join(out.Lines, "\n"), "antenna") {
+		t.Fatalf("recomputed model misses the new cause: %v", out.Lines)
 	}
 	// The tail of the series (post-recovery) stays below 1.0.
-	tail := res.Series[len(res.Series)-1]
-	if tail.Ratio >= 1.0 {
-		t.Fatalf("tail ratio = %f", tail.Ratio)
+	if tail := rows[len(rows)-1]; tail[1] >= 1.0 {
+		t.Fatalf("tail ratio = %v", tail[1])
 	}
 }
 
-// TestExperimentE2 asserts Figure 9's shape: replicas on distinct hosts,
-// failover to the oldest backup, an output gap for the failed replica,
-// and a window refill that takes on the order of the window duration.
-func TestExperimentE2(t *testing.T) {
-	cfg := DefaultE2()
-	res, err := RunE2(cfg)
+// TestFailoverScenario asserts Figure 9's shape: failover to the oldest
+// backup (the scenario itself checks the replicas sit on distinct
+// hosts), an output gap for the failed replica, and a window refill that
+// takes on the order of the window duration.
+func TestFailoverScenario(t *testing.T) {
+	out, err := failover(Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ActiveBefore == res.ActiveAfter {
-		t.Fatalf("active replica unchanged: %d", res.ActiveBefore)
+	checkOutcome(t, "failover", out)
+	m, windowMs := out.Report.Metrics, ms(e2Config(Params{}).Window)
+	killed, promoted := int(m["killed_replica"]), int(m["promoted_replica"])
+	if killed == promoted {
+		t.Fatalf("active replica unchanged: %d", killed)
 	}
 	// The promoted replica is the oldest healthy one: replica 1 when 0
 	// was active and killed (submission order ties broken by age).
-	if res.ActiveBefore == 0 && res.ActiveAfter != 1 {
-		t.Fatalf("promoted replica %d, want the oldest backup (1)", res.ActiveAfter)
+	if killed == 0 && promoted != 1 {
+		t.Fatalf("promoted replica %d, want the oldest backup (1)", promoted)
 	}
-	if res.Failovers != 1 || res.Restarts != 1 {
-		t.Fatalf("failovers=%d restarts=%d", res.Failovers, res.Restarts)
+	if m["failovers"] != 1 || m["restarts"] != 1 {
+		t.Fatalf("failovers=%v restarts=%v", m["failovers"], m["restarts"])
 	}
-	if res.FailoverLatency <= 0 || res.FailoverLatency > cfg.Window {
-		t.Fatalf("failover latency %v out of range", res.FailoverLatency)
+	if m["failover_ms"] <= 0 || m["failover_ms"] > windowMs {
+		t.Fatalf("failover latency %vms out of range", m["failover_ms"])
 	}
 	// Refill takes roughly a window: at least half of it, definitely
 	// longer than the failover itself.
-	if res.RefillTime < cfg.Window/2 {
-		t.Fatalf("window refilled implausibly fast: %v (window %v)", res.RefillTime, cfg.Window)
+	if m["refill_ms"] < windowMs/2 {
+		t.Fatalf("window refilled implausibly fast: %vms (window %vms)", m["refill_ms"], windowMs)
 	}
-	if res.RefillTime <= res.FailoverLatency {
+	if m["refill_ms"] <= m["failover_ms"] {
 		t.Fatal("refill faster than failover")
 	}
 	// Right after restart the failed replica's window must have been
 	// observed smaller than the healthy one's (the Figure 9b dashed box).
+	// Columns: elapsed, active, win_r0..2, out_r0..2.
 	sawSmall := false
-	for _, s := range res.Series {
-		kc := s.WindowCounts[res.KilledReplica]
-		hc := s.WindowCounts[res.ActiveAfter]
-		if kc >= 0 && hc > 0 && kc < hc/2 {
+	for _, row := range series(t, out) {
+		if kc, hc := row[2+killed], row[2+promoted]; kc >= 0 && hc > 0 && kc < hc/2 {
 			sawSmall = true
-			break
 		}
 	}
 	if !sawSmall {
@@ -98,42 +109,56 @@ func TestExperimentE2(t *testing.T) {
 	}
 }
 
-// TestExperimentE3 asserts Figure 10's shape: the application graph
-// expands with C3 jobs per attribute and contracts back to the base set.
-func TestExperimentE3(t *testing.T) {
-	res, err := RunE3(DefaultE3())
+// TestCompositionScenario asserts Figure 10's shape: the application
+// graph expands with C3 jobs per attribute and contracts back to the
+// base set.
+func TestCompositionScenario(t *testing.T) {
+	out, err := composition(Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.BaseJobs != 5 || res.MaxJobs < 6 || res.FinalJobs != 5 {
-		t.Fatalf("jobs: base=%d max=%d final=%d", res.BaseJobs, res.MaxJobs, res.FinalJobs)
+	checkOutcome(t, "composition", out)
+	m := out.Report.Metrics
+	if m["base_jobs"] != 5 || m["max_jobs"] < 6 || m["final_jobs"] != 5 {
+		t.Fatalf("jobs: %v", m)
 	}
-	if len(res.Submissions) < 3 || len(res.Cancellations) < 3 {
-		t.Fatalf("subs=%v cancels=%v", res.Submissions, res.Cancellations)
+	if m["submissions"] < 3 || m["cancellations"] < 3 {
+		t.Fatalf("subs/cancels: %v", m)
 	}
-	if res.StoreProfiles == 0 {
+	if m["store_profiles"] == 0 {
 		t.Fatal("profile store empty")
 	}
-	// The timeline must actually show expansion and contraction.
+	// The series must actually show expansion and contraction.
 	var expanded, contracted bool
-	for _, s := range res.Timeline {
-		if s.Jobs > res.BaseJobs {
+	for _, row := range series(t, out) { // elapsed, running jobs
+		if row[1] > m["base_jobs"] {
 			expanded = true
 		}
-		if expanded && s.Jobs == res.BaseJobs {
+		if expanded && row[1] == m["base_jobs"] {
 			contracted = true
 		}
 	}
 	if !expanded || !contracted {
-		t.Fatalf("timeline lacks expansion/contraction: %+v", res.Timeline)
+		t.Fatalf("series lacks expansion/contraction: %v", out.CSV)
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// TestLocScenario: the §5 size table has one row per use case, each
+// naming a positive line count for our routine.
+func TestLocScenario(t *testing.T) {
+	t.Chdir("../..") // loc reads the policy sources relative to the repository root
+	out, err := loc(Params{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return b
+	checkOutcome(t, "loc", out)
+	if len(out.CSV) != 4 || out.CSV[0] != "use_case,paper_cpp_loc,our_go_policy_loc" {
+		t.Fatalf("table = %q", out.CSV)
+	}
+	for _, row := range out.CSV[1:] {
+		cells := strings.Split(row, ",")
+		if len(cells) != 3 || atoi(t, cells[1]) <= 0 || atoi(t, cells[2]) <= 0 {
+			t.Fatalf("row %q", row)
+		}
+	}
 }
-
-var _ = time.Second

@@ -1,436 +1,261 @@
 package exp
 
 import (
+	"cmp"
 	"fmt"
-	"math/rand"
 	"strconv"
 	"time"
 
-	"streamorca/internal/adl"
-	"streamorca/internal/ckpt"
 	"streamorca/internal/compiler"
-	"streamorca/internal/core"
-	"streamorca/internal/ids"
 	"streamorca/internal/load"
 	"streamorca/internal/metrics"
-	"streamorca/internal/platform"
 	"streamorca/internal/policies"
-	"streamorca/internal/tuple"
-	"streamorca/internal/workload"
 )
 
-// FissionConfig parameterises the fission scenario — the adaptation
-// showcase. The run has two halves:
-//
-//   - Capacity probes: the same pipeline (open-loop source -> a
-//     key-partitioned KeyedWorker region -> latency sink) is driven to
-//     saturation on a skew-free workload at width 1 and again at width
-//     MaxWidth, establishing that replicas multiply the region's
-//     capacity ceiling (sustained tps at MaxWidth must be at least
-//     MinSpeedup x width 1).
-//   - Adaptive phase: the region starts at width 1 under a Zipf-skewed
-//     load offered above its capacity, and a policies.Fission routine —
-//     not the dataplane — watches the region's ingress rate gauge and
-//     actuates ResizeRegion through its Threshold/Debounce gate. The
-//     run asserts the routine widened at least once; the region's
-//     per-key state rides the width changes through snapshot migration.
-type FissionConfig struct {
-	// Seed drives key generation and payloads.
-	Seed int64
-	// ProbeRate is the deliberately oversubscribing offered rate of the
-	// capacity probes; ProbeDuration its schedule length. The probe
+// fissionScale sizes the capacity half of the fission scenario; tests
+// shrink it.
+type fissionScale struct {
+	// probeRate is the deliberately oversubscribing offered rate of the
+	// capacity probes, probeDuration its schedule length. The probe
 	// measures sustained (delivered) throughput, not offered.
-	ProbeRate     float64
-	ProbeDuration time.Duration
-	// AdaptFactor sets the adaptive phase's offered rate as a multiple
-	// of the measured width-1 capacity; AdaptDuration its length.
-	AdaptFactor   float64
-	AdaptDuration time.Duration
-	// Keys is the user-key-space size; Skew the adaptive phase's Zipf
-	// exponent (the probes always run skew-free).
-	Keys int
-	Skew float64
-	// WorkDelay is the KeyedWorker's per-tuple service time — the
+	probeRate     float64
+	probeDuration time.Duration
+	// maxWidth caps the region (and is the wide probe's width);
+	// minSpeedup is the required sustained-throughput ratio between the
+	// maxWidth and width-1 probes.
+	maxWidth   int
+	minSpeedup float64
+}
+
+const (
+	// fissionWorkDelay is the KeyedWorker's per-tuple service time — the
 	// capacity ceiling one replica has and added replicas multiply
 	// (being a wait, not a CPU burn, the multiplication holds even on a
 	// single-core machine: parallel replicas overlap their waits).
-	WorkDelay time.Duration
-	// MaxWidth caps the region (and is the wide probe's width).
-	MaxWidth int
-	// MinSpeedup is the required sustained-throughput ratio between the
-	// MaxWidth and width-1 probes.
-	MinSpeedup float64
-	// WidenFraction positions the routine's WidenAboveRate at this
-	// fraction of the measured width-1 capacity.
-	WidenFraction float64
-	// MetricsInterval is the HC push period and the orchestrator pull
-	// interval; CheckpointInterval the periodic snapshot period.
-	MetricsInterval    time.Duration
-	CheckpointInterval time.Duration
-	// MaxDuration bounds the whole run.
-	MaxDuration time.Duration
+	fissionWorkDelay = time.Millisecond
+	// fissionAdaptFactor sets the adaptive phase's offered rate, and
+	// fissionWidenFraction the routine's WidenAboveRate, as multiples of
+	// the measured width-1 capacity.
+	fissionAdaptFactor   = 1.5
+	fissionWidenFraction = 0.5
+)
+
+// fissionBeat is the HC push period and orchestrator pull interval of
+// the adaptive phase, and the drain cadence of every phase.
+var fissionBeat = stretch(25*time.Millisecond, 2)
+
+func fission(p Params) (*Outcome, error) {
+	return runFission(p, fissionScale{probeRate: 5000, probeDuration: 400 * time.Millisecond, maxWidth: 3, minSpeedup: 1.5})
 }
 
-// DefaultFission returns the scaled-down default configuration.
-func DefaultFission(seed int64) FissionConfig {
-	cfg := FissionConfig{
-		Seed:               seed,
-		ProbeRate:          5000,
-		ProbeDuration:      400 * time.Millisecond,
-		AdaptFactor:        1.5,
-		AdaptDuration:      2 * time.Second,
-		Keys:               20000,
-		Skew:               1.1,
-		WorkDelay:          time.Millisecond,
-		MaxWidth:           3,
-		MinSpeedup:         1.5,
-		WidenFraction:      0.5,
-		MetricsInterval:    25 * time.Millisecond,
-		CheckpointInterval: 50 * time.Millisecond,
-		MaxDuration:        60 * time.Second,
-	}
-	if raceEnabled {
-		cfg.MetricsInterval *= 2
-		cfg.CheckpointInterval *= 2
-		cfg.MaxDuration *= 2
-	}
-	return cfg
+// fissionRun is one driven, drained execution of the fission pipeline,
+// its platform still up for inspection.
+type fissionRun struct {
+	*rig
+	meter       *load.Meter
+	offered     int64
+	hotKeyShare float64
+	// elapsed is the time from pipeline-up to the last observed delivery.
+	elapsed time.Duration
 }
 
-// FissionResult captures the probes' capacity ceilings and the adaptive
-// phase's actuations.
-type FissionResult struct {
-	// W1Sustained and WideSustained are the probes' sustained tps at
-	// width 1 and MaxWidth; Speedup their ratio.
-	W1Sustained   float64
-	WideSustained float64
-	Speedup       float64
-	// WidenAboveRate is the ingress threshold handed to the routine.
-	WidenAboveRate int64
-	// AdaptRate is the adaptive phase's offered rate.
-	AdaptRate float64
-	// Widenings and FinalWidth report the routine's actuations;
-	// Log is its width-change history.
-	Widenings  int
-	FinalWidth int
-	Log        []policies.WidthChange
-	// Offered/Delivered/Lost count the adaptive phase's tuples. Lost is
-	// expected to be non-zero: every resize drops the region's
-	// in-flight tuples (§5.2 at-most-once semantics).
-	Offered   int64
-	Delivered int64
-	Lost      int64
-	// P50Ms/P99Ms are the adaptive phase's latency percentiles.
-	P50Ms, P99Ms float64
-	// ReplicaTuples maps each final-width replica to the tuples it
-	// processed since it (re)started at the last resize.
-	ReplicaTuples map[string]int64
-	// HotKeyShare is the adaptive key generator's analytic top-1%
-	// traffic share.
-	HotKeyShare float64
-}
-
-// fissionSchema is the event schema all fission pipelines share.
-func fissionSchema() *tuple.Schema {
-	return tuple.MustSchema(
-		tuple.Attribute{Name: "user", Type: tuple.String},
-		tuple.Attribute{Name: "seq", Type: tuple.Int},
-		tuple.Attribute{Name: "ts", Type: tuple.Timestamp},
-	)
-}
-
-// fissionApp builds source -> KeyedWorker region (width w) -> sink.
-func fissionApp(name, injID, meterID string, width int, delay time.Duration) (*adl.Application, error) {
-	s := fissionSchema()
-	b := compiler.NewApp(name)
-	src := b.AddOperator("src", load.KindLoadSource).Out(s).Param("injectorId", injID)
-	work := b.AddOperator("work", load.KindKeyedWorker).In(s).Out(s).
-		Param("keyAttr", "user").Param("delay", delay.String()).
+// driveFission boots source -> KeyedWorker region (width) -> latency
+// sink on spec's platform (whose routine must submit application
+// "Fission"), offers rate tuples/sec of seeded keys for duration, closes
+// the stream and drains.
+func driveFission(p Params, spec rigSpec, width int, rate float64, duration time.Duration, skew float64) (*fissionRun, error) {
+	injID, meterID := uniq("fission-inj"), uniq("fission-meter")
+	b := compiler.NewApp("Fission")
+	src := b.AddOperator("src", load.KindLoadSource).Out(eventSchema).Param("injectorId", injID)
+	work := b.AddOperator("work", load.KindKeyedWorker).In(eventSchema).Out(eventSchema).
+		Param("keyAttr", "user").Param("delay", fissionWorkDelay.String()).
 		Parallel(width)
-	lat := b.AddOperator("lat", load.KindLatencySink).In(s).
+	lat := b.AddOperator("lat", load.KindLatencySink).In(eventSchema).
 		Param("meterId", meterID).Param("tsAttr", "ts")
 	b.Connect(src, 0, work, 0)
 	b.Connect(work, 0, lat, 0)
-	return b.Build(compiler.Options{Fusion: compiler.FuseNone})
-}
-
-// fissionRun is one driven pipeline execution: submit the app through
-// the given service, offer the load, drain, and report sustained tps.
-type fissionRun struct {
-	svc   *core.Service
-	inst  *platform.Instance
-	job   ids.JobID
-	inj   *load.Injector
-	meter *load.Meter
-	start time.Time
-}
-
-func startFissionRun(inst *platform.Instance, svc *core.Service, injID, meterID string, cfg FissionConfig) (*fissionRun, error) {
-	jobs := svc.ManagedJobs()
-	if len(jobs) != 1 {
-		return nil, fmt.Errorf("fission: expected 1 managed job, got %d", len(jobs))
+	app, err := b.Build(compiler.Options{Fusion: compiler.FuseNone})
+	if err != nil {
+		return nil, err
 	}
-	r := &fissionRun{
-		svc: svc, inst: inst, job: jobs[0].Job,
-		inj: load.InjectorFor(injID), meter: load.MeterFor(meterID),
+	spec.name, spec.hosts, spec.app = "fission", 3, app
+	r, err := boot(spec)
+	if err != nil {
+		return nil, err
 	}
-	running := func() bool {
-		for _, j := range inst.SAM.Jobs() {
-			if j.ID != r.job {
-				continue
-			}
-			for _, p := range j.PEs {
-				if p.State != "running" {
-					return false
-				}
-			}
-			return true
-		}
-		return false
+	run := &fissionRun{rig: r, meter: load.MeterFor(meterID)}
+	budget := p.budget(60 * time.Second)
+	if _, err := r.up(budget / 8); err != nil {
+		r.close()
+		return nil, err
 	}
-	if !waitUntil(cfg.MaxDuration/8, time.Millisecond, running) {
-		return nil, fmt.Errorf("fission: pipeline never came up")
-	}
-	r.start = time.Now()
-	r.meter.Arm(r.start, 200*time.Millisecond)
-	return r, nil
-}
-
-// drive offers rate tuples/sec for duration with seeded keys of the
-// given skew, closes the stream, and drains. It returns the driver
-// stats and the instant of the last observed delivery.
-func (r *fissionRun) drive(cfg FissionConfig, rate float64, duration time.Duration, skew float64) (load.Stats, time.Time, error) {
-	keys := workload.NewKeyGen(workload.KeyConfig{Seed: cfg.Seed, N: cfg.Keys, Skew: skew})
-	payload := rand.New(rand.NewSource(cfg.Seed + 1))
-	s := fissionSchema()
-	userRef, seqRef := s.MustRef("user"), s.MustRef("seq")
+	start := time.Now()
+	run.meter.Arm(start, 200*time.Millisecond)
+	mk, share := eventMaker(p.Seed, p.Keys, skew)
+	inj := load.InjectorFor(injID)
 	st, err := load.RunOpenLoop(load.OpenLoopConfig{
-		Injector: r.inj,
-		Make: func(i int64) tuple.Tuple {
-			t := tuple.New(s)
-			userRef.SetStr(t, keys.Next())
-			seqRef.SetInt(t, int64(payload.Intn(1000))+i)
-			return t
-		},
-		TsAttr: "ts", Rate: rate, Duration: duration,
+		Injector: inj, Make: mk, TsAttr: "ts", Rate: rate, Duration: duration,
 	})
 	if err != nil {
-		return st, time.Time{}, err
+		r.close()
+		return nil, err
 	}
-	r.inj.Close()
-	quietFor := 4 * cfg.MetricsInterval
-	deadline := time.Now().Add(cfg.MaxDuration / 8)
-	lastN, lastChange := r.meter.Delivered(), time.Now()
-	for time.Now().Before(deadline) {
-		time.Sleep(cfg.MetricsInterval / 2)
-		if n := r.meter.Delivered(); n != lastN {
-			lastN, lastChange = n, time.Now()
-			continue
-		}
-		if lastN >= st.Offered || time.Since(lastChange) > quietFor {
-			break
-		}
-	}
-	return st, lastChange, nil
+	inj.Close()
+	lastAt := drain(run.meter, st.Offered, fissionBeat, budget/8)
+	run.offered, run.hotKeyShare, run.elapsed = st.Offered, share, lastAt.Sub(start)
+	return run, nil
 }
 
 // fissionProbe saturates a fixed-width pipeline on a skew-free
 // workload and returns its sustained throughput.
-func fissionProbe(cfg FissionConfig, width int) (float64, error) {
-	inst, err := newPlatform("h1", "h2", "h3")
+func fissionProbe(p Params, scale fissionScale, width int) (float64, error) {
+	run, err := driveFission(p, rigSpec{routine: &policies.Restart{App: "Fission", Submit: true}},
+		width, scale.probeRate, scale.probeDuration, 0)
 	if err != nil {
 		return 0, err
 	}
-	defer inst.Close()
-	appName := fmt.Sprintf("FissionProbe%d", width)
-	injID, meterID := uniq("fission-inj"), uniq("fission-meter")
-	app, err := fissionApp(appName, injID, meterID, width, cfg.WorkDelay)
-	if err != nil {
-		return 0, err
-	}
-	svc, err := core.NewRoutineService(core.Config{
-		Name: "probeOrca", SAM: inst.SAM, SRM: inst.SRM, PullInterval: time.Hour,
-	}, &loadPolicy{app: appName})
-	if err != nil {
-		return 0, err
-	}
-	if err := svc.RegisterApplication(app); err != nil {
-		return 0, err
-	}
-	if err := svc.Start(); err != nil {
-		return 0, err
-	}
-	defer svc.Stop()
-	run, err := startFissionRun(inst, svc, injID, meterID, cfg)
-	if err != nil {
-		return 0, err
-	}
-	_, lastAt, err := run.drive(cfg, cfg.ProbeRate, cfg.ProbeDuration, 0)
-	if err != nil {
-		return 0, err
-	}
+	defer run.close()
 	delivered := run.meter.Delivered()
 	if delivered == 0 {
 		return 0, fmt.Errorf("fission: width-%d probe delivered nothing", width)
 	}
-	elapsed := lastAt.Sub(run.start).Seconds()
-	if elapsed <= 0 {
+	if run.elapsed <= 0 {
 		return 0, fmt.Errorf("fission: width-%d probe too fast to measure", width)
 	}
-	return float64(delivered) / elapsed, nil
+	return float64(delivered) / run.elapsed.Seconds(), nil
 }
 
-// RunFission executes the fission scenario and returns its
-// measurements; the capacity and adaptation assertions are enforced
-// here, so a passing run is the demonstration.
-func RunFission(cfg FissionConfig) (*FissionResult, error) {
-	if cfg.MaxWidth < 2 {
-		return nil, fmt.Errorf("fission: MaxWidth %d < 2 proves nothing", cfg.MaxWidth)
+// runFission is the fission scenario — the adaptation showcase. The run
+// has two halves:
+//
+//   - Capacity probes: the same pipeline (open-loop source -> a
+//     key-partitioned KeyedWorker region -> latency sink) is driven to
+//     saturation on a skew-free workload at width 1 and again at width
+//     maxWidth, establishing that replicas multiply the region's
+//     capacity ceiling.
+//   - Adaptive phase: the region starts at width 1 under a Zipf-skewed
+//     load offered above its capacity, and a policies.Fission routine —
+//     not the dataplane — watches the region's ingress rate gauge and
+//     actuates ResizeRegion through its Threshold/Debounce gate. The
+//     region's per-key state rides the width changes through snapshot
+//     migration.
+//
+// The capacity and adaptation assertions are enforced here, so a passing
+// run is the demonstration.
+func runFission(p Params, scale fissionScale) (*Outcome, error) {
+	if scale.maxWidth < 2 {
+		return nil, fmt.Errorf("fission: max width %d < 2 proves nothing", scale.maxWidth)
 	}
-
-	res := &FissionResult{}
-	w1, err := fissionProbe(cfg, 1)
+	p.Keys = cmp.Or(p.Keys, 20000)
+	if p.Skew < 0 {
+		p.Skew = 1.1
+	}
+	w1, err := fissionProbe(p, scale, 1)
 	if err != nil {
 		return nil, err
 	}
-	wide, err := fissionProbe(cfg, cfg.MaxWidth)
+	wide, err := fissionProbe(p, scale, scale.maxWidth)
 	if err != nil {
 		return nil, err
 	}
-	res.W1Sustained, res.WideSustained = w1, wide
-	res.Speedup = wide / w1
-	if res.Speedup < cfg.MinSpeedup {
-		return res, fmt.Errorf("fission: width %d sustained only %.2fx width 1 (%.0f vs %.0f tps), need >= %.2fx",
-			cfg.MaxWidth, res.Speedup, wide, w1, cfg.MinSpeedup)
+	speedup := wide / w1
+	if speedup < scale.minSpeedup {
+		return nil, fmt.Errorf("fission: width %d sustained only %.2fx width 1 (%.0f vs %.0f tps), need >= %.2fx",
+			scale.maxWidth, speedup, wide, w1, scale.minSpeedup)
 	}
 
 	// Adaptive phase: width 1 under a skewed overload, a checkpointing
 	// platform (so resizes migrate real per-key state), and the Fission
 	// routine deciding when to widen.
-	inst, err := platform.NewInstance(platform.Options{
-		Hosts:              []platform.HostSpec{{Name: "h1"}, {Name: "h2"}, {Name: "h3"}},
-		MetricsInterval:    cfg.MetricsInterval,
-		Checkpoint:         ckpt.NewMemStore(),
-		CheckpointInterval: cfg.CheckpointInterval,
-	})
-	if err != nil {
-		return res, err
-	}
-	defer inst.Close()
-
-	appName := "Fission"
-	injID, meterID := uniq("fission-inj"), uniq("fission-meter")
-	app, err := fissionApp(appName, injID, meterID, 1, cfg.WorkDelay)
-	if err != nil {
-		return res, err
-	}
-	res.WidenAboveRate = int64(cfg.WidenFraction * w1)
-	res.AdaptRate = cfg.AdaptFactor * w1
+	widenAbove, adaptRate := int64(fissionWidenFraction*w1), fissionAdaptFactor*w1
 	policy := &policies.Fission{
-		App: appName, Region: "work",
-		MaxWidth:       cfg.MaxWidth,
-		WidenAboveRate: res.WidenAboveRate,
-		Cooldown:       8 * cfg.MetricsInterval,
+		App: "Fission", Region: "work",
+		MaxWidth:       scale.maxWidth,
+		WidenAboveRate: widenAbove,
+		Cooldown:       8 * fissionBeat,
 	}
-	svc, err := core.NewRoutineService(core.Config{
-		Name: "fissionOrca", SAM: inst.SAM, SRM: inst.SRM, PullInterval: cfg.MetricsInterval,
-	}, policy)
+	run, err := driveFission(p,
+		rigSpec{store: memStore, metrics: fissionBeat, ckptEvery: 2 * fissionBeat, routine: policy},
+		1, adaptRate, cmp.Or(p.Duration, 2*time.Second), p.Skew)
 	if err != nil {
-		return res, err
+		return nil, err
 	}
-	if err := svc.RegisterApplication(app); err != nil {
-		return res, err
-	}
-	if err := svc.Start(); err != nil {
-		return res, err
-	}
-	defer svc.Stop()
+	defer run.close()
 
-	run, err := startFissionRun(inst, svc, injID, meterID, cfg)
-	if err != nil {
-		return res, err
-	}
-	st, _, err := run.drive(cfg, res.AdaptRate, cfg.AdaptDuration, cfg.Skew)
-	if err != nil {
-		return res, err
-	}
-
-	keys := workload.NewKeyGen(workload.KeyConfig{Seed: cfg.Seed, N: cfg.Keys, Skew: cfg.Skew})
-	res.HotKeyShare = keys.TopShare(0.01)
-	res.Offered = st.Offered
-	res.Delivered = run.meter.Delivered()
-	res.Lost = res.Offered - res.Delivered
-	ms := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
-	res.P50Ms, res.P99Ms = ms(run.meter.Hist.Quantile(0.5)), ms(run.meter.Hist.Quantile(0.99))
-	res.Widenings = policy.Widenings()
-	res.FinalWidth = policy.Width()
-	res.Log = policy.Log()
-
-	res.ReplicaTuples = map[string]int64{}
-	if resized, ok := inst.SAM.JobADL(policy.Job()); ok {
+	// lost is expected to be non-zero: every resize drops the region's
+	// in-flight tuples (§5.2 at-most-once semantics).
+	delivered := run.meter.Delivered()
+	lost := run.offered - delivered
+	p50, p99 := ms(run.meter.Hist.Quantile(0.5)), ms(run.meter.Hist.Quantile(0.99))
+	widenings, finalWidth, log := policy.Widenings(), policy.Width(), policy.Log()
+	// What each final-width replica processed since it (re)started at the
+	// last resize.
+	replicaTuples := map[string]int64{}
+	if resized, ok := run.inst.SAM.JobADL(policy.Job()); ok {
 		if region := resized.Region("work"); region != nil {
 			for _, rep := range region.Replicas {
-				if peID, ok := svc.PEOfOperator(policy.Job(), rep); ok {
-					if c, ok := inst.Cluster.PEContainer(peID); ok {
-						res.ReplicaTuples[rep] = c.PEMetrics().Counter(metrics.PETuplesProcessed).Value()
-					}
+				if pe, err := run.pe(policy.Job(), rep); err == nil {
+					replicaTuples[rep] = run.counter(pe, metrics.PETuplesProcessed)
 				}
 			}
 		}
 	}
 
-	if res.Delivered == 0 {
-		return res, fmt.Errorf("fission: adaptive phase delivered nothing")
+	if delivered == 0 {
+		return nil, fmt.Errorf("fission: adaptive phase delivered nothing")
 	}
-	if res.Widenings < 1 {
-		return res, fmt.Errorf("fission: routine never widened the region (ingress threshold %d tps, offered %.0f tps)",
-			res.WidenAboveRate, res.AdaptRate)
+	if widenings < 1 || finalWidth < 2 {
+		return nil, fmt.Errorf("fission: routine never widened the region (width %d, ingress threshold %d tps, offered %.0f tps)",
+			finalWidth, widenAbove, adaptRate)
 	}
-	if w, ok := svc.RegionWidth(policy.Job(), "work"); !ok || w != res.FinalWidth {
-		return res, fmt.Errorf("fission: platform width %d (ok=%v) disagrees with routine width %d", w, ok, res.FinalWidth)
+	if w, ok := run.svc.RegionWidth(policy.Job(), "work"); !ok || w != finalWidth {
+		return nil, fmt.Errorf("fission: platform width %d (ok=%v) disagrees with routine width %d", w, ok, finalWidth)
 	}
-	return res, nil
-}
 
-// BenchReport renders the result in the shared BENCH_*.json schema.
-// Deterministic facts (config echo, analytic key skew) go in Meta;
-// wall-clock-dependent measurements in Metrics.
-func (r *FissionResult) BenchReport(cfg FissionConfig) *load.Report {
-	rep := &load.Report{
+	out := &Outcome{
+		// Workload and decision inputs are seed-derived; wall-clock
+		// measurements are reported separately.
+		Deterministic: fmt.Sprintf("seed=%d keys=%d skew=%.2f hotKeyShare=%.4f region=work maxWidth=%d workDelay=%s",
+			p.Seed, p.Keys, p.Skew, run.hotKeyShare, scale.maxWidth, fissionWorkDelay),
+		OK: "fission OK: the adaptation routine, not the dataplane, widened the region under load",
+	}
+	out.printf("capacity: width 1 sustained %.0f tps, width %d sustained %.0f tps, speedup %.2fx",
+		w1, scale.maxWidth, wide, speedup)
+	out.printf("adaptive: routine widened %d time(s) to width %d (ingress threshold %d tps, offered %.0f tps)",
+		widenings, finalWidth, widenAbove, adaptRate)
+	for _, c := range log {
+		out.printf("  width %d -> %d at ingress %d tps (queue depth %d)", c.From, c.To, c.IngestPerSec, c.QueueDepth)
+	}
+	out.printf("adaptive delivery: %d offered, %d delivered, %d lost in flight; latency p50 %.2fms p99 %.2fms",
+		run.offered, delivered, lost, p50, p99)
+	// Deterministic facts (config echo, analytic key skew) go in Meta;
+	// wall-clock-dependent measurements in Metrics.
+	out.Report = &load.Report{
 		Name: "fission",
-		Seed: cfg.Seed,
+		Seed: p.Seed,
 		Meta: map[string]string{
-			"keys":          strconv.Itoa(cfg.Keys),
-			"skew":          strconv.FormatFloat(cfg.Skew, 'f', -1, 64),
-			"work_delay":    cfg.WorkDelay.String(),
-			"max_width":     strconv.Itoa(cfg.MaxWidth),
-			"min_speedup":   strconv.FormatFloat(cfg.MinSpeedup, 'f', -1, 64),
-			"adapt_factor":  strconv.FormatFloat(cfg.AdaptFactor, 'f', -1, 64),
-			"hot_key_share": strconv.FormatFloat(r.HotKeyShare, 'f', 4, 64),
+			"keys":          strconv.Itoa(p.Keys),
+			"skew":          strconv.FormatFloat(p.Skew, 'f', -1, 64),
+			"work_delay":    fissionWorkDelay.String(),
+			"max_width":     strconv.Itoa(scale.maxWidth),
+			"min_speedup":   strconv.FormatFloat(scale.minSpeedup, 'f', -1, 64),
+			"adapt_factor":  strconv.FormatFloat(fissionAdaptFactor, 'f', -1, 64),
+			"hot_key_share": strconv.FormatFloat(run.hotKeyShare, 'f', 4, 64),
 		},
 		Metrics: map[string]float64{
-			"w1_sustained_tps":   r.W1Sustained,
-			"wide_sustained_tps": r.WideSustained,
-			"speedup_x":          r.Speedup,
-			"widen_above_tps":    float64(r.WidenAboveRate),
-			"adapt_offered_tps":  r.AdaptRate,
-			"adaptive_widenings": float64(r.Widenings),
-			"final_width":        float64(r.FinalWidth),
-			"delivered":          float64(r.Delivered),
-			"lost":               float64(r.Lost),
-			"p50_ms":             r.P50Ms,
-			"p99_ms":             r.P99Ms,
+			"w1_sustained_tps":   w1,
+			"wide_sustained_tps": wide,
+			"speedup_x":          speedup,
+			"widen_above_tps":    float64(widenAbove),
+			"adapt_offered_tps":  adaptRate,
+			"adaptive_widenings": float64(widenings),
+			"final_width":        float64(finalWidth),
+			"delivered":          float64(delivered),
+			"lost":               float64(lost),
+			"p50_ms":             p50,
+			"p99_ms":             p99,
 		},
 	}
-	var replicaTotal int64
-	for _, n := range r.ReplicaTuples {
-		replicaTotal += n
-	}
-	for name, n := range r.ReplicaTuples {
-		rep.Metrics["tuples_"+name] = float64(n)
-		if replicaTotal > 0 {
-			rep.Metrics["share_"+name] = float64(n) / float64(replicaTotal)
-		}
-	}
-	return rep
+	addShares(out.Report, replicaTuples)
+	return out, nil
 }

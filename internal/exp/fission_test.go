@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -8,53 +10,49 @@ import (
 // TestFissionScenarioSmoke runs a shrunk elastic-fission scenario end
 // to end: the capacity probes must show the configured speedup, the
 // adaptation routine (not the driver) must widen the region at least
-// once under the skewed load, and the recorded bench report must carry
-// consistent widths and per-replica traffic shares.
+// once under the skewed load, and the report must carry consistent
+// widths and per-replica traffic shares.
 func TestFissionScenarioSmoke(t *testing.T) {
-	cfg := DefaultFission(7)
-	cfg.MaxWidth = 2
-	cfg.MinSpeedup = 1.3
-	cfg.ProbeRate = 3000
-	cfg.ProbeDuration = 300 * time.Millisecond
-	cfg.AdaptDuration = time.Second
-	cfg.Keys = 5000
+	scale := fissionScale{probeRate: 3000, probeDuration: 300 * time.Millisecond, maxWidth: 2, minSpeedup: 1.3}
 	if raceEnabled {
-		cfg.ProbeRate = 1500
+		scale.probeRate = 1500
 	}
-	res, err := RunFission(cfg)
+	out, err := runFission(Params{Seed: 7, Keys: 5000, Duration: time.Second, Skew: -1}, scale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Speedup < cfg.MinSpeedup {
-		t.Fatalf("speedup %.2fx, want >= %.2fx", res.Speedup, cfg.MinSpeedup)
+	checkOutcome(t, "fission", out)
+	m := out.Report.Metrics
+	if m["speedup_x"] < scale.minSpeedup {
+		t.Fatalf("speedup %.2fx, want >= %.2fx", m["speedup_x"], scale.minSpeedup)
 	}
-	if res.Widenings < 1 || res.FinalWidth < 2 {
-		t.Fatalf("routine never widened: %d widenings, final width %d", res.Widenings, res.FinalWidth)
+	widenings, finalWidth := int(m["adaptive_widenings"]), int(m["final_width"])
+	if widenings < 1 || finalWidth < 2 {
+		t.Fatalf("routine never widened: %d widenings, final width %d", widenings, finalWidth)
 	}
-	if len(res.Log) != res.Widenings {
-		t.Fatalf("log has %d entries for %d widenings", len(res.Log), res.Widenings)
-	}
-	width := 1
-	for _, ch := range res.Log {
-		if ch.From != width || ch.To != width+1 {
-			t.Fatalf("non-sequential width change %+v (at width %d)", ch, width)
+	// The printed width-change log is sequential and ends at the final
+	// width.
+	width, changes := 1, 0
+	for _, line := range out.Lines {
+		var from, to int
+		if _, err := fmt.Sscanf(line, "  width %d -> %d", &from, &to); err != nil {
+			continue
 		}
-		width = ch.To
+		if from != width || to != width+1 {
+			t.Fatalf("non-sequential width change %q (at width %d)", line, width)
+		}
+		width, changes = to, changes+1
 	}
-	if width != res.FinalWidth {
-		t.Fatalf("log ends at width %d, final width %d", width, res.FinalWidth)
+	if changes != widenings || width != finalWidth {
+		t.Fatalf("log has %d changes ending at width %d for %d widenings, final width %d",
+			changes, width, widenings, finalWidth)
 	}
-	if res.Delivered == 0 {
+	if m["delivered"] == 0 {
 		t.Fatalf("nothing delivered in the adaptive phase")
 	}
-
-	rep := res.BenchReport(cfg)
-	if rep.Metrics["final_width"] != float64(res.FinalWidth) {
-		t.Fatalf("report final_width = %v", rep.Metrics["final_width"])
-	}
 	shareSum := 0.0
-	for k, v := range rep.Metrics {
-		if len(k) > 6 && k[:6] == "share_" {
+	for k, v := range m {
+		if strings.HasPrefix(k, "share_") {
 			shareSum += v
 		}
 	}

@@ -1,299 +1,135 @@
 package exp
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
-	"strings"
 	"time"
 
 	"streamorca/internal/chaos"
-	"streamorca/internal/ckpt"
 	"streamorca/internal/compiler"
-	"streamorca/internal/core"
-	"streamorca/internal/ids"
 	"streamorca/internal/load"
 	"streamorca/internal/metrics"
 	"streamorca/internal/ops"
-	"streamorca/internal/platform"
-	"streamorca/internal/sam"
+	"streamorca/internal/policies"
 	"streamorca/internal/tuple"
 	"streamorca/internal/workload"
 )
 
-// LoadConfig parameterises the loadtest and chaos-load scenarios: an
-// open-loop driver offers Zipf-skewed user events at a constant rate
-// into a checkpointing three-host pipeline (LoadSource -> hash-split
-// over three Functor workers -> merge -> LatencySink, with an
-// Aggregate/CountSink branch keeping checkpointable state in the
-// graph), and a LatencySink meters source-to-sink latency against the
-// intended send instants. ChaosFaults > 0 layers a seeded
-// chaos.Schedule over the run, so recovery shows up as measured
-// p999/throughput dips instead of bespoke counters.
-type LoadConfig struct {
-	// Seed drives key generation, payloads, the fault schedule, and the
-	// retry jitter.
-	Seed int64
-	// Rate is the offered open-loop rate in tuples/sec.
-	Rate float64
-	// Duration is the offered-load schedule length.
-	Duration time.Duration
-	// Users, when > 0, switches to the closed-loop driver: Users
-	// concurrent senders with Think pauses instead of a constant rate.
-	Users int
-	// Think is each closed-loop user's pause between sends.
-	Think time.Duration
-	// Keys is the user-key-space size; Skew its Zipf exponent.
-	Keys int
-	Skew float64
-	// AggWindow is the stateful side-branch's aggregation window.
-	AggWindow time.Duration
-	// ThroughputWindow is the width of the windowed-throughput bins.
-	ThroughputWindow time.Duration
-	// MetricsInterval is the HC push period; the run samples the per-PE
-	// ingest/egress rate gauges at the same cadence.
-	MetricsInterval time.Duration
-	// CheckpointInterval is the periodic snapshot period.
-	CheckpointInterval time.Duration
-	// StoreDir, when non-empty, backs the checkpoint store with the
-	// filesystem; empty uses memory.
-	StoreDir string
-	// ChaosFaults, when > 0, injects a seeded fault schedule of that
-	// many events spread over ChaosWindow (limited to Kinds when set).
-	ChaosFaults int
-	ChaosWindow time.Duration
-	ChaosKinds  []chaos.Kind
-	// MaxDuration bounds the whole run.
-	MaxDuration time.Duration
+func loadtest(p Params) (*Outcome, error) { return runLoad("loadtest", p, 0, 0) }
+
+func chaosLoad(p Params) (*Outcome, error) {
+	p.Duration = cmp.Or(p.Duration, 3*time.Second)
+	return runLoad("chaos-load", p, 12, stretch(800*time.Millisecond, 2))
 }
 
-// DefaultLoad returns the scaled-down default configuration for the
-// pure loadtest scenario.
-func DefaultLoad(seed int64) LoadConfig {
-	cfg := LoadConfig{
-		Seed:               seed,
-		Rate:               2000,
-		Duration:           2 * time.Second,
-		Keys:               50000,
-		Skew:               1.1,
-		AggWindow:          250 * time.Millisecond,
-		ThroughputWindow:   200 * time.Millisecond,
-		MetricsInterval:    25 * time.Millisecond,
-		CheckpointInterval: 50 * time.Millisecond,
-		MaxDuration:        60 * time.Second,
+// eventSchema is the keyed user event the load and fission pipelines
+// carry; ts is stamped by the driver with the intended send instant.
+var eventSchema = tuple.MustSchema(
+	tuple.Attribute{Name: "user", Type: tuple.String},
+	tuple.Attribute{Name: "seq", Type: tuple.Int},
+	tuple.Attribute{Name: "score", Type: tuple.Float},
+	tuple.Attribute{Name: "ts", Type: tuple.Timestamp},
+)
+
+// eventMaker returns the seeded event generator for a Zipf key space,
+// and the key generator's analytic top-1% traffic share.
+func eventMaker(seed int64, keys int, skew float64) (func(i int64) tuple.Tuple, float64) {
+	gen := workload.NewKeyGen(workload.KeyConfig{Seed: seed, N: keys, Skew: skew})
+	payload := rand.New(rand.NewSource(seed + 1))
+	user, seq, score := eventSchema.MustRef("user"), eventSchema.MustRef("seq"), eventSchema.MustRef("score")
+	return func(i int64) tuple.Tuple {
+		t := tuple.New(eventSchema)
+		user.SetStr(t, gen.Next())
+		seq.SetInt(t, i)
+		score.SetFloat(t, payload.Float64()*100)
+		return t
+	}, gen.TopShare(0.01)
+}
+
+// addShares adds each part's tuple count and its share of the total to
+// a report: the imbalance a Zipf-hot partition shows, and what a
+// rebalance (a region resize re-cutting the key space) visibly moves.
+func addShares(rep *load.Report, tuples map[string]int64) {
+	var total int64
+	for _, n := range tuples {
+		total += n
 	}
-	if raceEnabled {
-		cfg.Rate = 500
-		cfg.MetricsInterval *= 2
-		cfg.CheckpointInterval *= 2
-		cfg.MaxDuration *= 2
-	}
-	return cfg
-}
-
-// DefaultChaosLoad returns the default configuration for chaos-load:
-// the same workload with a seeded fault schedule injected mid-run.
-func DefaultChaosLoad(seed int64) LoadConfig {
-	cfg := DefaultLoad(seed)
-	cfg.Duration = 3 * time.Second
-	cfg.ChaosFaults = 12
-	cfg.ChaosWindow = 800 * time.Millisecond
-	if raceEnabled {
-		cfg.ChaosWindow *= 2
-	}
-	return cfg
-}
-
-// LoadResult captures one run's offered load, delivery, latency
-// distribution, and (for chaos-load) the injected schedule's outcome.
-type LoadResult struct {
-	// Offered counts tuples pushed by the driver; Missed counts
-	// scheduled tuples the driver abandoned (non-zero fails the run);
-	// Delivered counts tuples the LatencySink recorded; Lost is
-	// Offered - Delivered after the drain (in-flight tuples dropped by
-	// killed PEs, per the paper's §5.2 at-most-once semantics).
-	Offered   int64
-	Missed    int64
-	Delivered int64
-	Lost      int64
-	// OfferedRate and SustainedRate are tuples/sec over the driver's
-	// elapsed schedule: what was asked for vs what came out the sink.
-	OfferedRate   float64
-	SustainedRate float64
-	// Latency percentiles, source to sink, charged against intended
-	// send instants (coordinated-omission-correct).
-	P50Ms, P99Ms, P999Ms, MaxMs, MeanMs float64
-	// MinWindowRate and MaxWindowRate bracket the per-window
-	// throughput; a chaos run shows the dip in MinWindowRate.
-	MinWindowRate float64
-	MaxWindowRate float64
-	Windows       int
-	// WorkerTuples maps each hash-partitioned worker to the tuples it
-	// processed — the hot-partition imbalance the Zipf keys induce.
-	WorkerTuples map[string]int64
-	// MaxIngestRate and MaxEgressRate are the highest per-PE
-	// ingest/egress rate gauges observed during the run.
-	MaxIngestRate int64
-	MaxEgressRate int64
-	// HotKeyShare is the key generator's analytic top-1% traffic share.
-	HotKeyShare float64
-	// Chaos outcome; Fingerprint is empty for pure load runs.
-	Fingerprint   string
-	FaultsApplied int
-	FaultsSkipped int
-	LostForever   int
-}
-
-// loadPolicy restarts every failed PE through SAM's bounded-retry
-// actuation, like the chaos policy: retry-budget exhaustions ("restart
-// abandoned") are left to the recovery sweep.
-type loadPolicy struct {
-	app string
-}
-
-func (p *loadPolicy) Name() string { return "load" }
-
-func (p *loadPolicy) Setup(sc *core.SetupContext) error {
-	if _, err := sc.Actions().SubmitApplication(p.app, nil); err != nil {
-		return err
-	}
-	return sc.Subscribe(core.OnPEFailure(
-		core.NewPEFailureScope("lf").AddApplicationFilter(p.app),
-		func(ctx *core.PEFailureContext, act *core.Actions) error {
-			if !strings.HasPrefix(ctx.Reason, "restart abandoned") {
-				_ = act.RestartPE(ctx.PE) //orcalint:ignore actuationcheck the attempt journal records failures and the sweep retries; erroring here would tear down the experiment
-			}
-			return nil
-		}))
-}
-
-// rateSampler polls every PE's ingest/egress rate gauges and keeps the
-// maxima — the throughput high-water marks the report publishes.
-type rateSampler struct {
-	stop chan struct{}
-	done chan struct{}
-
-	maxIn  int64
-	maxOut int64
-}
-
-func startRateSampler(inst *platform.Instance, interval time.Duration) *rateSampler {
-	s := &rateSampler{stop: make(chan struct{}), done: make(chan struct{})}
-	go func() {
-		defer close(s.done)
-		for {
-			select {
-			case <-s.stop:
-				return
-			case <-time.After(interval):
-			}
-			for _, job := range inst.SAM.Jobs() {
-				for _, p := range job.PEs {
-					c, ok := inst.Cluster.PEContainer(p.ID)
-					if !ok {
-						continue
-					}
-					if v := c.PEMetrics().Counter(metrics.PEIngestRate).Value(); v > s.maxIn {
-						s.maxIn = v
-					}
-					if v := c.PEMetrics().Counter(metrics.PEEgressRate).Value(); v > s.maxOut {
-						s.maxOut = v
-					}
-				}
-			}
-		}
-	}()
-	return s
-}
-
-func (s *rateSampler) halt() (int64, int64) {
-	close(s.stop)
-	<-s.done
-	return s.maxIn, s.maxOut
-}
-
-// RunLoadTest executes the loadtest (ChaosFaults == 0) or chaos-load
-// (ChaosFaults > 0) scenario and returns its measurements.
-func RunLoadTest(cfg LoadConfig) (*LoadResult, error) {
-	if cfg.Rate <= 0 && cfg.Users <= 0 {
-		return nil, fmt.Errorf("loadtest: need Rate > 0 (open loop) or Users > 0 (closed loop)")
-	}
-	if cfg.Duration <= 0 {
-		return nil, fmt.Errorf("loadtest: need Duration > 0")
-	}
-
-	var inner ckpt.Store = ckpt.NewMemStore()
-	if cfg.StoreDir != "" {
-		fs, err := ckpt.NewFSStore(cfg.StoreDir)
-		if err != nil {
-			return nil, err
-		}
-		inner = fs
-	}
-	// The fault store stays in place even for pure load runs: un-armed
-	// it is transparent, and chaos-load arms it through the schedule.
-	store := ckpt.NewFaultStore(inner, nil)
-
-	opts := platform.Options{
-		Hosts:              []platform.HostSpec{{Name: "h1"}, {Name: "h2"}, {Name: "h3"}},
-		MetricsInterval:    cfg.MetricsInterval,
-		Checkpoint:         store,
-		CheckpointInterval: cfg.CheckpointInterval,
-	}
-	if cfg.ChaosFaults > 0 {
-		opts.Retry = sam.RetryPolicy{
-			MaxAttempts: 4,
-			BaseBackoff: 2 * time.Millisecond,
-			MaxBackoff:  20 * time.Millisecond,
-			JitterSeed:  cfg.Seed,
+	for name, n := range tuples {
+		rep.Metrics["tuples_"+name] = float64(n)
+		if total > 0 {
+			rep.Metrics["share_"+name] = float64(n) / float64(total)
 		}
 	}
-	inst, err := platform.NewInstance(opts)
-	if err != nil {
-		return nil, err
-	}
-	defer inst.Close()
+}
 
-	eventS := tuple.MustSchema(
-		tuple.Attribute{Name: "user", Type: tuple.String},
-		tuple.Attribute{Name: "seq", Type: tuple.Int},
-		tuple.Attribute{Name: "score", Type: tuple.Float},
-		tuple.Attribute{Name: "ts", Type: tuple.Timestamp},
+// runLoad is the loadtest and chaos-load scenario: an open-loop driver
+// offers Zipf-skewed user events at a constant rate (or, with
+// Params.Users, closed-loop users pause Think between sends) into a
+// checkpointing three-host pipeline (LoadSource -> hash-split over three
+// Functor workers -> merge -> LatencySink, with an Aggregate/CountSink
+// branch keeping checkpointable state in the graph), and the LatencySink
+// meters source-to-sink latency against the intended send instants.
+// faults > 0 layers a seeded schedule of that many faults, spread over
+// faultWindow, on the run, so recovery shows up as measured
+// p999/throughput dips instead of bespoke counters. The seed drives key
+// generation, payloads, the fault schedule, and the retry jitter.
+func runLoad(name string, p Params, faults int, faultWindow time.Duration) (*Outcome, error) {
+	var (
+		rate     = cmp.Or(p.Rate, 2000)
+		duration = cmp.Or(p.Duration, 2*time.Second)
+		think    = cmp.Or(p.Think, 10*time.Millisecond)
+		keys     = cmp.Or(p.Keys, 50000)
+		skew     = p.Skew
+		// beat is the HC push period; the run samples the per-PE rate
+		// gauges and paces its drain at the same cadence.
+		beat   = stretch(25*time.Millisecond, 2)
+		budget = p.budget(60 * time.Second)
 	)
-	aggS := tuple.MustSchema(
-		tuple.Attribute{Name: "avg", Type: tuple.Float},
-		tuple.Attribute{Name: "count", Type: tuple.Int},
-	)
-
-	appName := "LoadTest"
-	injID := uniq("load-inj")
-	meterID := uniq("load-meter")
+	if raceEnabled && p.Rate == 0 {
+		rate = 500
+	}
+	if p.Users > 0 {
+		rate = 0
+	}
+	if skew < 0 {
+		skew = 1.1
+	}
+	if rate <= 0 && p.Users <= 0 {
+		return nil, fmt.Errorf("%s: need a rate > 0 (open loop) or users > 0 (closed loop)", name)
+	}
+	if duration <= 0 {
+		return nil, fmt.Errorf("%s: need a duration > 0", name)
+	}
+	injID, meterID := uniq("load-inj"), uniq("load-meter")
 	workers := []string{"w0", "w1", "w2"}
 
-	b := compiler.NewApp(appName)
-	src := b.AddOperator("src", load.KindLoadSource).Out(eventS).Param("injectorId", injID)
-	split := b.AddOperator("split", ops.KindSplit).In(eventS).Out(eventS, eventS, eventS).
+	b := compiler.NewApp("LoadTest")
+	src := b.AddOperator("src", load.KindLoadSource).Out(eventSchema).Param("injectorId", injID)
+	split := b.AddOperator("split", ops.KindSplit).In(eventSchema).Out(eventSchema, eventSchema, eventSchema).
 		Param("mode", "hash").Param("attr", "user")
-	mrg := b.AddOperator("mrg", ops.KindMerge).In(eventS, eventS, eventS).Out(eventS)
+	mrg := b.AddOperator("mrg", ops.KindMerge).In(eventSchema, eventSchema, eventSchema).Out(eventSchema)
 	b.Connect(src, 0, split, 0)
 	for i, w := range workers {
 		// Pass-through Functors: the Functor copies same-named attributes
 		// (the ts Timestamp included), so the latency path survives the
 		// partitioned hop.
-		wh := b.AddOperator(w, ops.KindFunctor).In(eventS).Out(eventS)
+		wh := b.AddOperator(w, ops.KindFunctor).In(eventSchema).Out(eventSchema)
 		b.Connect(split, i, wh, 0)
 		b.Connect(wh, 0, mrg, i)
 	}
 	// Duplicate-split tee after the merge: port 0 feeds the latency
 	// sink, port 1 the stateful aggregation branch whose windows make
 	// the pipeline genuinely checkpointing.
-	tee := b.AddOperator("tee", ops.KindSplit).In(eventS).Out(eventS, eventS).
+	tee := b.AddOperator("tee", ops.KindSplit).In(eventSchema).Out(eventSchema, eventSchema).
 		Param("mode", "duplicate")
-	lat := b.AddOperator("lat", load.KindLatencySink).In(eventS).
+	lat := b.AddOperator("lat", load.KindLatencySink).In(eventSchema).
 		Param("meterId", meterID).Param("tsAttr", "ts")
-	agg := b.AddOperator("agg", ops.KindAggregate).In(eventS).Out(aggS).
-		Param("window", cfg.AggWindow.String()).Param("valueAttr", "score")
-	cnt := b.AddOperator("cnt", ops.KindCountSink).In(aggS)
+	agg := b.AddOperator("agg", ops.KindAggregate).In(eventSchema).Out(aggSchema).
+		Param("window", "250ms").Param("valueAttr", "score")
+	cnt := b.AddOperator("cnt", ops.KindCountSink).In(aggSchema)
 	b.Connect(mrg, 0, tee, 0)
 	b.Connect(tee, 0, lat, 0)
 	b.Connect(tee, 1, agg, 0)
@@ -303,262 +139,172 @@ func RunLoadTest(cfg LoadConfig) (*LoadResult, error) {
 		return nil, err
 	}
 
-	policy := &loadPolicy{app: appName}
-	svc, err := core.NewRoutineService(core.Config{
-		Name: "loadOrca", SAM: inst.SAM, SRM: inst.SRM, PullInterval: cfg.MetricsInterval,
-	}, policy)
+	// Retry-budget exhaustions are left to the recovery sweep, as in the
+	// chaos scenario.
+	r, err := boot(rigSpec{
+		name: name, hosts: 3, store: memStore, dir: p.StoreDir,
+		metrics: beat, ckptEvery: 2 * beat, retry: faults > 0, seed: p.Seed,
+		routine: &policies.Restart{App: app.Name, Submit: true}, app: app,
+	})
 	if err != nil {
 		return nil, err
 	}
-	if err := svc.RegisterApplication(app); err != nil {
+	defer r.close()
+	job, err := r.up(budget / 4)
+	if err != nil {
 		return nil, err
 	}
-	if err := svc.Start(); err != nil {
-		return nil, err
-	}
-	defer svc.Stop()
 
-	jobs := svc.ManagedJobs()
-	if len(jobs) != 1 {
-		return nil, fmt.Errorf("loadtest: expected 1 managed job, got %d", len(jobs))
-	}
-	job := jobs[0].Job
-	running := func() bool {
-		for _, j := range inst.SAM.Jobs() {
-			if j.ID != job {
-				continue
-			}
+	mk, hotKeyShare := eventMaker(p.Seed, keys, skew)
+	inj, meter := load.InjectorFor(injID), load.MeterFor(meterID)
+	meter.Arm(time.Now(), 200*time.Millisecond)
+	// The highest per-PE ingest/egress rate gauges seen during the run.
+	var maxIn, maxOut int64
+	halt := sample(beat, func() {
+		for _, j := range r.inst.SAM.Jobs() {
 			for _, p := range j.PEs {
-				if p.State != "running" {
-					return false
-				}
+				maxIn = max(maxIn, r.counter(p.ID, metrics.PEIngestRate))
+				maxOut = max(maxOut, r.counter(p.ID, metrics.PEEgressRate))
 			}
-			return true
 		}
-		return false
-	}
-	if !waitUntil(cfg.MaxDuration/4, time.Millisecond, running) {
-		return nil, fmt.Errorf("loadtest: pipeline never came up")
-	}
-
-	keys := workload.NewKeyGen(workload.KeyConfig{Seed: cfg.Seed, N: cfg.Keys, Skew: cfg.Skew})
-	payload := rand.New(rand.NewSource(cfg.Seed + 1))
-	userRef := eventS.MustRef("user")
-	seqRef := eventS.MustRef("seq")
-	scoreRef := eventS.MustRef("score")
-	mk := func(i int64) tuple.Tuple {
-		t := tuple.New(eventS)
-		userRef.SetStr(t, keys.Next())
-		seqRef.SetInt(t, i)
-		scoreRef.SetFloat(t, payload.Float64()*100)
-		return t
-	}
-
-	inj := load.InjectorFor(injID)
-	meter := load.MeterFor(meterID)
-	start := time.Now()
-	meter.Arm(start, cfg.ThroughputWindow)
-	sampler := startRateSampler(inst, cfg.MetricsInterval)
+	})
+	defer halt()
 
 	driveStop := make(chan struct{})
-	stopTimer := time.AfterFunc(cfg.MaxDuration, func() { close(driveStop) })
+	stopTimer := time.AfterFunc(budget, func() { close(driveStop) })
 	defer stopTimer.Stop()
-
-	type driveOut struct {
-		st  load.Stats
-		err error
-	}
-	driveDone := make(chan driveOut, 1)
+	var st load.Stats
+	var driveErr error
+	driveDone := make(chan struct{})
 	go func() {
-		var out driveOut
-		if cfg.Users > 0 {
-			out.st, out.err = load.RunClosedLoop(load.ClosedLoopConfig{
+		defer close(driveDone)
+		if p.Users > 0 {
+			st, driveErr = load.RunClosedLoop(load.ClosedLoopConfig{
 				Injector: inj, Make: mk, TsAttr: "ts",
-				Users: cfg.Users, Think: cfg.Think, Duration: cfg.Duration,
+				Users: p.Users, Think: think, Duration: duration,
 				Stop: driveStop,
 			})
 		} else {
-			out.st, out.err = load.RunOpenLoop(load.OpenLoopConfig{
+			st, driveErr = load.RunOpenLoop(load.OpenLoopConfig{
 				Injector: inj, Make: mk, TsAttr: "ts",
-				Rate: cfg.Rate, Duration: cfg.Duration,
+				Rate: rate, Duration: duration,
 				Stop: driveStop,
 			})
 		}
-		driveDone <- out
 	}()
-
-	res := &LoadResult{HotKeyShare: keys.TopShare(0.01)}
 
 	// Chaos-load: once the pipeline is visibly delivering, inject the
 	// seeded schedule while the driver keeps offering, then sweep.
-	if cfg.ChaosFaults > 0 {
-		if !waitUntil(cfg.MaxDuration/4, time.Millisecond, func() bool { return meter.Delivered() >= 20 }) {
-			return nil, fmt.Errorf("loadtest: pipeline never warmed up under load")
+	var fingerprint string
+	var injected *chaos.Report
+	if faults > 0 {
+		if !waitUntil(budget/4, time.Millisecond, func() bool { return meter.Delivered() >= 20 }) {
+			return nil, fmt.Errorf("%s: pipeline never warmed up under load", name)
 		}
-		schedule := chaos.Generate(cfg.Seed, chaos.GenOptions{
-			Duration: cfg.ChaosWindow,
-			Count:    cfg.ChaosFaults,
-			Hosts:    3,
-			PEs:      len(app.PEs),
-			Kinds:    cfg.ChaosKinds,
-			Store:    true,
-		})
-		res.Fingerprint = schedule.Fingerprint()
-		runner := &chaos.Runner{Cluster: inst.Cluster, SAM: inst.SAM, Store: store}
-		report := runner.Run(schedule)
-		res.FaultsApplied, res.FaultsSkipped = report.Applied, report.Skipped
-
-		// Recovery sweep, as in the chaos scenario: disarm the store,
-		// revive hosts, restart what is still down.
-		store.Reset()
-		for _, h := range inst.Cluster.Hosts() {
-			if !h.Up {
-				if err := inst.Cluster.ReviveHost(h.Name); err != nil {
-					return nil, fmt.Errorf("loadtest: revive %s: %w", h.Name, err)
-				}
-			}
-		}
-		downPEs := func() []ids.PEID {
-			var down []ids.PEID
-			for _, j := range inst.SAM.Jobs() {
-				for _, p := range j.PEs {
-					if p.State != "running" {
-						down = append(down, p.ID)
-					}
-				}
-			}
-			return down
-		}
-		sweepOK := waitUntil(cfg.MaxDuration/2, 5*time.Millisecond, func() bool {
-			down := downPEs()
-			for _, id := range down {
-				_ = svc.RestartPE(id) //orcalint:ignore actuationcheck recovery sweep keeps retrying until the deadline; stragglers are counted as LostForever
-			}
-			return len(down) == 0
-		})
-		res.LostForever = len(downPEs())
-		if !sweepOK || res.LostForever > 0 {
-			return res, fmt.Errorf("loadtest: %d PEs lost forever after recovery sweep", res.LostForever)
+		if fingerprint, injected, err = r.shake(p.Seed, faults, faultWindow, nil, len(app.PEs), budget/2); err != nil {
+			return nil, err
 		}
 	}
 
-	drive := <-driveDone
-	if drive.err != nil {
-		return res, drive.err
+	<-driveDone
+	if driveErr != nil {
+		return nil, driveErr
 	}
-	// All pushes returned; close the stream and let the pipeline drain:
-	// delivery is complete when the meter stays quiet for a beat.
+	// All pushes returned; close the stream and let the pipeline drain.
 	inj.Close()
-	quietFor := 4 * cfg.MetricsInterval
-	drainDeadline := time.Now().Add(cfg.MaxDuration / 4)
-	lastN, lastChange := meter.Delivered(), time.Now()
-	for time.Now().Before(drainDeadline) {
-		time.Sleep(cfg.MetricsInterval / 2)
-		if n := meter.Delivered(); n != lastN {
-			lastN, lastChange = n, time.Now()
-			continue
-		}
-		if lastN >= drive.st.Offered || time.Since(lastChange) > quietFor {
-			break
-		}
-	}
+	drain(meter, st.Offered, beat, budget/4)
+	halt()
 
-	res.MaxIngestRate, res.MaxEgressRate = sampler.halt()
-	res.Offered = drive.st.Offered
-	res.Missed = drive.st.Missed
-	res.Delivered = meter.Delivered()
-	res.Lost = res.Offered - res.Delivered
-	if sec := drive.st.Elapsed.Seconds(); sec > 0 {
-		res.OfferedRate = float64(res.Offered) / sec
-		res.SustainedRate = float64(res.Delivered) / sec
+	// lost is offered - delivered after the drain: in-flight tuples
+	// dropped by killed PEs, per the paper's §5.2 at-most-once semantics.
+	offered, delivered := st.Offered, meter.Delivered()
+	lost := offered - delivered
+	var offeredTPS, sustainedTPS float64
+	if sec := st.Elapsed.Seconds(); sec > 0 {
+		offeredTPS, sustainedTPS = float64(offered)/sec, float64(delivered)/sec
 	}
-	ms := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
+	// Latency is charged against intended send instants
+	// (coordinated-omission-correct).
 	h := meter.Hist
-	res.P50Ms, res.P99Ms, res.P999Ms = ms(h.Quantile(0.5)), ms(h.Quantile(0.99)), ms(h.Quantile(0.999))
-	res.MaxMs, res.MeanMs = ms(h.Max()), ms(h.Mean())
+	p50, p99, p999 := ms(h.Quantile(0.5)), ms(h.Quantile(0.99)), ms(h.Quantile(0.999))
+	// A chaos run shows its dip in the slowest throughput window.
 	rates := meter.WindowRates(time.Now())
-	res.Windows = len(rates)
-	for i, r := range rates {
-		if i == 0 || r < res.MinWindowRate {
-			res.MinWindowRate = r
-		}
-		if r > res.MaxWindowRate {
-			res.MaxWindowRate = r
-		}
+	var minWindow, maxWindow float64
+	if len(rates) > 0 {
+		minWindow, maxWindow = slices.Min(rates), slices.Max(rates)
 	}
-	res.WorkerTuples = map[string]int64{}
+	workerTuples := map[string]int64{}
 	for _, w := range workers {
-		if peID, ok := svc.PEOfOperator(job, w); ok {
-			if c, ok := inst.Cluster.PEContainer(peID); ok {
-				res.WorkerTuples[w] = c.PEMetrics().Counter(metrics.PETuplesProcessed).Value()
-			}
+		if pe, err := r.pe(job, w); err == nil {
+			workerTuples[w] = r.counter(pe, metrics.PETuplesProcessed)
 		}
 	}
 
-	if res.Missed > 0 {
-		return res, fmt.Errorf("loadtest: driver abandoned %d scheduled tuples", res.Missed)
+	if st.Missed > 0 {
+		return nil, fmt.Errorf("%s: driver abandoned %d scheduled tuples", name, st.Missed)
 	}
-	if res.Delivered == 0 {
-		return res, fmt.Errorf("loadtest: nothing delivered")
+	if delivered == 0 || p50 <= 0 || sustainedTPS <= 0 {
+		return nil, fmt.Errorf("%s: no latency record: %d delivered, p50 %vms, sustained %v tps",
+			name, delivered, p50, sustainedTPS)
 	}
-	if cfg.ChaosFaults == 0 && res.Lost != 0 {
-		return res, fmt.Errorf("loadtest: %d tuples lost without chaos", res.Lost)
+	if faults == 0 && lost != 0 {
+		return nil, fmt.Errorf("%s: %d tuples lost without chaos", name, lost)
 	}
-	return res, nil
-}
 
-// BenchReport renders the result in the shared BENCH_*.json schema.
-// Deterministic facts (config echo, schedule fingerprint, offered
-// count) go in Meta; wall-clock-dependent measurements in Metrics.
-func (r *LoadResult) BenchReport(scenario string, cfg LoadConfig) *load.Report {
+	out := &Outcome{
+		// Everything here is wall-clock-independent.
+		Deterministic: fmt.Sprintf("seed=%d offered=%d hotKeyShare=%.4f fingerprint=%s",
+			p.Seed, offered, hotKeyShare, fingerprint),
+		OK: name + " OK: sustained the offered load with a full latency record",
+	}
+	out.printf("offered %.0f tuples/sec for %v: %d offered, %d delivered, %d lost",
+		rate, duration, offered, delivered, lost)
+	out.printf("latency ms: p50 %.2f, p99 %.2f, p999 %.2f, max %.2f, mean %.2f",
+		p50, p99, p999, ms(h.Max()), ms(h.Mean()))
+	out.printf("throughput tuples/sec: sustained %.0f; windows %d (min %.0f, max %.0f); PE gauges max in %d, out %d",
+		sustainedTPS, len(rates), minWindow, maxWindow, maxIn, maxOut)
+	out.printf("workers: w0=%d w1=%d w2=%d tuples", workerTuples["w0"], workerTuples["w1"], workerTuples["w2"])
+	// Deterministic facts (config echo, schedule fingerprint, offered
+	// count) go in Meta; wall-clock-dependent measurements in Metrics.
 	rep := &load.Report{
-		Name: scenario,
-		Seed: cfg.Seed,
+		Name: name,
+		Seed: p.Seed,
 		Meta: map[string]string{
-			"rate":     strconv.FormatFloat(cfg.Rate, 'f', -1, 64),
-			"duration": cfg.Duration.String(),
-			"keys":     strconv.Itoa(cfg.Keys),
-			"skew":     strconv.FormatFloat(cfg.Skew, 'f', -1, 64),
-			"offered":  strconv.FormatInt(r.Offered, 10),
+			"rate":     strconv.FormatFloat(rate, 'f', -1, 64),
+			"duration": duration.String(),
+			"keys":     strconv.Itoa(keys),
+			"skew":     strconv.FormatFloat(skew, 'f', -1, 64),
+			"offered":  strconv.FormatInt(offered, 10),
 		},
 		Metrics: map[string]float64{
-			"delivered":      float64(r.Delivered),
-			"lost":           float64(r.Lost),
-			"offered_tps":    r.OfferedRate,
-			"sustained_tps":  r.SustainedRate,
-			"p50_ms":         r.P50Ms,
-			"p99_ms":         r.P99Ms,
-			"p999_ms":        r.P999Ms,
-			"max_ms":         r.MaxMs,
-			"mean_ms":        r.MeanMs,
-			"min_window_tps": r.MinWindowRate,
-			"max_window_tps": r.MaxWindowRate,
-			"max_ingest_tps": float64(r.MaxIngestRate),
-			"max_egress_tps": float64(r.MaxEgressRate),
-			"hot_key_share":  r.HotKeyShare,
+			"delivered":      float64(delivered),
+			"lost":           float64(lost),
+			"offered_tps":    offeredTPS,
+			"sustained_tps":  sustainedTPS,
+			"p50_ms":         p50,
+			"p99_ms":         p99,
+			"p999_ms":        p999,
+			"max_ms":         ms(h.Max()),
+			"mean_ms":        ms(h.Mean()),
+			"min_window_tps": minWindow,
+			"max_window_tps": maxWindow,
+			"max_ingest_tps": float64(maxIn),
+			"max_egress_tps": float64(maxOut),
+			"hot_key_share":  hotKeyShare,
 		},
 	}
-	if cfg.Users > 0 {
-		rep.Meta["users"] = strconv.Itoa(cfg.Users)
-		rep.Meta["think"] = cfg.Think.String()
+	if p.Users > 0 {
+		rep.Meta["users"] = strconv.Itoa(p.Users)
+		rep.Meta["think"] = think.String()
 	}
-	if r.Fingerprint != "" {
-		rep.Meta["fingerprint"] = r.Fingerprint
-		rep.Metrics["faults_applied"] = float64(r.FaultsApplied)
-		rep.Metrics["faults_skipped"] = float64(r.FaultsSkipped)
+	if faults > 0 {
+		out.printf("schedule fingerprint: %s", fingerprint)
+		out.printf("faults applied %d, skipped %d; PEs lost forever 0", injected.Applied, injected.Skipped)
+		rep.Meta["fingerprint"] = fingerprint
+		rep.Metrics["faults_applied"] = float64(injected.Applied)
+		rep.Metrics["faults_skipped"] = float64(injected.Skipped)
 	}
-	var workerTotal int64
-	for _, n := range r.WorkerTuples {
-		workerTotal += n
-	}
-	for w, n := range r.WorkerTuples {
-		rep.Metrics["tuples_"+w] = float64(n)
-		// Per-worker share of the region's traffic: the imbalance a
-		// Zipf-hot partition shows, and what a rebalance (a region
-		// resize re-cutting the key space) visibly moves.
-		if workerTotal > 0 {
-			rep.Metrics["share_"+w] = float64(n) / float64(workerTotal)
-		}
-	}
-	return rep
+	addShares(rep, workerTuples)
+	out.Report = rep
+	return out, nil
 }

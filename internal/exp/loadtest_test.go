@@ -10,153 +10,124 @@ import (
 // for every tuple, throughput windows populated, and the hash
 // partition visibly carrying the Zipf hot keys.
 func TestLoadtestOpenLoopSmoke(t *testing.T) {
-	cfg := DefaultLoad(11)
-	cfg.Rate = 400
-	cfg.Duration = 600 * time.Millisecond
-	cfg.Keys = 2000
+	p := Params{Seed: 11, Rate: 400, Duration: 600 * time.Millisecond, Keys: 2000, Skew: -1}
 	if raceEnabled {
-		cfg.Rate = 200
+		p.Rate = 200
 	}
-	res, err := RunLoadTest(cfg)
+	out, err := loadtest(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Delivered == 0 || res.Delivered != res.Offered {
-		t.Fatalf("delivered %d of %d offered", res.Delivered, res.Offered)
+	checkOutcome(t, "loadtest", out)
+	meta, m := out.Report.Meta, out.Report.Metrics
+	offered := float64(atoi(t, meta["offered"]))
+	if m["delivered"] == 0 || m["delivered"] != offered {
+		t.Fatalf("delivered %v of %v offered", m["delivered"], offered)
 	}
-	if res.Lost != 0 || res.Missed != 0 {
-		t.Fatalf("lost %d, missed %d without chaos", res.Lost, res.Missed)
+	if m["lost"] != 0 {
+		t.Fatalf("lost %v without chaos", m["lost"])
 	}
-	if res.P50Ms <= 0 {
-		t.Fatalf("p50 = %vms, want > 0", res.P50Ms)
+	if m["p50_ms"] <= 0 {
+		t.Fatalf("p50 = %vms, want > 0", m["p50_ms"])
 	}
-	if res.P999Ms < res.P50Ms || res.MaxMs < res.P999Ms {
-		t.Fatalf("percentiles not ordered: p50=%v p999=%v max=%v", res.P50Ms, res.P999Ms, res.MaxMs)
+	if m["p999_ms"] < m["p50_ms"] || m["max_ms"] < m["p999_ms"] {
+		t.Fatalf("percentiles not ordered: p50=%v p999=%v max=%v", m["p50_ms"], m["p999_ms"], m["max_ms"])
 	}
-	if res.SustainedRate <= 0 {
-		t.Fatalf("sustained rate %v, want > 0", res.SustainedRate)
+	if m["sustained_tps"] <= 0 {
+		t.Fatalf("sustained rate %v, want > 0", m["sustained_tps"])
 	}
-	if res.Windows == 0 || res.MaxWindowRate <= 0 {
-		t.Fatalf("no throughput windows recorded: %d windows, max %v", res.Windows, res.MaxWindowRate)
+	if m["max_window_tps"] <= 0 {
+		t.Fatalf("no throughput windows recorded: max %v", m["max_window_tps"])
 	}
-	var workerSum int64
-	for _, n := range res.WorkerTuples {
-		workerSum += n
+	if sum := m["tuples_w0"] + m["tuples_w1"] + m["tuples_w2"]; sum != m["delivered"] {
+		t.Fatalf("workers processed %v, delivered %v — partitioned path leaks", sum, m["delivered"])
 	}
-	if workerSum != res.Delivered {
-		t.Fatalf("workers processed %d, delivered %d — partitioned path leaks", workerSum, res.Delivered)
+	if m["hot_key_share"] < 0.2 {
+		t.Fatalf("hot-key share %v implausibly low for skew %v", m["hot_key_share"], meta["skew"])
 	}
-	if res.HotKeyShare < 0.2 {
-		t.Fatalf("hot-key share %v implausibly low for skew %v", res.HotKeyShare, cfg.Skew)
+	if fp, ok := meta["fingerprint"]; ok {
+		t.Fatalf("pure load run has a chaos fingerprint %q", fp)
 	}
-	if res.Fingerprint != "" {
-		t.Fatalf("pure load run has a chaos fingerprint %q", res.Fingerprint)
+	if out.Report.Seed != 11 {
+		t.Fatalf("report identity wrong: %+v", out.Report)
 	}
 }
 
 // TestLoadtestClosedLoopSmoke drives the same pipeline with the
 // closed-loop (users + think time) driver.
 func TestLoadtestClosedLoopSmoke(t *testing.T) {
-	cfg := DefaultLoad(13)
-	cfg.Rate = 0
-	cfg.Users = 8
-	cfg.Think = 10 * time.Millisecond
-	cfg.Duration = 500 * time.Millisecond
-	cfg.Keys = 1000
-	res, err := RunLoadTest(cfg)
+	p := Params{
+		Seed: 13, Users: 8, Think: 10 * time.Millisecond,
+		Duration: 500 * time.Millisecond, Keys: 1000, Skew: -1,
+	}
+	out, err := loadtest(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Delivered == 0 || res.Delivered != res.Offered {
-		t.Fatalf("delivered %d of %d offered", res.Delivered, res.Offered)
+	offered := int64(atoi(t, out.Report.Meta["offered"]))
+	if delivered := int64(out.Report.Metrics["delivered"]); delivered == 0 || delivered != offered {
+		t.Fatalf("delivered %d of %d offered", delivered, offered)
 	}
-	bound := int64(cfg.Users) * (int64(cfg.Duration/cfg.Think) + 2)
-	if res.Offered > bound {
-		t.Fatalf("offered %d exceeds closed-loop bound %d", res.Offered, bound)
+	if bound := int64(p.Users) * (int64(p.Duration/p.Think) + 2); offered > bound {
+		t.Fatalf("offered %d exceeds closed-loop bound %d", offered, bound)
+	}
+	if out.Report.Meta["users"] != "8" || out.Report.Meta["think"] != "10ms" {
+		t.Fatalf("closed-loop config not echoed: %v", out.Report.Meta)
 	}
 }
 
+// shrunkChaosLoad runs a chaos-load small enough for tier-1.
+func shrunkChaosLoad(seed int64, rate float64, d time.Duration, keys, faults int, window time.Duration) (*Outcome, error) {
+	return runLoad("chaos-load", Params{Seed: seed, Rate: rate, Duration: d, Keys: keys, Skew: -1}, faults, window)
+}
+
 // TestChaosLoadSmoke layers a seeded fault schedule over the load run:
-// the schedule must apply, the sweep must recover every PE, and the
-// meter must keep a continuous record across the kills.
+// the schedule must apply, the sweep must recover every PE (runLoad
+// errors otherwise), and the meter must keep a continuous record
+// across the kills.
 func TestChaosLoadSmoke(t *testing.T) {
-	cfg := DefaultChaosLoad(5)
-	cfg.Rate = 300
-	cfg.Duration = 1200 * time.Millisecond
-	cfg.Keys = 2000
-	cfg.ChaosFaults = 8
-	cfg.ChaosWindow = 400 * time.Millisecond
+	rate := 300.0
 	if raceEnabled {
-		cfg.Rate = 150
+		rate = 150
 	}
-	res, err := RunLoadTest(cfg)
+	out, err := shrunkChaosLoad(5, rate, 1200*time.Millisecond, 2000, 8, 400*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Fingerprint == "" {
+	checkOutcome(t, "chaos-load", out)
+	meta, m := out.Report.Meta, out.Report.Metrics
+	if meta["fingerprint"] == "" {
 		t.Fatal("chaos-load run reported no schedule fingerprint")
 	}
-	if res.FaultsApplied == 0 {
+	if m["faults_applied"] == 0 {
 		t.Fatal("no faults applied")
 	}
-	if res.LostForever != 0 {
-		t.Fatalf("%d PEs lost forever", res.LostForever)
+	if m["delivered"] == 0 || m["p50_ms"] <= 0 {
+		t.Fatalf("no latency record across chaos: delivered %v, p50 %v", m["delivered"], m["p50_ms"])
 	}
-	if res.Delivered == 0 || res.P50Ms <= 0 {
-		t.Fatalf("no latency record across chaos: delivered %d, p50 %v", res.Delivered, res.P50Ms)
-	}
-	if res.Lost < 0 {
-		t.Fatalf("negative loss %d: meter double-counted", res.Lost)
+	if m["lost"] < 0 {
+		t.Fatalf("negative loss %v: meter double-counted", m["lost"])
 	}
 }
 
 // TestChaosLoadDeterministicSchedule pins the regression-gate contract:
-// two same-seed runs inject the identical schedule (fingerprints and
-// offered counts match), even though wall-clock metrics differ.
+// two same-seed runs inject the identical schedule and offer the
+// identical workload — the deterministic line (seed, offered count,
+// hot-key share, fingerprint) matches — even though wall-clock metrics
+// differ.
 func TestChaosLoadDeterministicSchedule(t *testing.T) {
-	run := func() *LoadResult {
-		cfg := DefaultChaosLoad(42)
-		cfg.Rate = 250
-		cfg.Duration = 800 * time.Millisecond
-		cfg.Keys = 1000
-		cfg.ChaosFaults = 6
-		cfg.ChaosWindow = 300 * time.Millisecond
-		res, err := RunLoadTest(cfg)
+	run := func() *Outcome {
+		out, err := shrunkChaosLoad(42, 250, 800*time.Millisecond, 1000, 6, 300*time.Millisecond)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return out
 	}
 	a, b := run(), run()
-	if a.Fingerprint != b.Fingerprint {
-		t.Fatalf("fingerprints diverge for one seed: %s vs %s", a.Fingerprint, b.Fingerprint)
+	if a.Report.Meta["fingerprint"] == "" || a.Deterministic != b.Deterministic {
+		t.Fatalf("deterministic lines diverge for one seed:\n%s\n%s", a.Deterministic, b.Deterministic)
 	}
-	if a.Offered != b.Offered {
-		t.Fatalf("offered counts diverge for one seed: %d vs %d", a.Offered, b.Offered)
-	}
-	if a.HotKeyShare != b.HotKeyShare {
-		t.Fatalf("hot-key shares diverge: %v vs %v", a.HotKeyShare, b.HotKeyShare)
-	}
-}
-
-// TestLoadResultBenchReport pins the shared report schema.
-func TestLoadResultBenchReport(t *testing.T) {
-	res := &LoadResult{
-		Offered: 100, Delivered: 98, Lost: 2,
-		P50Ms: 1.5, P999Ms: 9.9, SustainedRate: 490,
-		Fingerprint:   "abc",
-		FaultsApplied: 3,
-		WorkerTuples:  map[string]int64{"w0": 50, "w1": 30, "w2": 18},
-	}
-	cfg := DefaultChaosLoad(7)
-	rep := res.BenchReport("chaos-load", cfg)
-	if rep.Name != "chaos-load" || rep.Seed != 7 {
-		t.Fatalf("report identity wrong: %+v", rep)
-	}
-	if rep.Meta["fingerprint"] != "abc" || rep.Meta["offered"] != "100" {
-		t.Fatalf("deterministic meta wrong: %+v", rep.Meta)
-	}
-	if rep.Metrics["p50_ms"] != 1.5 || rep.Metrics["delivered"] != 98 || rep.Metrics["tuples_w1"] != 30 {
-		t.Fatalf("metrics wrong: %+v", rep.Metrics)
+	if a.Report.Meta["offered"] != b.Report.Meta["offered"] {
+		t.Fatalf("offered counts diverge for one seed: %v vs %v", a.Report.Meta["offered"], b.Report.Meta["offered"])
 	}
 }

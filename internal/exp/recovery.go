@@ -1,239 +1,137 @@
 package exp
 
 import (
+	"cmp"
 	"fmt"
+	"sync/atomic"
 	"time"
 
-	"streamorca/internal/ckpt"
+	"streamorca/internal/adl"
 	"streamorca/internal/compiler"
 	"streamorca/internal/core"
-	"streamorca/internal/ids"
+	"streamorca/internal/load"
 	"streamorca/internal/metrics"
 	"streamorca/internal/ops"
-	"streamorca/internal/platform"
+	"streamorca/internal/policies"
 	"streamorca/internal/tuple"
 )
 
-// RecoveryConfig parameterises the stateful-restart smoke scenario: a
-// checkpointing platform runs Beacon -> Aggregate -> CollectSink, the
-// orchestrator snapshots the aggregation PE, a fault kills it, and the
-// ORCA policy restarts it with restore. The scenario asserts that the
-// recovered window resumes past its pre-failure fill instead of
-// restarting empty — the stateful counterpart of E2's Figure 9 gap.
-type RecoveryConfig struct {
-	// TickPeriod is the source's inter-tuple delay.
-	TickPeriod time.Duration
-	// WarmCount is the window fill to reach before the checkpoint.
-	WarmCount int64
-	// StoreDir, when non-empty, backs the checkpoint store with the
-	// filesystem (exercising the persistent store); empty uses memory.
-	StoreDir string
-	// MaxDuration bounds the run.
-	MaxDuration time.Duration
-}
+// aggSchema is what an Aggregate emits: the window's mean and fill.
+var aggSchema = tuple.MustSchema(
+	tuple.Attribute{Name: "avg", Type: tuple.Float},
+	tuple.Attribute{Name: "count", Type: tuple.Int},
+)
 
-// DefaultRecovery returns the scaled-down default configuration.
-func DefaultRecovery() RecoveryConfig {
-	cfg := RecoveryConfig{
-		TickPeriod:  time.Millisecond,
-		WarmCount:   100,
-		MaxDuration: 30 * time.Second,
-	}
-	if raceEnabled {
-		cfg.TickPeriod *= 4
-		cfg.MaxDuration *= 2
-	}
-	return cfg
-}
-
-// RecoveryResult captures the scenario's observations.
-type RecoveryResult struct {
-	// CountAtCheckpoint is the window fill observed just before the
-	// snapshot was taken (a lower bound on the captured fill).
-	CountAtCheckpoint int64
-	// MaxPreFailure is the highest window fill observed before restart.
-	MaxPreFailure int64
-	// FirstPostRestart is the first window fill emitted after restart;
-	// recovery succeeded iff it exceeds CountAtCheckpoint (a cold
-	// restart would resume at 1, a restored one at the captured fill
-	// plus one — tuples processed between capture and kill may make
-	// MaxPreFailure slightly higher still, so it is reported but not
-	// asserted on).
-	FirstPostRestart int64
-	// Restores is the restarted container's nStateRestores metric.
-	Restores int64
-}
-
-// recoveryPolicy restarts the failed PE after quiescing the sink, so
-// the result's pre/post boundary is unambiguous. It is a core.Routine:
-// scope registration and the application submission happen in Setup, so
-// a misconfigured run fails Service.Start instead of panicking inside a
-// handler.
-type recoveryPolicy struct {
-	app       string
-	coll      *ops.Collection
-	maxPre    chan int64
-	restarted chan ids.PEID
-}
-
-func (p *recoveryPolicy) Name() string { return "recovery" }
-
-func (p *recoveryPolicy) Setup(sc *core.SetupContext) error {
-	if _, err := sc.Actions().SubmitApplication(p.app, nil); err != nil {
-		return err
-	}
-	return sc.Subscribe(core.OnPEFailure(
-		core.NewPEFailureScope("pf").AddApplicationFilter(p.app), p.onPEFailure))
-}
-
-func (p *recoveryPolicy) onPEFailure(ctx *core.PEFailureContext, act *core.Actions) error {
-	// Drain in-flight output of the dead PE before restarting, so every
-	// output after this point comes from the restored container.
-	stable := p.coll.Len()
-	for i := 0; i < 50; i++ {
-		time.Sleep(time.Millisecond)
-		if n := p.coll.Len(); n != stable {
-			stable, i = n, 0
-		}
-	}
-	var hi int64
-	for _, tp := range p.coll.Tuples() {
-		if c := tp.Int("count"); c > hi {
-			hi = c
-		}
-	}
-	p.maxPre <- hi
-	if err := act.RestartPE(ctx.PE); err != nil {
-		return fmt.Errorf("recovery: restart %s: %w", ctx.PE, err)
-	}
-	p.restarted <- ctx.PE
-	return nil
-}
-
-// RunRecovery executes the scenario, returning an error when the
-// restarted PE failed to recover its checkpointed state.
-func RunRecovery(cfg RecoveryConfig) (*RecoveryResult, error) {
-	var store ckpt.Store = ckpt.NewMemStore()
-	if cfg.StoreDir != "" {
-		fs, err := ckpt.NewFSStore(cfg.StoreDir)
-		if err != nil {
-			return nil, err
-		}
-		store = fs
-	}
-	inst, err := platform.NewInstance(platform.Options{
-		Hosts:           []platform.HostSpec{{Name: "h1"}, {Name: "h2"}},
-		MetricsInterval: time.Hour,
-		Checkpoint:      store,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer inst.Close()
-
+// aggPipeline builds Beacon -> Aggregate -> CollectSink, one PE each:
+// an unbounded tick source feeding a window that never expires, so the
+// sink's "count" attribute is the aggregation PE's state size. The
+// recovery and chaos scenarios kill and restart its PEs.
+func aggPipeline(name, collID string, tick time.Duration) (*adl.Application, error) {
 	tickS := tuple.MustSchema(
 		tuple.Attribute{Name: "seq", Type: tuple.Int},
 		tuple.Attribute{Name: "price", Type: tuple.Float},
 	)
-	outS := tuple.MustSchema(
-		tuple.Attribute{Name: "avg", Type: tuple.Float},
-		tuple.Attribute{Name: "count", Type: tuple.Int},
-	)
-	appName := "RecoverySmoke"
-	collID := uniq("recovery")
-	b := compiler.NewApp(appName)
+	b := compiler.NewApp(name)
 	src := b.AddOperator("src", ops.KindBeacon).Out(tickS).
-		Param("count", "0").Param("period", cfg.TickPeriod.String())
-	agg := b.AddOperator("agg", ops.KindAggregate).In(tickS).Out(outS).
+		Param("count", "0").Param("period", tick.String())
+	agg := b.AddOperator("agg", ops.KindAggregate).In(tickS).Out(aggSchema).
 		Param("window", "10m").Param("valueAttr", "price")
-	sink := b.AddOperator("sink", ops.KindCollectSink).In(outS).Param("collectorId", collID)
+	sink := b.AddOperator("sink", ops.KindCollectSink).In(aggSchema).Param("collectorId", collID)
 	b.Connect(src, 0, agg, 0)
 	b.Connect(agg, 0, sink, 0)
-	app, err := b.Build(compiler.Options{Fusion: compiler.FuseNone})
-	if err != nil {
-		return nil, err
-	}
+	return b.Build(compiler.Options{Fusion: compiler.FuseNone})
+}
 
+// recovery is the stateful-restart scenario: a checkpointing platform
+// runs the aggregation pipeline, the scenario snapshots the aggregation
+// PE, a fault kills it, and the Restart routine brings it back with
+// restore. The run fails unless the recovered window resumes past its
+// checkpointed fill instead of restarting empty — the stateful
+// counterpart of the failover scenario's Figure 9 gap.
+func recovery(p Params) (*Outcome, error) {
+	warm, budget := cmp.Or(p.Warm, 100), p.budget(30*time.Second)
+	collID := uniq("recovery")
 	coll := ops.Collector(collID)
-	policy := &recoveryPolicy{
-		app: appName, coll: coll,
-		maxPre:    make(chan int64, 1),
-		restarted: make(chan ids.PEID, 1),
-	}
-	svc, err := core.NewRoutineService(core.Config{
-		Name: "recoveryOrca", SAM: inst.SAM, SRM: inst.SRM, PullInterval: time.Hour,
-	}, policy)
+	app, err := aggPipeline("RecoverySmoke", collID, stretch(time.Millisecond, 4))
 	if err != nil {
 		return nil, err
 	}
-	if err := svc.RegisterApplication(app); err != nil {
+	// The routine quiesces the sink before restarting, so every output
+	// after preMax is stored comes from the restored container.
+	var preMax atomic.Int64
+	var restarted atomic.Bool
+	routine := &policies.Restart{
+		App: app.Name, Submit: true, Strict: true,
+		Before: func(*core.PEFailureContext) {
+			stable := coll.Len()
+			for i := 0; i < 50; i++ {
+				time.Sleep(time.Millisecond)
+				if n := coll.Len(); n != stable {
+					stable, i = n, 0
+				}
+			}
+			preMax.Store(lastCount(coll)) // the window never expires, so the newest fill is the highest
+		},
+		Restarted: func(*core.PEFailureContext) { restarted.Store(true) },
+	}
+	r, err := boot(rigSpec{name: "recovery", hosts: 2, store: fsStore, dir: p.StoreDir, routine: routine, app: app})
+	if err != nil {
 		return nil, err
 	}
-	if err := svc.Start(); err != nil {
+	defer r.close()
+
+	if !waitUntil(budget/2, time.Millisecond, func() bool { return lastCount(coll) >= warm }) {
+		return nil, fmt.Errorf("recovery: window never warmed (count %d, want %d)", lastCount(coll), warm)
+	}
+	job, err := r.up(budget / 2)
+	if err != nil {
 		return nil, err
 	}
-	defer svc.Stop()
-
-	lastCount := func() int64 {
-		tp, ok := coll.Last()
-		if !ok {
-			return 0
-		}
-		return tp.Int("count")
-	}
-	if !waitUntil(cfg.MaxDuration/2, time.Millisecond, func() bool { return lastCount() >= cfg.WarmCount }) {
-		return nil, fmt.Errorf("recovery: window never warmed (count %d, want %d)", lastCount(), cfg.WarmCount)
-	}
-	jobs := svc.ManagedJobs()
-	if len(jobs) != 1 {
-		return nil, fmt.Errorf("recovery: %d managed jobs", len(jobs))
-	}
-	aggPE, ok := svc.PEOfOperator(jobs[0].Job, "agg")
-	if !ok {
-		return nil, fmt.Errorf("recovery: no aggregation PE")
+	aggPE, err := r.pe(job, "agg")
+	if err != nil {
+		return nil, err
 	}
 
-	res := &RecoveryResult{}
 	// Read the fill BEFORE capturing: the captured state can only be at
 	// or past this observation, so "first post-restart > this" holds for
 	// every restored run and no cold one.
-	res.CountAtCheckpoint = lastCount()
-	if err := svc.CheckpointPE(aggPE); err != nil {
+	atCheckpoint := lastCount(coll)
+	if err := r.svc.CheckpointPE(aggPE); err != nil {
 		return nil, fmt.Errorf("recovery: checkpoint: %w", err)
 	}
-
-	if err := svc.KillPE(aggPE, "injected stateful-PE failure"); err != nil {
+	if err := r.svc.KillPE(aggPE, "injected stateful-PE failure"); err != nil {
 		return nil, err
 	}
-	select {
-	case res.MaxPreFailure = <-policy.maxPre:
-	case <-time.After(cfg.MaxDuration / 2):
-		return nil, fmt.Errorf("recovery: failure event never delivered")
-	}
-	select {
-	case <-policy.restarted:
-	case <-time.After(cfg.MaxDuration / 2):
-		return nil, fmt.Errorf("recovery: policy never restarted the PE")
+	if !waitUntil(budget/2, time.Millisecond, restarted.Load) {
+		return nil, fmt.Errorf("recovery: routine never restarted the PE")
 	}
 	preLen := coll.Len()
-	if !waitUntil(cfg.MaxDuration/2, time.Millisecond, func() bool { return coll.Len() > preLen }) {
+	if !waitUntil(budget/2, time.Millisecond, func() bool { return coll.Len() > preLen }) {
 		return nil, fmt.Errorf("recovery: no output after restart")
 	}
-	res.FirstPostRestart = coll.Tuples()[preLen].Int("count")
+	firstPost := coll.Tuples()[preLen].Int("count")
+	restores := r.counter(aggPE, metrics.PEStateRestores)
 
-	if c, ok := inst.Cluster.PEContainer(aggPE); ok {
-		res.Restores = c.PEMetrics().Counter(metrics.PEStateRestores).Value()
+	// A restored window resumes at atCheckpoint+1 or later; a cold one at
+	// 1. Asserting against the checkpointed fill (not preMax) tolerates
+	// the tuples that race between the capture and the kill — the dead PE
+	// may already have emitted the very count the restored one re-emits —
+	// without losing any discriminating power.
+	if firstPost <= atCheckpoint {
+		return nil, fmt.Errorf("recovery: window restarted cold: first post-restart count %d <= checkpointed %d",
+			firstPost, atCheckpoint)
 	}
-	// A restored window resumes at CountAtCheckpoint+1 or later; a cold
-	// one at 1. Asserting against the checkpointed fill (not
-	// MaxPreFailure) tolerates the tuples that race between the capture
-	// and the kill without losing any discriminating power.
-	if res.FirstPostRestart <= res.CountAtCheckpoint {
-		return res, fmt.Errorf("recovery: window restarted cold: first post-restart count %d <= checkpointed %d",
-			res.FirstPostRestart, res.CountAtCheckpoint)
+	if restores < 1 {
+		return nil, fmt.Errorf("recovery: restarted container reports no state restores")
 	}
-	if res.Restores < 1 {
-		return res, fmt.Errorf("recovery: restarted container reports no state restores")
-	}
-	return res, nil
+	out := &Outcome{OK: "recovery OK: restarted PE resumed from checkpointed state"}
+	out.printf("checkpointed at count %d; pre-failure max %d; first post-restart count %d; restores %d",
+		atCheckpoint, preMax.Load(), firstPost, restores)
+	out.Report = &load.Report{Name: "recovery", Metrics: map[string]float64{
+		"count_at_checkpoint": float64(atCheckpoint),
+		"max_pre_failure":     float64(preMax.Load()),
+		"first_post_restart":  float64(firstPost),
+		"restores":            float64(restores),
+	}}
+	return out, nil
 }

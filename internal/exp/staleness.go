@@ -1,306 +1,153 @@
 package exp
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
-	"streamorca/internal/apps"
-	"streamorca/internal/ckpt"
-	"streamorca/internal/core"
-	"streamorca/internal/ids"
+	"streamorca/internal/load"
 	"streamorca/internal/metrics"
-	"streamorca/internal/ops"
-	"streamorca/internal/platform"
-	"streamorca/internal/policies"
 )
 
-// StalenessFailoverConfig parameterises the checkpoint-aware failover
-// scenario: three Trend Calculator replicas under the §5.2 policy
-// rebuilt around snapshot staleness. The two backups are driven to
-// snapshots of very different ages — the older-uptime backup holds the
-// stale one — the active replica's aggregation PE is killed, and the
-// scenario asserts the fresher-snapshot replica wins the promotion and
-// serves from restored (not refilled) window state.
-type StalenessFailoverConfig struct {
-	// Window is the aggregation window (paper: 600 s).
-	Window time.Duration
-	// TickPeriod is the inter-tick delay.
-	TickPeriod time.Duration
-	// MaxSnapshotAge is the policy's staleness gate: how old the active
-	// replica's snapshot may grow before the gate refreshes it.
-	MaxSnapshotAge time.Duration
-	// SkewDelay separates the two backups' checkpoint times, creating
-	// the staleness gap the promotion ranks on.
-	SkewDelay time.Duration
-	// StoreDir, when non-empty, backs the checkpoint store with the
-	// filesystem; empty uses memory.
-	StoreDir string
-	// MaxDuration bounds the run.
-	MaxDuration time.Duration
-}
-
-// DefaultStalenessFailover returns the scaled-down default
-// configuration (same compression as E2: 600 ms window over 1 ms
-// ticks).
-func DefaultStalenessFailover() StalenessFailoverConfig {
-	cfg := StalenessFailoverConfig{
-		Window:         600 * time.Millisecond,
-		TickPeriod:     time.Millisecond,
-		MaxSnapshotAge: 100 * time.Millisecond,
-		SkewDelay:      250 * time.Millisecond,
-		MaxDuration:    30 * time.Second,
-	}
-	if raceEnabled {
-		cfg.Window *= 4
-		cfg.TickPeriod *= 4
-		cfg.MaxSnapshotAge *= 4
-		cfg.SkewDelay *= 4
-		cfg.MaxDuration *= 2
-	}
-	return cfg
-}
-
-// StalenessFailoverResult captures the scenario's observations.
-type StalenessFailoverResult struct {
-	// ActiveBefore / PromotedReplica / StaleReplica are replica indexes.
-	ActiveBefore    int
-	PromotedReplica int
-	StaleReplica    int
-	// StaleAgeMs and FreshAgeMs are the snapshot ages the policy had
-	// observed for the two backups when the active replica died.
-	StaleAgeMs int64
-	FreshAgeMs int64
-	// SnapshotRefreshes counts the staleness gate's CheckpointPE
-	// actuations against the active replica (Threshold + Debounce).
-	SnapshotRefreshes int
-	// CountAtCheckpoint is the fresh backup's window fill just before
-	// its snapshot + crash; MinPostRestore is the smallest window fill
-	// it emitted after the restoring restart (a cold refill would start
-	// near 1).
-	CountAtCheckpoint int64
-	MinPostRestore    int64
-	// PromotedStateRestores is nStateRestores on the promoted replica's
-	// aggregation PE.
-	PromotedStateRestores int64
-	// PrePromotionCheckpoints counts the successful CheckpointPE
-	// actuations journalled inside the failure event's transaction —
-	// the policy snapshotting the demoted replica before promoting.
-	PrePromotionCheckpoints int
-	Failovers               int
-	Restarts                int
-}
-
-// RunStalenessFailover executes the scenario, returning an error when
-// the promotion ignored snapshot staleness or the promoted replica did
-// not serve from restored state.
-func RunStalenessFailover(cfg StalenessFailoverConfig) (*StalenessFailoverResult, error) {
-	var store ckpt.Store = ckpt.NewMemStore()
-	if cfg.StoreDir != "" {
-		fs, err := ckpt.NewFSStore(cfg.StoreDir)
-		if err != nil {
-			return nil, err
-		}
-		store = fs
-	}
-	inst, err := platform.NewInstance(platform.Options{
-		Hosts: []platform.HostSpec{
-			{Name: "h1"}, {Name: "h2"}, {Name: "h3"}, {Name: "h4"},
-		},
-		MetricsInterval: time.Hour, // the scenario flushes explicitly
-		Checkpoint:      store,
-	})
+// stalenessFailover is the checkpoint-aware failover scenario: three
+// Trend Calculator replicas under the §5.2 routine rebuilt around
+// snapshot staleness. The two backups are driven to snapshots of very
+// different ages — the older-uptime backup holds the stale one — the
+// active replica's aggregation PE is killed, and the run fails unless
+// the fresher-snapshot replica wins the promotion and serves from
+// restored (not refilled) window state.
+func stalenessFailover(p Params) (*Outcome, error) {
+	// Same compression as the failover scenario: a 600 ms window over
+	// 1 ms ticks. maxAge is the routine's staleness gate; skew separates
+	// the two backups' checkpoint times.
+	var (
+		window = stretch(600*time.Millisecond, 4)
+		tick   = stretch(time.Millisecond, 4)
+		maxAge = cmp.Or(p.MaxSnapshotAge, stretch(100*time.Millisecond, 4))
+		skew   = stretch(250*time.Millisecond, 4)
+		budget = p.budget(30 * time.Second)
+	)
+	t, err := bootTrend(rigSpec{name: "staleness-failover", store: fsStore, dir: p.StoreDir},
+		11, window, tick, maxAge, budget)
 	if err != nil {
 		return nil, err
 	}
-	defer inst.Close()
-
-	app, err := apps.TrendApp(apps.TrendConfig{
-		Name: "TrendCalculator", Symbols: "IBM", Seed: 11,
-		Count: 0, Period: cfg.TickPeriod, Window: cfg.Window,
-	})
-	if err != nil {
-		return nil, err
-	}
-	collPrefix := uniq("staleness")
-	collName := func(i int) string { return fmt.Sprintf("%s-replica-%d", collPrefix, i) }
-	policy := &policies.Failover{
-		App: "TrendCalculator", Replicas: 3,
-		MaxSnapshotAge: cfg.MaxSnapshotAge,
-		SubmitParams: func(i int) map[string]string {
-			return map[string]string{"collector": collName(i)}
-		},
-	}
-	svc, err := core.NewRoutineService(core.Config{
-		Name: "stalenessOrca", SAM: inst.SAM, SRM: inst.SRM, PullInterval: time.Hour,
-	}, policy)
-	if err != nil {
-		return nil, err
-	}
-	if err := svc.RegisterApplication(app); err != nil {
-		return nil, err
-	}
-	for i := 0; i < 3; i++ {
-		ops.ResetCollector(collName(i))
-	}
-	if err := svc.Start(); err != nil {
-		return nil, err
-	}
-	defer svc.Stop()
-
-	if !waitUntil(cfg.MaxDuration/3, time.Millisecond, func() bool { return len(policy.Jobs()) == 3 }) {
-		return nil, fmt.Errorf("staleness-failover: replicas never came up")
-	}
-	jobs := policy.Jobs()
-	aggPE := func(j ids.JobID) (ids.PEID, error) {
-		pe, ok := svc.PEOfOperator(j, apps.TrendAggregateOp)
-		if !ok {
-			return ids.InvalidPE, fmt.Errorf("staleness-failover: replica %s has no aggregation PE", j)
-		}
-		return pe, nil
-	}
-	lastCount := func(i int) int64 {
-		t, ok := ops.Collector(collName(i)).Last()
-		if !ok {
-			return -1
-		}
-		return t.Int("count")
-	}
-	fullWindow := int64(cfg.Window / cfg.TickPeriod)
-	warm := waitUntil(cfg.MaxDuration/2, time.Millisecond, func() bool {
-		for i := 0; i < 3; i++ {
-			if lastCount(i) < fullWindow*8/10 {
-				return false
-			}
-		}
-		return true
-	})
-	if !warm {
-		return nil, fmt.Errorf("staleness-failover: windows never filled (counts %d %d %d, want ~%d)",
-			lastCount(0), lastCount(1), lastCount(2), fullWindow)
+	defer t.close()
+	policy, svc, jobs := t.policy, t.svc, t.jobs
+	fail := func(format string, args ...any) (*Outcome, error) {
+		return nil, fmt.Errorf("staleness-failover: "+format, args...)
 	}
 
-	res := &StalenessFailoverResult{
-		ActiveBefore: policy.ReplicaIndex(policy.Active()),
-		StaleReplica: 1,
-	}
-	activeAgg, err := aggPE(jobs[0])
-	if err != nil {
-		return nil, err
-	}
-	backup1Agg, err := aggPE(jobs[1])
-	if err != nil {
-		return nil, err
-	}
-	backup2Agg, err := aggPE(jobs[2])
-	if err != nil {
-		return nil, err
-	}
+	activeAgg, backup1Agg, backup2Agg := t.agg[0], t.agg[1], t.agg[2]
 
 	// Part 1 — the staleness gate. Anchor the active replica's snapshot
-	// once, let it age past MaxSnapshotAge, and deliver pull rounds until
-	// the Threshold+Debounce composition re-checkpoints it.
+	// once, let it age past maxAge, and deliver pull rounds until the
+	// Threshold+Debounce composition re-checkpoints it.
 	if err := svc.CheckpointPE(activeAgg); err != nil {
-		return nil, fmt.Errorf("staleness-failover: seed active snapshot: %w", err)
+		return fail("seed active snapshot: %w", err)
 	}
-	time.Sleep(cfg.MaxSnapshotAge + 2*cfg.TickPeriod)
-	gateDeadline := time.Now().Add(cfg.MaxDuration / 3)
-	for policy.SnapshotRefreshes() == 0 && time.Now().Before(gateDeadline) {
-		inst.FlushMetrics()
-		svc.PullMetricsNow()
-		time.Sleep(5 * cfg.TickPeriod)
+	time.Sleep(maxAge + 2*tick)
+	if !waitUntil(budget/3, 5*tick, func() bool {
+		t.pull()
+		return policy.SnapshotRefreshes() > 0
+	}) {
+		return fail("gate never refreshed the active snapshot")
 	}
-	res.SnapshotRefreshes = policy.SnapshotRefreshes()
-	if res.SnapshotRefreshes == 0 {
-		return res, fmt.Errorf("staleness-failover: gate never refreshed the active snapshot")
-	}
+	refreshes := policy.SnapshotRefreshes()
 
 	// Part 2 — skewed backup snapshots. Backup 1 checkpoints first and
 	// ages; backup 2 then checkpoints, crashes, and restores, ending up
 	// with the fresh snapshot despite the younger uptime.
 	if err := svc.CheckpointPE(backup1Agg); err != nil {
-		return nil, fmt.Errorf("staleness-failover: checkpoint backup 1: %w", err)
+		return fail("checkpoint backup 1: %w", err)
 	}
-	time.Sleep(cfg.SkewDelay)
-	res.CountAtCheckpoint = lastCount(2)
+	time.Sleep(skew)
+	atCheckpoint := t.lastCount(2)
 	if err := svc.CheckpointPE(backup2Agg); err != nil {
-		return nil, fmt.Errorf("staleness-failover: checkpoint backup 2: %w", err)
+		return fail("checkpoint backup 2: %w", err)
 	}
-	postKill := ops.Collector(collName(2)).Len()
+	postKill := t.coll(2).Len()
 	if err := svc.KillPE(backup2Agg, "injected backup failure"); err != nil {
 		return nil, err
 	}
-	if !waitUntil(cfg.MaxDuration/3, time.Millisecond, func() bool { return policy.Restarts() >= 1 }) {
-		return nil, fmt.Errorf("staleness-failover: backup never restarted")
+	if !waitUntil(budget/3, time.Millisecond, func() bool { return policy.Restarts() >= 1 }) {
+		return fail("backup never restarted")
 	}
-	if !waitUntil(cfg.MaxDuration/3, time.Millisecond, func() bool {
-		return ops.Collector(collName(2)).Len() >= postKill+5
-	}) {
-		return nil, fmt.Errorf("staleness-failover: backup never resumed output")
+	if !waitUntil(budget/3, time.Millisecond, func() bool { return t.coll(2).Len() >= postKill+5 }) {
+		return fail("backup never resumed output")
 	}
 	// Restored-not-refilled: every post-restart window fill stays near
 	// the checkpointed fill; a cold refill would climb from 1.
-	res.MinPostRestore = -1
-	for _, tp := range ops.Collector(collName(2)).Tuples()[postKill:] {
-		if c := tp.Int("count"); res.MinPostRestore < 0 || c < res.MinPostRestore {
-			res.MinPostRestore = c
+	minPostRestore := int64(-1)
+	for _, tp := range t.coll(2).Tuples()[postKill:] {
+		if c := tp.Int("count"); minPostRestore < 0 || c < minPostRestore {
+			minPostRestore = c
 		}
 	}
-	if res.MinPostRestore*2 < res.CountAtCheckpoint {
-		return res, fmt.Errorf("staleness-failover: window refilled cold after restore: min post-restore %d vs checkpointed %d",
-			res.MinPostRestore, res.CountAtCheckpoint)
+	if minPostRestore*2 < atCheckpoint {
+		return fail("window refilled cold after restore: min post-restore %d vs checkpointed %d",
+			minPostRestore, atCheckpoint)
 	}
 
 	// One pull round feeds the promotion ranking both backups' ages.
-	inst.FlushMetrics()
-	svc.PullMetricsNow()
-	agesKnown := waitUntil(cfg.MaxDuration/3, time.Millisecond, func() bool {
+	t.pull()
+	if !waitUntil(budget/3, time.Millisecond, func() bool {
 		_, ok1 := policy.ReplicaStaleness(jobs[1])
 		_, ok2 := policy.ReplicaStaleness(jobs[2])
 		return ok1 && ok2
-	})
-	if !agesKnown {
-		return res, fmt.Errorf("staleness-failover: backup snapshot ages never observed")
+	}) {
+		return fail("backup snapshot ages never observed")
 	}
 	stale, _ := policy.ReplicaStaleness(jobs[1])
 	fresh, _ := policy.ReplicaStaleness(jobs[2])
-	res.StaleAgeMs, res.FreshAgeMs = stale.Milliseconds(), fresh.Milliseconds()
-	if res.StaleAgeMs <= res.FreshAgeMs {
-		return res, fmt.Errorf("staleness-failover: staleness gap inverted (%dms vs %dms)", res.StaleAgeMs, res.FreshAgeMs)
+	if stale <= fresh {
+		return fail("staleness gap inverted (%v vs %v)", stale, fresh)
 	}
 
 	// Part 3 — the failover. Kill the active replica's aggregation PE:
-	// the policy must checkpoint the demoted replica's surviving PEs and
+	// the routine must checkpoint the demoted replica's surviving PEs and
 	// promote the fresher-snapshot backup, skipping the stale one even
 	// though it has the longer uptime.
 	if err := svc.KillPE(activeAgg, "injected failure of active replica"); err != nil {
 		return nil, err
 	}
-	if !waitUntil(cfg.MaxDuration/3, 100*time.Microsecond, func() bool { return policy.Failovers() >= 1 }) {
-		return res, fmt.Errorf("staleness-failover: failover never happened")
+	if !waitUntil(budget/3, 100*time.Microsecond, func() bool { return policy.Failovers() >= 1 }) {
+		return fail("failover never happened")
 	}
-	res.PromotedReplica = policy.ReplicaIndex(policy.Active())
-	if res.PromotedReplica != 2 {
-		return res, fmt.Errorf("staleness-failover: promoted replica %d, want 2 (freshest snapshot; stale replica 1 must be skipped)",
-			res.PromotedReplica)
+	promoted := policy.ReplicaIndex(policy.Active())
+	if promoted != 2 {
+		return fail("promoted replica %d, want 2 (freshest snapshot; stale replica 1 must be skipped)", promoted)
 	}
 	// Only actuations journalled under the failure event's transaction
 	// count: a staleness-gate refresh delivered around the same moment
 	// carries a metric event's TxID and must not satisfy this check.
+	prePromotion := 0
 	for _, rec := range svc.ActuationJournal() {
 		if rec.Action == "CheckpointPE" && rec.TxID == policy.LastPromotionTx() && rec.Err == "" {
-			res.PrePromotionCheckpoints++
+			prePromotion++
 		}
 	}
-	if res.PrePromotionCheckpoints == 0 {
-		return res, fmt.Errorf("staleness-failover: no pre-promotion CheckpointPE in the actuation journal")
+	if prePromotion == 0 {
+		return fail("no pre-promotion CheckpointPE in the actuation journal")
 	}
-	if c, ok := inst.Cluster.PEContainer(backup2Agg); ok {
-		res.PromotedStateRestores = c.PEMetrics().Counter(metrics.PEStateRestores).Value()
+	restores := t.counter(backup2Agg, metrics.PEStateRestores)
+	if restores < 1 {
+		return fail("promoted replica reports no state restores")
 	}
-	if res.PromotedStateRestores < 1 {
-		return res, fmt.Errorf("staleness-failover: promoted replica reports no state restores")
-	}
-	res.Failovers = policy.Failovers()
-	res.Restarts = policy.Restarts()
-	return res, nil
+
+	out := &Outcome{OK: "staleness-failover OK: fresher-snapshot replica promoted and resumed from restore"}
+	out.printf("gate refreshes %d; backup snapshot ages %dms (stale) vs %dms (fresh); promoted replica %d; pre-promotion checkpoints %d; restores %d",
+		refreshes, stale.Milliseconds(), fresh.Milliseconds(), promoted, prePromotion, restores)
+	out.printf("window fill: checkpointed %d, min post-restore %d (no refill)", atCheckpoint, minPostRestore)
+	out.Report = &load.Report{Name: "staleness-failover", Metrics: map[string]float64{
+		"snapshot_refreshes":        float64(refreshes),
+		"stale_age_ms":              ms(stale),
+		"fresh_age_ms":              ms(fresh),
+		"promoted_replica":          float64(promoted),
+		"pre_promotion_checkpoints": float64(prePromotion),
+		"promoted_state_restores":   float64(restores),
+		"count_at_checkpoint":       float64(atCheckpoint),
+		"min_post_restore":          float64(minPostRestore),
+	}}
+	return out, nil
 }

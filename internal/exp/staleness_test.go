@@ -7,22 +7,22 @@ import "testing"
 // the fresher-snapshot backup wins the promotion over the stale one,
 // and it serves from restored window state.
 func TestStalenessFailoverScenario(t *testing.T) {
-	cfg := DefaultStalenessFailover()
-	cfg.StoreDir = t.TempDir() // exercise the persistent store end to end
-	res, err := RunStalenessFailover(cfg)
+	out, err := stalenessFailover(Params{StoreDir: t.TempDir()}) // exercise the persistent store end to end
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PromotedReplica != 2 || res.StaleReplica != 1 {
-		t.Fatalf("promotion = %+v", res)
+	checkOutcome(t, "staleness-failover", out)
+	m := out.Report.Metrics
+	if m["promoted_replica"] != 2 {
+		t.Fatalf("promotion = %v", m)
 	}
-	if res.StaleAgeMs <= res.FreshAgeMs {
-		t.Fatalf("staleness gap missing: %+v", res)
+	if m["stale_age_ms"] <= m["fresh_age_ms"] {
+		t.Fatalf("staleness gap missing: %v", m)
 	}
-	if res.SnapshotRefreshes < 1 || res.PrePromotionCheckpoints < 1 {
-		t.Fatalf("checkpoint actuations missing: %+v", res)
+	if m["snapshot_refreshes"] < 1 || m["pre_promotion_checkpoints"] < 1 {
+		t.Fatalf("checkpoint actuations missing: %v", m)
 	}
-	if res.PromotedStateRestores < 1 {
-		t.Fatalf("promoted replica never restored: %+v", res)
+	if m["promoted_state_restores"] < 1 {
+		t.Fatalf("promoted replica never restored: %v", m)
 	}
 }

@@ -71,6 +71,9 @@ type Failover struct {
 	// DefaultStalenessDebounce.
 	StalenessDebounce int
 
+	// restart is the routine that brings the failed PE back after the
+	// promotion decision.
+	restart Restart
 	// gate is the composed snapshot-age handler, built once in Setup
 	// (tests drive it directly with synthetic contexts).
 	gate core.Handler[core.PEMetricContext]
@@ -133,6 +136,7 @@ func (p *Failover) Setup(sc *core.SetupContext) error {
 		func(ctx *core.PEFailureContext) uint64 { return ctx.Epoch },
 		p.promoteFreshest)
 	p.gate = p.stalenessGate()
+	p.restart.Strict, p.restart.Restarted = true, p.noteRestart
 	return sc.Subscribe(
 		core.OnPEFailure(
 			core.NewPEFailureScope("replicaFailures").AddApplicationFilter(p.App),
@@ -140,7 +144,7 @@ func (p *Failover) Setup(sc *core.SetupContext) error {
 				if err := promote(ctx, act); err != nil && !errors.Is(err, core.ErrSkipped) {
 					return err
 				}
-				return p.restartFailed(ctx, act)
+				return p.restart.OnPEFailure(ctx, act)
 			}),
 		core.OnPEMetric(
 			core.NewPEMetricScope("snapshotAge").
@@ -318,23 +322,19 @@ func (p *Failover) stalenessLocked(job ids.JobID) (int64, bool) {
 	return worst, known
 }
 
-// restartFailed restarts the failed PE; with a checkpoint store the
-// fresh container restores the PE's latest snapshot, so the replica
-// rejoins with its windows intact even though its uptime resets. The
-// PE's recorded snapshot age is dropped until the restarted container
-// reports again.
-func (p *Failover) restartFailed(ctx *core.PEFailureContext, act *core.Actions) error {
-	if err := act.RestartPE(ctx.PE); err != nil {
-		return fmt.Errorf("failover: restart %s: %w", ctx.PE, err)
-	}
+// noteRestart is the Restart routine's success hook; with a checkpoint
+// store the fresh container restored the PE's latest snapshot, so the
+// replica rejoins with its windows intact even though its uptime
+// resets. The PE's recorded snapshot age is dropped until the restarted
+// container reports again.
+func (p *Failover) noteRestart(ctx *core.PEFailureContext) {
 	p.mu.Lock()
 	if m := p.ages[ctx.Job]; m != nil {
 		delete(m, ctx.PE)
 	}
-	p.birth[ctx.Job] = act.Clock().Now()
+	p.birth[ctx.Job] = ctx.At
 	p.restarts++
 	p.mu.Unlock()
-	return nil
 }
 
 // writeStatus renders the replica table to StatusPath (if configured),

@@ -111,6 +111,12 @@ type SubmitOptions struct {
 	Owner string
 }
 
+// RestartAbandoned prefixes the Reason of the degradation notification
+// RestartPE pushes when it exhausts its retry budget: a PEFailure that
+// reports an abandoned actuation, not a new crash. Consumers match it
+// through core.PEFailureContext.Abandoned.
+const RestartAbandoned = "restart abandoned"
+
 // PEFailure is the notification SAM pushes to the owning orchestrator
 // when a PE crashes.
 type PEFailure struct {
@@ -450,7 +456,7 @@ func (s *SAM) CancelJob(id ids.JobID) error {
 // retried under Config.Retry with exponential backoff and deterministic
 // jitter, each attempt journalled. Exhausting the budget marks the PE
 // unplaceable and pushes a degradation notification — a PEFailure with
-// a "restart abandoned" reason — to the owning orchestrator, which can
+// a RestartAbandoned reason — to the owning orchestrator, which can
 // react (revive a host, reset a store) and try again: an unplaceable PE
 // gets single attempts until one succeeds and clears the mark.
 func (s *SAM) RestartPE(id ids.PEID) error {
@@ -514,7 +520,7 @@ func (s *SAM) settleRestart(id ids.PEID, attempts int, err error) {
 	listener := s.listeners[j.owner]
 	failure := PEFailure{
 		PE: id, Job: j.id, App: j.app.Name, Host: rp.host,
-		Reason:    fmt.Sprintf("restart abandoned after %d attempts: %v", attempts, err),
+		Reason:    fmt.Sprintf("%s after %d attempts: %v", RestartAbandoned, attempts, err),
 		At:        s.cfg.Clock.Now(),
 		Operators: append([]string(nil), j.app.OperatorsInPE(rp.index)...),
 	}

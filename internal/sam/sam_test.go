@@ -646,7 +646,7 @@ func TestRestartExhaustionMarksUnplaceable(t *testing.T) {
 	var mu sync.Mutex
 	var abandoned []sam.PEFailure
 	inst.SAM.AddListener("orc", sam.Listener{PEFailed: func(f sam.PEFailure) {
-		if strings.HasPrefix(f.Reason, "restart abandoned") {
+		if strings.HasPrefix(f.Reason, sam.RestartAbandoned) {
 			mu.Lock()
 			abandoned = append(abandoned, f)
 			mu.Unlock()

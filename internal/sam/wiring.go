@@ -160,8 +160,7 @@ func (s *SAM) establishLocked(l *xlink) error {
 	return nil
 }
 
-// LinkCount reports the number of live stream links (for tests and the
-// expdriver's composition experiment).
+// LinkCount reports the number of live stream links (for tests).
 func (s *SAM) LinkCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
