@@ -166,8 +166,7 @@ func benchPipeline(b *testing.B, withOrca bool) {
 }
 
 // awaitFinal spins until the collector has seen the pipeline's final
-// punctuation, failing the benchmark after 30 s: a start-before-wire
-// loss (ROADMAP item 1) then fails the run instead of hanging the job.
+// punctuation, failing the benchmark after 30 s instead of hanging.
 func awaitFinal(b *testing.B, collector string) {
 	b.Helper()
 	deadline := time.Now().Add(30 * time.Second)
@@ -389,7 +388,11 @@ func BenchmarkE8EventDelivery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		svc.RaiseUserEvent("tick", nil)
 	}
+	deadline := time.Now().Add(30 * time.Second)
 	for delivered.Load() < int64(b.N) {
+		if time.Now().After(deadline) {
+			b.Fatalf("%d of %d user events delivered within 30s", delivered.Load(), b.N)
+		}
 		time.Sleep(50 * time.Microsecond)
 	}
 }

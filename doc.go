@@ -80,12 +80,6 @@
 // loudly instead of silently falling back to defaults. `adltool
 // catalog` dumps the full registered catalog.
 //
-// Deprecation timeline: the silent Params accessors (Int, Float, Bool,
-// Duration) were deprecated when the Bind* family landed (PR 2), left
-// for one release of overlap with zero in-tree callers (PR 3), and have
-// now been removed (PR 4) — out-of-tree operators must bind through the
-// error-reporting Bind* family.
-//
 // # Authoring adaptation routines
 //
 // ORCA logic is written as composable adaptation routines (package
@@ -118,9 +112,7 @@
 // through teardown hooks — implement the optional orca.Closer interface
 // or register a function with SetupContext.OnStop — which Service.Stop
 // runs in reverse setup order while the actuation surface is still
-// live. The legacy wide Orchestrator interface (embed orca.Base,
-// override Handle*) had its one release of deprecated overlap behind
-// the NewService adapter and has now been removed (PR 6).
+// live.
 //
 // # Checkpointing
 //

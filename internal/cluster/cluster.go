@@ -175,43 +175,22 @@ func (c *Cluster) HostUp(name string) bool {
 	return ok && h.up
 }
 
-// StartPE builds and starts a PE container on the named host. The HC
-// supervises the container: on exit it updates local bookkeeping and
-// reports to SRM, which fans out to SAM (and from there to the
-// orchestrator) — the paper's failure notification chain.
-func (c *Cluster) StartPE(hostName string, cfg pe.Config) (*pe.PE, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("cluster: closed")
-	}
-	h, ok := c.hosts[hostName]
-	if !ok {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("cluster: unknown host %q", hostName)
-	}
-	if !h.up {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("cluster: host %q is down", hostName)
-	}
-	if _, dup := h.pes[cfg.ID]; dup {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("cluster: PE %s already on host %q", cfg.ID, hostName)
-	}
-	c.mu.Unlock()
-
+// PlacePE builds a PE container on the named host and registers it with
+// the host's HC, without starting it: the caller wires the container
+// and then calls its Start. The HC supervises the container: on exit it
+// updates local bookkeeping and reports to SRM, which fans out to SAM
+// (and from there to the orchestrator) — the paper's failure
+// notification chain.
+func (c *Cluster) PlacePE(hostName string, cfg pe.Config) (*pe.PE, error) {
 	cfg.Host = hostName
 	if cfg.Clock == nil {
 		cfg.Clock = c.clock
 	}
 	userExit := cfg.OnExit
 	job, app := cfg.Job, cfg.App
+	var container *pe.PE
 	cfg.OnExit = func(id ids.PEID, crashed bool, reason string) {
-		c.mu.Lock()
-		if hh, ok := c.hosts[hostName]; ok {
-			delete(hh.pes, id)
-		}
-		c.mu.Unlock()
+		c.forget(container)
 		if c.srm != nil {
 			c.srm.ReportPEExit(srm.PEExit{
 				PE: id, Job: job, App: app, Host: hostName,
@@ -227,27 +206,38 @@ func (c *Cluster) StartPE(hostName string, cfg pe.Config) (*pe.PE, error) {
 		return nil, err
 	}
 	c.mu.Lock()
-	h2, ok := c.hosts[hostName]
-	if !ok || !h2.up {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("cluster: host %q vanished during start", hostName)
+	defer c.mu.Unlock()
+	h, ok := c.hosts[hostName]
+	switch {
+	case c.closed:
+		return nil, fmt.Errorf("cluster: closed")
+	case !ok:
+		return nil, fmt.Errorf("cluster: unknown host %q", hostName)
+	case !h.up:
+		return nil, fmt.Errorf("cluster: host %q is down", hostName)
+	case h.pes[cfg.ID] != nil:
+		return nil, fmt.Errorf("cluster: PE %s already on host %q", cfg.ID, hostName)
 	}
-	h2.pes[cfg.ID] = container
-	c.mu.Unlock()
-	if err := container.Start(); err != nil {
-		return nil, err
-	}
+	h.pes[cfg.ID] = container
 	return container, nil
 }
 
-// StopPE cleanly stops a PE container (job cancellation path).
-func (c *Cluster) StopPE(id ids.PEID) error {
-	p, err := c.findPE(id)
-	if err != nil {
-		return err
+// forget drops a container from its host's table, unless a later
+// incarnation of the PE has taken its place there.
+func (c *Cluster) forget(p *pe.PE) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if h, ok := c.hosts[p.Host()]; ok && h.pes[p.ID()] == p {
+		delete(h.pes, p.ID())
 	}
+}
+
+// StopPE cleanly stops a PE container and takes it off its host. A
+// container that was never started reports no exit, so this is the
+// path that unregisters one.
+func (c *Cluster) StopPE(p *pe.PE) {
+	c.forget(p)
 	p.Stop()
-	return nil
 }
 
 // KillPE injects a crash failure into a running PE.
@@ -303,6 +293,9 @@ func (c *Cluster) KillHost(name string) error {
 	for _, p := range h.pes {
 		victims = append(victims, p)
 	}
+	// A dead host holds nothing: containers placed but not yet started
+	// report no exit, and ReviveHost brings the host back empty.
+	clear(h.pes)
 	c.mu.Unlock()
 
 	at := c.clock.Now()

@@ -38,6 +38,16 @@ func idleCfg(id ids.PEID, job ids.JobID) pe.Config {
 	}
 }
 
+// startPE places a container and starts it, as SAM's deploy does once
+// the container is wired.
+func startPE(c *Cluster, host string, cfg pe.Config) (*pe.PE, error) {
+	p, err := c.PlacePE(host, cfg)
+	if err == nil {
+		err = p.Start()
+	}
+	return p, err
+}
+
 func TestAddHostAndInfo(t *testing.T) {
 	c := New(nil, srm.New(), time.Hour)
 	defer c.Close()
@@ -71,7 +81,7 @@ func TestStartStopPE(t *testing.T) {
 		exits = append(exits, e)
 		mu.Unlock()
 	})
-	p, err := c.StartPE("h1", idleCfg(1, 1))
+	p, err := startPE(c, "h1", idleCfg(1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,9 +94,7 @@ func TestStartStopPE(t *testing.T) {
 	if got := c.Hosts()[0].PEs; got != 1 {
 		t.Fatalf("host PE count = %d", got)
 	}
-	if err := c.StopPE(1); err != nil {
-		t.Fatal(err)
-	}
+	c.StopPE(p)
 	mu.Lock()
 	defer mu.Unlock()
 	if len(exits) != 1 || exits[0].Crashed || exits[0].PE != 1 || exits[0].Host != "h1" {
@@ -97,21 +105,18 @@ func TestStartStopPE(t *testing.T) {
 	}
 }
 
-func TestStartPEErrors(t *testing.T) {
+func TestPlacePEErrors(t *testing.T) {
 	c := New(nil, srm.New(), time.Hour)
 	defer c.Close()
 	_ = c.AddHost("h1")
-	if _, err := c.StartPE("ghost", idleCfg(1, 1)); err == nil {
+	if _, err := startPE(c, "ghost", idleCfg(1, 1)); err == nil {
 		t.Fatal("unknown host accepted")
 	}
-	if _, err := c.StartPE("h1", idleCfg(2, 1)); err != nil {
+	if _, err := startPE(c, "h1", idleCfg(2, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.StartPE("h1", idleCfg(2, 1)); err == nil {
+	if _, err := startPE(c, "h1", idleCfg(2, 1)); err == nil {
 		t.Fatal("duplicate PE id accepted")
-	}
-	if err := c.StopPE(99); err == nil {
-		t.Fatal("stop of unknown PE succeeded")
 	}
 	if err := c.KillPE(99, "x"); err == nil {
 		t.Fatal("kill of unknown PE succeeded")
@@ -125,7 +130,7 @@ func TestKillPEReportsCrash(t *testing.T) {
 	_ = c.AddHost("h1")
 	exitCh := make(chan srm.PEExit, 1)
 	s.OnPEExit(func(e srm.PEExit) { exitCh <- e })
-	if _, err := c.StartPE("h1", idleCfg(3, 2)); err != nil {
+	if _, err := startPE(c, "h1", idleCfg(3, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.KillPE(3, "fault injection"); err != nil {
@@ -149,11 +154,11 @@ func TestKillHostKillsAllPEsWithSharedReason(t *testing.T) {
 	s.OnPEExit(func(e srm.PEExit) { mu.Lock(); exits = append(exits, e); mu.Unlock() })
 	s.OnHostDown(func(d srm.HostDown) { mu.Lock(); downs = append(downs, d); mu.Unlock() })
 	for i := ids.PEID(1); i <= 3; i++ {
-		if _, err := c.StartPE("h1", idleCfg(i, 1)); err != nil {
+		if _, err := startPE(c, "h1", idleCfg(i, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.StartPE("h2", idleCfg(9, 1)); err != nil {
+	if _, err := startPE(c, "h2", idleCfg(9, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.KillHost("h1"); err != nil {
@@ -193,13 +198,13 @@ func TestKillHostKillsAllPEsWithSharedReason(t *testing.T) {
 		t.Fatal("unknown host kill succeeded")
 	}
 	// Starting a PE on a dead host fails; revive restores it.
-	if _, err := c.StartPE("h1", idleCfg(7, 1)); err == nil {
+	if _, err := startPE(c, "h1", idleCfg(7, 1)); err == nil {
 		t.Fatal("started PE on dead host")
 	}
 	if err := c.ReviveHost("h1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.StartPE("h1", idleCfg(7, 1)); err != nil {
+	if _, err := startPE(c, "h1", idleCfg(7, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.ReviveHost("ghost"); err == nil {
@@ -213,7 +218,7 @@ func TestMetricsLoopPushesToSRM(t *testing.T) {
 	c := New(clock, s, time.Second)
 	defer c.Close()
 	_ = c.AddHost("h1")
-	if _, err := c.StartPE("h1", idleCfg(1, 4)); err != nil {
+	if _, err := startPE(c, "h1", idleCfg(1, 4)); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Query([]ids.JobID{4}); len(got) != 0 {
@@ -236,7 +241,7 @@ func TestFlushMetrics(t *testing.T) {
 	c := New(nil, s, time.Hour)
 	defer c.Close()
 	_ = c.AddHost("h1")
-	if _, err := c.StartPE("h1", idleCfg(1, 5)); err != nil {
+	if _, err := startPE(c, "h1", idleCfg(1, 5)); err != nil {
 		t.Fatal(err)
 	}
 	c.FlushMetrics()
@@ -248,7 +253,7 @@ func TestFlushMetrics(t *testing.T) {
 func TestCloseStopsEverything(t *testing.T) {
 	c := New(nil, srm.New(), time.Hour)
 	_ = c.AddHost("h1")
-	p, err := c.StartPE("h1", idleCfg(1, 1))
+	p, err := startPE(c, "h1", idleCfg(1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,8 +264,8 @@ func TestCloseStopsEverything(t *testing.T) {
 	if err := c.AddHost("h2"); err == nil {
 		t.Fatal("AddHost after Close succeeded")
 	}
-	if _, err := c.StartPE("h1", idleCfg(2, 1)); err == nil {
-		t.Fatal("StartPE after Close succeeded")
+	if _, err := startPE(c, "h1", idleCfg(2, 1)); err == nil {
+		t.Fatal("PlacePE after Close succeeded")
 	}
 	c.Close() // idempotent
 }
@@ -274,7 +279,7 @@ func TestKillHostStopsLoopReviveRestartsIt(t *testing.T) {
 	c := New(clock, s, time.Second)
 	defer c.Close()
 	_ = c.AddHost("h1")
-	if _, err := c.StartPE("h1", idleCfg(1, 20)); err != nil {
+	if _, err := startPE(c, "h1", idleCfg(1, 20)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.KillHost("h1"); err != nil {
@@ -296,7 +301,7 @@ func TestKillHostStopsLoopReviveRestartsIt(t *testing.T) {
 		t.Fatal("revived host has no metrics loop")
 	}
 	c.mu.Unlock()
-	if _, err := c.StartPE("h1", idleCfg(2, 21)); err != nil {
+	if _, err := startPE(c, "h1", idleCfg(2, 21)); err != nil {
 		t.Fatal(err)
 	}
 	// The revived HC's ticker registers asynchronously; keep advancing
@@ -320,7 +325,7 @@ func TestDelayMetricsPausesPeriodicPushes(t *testing.T) {
 	c := New(clock, s, time.Hour)
 	defer c.Close()
 	_ = c.AddHost("h1")
-	if _, err := c.StartPE("h1", idleCfg(1, 22)); err != nil {
+	if _, err := startPE(c, "h1", idleCfg(1, 22)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.DelayMetrics("ghost", time.Second); err == nil {
@@ -339,11 +344,67 @@ func TestDelayMetricsPausesPeriodicPushes(t *testing.T) {
 		t.Fatal("forced flush blocked by metric delay")
 	}
 	clock.Advance(11 * time.Second)
-	if _, err := c.StartPE("h1", idleCfg(2, 23)); err != nil {
+	if _, err := startPE(c, "h1", idleCfg(2, 23)); err != nil {
 		t.Fatal(err)
 	}
 	c.pushHostMetrics(h, false)
 	if len(s.Query([]ids.JobID{23})) == 0 {
 		t.Fatal("periodic pushes did not resume after the delay elapsed")
+	}
+}
+
+// A placed container is resident but not running until its owner starts
+// it. Stopping it before that reports no exit, so StopPE itself must
+// take it off the host; and a host that dies in between takes the
+// container with it, so the owner's Start fails instead of running a PE
+// on a dead host.
+func TestPlacedContainerStoppedOrHostKilledBeforeStart(t *testing.T) {
+	s := srm.New()
+	c := New(nil, s, time.Hour)
+	defer c.Close()
+	_ = c.AddHost("h1")
+	exits := make(chan srm.PEExit, 4)
+	s.OnPEExit(func(e srm.PEExit) { exits <- e })
+
+	p, err := c.PlacePE("h1", idleCfg(1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.State() != pe.Created || c.Hosts()[0].PEs != 1 {
+		t.Fatalf("placed container: state %v, host PEs %d", p.State(), c.Hosts()[0].PEs)
+	}
+	c.StopPE(p)
+	if _, ok := c.PEContainer(1); ok {
+		t.Fatal("stopped container still resident")
+	}
+	if _, err := startPE(c, "h1", idleCfg(1, 1)); err != nil {
+		t.Fatalf("same PE id not placeable after StopPE: %v", err)
+	}
+
+	q, err := c.PlacePE("h1", idleCfg(2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.KillHost("h1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Start(); err == nil {
+		t.Fatal("container started on a dead host")
+	}
+	if got := c.Hosts()[0].PEs; got != 0 {
+		t.Fatalf("dead host holds %d PEs", got)
+	}
+	select {
+	case e := <-exits: // the running PE 1, killed with its host
+		if e.PE != 1 || !e.Crashed {
+			t.Fatalf("exit = %+v", e)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no exit for the running PE of the killed host")
+	}
+	select {
+	case e := <-exits:
+		t.Fatalf("exit reported for a container that never ran: %+v", e)
+	case <-time.After(20 * time.Millisecond):
 	}
 }

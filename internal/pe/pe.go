@@ -372,7 +372,7 @@ func (p *PE) OperatorNames() []string {
 // configured, and launches the processing goroutines.
 func (p *PE) Start() error {
 	if !p.state.CompareAndSwap(int32(Created), int32(Running)) {
-		return fmt.Errorf("pe %s: started twice", p.cfg.ID)
+		return fmt.Errorf("pe %s: start of a %s container", p.cfg.ID, p.State())
 	}
 	for _, rt := range p.ops {
 		if err := rt.op.Open(rt.ctx); err != nil {
@@ -406,9 +406,11 @@ func (p *PE) Start() error {
 	return nil
 }
 
-// Stop shuts the PE down cleanly (job cancellation path).
+// Stop shuts the PE down cleanly (job cancellation path). A container
+// that was never started is only retired (see retire): nobody was told
+// it ran, so OnExit does not fire.
 func (p *PE) Stop() {
-	if !p.state.CompareAndSwap(int32(Running), int32(Stopped)) {
+	if p.retire(Stopped, "") || !p.state.CompareAndSwap(int32(Running), int32(Stopped)) {
 		return
 	}
 	p.die()
@@ -423,11 +425,39 @@ func (p *PE) Stop() {
 
 // Kill simulates a crash failure (the fault-injection path used by the
 // failure experiments): the container dies immediately, queued items and
-// operator state are lost, and Close is never called.
+// operator state are lost, and Close is never called. Killing a
+// container that was never started retires it (no OnExit); Start then
+// fails.
 func (p *PE) Kill(reason string) {
-	if p.state.CompareAndSwap(int32(Running), int32(Crashed)) {
+	if !p.retire(Crashed, reason) && p.state.CompareAndSwap(int32(Running), int32(Crashed)) {
 		p.crashed(reason)
 	}
+}
+
+// retire moves a Created container straight to its end state: no
+// goroutine runs and no operator is open, so all there is to release is
+// what producers wired ahead of Start have queued or are parked on. The
+// inboxes close, waking them, and the queued tuples are counted as
+// dropped and their batches recycled. It reports whether the container
+// was Created.
+func (p *PE) retire(to State, reason string) bool {
+	if !p.state.CompareAndSwap(int32(Created), int32(to)) {
+		return false
+	}
+	p.mu.Lock()
+	p.reason = reason
+	p.mu.Unlock()
+	p.die()
+	for _, rt := range p.ops {
+		run, w, _ := rt.in.take(nil)
+		p.cTuplesDropped.Add(int64(w))
+		for i := range run {
+			if run[i].batch != nil {
+				PutBatch(run[i].batch)
+			}
+		}
+	}
+	return true
 }
 
 // crash is the internal failure path for operator errors and panics.

@@ -544,3 +544,82 @@ func TestInletErrors(t *testing.T) {
 		t.Fatal("OutputSchema on sink succeeded")
 	}
 }
+
+// A container that is wired but never started — SAM's deploy builds and
+// wires a whole set before it starts any of it, and rolls the set back
+// when a step fails — must let go of its producers when stopped or
+// killed: queued batches are recycled and counted, a producer parked on
+// the full inbox wakes, and nobody hears of an exit that never was.
+func TestStopOrKillBeforeStartReleasesProducers(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		end  func(*PE)
+		want State
+	}{
+		{"stop", (*PE).Stop, Stopped},
+		{"kill", func(p *PE) { p.Kill("host failure") }, Crashed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			coll := &collector{}
+			exits := make(chan exit, 1)
+			p, err := New(Config{
+				ID: 1, Ops: []OpSpec{sinkSpec("sink")}, Registry: newTestRegistry(coll, 0), QueueCap: 4,
+				OnExit: func(id ids.PEID, crashed bool, reason string) { exits <- exit{id, crashed, reason} },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			inlet, err := p.ExternalBatchInlet("sink", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frame := func() *Batch {
+				b := GetBatch()
+				for i := 0; i < 4; i++ {
+					b.Items = append(b.Items, TupleItem(tuple.Build(intSchema).Int("v", int64(i)).Done()))
+				}
+				return b
+			}
+			queued := frame()
+			inlet(queued) // fills the inbox: 4 tuples against QueueCap 4
+			parked := make(chan struct{})
+			go func() {
+				defer close(parked)
+				inlet(frame()) // blocks on the full inbox of a container nobody drains
+			}()
+			select {
+			case <-parked:
+				t.Fatal("producer did not block on the full inbox")
+			case <-time.After(20 * time.Millisecond):
+			}
+
+			tc.end(p)
+			select {
+			case <-parked:
+			case <-time.After(5 * time.Second):
+				t.Fatal("producer still parked on the inbox of a retired container")
+			}
+			if got := p.State(); got != tc.want {
+				t.Fatalf("state = %v, want %v", got, tc.want)
+			}
+			if len(queued.Items) != 0 {
+				t.Fatalf("queued batch not recycled: %d items", len(queued.Items))
+			}
+			if got := p.PEMetrics().Counter(metrics.PETuplesDropped).Value(); got != 8 {
+				t.Fatalf("nTuplesDropped = %d, want 8 (4 queued + 4 refused)", got)
+			}
+			if err := p.Start(); err == nil {
+				t.Fatal("Start of a retired container succeeded")
+			}
+			p.Stop() // idempotent
+			select {
+			case e := <-exits:
+				t.Fatalf("OnExit fired for a container that never ran: %+v", e)
+			case <-time.After(20 * time.Millisecond):
+			}
+			if len(coll.values()) != 0 || coll.closed {
+				t.Fatalf("operator was touched: got=%v closed=%v", coll.values(), coll.closed)
+			}
+		})
+	}
+}

@@ -2,6 +2,7 @@ package sam
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"streamorca/internal/adl"
@@ -14,12 +15,12 @@ import (
 
 // ResizeRegion changes the width of a job's key-partitioned parallel
 // region at runtime: it recompiles the job's ADL to the new width
-// (compiler.ResizeRegion), stops the region's PEs, migrates the
-// replicas' per-key operator state between the two partitionings
-// through the checkpoint store, starts the region at the new width, and
-// rewires every stream link touching it. PEs outside the region keep
-// running untouched; the split/merge pair insulates the neighbours from
-// the width change.
+// (compiler.ResizeRegion), checkpoints and retires the region's PEs,
+// migrates the replicas' per-key operator state between the two
+// partitionings through the checkpoint store, swaps in the resized ADL
+// and deploys the region at the new width, restoring. PEs outside the
+// region keep running untouched; the split/merge pair insulates the
+// neighbours from the width change.
 //
 // State migration is best-effort, in the spirit of "a bad snapshot
 // never blocks a restart": the old replicas are checkpointed, their
@@ -31,7 +32,9 @@ import (
 // PartitionedStateOperator — degrades to a region-wide cold start: all
 // region snapshots are deleted and the region restarts empty, losing
 // window state but never wedging. In-flight tuples of the region are
-// lost, as in every restart (§5.2 loss semantics).
+// lost, as in every restart (§5.2 loss semantics). When the deploy
+// fails the job keeps the resized ADL with the region retired; its PEs
+// come back through RestartPE.
 func (s *SAM) ResizeRegion(jobID ids.JobID, region string, width int) error {
 	if width < 1 {
 		return fmt.Errorf("sam: resize region %q: width %d < 1", region, width)
@@ -39,7 +42,7 @@ func (s *SAM) ResizeRegion(jobID ids.JobID, region string, width int) error {
 
 	s.mu.Lock()
 	j, ok := s.jobs[jobID]
-	if !ok || j.cancelling {
+	if !ok {
 		s.mu.Unlock()
 		return fmt.Errorf("sam: no job %s", jobID)
 	}
@@ -59,32 +62,12 @@ func (s *SAM) ResizeRegion(jobID ids.JobID, region string, width int) error {
 	}
 	newR := resized.Region(region)
 	old := *r // copy: j.app is swapped below
-
-	// Region PEs before the resize: split, merge, and every old replica.
-	regionIdx := func(app *adl.Application, names ...string) map[int]bool {
-		out := make(map[int]bool, len(names))
-		for _, n := range names {
-			if idx := app.PEOfOperator(n); idx >= 0 {
-				out[idx] = true
-			}
-		}
-		return out
-	}
-	oldIdx := regionIdx(j.app, append([]string{old.Split, old.Merge}, old.Replicas...)...)
+	oldParts := regionParts(j.app, &old)
 
 	oldReplicas := make([]replicaState, 0, old.Width)
 	kind := ""
 	if op := j.app.OperatorByName(old.Replicas[0]); op != nil {
 		kind = op.Kind
-	}
-	var toStop []*pe.PE
-	for idx := range oldIdx {
-		if rp := j.pes[idx]; rp != nil {
-			if rp.state == "running" && rp.container != nil {
-				rp.state = "stopping"
-				toStop = append(toStop, rp.container)
-			}
-		}
 	}
 	for _, name := range old.Replicas {
 		rp := j.pes[j.app.PEOfOperator(name)]
@@ -96,186 +79,87 @@ func (s *SAM) ResizeRegion(jobID ids.JobID, region string, width int) error {
 			name:      name,
 			key:       ckptKey(j.id, rp.id),
 			container: rp.container,
-			running:   rp.state == "stopping", // was running before we marked it
+			running:   rp.state == "running" && rp.container != nil,
 		})
 	}
 
 	// Mint runtime PEs for replicas the resize adds, so their snapshot
-	// keys exist before migration writes to them. Removed replicas drop
-	// out of the job's tables; a late exit notification for one simply
-	// finds no PE.
+	// keys exist before migration writes to them; deploy chooses their
+	// hosts. Removed replicas drop out of the job's tables; a late exit
+	// notification for one simply finds no PE.
 	survivors := min(old.Width, width)
 	newKeys := make([]string, width)
-	for p := 0; p < survivors; p++ {
-		rp := j.pes[j.app.PEOfOperator(old.Replicas[p])]
-		newKeys[p] = ckptKey(j.id, rp.id)
-	}
+	copy(newKeys, keysOf(oldReplicas[:survivors]))
 	var added []*jpe
 	for p := survivors; p < width; p++ {
-		idx := resized.PEOfOperator(newR.Replicas[p])
 		s.nextPE++
-		rp := &jpe{index: idx, id: ids.PEID(s.nextPE), state: "stopped"}
+		rp := &jpe{index: resized.PEOfOperator(newR.Replicas[p]), id: ids.PEID(s.nextPE), state: "stopped"}
 		added = append(added, rp)
 		newKeys[p] = ckptKey(j.id, rp.id)
 	}
-	var removedKeys []string
-	for p := width; p < old.Width; p++ {
-		removedKeys = append(removedKeys, oldReplicas[p].key)
-	}
+	removedKeys := keysOf(oldReplicas[survivors:])
 	s.mu.Unlock()
 
 	// Freshen the snapshots about to be migrated, then quiesce the
 	// region. Checkpoint failures are tolerable: migration then moves
 	// the previous periodic snapshot (or cold-starts the region).
 	for _, or := range oldReplicas {
-		if or.running && or.container != nil && s.cfg.Ckpt != nil {
+		if or.running && s.cfg.Ckpt != nil {
 			if _, err := or.container.Checkpoint(); err != nil {
 				s.cfg.Logf("sam: resize %s/%s: pre-stop checkpoint of %s: %v", jobID, region, or.name, err)
 			}
 		}
 	}
-	for _, c := range toStop {
-		c.Stop()
-	}
+	s.retire(j, oldParts)
 
 	if s.cfg.Ckpt != nil {
+		// Removed replicas' snapshots are garbage once their keys
+		// migrated into the surviving partitions.
+		garbage := removedKeys
 		if err := s.migrateRegionState(oldReplicas, newR, kind, newKeys, width); err != nil {
 			s.cfg.Logf("sam: resize %s/%s: state migration failed (%v); cold-starting region", jobID, region, err)
-			for _, k := range append(append([]string(nil), newKeys...), keysOf(oldReplicas)...) {
-				if derr := s.cfg.Ckpt.Delete(k); derr != nil {
-					s.cfg.Logf("sam: resize %s/%s: drop snapshot %s: %v", jobID, region, k, derr)
-				}
-			}
-		} else {
-			// Removed replicas' snapshots are garbage once their keys
-			// migrated into the surviving partitions.
-			for _, k := range removedKeys {
-				if derr := s.cfg.Ckpt.Delete(k); derr != nil {
-					s.cfg.Logf("sam: resize %s/%s: drop snapshot %s: %v", jobID, region, k, derr)
-				}
+			garbage = append(append([]string(nil), newKeys...), removedKeys...)
+		}
+		for _, k := range garbage {
+			if derr := s.cfg.Ckpt.Delete(k); derr != nil {
+				s.cfg.Logf("sam: resize %s/%s: drop snapshot %s: %v", jobID, region, k, derr)
 			}
 		}
 	}
 
-	// Swap in the resized ADL and restart the region.
+	// Swap in the resized ADL and deploy the region.
 	s.mu.Lock()
-	removed := make(map[string]bool, old.Width)
-	for p := width; p < old.Width; p++ {
-		removed[old.Replicas[p]] = true
-	}
-	for idx := range oldIdx {
-		rp := j.pes[idx]
-		if rp == nil {
-			continue
-		}
-		ops := j.app.OperatorsInPE(idx)
-		if len(ops) == 1 && removed[ops[0]] {
+	for _, name := range old.Replicas[survivors:] {
+		idx := j.app.PEOfOperator(name)
+		if rp := j.pes[idx]; rp != nil && len(j.app.OperatorsInPE(idx)) == 1 {
 			delete(j.pes, idx)
 			delete(j.byID, rp.id)
 		}
 	}
 	j.app = resized
-	assign, _, perr := place(resized, s.cfg.Cluster.Hosts(), s.reservedByOther(j.id), s.occupiedByOther(j.id))
-	if perr != nil {
-		s.mu.Unlock()
-		return fmt.Errorf("sam: resize region %q of %s: place: %w", region, jobID, perr)
-	}
 	for _, rp := range added {
-		rp.host = assign[rp.index]
 		j.pes[rp.index] = rp
 		j.byID[rp.id] = rp
 	}
-	newIdx := regionIdx(resized, append([]string{newR.Split, newR.Merge}, newR.Replicas...)...)
-	type startup struct {
-		rp  *jpe
-		cfg pe.Config
-	}
-	var starts []startup
-	for idx := range newIdx {
-		rp := j.pes[idx]
-		if rp == nil {
-			s.mu.Unlock()
-			return fmt.Errorf("sam: resize region %q of %s: no runtime PE for partition %d", region, jobID, idx)
-		}
-		if !s.cfg.Cluster.HostUp(rp.host) {
-			rp.host = assign[rp.index]
-		}
-		cfg, cerr := s.peConfig(j, rp)
-		if cerr != nil {
-			s.mu.Unlock()
-			return fmt.Errorf("sam: resize region %q of %s: %w", region, jobID, cerr)
-		}
-		cfg.Ckpt.Restore = cfg.Ckpt.Store != nil
-		starts = append(starts, startup{rp: rp, cfg: cfg})
-	}
 	s.mu.Unlock()
 
-	var startErr error
-	for _, st := range starts {
-		c, err := s.cfg.Cluster.StartPE(st.rp.host, st.cfg)
-		if err != nil {
-			if startErr == nil {
-				startErr = fmt.Errorf("sam: resize region %q of %s: start PE %d: %w", region, jobID, st.rp.index, err)
-			}
-			continue
-		}
-		s.mu.Lock()
-		st.rp.container = c
-		st.rp.state = "running"
-		s.mu.Unlock()
-	}
-
-	// Rewire: every link touching a region PE (old or new index) is
-	// stale — its endpoint container was replaced or removed — so drop
-	// them all and mint fresh links from the resized ADL's connections.
-	s.mu.Lock()
-	for idx := range newIdx {
-		oldIdx[idx] = true
-	}
-	for lid, l := range s.links {
-		if (l.fromJob == jobID && oldIdx[l.fromIdx]) || (l.toJob == jobID && oldIdx[l.toIdx]) {
-			if l.link != nil {
-				l.link.Discard()
-				l.link = nil
-			}
-			delete(s.links, lid)
-		}
-	}
-	regionOps := map[string]bool{newR.Split: true, newR.Merge: true}
-	for _, n := range newR.Replicas {
-		regionOps[n] = true
-	}
-	var wireErr error
-	for _, c := range resized.Connects {
-		if !regionOps[c.FromOp] && !regionOps[c.ToOp] {
-			continue
-		}
-		fromIdx := resized.PEOfOperator(c.FromOp)
-		toIdx := resized.PEOfOperator(c.ToOp)
-		if fromIdx == toIdx {
-			continue // fused: wired inside the container
-		}
-		s.nextLink++
-		l := &xlink{
-			id:      fmt.Sprintf("static-%d-%d", j.id, s.nextLink),
-			fromJob: j.id, fromIdx: fromIdx, fromOp: c.FromOp, fromPort: c.FromPort,
-			toJob: j.id, toIdx: toIdx, toOp: c.ToOp, toPort: c.ToPort,
-		}
-		s.links[l.id] = l
-		if err := s.establishLocked(l); err != nil && wireErr == nil {
-			wireErr = err
-		}
-	}
-	s.mu.Unlock()
-
-	if startErr != nil {
-		return startErr
-	}
-	if wireErr != nil {
-		return fmt.Errorf("sam: resize region %q of %s: wire: %w", region, jobID, wireErr)
+	if err := s.deploy(j, regionParts(resized, newR), true); err != nil {
+		return fmt.Errorf("sam: resize region %q of %s: %w", region, jobID, err)
 	}
 	s.cfg.Logf("sam: resized region %q of %s: width %d -> %d", region, jobID, old.Width, width)
 	return nil
+}
+
+// regionParts lists the partitions holding a region's split, merge and
+// replicas.
+func regionParts(app *adl.Application, r *adl.Region) []int {
+	var parts []int
+	for _, name := range append([]string{r.Split, r.Merge}, r.Replicas...) {
+		if idx := app.PEOfOperator(name); idx >= 0 && !slices.Contains(parts, idx) {
+			parts = append(parts, idx)
+		}
+	}
+	return parts
 }
 
 // replicaState carries what state migration needs to know about one

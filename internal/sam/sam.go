@@ -152,12 +152,12 @@ type PERuntimeInfo struct {
 	Unplaceable bool
 }
 
-// Listener receives job lifecycle callbacks for one orchestrator. All
-// callbacks fire outside SAM locks; any may be nil.
+// Listener receives SAM's callbacks for one orchestrator. They fire
+// outside SAM locks; PEFailed may be nil. Job submission and
+// cancellation have no callback: the orchestrator that asks for them
+// raises the job events itself (§4.1).
 type Listener struct {
-	PEFailed     func(PEFailure)
-	JobSubmitted func(JobInfo)
-	JobCancelled func(JobInfo)
+	PEFailed func(PEFailure)
 }
 
 // SAM is the application manager daemon.
@@ -189,7 +189,6 @@ type job struct {
 	pes         map[int]*jpe
 	byID        map[ids.PEID]*jpe
 	reservedHst []string
-	cancelling  bool
 }
 
 type jpe struct {
@@ -244,9 +243,9 @@ func (s *SAM) RemoveListener(name string) {
 }
 
 // SubmitJob instantiates an application: clones and parameterises the
-// ADL, places PEs onto hosts, starts the containers, wires intra-job
-// cross-PE connections, and connects matching import/export streams with
-// already-running jobs.
+// ADL, places its partitions onto hosts, and deploys them all cold —
+// containers built, intra-job connections and matching import/export
+// streams of already-running jobs wired, and only then started.
 func (s *SAM) SubmitJob(app *adl.Application, opts SubmitOptions) (ids.JobID, error) {
 	prepared := app.Clone()
 	substituteParams(prepared, opts.Params)
@@ -273,88 +272,22 @@ func (s *SAM) SubmitJob(app *adl.Application, opts SubmitOptions) (ids.JobID, er
 	for _, hostName := range reserve {
 		s.reserved[hostName] = jobID
 	}
-	var toStart []*jpe
 	for _, part := range prepared.PEs {
 		s.nextPE++
-		rp := &jpe{index: part.Index, id: ids.PEID(s.nextPE), host: assign[part.Index], state: "running"}
+		rp := &jpe{index: part.Index, id: ids.PEID(s.nextPE), host: assign[part.Index], state: "stopped"}
 		j.pes[part.Index] = rp
 		j.byID[rp.id] = rp
-		toStart = append(toStart, rp)
 	}
 	s.jobs[jobID] = j
+	parts := j.partsLocked()
 	s.mu.Unlock()
 
-	for _, rp := range toStart {
-		cfg, err := s.peConfig(j, rp)
-		if err == nil && s.cfg.Ckpt != nil {
-			// A fresh submission must never adopt old state: drop any
-			// stale snapshot under this key (possible when a persistent
-			// store outlives the instance whose sequential ids minted it).
-			if derr := s.cfg.Ckpt.Delete(cfg.Ckpt.Key); derr != nil {
-				s.cfg.Logf("sam: drop stale checkpoint %s: %v", cfg.Ckpt.Key, derr)
-			}
-		}
-		if err == nil {
-			rp.container, err = s.cfg.Cluster.StartPE(rp.host, cfg)
-		}
-		if err != nil {
-			s.rollbackSubmit(jobID)
-			return ids.InvalidJob, fmt.Errorf("sam: start PE %d of %s: %w", rp.index, app.Name, err)
-		}
-	}
-
-	s.mu.Lock()
-	var estFail error
-	for _, l := range s.staticLinks(j) {
-		s.links[l.id] = l
-		if err := s.establishLocked(l); err != nil && estFail == nil {
-			estFail = err
-		}
-	}
-	for _, l := range s.matchImportsLocked(j) {
-		s.links[l.id] = l
-		if err := s.establishLocked(l); err != nil && estFail == nil {
-			estFail = err
-		}
-	}
-	listener := s.listeners[j.owner]
-	info := s.jobInfoLocked(j)
-	s.mu.Unlock()
-	if estFail != nil {
-		_ = s.CancelJob(jobID) //orcalint:ignore actuationcheck best-effort rollback of a submission that failed to wire; the wiring error is what the caller sees
-		return ids.InvalidJob, fmt.Errorf("sam: wire %s: %w", app.Name, estFail)
-	}
-	if listener.JobSubmitted != nil {
-		listener.JobSubmitted(info)
+	if err := s.deploy(j, parts, false); err != nil {
+		_ = s.CancelJob(jobID) //orcalint:ignore actuationcheck deploy already rolled the containers back, this only forgets the job; the deploy error is what the caller sees
+		return ids.InvalidJob, fmt.Errorf("sam: submit %s: %w", app.Name, err)
 	}
 	s.cfg.Logf("sam: submitted %s as %s", app.Name, jobID)
 	return jobID, nil
-}
-
-// rollbackSubmit tears down a half-started job.
-func (s *SAM) rollbackSubmit(jobID ids.JobID) {
-	s.mu.Lock()
-	j, ok := s.jobs[jobID]
-	if !ok {
-		s.mu.Unlock()
-		return
-	}
-	j.cancelling = true
-	var containers []*pe.PE
-	for _, rp := range j.pes {
-		rp.state = "stopping"
-		if rp.container != nil {
-			containers = append(containers, rp.container)
-		}
-	}
-	delete(s.jobs, jobID)
-	for _, h := range j.reservedHst {
-		delete(s.reserved, h)
-	}
-	s.mu.Unlock()
-	for _, c := range containers {
-		c.Stop()
-	}
 }
 
 // CancelJob stops a job's PEs, removes its stream links, and releases its
@@ -366,51 +299,7 @@ func (s *SAM) CancelJob(id ids.JobID) error {
 		s.mu.Unlock()
 		return fmt.Errorf("sam: no job %s", id)
 	}
-	if j.cancelling {
-		s.mu.Unlock()
-		return fmt.Errorf("sam: job %s already cancelling", id)
-	}
-	j.cancelling = true
-	var containers []*pe.PE
-	for _, rp := range j.pes {
-		if rp.state == "running" {
-			rp.state = "stopping"
-		}
-		if rp.container != nil {
-			containers = append(containers, rp.container)
-		}
-	}
-	// Detach cross-job links feeding this job from their exporters, and
-	// drop every link touching the job.
-	type detach struct {
-		c      *pe.PE
-		op     string
-		port   int
-		linkID string
-	}
-	var detaches []detach
-	for lid, l := range s.links {
-		if l.fromJob != id && l.toJob != id {
-			continue
-		}
-		if l.toJob == id && l.fromJob != id {
-			if src, ok := s.jobs[l.fromJob]; ok {
-				if rp, ok := src.pes[l.fromIdx]; ok && rp.container != nil {
-					detaches = append(detaches, detach{rp.container, l.fromOp, l.fromPort, lid})
-				}
-			}
-		}
-		if l.link != nil {
-			// Dropping the link severs the connection: pending and
-			// in-flight tuples are lost, so cancelled flows stop
-			// promptly (Discard never blocks).
-			l.link.Discard()
-			l.link = nil
-		}
-		delete(s.links, lid)
-	}
-	info := s.jobInfoLocked(j)
-	listener := s.listeners[j.owner]
+	stop := s.retireLocked(j, j.partsLocked())
 	delete(s.jobs, id)
 	for _, h := range j.reservedHst {
 		delete(s.reserved, h)
@@ -423,11 +312,8 @@ func (s *SAM) CancelJob(id ids.JobID) error {
 	}
 	s.mu.Unlock()
 
-	for _, d := range detaches {
-		_ = d.c.RemoveOutlet(d.op, d.port, d.linkID)
-	}
-	for _, c := range containers {
-		c.Stop()
+	for _, c := range stop {
+		s.cfg.Cluster.StopPE(c)
 	}
 	// A cancelled job never restarts, so its snapshots are garbage.
 	for _, k := range ckptKeys {
@@ -438,10 +324,7 @@ func (s *SAM) CancelJob(id ids.JobID) error {
 	if s.cfg.SRM != nil {
 		s.cfg.SRM.DropJob(id)
 	}
-	if listener.JobCancelled != nil {
-		listener.JobCancelled(info)
-	}
-	s.cfg.Logf("sam: cancelled %s (%s)", id, info.App)
+	s.cfg.Logf("sam: cancelled %s (%s)", id, j.app.Name)
 	return nil
 }
 
@@ -460,36 +343,36 @@ func (s *SAM) CancelJob(id ids.JobID) error {
 // react (revive a host, reset a store) and try again: an unplaceable PE
 // gets single attempts until one succeeds and clears the mark.
 func (s *SAM) RestartPE(id ids.PEID) error {
-	pol := s.cfg.Retry
-	max := pol.MaxAttempts
-	if max <= 0 {
-		max = 1
-	}
+	max := s.cfg.Retry.MaxAttempts
 	s.mu.Lock()
 	if _, rp := s.findPELocked(id); rp != nil && rp.unplaceable {
 		max = 1 // already escalated: no repeated backoff storms
 	}
 	s.mu.Unlock()
-
-	var err error
-	attempts := 0
-	for attempt := 1; attempt <= max; attempt++ {
-		attempts = attempt
-		err = s.restartPEOnce(id)
-		final := err == nil || isPermanent(err) || attempt == max
-		var backoff time.Duration
-		if !final {
-			backoff = s.retryBackoff(pol, attempt)
-		}
-		s.recordAttempt("restart", id, attempt, err, backoff)
-		if final {
-			break
-		}
-		s.cfg.Logf("sam: restart %s attempt %d/%d failed (%v); retrying in %s", id, attempt, max, err, backoff)
-		s.cfg.Clock.Sleep(backoff)
-	}
+	attempts, err := s.retry("restart", id, max, s.restartPEOnce)
 	s.settleRestart(id, attempts, err)
 	return err
+}
+
+// retry runs one actuation on a PE under Config.Retry: up to max
+// attempts (at least one), stopping at success or a permanent error,
+// each attempt journalled together with the backoff slept after it. It
+// returns the attempts made and the last error.
+func (s *SAM) retry(action string, id ids.PEID, max int, once func(ids.PEID) error) (attempts int, err error) {
+	for attempts = 1; ; attempts++ {
+		err = once(id)
+		final := err == nil || isPermanent(err) || attempts >= max
+		var backoff time.Duration
+		if !final {
+			backoff = s.retryBackoff(s.cfg.Retry, attempts)
+		}
+		s.recordAttempt(action, id, attempts, err, backoff)
+		if final {
+			return attempts, err
+		}
+		s.cfg.Logf("sam: %s %s attempt %d/%d failed (%v); retrying in %s", action, id, attempts, max, err, backoff)
+		s.cfg.Clock.Sleep(backoff)
+	}
 }
 
 // settleRestart applies the outcome of a restart actuation: success
@@ -577,64 +460,26 @@ func (s *SAM) AttemptJournal() []AttemptRecord {
 	return append([]AttemptRecord(nil), s.attempts...)
 }
 
-// restartPEOnce is one restart attempt.
+// restartPEOnce is one restart attempt: retire the PE's container and
+// links, then deploy its partition again, restoring state.
 func (s *SAM) restartPEOnce(id ids.PEID) error {
 	s.mu.Lock()
 	j, rp := s.findPELocked(id)
+	s.mu.Unlock()
 	if rp == nil {
-		s.mu.Unlock()
 		return permanent(fmt.Errorf("sam: no PE %s", id))
 	}
-	running := rp.state == "running" && rp.container != nil
-	container := rp.container
-	if running {
-		rp.state = "stopping"
-	}
-	s.mu.Unlock()
-	if running {
-		container.Stop()
-	}
-
-	s.mu.Lock()
-	if !s.cfg.Cluster.HostUp(rp.host) {
-		// Re-place onto a surviving host of the same pool.
-		assign, _, err := place(j.app, s.cfg.Cluster.Hosts(), s.reservedByOther(j.id), s.occupiedByOther(j.id))
-		if err != nil {
-			s.mu.Unlock()
-			return fmt.Errorf("sam: re-place PE %s: %w", id, err)
-		}
-		rp.host = assign[rp.index]
-	}
-	cfg, err := s.peConfig(j, rp)
-	s.mu.Unlock()
-	if err != nil {
-		return permanent(err)
-	}
-	cfg.Ckpt.Restore = cfg.Ckpt.Store != nil
-
-	newC, err := s.cfg.Cluster.StartPE(rp.host, cfg)
-	if err != nil {
+	parts := []int{rp.index}
+	s.retire(j, parts)
+	if err := s.deploy(j, parts, true); err != nil {
 		return fmt.Errorf("sam: restart PE %s: %w", id, err)
 	}
-
 	s.mu.Lock()
-	rp.container = newC
-	rp.state = "running"
 	rp.restarts++
-	newC.PEMetrics().Counter(metrics.PERestarts).Set(int64(rp.restarts))
-	var rewire []*xlink
-	for _, l := range s.links {
-		if (l.fromJob == j.id && l.fromIdx == rp.index) || (l.toJob == j.id && l.toIdx == rp.index) {
-			rewire = append(rewire, l)
-		}
-	}
-	for _, l := range rewire {
-		if err := s.establishLocked(l); err != nil {
-			s.cfg.Logf("sam: rewire %s: %v", l.id, err)
-		}
-	}
+	rp.container.PEMetrics().Counter(metrics.PERestarts).Set(int64(rp.restarts))
+	host := rp.host
 	s.mu.Unlock()
-	s.cfg.Logf("sam: restarted %s on %s", id, rp.host)
+	s.cfg.Logf("sam: restarted %s on %s", id, host)
 	return nil
 }
 
@@ -644,26 +489,7 @@ func (s *SAM) restartPEOnce(id ids.PEID) error {
 // Transient store failures are retried under Config.Retry with the same
 // journalled backoff as RestartPE.
 func (s *SAM) CheckpointPE(id ids.PEID) error {
-	pol := s.cfg.Retry
-	max := pol.MaxAttempts
-	if max <= 0 {
-		max = 1
-	}
-	var err error
-	for attempt := 1; attempt <= max; attempt++ {
-		err = s.checkpointPEOnce(id)
-		final := err == nil || isPermanent(err) || attempt == max
-		var backoff time.Duration
-		if !final {
-			backoff = s.retryBackoff(pol, attempt)
-		}
-		s.recordAttempt("checkpoint", id, attempt, err, backoff)
-		if final {
-			break
-		}
-		s.cfg.Logf("sam: checkpoint %s attempt %d/%d failed (%v); retrying in %s", id, attempt, max, err, backoff)
-		s.cfg.Clock.Sleep(backoff)
-	}
+	_, err := s.retry("checkpoint", id, s.cfg.Retry.MaxAttempts, s.checkpointPEOnce)
 	return err
 }
 
@@ -692,7 +518,7 @@ func (s *SAM) checkpointPEOnce(id ids.PEID) error {
 // StopPE cleanly stops one PE without restarting it.
 func (s *SAM) StopPE(id ids.PEID) error {
 	s.mu.Lock()
-	_, rp := s.findPELocked(id)
+	j, rp := s.findPELocked(id)
 	if rp == nil {
 		s.mu.Unlock()
 		return fmt.Errorf("sam: no PE %s", id)
@@ -701,10 +527,8 @@ func (s *SAM) StopPE(id ids.PEID) error {
 		s.mu.Unlock()
 		return fmt.Errorf("sam: PE %s is not running", id)
 	}
-	rp.state = "stopping"
-	c := rp.container
 	s.mu.Unlock()
-	c.Stop()
+	s.retire(j, []int{rp.index})
 	return nil
 }
 
@@ -793,7 +617,7 @@ func (s *SAM) PEPlacement(id ids.JobID) (map[int]ids.PEID, map[int]string, bool)
 func (s *SAM) handlePEExit(e srm.PEExit) {
 	s.mu.Lock()
 	j, rp := s.findPELocked(e.PE)
-	if rp == nil || j.cancelling {
+	if rp == nil {
 		s.mu.Unlock()
 		return
 	}
@@ -832,8 +656,9 @@ func (s *SAM) handlePEExit(e srm.PEExit) {
 	}
 }
 
-// peConfig assembles the container configuration for one partition.
-func (s *SAM) peConfig(j *job, rp *jpe) (pe.Config, error) {
+// peConfig assembles the container configuration for one partition;
+// restore arms the container to adopt the PE's latest snapshot.
+func (s *SAM) peConfig(j *job, rp *jpe, restore bool) (pe.Config, error) {
 	var part *adl.PE
 	for i := range j.app.PEs {
 		if j.app.PEs[i].Index == rp.index {
@@ -845,7 +670,7 @@ func (s *SAM) peConfig(j *job, rp *jpe) (pe.Config, error) {
 	}
 	inPart := make(map[string]bool, len(part.Operators))
 	cfg := pe.Config{
-		ID: rp.id, Job: j.id, App: j.app.Name,
+		ID: rp.id, Job: j.id, App: j.app.Name, Host: rp.host,
 		Clock: s.cfg.Clock, Registry: s.cfg.Registry,
 		QueueCap: s.cfg.QueueCap, Logf: s.cfg.Logf,
 	}
@@ -879,7 +704,7 @@ func (s *SAM) peConfig(j *job, rp *jpe) (pe.Config, error) {
 			Store:    s.cfg.Ckpt,
 			Key:      ckptKey(j.id, rp.id),
 			Interval: s.cfg.CkptInterval,
-			// Restore stays off for fresh submissions; RestartPE arms it.
+			Restore:  restore,
 		}
 	}
 	return cfg, nil

@@ -401,38 +401,6 @@ func TestControlOperator(t *testing.T) {
 	}
 }
 
-func TestJobListenerLifecycleEvents(t *testing.T) {
-	inst := newInstance(t, "h1")
-	var mu sync.Mutex
-	var submitted, cancelled []string
-	inst.SAM.AddListener("o", sam.Listener{
-		JobSubmitted: func(j sam.JobInfo) {
-			mu.Lock()
-			submitted = append(submitted, j.App)
-			mu.Unlock()
-		},
-		JobCancelled: func(j sam.JobInfo) {
-			mu.Lock()
-			cancelled = append(cancelled, j.App)
-			mu.Unlock()
-		},
-	})
-	ops.ResetCollector("lst")
-	app := pipelineApp(t, "Listen", "lst", 0)
-	jobID, err := inst.SAM.SubmitJob(app, sam.SubmitOptions{Owner: "o"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := inst.SAM.CancelJob(jobID); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(submitted) != 1 || submitted[0] != "Listen" || len(cancelled) != 1 || cancelled[0] != "Listen" {
-		t.Fatalf("submitted=%v cancelled=%v", submitted, cancelled)
-	}
-}
-
 func TestJobsAndPlacementQueries(t *testing.T) {
 	inst := newInstance(t, "h1")
 	ops.ResetCollector("q")

@@ -2,6 +2,7 @@ package sam
 
 import (
 	"fmt"
+	"slices"
 
 	"streamorca/internal/ids"
 	"streamorca/internal/metrics"
@@ -10,8 +11,9 @@ import (
 
 // xlink is one established stream link crossing a PE boundary: either a
 // static intra-job connection between two partitions, or a dynamic
-// import/export connection between jobs (§2.1). Links survive PE restarts
-// by being re-established under the same id.
+// import/export connection between jobs (§2.1). A link lives as long as
+// both endpoint containers: deploying a partition drops the links that
+// touch it and mints them again from the ADL.
 type xlink struct {
 	id       string
 	fromJob  ids.JobID
@@ -22,65 +24,62 @@ type xlink struct {
 	toIdx    int
 	toOp     string
 	toPort   int
-	// link is the live transport for the current incarnation; replaced on
-	// re-establishment and discarded (dropping in-flight items, as a
-	// severed TCP connection would) when the xlink is dropped or replaced.
+	// link is the live transport, discarded (dropping in-flight items,
+	// as a severed TCP connection would) when the xlink is dropped.
 	link *transport.Link
 }
 
-// staticLinks derives the cross-PE links implied by a job's own ADL
-// connections.
-func (s *SAM) staticLinks(j *job) []*xlink {
-	var out []*xlink
-	for _, c := range j.app.Connects {
-		fromIdx := j.app.PEOfOperator(c.FromOp)
-		toIdx := j.app.PEOfOperator(c.ToOp)
-		if fromIdx == toIdx {
-			continue // fused: wired inside the container
-		}
-		s.nextLink++
-		out = append(out, &xlink{
-			id:      fmt.Sprintf("static-%d-%d", j.id, s.nextLink),
-			fromJob: j.id, fromIdx: fromIdx, fromOp: c.FromOp, fromPort: c.FromPort,
-			toJob: j.id, toIdx: toIdx, toOp: c.ToOp, toPort: c.ToPort,
-		})
-	}
-	return out
+// touches reports whether the link has an endpoint in one of the job's
+// partitions parts.
+func (l *xlink) touches(job ids.JobID, parts []int) bool {
+	return (l.fromJob == job && slices.Contains(parts, l.fromIdx)) || (l.toJob == job && slices.Contains(parts, l.toIdx))
 }
 
-// matchImportsLocked computes the dynamic links a newly submitted job
-// forms with every running job (both directions: its imports against
-// their exports, and its exports against their imports), skipping pairs
-// whose schemas disagree.
-func (s *SAM) matchImportsLocked(newJob *job) []*xlink {
+// linksLocked derives from the ADL every link that touches j's
+// partitions parts: j's own connections that cross a PE boundary, and
+// its import/export matches with every running job, itself included,
+// in both directions. It is the only place links are minted.
+func (s *SAM) linksLocked(j *job, parts []int) []*xlink {
 	var out []*xlink
+	mint := func(static bool, src *job, fromOp string, fromPort int, dst *job, toOp string, toPort int) {
+		l := &xlink{
+			fromJob: src.id, fromIdx: src.app.PEOfOperator(fromOp), fromOp: fromOp, fromPort: fromPort,
+			toJob: dst.id, toIdx: dst.app.PEOfOperator(toOp), toOp: toOp, toPort: toPort,
+		}
+		if static && l.fromIdx == l.toIdx {
+			return // fused: wired inside the container
+		}
+		if l.touches(j.id, parts) {
+			s.nextLink++
+			l.id = fmt.Sprintf("dyn-%d-%d-%d", src.id, dst.id, s.nextLink)
+			if static {
+				l.id = fmt.Sprintf("static-%d-%d", j.id, s.nextLink)
+			}
+			out = append(out, l)
+		}
+	}
+	for _, c := range j.app.Connects {
+		mint(true, j, c.FromOp, c.FromPort, j, c.ToOp, c.ToPort)
+	}
 	for _, other := range s.jobs {
-		// newJob's imports fed by other's exports. A job may import its
-		// own exports, so other == newJob is allowed.
-		for _, im := range newJob.app.Imports {
+		// j's imports fed by other's exports. A job may import its own
+		// exports, but an operator never feeds itself.
+		for _, im := range j.app.Imports {
 			for _, ex := range other.app.Exports {
-				if other.id == newJob.id && im.Operator == ex.Operator {
-					continue // never self-loop a single operator
-				}
-				if !im.Matches(ex) {
-					continue
-				}
-				if l := s.dynamicLink(other, ex.Operator, ex.Port, newJob, im.Operator, im.Port); l != nil {
-					out = append(out, l)
+				self := other == j && im.Operator == ex.Operator
+				if !self && im.Matches(ex) && s.compatible(other, ex.Operator, ex.Port, j, im.Operator, im.Port) {
+					mint(false, other, ex.Operator, ex.Port, j, im.Operator, im.Port)
 				}
 			}
 		}
-		if other.id == newJob.id {
+		if other == j {
 			continue
 		}
-		// newJob's exports feeding other's imports.
-		for _, ex := range newJob.app.Exports {
+		// j's exports feeding other's imports.
+		for _, ex := range j.app.Exports {
 			for _, im := range other.app.Imports {
-				if !im.Matches(ex) {
-					continue
-				}
-				if l := s.dynamicLink(newJob, ex.Operator, ex.Port, other, im.Operator, im.Port); l != nil {
-					out = append(out, l)
+				if im.Matches(ex) && s.compatible(j, ex.Operator, ex.Port, other, im.Operator, im.Port) {
+					mint(false, j, ex.Operator, ex.Port, other, im.Operator, im.Port)
 				}
 			}
 		}
@@ -88,35 +87,48 @@ func (s *SAM) matchImportsLocked(newJob *job) []*xlink {
 	return out
 }
 
-func (s *SAM) dynamicLink(src *job, exOp string, exPort int, dst *job, imOp string, imPort int) *xlink {
-	fromIdx := src.app.PEOfOperator(exOp)
-	toIdx := dst.app.PEOfOperator(imOp)
-	if fromIdx < 0 || toIdx < 0 {
-		return nil
-	}
-	srcPE := src.pes[fromIdx]
-	dstPE := dst.pes[toIdx]
+// compatible reports whether an export can feed an import: both
+// endpoints have a container (a job still being built has none, and
+// forms the link when it deploys) and the port schemas agree.
+func (s *SAM) compatible(src *job, exOp string, exPort int, dst *job, imOp string, imPort int) bool {
+	srcPE := src.pes[src.app.PEOfOperator(exOp)]
+	dstPE := dst.pes[dst.app.PEOfOperator(imOp)]
 	if srcPE == nil || dstPE == nil || srcPE.container == nil || dstPE.container == nil {
-		return nil
+		return false
 	}
 	outSchema, err1 := srcPE.container.OutputSchema(exOp, exPort)
 	inSchema, err2 := dstPE.container.InputSchema(imOp, imPort)
 	if err1 != nil || err2 != nil || !outSchema.Equal(inSchema) {
 		s.cfg.Logf("sam: skipping import link %s:%d -> %s:%d: schema mismatch", exOp, exPort, imOp, imPort)
-		return nil
+		return false
 	}
-	s.nextLink++
-	return &xlink{
-		id:      fmt.Sprintf("dyn-%d-%d-%d", src.id, dst.id, s.nextLink),
-		fromJob: src.id, fromIdx: fromIdx, fromOp: exOp, fromPort: exPort,
-		toJob: dst.id, toIdx: toIdx, toOp: imOp, toPort: imPort,
+	return true
+}
+
+// dropLinksLocked removes every link that touches j's partitions parts.
+// Dropping a link severs the connection: its outlet
+// comes off the source container and pending and in-flight tuples are
+// lost, as a severed TCP connection would lose them (Discard never
+// blocks, so holding the SAM lock is fine).
+func (s *SAM) dropLinksLocked(j *job, parts []int) {
+	for id, l := range s.links {
+		if !l.touches(j.id, parts) {
+			continue
+		}
+		if src, ok := s.jobs[l.fromJob]; ok {
+			if rp := src.pes[l.fromIdx]; rp != nil && rp.container != nil {
+				_ = rp.container.RemoveOutlet(l.fromOp, l.fromPort, id) // fails only on a port establishLocked would have refused
+			}
+		}
+		if l.link != nil {
+			l.link.Discard()
+		}
+		delete(s.links, id)
 	}
 }
 
-// establishLocked (re)creates the physical transport for a link. Adding
-// an outlet under an existing id atomically replaces the previous
-// incarnation, so re-establishing after a PE restart needs no separate
-// teardown.
+// establishLocked creates the physical transport for a freshly minted
+// link between its endpoints' current containers.
 func (s *SAM) establishLocked(l *xlink) error {
 	src, ok := s.jobs[l.fromJob]
 	if !ok {
@@ -148,13 +160,6 @@ func (s *SAM) establishLocked(l *xlink) error {
 	if err := srcPE.container.AddOutlet(l.fromOp, l.fromPort, l.id, link.Send); err != nil {
 		link.Discard()
 		return err
-	}
-	if old := l.link; old != nil {
-		// The previous incarnation's in-flight tuples are lost, exactly as
-		// a severed TCP connection would lose them (crash-restart
-		// semantics); Discard never blocks, so holding the SAM lock here
-		// is fine.
-		old.Discard()
 	}
 	l.link = link
 	return nil
