@@ -51,18 +51,26 @@
 // every operator: outputs buffer per port and flush as one queue entry
 // into same-PE consumers and as one run into cross-PE links, so a fused
 // chain never degrades to per-tuple handoff — which is what makes a
-// fused hop cheaper than a cross-PE one. The chunk is the unit of
-// failure: if a call returns an error the chunk's buffered outputs are
-// discarded rather than forwarded — restart-based recovery replays from
-// upstream, and forwarding the partial effects would double-deliver
-// them — the PE crashes, and the chunk and everything queued behind it
-// is logged and counted on nTuplesDropped, as is every tuple offered to
-// an operator that has finalised or a container that has died. The hot
-// built-ins (Functor, Filter, Aggregate ingest, CountSink, LatencySink)
-// implement the interface with tight column-slice loops; the orcalint
-// batchspi analyzer guards the signature contracts (a mis-typed
-// ProcessBatch would otherwise silently fall back to the per-tuple
-// path).
+// fused hop cheaper than a cross-PE one. A source has no chunk: its
+// Submit forwards at once, and one that holds several tuples hands them
+// over as a run through the context's optional opapi.RunSubmitter
+// (SubmitRun: every tuple checked as Submit checks it, one flush). The
+// same swap-buffer hand-over — append under a mutex, take everything
+// pending, wake on the empty→non-empty edge, no timer — carries runs
+// through load.Injector in front of the source and through
+// transport.Link.SendRun, the outlet a port's flush calls once with its
+// whole buffer, behind it.
+//
+// The chunk is the unit of failure: if a call returns an error the chunk's
+// buffered outputs are discarded rather than forwarded — restart-based
+// recovery replays from upstream, and forwarding the partial effects would
+// double-deliver them — the PE crashes, and the chunk and everything
+// queued behind it is logged and counted on nTuplesDropped, as is every
+// tuple offered to an operator that has finalised or a container that has
+// died. The hot built-ins (Functor, Filter, Aggregate ingest, CountSink,
+// LatencySink) implement the interface with tight column-slice loops; the
+// orcalint batchspi analyzer guards the signature contracts (a mis-typed
+// ProcessBatch would otherwise silently fall back to the per-tuple path).
 //
 // # Operator model
 //
@@ -227,8 +235,9 @@
 //
 // internal/load is the heavy-traffic regression harness. Two driver
 // models inject tuples into a running application through a
-// "LoadSource" operator (fed via a registered injector channel, so a
-// chaos-killed source PE reattaches mid-run):
+// "LoadSource" operator (fed via a registered injector, a bounded swap
+// buffer that outlives the PE, so a chaos-killed source PE reattaches
+// mid-run):
 //
 //   - Open loop (load.RunOpenLoop): a constant offered rate,
 //     coordinated-omission-correct. Tuple i is stamped with its

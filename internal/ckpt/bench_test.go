@@ -101,6 +101,9 @@ func TestEncodeReusesPooledBuffers(t *testing.T) {
 		w.Close()
 	}
 	encode() // warm the pool with grown buffers
+	if raceEnabled {
+		return // the size check above has run; the pool cannot honour the pin
+	}
 	if allocs := testing.AllocsPerRun(20, encode); allocs > 4 {
 		t.Errorf("large snapshot encode allocated %.1f objects/op after warm-up; want <= 4 (pooled buffers not reused)", allocs)
 	}

@@ -18,42 +18,131 @@ const (
 	KindLatencySink = "LatencySink"
 )
 
-// injectorCap bounds the hand-off channel between a driver and its
+// injectorCap bounds the hand-off buffer between the drivers and their
 // LoadSource. Small enough that a stalled pipeline back-pressures the
 // driver quickly (the open-loop driver keeps charging latency against
 // intended send times while blocked), large enough to ride out
 // scheduling jitter at high rates.
 const injectorCap = 256
 
-// Injector is the hand-off between an external driver and a LoadSource
+// Injector is the hand-off between external drivers and a LoadSource
 // operator, resolved from a process-global registry by the operator's
 // injectorId parameter — the same pattern as the sink collector
-// registry, and for the same reason: the channel must outlive PE
+// registry, and for the same reason: the buffer must outlive PE
 // restarts so a chaos-killed source PE reattaches mid-run.
 //
-// Ownership: exactly one driver pushes and, after its last push
-// returns, closes. Closing delivers a final punctuation downstream.
+// It is a swap buffer, the mechanism of pe's inbox and the link's
+// sender side: any number of goroutines Push, each appending under the
+// mutex and parking while injectorCap tuples are pending; the source
+// takes everything pending in one swap, so an idle pipeline hands over
+// one tuple at once and a busy one hands over a run. Both sides park
+// on a one-token channel rather than a sync.Cond because both must
+// also give way to a stop channel. Wake-ups are edge-triggered: a push
+// wakes the source when it makes the buffer non-empty, a take wakes a
+// pusher when it empties a full buffer, and a pusher woken that way
+// passes the token on while room remains, so every parked pusher is
+// released. No timer, no linger.
+//
+// Ownership: the drivers push and, after their last Push has returned,
+// one of them closes. Closing delivers a final punctuation downstream.
 type Injector struct {
-	ch        chan tuple.Tuple
-	closeOnce sync.Once
+	mu      sync.Mutex
+	pending []tuple.Tuple
+	closed  bool
+	avail   chan struct{} // token: pending became non-empty, or closed
+	space   chan struct{} // token: a full buffer was taken
+}
+
+func newInjector() *Injector {
+	return &Injector{avail: make(chan struct{}, 1), space: make(chan struct{}, 1)}
+}
+
+// signal leaves a token in a one-token channel unless one is there.
+func signal(c chan struct{}) {
+	select {
+	case c <- struct{}{}:
+	default:
+	}
 }
 
 // Push hands one tuple to the source, blocking while the pipeline's
-// back-pressure holds the channel full. It returns false if stop
-// closes first (the tuple is dropped); a nil stop blocks indefinitely.
+// back-pressure holds the buffer full. It returns false, queueing
+// nothing, if stop closes first or the injector is closed; a nil stop
+// blocks indefinitely. Safe for concurrent use.
 func (in *Injector) Push(t tuple.Tuple, stop <-chan struct{}) bool {
-	select {
-	case in.ch <- t:
-		return true
-	case <-stop:
-		return false
+	woken := false
+	for {
+		in.mu.Lock()
+		if in.closed {
+			in.mu.Unlock()
+			signal(in.space) // whoever else is parked is refused too
+			return false
+		}
+		if n := len(in.pending); n < injectorCap {
+			in.pending = append(in.pending, t)
+			in.mu.Unlock()
+			if n == 0 {
+				signal(in.avail)
+			}
+			if woken && n+1 < injectorCap {
+				signal(in.space)
+			}
+			return true
+		}
+		in.mu.Unlock()
+		select {
+		case <-in.space:
+			woken = true
+		case <-stop:
+			return false
+		}
+	}
+}
+
+// take blocks until something is pending and returns all of it, keeping
+// spare (the caller's previous run, cleared) as the next pending
+// buffer. It reports false once the injector is closed and drained, or
+// when stop closes: a stopped taker leaves what is pending for the
+// source's next incarnation.
+func (in *Injector) take(spare []tuple.Tuple, stop <-chan struct{}) ([]tuple.Tuple, bool) {
+	for {
+		select {
+		case <-stop:
+			return nil, false
+		default:
+		}
+		in.mu.Lock()
+		run, closed := in.pending, in.closed
+		if len(run) > 0 {
+			in.pending = spare[:0]
+			in.mu.Unlock()
+			if len(run) == injectorCap {
+				signal(in.space)
+			}
+			return run, true
+		}
+		in.mu.Unlock()
+		if closed {
+			return nil, false
+		}
+		select {
+		case <-in.avail:
+		case <-stop:
+			return nil, false
+		}
 	}
 }
 
 // Close marks the end of the stream: the LoadSource drains what was
-// pushed, then returns and emits a final punctuation. Idempotent; must
-// only be called after every Push has returned.
-func (in *Injector) Close() { in.closeOnce.Do(func() { close(in.ch) }) }
+// pushed, then returns and emits a final punctuation. Idempotent; call
+// it after every Push has returned (a later Push is refused).
+func (in *Injector) Close() {
+	in.mu.Lock()
+	in.closed = true
+	in.mu.Unlock()
+	signal(in.avail)
+	signal(in.space)
+}
 
 var (
 	injectorsMu sync.Mutex
@@ -67,7 +156,7 @@ func InjectorFor(id string) *Injector {
 	defer injectorsMu.Unlock()
 	in, ok := injectors[id]
 	if !ok {
-		in = &Injector{ch: make(chan tuple.Tuple, injectorCap)}
+		in = newInjector()
 		injectors[id] = in
 	}
 	return in
@@ -98,19 +187,29 @@ func (s *loadSource) Open(ctx opapi.Context) error {
 	return nil
 }
 
+// Run forwards the injector's pending tuples a run at a time: one take,
+// then one SubmitRun where the context offers it (the PE's does) and a
+// Submit per tuple where it does not.
 func (s *loadSource) Run(stop <-chan struct{}) error {
+	rs, _ := s.ctx.(opapi.RunSubmitter)
+	var run []tuple.Tuple
 	for {
-		select {
-		case t, ok := <-s.inj.ch:
-			if !ok {
-				return nil // injector closed: final punctuation
-			}
-			if err := s.ctx.Submit(0, t); err != nil {
+		var ok bool
+		if run, ok = s.inj.take(run, stop); !ok {
+			return nil // closed and drained (final punctuation), or stopped
+		}
+		if rs != nil {
+			if err := rs.SubmitRun(0, run); err != nil {
 				return err
 			}
-		case <-stop:
-			return nil
+		} else {
+			for _, t := range run {
+				if err := s.ctx.Submit(0, t); err != nil {
+					return err
+				}
+			}
 		}
+		clear(run)
 	}
 }
 
@@ -179,7 +278,7 @@ func init() {
 	opapi.Default.RegisterOp(KindLoadSource,
 		func() opapi.Operator { return &loadSource{} },
 		&opapi.OpModel{
-			Doc:     "Source fed by an external load driver through a registered injector channel.",
+			Doc:     "Source fed by external load drivers through a registered injector.",
 			Inputs:  opapi.PortSpec{},
 			Outputs: opapi.ExactlyPorts(1),
 			Params: []opapi.ParamSpec{

@@ -217,7 +217,9 @@ type Context interface {
 	OutputSchema(i int) *tuple.Schema
 	// Submit sends a tuple on output port i. From a processing goroutine
 	// the tuple is forwarded once the current chunk of input has been
-	// processed; from a Source's Run goroutine, at once.
+	// processed; from a Source's Run goroutine, at once. A source that
+	// holds several tuples hands them over together through the
+	// optional RunSubmitter.
 	Submit(i int, t tuple.Tuple) error
 	// SubmitMark sends a punctuation on output port i. Final marks are
 	// normally managed by the runtime; sources emit them via Run's return.
@@ -233,6 +235,18 @@ type Context interface {
 	Done() <-chan struct{}
 	// Logf writes to the PE's log.
 	Logf(format string, args ...any)
+}
+
+// RunSubmitter is an optional capability of a Context: an operator that
+// already holds a run of tuples for one port — a source draining an
+// external buffer — type-asserts its Context to it and falls back to a
+// Submit per tuple when the assertion fails. The PE's context has it.
+type RunSubmitter interface {
+	// SubmitRun sends ts, in order, on output port i as one hand-over:
+	// every tuple gets Submit's checks, a run with a bad tuple is
+	// refused whole, and a source's run is forwarded at once as one
+	// unit. ts remains the caller's.
+	SubmitRun(i int, ts []tuple.Tuple) error
 }
 
 // Sleep waits d on the clock, returning early with false when stop

@@ -38,6 +38,30 @@ func (c *opContext) OutputSchema(i int) *tuple.Schema {
 }
 
 func (c *opContext) Submit(i int, t tuple.Tuple) error {
+	if err := c.checkSubmit(i, &t); err != nil {
+		return err
+	}
+	c.rt.emit(i, TupleItem(t))
+	return nil
+}
+
+// SubmitRun implements opapi.RunSubmitter: the whole run is checked
+// before any of it is buffered, then leaves in one flush.
+func (c *opContext) SubmitRun(i int, ts []tuple.Tuple) error {
+	for k := range ts {
+		if err := c.checkSubmit(i, &ts[k]); err != nil {
+			return err
+		}
+	}
+	if len(ts) > 0 {
+		c.rt.emitRun(i, ts)
+	}
+	return nil
+}
+
+// checkSubmit is what every submitted tuple must pass: a port that
+// exists, valid storage, the port's schema.
+func (c *opContext) checkSubmit(i int, t *tuple.Tuple) error {
 	if i < 0 || i >= len(c.rt.spec.Outputs) {
 		return fmt.Errorf("pe: %s has no output port %d", c.rt.spec.Name, i)
 	}
@@ -48,7 +72,6 @@ func (c *opContext) Submit(i int, t tuple.Tuple) error {
 		return fmt.Errorf("pe: %s port %d schema mismatch: got %s want %s",
 			c.rt.spec.Name, i, t.Schema(), c.rt.spec.Outputs[i])
 	}
-	c.rt.emit(i, TupleItem(t))
 	return nil
 }
 

@@ -11,10 +11,13 @@
 // whole; the drained run is cut into chunks of at most maxChunk tuples
 // of one port, each handed over as one ProcessBatch call (or unrolled
 // into Process calls); Context.Submit coalesces for every operator for
-// the length of a chunk. Config.QueueCap and the queueSize gauge count
-// tuples, so a queued 64-tuple frame weighs 64. Batch, GetBatch,
-// PutBatch, ExternalInlet and ExternalBatchInlet are thin adapters over
-// that path, kept for the transport and the benchmark.
+// the length of a chunk, and a source, which has no chunk, hands over a
+// run it already holds with SubmitRun (opapi.RunSubmitter): one flush,
+// one inbox entry per fused consumer, one call per outlet.
+// Config.QueueCap and the queueSize gauge count tuples, so a queued
+// 64-tuple frame weighs 64. Batch, GetBatch, PutBatch, ExternalInlet
+// and ExternalBatchInlet are thin adapters over that path, kept for the
+// transport and the benchmark.
 package pe
 
 import (
@@ -106,8 +109,10 @@ type CkptConfig struct {
 	Restore bool
 }
 
-// Outlet receives items leaving the PE on a cross-PE or cross-job link.
-type Outlet func(Item)
+// Outlet receives the items leaving the PE on a cross-PE or cross-job
+// link, a run per call: whatever the port's flush holds, in order. The
+// slice is the caller's and is reused after the call returns.
+type Outlet func([]Item)
 
 // PE is a running processing element.
 type PE struct {
@@ -161,7 +166,8 @@ type opRuntime struct {
 	owed     int
 	// outBuf holds the pending emits, one buffer per output port, until
 	// flush forwards them: once per chunk for an operator with inputs,
-	// at every emit for a source. Operator's own goroutine only.
+	// at every Submit or SubmitRun for a source. Operator's own
+	// goroutine only.
 	outBuf [][]Item
 	om     *metrics.OpMetrics
 	inPM   []*metrics.Set // per input port
@@ -231,15 +237,13 @@ func (s *outletSet) rebuild() {
 	s.next = next
 }
 
-// each hands the items, in order, to every attached outlet.
+// each hands the items, as one run, to every attached outlet.
 func (s *outletSet) each(items []Item) {
 	s.mu.RLock()
 	outs := s.next
 	s.mu.RUnlock()
 	for _, fn := range outs {
-		for _, it := range items {
-			fn(it)
-		}
+		fn(items)
 	}
 }
 
@@ -870,9 +874,9 @@ func (rt *opRuntime) deliverMark(port int, m tuple.Mark) bool {
 }
 
 // flush forwards the operator's pending emits: every intra-PE target
-// receives its port's items as one queue entry, external outlets receive
-// them in order (links batch internally), and the submission counters
-// advance by the tuple count in one step per port.
+// receives its port's items as one queue entry, every external outlet
+// receives them as one run, and the submission counters advance by the
+// tuple count in one step per port.
 func (rt *opRuntime) flush() {
 	for port, buf := range rt.outBuf {
 		if len(buf) == 0 {
@@ -927,10 +931,23 @@ func (rt *opRuntime) forwardFinal() {
 }
 
 // emit buffers an item leaving an output port. An operator with inputs
-// emits from its consume goroutine, which flushes once per run; a source
-// has no run to coalesce over and forwards at once.
+// emits from its consume goroutine, which flushes once per chunk; a
+// source has no chunk to coalesce over and forwards at once.
 func (rt *opRuntime) emit(port int, it Item) {
 	rt.outBuf[port] = append(rt.outBuf[port], it)
+	if len(rt.spec.Inputs) == 0 {
+		rt.flush()
+	}
+}
+
+// emitRun buffers a run of tuples leaving an output port: emit for the
+// whole run, so a source forwards it in one flush.
+func (rt *opRuntime) emitRun(port int, ts []tuple.Tuple) {
+	buf := rt.outBuf[port]
+	for _, t := range ts {
+		buf = append(buf, TupleItem(t))
+	}
+	rt.outBuf[port] = buf
 	if len(rt.spec.Inputs) == 0 {
 		rt.flush()
 	}

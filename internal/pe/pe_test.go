@@ -280,7 +280,7 @@ func TestCrossPEPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := up.AddOutlet("src", 0, "link1", inlet); err != nil {
+	if err := up.AddOutlet("src", 0, "link1", itemOutlet(inlet)); err != nil {
 		t.Fatal(err)
 	}
 	if err := down.Start(); err != nil {
@@ -301,6 +301,15 @@ func TestCrossPEPipeline(t *testing.T) {
 	down.Stop()
 }
 
+// itemOutlet adapts a per-item inlet to the run-taking Outlet.
+func itemOutlet(inlet func(Item)) Outlet {
+	return func(run []Item) {
+		for _, it := range run {
+			inlet(it)
+		}
+	}
+}
+
 func TestRemoveOutletStopsFlow(t *testing.T) {
 	coll := &collector{}
 	reg := opapi.NewRegistry()
@@ -311,7 +320,7 @@ func TestRemoveOutletStopsFlow(t *testing.T) {
 		Ops: []OpSpec{{Name: "src", Kind: "SlowSource", Outputs: []*tuple.Schema{intSchema}}}, Registry: reg})
 	down, _ := New(Config{ID: 2, Job: 1, App: "x", Ops: []OpSpec{sinkSpec("sink")}, Registry: reg})
 	inlet, _ := down.ExternalInlet("sink", 0)
-	if err := up.AddOutlet("src", 0, "l", inlet); err != nil {
+	if err := up.AddOutlet("src", 0, "l", itemOutlet(inlet)); err != nil {
 		t.Fatal(err)
 	}
 	_ = down.Start()
@@ -534,7 +543,7 @@ func TestInletErrors(t *testing.T) {
 	if _, err := p.ExternalInlet("sink", 5); err == nil {
 		t.Fatal("inlet for bad port")
 	}
-	if err := p.AddOutlet("sink", 0, "l", func(Item) {}); err == nil {
+	if err := p.AddOutlet("sink", 0, "l", func([]Item) {}); err == nil {
 		t.Fatal("outlet on sink output accepted")
 	}
 	if _, err := p.InputSchema("sink", 0); err != nil {

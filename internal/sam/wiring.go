@@ -157,7 +157,7 @@ func (s *SAM) establishLocked(l *xlink) error {
 		dstPE.container.PEMetrics().Counter(metrics.PETupleBytesProcessed),
 		func(err error) { s.cfg.Logf("sam: link %s: %v", l.id, err) },
 	)
-	if err := srcPE.container.AddOutlet(l.fromOp, l.fromPort, l.id, link.Send); err != nil {
+	if err := srcPE.container.AddOutlet(l.fromOp, l.fromPort, l.id, link.SendRun); err != nil {
 		link.Discard()
 		return err
 	}

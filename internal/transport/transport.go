@@ -5,11 +5,13 @@
 // metrics honest and guarantees no accidental sharing of tuple storage
 // across the PE boundary (so killing a PE loses exactly its own state).
 //
-// Links batch: a sender enqueues items into a bounded pending buffer and a
-// per-link flusher goroutine drains whatever has accumulated, encoding up
-// to MaxFrameTuples tuples per frame and delivering each decoded frame to
-// the remote PE as one pe.Batch — one pointer append into the receiving
-// operator's inbox, whose capacity counts the frame's tuples. Under load
+// Links batch: a sender appends its run of items to a bounded pending
+// buffer — SendRun, the pe.Outlet a port's flush calls once per run;
+// Send is its one-item form — and a per-link flusher goroutine drains
+// whatever has accumulated, encoding up to MaxFrameTuples tuples per
+// frame and delivering each decoded frame to the remote PE as one
+// pe.Batch — one pointer append into the receiving operator's inbox,
+// whose capacity counts the frame's tuples. Under load
 // frames fill and the per-tuple cost of queue synchronisation, codec
 // buffers, and tuple storage amortises to zero steady-state allocations
 // (a frame decodes into one block per typed array; the tuple headers are
@@ -49,11 +51,12 @@ const MaxFrameTuples = 64
 // sender, preserving the backpressure a synchronous link used to provide.
 const maxPending = 1024
 
-// Link is one batching cross-PE stream connection. Send (the pe.Outlet)
-// may be called from any producer goroutine; a dedicated flusher drains
-// the pending buffer, frames, and delivers. Close drains whatever is
-// pending and stops the flusher; a closed link drops further sends, the
-// connection-level behaviour of a torn-down TCP link.
+// Link is one batching cross-PE stream connection. SendRun (the
+// pe.Outlet) and Send may be called from any producer goroutine; a
+// dedicated flusher drains the pending buffer, frames, and delivers.
+// Close drains whatever is pending and stops the flusher; a closed link
+// drops further sends, the connection-level behaviour of a torn-down
+// TCP link.
 type Link struct {
 	schema    *tuple.Schema
 	remote    func(*pe.Batch)
@@ -99,9 +102,33 @@ func NewLink(schema *tuple.Schema, remote func(*pe.Batch), sentBytes, recvBytes 
 	return l
 }
 
-// Send enqueues one item for delivery; it is the link's pe.Outlet. It
-// blocks when the pending buffer is full (backpressure) and drops the item
-// when the link has been closed.
+// SendRun enqueues a run of items for delivery, in order; it is the
+// link's pe.Outlet. As much of the run as fits is appended under one
+// hold of the lock; while the pending buffer is full the sender waits
+// (backpressure) and then appends the rest. The items are copied, so
+// the slice stays the caller's. A closed link drops what has not been
+// appended yet.
+func (l *Link) SendRun(items []pe.Item) {
+	l.mu.Lock()
+	for len(items) > 0 {
+		for len(l.pending) >= maxPending && !l.closed {
+			l.notFull.Wait()
+		}
+		if l.closed {
+			break
+		}
+		n := min(len(items), maxPending-len(l.pending))
+		if len(l.pending) == 0 {
+			l.notEmpty.Signal()
+		}
+		l.pending = append(l.pending, items[:n]...)
+		items = items[n:]
+	}
+	l.mu.Unlock()
+}
+
+// Send is SendRun for one item, without the slice: the form a caller
+// holding single items uses (the benchmark's hop probe times it).
 func (l *Link) Send(it pe.Item) {
 	l.mu.Lock()
 	for len(l.pending) >= maxPending && !l.closed {
