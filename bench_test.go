@@ -1,6 +1,9 @@
-// Root benchmark harness: one benchmark (or benchmark pair) per paper
-// experiment (E1–E3 drive the sentiment, failover and composition
-// scenarios of internal/exp at a reduced scale). Run with:
+// Root micro-benchmarks: the paper-§6 costs no scenario and no
+// go run ./bench workload covers — scope matching against the naive
+// closure (E7), event delivery (E8), the dependency scheduler (E9),
+// embedded against orchestrated adaptation (E10), graph inspection.
+// Throughput, recovery and event-rate numbers come from go run ./bench;
+// the paper's use cases run as orcarun scenarios. Run with:
 //
 //	go test -bench=. -benchmem .
 package streamorca_test
@@ -14,7 +17,6 @@ import (
 	"streamorca/internal/adl"
 	"streamorca/internal/apps"
 	"streamorca/internal/baseline"
-	"streamorca/internal/exp"
 	"streamorca/internal/extjob"
 	"streamorca/internal/graph"
 	"streamorca/internal/ids"
@@ -51,120 +53,6 @@ func benchInstance(b *testing.B, hosts ...string) *streams.Instance {
 	return inst
 }
 
-// BenchmarkE1SentimentAdaptation runs the full Figure 8 control loop
-// (shift → threshold crossing → batch job → recovery) once per iteration.
-func BenchmarkE1SentimentAdaptation(b *testing.B) {
-	cfg := exp.E1Config{
-		TweetPeriod: 50 * time.Microsecond, ShiftAt: 1500, RecentWindow: 200,
-		Threshold: 1.0, JobLatency: 10 * time.Millisecond,
-		Suppression: 100 * time.Millisecond, PullEvery: 2 * time.Millisecond,
-		MaxDuration: 30 * time.Second,
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.RunE1(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE2FailoverReaction runs the Figure 9 failover (kill → promote
-// → restart → window refill) once per iteration and reports the failover
-// latency.
-func BenchmarkE2FailoverReaction(b *testing.B) {
-	cfg := exp.E2Config{
-		Window: 200 * time.Millisecond, TickPeriod: time.Millisecond,
-		Sample: 20 * time.Millisecond, MaxDuration: 30 * time.Second,
-	}
-	var totalFailoverMs float64
-	for i := 0; i < b.N; i++ {
-		out, err := exp.RunE2(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		totalFailoverMs += out.Report.Metrics["failover_ms"]
-	}
-	b.ReportMetric(totalFailoverMs*1000/float64(b.N), "failover-us/op")
-}
-
-// BenchmarkE3DynamicComposition runs the Figure 10 expansion/contraction
-// cycle once per iteration.
-func BenchmarkE3DynamicComposition(b *testing.B) {
-	cfg := exp.E3Config{
-		ProfilePeriod: 50 * time.Microsecond, Threshold: 500,
-		PullEvery: 2 * time.Millisecond, MaxDuration: 30 * time.Second,
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.RunE3(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchPipeline submits a 3-PE pipeline pushing b.N tuples and waits for
-// the final punctuation; the reported ns/op is per tuple end-to-end.
-func benchPipeline(b *testing.B, withOrca bool) {
-	inst := benchInstance(b, "h1")
-	collector := buniq("e5")
-	ops.ResetCollector(collector)
-	bl := streams.NewApp("BenchPipe")
-	src := bl.AddOperator("src", "Beacon").Out(benchSchema).Param("count", fmt.Sprint(b.N))
-	fn := bl.AddOperator("fn", "Functor").In(benchSchema).Out(benchSchema).Param("addInt", "seq:1")
-	sink := bl.AddOperator("sink", "CollectSink").In(benchSchema).
-		Param("collectorId", collector).Param("limit", "1")
-	bl.Connect(src, 0, fn, 0)
-	bl.Connect(fn, 0, sink, 0)
-	app, err := bl.Build(streams.BuildOptions{Fusion: streams.FuseNone})
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	var svc *orca.Service
-	if withOrca {
-		svc, err = orca.NewRoutineService(orca.Config{
-			Name: buniq("orca"), SAM: inst.SAM, SRM: inst.SRM, PullInterval: time.Hour,
-		}, benchNoop())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := svc.RegisterApplication(app); err != nil {
-			b.Fatal(err)
-		}
-		if err := svc.Start(); err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(svc.Stop)
-		if err := svc.RegisterEventScope(orca.NewOperatorMetricScope("all")); err != nil {
-			b.Fatal(err)
-		}
-		stop := make(chan struct{})
-		b.Cleanup(func() { close(stop) })
-		go func() {
-			for {
-				select {
-				case <-stop:
-					return
-				case <-time.After(2 * time.Millisecond):
-					inst.FlushMetrics()
-					svc.PullMetricsNow()
-				}
-			}
-		}()
-	}
-
-	b.ResetTimer()
-	if withOrca {
-		if _, err := svc.SubmitApplication("BenchPipe", nil); err != nil {
-			b.Fatal(err)
-		}
-	} else {
-		if _, err := inst.SAM.SubmitJob(app, streams.SubmitOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	awaitFinal(b, collector)
-}
-
 // awaitFinal spins until the collector has seen the pipeline's final
 // punctuation, failing the benchmark after 30 s instead of hanging.
 func awaitFinal(b *testing.B, collector string) {
@@ -176,128 +64,6 @@ func awaitFinal(b *testing.B, collector string) {
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-}
-
-// BenchmarkE5HotPathNoOrca measures per-tuple pipeline cost without an
-// orchestrator attached.
-func BenchmarkE5HotPathNoOrca(b *testing.B) { benchPipeline(b, false) }
-
-// BenchmarkE5HotPathWithOrca measures the same pipeline with an
-// orchestrator pulling broad metric scopes every 2 ms — §3's claim is
-// that the difference stays marginal.
-func BenchmarkE5HotPathWithOrca(b *testing.B) { benchPipeline(b, true) }
-
-// BenchmarkE6FailureReactionAuto measures kill→running latency under
-// SAM's auto-restart flag.
-func BenchmarkE6FailureReactionAuto(b *testing.B) {
-	inst := benchInstance(b, "h1")
-	collector := buniq("e6")
-	ops.ResetCollector(collector)
-	bl := streams.NewApp("BenchAuto")
-	src := bl.AddOperator("src", "Beacon").Out(benchSchema).Param("count", "0").Param("period", "1ms")
-	sink := bl.AddOperator("sink", "CollectSink").In(benchSchema).
-		Param("collectorId", collector).Param("limit", "10")
-	bl.Connect(src, 0, sink, 0)
-	app, err := bl.Build(streams.BuildOptions{Fusion: streams.FuseNone})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := range app.PEs {
-		app.PEs[i].Restart = true
-	}
-	job, err := inst.SAM.SubmitJob(app, streams.SubmitOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sinkPE := findPE(b, inst, job, "sink")
-	b.ResetTimer()
-	for i := 1; i <= b.N; i++ {
-		if err := inst.SAM.KillPE(sinkPE, "bench"); err != nil {
-			b.Fatal(err)
-		}
-		waitRestarts(b, inst, job, sinkPE, i)
-	}
-}
-
-// BenchmarkE6FailureReactionOrca measures the same recovery through the
-// orchestrator's PE-failure handler (one extra hop).
-func BenchmarkE6FailureReactionOrca(b *testing.B) {
-	inst := benchInstance(b, "h1")
-	collector := buniq("e6o")
-	ops.ResetCollector(collector)
-	bl := streams.NewApp("BenchOrcaRestart")
-	src := bl.AddOperator("src", "Beacon").Out(benchSchema).Param("count", "0").Param("period", "1ms")
-	sink := bl.AddOperator("sink", "CollectSink").In(benchSchema).
-		Param("collectorId", collector).Param("limit", "10")
-	bl.Connect(src, 0, sink, 0)
-	app, err := bl.Build(streams.BuildOptions{Fusion: streams.FuseNone})
-	if err != nil {
-		b.Fatal(err)
-	}
-	policy := orca.NewRoutine("restart", func(sc *orca.SetupContext) error {
-		return sc.Subscribe(orca.OnPEFailure(
-			orca.NewPEFailureScope("f").AddApplicationFilter("BenchOrcaRestart"),
-			func(ctx *orca.PEFailureContext, act *orca.Actions) error {
-				return act.RestartPE(ctx.PE)
-			}))
-	})
-	svc, err := orca.NewRoutineService(orca.Config{
-		Name: buniq("orca"), SAM: inst.SAM, SRM: inst.SRM, PullInterval: time.Hour,
-	}, policy)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := svc.RegisterApplication(app); err != nil {
-		b.Fatal(err)
-	}
-	if err := svc.Start(); err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(svc.Stop)
-	job, err := svc.SubmitApplication("BenchOrcaRestart", nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sinkPE := findPE(b, inst, job, "sink")
-	b.ResetTimer()
-	for i := 1; i <= b.N; i++ {
-		if err := svc.KillPE(sinkPE, "bench"); err != nil {
-			b.Fatal(err)
-		}
-		waitRestarts(b, inst, job, sinkPE, i)
-	}
-}
-
-func findPE(b *testing.B, inst *streams.Instance, job streams.JobID, op string) streams.PEID {
-	b.Helper()
-	info, ok := inst.SAM.Job(job)
-	if !ok {
-		b.Fatal("job missing")
-	}
-	for _, p := range info.PEs {
-		for _, o := range p.Operators {
-			if o == op {
-				return p.ID
-			}
-		}
-	}
-	b.Fatalf("no PE holds %q", op)
-	return 0
-}
-
-func waitRestarts(b *testing.B, inst *streams.Instance, job streams.JobID, pe streams.PEID, want int) {
-	b.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		info, _ := inst.SAM.Job(job)
-		for _, p := range info.PEs {
-			if p.ID == pe && p.State == "running" && p.Restarts >= want {
-				return
-			}
-		}
-		time.Sleep(20 * time.Microsecond)
-	}
-	b.Fatalf("PE never reached %d restarts", want)
 }
 
 // e7Graph builds a deep composite nest with many operators for the scope

@@ -3,13 +3,14 @@
 // and prints its outcome: the figure series as CSV (when the scenario
 // reproduces one), a "deterministic:" line two same-seed runs must agree
 // on (seeded scenarios), the measurements, and a closing "<name> OK:"
-// line. A failed scenario assertion exits non-zero.
+// line. A failed scenario assertion exits non-zero. Scenarios assert
+// behaviour; performance numbers come from go run ./bench.
 //
 // Usage:
 //
 //	go run ./cmd/orcarun -list-scenarios
-//	go run ./cmd/orcarun -scenario failover -window 600ms
-//	go run ./cmd/orcarun -scenario chaos-load -seed 42 -bench-out report.json
+//	go run ./cmd/orcarun -scenario failover
+//	go run ./cmd/orcarun -scenario chaos-load -seed 42 -max 60s
 package main
 
 import (
@@ -21,7 +22,6 @@ import (
 	"time"
 
 	"streamorca/internal/exp"
-	"streamorca/internal/load"
 )
 
 func main() {
@@ -32,17 +32,9 @@ func main() {
 	var p exp.Params
 	scenario := flag.String("scenario", "sentiment", strings.Join(names, " | "))
 	list := flag.Bool("list-scenarios", false, "list available scenarios and exit")
-	benchOut := flag.String("bench-out", "", "write the run's report (shared bench schema) to this JSON file")
 	flag.Int64Var(&p.Seed, "seed", 42, "chaos, loadtest, chaos-load, fission: fault schedule, workload, and retry jitter seed")
 	flag.DurationVar(&p.MaxDuration, "max", 30*time.Second, "run time budget")
 	flag.StringVar(&p.StoreDir, "store", "", "checkpoint store directory (default: memory; recovery, staleness-failover: a temp dir)")
-	flag.Int64Var(&p.Shift, "shift", 0, "sentiment: tweet index of the cause-distribution shift (0 = 4000)")
-	flag.Float64Var(&p.Ratio, "ratio", 0, "sentiment: actuation ratio threshold (0 = 1.0)")
-	flag.DurationVar(&p.Window, "window", 0, "failover: sliding window duration (0 = 600ms)")
-	flag.DurationVar(&p.Tick, "tick", 0, "failover: tick period (0 = 1ms)")
-	flag.Int64Var(&p.Threshold, "threshold", 0, "composition: new-profile threshold for C3 spawn (0 = 1500)")
-	flag.Int64Var(&p.Warm, "warm", 0, "recovery: window fill to reach before the checkpoint (0 = 100)")
-	flag.DurationVar(&p.MaxSnapshotAge, "max-snapshot-age", 0, "staleness-failover: staleness gate bound (0 = 100ms)")
 	flag.Float64Var(&p.Rate, "rate", 0, "offered rate in tuples/sec: loadtest, chaos-load open-loop rate; chaos source rate (0 = scenario default)")
 	flag.DurationVar(&p.Duration, "duration", 0, "offered-load schedule length: loadtest, chaos-load, fission duration; chaos injection window (0 = scenario default)")
 	flag.IntVar(&p.Users, "users", 0, "loadtest, chaos-load: closed-loop mode with this many concurrent users (0 = open loop)")
@@ -73,11 +65,6 @@ func main() {
 	out, err := sc.Run(p)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if *benchOut != "" && out.Report != nil {
-		if err := load.WriteReport(*benchOut, out.Report); err != nil {
-			log.Fatal(err)
-		}
 	}
 	out.Print(os.Stdout)
 }

@@ -228,8 +228,7 @@
 // entry of internal/exp.Scenarios) layers all of it over a live
 // checkpointing pipeline, then sweeps: disarm the store, revive the
 // cluster, restart what is down, and fail the run unless every PE
-// comes back and output resumes. Recovery-gap statistics land in the
-// scenario's -bench-out report (BENCH_pr6.json is a committed sample).
+// comes back and output resumes; it prints its recovery-gap statistics.
 //
 // # Load generation and latency measurement
 //
@@ -260,20 +259,20 @@
 // bins. Per-PE ingest/egress tuples-per-second gauges
 // (streams.MetricIngestRate / MetricEgressRate) are derived from
 // counter deltas at each metric snapshot — the signal both the load
-// reports and the elastic fission routine read.
+// scenarios and the elastic fission routine read.
 //
 // The orcarun loadtest scenario (internal/exp.Scenarios) drives a
 // checkpointing three-host pipeline — LoadSource -> hash-split over
 // three Functor workers -> merge -> LatencySink, with an Aggregate
-// branch holding checkpointable window state — and writes
-// p50/p99/p999/max latency plus sustained and per-window throughput to
-// its -bench-out report in the shared load.Report schema (one schema
-// for every scenario report and BENCH_*.json: name, seed,
-// deterministic meta, measured metrics). The chaos-load scenario layers the PR-6 chaos schedule
-// over the same workload, so recovery gaps show up as measured p999
-// and min-window-throughput dips; for a fixed seed the schedule
+// branch holding checkpointable window state — and prints
+// p50/p99/p999/max latency plus sustained and per-window throughput.
+// The chaos-load scenario layers the chaos schedule over the same
+// workload, so recovery gaps show up as measured p999 and
+// min-window-throughput dips; for a fixed seed the schedule
 // fingerprint, offered count, and hot-key share are identical across
-// runs.
+// runs. Scenarios print what they measure and assert on it; the
+// system's performance numbers come from one place, go run ./bench
+// (BENCHMARK.json declares its workloads and metrics).
 //
 // # Parallel regions and elastic fission
 //
@@ -314,8 +313,8 @@
 // scenario runs the whole loop live — probes the region's capacity at
 // width 1 and max width, then offers a Zipf-skewed load above the
 // width-1 ceiling and lets the routine, not the driver, widen the
-// region — and records both capacities, the actuation log, and the
-// delivered-latency histogram in BENCH_pr8.json.
+// region — and prints both capacities, the actuation log, and the
+// delivered latency.
 //
 // # Static analysis and lint contracts
 //
@@ -349,6 +348,6 @@
 // See ARCHITECTURE.md for the component map, the tuple/frame and
 // checkpoint/restore lifecycles, the analyzer catalog, and the catalog
 // of every orcarun scenario with what it proves; ROADMAP.md for the
-// open directions. The root-level benchmarks (bench_test.go)
-// regenerate one measurement per experiment.
+// open directions. go run ./bench is the benchmark; the root-level
+// bench_test.go keeps the paper-§6 micro-costs it does not cover.
 package streamorca

@@ -19,14 +19,10 @@ import (
 type Scope interface {
 	// Key returns the developer-assigned subscope key.
 	Key() string
-	// kind returns the event kind the subscope selects.
-	kind() EventKind
 	// matches evaluates the subscope against an event, resolving
 	// graph-structural filters (composite containment) through the
 	// service's stream graph for the event's job.
 	matches(d *eventData, g *graph.Graph) bool
-	// validate checks the subscope is well-formed at registration time.
-	validate() error
 }
 
 // structural holds the filters shared by scopes whose events attach to a
@@ -103,8 +99,6 @@ func NewOperatorMetricScope(key string) *OperatorMetricScope {
 // Key implements Scope.
 func (s *OperatorMetricScope) Key() string { return s.key }
 
-func (s *OperatorMetricScope) kind() EventKind { return KindOperatorMetric }
-
 // AddApplicationFilter restricts events to the named applications.
 func (s *OperatorMetricScope) AddApplicationFilter(apps ...string) *OperatorMetricScope {
 	s.apps = append(s.apps, apps...)
@@ -169,8 +163,6 @@ func (s *OperatorMetricScope) matches(d *eventData, g *graph.Graph) bool {
 	return s.matchStructural(d, g)
 }
 
-func (s *OperatorMetricScope) validate() error { return validateKey(s.key) }
-
 // PEMetricScope subscribes to PE-scoped metric events (byte counters,
 // restart counts).
 type PEMetricScope struct {
@@ -185,8 +177,6 @@ func NewPEMetricScope(key string) *PEMetricScope { return &PEMetricScope{key: ke
 
 // Key implements Scope.
 func (s *PEMetricScope) Key() string { return s.key }
-
-func (s *PEMetricScope) kind() EventKind { return KindPEMetric }
 
 // AddApplicationFilter restricts events to the named applications.
 func (s *PEMetricScope) AddApplicationFilter(apps ...string) *PEMetricScope {
@@ -219,8 +209,6 @@ func (s *PEMetricScope) matches(d *eventData, _ *graph.Graph) bool {
 	return len(s.metricNames) == 0 || containsStr(s.metricNames, d.metric)
 }
 
-func (s *PEMetricScope) validate() error { return validateKey(s.key) }
-
 // PortMetricScope subscribes to operator-port metric events — e.g. the
 // final-punctuation metric of a sink operator the dynamic-composition use
 // case watches (§5.3).
@@ -238,8 +226,6 @@ func NewPortMetricScope(key string) *PortMetricScope { return &PortMetricScope{k
 
 // Key implements Scope.
 func (s *PortMetricScope) Key() string { return s.key }
-
-func (s *PortMetricScope) kind() EventKind { return KindPortMetric }
 
 // AddApplicationFilter restricts events to the named applications.
 func (s *PortMetricScope) AddApplicationFilter(apps ...string) *PortMetricScope {
@@ -301,8 +287,6 @@ func (s *PortMetricScope) matches(d *eventData, g *graph.Graph) bool {
 	return s.matchStructural(d, g)
 }
 
-func (s *PortMetricScope) validate() error { return validateKey(s.key) }
-
 // PEFailureScope subscribes to PE crash events — Figure 5's second
 // subscope.
 type PEFailureScope struct {
@@ -317,8 +301,6 @@ func NewPEFailureScope(key string) *PEFailureScope { return &PEFailureScope{key:
 
 // Key implements Scope.
 func (s *PEFailureScope) Key() string { return s.key }
-
-func (s *PEFailureScope) kind() EventKind { return KindPEFailure }
 
 // AddApplicationFilter restricts events to failures of the named
 // applications' PEs.
@@ -352,8 +334,6 @@ func (s *PEFailureScope) matches(d *eventData, _ *graph.Graph) bool {
 	return len(s.hosts) == 0 || containsStr(s.hosts, d.host)
 }
 
-func (s *PEFailureScope) validate() error { return validateKey(s.key) }
-
 // HostFailureScope subscribes to host failure events.
 type HostFailureScope struct {
 	key   string
@@ -365,8 +345,6 @@ func NewHostFailureScope(key string) *HostFailureScope { return &HostFailureScop
 
 // Key implements Scope.
 func (s *HostFailureScope) Key() string { return s.key }
-
-func (s *HostFailureScope) kind() EventKind { return KindHostFailure }
 
 // AddHostFilter restricts events to the named hosts.
 func (s *HostFailureScope) AddHostFilter(hosts ...string) *HostFailureScope {
@@ -380,8 +358,6 @@ func (s *HostFailureScope) matches(d *eventData, _ *graph.Graph) bool {
 	}
 	return len(s.hosts) == 0 || containsStr(s.hosts, d.host)
 }
-
-func (s *HostFailureScope) validate() error { return validateKey(s.key) }
 
 // JobEventScope subscribes to job submission and/or cancellation events
 // the service itself generates (§4.1, §4.4).
@@ -400,8 +376,6 @@ func NewJobEventScope(key string) *JobEventScope {
 
 // Key implements Scope.
 func (s *JobEventScope) Key() string { return s.key }
-
-func (s *JobEventScope) kind() EventKind { return KindJobSubmitted }
 
 // AddApplicationFilter restricts events to the named applications.
 func (s *JobEventScope) AddApplicationFilter(apps ...string) *JobEventScope {
@@ -437,8 +411,6 @@ func (s *JobEventScope) matches(d *eventData, _ *graph.Graph) bool {
 	return len(s.apps) == 0 || containsStr(s.apps, d.app)
 }
 
-func (s *JobEventScope) validate() error { return validateKey(s.key) }
-
 // TimerScope subscribes to timer-expiration events.
 type TimerScope struct {
 	key   string
@@ -450,8 +422,6 @@ func NewTimerScope(key string) *TimerScope { return &TimerScope{key: key} }
 
 // Key implements Scope.
 func (s *TimerScope) Key() string { return s.key }
-
-func (s *TimerScope) kind() EventKind { return KindTimer }
 
 // AddTimerFilter restricts events to the named timers.
 func (s *TimerScope) AddTimerFilter(names ...string) *TimerScope {
@@ -466,8 +436,6 @@ func (s *TimerScope) matches(d *eventData, _ *graph.Graph) bool {
 	return len(s.names) == 0 || containsStr(s.names, d.name)
 }
 
-func (s *TimerScope) validate() error { return validateKey(s.key) }
-
 // UserEventScope subscribes to user-generated events raised through the
 // command interface.
 type UserEventScope struct {
@@ -481,8 +449,6 @@ func NewUserEventScope(key string) *UserEventScope { return &UserEventScope{key:
 // Key implements Scope.
 func (s *UserEventScope) Key() string { return s.key }
 
-func (s *UserEventScope) kind() EventKind { return KindUserEvent }
-
 // AddNameFilter restricts events to the named user events.
 func (s *UserEventScope) AddNameFilter(names ...string) *UserEventScope {
 	s.names = append(s.names, names...)
@@ -495,8 +461,6 @@ func (s *UserEventScope) matches(d *eventData, _ *graph.Graph) bool {
 	}
 	return len(s.names) == 0 || containsStr(s.names, d.name)
 }
-
-func (s *UserEventScope) validate() error { return validateKey(s.key) }
 
 func validateKey(key string) error {
 	if key == "" {

@@ -289,7 +289,7 @@ func (s *Service) runStopHooks() {
 // Multiple subscopes of the same type may be registered; keys must be
 // unique.
 func (s *Service) RegisterEventScope(sc Scope) error {
-	if err := sc.validate(); err != nil {
+	if err := validateKey(sc.Key()); err != nil {
 		return err
 	}
 	s.mu.Lock()

@@ -4,11 +4,9 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"strconv"
 	"time"
 
 	"streamorca/internal/chaos"
-	"streamorca/internal/load"
 	"streamorca/internal/ops"
 	"streamorca/internal/policies"
 )
@@ -112,25 +110,15 @@ func runChaos(p Params, kinds []chaos.Kind) (*Outcome, error) {
 	out.printf("store: %d clean saves, %d failed, %d dropped, %d torn",
 		store.Saves, store.FailedSaves, store.DroppedSaves, store.TornSaves)
 	out.printf("output gaps: max %.1fms, p99 %.1fms; final count %d", ms(maxGap), ms(p99Gap), final)
-	// The schedule fingerprint and fault counts are deterministic Meta
-	// for a fixed seed; gap statistics and the final count are
-	// wall-clock-dependent Metrics.
-	out.Report = &load.Report{
-		Name: "chaos",
-		Seed: p.Seed,
-		Meta: map[string]string{
-			"fingerprint":    fingerprint,
-			"faults_applied": strconv.Itoa(injected.Applied),
-			"faults_skipped": strconv.Itoa(injected.Skipped),
-		},
-		Metrics: map[string]float64{
-			"restarts_attempted": float64(attempted),
-			"restarts_succeeded": float64(succeeded),
-			"degradations":       float64(routine.Abandoned()),
-			"max_gap_ms":         ms(maxGap),
-			"p99_gap_ms":         ms(p99Gap),
-			"final_count":        float64(final),
-		},
+	out.Metrics = map[string]float64{
+		"faults_applied":     float64(injected.Applied),
+		"faults_skipped":     float64(injected.Skipped),
+		"restarts_attempted": float64(attempted),
+		"restarts_succeeded": float64(succeeded),
+		"degradations":       float64(routine.Abandoned()),
+		"max_gap_ms":         ms(maxGap),
+		"p99_gap_ms":         ms(p99Gap),
+		"final_count":        float64(final),
 	}
 	return out, nil
 }

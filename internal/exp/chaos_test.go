@@ -2,6 +2,7 @@ package exp
 
 import (
 	"testing"
+	"time"
 
 	"streamorca/internal/chaos"
 )
@@ -32,14 +33,14 @@ func TestChaosDeterminism(t *testing.T) {
 	if first.Deterministic == "" || first.Deterministic != second.Deterministic {
 		t.Fatalf("deterministic lines diverged: %q vs %q", first.Deterministic, second.Deterministic)
 	}
-	a, b := first.Report.Meta, second.Report.Meta
-	if a["fingerprint"] == "" || a["fingerprint"] != b["fingerprint"] {
-		t.Fatalf("fingerprints diverged: %q vs %q", a["fingerprint"], b["fingerprint"])
+	if det(t, first, "fingerprint") == "" {
+		t.Fatalf("no schedule fingerprint: %q", first.Deterministic)
 	}
+	a, b := first.Metrics, second.Metrics
 	if a["faults_applied"] != b["faults_applied"] || a["faults_skipped"] != b["faults_skipped"] {
 		t.Fatalf("applied/skipped diverged: %v vs %v", a, b)
 	}
-	if a["faults_applied"] == "0" {
+	if a["faults_applied"] == 0 {
 		t.Fatalf("no faults applied: %v", a)
 	}
 }
@@ -52,14 +53,28 @@ func TestChaosSmoke(t *testing.T) {
 		t.Fatalf("runChaos: %v", err)
 	}
 	checkOutcome(t, "chaos", out)
-	meta, m := out.Report.Meta, out.Report.Metrics
-	if atoi(t, meta["faults_applied"])+atoi(t, meta["faults_skipped"]) < chaosFaults {
-		t.Fatalf("schedule not fully driven: %v", meta)
+	m := out.Metrics
+	if m["faults_applied"]+m["faults_skipped"] < chaosFaults {
+		t.Fatalf("schedule not fully driven: %v", m)
 	}
 	if m["restarts_attempted"] == 0 {
 		t.Fatalf("no restarts journalled: %v", m)
 	}
 	if m["final_count"] == 0 {
 		t.Fatalf("no output: %v", m)
+	}
+}
+
+// TestChaosScheduleFingerprintPinned: the seed-42 schedule the chaos
+// scenario generates (16 faults over 800 ms on 3 hosts and 3 PEs, store
+// faults included) has kept this fingerprint since the scenario first
+// shipped; a change to the generator that moves it changes every seeded
+// run's fault sequence.
+func TestChaosScheduleFingerprintPinned(t *testing.T) {
+	schedule := chaos.Generate(42, chaos.GenOptions{
+		Duration: 800 * time.Millisecond, Count: chaosFaults, Hosts: 3, PEs: 3, Store: true,
+	})
+	if got := schedule.Fingerprint(); got != "5113df9f824da44f" {
+		t.Fatalf("seed-42 chaos schedule fingerprint %s, want 5113df9f824da44f", got)
 	}
 }

@@ -1,60 +1,35 @@
 package exp
 
 import (
-	"cmp"
 	"fmt"
 	"time"
 
 	"streamorca/internal/apps"
 	"streamorca/internal/extjob"
-	"streamorca/internal/load"
 	"streamorca/internal/policies"
 )
 
-// E1Config parameterises experiment E1 (Figure 8): adaptation to the
-// incoming data distribution via external model recomputation (§5.1).
-type E1Config struct {
-	// TweetPeriod is the inter-tweet emission delay.
-	TweetPeriod time.Duration
-	// ShiftAt is the tweet index where complaints shift to the unknown
-	// cause (the paper's "around epoch 250" moment).
-	ShiftAt int64
-	// RecentWindow sizes the cause matcher's sliding ratio window.
-	RecentWindow int64
-	// Threshold is the actuation ratio (paper: 1.0).
-	Threshold float64
-	// JobLatency is the simulated batch-job duration.
-	JobLatency time.Duration
-	// Suppression bounds re-trigger frequency (paper: 10 minutes,
-	// scaled).
-	Suppression time.Duration
-	// PullEvery is the experiment's metric pull cadence.
-	PullEvery time.Duration
-	// MaxDuration bounds the run.
-	MaxDuration time.Duration
-}
-
-// e1Config returns the scaled-down default configuration with the
-// scenario's knobs applied.
-func e1Config(p Params) E1Config {
-	return E1Config{
-		TweetPeriod:  100 * time.Microsecond,
-		ShiftAt:      cmp.Or(p.Shift, 4000),
-		RecentWindow: 400,
-		Threshold:    cmp.Or(p.Ratio, 1.0),
-		JobLatency:   30 * time.Millisecond,
-		Suppression:  300 * time.Millisecond,
-		PullEvery:    4 * time.Millisecond,
-		MaxDuration:  p.budget(30 * time.Second),
-	}
-}
-
-// RunE1 executes the experiment: start the sentiment application under a
-// ModelRecompute orchestrator, shift the complaint distribution
-// mid-stream, and observe threshold crossing, batch-job triggering, and
-// ratio recovery. The outcome's series is Figure 8: the unknown/known
-// ratio per metric epoch.
-func RunE1(cfg E1Config) (*Outcome, error) {
+// sentiment is experiment E1 (Figure 8), adaptation to the incoming
+// data distribution via external model recomputation (§5.1): start the
+// sentiment application under a ModelRecompute orchestrator, shift the
+// complaint distribution mid-stream, and observe threshold crossing,
+// batch-job triggering, and ratio recovery. The outcome's series is
+// Figure 8: the unknown/known ratio per metric epoch.
+func sentiment(p Params) (*Outcome, error) {
+	const (
+		tweetPeriod = 100 * time.Microsecond
+		// shiftAt is the tweet index where complaints shift to the
+		// unknown cause (the paper's "around epoch 250" moment).
+		shiftAt      = 4000
+		recentWindow = 400 // the cause matcher's sliding ratio window
+		threshold    = 1.0 // the actuation ratio (paper: 1.0)
+		jobLatency   = 30 * time.Millisecond
+		// suppression bounds re-trigger frequency (paper: 10 minutes,
+		// scaled).
+		suppression = 300 * time.Millisecond
+		pullEvery   = 4 * time.Millisecond
+	)
+	budget := p.budget(30 * time.Second)
 	modelID := uniq("e1-model")
 	storeID := uniq("e1-store")
 	extjob.SetModel(modelID, extjob.NewModel("flash", "screen"))
@@ -63,9 +38,9 @@ func RunE1(cfg E1Config) (*Outcome, error) {
 		Name: "Sentiment", Collector: uniq("e1-display"),
 		ModelID: modelID, StoreID: storeID,
 		Product: "iPhone", Seed: 42,
-		Count: 0, Period: cfg.TweetPeriod,
-		Causes: "flash,screen", ShiftAt: cfg.ShiftAt, CausesAfter: "antenna",
-		RecentWindow: cfg.RecentWindow,
+		Count: 0, Period: tweetPeriod,
+		Causes: "flash,screen", ShiftAt: shiftAt, CausesAfter: "antenna",
+		RecentWindow: recentWindow,
 	})
 	if err != nil {
 		return nil, err
@@ -73,8 +48,8 @@ func RunE1(cfg E1Config) (*Outcome, error) {
 	policy := &policies.ModelRecompute{
 		App: "Sentiment", MatcherOp: apps.MatcherOp,
 		ModelID: modelID, StoreID: storeID,
-		Threshold: cfg.Threshold, Suppression: cfg.Suppression,
-		Runner: extjob.NewRunner(nil, cfg.JobLatency), MinSupport: 10,
+		Threshold: threshold, Suppression: suppression,
+		Runner: extjob.NewRunner(nil, jobLatency), MinSupport: 10,
 	}
 	r, err := boot(rigSpec{name: "sentiment", hosts: 2, routine: policy, app: app})
 	if err != nil {
@@ -94,11 +69,11 @@ func RunE1(cfg E1Config) (*Outcome, error) {
 		}
 		return 0
 	}
-	halt := sample(cfg.PullEvery, r.pull)
+	halt := sample(pullEvery, r.pull)
 	defer halt()
-	if waitUntil(cfg.MaxDuration, cfg.PullEvery, func() bool {
+	if waitUntil(budget, pullEvery, func() bool {
 		if crossed == 0 {
-			crossed = firstEpoch(func(pt policies.RatioPoint) bool { return pt.Ratio > cfg.Threshold })
+			crossed = firstEpoch(func(pt policies.RatioPoint) bool { return pt.Ratio > threshold })
 		}
 		if crossed != 0 && model.Version() >= 2 {
 			recovered = firstEpoch(func(pt policies.RatioPoint) bool { return pt.Epoch > crossed && pt.Ratio < 1.0 })
@@ -106,7 +81,7 @@ func RunE1(cfg E1Config) (*Outcome, error) {
 		return recovered != 0
 	}) {
 		// Let a few more epochs accumulate for the plot's tail.
-		time.Sleep(10 * cfg.PullEvery)
+		time.Sleep(10 * pullEvery)
 	}
 	halt()
 	triggers := policy.Triggers()
@@ -130,13 +105,11 @@ func RunE1(cfg E1Config) (*Outcome, error) {
 	out.printf("crossed threshold at epoch %d, triggered %d job(s), model v%d, recovered at epoch %d",
 		crossed, triggers, model.Version(), recovered)
 	out.printf("recomputed causes: %v", model.Causes())
-	out.Report = &load.Report{Name: "sentiment", Metrics: map[string]float64{
+	out.Metrics = map[string]float64{
 		"cross_epoch":   float64(crossed),
 		"recover_epoch": float64(recovered),
 		"triggers":      float64(triggers),
 		"model_version": float64(model.Version()),
-	}}
+	}
 	return out, nil
 }
-
-func sentiment(p Params) (*Outcome, error) { return RunE1(e1Config(p)) }

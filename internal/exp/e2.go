@@ -1,45 +1,24 @@
 package exp
 
 import (
-	"cmp"
 	"fmt"
 	"time"
 
 	"streamorca/internal/apps"
 	"streamorca/internal/ids"
-	"streamorca/internal/load"
 	"streamorca/internal/ops"
 	"streamorca/internal/policies"
 )
 
-// E2Config parameterises experiment E2 (Figure 9): replica failover on
-// PE failure (§5.2). The paper's 600-second sliding window maps to
-// Window; a tick plays the role of one second of market data.
-type E2Config struct {
-	// Window is the aggregation window (paper: 600 s).
-	Window time.Duration
-	// TickPeriod is the inter-tick delay; Window/TickPeriod ticks fill a
-	// window.
-	TickPeriod time.Duration
-	// Sample is the output sampling cadence for the result series.
-	Sample time.Duration
-	// MaxDuration bounds the run.
-	MaxDuration time.Duration
-}
-
-// e2Config returns the scaled-down default configuration — a 600 ms
-// window over 1 ms ticks, the same 600-sample window as the paper —
-// with the scenario's knobs applied. Under the race detector the
-// instrumented source cannot sustain 1 ms ticks, so the window and tick
-// period stretch together (the window still holds ~600 samples).
-func e2Config(p Params) E2Config {
-	return E2Config{
-		Window:      cmp.Or(p.Window, stretch(600*time.Millisecond, 4)),
-		TickPeriod:  cmp.Or(p.Tick, stretch(time.Millisecond, 4)),
-		Sample:      stretch(25*time.Millisecond, 4),
-		MaxDuration: p.budget(30 * time.Second),
-	}
-}
+// The Trend Calculator scenarios (failover, staleness-failover) compress
+// the paper's 600-second sliding window to 600 ms over 1 ms ticks — a
+// tick plays the role of one second of market data, and the window
+// holds the same 600 samples. Under the race detector the instrumented
+// source cannot sustain 1 ms ticks, so window and tick stretch together.
+var (
+	trendWindow = stretch(600*time.Millisecond, 4)
+	trendTick   = stretch(time.Millisecond, 4)
+)
 
 // trendRig is three Trend Calculator replicas in exclusive host pools
 // under the §5.2 Failover routine, each writing to its own collector —
@@ -62,10 +41,10 @@ func (t *trendRig) lastCount(replica int) int64 { return lastCount(t.coll(replic
 
 // bootTrend boots the replicas on spec's platform and waits until every
 // replica's window is at least 80% full.
-func bootTrend(spec rigSpec, seed int64, window, tick, maxAge, budget time.Duration) (*trendRig, error) {
+func bootTrend(spec rigSpec, seed int64, maxAge, budget time.Duration) (*trendRig, error) {
 	app, err := apps.TrendApp(apps.TrendConfig{
 		Name: "TrendCalculator", Symbols: "IBM", Seed: seed,
-		Count: 0, Period: tick, Window: window,
+		Count: 0, Period: trendTick, Window: trendWindow,
 	})
 	if err != nil {
 		return nil, err
@@ -90,7 +69,7 @@ func bootTrend(spec rigSpec, seed int64, window, tick, maxAge, budget time.Durat
 		}
 		t.agg = append(t.agg, pe)
 	}
-	full := int64(window / tick)
+	full := int64(trendWindow / trendTick)
 	warm := waitUntil(budget/2, time.Millisecond, func() bool {
 		for i := 0; i < 3; i++ {
 			if t.lastCount(i) < full*8/10 {
@@ -107,18 +86,21 @@ func bootTrend(spec rigSpec, seed int64, window, tick, maxAge, budget time.Durat
 	return t, nil
 }
 
-// RunE2 executes the failover experiment: three Trend Calculator
-// replicas in exclusive host pools, kill the active replica's
-// stateful aggregation PE, observe the promotion, the failed replica's
-// output gap, and its slow window refill. E2 runs without a checkpoint
-// store — no snapshot ages exist, so the staleness-ranked policy falls
-// back to its uptime tie-break and promotes the oldest backup, exactly
-// the paper's Figure 9 behaviour (the staleness-failover scenario
-// covers the checkpoint-aware promotion). The outcome's series is
-// Figure 9: per sample, the active replica and each replica's latest
-// window fill (-1 before any output) and cumulative output count.
-func RunE2(cfg E2Config) (*Outcome, error) {
-	t, err := bootTrend(rigSpec{name: "failover"}, 7, cfg.Window, cfg.TickPeriod, 0, cfg.MaxDuration)
+// failover is experiment E2 (Figure 9), replica failover on PE failure
+// (§5.2): three Trend Calculator replicas in exclusive host pools, kill
+// the active replica's stateful aggregation PE, observe the promotion,
+// the failed replica's output gap, and its slow window refill. It runs
+// without a checkpoint store — no snapshot ages exist, so the
+// staleness-ranked policy falls back to its uptime tie-break and
+// promotes the oldest backup, exactly the paper's Figure 9 behaviour
+// (the staleness-failover scenario covers the checkpoint-aware
+// promotion). The outcome's series is Figure 9: per sample, the active
+// replica and each replica's latest window fill (-1 before any output)
+// and cumulative output count.
+func failover(p Params) (*Outcome, error) {
+	// sampleEvery is the output sampling cadence of the result series.
+	sampleEvery, budget := stretch(25*time.Millisecond, 4), p.budget(30*time.Second)
+	t, err := bootTrend(rigSpec{name: "failover"}, 7, 0, budget)
 	if err != nil {
 		return nil, err
 	}
@@ -156,23 +138,23 @@ func RunE2(cfg E2Config) (*Outcome, error) {
 	}
 
 	// Failover latency: until the policy promotes a backup.
-	if !waitUntil(cfg.MaxDuration/3, 100*time.Microsecond, func() bool { return policy.Failovers() >= 1 }) {
+	if !waitUntil(budget/3, 100*time.Microsecond, func() bool { return policy.Failovers() >= 1 }) {
 		return nil, fmt.Errorf("failover: failover never happened")
 	}
 	failoverLatency := time.Since(start)
 	promoted := policy.ReplicaIndex(policy.Active())
 
 	// Output gap: until the failed replica produces output again.
-	if !waitUntil(cfg.MaxDuration/3, 100*time.Microsecond, func() bool { return t.coll(killed).Len() > killedLen }) {
+	if !waitUntil(budget/3, 100*time.Microsecond, func() bool { return t.coll(killed).Len() > killedLen }) {
 		return nil, fmt.Errorf("failover: failed replica never resumed output")
 	}
 	outputGap := time.Since(start)
 
 	// Refill: sample the series until the failed replica's window count
 	// is back to >=95% of a healthy replica's.
-	halt := sample(cfg.Sample, record)
+	halt := sample(sampleEvery, record)
 	defer halt()
-	refilled := waitUntil(cfg.MaxDuration/2, time.Millisecond, func() bool {
+	refilled := waitUntil(budget/2, time.Millisecond, func() bool {
 		kc, hc := t.lastCount(killed), t.lastCount(promoted)
 		return kc >= 0 && hc > 0 && kc*100 >= hc*95
 	})
@@ -186,7 +168,7 @@ func RunE2(cfg E2Config) (*Outcome, error) {
 	out.printf("replica hosts: %v", hosts)
 	out.printf("active %d -> %d; failover %v; output gap %v; window refill %v",
 		killed, promoted, failoverLatency, outputGap, refill)
-	out.Report = &load.Report{Name: "failover", Metrics: map[string]float64{
+	out.Metrics = map[string]float64{
 		"killed_replica":   float64(killed),
 		"promoted_replica": float64(promoted),
 		"failovers":        float64(policy.Failovers()),
@@ -194,8 +176,6 @@ func RunE2(cfg E2Config) (*Outcome, error) {
 		"failover_ms":      ms(failoverLatency),
 		"output_gap_ms":    ms(outputGap),
 		"refill_ms":        ms(refill),
-	}}
+	}
 	return out, nil
 }
-
-func failover(p Params) (*Outcome, error) { return RunE2(e2Config(p)) }

@@ -1,50 +1,32 @@
 package exp
 
 import (
-	"cmp"
 	"fmt"
 	"time"
 
 	"streamorca/internal/adl"
 	"streamorca/internal/apps"
 	"streamorca/internal/core"
-	"streamorca/internal/load"
 	"streamorca/internal/policies"
 )
 
-// E3Config parameterises experiment E3 (Figure 10): on-demand dynamic
-// application composition (§5.3).
-type E3Config struct {
-	// ProfilePeriod is each C1 reader's emission delay.
-	ProfilePeriod time.Duration
-	// Threshold is the new-profile count that spawns a C3 job (paper
-	// example: 1500).
-	Threshold int64
-	// PullEvery is the metric pull cadence.
-	PullEvery time.Duration
-	// MaxDuration bounds the run.
-	MaxDuration time.Duration
-}
-
-// e3Config returns the scaled default configuration with the scenario's
-// knobs applied.
-func e3Config(p Params) E3Config {
-	return E3Config{
-		ProfilePeriod: 100 * time.Microsecond,
-		Threshold:     cmp.Or(p.Threshold, 1500),
-		PullEvery:     4 * time.Millisecond,
-		MaxDuration:   p.budget(30 * time.Second),
-	}
-}
-
-// RunE3 executes the composition experiment: C2 query applications are
-// started through the dependency manager (bringing their C1 readers up
+// composition is experiment E3 (Figure 10), on-demand dynamic
+// application composition (§5.3): C2 query applications are started
+// through the dependency manager (bringing their C1 readers up
 // automatically); profile-discovery metrics spawn C3 segmentation jobs
 // per attribute; final punctuations contract the graph again. The
 // outcome's series is Figure 10: the running-job count over time.
-func RunE3(cfg E3Config) (*Outcome, error) {
+func composition(p Params) (*Outcome, error) {
+	const (
+		profilePeriod = 100 * time.Microsecond // each C1 reader's emission delay
+		// threshold is the new-profile count that spawns a C3 job
+		// (paper example: 1500).
+		threshold = 1500
+		pullEvery = 4 * time.Millisecond
+	)
+	budget := p.budget(30 * time.Second)
 	storeID := uniq("e3-profiles")
-	social := apps.SocialConfig{StoreID: storeID, Seed: 11, Period: cfg.ProfilePeriod}
+	social := apps.SocialConfig{StoreID: storeID, Seed: 11, Period: profilePeriod}
 	c1 := map[string]string{"TwitterStreamReader": "twitter", "MySpaceStreamReader": "myspace"}
 	c2Names := []string{"TwitterQuery", "BlogQuery", "FacebookQuery"}
 
@@ -55,7 +37,7 @@ func RunE3(cfg E3Config) (*Outcome, error) {
 		C3Collector: func(attr string) string {
 			return fmt.Sprintf("%s-%s", collPrefix, attr)
 		},
-		Threshold: cfg.Threshold,
+		Threshold: threshold,
 	}
 	// Applications and dependency configurations register before start.
 	register := func(svc *core.Service) error {
@@ -105,7 +87,7 @@ func RunE3(cfg E3Config) (*Outcome, error) {
 	// The steady state is 2 C1 readers + 3 C2 queries.
 	const baseJobs = 5
 	jobCount := func() int { return len(r.inst.SAM.Jobs()) }
-	if !waitUntil(cfg.MaxDuration/3, time.Millisecond, func() bool { return jobCount() == baseJobs }) {
+	if !waitUntil(budget/3, time.Millisecond, func() bool { return jobCount() == baseJobs }) {
 		return nil, fmt.Errorf("composition: C1/C2 set never came up (%d jobs)", jobCount())
 	}
 
@@ -114,7 +96,7 @@ func RunE3(cfg E3Config) (*Outcome, error) {
 		OK:  "composition OK: the application graph expanded per attribute and contracted to its base",
 	}
 	start, maxJobs := time.Now(), 0
-	halt := sample(cfg.PullEvery, func() {
+	halt := sample(pullEvery, func() {
 		r.pull()
 		n := jobCount()
 		out.CSV = append(out.CSV, fmt.Sprintf("%d,%d", time.Since(start).Milliseconds(), n))
@@ -137,11 +119,11 @@ func RunE3(cfg E3Config) (*Outcome, error) {
 	}
 	// Done when every attribute's C3 job came and went and the graph is
 	// back at its base size.
-	waitUntil(cfg.MaxDuration, cfg.PullEvery, func() bool {
+	waitUntil(budget, pullEvery, func() bool {
 		return covers(policy.Cancellations()) && jobCount() == baseJobs
 	})
 	// One more beat, so the series records the contraction it waited for.
-	time.Sleep(2 * cfg.PullEvery)
+	time.Sleep(2 * pullEvery)
 	halt()
 	subs, cancels, final := policy.Submissions(), policy.Cancellations(), jobCount()
 	profiles := apps.GetProfileStore(storeID).Len()
@@ -161,15 +143,13 @@ func RunE3(cfg E3Config) (*Outcome, error) {
 	out.printf("jobs base=%d max=%d final=%d; C3 submissions %v; cancellations %v",
 		baseJobs, maxJobs, final, subs, cancels)
 	out.printf("%d profiles stored", profiles)
-	out.Report = &load.Report{Name: "composition", Metrics: map[string]float64{
+	out.Metrics = map[string]float64{
 		"base_jobs":      baseJobs,
 		"max_jobs":       float64(maxJobs),
 		"final_jobs":     float64(final),
 		"submissions":    float64(len(subs)),
 		"cancellations":  float64(len(cancels)),
 		"store_profiles": float64(profiles),
-	}}
+	}
 	return out, nil
 }
-
-func composition(p Params) (*Outcome, error) { return RunE3(e3Config(p)) }

@@ -35,7 +35,7 @@ func TestSentimentScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkOutcome(t, "sentiment", out)
-	m, rows := out.Report.Metrics, series(t, out) // epoch, ratio
+	m, rows := out.Metrics, series(t, out) // epoch, ratio
 	if m["cross_epoch"] == 0 || m["recover_epoch"] <= m["cross_epoch"] {
 		t.Fatalf("milestones: %v", m)
 	}
@@ -71,7 +71,7 @@ func TestFailoverScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkOutcome(t, "failover", out)
-	m, windowMs := out.Report.Metrics, ms(e2Config(Params{}).Window)
+	m, windowMs := out.Metrics, ms(trendWindow)
 	killed, promoted := int(m["killed_replica"]), int(m["promoted_replica"])
 	if killed == promoted {
 		t.Fatalf("active replica unchanged: %d", killed)
@@ -118,7 +118,7 @@ func TestCompositionScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkOutcome(t, "composition", out)
-	m := out.Report.Metrics
+	m := out.Metrics
 	if m["base_jobs"] != 5 || m["max_jobs"] < 6 || m["final_jobs"] != 5 {
 		t.Fatalf("jobs: %v", m)
 	}

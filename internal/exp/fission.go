@@ -3,7 +3,6 @@ package exp
 import (
 	"cmp"
 	"fmt"
-	"strconv"
 	"time"
 
 	"streamorca/internal/compiler"
@@ -40,30 +39,16 @@ const (
 	fissionWidenFraction = 0.5
 )
 
-// fissionBeat is the HC push period and orchestrator pull interval of
-// the adaptive phase, and the drain cadence of every phase.
-var fissionBeat = stretch(25*time.Millisecond, 2)
-
 func fission(p Params) (*Outcome, error) {
 	return runFission(p, fissionScale{probeRate: 5000, probeDuration: 400 * time.Millisecond, maxWidth: 3, minSpeedup: 1.5})
 }
 
-// fissionRun is one driven, drained execution of the fission pipeline,
-// its platform still up for inspection.
-type fissionRun struct {
-	*rig
-	meter       *load.Meter
-	offered     int64
-	hotKeyShare float64
-	// elapsed is the time from pipeline-up to the last observed delivery.
-	elapsed time.Duration
-}
-
 // driveFission boots source -> KeyedWorker region (width) -> latency
 // sink on spec's platform (whose routine must submit application
-// "Fission"), offers rate tuples/sec of seeded keys for duration, closes
-// the stream and drains.
-func driveFission(p Params, spec rigSpec, width int, rate float64, duration time.Duration, skew float64) (*fissionRun, error) {
+// "Fission"), offers p.Rate tuples/sec of seeded keys for p.Duration,
+// closes the stream and drains. The platform is returned still up, for
+// inspection; the caller closes it.
+func driveFission(p Params, spec rigSpec, width int) (*rig, *offering, error) {
 	injID, meterID := uniq("fission-inj"), uniq("fission-meter")
 	b := compiler.NewApp("Fission")
 	src := b.AddOperator("src", load.KindLoadSource).Out(eventSchema).Param("injectorId", injID)
@@ -76,53 +61,45 @@ func driveFission(p Params, spec rigSpec, width int, rate float64, duration time
 	b.Connect(work, 0, lat, 0)
 	app, err := b.Build(compiler.Options{Fusion: compiler.FuseNone})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	spec.name, spec.hosts, spec.app = "fission", 3, app
 	r, err := boot(spec)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	run := &fissionRun{rig: r, meter: load.MeterFor(meterID)}
 	budget := p.budget(60 * time.Second)
 	if _, err := r.up(budget / 8); err != nil {
 		r.close()
-		return nil, err
+		return nil, nil, err
 	}
-	start := time.Now()
-	run.meter.Arm(start, 200*time.Millisecond)
-	mk, share := eventMaker(p.Seed, p.Keys, skew)
-	inj := load.InjectorFor(injID)
-	st, err := load.RunOpenLoop(load.OpenLoopConfig{
-		Injector: inj, Make: mk, TsAttr: "ts", Rate: rate, Duration: duration,
-	})
+	o, err := offer(offerSpec{Params: p, injID: injID, meterID: meterID}, budget/4, nil)
 	if err != nil {
 		r.close()
-		return nil, err
+		return nil, nil, err
 	}
-	inj.Close()
-	lastAt := drain(run.meter, st.Offered, fissionBeat, budget/8)
-	run.offered, run.hotKeyShare, run.elapsed = st.Offered, share, lastAt.Sub(start)
-	return run, nil
+	return r, o, nil
 }
 
 // fissionProbe saturates a fixed-width pipeline on a skew-free
 // workload and returns its sustained throughput.
 func fissionProbe(p Params, scale fissionScale, width int) (float64, error) {
-	run, err := driveFission(p, rigSpec{routine: &policies.Restart{App: "Fission", Submit: true}},
-		width, scale.probeRate, scale.probeDuration, 0)
+	p.Rate, p.Duration, p.Skew = scale.probeRate, scale.probeDuration, 0
+	r, run, err := driveFission(p, rigSpec{routine: &policies.Restart{App: "Fission", Submit: true}}, width)
 	if err != nil {
 		return 0, err
 	}
-	defer run.close()
+	defer r.close()
 	delivered := run.meter.Delivered()
 	if delivered == 0 {
 		return 0, fmt.Errorf("fission: width-%d probe delivered nothing", width)
 	}
-	if run.elapsed <= 0 {
+	// From pipeline-up to the last observed delivery.
+	elapsed := run.lastAt.Sub(run.start)
+	if elapsed <= 0 {
 		return 0, fmt.Errorf("fission: width-%d probe too fast to measure", width)
 	}
-	return float64(delivered) / run.elapsed.Seconds(), nil
+	return float64(delivered) / elapsed.Seconds(), nil
 }
 
 // runFission is the fission scenario — the adaptation showcase. The run
@@ -172,30 +149,30 @@ func runFission(p Params, scale fissionScale) (*Outcome, error) {
 		App: "Fission", Region: "work",
 		MaxWidth:       scale.maxWidth,
 		WidenAboveRate: widenAbove,
-		Cooldown:       8 * fissionBeat,
+		Cooldown:       8 * loadBeat,
 	}
-	run, err := driveFission(p,
-		rigSpec{store: memStore, metrics: fissionBeat, ckptEvery: 2 * fissionBeat, routine: policy},
-		1, adaptRate, cmp.Or(p.Duration, 2*time.Second), p.Skew)
+	p.Rate, p.Duration = adaptRate, cmp.Or(p.Duration, 2*time.Second)
+	r, run, err := driveFission(p,
+		rigSpec{store: memStore, metrics: loadBeat, ckptEvery: 2 * loadBeat, routine: policy}, 1)
 	if err != nil {
 		return nil, err
 	}
-	defer run.close()
+	defer r.close()
 
 	// lost is expected to be non-zero: every resize drops the region's
 	// in-flight tuples (§5.2 at-most-once semantics).
 	delivered := run.meter.Delivered()
-	lost := run.offered - delivered
+	lost := run.Offered - delivered
 	p50, p99 := ms(run.meter.Hist.Quantile(0.5)), ms(run.meter.Hist.Quantile(0.99))
 	widenings, finalWidth, log := policy.Widenings(), policy.Width(), policy.Log()
 	// What each final-width replica processed since it (re)started at the
 	// last resize.
 	replicaTuples := map[string]int64{}
-	if resized, ok := run.inst.SAM.JobADL(policy.Job()); ok {
+	if resized, ok := r.inst.SAM.JobADL(policy.Job()); ok {
 		if region := resized.Region("work"); region != nil {
 			for _, rep := range region.Replicas {
-				if pe, err := run.pe(policy.Job(), rep); err == nil {
-					replicaTuples[rep] = run.counter(pe, metrics.PETuplesProcessed)
+				if pe, err := r.pe(policy.Job(), rep); err == nil {
+					replicaTuples[rep] = r.counter(pe, metrics.PETuplesProcessed)
 				}
 			}
 		}
@@ -208,7 +185,7 @@ func runFission(p Params, scale fissionScale) (*Outcome, error) {
 		return nil, fmt.Errorf("fission: routine never widened the region (width %d, ingress threshold %d tps, offered %.0f tps)",
 			finalWidth, widenAbove, adaptRate)
 	}
-	if w, ok := run.svc.RegionWidth(policy.Job(), "work"); !ok || w != finalWidth {
+	if w, ok := r.svc.RegionWidth(policy.Job(), "work"); !ok || w != finalWidth {
 		return nil, fmt.Errorf("fission: platform width %d (ok=%v) disagrees with routine width %d", w, ok, finalWidth)
 	}
 
@@ -227,35 +204,20 @@ func runFission(p Params, scale fissionScale) (*Outcome, error) {
 		out.printf("  width %d -> %d at ingress %d tps (queue depth %d)", c.From, c.To, c.IngestPerSec, c.QueueDepth)
 	}
 	out.printf("adaptive delivery: %d offered, %d delivered, %d lost in flight; latency p50 %.2fms p99 %.2fms",
-		run.offered, delivered, lost, p50, p99)
-	// Deterministic facts (config echo, analytic key skew) go in Meta;
-	// wall-clock-dependent measurements in Metrics.
-	out.Report = &load.Report{
-		Name: "fission",
-		Seed: p.Seed,
-		Meta: map[string]string{
-			"keys":          strconv.Itoa(p.Keys),
-			"skew":          strconv.FormatFloat(p.Skew, 'f', -1, 64),
-			"work_delay":    fissionWorkDelay.String(),
-			"max_width":     strconv.Itoa(scale.maxWidth),
-			"min_speedup":   strconv.FormatFloat(scale.minSpeedup, 'f', -1, 64),
-			"adapt_factor":  strconv.FormatFloat(fissionAdaptFactor, 'f', -1, 64),
-			"hot_key_share": strconv.FormatFloat(run.hotKeyShare, 'f', 4, 64),
-		},
-		Metrics: map[string]float64{
-			"w1_sustained_tps":   w1,
-			"wide_sustained_tps": wide,
-			"speedup_x":          speedup,
-			"widen_above_tps":    float64(widenAbove),
-			"adapt_offered_tps":  adaptRate,
-			"adaptive_widenings": float64(widenings),
-			"final_width":        float64(finalWidth),
-			"delivered":          float64(delivered),
-			"lost":               float64(lost),
-			"p50_ms":             p50,
-			"p99_ms":             p99,
-		},
+		run.Offered, delivered, lost, p50, p99)
+	out.Metrics = map[string]float64{
+		"w1_sustained_tps":   w1,
+		"wide_sustained_tps": wide,
+		"speedup_x":          speedup,
+		"widen_above_tps":    float64(widenAbove),
+		"adapt_offered_tps":  adaptRate,
+		"adaptive_widenings": float64(widenings),
+		"final_width":        float64(finalWidth),
+		"delivered":          float64(delivered),
+		"lost":               float64(lost),
+		"p50_ms":             p50,
+		"p99_ms":             p99,
 	}
-	addShares(out.Report, replicaTuples)
+	addShares(out.Metrics, replicaTuples)
 	return out, nil
 }

@@ -22,7 +22,7 @@ func TestFissionScenarioSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkOutcome(t, "fission", out)
-	m := out.Report.Metrics
+	m := out.Metrics
 	if m["speedup_x"] < scale.minSpeedup {
 		t.Fatalf("speedup %.2fx, want >= %.2fx", m["speedup_x"], scale.minSpeedup)
 	}

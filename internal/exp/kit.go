@@ -2,7 +2,9 @@ package exp
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"slices"
 	"sync"
@@ -18,6 +20,8 @@ import (
 	"streamorca/internal/ops"
 	"streamorca/internal/platform"
 	"streamorca/internal/sam"
+	"streamorca/internal/tuple"
+	"streamorca/internal/workload"
 )
 
 // runSeq uniquifies the shared-registry ids (models, stores, collectors)
@@ -319,6 +323,101 @@ func drain(meter *load.Meter, offered int64, beat, timeout time.Duration) time.T
 		}
 	}
 	return lastChange
+}
+
+// eventSchema is the keyed user event the load and fission pipelines
+// carry; ts is stamped by the driver with the intended send instant.
+var eventSchema = tuple.MustSchema(
+	tuple.Attribute{Name: "user", Type: tuple.String},
+	tuple.Attribute{Name: "seq", Type: tuple.Int},
+	tuple.Attribute{Name: "score", Type: tuple.Float},
+	tuple.Attribute{Name: "ts", Type: tuple.Timestamp},
+)
+
+// eventMaker returns the seeded event generator for a Zipf key space,
+// and the key generator's analytic top-1% traffic share.
+func eventMaker(seed int64, keys int, skew float64) (func(i int64) tuple.Tuple, float64) {
+	gen := workload.NewKeyGen(workload.KeyConfig{Seed: seed, N: keys, Skew: skew})
+	payload := rand.New(rand.NewSource(seed + 1))
+	user, seq, score := eventSchema.MustRef("user"), eventSchema.MustRef("seq"), eventSchema.MustRef("score")
+	return func(i int64) tuple.Tuple {
+		t := tuple.New(eventSchema)
+		user.SetStr(t, gen.Next())
+		seq.SetInt(t, i)
+		score.SetFloat(t, payload.Float64()*100)
+		return t
+	}, gen.TopShare(0.01)
+}
+
+// offerSpec is one offered load: seeded Zipf-keyed events into the
+// LoadSource behind injID, metered by the LatencySink behind meterID.
+// The load is the Params', defaults already resolved by the caller: Keys
+// and Skew shape the key space, and Rate tuples/sec are offered open
+// loop for Duration — or, with Users > 0, that many closed-loop users
+// each pause Think between sends.
+type offerSpec struct {
+	Params
+	injID, meterID string
+}
+
+// loadBeat is the HC push period (and orchestrator pull interval) of the
+// platforms a load is offered into; the gauge sampler and the drain
+// after an offer keep the same cadence.
+var loadBeat = stretch(25*time.Millisecond, 2)
+
+// offering is what an offer did: the driver's stats, the meter that saw
+// the deliveries, and the instants of arming and of the last delivery.
+type offering struct {
+	load.Stats
+	meter         *load.Meter
+	hotKeyShare   float64
+	start, lastAt time.Time
+}
+
+// offer makes the spec's events, arms the meter, drives the load to the
+// end of its schedule — running meanwhile, if not nil, beside the driver
+// — then closes the stream and drains it. The driver is stopped when
+// budget expires; an offer cut short that way is an error, as is a
+// failed meanwhile (reported once the driver has finished).
+func offer(spec offerSpec, budget time.Duration, meanwhile func(*load.Meter) error) (*offering, error) {
+	mk, share := eventMaker(spec.Seed, spec.Keys, spec.Skew)
+	inj := load.InjectorFor(spec.injID)
+	o := &offering{meter: load.MeterFor(spec.meterID), hotKeyShare: share, start: time.Now()}
+	o.meter.Arm(o.start, 200*time.Millisecond)
+
+	stop := make(chan struct{})
+	expiry := time.AfterFunc(budget, func() { close(stop) })
+	var driveErr error
+	driven := make(chan struct{})
+	go func() {
+		defer close(driven)
+		if spec.Users > 0 {
+			o.Stats, driveErr = load.RunClosedLoop(load.ClosedLoopConfig{
+				Injector: inj, Make: mk, TsAttr: "ts",
+				Users: spec.Users, Think: spec.Think, Duration: spec.Duration, Stop: stop,
+			})
+		} else {
+			o.Stats, driveErr = load.RunOpenLoop(load.OpenLoopConfig{
+				Injector: inj, Make: mk, TsAttr: "ts",
+				Rate: spec.Rate, Duration: spec.Duration, Stop: stop,
+			})
+		}
+	}()
+	var err error
+	if meanwhile != nil {
+		err = meanwhile(o.meter)
+	}
+	<-driven
+	inj.Close()
+	if err = errors.Join(err, driveErr); err != nil {
+		return nil, err
+	}
+	if !expiry.Stop() {
+		return nil, fmt.Errorf("offer: budget %v expired waiting for the pipeline to take the load: %d tuples offered, %d never sent",
+			budget, o.Offered, o.Missed)
+	}
+	o.lastAt = drain(o.meter, o.Offered, loadBeat, budget/4)
+	return o, nil
 }
 
 // sample runs fn every interval on one goroutine until halt is called.

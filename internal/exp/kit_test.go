@@ -15,6 +15,7 @@ import (
 	"streamorca/internal/load"
 	"streamorca/internal/opapi"
 	"streamorca/internal/ops"
+	"streamorca/internal/tuple"
 )
 
 func atoi(t *testing.T, s string) int {
@@ -24,6 +25,19 @@ func atoi(t *testing.T, s string) int {
 		t.Fatalf("not a number: %q", s)
 	}
 	return n
+}
+
+// det returns the value of one key=value field of an outcome's
+// deterministic line.
+func det(t *testing.T, out *Outcome, key string) string {
+	t.Helper()
+	for _, field := range strings.Fields(out.Deterministic) {
+		if v, ok := strings.CutPrefix(field, key+"="); ok {
+			return v
+		}
+	}
+	t.Fatalf("deterministic line %q has no %s field", out.Deterministic, key)
+	return ""
 }
 
 // submitOnly is a routine that owns one job of app and never reacts to
@@ -204,9 +218,92 @@ func TestDrainGivesUpOnAQuietMeter(t *testing.T) {
 	}
 }
 
+// offerRig boots LoadSource -> LatencySink and returns the spec of a
+// 200 ms load into it, mode left to the caller.
+func offerRig(t *testing.T) offerSpec {
+	t.Helper()
+	spec := offerSpec{
+		Params: Params{Seed: 1, Keys: 100, Skew: 1.1, Duration: 200 * time.Millisecond},
+		injID:  uniq("kit-inj"), meterID: uniq("kit-meter"),
+	}
+	b := compiler.NewApp("KitOffer")
+	src := b.AddOperator("src", load.KindLoadSource).Out(eventSchema).Param("injectorId", spec.injID)
+	lat := b.AddOperator("lat", load.KindLatencySink).In(eventSchema).
+		Param("meterId", spec.meterID).Param("tsAttr", "ts")
+	b.Connect(src, 0, lat, 0)
+	app, err := b.Build(compiler.Options{Fusion: compiler.FuseNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := boot(rigSpec{name: "kit", hosts: 1, routine: submitOnly(app), app: app})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.close)
+	if _, err := r.up(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	return spec
+}
+
+// TestOfferDrivesClosesAndDrains: in either mode offer returns with the
+// scheduled load offered, the stream closed and every offered tuple
+// metered.
+func TestOfferDrivesClosesAndDrains(t *testing.T) {
+	check := func(t *testing.T, spec offerSpec) *offering {
+		o, err := offer(spec, time.Minute, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.Offered == 0 || o.Missed != 0 || o.meter.Delivered() != o.Offered {
+			t.Fatalf("offered %d, missed %d, metered %d", o.Offered, o.Missed, o.meter.Delivered())
+		}
+		if o.lastAt.Before(o.start) || o.hotKeyShare <= 0 {
+			t.Fatalf("last delivery %v before start %v, or no hot-key share (%v)", o.lastAt, o.start, o.hotKeyShare)
+		}
+		if load.InjectorFor(spec.injID).Push(tuple.New(eventSchema), nil) {
+			t.Fatal("injector still open after offer returned")
+		}
+		return o
+	}
+	t.Run("open", func(t *testing.T) {
+		spec := offerRig(t)
+		spec.Rate = 500
+		if o := check(t, spec); o.Offered != 100 {
+			t.Fatalf("offered %d, want rate x duration = 100", o.Offered)
+		}
+	})
+	t.Run("closed", func(t *testing.T) {
+		spec := offerRig(t)
+		spec.Users, spec.Think = 4, 10*time.Millisecond
+		o := check(t, spec)
+		if bound := int64(spec.Users) * (int64(spec.Duration/spec.Think) + 2); o.Offered > bound {
+			t.Fatalf("offered %d exceeds closed-loop bound %d", o.Offered, bound)
+		}
+	})
+}
+
+// TestOfferBudgetExpiry: a load nothing takes (no source reads the
+// injector) ends at the budget with an error saying what was waited
+// for, long before the schedule's own end.
+func TestOfferBudgetExpiry(t *testing.T) {
+	spec := offerSpec{
+		Params: Params{Seed: 1, Keys: 100, Skew: 1.1, Rate: 100_000, Duration: time.Minute},
+		injID:  uniq("kit-inj"), meterID: uniq("kit-meter"),
+	}
+	start := time.Now()
+	_, err := offer(spec, 50*time.Millisecond, nil)
+	if err == nil || !strings.Contains(err.Error(), "budget 50ms expired waiting for the pipeline to take the load") {
+		t.Fatalf("err = %v, want the expired budget named", err)
+	}
+	if waited := time.Since(start); waited > 10*time.Second {
+		t.Fatalf("offer returned after %v, want its 50ms budget", waited)
+	}
+}
+
 // checkOutcome asserts what every scenario's outcome has in common: the
-// closing line starts with the scenario's catalog name, and the report,
-// if any, is filed under it.
+// closing line starts with the scenario's catalog name, and the run
+// reported measurements.
 func checkOutcome(t *testing.T, name string, out *Outcome) {
 	t.Helper()
 	if _, ok := Find(name); !ok {
@@ -215,8 +312,8 @@ func checkOutcome(t *testing.T, name string, out *Outcome) {
 	if !strings.HasPrefix(out.OK, name+" OK: ") {
 		t.Fatalf("closing line %q does not start with %q", out.OK, name+" OK: ")
 	}
-	if out.Report != nil && out.Report.Name != name {
-		t.Fatalf("report filed under %q, want %q", out.Report.Name, name)
+	if len(out.Metrics) == 0 {
+		t.Fatalf("scenario %s reported no metrics", name)
 	}
 }
 

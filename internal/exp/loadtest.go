@@ -3,9 +3,7 @@ package exp
 import (
 	"cmp"
 	"fmt"
-	"math/rand"
 	"slices"
-	"strconv"
 	"time"
 
 	"streamorca/internal/chaos"
@@ -14,8 +12,6 @@ import (
 	"streamorca/internal/metrics"
 	"streamorca/internal/ops"
 	"streamorca/internal/policies"
-	"streamorca/internal/tuple"
-	"streamorca/internal/workload"
 )
 
 func loadtest(p Params) (*Outcome, error) { return runLoad("loadtest", p, 0, 0) }
@@ -25,42 +21,18 @@ func chaosLoad(p Params) (*Outcome, error) {
 	return runLoad("chaos-load", p, 12, stretch(800*time.Millisecond, 2))
 }
 
-// eventSchema is the keyed user event the load and fission pipelines
-// carry; ts is stamped by the driver with the intended send instant.
-var eventSchema = tuple.MustSchema(
-	tuple.Attribute{Name: "user", Type: tuple.String},
-	tuple.Attribute{Name: "seq", Type: tuple.Int},
-	tuple.Attribute{Name: "score", Type: tuple.Float},
-	tuple.Attribute{Name: "ts", Type: tuple.Timestamp},
-)
-
-// eventMaker returns the seeded event generator for a Zipf key space,
-// and the key generator's analytic top-1% traffic share.
-func eventMaker(seed int64, keys int, skew float64) (func(i int64) tuple.Tuple, float64) {
-	gen := workload.NewKeyGen(workload.KeyConfig{Seed: seed, N: keys, Skew: skew})
-	payload := rand.New(rand.NewSource(seed + 1))
-	user, seq, score := eventSchema.MustRef("user"), eventSchema.MustRef("seq"), eventSchema.MustRef("score")
-	return func(i int64) tuple.Tuple {
-		t := tuple.New(eventSchema)
-		user.SetStr(t, gen.Next())
-		seq.SetInt(t, i)
-		score.SetFloat(t, payload.Float64()*100)
-		return t
-	}, gen.TopShare(0.01)
-}
-
 // addShares adds each part's tuple count and its share of the total to
-// a report: the imbalance a Zipf-hot partition shows, and what a
+// a metrics map: the imbalance a Zipf-hot partition shows, and what a
 // rebalance (a region resize re-cutting the key space) visibly moves.
-func addShares(rep *load.Report, tuples map[string]int64) {
+func addShares(m map[string]float64, tuples map[string]int64) {
 	var total int64
 	for _, n := range tuples {
 		total += n
 	}
 	for name, n := range tuples {
-		rep.Metrics["tuples_"+name] = float64(n)
+		m["tuples_"+name] = float64(n)
 		if total > 0 {
-			rep.Metrics["share_"+name] = float64(n) / float64(total)
+			m["share_"+name] = float64(n) / float64(total)
 		}
 	}
 }
@@ -77,30 +49,25 @@ func addShares(rep *load.Report, tuples map[string]int64) {
 // p999/throughput dips instead of bespoke counters. The seed drives key
 // generation, payloads, the fault schedule, and the retry jitter.
 func runLoad(name string, p Params, faults int, faultWindow time.Duration) (*Outcome, error) {
-	var (
-		rate     = cmp.Or(p.Rate, 2000)
-		duration = cmp.Or(p.Duration, 2*time.Second)
-		think    = cmp.Or(p.Think, 10*time.Millisecond)
-		keys     = cmp.Or(p.Keys, 50000)
-		skew     = p.Skew
-		// beat is the HC push period; the run samples the per-PE rate
-		// gauges and paces its drain at the same cadence.
-		beat   = stretch(25*time.Millisecond, 2)
-		budget = p.budget(60 * time.Second)
-	)
+	budget := p.budget(60 * time.Second)
 	if raceEnabled && p.Rate == 0 {
-		rate = 500
+		p.Rate = 500
 	}
+	p.Rate = cmp.Or(p.Rate, 2000)
+	p.Duration = cmp.Or(p.Duration, 2*time.Second)
+	p.Think = cmp.Or(p.Think, 10*time.Millisecond)
+	p.Keys = cmp.Or(p.Keys, 50000)
+	if p.Skew < 0 {
+		p.Skew = 1.1
+	}
+	mode := "open loop"
 	if p.Users > 0 {
-		rate = 0
+		mode = fmt.Sprintf("closed loop, %d users, think %v", p.Users, p.Think)
 	}
-	if skew < 0 {
-		skew = 1.1
-	}
-	if rate <= 0 && p.Users <= 0 {
+	if p.Rate <= 0 && p.Users <= 0 {
 		return nil, fmt.Errorf("%s: need a rate > 0 (open loop) or users > 0 (closed loop)", name)
 	}
-	if duration <= 0 {
+	if p.Duration <= 0 {
 		return nil, fmt.Errorf("%s: need a duration > 0", name)
 	}
 	injID, meterID := uniq("load-inj"), uniq("load-meter")
@@ -143,7 +110,7 @@ func runLoad(name string, p Params, faults int, faultWindow time.Duration) (*Out
 	// chaos scenario.
 	r, err := boot(rigSpec{
 		name: name, hosts: 3, store: memStore, dir: p.StoreDir,
-		metrics: beat, ckptEvery: 2 * beat, retry: faults > 0, seed: p.Seed,
+		metrics: loadBeat, ckptEvery: 2 * loadBeat, retry: faults > 0, seed: p.Seed,
 		routine: &policies.Restart{App: app.Name, Submit: true}, app: app,
 	})
 	if err != nil {
@@ -155,12 +122,9 @@ func runLoad(name string, p Params, faults int, faultWindow time.Duration) (*Out
 		return nil, err
 	}
 
-	mk, hotKeyShare := eventMaker(p.Seed, keys, skew)
-	inj, meter := load.InjectorFor(injID), load.MeterFor(meterID)
-	meter.Arm(time.Now(), 200*time.Millisecond)
 	// The highest per-PE ingest/egress rate gauges seen during the run.
 	var maxIn, maxOut int64
-	halt := sample(beat, func() {
+	halt := sample(loadBeat, func() {
 		for _, j := range r.inst.SAM.Jobs() {
 			for _, p := range j.PEs {
 				maxIn = max(maxIn, r.counter(p.ID, metrics.PEIngestRate))
@@ -170,54 +134,29 @@ func runLoad(name string, p Params, faults int, faultWindow time.Duration) (*Out
 	})
 	defer halt()
 
-	driveStop := make(chan struct{})
-	stopTimer := time.AfterFunc(budget, func() { close(driveStop) })
-	defer stopTimer.Stop()
-	var st load.Stats
-	var driveErr error
-	driveDone := make(chan struct{})
-	go func() {
-		defer close(driveDone)
-		if p.Users > 0 {
-			st, driveErr = load.RunClosedLoop(load.ClosedLoopConfig{
-				Injector: inj, Make: mk, TsAttr: "ts",
-				Users: p.Users, Think: think, Duration: duration,
-				Stop: driveStop,
-			})
-		} else {
-			st, driveErr = load.RunOpenLoop(load.OpenLoopConfig{
-				Injector: inj, Make: mk, TsAttr: "ts",
-				Rate: rate, Duration: duration,
-				Stop: driveStop,
-			})
-		}
-	}()
-
 	// Chaos-load: once the pipeline is visibly delivering, inject the
 	// seeded schedule while the driver keeps offering, then sweep.
 	var fingerprint string
 	var injected *chaos.Report
+	var shake func(*load.Meter) error
 	if faults > 0 {
-		if !waitUntil(budget/4, time.Millisecond, func() bool { return meter.Delivered() >= 20 }) {
-			return nil, fmt.Errorf("%s: pipeline never warmed up under load", name)
-		}
-		if fingerprint, injected, err = r.shake(p.Seed, faults, faultWindow, nil, len(app.PEs), budget/2); err != nil {
-			return nil, err
+		shake = func(meter *load.Meter) (err error) {
+			if !waitUntil(budget/4, time.Millisecond, func() bool { return meter.Delivered() >= 20 }) {
+				return fmt.Errorf("%s: pipeline never warmed up under load", name)
+			}
+			fingerprint, injected, err = r.shake(p.Seed, faults, faultWindow, nil, len(app.PEs), budget/2)
+			return err
 		}
 	}
-
-	<-driveDone
-	if driveErr != nil {
-		return nil, driveErr
+	st, err := offer(offerSpec{Params: p, injID: injID, meterID: meterID}, budget, shake)
+	if err != nil {
+		return nil, err
 	}
-	// All pushes returned; close the stream and let the pipeline drain.
-	inj.Close()
-	drain(meter, st.Offered, beat, budget/4)
 	halt()
 
 	// lost is offered - delivered after the drain: in-flight tuples
 	// dropped by killed PEs, per the paper's §5.2 at-most-once semantics.
-	offered, delivered := st.Offered, meter.Delivered()
+	offered, delivered := st.Offered, st.meter.Delivered()
 	lost := offered - delivered
 	var offeredTPS, sustainedTPS float64
 	if sec := st.Elapsed.Seconds(); sec > 0 {
@@ -225,10 +164,10 @@ func runLoad(name string, p Params, faults int, faultWindow time.Duration) (*Out
 	}
 	// Latency is charged against intended send instants
 	// (coordinated-omission-correct).
-	h := meter.Hist
+	h := st.meter.Hist
 	p50, p99, p999 := ms(h.Quantile(0.5)), ms(h.Quantile(0.99)), ms(h.Quantile(0.999))
 	// A chaos run shows its dip in the slowest throughput window.
-	rates := meter.WindowRates(time.Now())
+	rates := st.meter.WindowRates(time.Now())
 	var minWindow, maxWindow float64
 	if len(rates) > 0 {
 		minWindow, maxWindow = slices.Min(rates), slices.Max(rates)
@@ -254,57 +193,38 @@ func runLoad(name string, p Params, faults int, faultWindow time.Duration) (*Out
 	out := &Outcome{
 		// Everything here is wall-clock-independent.
 		Deterministic: fmt.Sprintf("seed=%d offered=%d hotKeyShare=%.4f fingerprint=%s",
-			p.Seed, offered, hotKeyShare, fingerprint),
+			p.Seed, offered, st.hotKeyShare, fingerprint),
 		OK: name + " OK: sustained the offered load with a full latency record",
 	}
-	out.printf("offered %.0f tuples/sec for %v: %d offered, %d delivered, %d lost",
-		rate, duration, offered, delivered, lost)
+	out.printf("offered %.0f tuples/sec for %v (%s): %d offered, %d delivered, %d lost",
+		offeredTPS, p.Duration, mode, offered, delivered, lost)
 	out.printf("latency ms: p50 %.2f, p99 %.2f, p999 %.2f, max %.2f, mean %.2f",
 		p50, p99, p999, ms(h.Max()), ms(h.Mean()))
 	out.printf("throughput tuples/sec: sustained %.0f; windows %d (min %.0f, max %.0f); PE gauges max in %d, out %d",
 		sustainedTPS, len(rates), minWindow, maxWindow, maxIn, maxOut)
 	out.printf("workers: w0=%d w1=%d w2=%d tuples", workerTuples["w0"], workerTuples["w1"], workerTuples["w2"])
-	// Deterministic facts (config echo, schedule fingerprint, offered
-	// count) go in Meta; wall-clock-dependent measurements in Metrics.
-	rep := &load.Report{
-		Name: name,
-		Seed: p.Seed,
-		Meta: map[string]string{
-			"rate":     strconv.FormatFloat(rate, 'f', -1, 64),
-			"duration": duration.String(),
-			"keys":     strconv.Itoa(keys),
-			"skew":     strconv.FormatFloat(skew, 'f', -1, 64),
-			"offered":  strconv.FormatInt(offered, 10),
-		},
-		Metrics: map[string]float64{
-			"delivered":      float64(delivered),
-			"lost":           float64(lost),
-			"offered_tps":    offeredTPS,
-			"sustained_tps":  sustainedTPS,
-			"p50_ms":         p50,
-			"p99_ms":         p99,
-			"p999_ms":        p999,
-			"max_ms":         ms(h.Max()),
-			"mean_ms":        ms(h.Mean()),
-			"min_window_tps": minWindow,
-			"max_window_tps": maxWindow,
-			"max_ingest_tps": float64(maxIn),
-			"max_egress_tps": float64(maxOut),
-			"hot_key_share":  hotKeyShare,
-		},
-	}
-	if p.Users > 0 {
-		rep.Meta["users"] = strconv.Itoa(p.Users)
-		rep.Meta["think"] = think.String()
+	out.Metrics = map[string]float64{
+		"delivered":      float64(delivered),
+		"lost":           float64(lost),
+		"offered_tps":    offeredTPS,
+		"sustained_tps":  sustainedTPS,
+		"p50_ms":         p50,
+		"p99_ms":         p99,
+		"p999_ms":        p999,
+		"max_ms":         ms(h.Max()),
+		"mean_ms":        ms(h.Mean()),
+		"min_window_tps": minWindow,
+		"max_window_tps": maxWindow,
+		"max_ingest_tps": float64(maxIn),
+		"max_egress_tps": float64(maxOut),
+		"hot_key_share":  st.hotKeyShare,
 	}
 	if faults > 0 {
 		out.printf("schedule fingerprint: %s", fingerprint)
 		out.printf("faults applied %d, skipped %d; PEs lost forever 0", injected.Applied, injected.Skipped)
-		rep.Meta["fingerprint"] = fingerprint
-		rep.Metrics["faults_applied"] = float64(injected.Applied)
-		rep.Metrics["faults_skipped"] = float64(injected.Skipped)
+		out.Metrics["faults_applied"] = float64(injected.Applied)
+		out.Metrics["faults_skipped"] = float64(injected.Skipped)
 	}
-	addShares(rep, workerTuples)
-	out.Report = rep
+	addShares(out.Metrics, workerTuples)
 	return out, nil
 }

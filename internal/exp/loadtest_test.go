@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -19,8 +21,8 @@ func TestLoadtestOpenLoopSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkOutcome(t, "loadtest", out)
-	meta, m := out.Report.Meta, out.Report.Metrics
-	offered := float64(atoi(t, meta["offered"]))
+	m := out.Metrics
+	offered := float64(atoi(t, det(t, out, "offered")))
 	if m["delivered"] == 0 || m["delivered"] != offered {
 		t.Fatalf("delivered %v of %v offered", m["delivered"], offered)
 	}
@@ -43,13 +45,13 @@ func TestLoadtestOpenLoopSmoke(t *testing.T) {
 		t.Fatalf("workers processed %v, delivered %v — partitioned path leaks", sum, m["delivered"])
 	}
 	if m["hot_key_share"] < 0.2 {
-		t.Fatalf("hot-key share %v implausibly low for skew %v", m["hot_key_share"], meta["skew"])
+		t.Fatalf("hot-key share %v implausibly low for the default skew", m["hot_key_share"])
 	}
-	if fp, ok := meta["fingerprint"]; ok {
+	if fp := det(t, out, "fingerprint"); fp != "" {
 		t.Fatalf("pure load run has a chaos fingerprint %q", fp)
 	}
-	if out.Report.Seed != 11 {
-		t.Fatalf("report identity wrong: %+v", out.Report)
+	if det(t, out, "seed") != "11" {
+		t.Fatalf("deterministic line names the wrong seed: %q", out.Deterministic)
 	}
 }
 
@@ -64,15 +66,19 @@ func TestLoadtestClosedLoopSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	offered := int64(atoi(t, out.Report.Meta["offered"]))
-	if delivered := int64(out.Report.Metrics["delivered"]); delivered == 0 || delivered != offered {
+	checkOutcome(t, "loadtest", out)
+	offered := int64(atoi(t, det(t, out, "offered")))
+	if delivered := int64(out.Metrics["delivered"]); delivered == 0 || delivered != offered {
 		t.Fatalf("delivered %d of %d offered", delivered, offered)
 	}
 	if bound := int64(p.Users) * (int64(p.Duration/p.Think) + 2); offered > bound {
 		t.Fatalf("offered %d exceeds closed-loop bound %d", offered, bound)
 	}
-	if out.Report.Meta["users"] != "8" || out.Report.Meta["think"] != "10ms" {
-		t.Fatalf("closed-loop config not echoed: %v", out.Report.Meta)
+	// The offered line states the measured rate and the mode, not the
+	// open-loop rate knob a closed-loop run never read.
+	line := out.Lines[0]
+	if strings.HasPrefix(line, "offered 0 ") || !strings.Contains(line, "(closed loop, 8 users, think 10ms)") {
+		t.Fatalf("offered line %q: want a measured rate and the closed-loop mode", line)
 	}
 }
 
@@ -95,8 +101,8 @@ func TestChaosLoadSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkOutcome(t, "chaos-load", out)
-	meta, m := out.Report.Meta, out.Report.Metrics
-	if meta["fingerprint"] == "" {
+	m := out.Metrics
+	if det(t, out, "fingerprint") == "" {
 		t.Fatal("chaos-load run reported no schedule fingerprint")
 	}
 	if m["faults_applied"] == 0 {
@@ -124,10 +130,22 @@ func TestChaosLoadDeterministicSchedule(t *testing.T) {
 		return out
 	}
 	a, b := run(), run()
-	if a.Report.Meta["fingerprint"] == "" || a.Deterministic != b.Deterministic {
+	if det(t, a, "fingerprint") == "" || det(t, a, "offered") == "0" || a.Deterministic != b.Deterministic {
 		t.Fatalf("deterministic lines diverge for one seed:\n%s\n%s", a.Deterministic, b.Deterministic)
 	}
-	if a.Report.Meta["offered"] != b.Report.Meta["offered"] {
-		t.Fatalf("offered counts diverge for one seed: %v vs %v", a.Report.Meta["offered"], b.Report.Meta["offered"])
+}
+
+// TestEventMakerHotKeyShare pins the analytic top-1% traffic share of
+// the seeded key spaces the loadtest/chaos-load and fission scenarios
+// default to — the hotKeyShare their deterministic lines print.
+func TestEventMakerHotKeyShare(t *testing.T) {
+	for _, c := range []struct {
+		keys int
+		want string
+	}{{50000, "0.7246"}, {20000, "0.6840"}} {
+		_, share := eventMaker(42, c.keys, 1.1)
+		if got := fmt.Sprintf("%.4f", share); got != c.want {
+			t.Fatalf("top-1%% share of %d Zipf-1.1 keys = %s, want %s", c.keys, got, c.want)
+		}
 	}
 }

@@ -29,6 +29,8 @@ func loc(Params) (*Outcome, error) {
 	out := &Outcome{
 		CSV: []string{"use_case,paper_cpp_loc,our_go_policy_loc"},
 		OK:  "loc OK: each routine is a few hundred lines beside its application",
+		// Our line counts, keyed by paper section.
+		Metrics: map[string]float64{},
 	}
 	for _, row := range []struct {
 		useCase string
@@ -44,11 +46,13 @@ func loc(Params) (*Outcome, error) {
 			return nil, err
 		}
 		out.CSV = append(out.CSV, fmt.Sprintf("%s,%d,%d", row.useCase, row.paper, n))
+		out.Metrics["policy_loc_"+row.useCase[:3]] = float64(n)
 	}
 	appLoc, err := count("internal/apps/operators.go", "internal/apps/builders.go")
 	if err != nil {
 		return nil, err
 	}
 	out.printf("shared application code (all three use cases): %d Go lines", appLoc)
+	out.Metrics["shared_app_loc"] = float64(appLoc)
 	return out, nil
 }

@@ -19,7 +19,7 @@ func TestOverheadScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkOutcome(t, "overhead", out)
-	m := out.Report.Metrics
+	m := out.Metrics
 	if m["baseline_tps"] <= 0 || m["with_orca_tps"] <= 0 {
 		t.Fatalf("throughputs: %v", m)
 	}
@@ -43,7 +43,7 @@ func TestReactionScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkOutcome(t, "reaction", out)
-	m := out.Report.Metrics
+	m := out.Metrics
 	auto, orca, slow, delay := m["auto_restart_ms"], m["orca_restart_ms"], m["orca_slow_handler_ms"], m["handler_delay_ms"]
 	if auto <= 0 || orca <= 0 || slow <= 0 || delay <= 0 {
 		t.Fatalf("latencies: %v", m)

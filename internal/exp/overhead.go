@@ -6,7 +6,6 @@ import (
 
 	"streamorca/internal/compiler"
 	"streamorca/internal/core"
-	"streamorca/internal/load"
 	"streamorca/internal/ops"
 	"streamorca/internal/sam"
 	"streamorca/internal/tuple"
@@ -95,12 +94,12 @@ func runOverhead(n int64, budget time.Duration) (*Outcome, error) {
 	out.printf("baseline:   %.0f tuples/s", baseline)
 	out.printf("with orca:  %.0f tuples/s (%d metric events consumed)", withOrca, events)
 	out.printf("overhead:   %.1f%%", percent)
-	out.Report = &load.Report{Name: "overhead", Metrics: map[string]float64{
+	out.Metrics = map[string]float64{
 		"tuples":           float64(n),
 		"baseline_tps":     baseline,
 		"with_orca_tps":    withOrca,
 		"overhead_percent": percent,
 		"metric_events":    float64(events),
-	}}
+	}
 	return out, nil
 }

@@ -8,7 +8,6 @@ import (
 	"streamorca/internal/compiler"
 	"streamorca/internal/core"
 	"streamorca/internal/ids"
-	"streamorca/internal/load"
 	"streamorca/internal/ops"
 	"streamorca/internal/policies"
 	"streamorca/internal/sam"
@@ -126,12 +125,12 @@ func runReaction(trials int, budget time.Duration) (*Outcome, error) {
 	out.printf("platform auto-restart:        %v", auto)
 	out.printf("orchestrated restart (no-op): %v", orca)
 	out.printf("orchestrated + %v handler:  %v", handlerDelay, slow)
-	out.Report = &load.Report{Name: "reaction", Metrics: map[string]float64{
+	out.Metrics = map[string]float64{
 		"trials":               float64(trials),
 		"auto_restart_ms":      ms(auto),
 		"orca_restart_ms":      ms(orca),
 		"orca_slow_handler_ms": ms(slow),
 		"handler_delay_ms":     ms(handlerDelay),
-	}}
+	}
 	return out, nil
 }

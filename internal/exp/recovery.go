@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"cmp"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -9,7 +8,6 @@ import (
 	"streamorca/internal/adl"
 	"streamorca/internal/compiler"
 	"streamorca/internal/core"
-	"streamorca/internal/load"
 	"streamorca/internal/metrics"
 	"streamorca/internal/ops"
 	"streamorca/internal/policies"
@@ -49,7 +47,9 @@ func aggPipeline(name, collID string, tick time.Duration) (*adl.Application, err
 // checkpointed fill instead of restarting empty — the stateful
 // counterpart of the failover scenario's Figure 9 gap.
 func recovery(p Params) (*Outcome, error) {
-	warm, budget := cmp.Or(p.Warm, 100), p.budget(30*time.Second)
+	// warm is the window fill to reach before the checkpoint.
+	const warm = 100
+	budget := p.budget(30 * time.Second)
 	collID := uniq("recovery")
 	coll := ops.Collector(collID)
 	app, err := aggPipeline("RecoverySmoke", collID, stretch(time.Millisecond, 4))
@@ -127,11 +127,11 @@ func recovery(p Params) (*Outcome, error) {
 	out := &Outcome{OK: "recovery OK: restarted PE resumed from checkpointed state"}
 	out.printf("checkpointed at count %d; pre-failure max %d; first post-restart count %d; restores %d",
 		atCheckpoint, preMax.Load(), firstPost, restores)
-	out.Report = &load.Report{Name: "recovery", Metrics: map[string]float64{
+	out.Metrics = map[string]float64{
 		"count_at_checkpoint": float64(atCheckpoint),
 		"max_pre_failure":     float64(preMax.Load()),
 		"first_post_restart":  float64(firstPost),
 		"restores":            float64(restores),
-	}}
+	}
 	return out, nil
 }

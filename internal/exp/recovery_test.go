@@ -14,7 +14,7 @@ func TestRecoveryScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkOutcome(t, "recovery", out)
-	m := out.Report.Metrics
+	m := out.Metrics
 	if m["count_at_checkpoint"] < 100 {
 		t.Fatalf("checkpointed too early: count %v < default warm fill 100", m["count_at_checkpoint"])
 	}

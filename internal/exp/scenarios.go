@@ -3,9 +3,12 @@
 // platform. Every scenario is one entry of the Scenarios table, boots
 // its platform and routine through the kit in kit.go, enforces its own
 // assertions (a passing run is the demonstration), and returns an
-// Outcome that cmd/orcarun prints. Scales are compressed by three
-// orders of magnitude against the paper's wall clock (600 s windows,
-// 15 s pulls) while preserving every ratio that matters.
+// Outcome: the lines cmd/orcarun prints, plus the same measurements as
+// a Metrics map for tests to assert on. Performance numbers are not
+// recorded from here — go run ./bench is the one yardstick. Scales are
+// compressed by three orders of magnitude against the paper's wall
+// clock (600 s windows, 15 s pulls) while preserving every ratio that
+// matters.
 package exp
 
 import (
@@ -13,8 +16,6 @@ import (
 	"fmt"
 	"io"
 	"time"
-
-	"streamorca/internal/load"
 )
 
 // Params are the knobs one scenario run takes — the orcarun flags. Only
@@ -32,19 +33,12 @@ type Params struct {
 	// persistent store (recovery, staleness-failover).
 	StoreDir string
 
-	Shift          int64         // sentiment: tweet index of the cause-distribution shift
-	Ratio          float64       // sentiment: actuation ratio threshold
-	Window         time.Duration // failover: sliding window duration
-	Tick           time.Duration // failover: tick period
-	Threshold      int64         // composition: new-profile count that spawns a C3 job
-	Warm           int64         // recovery: window fill to reach before the checkpoint
-	MaxSnapshotAge time.Duration // staleness-failover: staleness gate bound
-	Rate           float64       // loadtest, chaos-load: offered tuples/sec; chaos: source rate
-	Duration       time.Duration // loadtest, chaos-load, fission: offered-load length; chaos: injection window
-	Users          int           // loadtest, chaos-load: closed loop with this many users instead of a rate
-	Think          time.Duration // loadtest, chaos-load: closed-loop think time
-	Keys           int           // loadtest, chaos-load, fission: key-space size
-	Skew           float64       // loadtest, chaos-load, fission: Zipf exponent (negative = default)
+	Rate     float64       // loadtest, chaos-load: offered tuples/sec; chaos: source rate
+	Duration time.Duration // loadtest, chaos-load, fission: offered-load length; chaos: injection window
+	Users    int           // loadtest, chaos-load: closed loop with this many users instead of a rate
+	Think    time.Duration // loadtest, chaos-load: closed-loop think time
+	Keys     int           // loadtest, chaos-load, fission: key-space size
+	Skew     float64       // loadtest, chaos-load, fission: Zipf exponent (negative = default)
 }
 
 // budget is the run's time budget: MaxDuration, else def.
@@ -65,8 +59,10 @@ type Outcome struct {
 	Lines []string
 	// OK is the closing "<name> OK: ..." line.
 	OK string
-	// Report is the run's record in the shared bench schema.
-	Report *load.Report
+	// Metrics are the run's measured values by name, for tests to
+	// assert on; what a reader needs of them is also in Lines. Every
+	// scenario reports at least one.
+	Metrics map[string]float64
 }
 
 func (o *Outcome) printf(format string, args ...any) {

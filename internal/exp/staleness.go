@@ -1,11 +1,9 @@
 package exp
 
 import (
-	"cmp"
 	"fmt"
 	"time"
 
-	"streamorca/internal/load"
 	"streamorca/internal/metrics"
 )
 
@@ -17,18 +15,15 @@ import (
 // the fresher-snapshot replica wins the promotion and serves from
 // restored (not refilled) window state.
 func stalenessFailover(p Params) (*Outcome, error) {
-	// Same compression as the failover scenario: a 600 ms window over
-	// 1 ms ticks. maxAge is the routine's staleness gate; skew separates
-	// the two backups' checkpoint times.
+	// maxAge is the routine's staleness gate; skew separates the two
+	// backups' checkpoint times.
 	var (
-		window = stretch(600*time.Millisecond, 4)
-		tick   = stretch(time.Millisecond, 4)
-		maxAge = cmp.Or(p.MaxSnapshotAge, stretch(100*time.Millisecond, 4))
+		maxAge = stretch(100*time.Millisecond, 4)
 		skew   = stretch(250*time.Millisecond, 4)
 		budget = p.budget(30 * time.Second)
 	)
 	t, err := bootTrend(rigSpec{name: "staleness-failover", store: fsStore, dir: p.StoreDir},
-		11, window, tick, maxAge, budget)
+		11, maxAge, budget)
 	if err != nil {
 		return nil, err
 	}
@@ -46,8 +41,8 @@ func stalenessFailover(p Params) (*Outcome, error) {
 	if err := svc.CheckpointPE(activeAgg); err != nil {
 		return fail("seed active snapshot: %w", err)
 	}
-	time.Sleep(maxAge + 2*tick)
-	if !waitUntil(budget/3, 5*tick, func() bool {
+	time.Sleep(maxAge + 2*trendTick)
+	if !waitUntil(budget/3, 5*trendTick, func() bool {
 		t.pull()
 		return policy.SnapshotRefreshes() > 0
 	}) {
@@ -139,7 +134,7 @@ func stalenessFailover(p Params) (*Outcome, error) {
 	out.printf("gate refreshes %d; backup snapshot ages %dms (stale) vs %dms (fresh); promoted replica %d; pre-promotion checkpoints %d; restores %d",
 		refreshes, stale.Milliseconds(), fresh.Milliseconds(), promoted, prePromotion, restores)
 	out.printf("window fill: checkpointed %d, min post-restore %d (no refill)", atCheckpoint, minPostRestore)
-	out.Report = &load.Report{Name: "staleness-failover", Metrics: map[string]float64{
+	out.Metrics = map[string]float64{
 		"snapshot_refreshes":        float64(refreshes),
 		"stale_age_ms":              ms(stale),
 		"fresh_age_ms":              ms(fresh),
@@ -148,6 +143,6 @@ func stalenessFailover(p Params) (*Outcome, error) {
 		"promoted_state_restores":   float64(restores),
 		"count_at_checkpoint":       float64(atCheckpoint),
 		"min_post_restore":          float64(minPostRestore),
-	}}
+	}
 	return out, nil
 }

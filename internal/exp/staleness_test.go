@@ -12,7 +12,7 @@ func TestStalenessFailoverScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkOutcome(t, "staleness-failover", out)
-	m := out.Report.Metrics
+	m := out.Metrics
 	if m["promoted_replica"] != 2 {
 		t.Fatalf("promotion = %v", m)
 	}

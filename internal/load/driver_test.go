@@ -1,9 +1,6 @@
 package load
 
 import (
-	"bytes"
-	"encoding/json"
-	"os"
 	"testing"
 	"time"
 
@@ -173,42 +170,5 @@ func TestClosedLoopThinkTimeBoundsRate(t *testing.T) {
 	}
 	if delivered != st.Offered {
 		t.Fatalf("delivered %d != offered %d", delivered, st.Offered)
-	}
-}
-
-func TestWriteReportDeterministic(t *testing.T) {
-	dir := t.TempDir()
-	r := &Report{
-		Name: "x", Seed: 42,
-		Meta:    map[string]string{"b": "2", "a": "1"},
-		Metrics: map[string]float64{"p50_ms": 1.5, "delivered": 10},
-	}
-	p1, p2 := dir+"/r1.json", dir+"/r2.json"
-	if err := WriteReport(p1, r); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteReport(p2, r); err != nil {
-		t.Fatal(err)
-	}
-	b1, err := os.ReadFile(p1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := os.ReadFile(p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1, b2) {
-		t.Fatal("same report serialised differently")
-	}
-	var back Report
-	if err := json.Unmarshal(b1, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Name != "x" || back.Seed != 42 || back.Metrics["p50_ms"] != 1.5 {
-		t.Fatalf("round-trip mismatch: %+v", back)
-	}
-	if err := WriteReport(dir+"/bad.json", &Report{}); err == nil {
-		t.Fatal("want error for unnamed report")
 	}
 }

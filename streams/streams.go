@@ -337,8 +337,6 @@ type (
 	ClosedLoopConfig = load.ClosedLoopConfig
 	// LoadStats summarises a driver run.
 	LoadStats = load.Stats
-	// BenchReport is the shared BENCH_*.json record schema.
-	BenchReport = load.Report
 	// KeyConfig and KeyGen draw Zipf-skewed keys for load generation.
 	KeyConfig = workload.KeyConfig
 	KeyGen    = workload.KeyGen
@@ -366,10 +364,6 @@ func RunClosedLoop(cfg ClosedLoopConfig) (LoadStats, error) { return load.RunClo
 
 // NewKeyGen builds a Zipf-skewed key generator.
 func NewKeyGen(cfg KeyConfig) *KeyGen { return workload.NewKeyGen(cfg) }
-
-// WriteBenchReport serialises a bench record as deterministic indented
-// JSON — the one writer behind every BENCH_*.json file.
-func WriteBenchReport(path string, r *BenchReport) error { return load.WriteReport(path, r) }
 
 // Built-in metric names, re-exported for scope construction and metric
 // inspection.
