@@ -47,7 +47,9 @@
 // The Batch is a borrowed view. It is valid only for the duration of
 // the ProcessBatch call; an operator that retains tuples beyond the
 // call must copy them (tuple.Clone), exactly the contract Process has
-// always had. Submissions are coalesced for the length of a chunk, for
+// always had — load-bearing now: a frame's tuples live in a leased block
+// its carriers recycle once the chunk is done (ARCHITECTURE.md, "Tuple
+// storage ownership"). Submissions are coalesced for the length of a chunk, for
 // every operator: outputs buffer per port and flush as one queue entry
 // into same-PE consumers and as one run into cross-PE links, so a fused
 // chain never degrades to per-tuple handoff — which is what makes a

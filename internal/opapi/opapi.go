@@ -276,7 +276,12 @@ func Sleep(clock vclock.Clock, d time.Duration, stop <-chan struct{}) bool {
 type Operator interface {
 	// Open is called once before any tuple delivery.
 	Open(ctx Context) error
-	// Process handles one tuple arriving on an input port.
+	// Process handles one tuple arriving on an input port. The retain
+	// rule: t's storage belongs to its frame and is reused after the
+	// call (for a batch operator, the ProcessBatch call). Submitting t
+	// is safe, and so is keeping a string or number read out of it;
+	// keeping t itself takes t.Clone(). Under the race detector a
+	// recycled frame is poisoned, so breaking the rule fails a test.
 	Process(port int, t tuple.Tuple) error
 	// ProcessMark handles a punctuation arriving on an input port. Final
 	// marks are delivered once per port; forwarding is the runtime's job.
@@ -302,8 +307,8 @@ type Operator interface {
 //     operator's meaning, and what callers outside the PE runtime use.
 //   - The Batch and the slice Tuples returns are valid only for the
 //     duration of the call; the runtime reuses the view. The tuples
-//     themselves follow the normal framing rules: retaining one past
-//     the call requires Clone, submitting it downstream is safe.
+//     follow Process's retain rule: keeping one past the call requires
+//     Clone, submitting it downstream is safe.
 //   - Submit/SubmitMark coalesce for the length of a chunk, for every
 //     operator with inputs, batch-capable or not: outputs are buffered
 //     and forwarded when the chunk is done, so intra-PE hops stay

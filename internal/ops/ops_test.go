@@ -544,3 +544,102 @@ func TestMalformedParamsFailOpen(t *testing.T) {
 		})
 	}
 }
+
+// cloningCtx keeps a copy of what is submitted, as a downstream carrier
+// would hold it: fakeCtx itself keeps the tuple, which only outlives the
+// call for storage that is never recycled.
+type cloningCtx struct{ *fakeCtx }
+
+func (c cloningCtx) Submit(i int, t tuple.Tuple) error { return c.fakeCtx.Submit(i, t.Clone()) }
+
+// TestFunctorBatchLeasesItsOutputBlock: ProcessBatch means what Process
+// per tuple means, builds its outputs in one leased block, and lets go of
+// it on return (that the storage then comes back, and a stage allocates
+// nothing, is transport's TestHopAllocatesNoTupleStorage).
+func TestFunctorBatchLeasesItsOutputBlock(t *testing.T) {
+	outS := tuple.MustSchema(
+		tuple.Attribute{Name: "seq", Type: tuple.Int},
+		tuple.Attribute{Name: "price", Type: tuple.Float},
+		tuple.Attribute{Name: "sym", Type: tuple.String},
+	)
+	params := opapi.Params{"addInt": "seq:10", "scale": "price:2"}
+	ins := make([]tuple.Tuple, 5)
+	for i := range ins {
+		ins[i] = mixed(int64(i), 1.5, "orig", true)
+	}
+	var view tuple.Batch
+	view.SetView(ins)
+
+	perTuple := newFakeCtx(params, []*tuple.Schema{mixedS}, []*tuple.Schema{outS})
+	batched := cloningCtx{newFakeCtx(params, []*tuple.Schema{mixedS}, []*tuple.Schema{outS})}
+	one, all := &functor{}, &functor{}
+	if err := one.Open(perTuple); err != nil {
+		t.Fatal(err)
+	}
+	if err := all.Open(batched); err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range ins {
+		if err := one.Process(0, in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := all.ProcessBatch(0, &view); err != nil {
+		t.Fatal(err)
+	}
+	if len(batched.emitted[0]) != len(ins) {
+		t.Fatalf("batch emitted %d of %d", len(batched.emitted[0]), len(ins))
+	}
+	for i, want := range perTuple.emitted[0] {
+		if got := batched.emitted[0][i]; got.Format() != want.Format() {
+			t.Fatalf("output %d: batch %s, per tuple %s", i, got.Format(), want.Format())
+		}
+	}
+
+	// A context that drops what it is given, like the benchmark's probe.
+	dropped := &droppingCtx{fakeCtx: newFakeCtx(params, []*tuple.Schema{mixedS}, []*tuple.Schema{outS})}
+	f := &functor{}
+	if err := f.Open(dropped); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.ProcessBatch(0, &view); err != nil {
+		t.Fatal(err)
+	}
+	if dropped.last.Block() == nil {
+		t.Fatal("batch outputs are not carved from a leased block")
+	}
+}
+
+type droppingCtx struct {
+	*fakeCtx
+	last tuple.Tuple
+}
+
+func (c *droppingCtx) Submit(i int, t tuple.Tuple) error { c.last = t; return nil }
+
+// TestCollectSinkKeepsCopies: the collection outlives the call, so what
+// it keeps must not live in the frame's block.
+func TestCollectSinkKeepsCopies(t *testing.T) {
+	ResetCollector("copies")
+	s := &collectSink{}
+	if err := s.Open(newFakeCtx(opapi.Params{"collectorId": "copies"}, []*tuple.Schema{intS}, nil)); err != nil {
+		t.Fatal(err)
+	}
+	frame, blk := tuple.Lease(intS, nil, 3)
+	for i, tu := range frame {
+		tu.SetIntAt(0, int64(i+1))
+		if err := s.Process(0, tu); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blk.Release()
+	again, _ := tuple.Lease(intS, nil, 3) // the frame's storage, reused
+	for _, tu := range again {
+		tu.SetIntAt(0, -1)
+	}
+	for i, got := range Collector("copies").Tuples() {
+		if got.Block() != nil || got.Int("seq") != int64(i+1) {
+			t.Fatalf("collected tuple %d reads %d from block %v", i, got.Int("seq"), got.Block())
+		}
+	}
+}

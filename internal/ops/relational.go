@@ -356,14 +356,16 @@ func (f *functor) Process(port int, t tuple.Tuple) error {
 }
 
 // ProcessBatch projects the whole run through column-wise loops: one
-// block allocation covers every output tuple (the outputs escape
-// downstream on Submit, so the block cannot be reused; the headers are
-// copied by Submit, so they can), and each compiled copy / arithmetic
-// spec walks its column across all tuples — the type switch and ref
-// bounds run once per column instead of once per tuple.
+// leased block covers every output tuple (Submit queues each output
+// under a hold of the carrier's, so the birth hold is dropped on return
+// and the block comes back once downstream is done with the run; the
+// headers are copied by Submit and reused here), and each compiled copy
+// / arithmetic spec walks its column across all tuples — the type switch
+// and ref bounds run once per column instead of once per tuple.
 func (f *functor) ProcessBatch(port int, b *tuple.Batch) error {
-	f.outs = tuple.NewBlockInto(f.ctx.OutputSchema(0), f.outs, b.Len())
-	outs := f.outs
+	outs, lease := tuple.Lease(f.ctx.OutputSchema(0), f.outs, b.Len())
+	f.outs = outs
+	defer lease.Release()
 	defer clear(outs)
 	ins := b.Tuples()
 	for _, c := range f.copies {

@@ -122,8 +122,9 @@ func (s *collectSink) Open(ctx opapi.Context) error {
 	return nil
 }
 
+// Process keeps a copy: t's storage is the frame's, reused after the call.
 func (s *collectSink) Process(port int, t tuple.Tuple) error {
-	s.coll.add(t)
+	s.coll.add(t.Clone())
 	return nil
 }
 

@@ -46,7 +46,7 @@ func TestInboxPerProducerFIFO(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				if !q.put(&queued{port: p, item: intItem(int64(i))}, 1) {
+				if !q.put(&queued{port: p, item: [1]Item{intItem(int64(i))}}, 1) {
 					t.Errorf("producer %d: put %d refused", p, i)
 					return
 				}
@@ -63,7 +63,7 @@ func TestInboxPerProducerFIFO(t *testing.T) {
 				t.Errorf("weight %d for %d single-tuple entries", w, len(run))
 			}
 			for _, e := range run {
-				if v := e.item.T.Int("v"); v != next[e.port] {
+				if v := e.item[0].T.Int("v"); v != next[e.port] {
 					t.Errorf("producer %d: got %d, want %d", e.port, v, next[e.port])
 				}
 				next[e.port]++
@@ -81,9 +81,9 @@ func TestInboxTakeReturnsEverything(t *testing.T) {
 	q := newInbox(256)
 	b := GetBatch()
 	b.Items = append(b.Items, intItem(1), intItem(2), intItem(3))
-	q.put(&queued{item: intItem(0)}, 1)
+	q.put(&queued{item: [1]Item{intItem(0)}}, 1)
 	q.put(&queued{batch: b}, 3)
-	q.put(&queued{item: MarkItem(tuple.WindowMark)}, 0)
+	q.put(&queued{item: [1]Item{MarkItem(tuple.WindowMark)}}, 0)
 	q.put(&queued{sync: &syncMsg{}}, 0)
 	if d := q.depth(); d != 4 {
 		t.Fatalf("depth = %d, want 4 tuples", d)
@@ -108,7 +108,7 @@ func TestInboxBlocksAtLimitInTuples(t *testing.T) {
 	b.Items = append(b.Items, intItem(0), intItem(1), intItem(2), intItem(3))
 	q.put(&queued{batch: b}, 4)
 	res := make(chan bool, 1)
-	go func() { res <- q.put(&queued{item: intItem(4)}, 1) }()
+	go func() { res <- q.put(&queued{item: [1]Item{intItem(4)}}, 1) }()
 	if !blocked(res) {
 		t.Fatal("put went through a full inbox")
 	}
@@ -130,9 +130,9 @@ func TestInboxBlocksAtLimitInTuples(t *testing.T) {
 // and fails every later put.
 func TestInboxClose(t *testing.T) {
 	q := newInbox(1)
-	q.put(&queued{item: intItem(0)}, 1)
+	q.put(&queued{item: [1]Item{intItem(0)}}, 1)
 	res := make(chan bool, 1)
-	go func() { res <- q.put(&queued{item: intItem(1)}, 1) }()
+	go func() { res <- q.put(&queued{item: [1]Item{intItem(1)}}, 1) }()
 	if !blocked(res) {
 		t.Fatal("put went through a full inbox")
 	}
@@ -148,7 +148,7 @@ func TestInboxClose(t *testing.T) {
 	if _, _, ok := q.take(nil); ok {
 		t.Fatal("take on a closed, empty inbox reported content")
 	}
-	if q.put(&queued{item: intItem(2)}, 1) {
+	if q.put(&queued{item: [1]Item{intItem(2)}}, 1) {
 		t.Fatal("put after close succeeded")
 	}
 

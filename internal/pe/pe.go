@@ -18,6 +18,12 @@
 // 64-tuple frame weighs 64. Batch, GetBatch, PutBatch, ExternalInlet
 // and ExternalBatchInlet are thin adapters over that path, kept for the
 // transport and the benchmark.
+//
+// An operator's pending emits, an inbox entry and the run the consume
+// loop has in hand are carriers of leased tuple storage: each holds the
+// tuple.Blocks of what it carries (holdRun) and drops exactly those
+// holds when done; a path that fails forgets them. ARCHITECTURE.md,
+// "Tuple storage ownership", has the protocol.
 package pe
 
 import (
@@ -442,7 +448,7 @@ func (p *PE) Kill(reason string) {
 // goroutine runs and no operator is open, so all there is to release is
 // what producers wired ahead of Start have queued or are parked on. The
 // inboxes close, waking them, and the queued tuples are counted as
-// dropped and their batches recycled. It reports whether the container
+// dropped and their entries released. It reports whether the container
 // was Created.
 func (p *PE) retire(to State, reason string) bool {
 	if !p.state.CompareAndSwap(int32(Created), int32(to)) {
@@ -456,9 +462,7 @@ func (p *PE) retire(to State, reason string) bool {
 		run, w, _ := rt.in.take(nil)
 		p.cTuplesDropped.Add(int64(w))
 		for i := range run {
-			if run[i].batch != nil {
-				PutBatch(run[i].batch)
-			}
+			run[i].release()
 		}
 	}
 	return true
@@ -522,7 +526,8 @@ func (p *PE) port(opName string, port int, input bool) (*opRuntime, error) {
 // operator's input port from outside the PE (cross-PE transport or a
 // cross-job import link). Tuples arriving after the PE died, or after the
 // operator finalised, are dropped and counted on nTuplesDropped — tuple
-// loss on failure, as the paper's §5.2 scenario requires.
+// loss on failure, as the paper's §5.2 scenario requires. The tuple need
+// only be valid for the call.
 func (p *PE) ExternalInlet(opName string, port int) (func(Item), error) {
 	rt, err := p.port(opName, port, true)
 	if err != nil {
@@ -533,15 +538,16 @@ func (p *PE) ExternalInlet(opName string, port int) (func(Item), error) {
 		if it.IsMark() {
 			w = 0
 		}
-		rt.put(&queued{port: port, item: it}, w)
+		it.T.Block().Retain() // the inbox entry's hold
+		rt.put(&queued{port: port, item: [1]Item{it}}, w)
 	}, nil
 }
 
 // ExternalBatchInlet returns a function that feeds whole item batches into
 // the named operator's input port as a single queue operation (one
 // pointer append) — the delivery side of the transport's small-batch
-// framing. Ownership of the batch transfers to the PE, which recycles it
-// once its items have been delivered or dropped.
+// framing. Ownership of the batch, holds included, transfers to the PE,
+// which recycles it once its items have been delivered or dropped.
 func (p *PE) ExternalBatchInlet(opName string, port int) (func(*Batch), error) {
 	rt, err := p.port(opName, port, true)
 	if err != nil {
@@ -705,18 +711,16 @@ func (p *PE) MetricsSnapshot() []metrics.Sample {
 // queue is still worked through — and a kill noticed — in frame-sized steps.
 const maxChunk = 64
 
-// put queues one entry weighing w tuples on the operator's inbox,
-// blocking for backpressure. A closed inbox — the operator finalised or
-// the container died — refuses it: the tuples are counted as dropped and
-// a refused batch is recycled.
+// put queues one entry weighing w tuples, its holds already taken, on
+// the operator's inbox, blocking for backpressure. A closed inbox — the
+// operator finalised or the container died — refuses it: the tuples are
+// counted as dropped and the entry is released.
 func (rt *opRuntime) put(q *queued, w int) {
 	if rt.in.put(q, w) {
 		return
 	}
 	rt.pe.cTuplesDropped.Add(int64(w))
-	if q.batch != nil {
-		PutBatch(q.batch)
-	}
+	q.release()
 }
 
 // consumeLoop is the processing goroutine of one operator *instance*
@@ -728,7 +732,8 @@ func (rt *opRuntime) put(q *queued, w int) {
 // part-way through a drained run, the tuples not yet processed — the
 // failed chunk and everything behind it — are logged and counted on the
 // PE's nTuplesDropped instead of vanishing silently; what is left
-// behind the last final mark is not a loss.
+// behind the last final mark is not a loss. Nor is such a run released:
+// its holds on leased blocks are forgotten, never dropped early.
 func (rt *opRuntime) consumeLoop() {
 	defer rt.pe.wg.Done()
 	defer func() {
@@ -764,17 +769,33 @@ func countTuples(items []Item) int {
 }
 
 // deliverRun walks one drained run in order, cutting it into chunks at
-// port changes, marks, synchronised calls and maxChunk. It reports
-// whether the consume loop should go on.
+// port changes, marks, synchronised calls and maxChunk. An entry is
+// released only after the chunk holding its last tuple has been
+// processed and flushed: until then the operator reads the tuples and
+// its pending emits point into them. It reports whether the consume
+// loop should go on.
 func (rt *opRuntime) deliverRun(run []queued) bool {
 	if rt.pe.State() != Running {
 		return false
 	}
-	var one [1]Item
+	done := 0 // run[:done] is released
+	// chunk delivers the pending chunk: the last tuples of run[:upto].
+	chunk := func(upto int) bool {
+		if !rt.deliverChunk() {
+			return false
+		}
+		for ; done < upto; done++ {
+			// Not worth a call for a single unleased item or a message.
+			if e := &run[done]; e.batch != nil || e.item[0].T.Block() != nil {
+				e.release()
+			}
+		}
+		return true
+	}
 	for i := range run {
 		q := &run[i]
 		if q.sync != nil {
-			if !rt.deliverChunk() {
+			if !chunk(i) {
 				return false
 			}
 			if q.sync.claim() {
@@ -783,30 +804,25 @@ func (rt *opRuntime) deliverRun(run []queued) bool {
 			}
 			continue
 		}
-		items := one[:]
+		items := q.item[:]
 		if q.batch != nil {
 			items = q.batch.Items
-		} else {
-			one[0] = q.item
 		}
 		for k := range items {
 			if it := &items[k]; it.IsMark() {
-				if !rt.deliverChunk() || !rt.deliverMark(q.port, it.Mark) {
+				if !chunk(i) || !rt.deliverMark(q.port, it.Mark) {
 					return false
 				}
 			} else {
-				if (q.port != rt.viewPort || len(rt.viewTs) == maxChunk) && !rt.deliverChunk() {
+				if (q.port != rt.viewPort || len(rt.viewTs) == maxChunk) && !chunk(i) {
 					return false
 				}
 				rt.viewPort = q.port
 				rt.viewTs = append(rt.viewTs, it.T)
 			}
 		}
-		if q.batch != nil {
-			PutBatch(q.batch)
-		}
 	}
-	return rt.deliverChunk()
+	return chunk(len(run))
 }
 
 // deliverChunk hands the accumulated chunk to the operator — one
@@ -876,7 +892,8 @@ func (rt *opRuntime) deliverMark(port int, m tuple.Mark) bool {
 // flush forwards the operator's pending emits: every intra-PE target
 // receives its port's items as one queue entry, every external outlet
 // receives them as one run, and the submission counters advance by the
-// tuple count in one step per port.
+// tuple count in one step per port. Each target takes its own holds
+// before the buffer drops the ones emit took.
 func (rt *opRuntime) flush() {
 	for port, buf := range rt.outBuf {
 		if len(buf) == 0 {
@@ -889,14 +906,17 @@ func (rt *opRuntime) flush() {
 		for _, tgt := range rt.intra[port] {
 			q := queued{port: tgt.port}
 			if len(buf) == 1 {
-				q.item = buf[0]
+				q.item[0] = buf[0]
+				buf[0].T.Block().Retain()
 			} else {
 				q.batch = GetBatch()
 				q.batch.Items = append(q.batch.Items, buf...)
+				holdRun(nil, buf)
 			}
 			tgt.op.put(&q, nt)
 		}
 		rt.outlets[port].each(buf)
+		releaseRun(buf)
 		clear(buf)
 		rt.outBuf[port] = buf[:0]
 	}
@@ -930,11 +950,17 @@ func (rt *opRuntime) forwardFinal() {
 	}
 }
 
-// emit buffers an item leaving an output port. An operator with inputs
-// emits from its consume goroutine, which flushes once per chunk; a
-// source has no chunk to coalesce over and forwards at once.
+// emit buffers an item leaving an output port, held until flush has
+// handed it on. An operator with inputs emits from its consume
+// goroutine, which flushes once per chunk; a source has no chunk to
+// coalesce over and forwards at once.
 func (rt *opRuntime) emit(port int, it Item) {
-	rt.outBuf[port] = append(rt.outBuf[port], it)
+	buf := rt.outBuf[port]
+	// holdRun for one item, read from the argument rather than the copy.
+	if b := it.T.Block(); b != nil && (len(buf) == 0 || buf[len(buf)-1].T.Block() != b) {
+		b.Retain()
+	}
+	rt.outBuf[port] = append(buf, it)
 	if len(rt.spec.Inputs) == 0 {
 		rt.flush()
 	}
@@ -943,10 +969,12 @@ func (rt *opRuntime) emit(port int, it Item) {
 // emitRun buffers a run of tuples leaving an output port: emit for the
 // whole run, so a source forwards it in one flush.
 func (rt *opRuntime) emitRun(port int, ts []tuple.Tuple) {
-	buf := rt.outBuf[port]
+	held := rt.outBuf[port]
+	buf := held
 	for _, t := range ts {
 		buf = append(buf, TupleItem(t))
 	}
+	holdRun(held, buf[len(held):])
 	rt.outBuf[port] = buf
 	if len(rt.spec.Inputs) == 0 {
 		rt.flush()

@@ -14,12 +14,15 @@
 // whose capacity counts the frame's tuples. Under load
 // frames fill and the per-tuple cost of queue synchronisation, codec
 // buffers, and tuple storage amortises to zero steady-state allocations
-// (a frame decodes into one block per typed array; the tuple headers are
-// the link's own scratch, copied into the batch); when the stream is
+// (a frame decodes into a leased tuple.Block, which the receiving side
+// recycles when it puts the batch back; the tuple headers are the link's
+// own scratch, copied into the batch); when the stream is
 // sparse the flusher drains immediately ("flush on queue drain"), so an
 // idle link adds only a goroutine handoff of latency. Punctuation flushes
 // the frame under construction and is delivered in position, preserving
-// stream order.
+// stream order. Like an inbox, the pending buffer holds the leased
+// blocks of its items until their run has been encoded or discarded, so
+// a sender may recycle its tuples as soon as SendRun returns.
 //
 // The operator inbox in package pe is the same swap-buffer mechanism.
 // The two stay separate types: a link's Close drains what is pending,
@@ -44,7 +47,7 @@ import (
 const markOverhead = 1
 
 // MaxFrameTuples is the largest number of tuples encoded into one frame
-// and delivered as one batch.
+// and delivered as one batch; a leased tuple.Block holds as many.
 const MaxFrameTuples = 64
 
 // maxPending bounds the sender-side buffer; a full buffer blocks the
@@ -70,10 +73,15 @@ type Link struct {
 	idle     sync.Cond
 	pending  []pe.Item
 	scratch  []pe.Item
-	shipping bool
-	closed   bool
-	discard  atomic.Bool
-	done     chan struct{}
+	// held lists pending's holds on leased blocks — a call takes one
+	// per run of its items sharing a block, which a re-scan of pending,
+	// where calls' runs merge, would miscount — and is swapped with it.
+	held        []*tuple.Block
+	heldScratch []*tuple.Block
+	shipping    bool
+	closed      bool
+	discard     atomic.Bool
+	done        chan struct{}
 
 	offs []int         // per-tuple end offsets within the frame buffer
 	hdrs []tuple.Tuple // decode-block header scratch, cleared after each frame
@@ -105,9 +113,9 @@ func NewLink(schema *tuple.Schema, remote func(*pe.Batch), sentBytes, recvBytes 
 // SendRun enqueues a run of items for delivery, in order; it is the
 // link's pe.Outlet. As much of the run as fits is appended under one
 // hold of the lock; while the pending buffer is full the sender waits
-// (backpressure) and then appends the rest. The items are copied, so
-// the slice stays the caller's. A closed link drops what has not been
-// appended yet.
+// (backpressure) and then appends the rest. The items are copied and
+// their leased blocks held, so the slice and the tuples stay the
+// caller's. A closed link drops what has not been appended yet.
 func (l *Link) SendRun(items []pe.Item) {
 	l.mu.Lock()
 	for len(items) > 0 {
@@ -122,9 +130,32 @@ func (l *Link) SendRun(items []pe.Item) {
 			l.notEmpty.Signal()
 		}
 		l.pending = append(l.pending, items[:n]...)
+		var prev *tuple.Block
+		for i := range items[:n] {
+			if b := items[i].T.Block(); b != prev {
+				l.hold(b)
+				prev = b
+			}
+		}
 		items = items[n:]
 	}
 	l.mu.Unlock()
+}
+
+// hold takes the pending buffer's hold on b, if any; lock held.
+func (l *Link) hold(b *tuple.Block) {
+	if b != nil {
+		b.Retain()
+		l.held = append(l.held, b)
+	}
+}
+
+// letGo drops a list of holds and clears it for reuse.
+func letGo(held []*tuple.Block) {
+	for _, b := range held {
+		b.Release()
+	}
+	clear(held)
 }
 
 // Send is SendRun for one item, without the slice: the form a caller
@@ -138,6 +169,7 @@ func (l *Link) Send(it pe.Item) {
 		l.mu.Unlock()
 		return
 	}
+	l.hold(it.T.Block())
 	l.pending = append(l.pending, it)
 	if len(l.pending) == 1 {
 		l.notEmpty.Signal()
@@ -168,20 +200,20 @@ func (l *Link) Close() {
 }
 
 // Discard tears the link down without draining: pending items are dropped
-// and the flusher stops shipping at the next frame boundary. It does not
-// block waiting for the flusher — the teardown path for a cancelled job or
-// restarted PE, where in-flight tuples are lost exactly as a severed TCP
-// connection would lose them.
+// (and their holds with them) and the flusher stops shipping at the next
+// frame boundary. It does not block waiting for the flusher — the
+// teardown path for a cancelled job or restarted PE, where in-flight
+// tuples are lost exactly as a severed TCP connection would lose them.
 func (l *Link) Discard() {
 	l.discard.Store(true)
 	l.mu.Lock()
 	if !l.closed {
 		l.closed = true
 	}
-	for k := range l.pending {
-		l.pending[k] = pe.Item{}
-	}
+	clear(l.pending)
 	l.pending = l.pending[:0]
+	letGo(l.held)
+	l.held = l.held[:0]
 	l.notEmpty.Broadcast()
 	l.notFull.Broadcast()
 	l.mu.Unlock()
@@ -203,19 +235,19 @@ func (l *Link) flusher() {
 			l.mu.Unlock()
 			return
 		}
-		batch := l.pending
-		l.pending = l.scratch[:0]
-		l.scratch = batch
+		batch, held := l.pending, l.held
+		l.pending, l.held = l.scratch[:0], l.heldScratch[:0]
+		l.scratch, l.heldScratch = batch, held
 		l.shipping = true
 		l.notFull.Broadcast()
 		l.mu.Unlock()
 
 		l.ship(batch)
-		// Clear shipped slots before they become the next scratch buffer,
-		// so an idle link does not pin the last burst's tuple storage.
-		for k := range batch {
-			batch[k] = pe.Item{}
-		}
+		// Encoded, or abandoned to a Discard: the link is done with the
+		// run. Clear the slots before they become the next scratch
+		// buffer, so an idle link does not pin the last burst's storage.
+		letGo(held)
+		clear(batch)
 
 		l.mu.Lock()
 		l.shipping = false
@@ -251,8 +283,9 @@ func (l *Link) ship(items []pe.Item) {
 }
 
 // shipFrame encodes a run of tuples starting at items[i] into one frame,
-// decodes it into a fresh tuple block, and delivers the block as one
-// batch. It returns the index of the first unconsumed item.
+// decodes it into a leased tuple block, and delivers the block as one
+// batch carrying its birth hold, which the receiver's PutBatch drops. It
+// returns the index of the first unconsumed item.
 func (l *Link) shipFrame(items []pe.Item, i int) int {
 	bp := tuple.GetBuf()
 	buf := *bp
@@ -281,8 +314,8 @@ func (l *Link) shipFrame(items []pe.Item, i int) int {
 	if l.sentBytes != nil {
 		l.sentBytes.Add(int64(len(buf)))
 	}
-	l.hdrs = tuple.NewBlockInto(l.schema, l.hdrs, len(offs))
-	block := l.hdrs
+	block, lease := tuple.Lease(l.schema, l.hdrs, len(offs))
+	l.hdrs = block
 	defer clear(block)
 	b := pe.GetBatch()
 	received := 0
@@ -304,6 +337,9 @@ func (l *Link) shipFrame(items []pe.Item, i int) int {
 	}
 	if l.recvBytes != nil && received > 0 {
 		l.recvBytes.Add(int64(received))
+	}
+	if len(b.Items) == 0 {
+		lease.Release() // nothing decoded: no batch to carry the birth hold
 	}
 	if len(b.Items) > 0 && !l.discard.Load() {
 		l.remote(b)

@@ -14,11 +14,17 @@ var schema = tuple.MustSchema(
 	tuple.Attribute{Name: "s", Type: tuple.String},
 )
 
-// collectRemote gathers delivered items; safe because the link's flusher
-// is the only goroutine calling it and tests read after Flush/Close.
+// collectRemote gathers copies of the delivered items (PutBatch hands
+// the frame's block back for reuse); safe because the link's flusher is
+// the only goroutine calling it and tests read after Flush/Close.
 func collectRemote(got *[]pe.Item) func(*pe.Batch) {
 	return func(b *pe.Batch) {
-		*got = append(*got, b.Items...)
+		for _, it := range b.Items {
+			if !it.IsMark() {
+				it.T = it.T.Clone()
+			}
+			*got = append(*got, it)
+		}
 		pe.PutBatch(b)
 	}
 }

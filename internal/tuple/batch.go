@@ -5,93 +5,26 @@ package tuple
 // (and coalesced intra-PE runs) to operators implementing the opt-in
 // ProcessBatch SPI as one Batch instead of one virtual call per tuple.
 //
-// A Batch comes in two flavours sharing one type:
-//
-//   - A *view* batch points at tuples that already exist (a decoded
-//     frame block, a run of queued items). SetView installs the run;
-//     the batch owns nothing.
-//   - An *owned* batch (NewBatch / Reset) carries its own block-backed
-//     storage — one allocation per typed array for the whole run,
-//     exactly like NewBlock — and reuses that storage across Resets.
-//     Operators producing one output per input (Functor) fill an owned
-//     batch instead of allocating per tuple.
+// A Batch is a view: it points at tuples that already exist (a decoded
+// frame block, a run of queued items) and owns nothing; SetView installs
+// the run.
 //
 // Ownership contract for consumers (ProcessBatch implementers): the
-// Batch and the tuple slice it exposes are only valid for the duration
-// of the call — the runtime reuses the view. The tuples themselves
-// follow the normal framing rules: tuples of one frame share block
-// storage, so retaining one past the call requires Clone, while
-// submitting it downstream is always safe (ownership passes with the
-// submit).
+// Batch, the tuple slice it exposes and the tuples' storage are valid for
+// the duration of the call only — the runtime reuses the view, and the
+// tuples of a frame live in a leased Block that is recycled once the
+// chunk has been processed and its emits forwarded. Keeping a tuple past
+// the call requires Clone; submitting it downstream is always safe (the
+// next carrier holds the block), and so is keeping a string or number
+// read out of it.
 type Batch struct {
 	schema *Schema
 	ts     []Tuple
-	// Owned backing blocks; nil for view batches. Reset reuses them when
-	// capacity allows, which is what makes a pooled decode/output batch
-	// allocation-free at steady state.
-	nums []int64
-	strs []string
-}
-
-// NewBatch returns an owned batch of n zero-valued tuples of schema s,
-// backed by one block allocation per typed array.
-func NewBatch(s *Schema, n int) *Batch {
-	b := &Batch{}
-	b.Reset(s, n)
-	return b
-}
-
-// Reset sizes the batch to n zero-valued tuples of schema s, reusing the
-// owned backing storage when its capacity suffices (timestamp slots are
-// re-planted with the zero-time sentinel, string slots cleared so old
-// frames are not pinned). A view batch becomes an owned batch on its
-// first Reset.
-func (b *Batch) Reset(s *Schema, n int) {
-	b.schema = s
-	if n <= 0 {
-		b.ts = b.ts[:0]
-		return
-	}
-	nNums, nStrs := n*s.nNums, n*s.nStrs
-	if cap(b.nums) < nNums {
-		b.nums = make([]int64, nNums)
-	} else {
-		b.nums = b.nums[:nNums]
-		clear(b.nums)
-	}
-	if cap(b.strs) < nStrs {
-		b.strs = make([]string, nStrs)
-	} else {
-		b.strs = b.strs[:nStrs]
-		clear(b.strs)
-	}
-	if cap(b.ts) < n {
-		b.ts = make([]Tuple, n)
-	} else {
-		b.ts = b.ts[:n]
-	}
-	for i := range b.ts {
-		b.ts[i].schema = s
-		if s.nNums > 0 {
-			b.ts[i].nums = b.nums[i*s.nNums : (i+1)*s.nNums : (i+1)*s.nNums]
-			for _, k := range s.tsSlots {
-				b.ts[i].nums[k] = zeroTimeNanos
-			}
-		} else {
-			b.ts[i].nums = nil
-		}
-		if s.nStrs > 0 {
-			b.ts[i].strs = b.strs[i*s.nStrs : (i+1)*s.nStrs : (i+1)*s.nStrs]
-		} else {
-			b.ts[i].strs = nil
-		}
-	}
 }
 
 // SetView points the batch at an existing run of tuples without copying
 // any storage; the run must be homogeneous in schema. The previous view
-// is discarded; owned backing storage, if any, is kept for a later
-// Reset.
+// is discarded.
 func (b *Batch) SetView(ts []Tuple) {
 	b.ts = ts
 	if len(ts) > 0 {

@@ -34,9 +34,9 @@ package tuple
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -96,6 +96,8 @@ type Schema struct {
 	// tsSlots lists the nums offsets holding timestamps, so New can plant
 	// the zero-time sentinel without rescanning the attribute list.
 	tsSlots []int
+	// blocks recycles the schema's leased Blocks (see Lease).
+	blocks sync.Pool
 }
 
 // NewSchema builds a schema from the given attributes. Attribute names must
@@ -296,13 +298,16 @@ func nanosFromTime(v time.Time) int64 {
 // Tuple is a single data item conforming to a schema, stored unboxed in
 // two typed arrays (see the package comment). The zero Tuple is invalid;
 // construct with New. Tuples are not safe for concurrent mutation; Clone
-// before sharing. Tuples decoded from a transport frame share one backing
-// allocation per frame (NewBlock); retaining one pins its frame, so
-// long-lived holders should Clone.
+// before sharing. A tuple decoded from a transport frame, or produced by
+// a batch operator, is carved from a leased Block (see Lease): it is
+// valid while whoever handed it over holds the block — for an operator,
+// the Process or ProcessBatch call — and is overwritten when the frame's
+// block is reused: Clone to keep one. Values read out of it stay good.
 type Tuple struct {
 	schema *Schema
 	nums   []int64
 	strs   []string
+	blk    *Block // the leased block the storage is carved from; nil: the GC's
 }
 
 // New returns a zero-valued tuple of the given schema.
@@ -321,35 +326,24 @@ func New(s *Schema) Tuple {
 }
 
 // NewBlock returns count zero-valued tuples of the schema sharing one
-// backing allocation per typed array — the frame arena the transport
-// decodes batches into, so per-tuple storage costs amortise to near zero.
-// The tuples are independent (non-overlapping slots) but all pin the same
-// blocks for the garbage collector.
+// backing allocation per typed array, so per-tuple storage costs amortise
+// to near zero. The tuples are independent (non-overlapping slots) and,
+// like those of New and Clone, carry no Block: the storage is the garbage
+// collector's and is never reused under a holder. Lease recycles.
 func NewBlock(s *Schema, count int) []Tuple {
 	if count <= 0 {
 		return nil
 	}
-	return NewBlockInto(s, make([]Tuple, count), count)
+	ts := make([]Tuple, count)
+	carve(ts, s, make([]int64, count*s.nNums), make([]string, count*s.nStrs), nil)
+	return ts
 }
 
-// NewBlockInto is NewBlock with caller-owned headers: it returns
-// hdrs[:count] (grown if its capacity is short) filled with fresh
-// zero-valued tuples. A producer that hands each tuple on by value
-// (Submit, a queue entry) reuses one header scratch across blocks, so
-// only the typed arrays are allocated; it should clear the headers once
-// handed on, or the scratch pins the last block.
-func NewBlockInto(s *Schema, hdrs []Tuple, count int) []Tuple {
-	ts := slices.Grow(hdrs[:0], count)[:count]
-	var nums []int64
-	if s.nNums > 0 {
-		nums = make([]int64, count*s.nNums)
-	}
-	var strs []string
-	if s.nStrs > 0 {
-		strs = make([]string, count*s.nStrs)
-	}
+// carve points ts[i] at the i-th tuple's slots of the typed arrays, which
+// must be zeroed, and plants the zero-time sentinels.
+func carve(ts []Tuple, s *Schema, nums []int64, strs []string, b *Block) {
 	for i := range ts {
-		ts[i] = Tuple{schema: s}
+		ts[i] = Tuple{schema: s, blk: b}
 		if s.nNums > 0 {
 			ts[i].nums = nums[i*s.nNums : (i+1)*s.nNums : (i+1)*s.nNums]
 			for _, k := range s.tsSlots {
@@ -360,16 +354,20 @@ func NewBlockInto(s *Schema, hdrs []Tuple, count int) []Tuple {
 			ts[i].strs = strs[i*s.nStrs : (i+1)*s.nStrs : (i+1)*s.nStrs]
 		}
 	}
-	return ts
 }
 
 // Schema returns the tuple's schema.
 func (t Tuple) Schema() *Schema { return t.schema }
 
+// Block returns the leased block the tuple's storage belongs to, nil for
+// a tuple of New, NewBlock or Clone.
+func (t Tuple) Block() *Block { return t.blk }
+
 // Valid reports whether the tuple was properly constructed.
 func (t Tuple) Valid() bool { return t.schema != nil }
 
-// Clone returns an independent copy of the tuple.
+// Clone returns an independent copy of the tuple, in storage of its own
+// that no block reuse touches.
 func (t Tuple) Clone() Tuple {
 	out := Tuple{schema: t.schema}
 	if len(t.nums) > 0 {

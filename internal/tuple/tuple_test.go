@@ -291,44 +291,3 @@ func BenchmarkDecode(b *testing.B) {
 		}
 	}
 }
-
-// TestNewBlockInto: the block constructor fills caller-owned headers —
-// reusing their backing array, overwriting whatever they held — with
-// independent zero-valued tuples, and allocates the typed arrays only.
-func TestNewBlockInto(t *testing.T) {
-	s := testSchema(t)
-	first := NewBlockInto(s, nil, 4)
-	if len(first) != 4 {
-		t.Fatalf("len = %d, want 4", len(first))
-	}
-	if err := first[1].SetInt("id", 7); err != nil {
-		t.Fatal(err)
-	}
-	if err := first[1].SetString("sym", "IBM"); err != nil {
-		t.Fatal(err)
-	}
-	if first[0].Int("id") != 0 || first[2].String("sym") != "" {
-		t.Fatal("tuples of one block share slots")
-	}
-
-	second := NewBlockInto(s, first, 3)
-	if len(second) != 3 || &second[0] != &first[0] {
-		t.Fatalf("headers not reused: len %d", len(second))
-	}
-	for i, tu := range second {
-		if tu.Schema() != s || tu.Int("id") != 0 || tu.String("sym") != "" || !tu.Time("at").IsZero() {
-			t.Fatalf("tuple %d of a reused header is not zero-valued: %s", i, tu.Format())
-		}
-	}
-	if first[3].Int("id") != 0 { // beyond the new length: untouched, still a valid old tuple
-		t.Fatal("header beyond the requested count was rewritten")
-	}
-	if grown := NewBlockInto(s, second, 9); len(grown) != 9 || !grown[8].Valid() {
-		t.Fatalf("short scratch not grown: len %d", len(grown))
-	}
-
-	hdrs := make([]Tuple, 0, 64)
-	if allocs := testing.AllocsPerRun(100, func() { hdrs = NewBlockInto(s, hdrs, 64) }); allocs > 2 {
-		t.Fatalf("%v allocations per block, want 2 (one per typed array)", allocs)
-	}
-}

@@ -128,7 +128,9 @@ func NewTuple(s *Schema) Tuple { return tuple.New(s) }
 
 // Operator SPI for custom operators.
 type (
-	// Operator is the stream-operator interface.
+	// Operator is the stream-operator interface. The retain rule: a
+	// tuple handed to Process or ProcessBatch is valid for the call, its
+	// storage recycled afterwards: submit it, read it, or Clone to keep.
 	Operator = opapi.Operator
 	// BatchOperator is the opt-in batch execution SPI: an Operator that
 	// also accepts each chunk of its input queue (up to a transport
