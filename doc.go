@@ -21,11 +21,9 @@
 // resolve attribute names once at setup into compiled FieldRefs and read
 // tuples with no per-tuple lookups; the name-based accessors remain as a
 // compatibility layer. Cross-PE stream connections frame tuples in small
-// batches through a zero-copy-reuse codec (encode buffers are pooled,
-// frames decode into per-frame tuple blocks, batches enter the remote PE
-// as one queue operation), which makes the steady-state cross-PE hop
-// allocation-free for fixed-width schemas. See internal/tuple and
-// internal/transport for the layout and framing contracts.
+// batches through the binary codec; ARCHITECTURE.md ("Tuple and frame
+// lifecycle", step 3) follows a tuple across a hop, and internal/tuple
+// and internal/transport hold the layout and framing contracts.
 //
 // # Batch execution
 //

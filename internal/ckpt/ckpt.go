@@ -26,10 +26,10 @@
 // simply carry no capture instant.
 //
 // Within a payload, operators write primitives through an Encoder and
-// read them back through a Decoder in the same order. The wire
-// encodings match the tuple codec (zig-zag varints, IEEE-754 floats,
-// length-prefixed strings), and snapshot assembly reuses the codec's
-// pooled buffers, so steady-state checkpointing of fixed-width state
+// read them back through a Decoder in the same order. The encodings
+// are zig-zag varints, big-endian IEEE-754 floats and length-prefixed
+// strings, and snapshot assembly reuses the tuple codec's pooled
+// buffers, so steady-state checkpointing of fixed-width state
 // allocates only the final persisted copy.
 //
 // Malformed input never panics: Parse rejects bad magic (ErrNotSnapshot),

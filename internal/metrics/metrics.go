@@ -43,7 +43,11 @@ const (
 	// part-way (logged as well), and every tuple offered to an operator
 	// that had already finalised or to a dead container.
 	PETuplesDropped = "nTuplesDropped"
-	PERestarts      = "nRestarts"
+	// PETuplesDroppedCodec counts, on the sending PE, tuples a cross-PE
+	// link discarded because they failed to encode or to decode (logged
+	// as well); a link between matching schemas never steps it.
+	PETuplesDroppedCodec = "nTuplesDroppedCodecError"
+	PERestarts           = "nRestarts"
 	// PERestartAttempts is the cumulative count of restart attempts SAM
 	// spent on this PE, retries included; compared against nRestarts it
 	// exposes how hard the retry layer had to work.

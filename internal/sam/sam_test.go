@@ -13,6 +13,7 @@ import (
 	"streamorca/internal/ids"
 	"streamorca/internal/metrics"
 	"streamorca/internal/ops"
+	"streamorca/internal/pe"
 	"streamorca/internal/platform"
 	"streamorca/internal/sam"
 	"streamorca/internal/tuple"
@@ -444,6 +445,53 @@ func TestLinkCountTracksCancel(t *testing.T) {
 	}
 	if got := inst.SAM.LinkCount(); got != 0 {
 		t.Fatalf("LinkCount after cancel = %d", got)
+	}
+}
+
+// TestCodecErrorDiscardsCounted: tuples a SAM-wired link discards on a
+// codec error are counted on the sending PE, one per tuple. No operator
+// can submit such a tuple (checkSubmit holds every port to its schema),
+// so the test feeds the live link directly: tuples of a wider schema
+// leave bytes over when the link decodes them with its own (the case
+// transport's TestLinkSchemaMismatchDropped covers), and the invalid
+// tuple fails to encode.
+func TestCodecErrorDiscardsCounted(t *testing.T) {
+	inst := newInstance(t, "h1")
+	ops.ResetCollector("cx")
+	jobID, err := inst.SAM.SubmitJob(pipelineApp(t, "Codec", "cx", 5), sam.SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitCond(t, "the beacon's 5 tuples at sink", func() bool { return ops.Collector("cx").Len() == 5 })
+
+	wide := tuple.MustSchema(
+		tuple.Attribute{Name: "seq", Type: tuple.Int},
+		tuple.Attribute{Name: "s", Type: tuple.String},
+	)
+	link := inst.SAM.LinkFrom("src")
+	const sent = 7
+	for i := 0; i < sent; i++ {
+		link.Send(pe.TupleItem(tuple.Build(wide).Int("seq", int64(i)).Str("s", "leftover").Done()))
+	}
+	link.Send(pe.TupleItem(tuple.Tuple{}))
+	link.Flush()
+
+	info, _ := inst.SAM.Job(jobID)
+	for _, p := range info.PEs {
+		c, ok := inst.Cluster.PEContainer(p.ID)
+		if !ok {
+			t.Fatalf("container of PE %s missing", p.ID)
+		}
+		want := int64(0)
+		if p.Operators[0] == "src" {
+			want = sent + 1
+		}
+		if got := c.PEMetrics().Counter(metrics.PETuplesDroppedCodec).Value(); got != want {
+			t.Fatalf("PE of %s: %s = %d, want %d", p.Operators[0], metrics.PETuplesDroppedCodec, got, want)
+		}
+	}
+	if got := ops.Collector("cx").Len(); got != 5 {
+		t.Fatalf("sink saw %d tuples, want the beacon's 5 and none of the discarded", got)
 	}
 }
 

@@ -151,11 +151,17 @@ func (s *SAM) establishLocked(l *xlink) error {
 	if err != nil {
 		return err
 	}
+	// The link calls onErr once per tuple it discards on a codec error;
+	// the loss is the sending PE's to account for.
+	dropped := srcPE.container.PEMetrics().Counter(metrics.PETuplesDroppedCodec)
 	link := transport.NewLink(
 		schema, inlet,
 		srcPE.container.PEMetrics().Counter(metrics.PETupleBytesSubmitted),
 		dstPE.container.PEMetrics().Counter(metrics.PETupleBytesProcessed),
-		func(err error) { s.cfg.Logf("sam: link %s: %v", l.id, err) },
+		func(err error) {
+			dropped.Inc()
+			s.cfg.Logf("sam: link %s: %v", l.id, err)
+		},
 	)
 	if err := srcPE.container.AddOutlet(l.fromOp, l.fromPort, l.id, link.SendRun); err != nil {
 		link.Discard()

@@ -1,9 +1,11 @@
 // Package transport implements inter-PE stream links. In System S these
 // are TCP connections between PE processes; here each link serialises
-// tuples through the binary codec and hands the decoded copy to the remote
-// PE's inlet. Round-tripping through bytes keeps the byte-count built-in
-// metrics honest and guarantees no accidental sharing of tuple storage
-// across the PE boundary (so killing a PE loses exactly its own state).
+// tuples through the binary codec — a tuple's numeric slots at fixed
+// width, then its strings length-prefixed; tuple.Encode has the layout —
+// and hands the decoded copy to the remote PE's inlet. Round-tripping
+// through bytes keeps the byte-count built-in metrics honest and
+// guarantees no accidental sharing of tuple storage across the PE
+// boundary (so killing a PE loses exactly its own state).
 //
 // Links batch: a sender appends its run of items to a bounded pending
 // buffer — SendRun, the pe.Outlet a port's flush calls once per run;

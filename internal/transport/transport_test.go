@@ -131,7 +131,9 @@ func TestLinkBatchesUnderLoad(t *testing.T) {
 	const n = 10 * MaxFrameTuples
 	var wantBytes int64
 	for i := 0; i < n; i++ {
-		tp := tuple.Build(schema).Int("v", int64(i)).Str("s", "payload").Done()
+		// Lengths 0..199: empty strings, and both one- and two-byte
+		// length prefixes, through EncodedSize and the frame alike.
+		tp := tuple.Build(schema).Int("v", int64(i)).Str("s", strings.Repeat("p", i%200)).Done()
 		wantBytes += int64(tuple.EncodedSize(tp))
 		link.Send(pe.TupleItem(tp))
 		if i == n/2 {

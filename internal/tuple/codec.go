@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 )
 
@@ -54,42 +55,31 @@ func PutBuf(b *[]byte) {
 // schema (both ends of a stream connection share the compiled schema, as in
 // System S where the ADL fixes port schemas at compile time).
 //
-// Wire format per attribute, in schema order:
+// Wire format — the tuple's storage, slot by slot (see the package comment):
 //
-//	Int       varint (zig-zag)
-//	Float     8 bytes IEEE-754 big endian
-//	String    uvarint length + bytes
-//	Bool      1 byte
-//	Timestamp varint unix-nanos (math.MinInt64 encodes the zero time)
+//	nums slots  8 bytes little endian each, in slot order: Int value,
+//	            Float IEEE-754 bits, Bool 0/1, Timestamp unix-nanos
+//	            (math.MinInt64 encodes the zero time)
+//	strs slots  uvarint length + bytes each, in slot order
 //
-// Encoding reads straight out of the tuple's typed storage, so it performs
-// no per-attribute boxing or allocation.
+// Slot order, not attribute order, is what lets both directions run as one
+// loop of fixed-width moves and one of strings with no schema walk and no
+// per-attribute type switch; the schema compiles attribute → slot once, so
+// the two orders carry the same information. The price is bytes: a numeric
+// attribute is always 8 on the wire, so a Bool costs 8 where a byte would
+// do and a small Int 8 where a varint took 1–2 (a Timestamp's varint was
+// already 9–10). The byte order is fixed by encoding/binary, not by the
+// host, so the format is portable.
 func Encode(dst []byte, t Tuple) ([]byte, error) {
 	if !t.Valid() {
 		return dst, fmt.Errorf("%s: encoding invalid tuple", codecPrefix)
 	}
-	ni, si := 0, 0
-	for _, a := range t.schema.attrs {
-		switch a.Type {
-		case Int, Timestamp:
-			dst = binary.AppendVarint(dst, t.nums[ni])
-			ni++
-		case Float:
-			dst = binary.BigEndian.AppendUint64(dst, uint64(t.nums[ni]))
-			ni++
-		case String:
-			s := t.strs[si]
-			dst = binary.AppendUvarint(dst, uint64(len(s)))
-			dst = append(dst, s...)
-			si++
-		case Bool:
-			if t.nums[ni] != 0 {
-				dst = append(dst, 1)
-			} else {
-				dst = append(dst, 0)
-			}
-			ni++
-		}
+	for _, v := range t.nums {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
+	}
+	for _, s := range t.strs {
+		dst = binary.AppendUvarint(dst, uint64(len(s)))
+		dst = append(dst, s...)
 	}
 	return dst, nil
 }
@@ -101,46 +91,20 @@ func EncodedSize(t Tuple) int {
 	if !t.Valid() {
 		return 0
 	}
-	n := 0
-	var scratch [binary.MaxVarintLen64]byte
-	ni, si := 0, 0
-	for _, a := range t.schema.attrs {
-		switch a.Type {
-		case Int, Timestamp:
-			n += binary.PutVarint(scratch[:], t.nums[ni])
-			ni++
-		case Float:
-			n += 8
-			ni++
-		case String:
-			l := len(t.strs[si])
-			n += binary.PutUvarint(scratch[:], uint64(l)) + l
-			si++
-		case Bool:
-			n++
-			ni++
-		}
+	n := 8 * len(t.nums)
+	for _, s := range t.strs {
+		// A uvarint carries 7 bits per byte; the zero length takes one.
+		n += (bits.Len64(uint64(len(s))|1)+6)/7 + len(s)
 	}
 	return n
-}
-
-// Decode parses one tuple of schema s from data, returning the tuple and
-// the number of bytes consumed. It allocates fresh storage; hot paths that
-// own a reusable tuple should call DecodeInto instead.
-func Decode(s *Schema, data []byte) (Tuple, int, error) {
-	t := New(s)
-	n, err := DecodeInto(&t, data)
-	if err != nil {
-		return Tuple{}, 0, err
-	}
-	return t, n, nil
 }
 
 // DecodeInto parses one tuple of t's schema from data into t's existing
 // storage, returning the number of bytes consumed. The tuple keeps its
 // storage across calls, so decoding fixed-width attributes allocates
 // nothing; string attributes copy their bytes out of data (one allocation
-// per string), which is what makes retaining a decoded string safe.
+// per string), which is what makes retaining a decoded string safe. A Bool
+// slot holding any non-zero wire value decodes to true, stored as 1.
 //
 // All malformed-input failures wrap ErrTruncated; passing an invalid
 // tuple is a programming error reported separately. On error the tuple's
@@ -151,52 +115,31 @@ func DecodeInto(t *Tuple, data []byte) (int, error) {
 		// not classify it as ErrTruncated.
 		return 0, fmt.Errorf("%s: decode into invalid tuple", codecPrefix)
 	}
-	s := t.schema
-	ni, si := 0, 0
-	off := 0
-	for i := range s.attrs {
-		switch s.attrs[i].Type {
-		case Int, Timestamp:
-			v, n := binary.Varint(data[off:])
-			if n <= 0 {
-				return 0, fmt.Errorf("%w: varint for %q", ErrTruncated, s.attrs[i].Name)
-			}
-			t.nums[ni] = v
-			ni++
-			off += n
-		case Float:
-			if len(data)-off < 8 {
-				return 0, fmt.Errorf("%w: float for %q", ErrTruncated, s.attrs[i].Name)
-			}
-			t.nums[ni] = int64(binary.BigEndian.Uint64(data[off:]))
-			ni++
-			off += 8
-		case String:
-			l, n := binary.Uvarint(data[off:])
-			if n <= 0 {
-				return 0, fmt.Errorf("%w: string length for %q", ErrTruncated, s.attrs[i].Name)
-			}
-			// Reject lengths that cannot index a slice before converting,
-			// so a hostile length never wraps around or over-slices.
-			if l > uint64(math.MaxInt) || uint64(len(data)-off-n) < l {
-				return 0, fmt.Errorf("%w: string of %d bytes for %q exceeds input", ErrTruncated, l, s.attrs[i].Name)
-			}
-			off += n
-			t.strs[si] = string(data[off : off+int(l)])
-			si++
-			off += int(l)
-		case Bool:
-			if len(data)-off < 1 {
-				return 0, fmt.Errorf("%w: bool for %q", ErrTruncated, s.attrs[i].Name)
-			}
-			if data[off] != 0 {
-				t.nums[ni] = 1
-			} else {
-				t.nums[ni] = 0
-			}
-			ni++
-			off++
+	off := 8 * len(t.nums)
+	if len(data) < off {
+		return 0, fmt.Errorf("%w: %d bytes for %d numeric slots", ErrTruncated, len(data), len(t.nums))
+	}
+	for i := range t.nums {
+		t.nums[i] = int64(binary.LittleEndian.Uint64(data[8*i:]))
+	}
+	for _, k := range t.schema.boolSlots {
+		if t.nums[k] != 0 {
+			t.nums[k] = 1
 		}
+	}
+	for i := range t.strs {
+		l, n := binary.Uvarint(data[off:])
+		if n <= 0 {
+			return 0, fmt.Errorf("%w: length of string slot %d", ErrTruncated, i)
+		}
+		// Reject lengths that cannot index a slice before converting,
+		// so a hostile length never wraps around or over-slices.
+		if l > uint64(math.MaxInt) || uint64(len(data)-off-n) < l {
+			return 0, fmt.Errorf("%w: string slot %d of %d bytes exceeds input", ErrTruncated, i, l)
+		}
+		off += n
+		t.strs[i] = string(data[off : off+int(l)])
+		off += int(l)
 	}
 	return off, nil
 }

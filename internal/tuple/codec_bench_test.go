@@ -79,6 +79,48 @@ func BenchmarkDecodeIntoInts(b *testing.B) {
 	}
 }
 
+// BenchmarkCodecFrame is the transport's unit of work — a frame of 64
+// tuples of the benchmark's five-attribute event schema (a short string
+// key, an int, a float, two timestamps) encoded into one buffer and
+// decoded back into reused storage — so the codec's MB/s has a reading
+// next to the code; allocations are the 64 decoded strings.
+func BenchmarkCodecFrame(b *testing.B) {
+	s := MustSchema(
+		Attribute{"user", String}, Attribute{"seq", Int}, Attribute{"score", Float},
+		Attribute{"ts", Timestamp}, Attribute{"sent", Timestamp},
+	)
+	in, out := NewBlock(s, 64), NewBlock(s, 64)
+	at := time.Unix(0, 1345999999123456789).UTC()
+	for i, tp := range in {
+		_ = tp.SetString("user", "user-"+string(rune('a'+i%26)))
+		_ = tp.SetInt("seq", int64(i))
+		_ = tp.SetFloat("score", float64(i)/3)
+		_ = tp.SetTime("ts", at)
+		_ = tp.SetTime("sent", at)
+	}
+	buf := make([]byte, 0, 64*64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = buf[:0]
+		for _, tp := range in {
+			var err error
+			if buf, err = Encode(buf, tp); err != nil {
+				b.Fatal(err)
+			}
+		}
+		off := 0
+		for k := range out {
+			n, err := DecodeInto(&out[k], buf[off:])
+			if err != nil {
+				b.Fatal(err)
+			}
+			off += n
+		}
+	}
+	b.SetBytes(int64(len(buf)))
+}
+
 // BenchmarkFieldRefAccess compares compiled-ref reads against the
 // name-based compatibility layer on the same tuple.
 func BenchmarkFieldRefAccess(b *testing.B) {

@@ -1,12 +1,14 @@
 package tuple
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
 )
 
-// fuzzSchema mixes every wire shape: varints, fixed-width, length-prefixed.
+// fuzzSchema mixes every wire shape — every fixed-width slot type and two
+// length-prefixed strings — declared interleaved, unlike their slot order.
 var fuzzSchema = MustSchema(
 	Attribute{"id", Int},
 	Attribute{"price", Float},
@@ -23,6 +25,20 @@ func FuzzEncodeDecode(f *testing.F) {
 	f.Add(int64(0), 0.0, "", false, int64(0), "", []byte(nil))
 	f.Add(int64(-123456789), 3.14, "hello", true, int64(1345999999123456789), "world", []byte{0x80})
 	f.Add(int64(1)<<62, -1e300, "\x00\xff", true, int64(-1), string(make([]byte, 300)), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	// Raw inputs shaped like the format: a valid frame, the frame cut one
+	// byte short, its last string's length pointing one past the end, and
+	// 8 × 0xff in the Bool slot.
+	valid, err := Encode(nil, Build(fuzzSchema).Int("id", 7).Str("sym", "IBM").Str("note", "x").Done())
+	if err != nil {
+		f.Fatal(err)
+	}
+	overlong := bytes.Clone(valid)
+	overlong[len(overlong)-2]++ // note's length byte: 1 -> 2
+	allOnes := bytes.Clone(valid)
+	copy(allOnes[16:24], bytes.Repeat([]byte{0xff}, 8))
+	for _, raw := range [][]byte{valid, valid[:len(valid)-1], overlong, allOnes} {
+		f.Add(int64(0), 0.0, "", false, int64(0), "", raw)
+	}
 	f.Fuzz(func(t *testing.T, id int64, price float64, sym string, live bool, nanos int64, note string, raw []byte) {
 		// Property 1: value round-trip through Encode/DecodeInto.
 		in := New(fuzzSchema)
@@ -54,9 +70,17 @@ func FuzzEncodeDecode(f *testing.F) {
 			t.Fatalf("round trip mismatch: %s vs %s", out.Format(), in.Format())
 		}
 
-		// Property 2: arbitrary input never panics; failures are typed; a
+		// Property 2: a strict prefix of a valid encoding fails, typed.
+		// Inputs here are capacity-clipped, so an over-read panics.
+		cut := len(raw) % len(buf) // fuzzSchema's four nums slots: never empty
+		if _, err := DecodeInto(&out, buf[:cut:cut]); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("decode of %d/%d bytes = %v, want ErrTruncated", cut, len(buf), err)
+		}
+
+		// Property 3: arbitrary input never panics; failures are typed; a
 		// success consumes no more than the input.
-		got, used, err := Decode(fuzzSchema, raw)
+		got := New(fuzzSchema)
+		used, err := DecodeInto(&got, raw[:len(raw):len(raw)])
 		if err != nil {
 			if !errors.Is(err, ErrTruncated) {
 				t.Fatalf("decode error not ErrTruncated: %v", err)
@@ -66,14 +90,19 @@ func FuzzEncodeDecode(f *testing.F) {
 		if used > len(raw) {
 			t.Fatalf("decode consumed %d of %d input bytes", used, len(raw))
 		}
-		// A successful decode re-encodes to something decodable (varint
-		// paddings may shrink, so only re-decode, not byte-compare).
+		// A successful decode re-encodes canonically (a padded string
+		// length shrinks, a Bool slot becomes 0/1): encoding what that
+		// decodes to gives the same bytes again.
 		re, err := Encode(nil, got)
 		if err != nil {
 			t.Fatalf("re-encode: %v", err)
 		}
-		if _, _, err := Decode(fuzzSchema, re); err != nil {
-			t.Fatalf("re-decode: %v", err)
+		again := New(fuzzSchema)
+		if n, err := DecodeInto(&again, re); err != nil || n != len(re) {
+			t.Fatalf("re-decode consumed %d of %d: %v", n, len(re), err)
+		}
+		if re2, _ := Encode(nil, again); !bytes.Equal(re, re2) {
+			t.Fatalf("re-encoding is not a fixed point:\n%x\n%x", re, re2)
 		}
 	})
 }
@@ -88,9 +117,10 @@ func TestDecodeRejectsOverlongString(t *testing.T) {
 		{0x05, 'a'}, // declares 5 bytes, provides one
 		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, // ~MaxUint64
 	}
+	got := New(s)
 	for _, data := range cases {
-		if _, _, err := Decode(s, data); !errors.Is(err, ErrTruncated) {
-			t.Fatalf("Decode(%x) = %v, want ErrTruncated", data, err)
+		if _, err := DecodeInto(&got, data); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("DecodeInto(%x) = %v, want ErrTruncated", data, err)
 		}
 	}
 }

@@ -96,6 +96,9 @@ type Schema struct {
 	// tsSlots lists the nums offsets holding timestamps, so New can plant
 	// the zero-time sentinel without rescanning the attribute list.
 	tsSlots []int
+	// boolSlots lists the nums offsets holding bools, which DecodeInto
+	// normalises to 0/1 after its fixed-width loads.
+	boolSlots []int
 	// blocks recycles the schema's leased Blocks (see Lease).
 	blocks sync.Pool
 }
@@ -125,8 +128,11 @@ func NewSchema(attrs ...Attribute) (*Schema, error) {
 			s.nStrs++
 		default: // Int, Float, Bool, Timestamp
 			s.slot[i] = s.nNums
-			if a.Type == Timestamp {
+			switch a.Type {
+			case Timestamp:
 				s.tsSlots = append(s.tsSlots, s.nNums)
+			case Bool:
+				s.boolSlots = append(s.boolSlots, s.nNums)
 			}
 			s.nNums++
 		}

@@ -1,6 +1,7 @@
 package tuple
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -182,12 +183,13 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if len(buf) != EncodedSize(tp) {
 		t.Fatalf("EncodedSize = %d, len(Encode) = %d", EncodedSize(tp), len(buf))
 	}
-	got, n, err := Decode(s, buf)
+	got := New(s)
+	n, err := DecodeInto(&got, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != len(buf) {
-		t.Fatalf("Decode consumed %d of %d bytes", n, len(buf))
+		t.Fatalf("DecodeInto consumed %d of %d bytes", n, len(buf))
 	}
 	if got.Int("id") != tp.Int("id") || got.Float("price") != tp.Float("price") ||
 		got.String("sym") != tp.String("sym") || got.Bool("live") != tp.Bool("live") ||
@@ -196,16 +198,19 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeTruncated: every strict prefix of a valid encoding fails with
+// ErrTruncated. The prefix is capacity-clipped, so a read past it panics.
 func TestDecodeTruncated(t *testing.T) {
-	s := testSchema(t)
-	tp := New(s)
-	buf, err := Encode(nil, tp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cut := 0; cut < len(buf); cut++ {
-		if _, _, err := Decode(s, buf[:cut]); err == nil {
-			t.Fatalf("Decode of %d/%d bytes succeeded", cut, len(buf))
+	for _, tp := range []Tuple{New(testSchema(t)), goldenTuple()} {
+		buf, err := Encode(nil, tp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := New(tp.Schema())
+		for cut := 0; cut < len(buf); cut++ {
+			if _, err := DecodeInto(&got, buf[:cut:cut]); !errors.Is(err, ErrTruncated) {
+				t.Fatalf("DecodeInto of %d/%d bytes = %v, want ErrTruncated", cut, len(buf), err)
+			}
 		}
 	}
 }
@@ -241,8 +246,8 @@ func TestCodecPropertyRoundTrip(t *testing.T) {
 		if len(buf) != EncodedSize(tp) {
 			return false
 		}
-		got, n, err := Decode(s, buf)
-		if err != nil || n != len(buf) {
+		got := New(s)
+		if n, err := DecodeInto(&got, buf); err != nil || n != len(buf) {
 			return false
 		}
 		// NaN compares unequal to itself; encode bits instead.
@@ -286,7 +291,8 @@ func BenchmarkDecode(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Decode(s, buf); err != nil {
+		out := New(s) // fresh storage per tuple: what DecodeInto's reuse saves
+		if _, err := DecodeInto(&out, buf); err != nil {
 			b.Fatal(err)
 		}
 	}
