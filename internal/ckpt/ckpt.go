@@ -30,7 +30,10 @@
 // are zig-zag varints, big-endian IEEE-754 floats and length-prefixed
 // strings, and snapshot assembly reuses the tuple codec's pooled
 // buffers, so steady-state checkpointing of fixed-width state
-// allocates only the final persisted copy.
+// allocates only the final persisted copy. On the way back, the strings
+// decoded from one section share one copy of its payload: a restore
+// allocates once per section rather than once per key, and any decoded
+// string still referenced keeps that whole copy alive.
 //
 // Malformed input never panics: Parse rejects bad magic (ErrNotSnapshot),
 // unknown versions (ErrVersion), and truncated or CRC-mismatching bytes
@@ -295,6 +298,7 @@ func (e *Encoder) PutTime(t time.Time) {
 // otherwise spin on zero values.
 type Decoder struct {
 	data []byte
+	str  string // copy of data, made by the first non-empty Str
 	off  int
 	err  error
 }
@@ -367,13 +371,20 @@ func (d *Decoder) Bool() bool {
 	return v
 }
 
-// Str reads a length-prefixed string.
+// Str reads a length-prefixed string. The first non-empty Str copies
+// the whole section payload into one string, and every string read
+// from the section is a substring of that copy: one allocation per
+// section, not per string. A returned string never aliases the bytes
+// given to Parse, but it keeps the payload copy alive while referenced.
 func (d *Decoder) Str() string {
 	b := d.Bytes()
-	if b == nil {
+	if len(b) == 0 {
 		return ""
 	}
-	return string(b)
+	if d.str == "" {
+		d.str = string(d.data)
+	}
+	return d.str[d.off-len(b) : d.off]
 }
 
 // Bytes reads a length-prefixed byte slice aliasing the section payload.

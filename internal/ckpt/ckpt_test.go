@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"path/filepath"
 	"testing"
@@ -173,6 +174,80 @@ func TestDecoderHostileLength(t *testing.T) {
 	d := (&Section{payload: payload}).Decoder()
 	if s := d.Str(); s != "" || d.Err() == nil {
 		t.Fatalf("hostile length: s=%q err=%v", s, d.Err())
+	}
+}
+
+// strSection returns the one section of a snapshot whose payload is
+// strs written with PutStr.
+func strSection(t *testing.T, strs ...string) (Section, []byte) {
+	t.Helper()
+	w := NewWriter()
+	defer w.Close()
+	if err := w.Section("s", "K", func(e *Encoder) error {
+		for _, s := range strs {
+			e.PutStr(s)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	data := append([]byte(nil), w.Finish()...)
+	snap, err := Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap.Sections()[0], data
+}
+
+func TestDecoderStrOutlivesParseInput(t *testing.T) {
+	words := []string{"IBM", "", "GOOG", "a longer symbol name"}
+	sec, data := strSection(t, words...)
+	d := sec.Decoder()
+	got := make([]string, len(words))
+	for i := range got {
+		got[i] = d.Str()
+	}
+	for i := range data {
+		data[i] = 0xAA
+	}
+	for i, want := range words {
+		if got[i] != want {
+			t.Fatalf("string %d = %q after the Parse input was overwritten, want %q", i, got[i], want)
+		}
+	}
+}
+
+func TestDecoderStrEmptyAndLatched(t *testing.T) {
+	d := (&Section{payload: []byte{0x00, 0x02, 'h', 'i', 0x05, 'x'}}).Decoder()
+	if s := d.Str(); s != "" || d.Err() != nil {
+		t.Fatalf("empty string: s=%q err=%v", s, d.Err())
+	}
+	if s := d.Str(); s != "hi" {
+		t.Fatalf("s = %q, want hi", s)
+	}
+	if s := d.Str(); s != "" || !errors.Is(d.Err(), ErrCorrupt) {
+		t.Fatalf("length past the end: s=%q err=%v", s, d.Err())
+	}
+	if s := d.Str(); s != "" {
+		t.Fatalf("read after a latched error: s=%q", s)
+	}
+}
+
+func TestDecoderStrAllocatesOncePerSection(t *testing.T) {
+	words := make([]string, 1000)
+	for i := range words {
+		words[i] = fmt.Sprintf("user%06d", i)
+	}
+	sec, _ := strSection(t, words...)
+	var last string
+	allocs := testing.AllocsPerRun(20, func() {
+		d := sec.Decoder()
+		for range words {
+			last = d.Str()
+		}
+	})
+	if allocs != 1 || last != words[len(words)-1] {
+		t.Fatalf("1000 strings from one section: %.1f allocations (want 1), last %q", allocs, last)
 	}
 }
 

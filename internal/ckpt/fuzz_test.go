@@ -8,8 +8,9 @@ import (
 
 // FuzzParse throws arbitrary bytes — seeded with valid snapshots and
 // systematic corruptions of them — at Parse and a full decoder drain.
-// Invariants: no panic, valid snapshots round-trip, and any accepted
-// snapshot's sections decode without over-slicing.
+// Invariants: no panic, valid snapshots round-trip, any accepted
+// snapshot's sections decode without over-slicing, and reading a
+// section as strings agrees with reading it as byte slices.
 func FuzzParse(f *testing.F) {
 	valid := func(fill func(w *Writer)) []byte {
 		w := NewWriter()
@@ -33,8 +34,17 @@ func FuzzParse(f *testing.F) {
 			return nil
 		})
 	})
+	strs := valid(func(w *Writer) {
+		_ = w.Section("s", "K", func(e *Encoder) error {
+			for _, s := range []string{"", "a", "IBM", "", "héllo"} {
+				e.PutStr(s)
+			}
+			return nil
+		})
+	})
 	f.Add(empty)
 	f.Add(full)
+	f.Add(strs)
 	f.Add(full[:len(full)-5])            // truncation
 	f.Add(append([]byte{}, full[4:]...)) // missing magic
 	flipped := append([]byte(nil), full...)
@@ -57,6 +67,16 @@ func FuzzParse(f *testing.F) {
 				_ = d.Int()
 				_ = d.Bytes()
 				_ = d.Bool()
+			}
+			// A Str walk and a Bytes walk of one payload agree string
+			// for string and stop at the same place.
+			bw, sw := sec.Decoder(), sec.Decoder()
+			for bw.Err() == nil && bw.Remaining() > 0 {
+				b, s := bw.Bytes(), sw.Str()
+				if string(b) != s || bw.Remaining() != sw.Remaining() || (bw.Err() == nil) != (sw.Err() == nil) {
+					t.Fatalf("Bytes read %q (%d left, err %v), Str read %q (%d left, err %v)",
+						b, bw.Remaining(), bw.Err(), s, sw.Remaining(), sw.Err())
+				}
 			}
 		}
 		// A parsed snapshot implies an intact CRC: re-parsing the same

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"streamorca/internal/compiler"
@@ -44,15 +45,16 @@ func TestActuationJournalTagsHandlerActions(t *testing.T) {
 	if err := h.svc.RegisterApplication(simpleApp(t, "AJ", "aj", "0")); err != nil {
 		t.Fatal(err)
 	}
-	var handledTx uint64
+	var handledTx atomic.Uint64 // written by the handler goroutine
 	h.observe(t, NewUserEventScope("all"))
 	h.rec.onEvent = func(svc *Service, kind EventKind, ctx any, scopes []string) {
 		if kind != KindUserEvent {
 			return
 		}
-		handledTx = ctx.(*UserEventContext).TxID
-		if svc.CurrentTxID() != handledTx {
-			t.Errorf("CurrentTxID %d != event tx %d", svc.CurrentTxID(), handledTx)
+		tx := ctx.(*UserEventContext).TxID
+		handledTx.Store(tx)
+		if svc.CurrentTxID() != tx {
+			t.Errorf("CurrentTxID %d != event tx %d", svc.CurrentTxID(), tx)
 		}
 		if _, err := svc.SubmitApplication("AJ", nil); err != nil {
 			t.Error(err)
@@ -60,7 +62,13 @@ func TestActuationJournalTagsHandlerActions(t *testing.T) {
 	}
 	h.start(t)
 	h.svc.RaiseUserEvent("go", nil)
-	waitFor(t, "handler ran", func() bool { return h.rec.countKind(KindUserEvent) == 1 })
+	// The recorder counts the event before the handler submits, and the
+	// submission is journalled before the job is managed: wait for the
+	// journal record, the managed job, and the handler to have returned
+	// (the cancel below must run outside its transaction).
+	waitFor(t, "handler's submission", func() bool {
+		return journalHas(h.svc, "SubmitApplication") && len(h.svc.ManagedJobs()) == 1 && h.svc.CurrentTxID() == 0
+	})
 
 	// An actuation outside any handler is journalled under tx 0.
 	jobs := h.svc.ManagedJobs()
@@ -85,8 +93,8 @@ func TestActuationJournalTagsHandlerActions(t *testing.T) {
 		switch rec.Action {
 		case "SubmitApplication":
 			sawSubmit = true
-			if rec.TxID != handledTx || rec.Target != "AJ" || rec.Err != "" {
-				t.Fatalf("submit record = %+v (want tx %d)", rec, handledTx)
+			if rec.TxID != handledTx.Load() || rec.Target != "AJ" || rec.Err != "" {
+				t.Fatalf("submit record = %+v (want tx %d)", rec, handledTx.Load())
 			}
 		case "CancelJob":
 			sawCancel = true
@@ -101,6 +109,16 @@ func TestActuationJournalTagsHandlerActions(t *testing.T) {
 	if h.svc.CurrentTxID() != 0 {
 		t.Fatal("CurrentTxID non-zero outside handlers")
 	}
+}
+
+// journalHas reports whether the actuation journal holds an action.
+func journalHas(svc *Service, action string) bool {
+	for _, rec := range svc.ActuationJournal() {
+		if rec.Action == action {
+			return true
+		}
+	}
+	return false
 }
 
 // TestActuationJournalRecordsFailures: refused actuations are journalled

@@ -2,7 +2,7 @@ package load
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"streamorca/internal/ckpt"
@@ -36,6 +36,10 @@ type keyedWorker struct {
 	delay  time.Duration
 	spin   int64
 	counts map[string]int64
+	// sorted is counts' key set in capture order, kept across captures.
+	// Keys are never removed from counts, so equal length means an
+	// equal set: sortedKeys re-sorts only when a key was added.
+	sorted []string
 
 	// sink receives the spin loop's running value so the compiler
 	// cannot discard the loop as dead code.
@@ -80,12 +84,10 @@ func (w *keyedWorker) Process(port int, t tuple.Tuple) error {
 
 // SaveState snapshots the per-key counters in sorted key order, so
 // identical state always produces identical bytes.
-func (w *keyedWorker) SaveState(e *ckpt.Encoder) error {
-	keys := make([]string, 0, len(w.counts))
-	for k := range w.counts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+func (w *keyedWorker) SaveState(e *ckpt.Encoder) error { return w.put(e, w.sortedKeys()) }
+
+// put writes keys and their counters in SaveState format.
+func (w *keyedWorker) put(e *ckpt.Encoder, keys []string) error {
 	e.PutUint(uint64(len(keys)))
 	for _, k := range keys {
 		e.PutStr(k)
@@ -94,13 +96,27 @@ func (w *keyedWorker) SaveState(e *ckpt.Encoder) error {
 	return nil
 }
 
+// sortedKeys returns the key set in order, re-sorting only when it grew.
+func (w *keyedWorker) sortedKeys() []string {
+	if len(w.sorted) != len(w.counts) {
+		w.sorted = w.sorted[:0]
+		for k := range w.counts {
+			w.sorted = append(w.sorted, k)
+		}
+		slices.Sort(w.sorted)
+	}
+	return w.sorted
+}
+
 // RestoreState replaces the counters with the snapshot's.
 func (w *keyedWorker) RestoreState(d *ckpt.Decoder) error {
 	n := d.Uint()
 	if err := d.Err(); err != nil {
 		return err
 	}
-	counts := make(map[string]int64, min(n, 1024))
+	// Every entry takes at least 2 bytes, so the payload bounds the size
+	// hint: a hostile count cannot force a large allocation.
+	counts := make(map[string]int64, min(n, uint64(d.Remaining()/2)))
 	for i := uint64(0); i < n && d.Err() == nil; i++ {
 		k := d.Str()
 		counts[k] = d.Int()
@@ -109,6 +125,7 @@ func (w *keyedWorker) RestoreState(d *ckpt.Decoder) error {
 		return err
 	}
 	w.counts = counts
+	w.sorted = nil
 	return nil
 }
 
@@ -120,7 +137,7 @@ func (w *keyedWorker) MergeState(d *ckpt.Decoder) error {
 		return err
 	}
 	if w.counts == nil {
-		w.counts = make(map[string]int64, min(n, 1024))
+		w.counts = make(map[string]int64, min(n, uint64(d.Remaining()/2)))
 	}
 	for i := uint64(0); i < n && d.Err() == nil; i++ {
 		k := d.Str()
@@ -136,19 +153,9 @@ func (w *keyedWorker) MergeState(d *ckpt.Decoder) error {
 // partition part of width — the same hash the region's split applies
 // per tuple to the string key attribute.
 func (w *keyedWorker) SplitState(e *ckpt.Encoder, part, width int) error {
-	keys := make([]string, 0, len(w.counts))
-	for k := range w.counts {
-		if opapi.PartitionOf(k, 0, width) == part {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	e.PutUint(uint64(len(keys)))
-	for _, k := range keys {
-		e.PutStr(k)
-		e.PutInt(w.counts[k])
-	}
-	return nil
+	return w.put(e, slices.DeleteFunc(slices.Clone(w.sortedKeys()), func(k string) bool {
+		return opapi.PartitionOf(k, 0, width) != part
+	}))
 }
 
 func init() {

@@ -207,10 +207,9 @@ func (a *aggregate) RestoreState(d *ckpt.Decoder) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	// The count is decoder-controlled: cap the allocation hint so a
-	// hostile value cannot force a huge up-front allocation (the loop
-	// below stops at the first decode error regardless).
-	groups := make(map[string][]sample, min(n, 1024))
+	// Every group takes at least 2 bytes, so the payload bounds the size
+	// hint: a hostile count cannot force a large allocation.
+	groups := make(map[string][]sample, min(n, uint64(d.Remaining()/2)))
 	for i := uint64(0); i < n && d.Err() == nil; i++ {
 		k := d.Str()
 		m := d.Uint()
@@ -240,7 +239,7 @@ func (a *aggregate) MergeState(d *ckpt.Decoder) error {
 		return err
 	}
 	if a.groups == nil {
-		a.groups = make(map[string][]sample, min(n, 1024))
+		a.groups = make(map[string][]sample, min(n, uint64(d.Remaining()/2)))
 	}
 	for i := uint64(0); i < n && d.Err() == nil; i++ {
 		k := d.Str()
