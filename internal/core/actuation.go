@@ -245,11 +245,11 @@ func (s *Service) MakeExclusiveHostPools(appName string) error {
 	app, ok := s.apps[appName]
 	if !ok {
 		err := fmt.Errorf("core: application %q is not registered", appName)
-		s.journal.record(s.currentTx.Load(), "MakeExclusiveHostPools", appName, err, s.clock.Now())
+		s.recordActuation("MakeExclusiveHostPools", appName, err)
 		return err
 	}
 	app.MakeExclusive()
-	s.journal.record(s.currentTx.Load(), "MakeExclusiveHostPools", appName, nil, s.clock.Now())
+	s.recordActuation("MakeExclusiveHostPools", appName, nil)
 	return nil
 }
 
@@ -264,11 +264,11 @@ func (s *Service) RepartitionApplication(appName string, opts compiler.Options) 
 	app, ok := s.apps[appName]
 	if !ok {
 		err := fmt.Errorf("core: application %q is not registered", appName)
-		s.journal.record(s.currentTx.Load(), "RepartitionApplication", appName, err, s.clock.Now())
+		s.recordActuation("RepartitionApplication", appName, err)
 		return err
 	}
 	rewritten, err := compiler.Repartition(app, opts)
-	s.journal.record(s.currentTx.Load(), "RepartitionApplication", appName, err, s.clock.Now())
+	s.recordActuation("RepartitionApplication", appName, err)
 	if err != nil {
 		return err
 	}

@@ -246,8 +246,8 @@ type eventData struct {
 	ctx          any
 }
 
-// delivered is one queued event with the subscope keys it matched.
+// delivered is one queued event with the subscriptions it matched.
 type delivered struct {
-	data   *eventData
-	scopes []string
+	data *eventData
+	subs []*Subscription
 }

@@ -11,14 +11,14 @@ import (
 func TestEventQueueFIFO(t *testing.T) {
 	q := newEventQueue()
 	for i := 0; i < 5; i++ {
-		q.push(&delivered{scopes: []string{string(rune('a' + i))}})
+		q.push(&delivered{data: &eventData{name: string(rune('a' + i))}})
 	}
 	if q.depth() != 5 {
 		t.Fatalf("depth = %d", q.depth())
 	}
 	for i := 0; i < 5; i++ {
 		d, ok := q.pop()
-		if !ok || d.scopes[0] != string(rune('a'+i)) {
+		if !ok || d.data.name != string(rune('a'+i)) {
 			t.Fatalf("pop %d = %v, %v", i, d, ok)
 		}
 	}
@@ -47,7 +47,7 @@ func TestEventQueueBlockingPop(t *testing.T) {
 		d, _ := q.pop()
 		got <- d
 	}()
-	want := &delivered{scopes: []string{"x"}}
+	want := &delivered{data: &eventData{name: "x"}}
 	q.push(want)
 	if d := <-got; d != want {
 		t.Fatalf("pop returned %v", d)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 )
 
 // This file implements the composable Routine API — the successor of the
@@ -135,10 +136,10 @@ func (sc *SetupContext) OnStop(fn func(act *Actions)) {
 	sc.svc.mu.Unlock()
 }
 
-// Subscribe registers subscriptions built with the On* constructors.
-// Scope keys must be unique across the whole service; a duplicate key —
-// within this routine, from another routine, or from a directly
-// registered scope — is an error, as is a nil scope.
+// Subscribe registers subscriptions built with the On* constructors; each
+// joins the service's event scope (§4.1). Scope keys must be non-empty
+// and unique across the whole service; a duplicate key — within this
+// routine or from another routine — is an error, as is a nil scope.
 func (sc *SetupContext) Subscribe(subs ...*Subscription) error {
 	for _, sub := range subs {
 		if sub == nil {
@@ -154,13 +155,21 @@ func (sc *SetupContext) Subscribe(subs ...*Subscription) error {
 		if sub.scope == nil {
 			return fmt.Errorf("core: routine %q: subscription with nil scope", sc.routine)
 		}
-		if err := sc.svc.RegisterEventScope(sub.scope); err != nil {
-			return fmt.Errorf("core: routine %q: %w", sc.routine, err)
+		key := sub.scope.Key()
+		if key == "" {
+			return fmt.Errorf("core: routine %q: subscope with empty key", sc.routine)
 		}
 		sc.svc.mu.Lock()
-		sub.routine = sc.routine
-		sc.svc.subs[sub.scope.Key()] = sub
+		dup := sc.svc.subIndex(key) >= 0
+		if !dup {
+			sub.routine = sc.routine
+			sub.retired.Store(false) // a subscription unregistered earlier is live again
+			sc.svc.subs = append(sc.svc.subs, sub)
+		}
 		sc.svc.mu.Unlock()
+		if dup {
+			return fmt.Errorf("core: routine %q: subscope key %q already registered", sc.routine, key)
+		}
 	}
 	return nil
 }
@@ -195,6 +204,7 @@ type Subscription struct {
 	start   bool // OrcaStart subscription: always in scope, no Scope value
 	routine string
 	invoke  func(s *Service, ctx any) error
+	retired atomic.Bool // unregistered: queued events skip it
 }
 
 // newSub wraps a typed handler into a Subscription's untyped invoke.

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -515,9 +516,10 @@ func TestOncePerEpochGuard(t *testing.T) {
 	}
 }
 
-// TestScopeRegistrationConcurrentWithDispatch is the satellite
-// race-detector test: scopes register and unregister from a background
-// goroutine while the dispatch loop matches and delivers events.
+// TestScopeRegistrationConcurrentWithDispatch is the race-detector test
+// of the subscription list: subscriptions register and unregister from a
+// background goroutine while the dispatch loop matches and delivers
+// events.
 func TestScopeRegistrationConcurrentWithDispatch(t *testing.T) {
 	var handled atomic.Int64
 	r := NewRoutine("churn", func(sc *SetupContext) error {
@@ -536,9 +538,11 @@ func TestScopeRegistrationConcurrentWithDispatch(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
+		sc := &SetupContext{svc: svc, routine: "churn"}
 		for i := 0; i < rounds; i++ {
 			key := fmt.Sprintf("churn-%d", i%8)
-			if err := svc.RegisterEventScope(NewUserEventScope(key)); err == nil {
+			sub := OnUserEvent(NewUserEventScope(key), func(*UserEventContext, *Actions) error { return nil })
+			if err := sc.Subscribe(sub); err == nil {
 				svc.UnregisterEventScope(key)
 			}
 		}
@@ -551,4 +555,82 @@ func TestScopeRegistrationConcurrentWithDispatch(t *testing.T) {
 	}()
 	wg.Wait()
 	waitFor(t, "all events drained", func() bool { return handled.Load() == rounds })
+}
+
+// blockingService starts a service whose "block" subscription parks its
+// handler on the event named "first" until release is closed, and whose
+// "after" subscription counts events named "after". Once "after" is
+// handled, every event raised before it has been delivered.
+func blockingService(t *testing.T, got func(name string)) (svc *Service, entered, release chan struct{}, after *atomic.Int64) {
+	t.Helper()
+	entered, release, after = make(chan struct{}), make(chan struct{}), new(atomic.Int64)
+	r := NewRoutine("blocker", func(sc *SetupContext) error {
+		return sc.Subscribe(
+			OnUserEvent(NewUserEventScope("block").AddNameFilter("first", "second"), func(ctx *UserEventContext, _ *Actions) error {
+				got(ctx.Name)
+				if ctx.Name == "first" {
+					close(entered)
+					<-release
+				}
+				return nil
+			}),
+			OnUserEvent(NewUserEventScope("after").AddNameFilter("after"), func(*UserEventContext, *Actions) error {
+				after.Add(1)
+				return nil
+			}))
+	})
+	_, svc, _ = newRoutineHarness(t, r)
+	if err := svc.Start(); err != nil {
+		t.Fatal(err)
+	}
+	return svc, entered, release, after
+}
+
+// TestUnregisterSkipsQueuedEvents: an event matched and queued for a
+// subscription is not delivered once the subscription is unregistered.
+func TestUnregisterSkipsQueuedEvents(t *testing.T) {
+	var mu sync.Mutex
+	var got []string
+	svc, entered, release, after := blockingService(t, func(name string) {
+		mu.Lock()
+		got = append(got, name)
+		mu.Unlock()
+	})
+	svc.RaiseUserEvent("first", nil)
+	<-entered
+	svc.RaiseUserEvent("second", nil) // matched "block", queued behind "first"
+	svc.UnregisterEventScope("block")
+	close(release)
+	svc.RaiseUserEvent("after", nil)
+	waitFor(t, "queue drained", func() bool { return after.Load() == 1 })
+	mu.Lock()
+	defer mu.Unlock()
+	if !slices.Equal(got, []string{"first"}) {
+		t.Fatalf("unregistered subscription handled %v", got)
+	}
+}
+
+// TestUnsubscribedKeyReusedSkipsQueuedEvents: a subscription registered
+// under a reused key after an event was matched does not receive that
+// event — matching decides the recipients, not the key at delivery.
+func TestUnsubscribedKeyReusedSkipsQueuedEvents(t *testing.T) {
+	svc, entered, release, after := blockingService(t, func(string) {})
+	svc.RaiseUserEvent("first", nil)
+	<-entered
+	svc.RaiseUserEvent("second", nil) // matched "block", queued behind "first"
+	svc.UnregisterEventScope("block")
+	var late atomic.Int64
+	sc := &SetupContext{svc: svc, routine: "late"}
+	if err := sc.Subscribe(OnUserEvent(NewUserEventScope("block").AddNameFilter("second"), func(*UserEventContext, *Actions) error {
+		late.Add(1)
+		return nil
+	})); err != nil {
+		t.Fatalf("re-subscribe after unregister: %v", err)
+	}
+	close(release)
+	svc.RaiseUserEvent("after", nil)
+	waitFor(t, "queue drained", func() bool { return after.Load() == 1 })
+	if n := late.Load(); n != 0 {
+		t.Fatalf("subscription registered after the match handled %d queued events", n)
+	}
 }

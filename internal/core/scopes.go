@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"slices"
 
 	"streamorca/internal/graph"
 	"streamorca/internal/ids"
@@ -25,79 +25,64 @@ type Scope interface {
 	matches(d *eventData, g *graph.Graph) bool
 }
 
-// structural holds the filters shared by scopes whose events attach to a
-// point in the application graph.
-type structural struct {
+// filter is the one subscope every scope type wraps: the event kinds it
+// accepts plus one value list per eventData attribute. An empty list
+// admits every value. A scope type exposes builders only for the
+// attributes its events carry, so the lists of the others stay empty.
+type filter struct {
+	key            string
+	kinds          []EventKind
 	apps           []string
+	pes            []ids.PEID
+	hosts          []string
+	operatorKinds  []string
+	operatorNames  []string
 	compositeTypes []string
 	compositeInsts []string
-	operatorTypes  []string
-	operatorNames  []string
-	pes            []ids.PEID
+	metricNames    []string
+	ports          []int
+	dirs           []metrics.Direction
+	names          []string // timer or user-event names
+	customOnly     bool
 }
 
-func (f *structural) matchStructural(d *eventData, g *graph.Graph) bool {
-	if len(f.apps) > 0 && !containsStr(f.apps, d.app) {
+// Key implements Scope.
+func (f *filter) Key() string { return f.key }
+
+func (f *filter) matches(d *eventData, g *graph.Graph) bool {
+	if !slices.Contains(f.kinds, d.kind) || (f.customOnly && !d.custom) ||
+		!in(f.apps, d.app) || !in(f.pes, d.pe) || !in(f.hosts, d.host) ||
+		!in(f.operatorKinds, d.operatorKind) || !in(f.operatorNames, d.operator) ||
+		!in(f.metricNames, d.metric) || !in(f.ports, d.port) || !in(f.dirs, d.dir) ||
+		!in(f.names, d.name) {
 		return false
 	}
-	if len(f.pes) > 0 && !containsPE(f.pes, d.pe) {
+	if len(f.compositeTypes) == 0 && len(f.compositeInsts) == 0 {
+		return true
+	}
+	if g == nil || d.operator == "" {
 		return false
 	}
-	if len(f.operatorTypes) > 0 && !containsStr(f.operatorTypes, d.operatorKind) {
-		return false
-	}
-	if len(f.operatorNames) > 0 && !containsStr(f.operatorNames, d.operator) {
-		return false
-	}
-	if len(f.compositeTypes) > 0 {
-		if g == nil || d.operator == "" {
-			return false
-		}
-		ok := false
-		for _, kind := range f.compositeTypes {
-			if g.InCompositeType(d.operator, kind) {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	if len(f.compositeInsts) > 0 {
-		if g == nil || d.operator == "" {
-			return false
-		}
-		ok := false
-		for _, inst := range f.compositeInsts {
-			if containsStr(g.CompositeChain(d.operator), inst) {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
+	return (len(f.compositeTypes) == 0 || slices.ContainsFunc(f.compositeTypes, func(kind string) bool {
+		return g.InCompositeType(d.operator, kind)
+	})) && (len(f.compositeInsts) == 0 || slices.ContainsFunc(g.CompositeChain(d.operator), func(inst string) bool {
+		return slices.Contains(f.compositeInsts, inst)
+	}))
+}
+
+// in reports whether v is in list; an empty list admits every value.
+func in[T comparable](list []T, v T) bool {
+	return len(list) == 0 || slices.Contains(list, v)
 }
 
 // OperatorMetricScope subscribes to operator-scoped metric events — the
 // scope type of the paper's Figure 5.
-type OperatorMetricScope struct {
-	key string
-	structural
-	metricNames []string
-	customOnly  bool
-}
+type OperatorMetricScope struct{ filter }
 
 // NewOperatorMetricScope creates a subscope with the given key.
 func NewOperatorMetricScope(key string) *OperatorMetricScope {
-	return &OperatorMetricScope{key: key}
+	return &OperatorMetricScope{filter{key: key, kinds: []EventKind{KindOperatorMetric}}}
 }
-
-// Key implements Scope.
-func (s *OperatorMetricScope) Key() string { return s.key }
 
 // AddApplicationFilter restricts events to the named applications.
 func (s *OperatorMetricScope) AddApplicationFilter(apps ...string) *OperatorMetricScope {
@@ -121,7 +106,7 @@ func (s *OperatorMetricScope) AddCompositeInstanceFilter(insts ...string) *Opera
 
 // AddOperatorTypeFilter restricts events to operators of the named kinds.
 func (s *OperatorMetricScope) AddOperatorTypeFilter(kinds ...string) *OperatorMetricScope {
-	s.operatorTypes = append(s.operatorTypes, kinds...)
+	s.operatorKinds = append(s.operatorKinds, kinds...)
 	return s
 }
 
@@ -150,33 +135,14 @@ func (s *OperatorMetricScope) CustomMetricsOnly() *OperatorMetricScope {
 	return s
 }
 
-func (s *OperatorMetricScope) matches(d *eventData, g *graph.Graph) bool {
-	if d.kind != KindOperatorMetric {
-		return false
-	}
-	if s.customOnly && !d.custom {
-		return false
-	}
-	if len(s.metricNames) > 0 && !containsStr(s.metricNames, d.metric) {
-		return false
-	}
-	return s.matchStructural(d, g)
-}
-
 // PEMetricScope subscribes to PE-scoped metric events (byte counters,
 // restart counts).
-type PEMetricScope struct {
-	key         string
-	apps        []string
-	pes         []ids.PEID
-	metricNames []string
-}
+type PEMetricScope struct{ filter }
 
 // NewPEMetricScope creates a subscope with the given key.
-func NewPEMetricScope(key string) *PEMetricScope { return &PEMetricScope{key: key} }
-
-// Key implements Scope.
-func (s *PEMetricScope) Key() string { return s.key }
+func NewPEMetricScope(key string) *PEMetricScope {
+	return &PEMetricScope{filter{key: key, kinds: []EventKind{KindPEMetric}}}
+}
 
 // AddApplicationFilter restricts events to the named applications.
 func (s *PEMetricScope) AddApplicationFilter(apps ...string) *PEMetricScope {
@@ -196,36 +162,15 @@ func (s *PEMetricScope) AddPEMetric(names ...string) *PEMetricScope {
 	return s
 }
 
-func (s *PEMetricScope) matches(d *eventData, _ *graph.Graph) bool {
-	if d.kind != KindPEMetric {
-		return false
-	}
-	if len(s.apps) > 0 && !containsStr(s.apps, d.app) {
-		return false
-	}
-	if len(s.pes) > 0 && !containsPE(s.pes, d.pe) {
-		return false
-	}
-	return len(s.metricNames) == 0 || containsStr(s.metricNames, d.metric)
-}
-
 // PortMetricScope subscribes to operator-port metric events — e.g. the
 // final-punctuation metric of a sink operator the dynamic-composition use
 // case watches (§5.3).
-type PortMetricScope struct {
-	key string
-	structural
-	metricNames []string
-	dirSet      bool
-	dir         metrics.Direction
-	ports       []int
-}
+type PortMetricScope struct{ filter }
 
 // NewPortMetricScope creates a subscope with the given key.
-func NewPortMetricScope(key string) *PortMetricScope { return &PortMetricScope{key: key} }
-
-// Key implements Scope.
-func (s *PortMetricScope) Key() string { return s.key }
+func NewPortMetricScope(key string) *PortMetricScope {
+	return &PortMetricScope{filter{key: key, kinds: []EventKind{KindPortMetric}}}
+}
 
 // AddApplicationFilter restricts events to the named applications.
 func (s *PortMetricScope) AddApplicationFilter(apps ...string) *PortMetricScope {
@@ -235,7 +180,7 @@ func (s *PortMetricScope) AddApplicationFilter(apps ...string) *PortMetricScope 
 
 // AddOperatorTypeFilter restricts events to operators of the named kinds.
 func (s *PortMetricScope) AddOperatorTypeFilter(kinds ...string) *PortMetricScope {
-	s.operatorTypes = append(s.operatorTypes, kinds...)
+	s.operatorKinds = append(s.operatorKinds, kinds...)
 	return s
 }
 
@@ -258,10 +203,10 @@ func (s *PortMetricScope) AddPortFilter(ports ...int) *PortMetricScope {
 	return s
 }
 
-// SetDirection restricts events to input or output ports.
+// SetDirection restricts events to input or output ports; the last call
+// wins.
 func (s *PortMetricScope) SetDirection(d metrics.Direction) *PortMetricScope {
-	s.dirSet = true
-	s.dir = d
+	s.dirs = []metrics.Direction{d}
 	return s
 }
 
@@ -271,36 +216,14 @@ func (s *PortMetricScope) AddPortMetric(names ...string) *PortMetricScope {
 	return s
 }
 
-func (s *PortMetricScope) matches(d *eventData, g *graph.Graph) bool {
-	if d.kind != KindPortMetric {
-		return false
-	}
-	if s.dirSet && d.dir != s.dir {
-		return false
-	}
-	if len(s.ports) > 0 && !containsInt(s.ports, d.port) {
-		return false
-	}
-	if len(s.metricNames) > 0 && !containsStr(s.metricNames, d.metric) {
-		return false
-	}
-	return s.matchStructural(d, g)
-}
-
 // PEFailureScope subscribes to PE crash events — Figure 5's second
 // subscope.
-type PEFailureScope struct {
-	key   string
-	apps  []string
-	pes   []ids.PEID
-	hosts []string
-}
+type PEFailureScope struct{ filter }
 
 // NewPEFailureScope creates a subscope with the given key.
-func NewPEFailureScope(key string) *PEFailureScope { return &PEFailureScope{key: key} }
-
-// Key implements Scope.
-func (s *PEFailureScope) Key() string { return s.key }
+func NewPEFailureScope(key string) *PEFailureScope {
+	return &PEFailureScope{filter{key: key, kinds: []EventKind{KindPEFailure}}}
+}
 
 // AddApplicationFilter restricts events to failures of the named
 // applications' PEs.
@@ -321,30 +244,13 @@ func (s *PEFailureScope) AddHostFilter(hosts ...string) *PEFailureScope {
 	return s
 }
 
-func (s *PEFailureScope) matches(d *eventData, _ *graph.Graph) bool {
-	if d.kind != KindPEFailure {
-		return false
-	}
-	if len(s.apps) > 0 && !containsStr(s.apps, d.app) {
-		return false
-	}
-	if len(s.pes) > 0 && !containsPE(s.pes, d.pe) {
-		return false
-	}
-	return len(s.hosts) == 0 || containsStr(s.hosts, d.host)
-}
-
 // HostFailureScope subscribes to host failure events.
-type HostFailureScope struct {
-	key   string
-	hosts []string
-}
+type HostFailureScope struct{ filter }
 
 // NewHostFailureScope creates a subscope with the given key.
-func NewHostFailureScope(key string) *HostFailureScope { return &HostFailureScope{key: key} }
-
-// Key implements Scope.
-func (s *HostFailureScope) Key() string { return s.key }
+func NewHostFailureScope(key string) *HostFailureScope {
+	return &HostFailureScope{filter{key: key, kinds: []EventKind{KindHostFailure}}}
+}
 
 // AddHostFilter restricts events to the named hosts.
 func (s *HostFailureScope) AddHostFilter(hosts ...string) *HostFailureScope {
@@ -352,30 +258,15 @@ func (s *HostFailureScope) AddHostFilter(hosts ...string) *HostFailureScope {
 	return s
 }
 
-func (s *HostFailureScope) matches(d *eventData, _ *graph.Graph) bool {
-	if d.kind != KindHostFailure {
-		return false
-	}
-	return len(s.hosts) == 0 || containsStr(s.hosts, d.host)
-}
-
 // JobEventScope subscribes to job submission and/or cancellation events
 // the service itself generates (§4.1, §4.4).
-type JobEventScope struct {
-	key        string
-	apps       []string
-	submission bool
-	cancel     bool
-}
+type JobEventScope struct{ filter }
 
 // NewJobEventScope creates a subscope delivering both submissions and
 // cancellations; narrow with SubmissionsOnly or CancellationsOnly.
 func NewJobEventScope(key string) *JobEventScope {
-	return &JobEventScope{key: key, submission: true, cancel: true}
+	return &JobEventScope{filter{key: key, kinds: []EventKind{KindJobSubmitted, KindJobCancelled}}}
 }
-
-// Key implements Scope.
-func (s *JobEventScope) Key() string { return s.key }
 
 // AddApplicationFilter restricts events to the named applications.
 func (s *JobEventScope) AddApplicationFilter(apps ...string) *JobEventScope {
@@ -385,43 +276,23 @@ func (s *JobEventScope) AddApplicationFilter(apps ...string) *JobEventScope {
 
 // SubmissionsOnly drops cancellation events.
 func (s *JobEventScope) SubmissionsOnly() *JobEventScope {
-	s.submission, s.cancel = true, false
+	s.kinds = []EventKind{KindJobSubmitted}
 	return s
 }
 
 // CancellationsOnly drops submission events.
 func (s *JobEventScope) CancellationsOnly() *JobEventScope {
-	s.submission, s.cancel = false, true
+	s.kinds = []EventKind{KindJobCancelled}
 	return s
 }
 
-func (s *JobEventScope) matches(d *eventData, _ *graph.Graph) bool {
-	switch d.kind {
-	case KindJobSubmitted:
-		if !s.submission {
-			return false
-		}
-	case KindJobCancelled:
-		if !s.cancel {
-			return false
-		}
-	default:
-		return false
-	}
-	return len(s.apps) == 0 || containsStr(s.apps, d.app)
-}
-
 // TimerScope subscribes to timer-expiration events.
-type TimerScope struct {
-	key   string
-	names []string
-}
+type TimerScope struct{ filter }
 
 // NewTimerScope creates a subscope with the given key.
-func NewTimerScope(key string) *TimerScope { return &TimerScope{key: key} }
-
-// Key implements Scope.
-func (s *TimerScope) Key() string { return s.key }
+func NewTimerScope(key string) *TimerScope {
+	return &TimerScope{filter{key: key, kinds: []EventKind{KindTimer}}}
+}
 
 // AddTimerFilter restricts events to the named timers.
 func (s *TimerScope) AddTimerFilter(names ...string) *TimerScope {
@@ -429,69 +300,17 @@ func (s *TimerScope) AddTimerFilter(names ...string) *TimerScope {
 	return s
 }
 
-func (s *TimerScope) matches(d *eventData, _ *graph.Graph) bool {
-	if d.kind != KindTimer {
-		return false
-	}
-	return len(s.names) == 0 || containsStr(s.names, d.name)
-}
-
 // UserEventScope subscribes to user-generated events raised through the
 // command interface.
-type UserEventScope struct {
-	key   string
-	names []string
-}
+type UserEventScope struct{ filter }
 
 // NewUserEventScope creates a subscope with the given key.
-func NewUserEventScope(key string) *UserEventScope { return &UserEventScope{key: key} }
-
-// Key implements Scope.
-func (s *UserEventScope) Key() string { return s.key }
+func NewUserEventScope(key string) *UserEventScope {
+	return &UserEventScope{filter{key: key, kinds: []EventKind{KindUserEvent}}}
+}
 
 // AddNameFilter restricts events to the named user events.
 func (s *UserEventScope) AddNameFilter(names ...string) *UserEventScope {
 	s.names = append(s.names, names...)
 	return s
-}
-
-func (s *UserEventScope) matches(d *eventData, _ *graph.Graph) bool {
-	if d.kind != KindUserEvent {
-		return false
-	}
-	return len(s.names) == 0 || containsStr(s.names, d.name)
-}
-
-func validateKey(key string) error {
-	if key == "" {
-		return fmt.Errorf("core: subscope with empty key")
-	}
-	return nil
-}
-
-func containsStr(list []string, v string) bool {
-	for _, s := range list {
-		if s == v {
-			return true
-		}
-	}
-	return false
-}
-
-func containsPE(list []ids.PEID, v ids.PEID) bool {
-	for _, p := range list {
-		if p == v {
-			return true
-		}
-	}
-	return false
-}
-
-func containsInt(list []int, v int) bool {
-	for _, i := range list {
-		if i == v {
-			return true
-		}
-	}
-	return false
 }

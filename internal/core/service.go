@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -74,9 +75,7 @@ type Service struct {
 
 	mu        sync.Mutex
 	apps      map[string]*adl.Application // registered, by name
-	scopes    []Scope
-	scopeKeys map[string]bool
-	subs      map[string]*Subscription // scope key -> owning subscription
+	subs      []*Subscription             // event subscriptions, in registration order
 	startSubs []*Subscription
 	graphs    map[ids.JobID]*graph.Graph
 	managed   map[ids.JobID]string // job -> app name
@@ -148,8 +147,6 @@ func NewRoutineService(cfg Config, routines ...Routine) (*Service, error) {
 		routines:   routines,
 		clock:      cfg.Clock,
 		apps:       make(map[string]*adl.Application),
-		scopeKeys:  make(map[string]bool),
-		subs:       make(map[string]*Subscription),
 		graphs:     make(map[ids.JobID]*graph.Graph),
 		managed:    make(map[ids.JobID]string),
 		timers:     make(map[string]vclock.Timer),
@@ -285,39 +282,22 @@ func (s *Service) runStopHooks() {
 	})
 }
 
-// RegisterEventScope adds a subscope to the service's event scope (§4.1).
-// Multiple subscopes of the same type may be registered; keys must be
-// unique.
-func (s *Service) RegisterEventScope(sc Scope) error {
-	if err := validateKey(sc.Key()); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.scopeKeys[sc.Key()] {
-		return fmt.Errorf("core: subscope key %q already registered", sc.Key())
-	}
-	s.scopeKeys[sc.Key()] = true
-	s.scopes = append(s.scopes, sc)
-	return nil
-}
-
-// UnregisterEventScope removes a subscope by key. Removing the scope of
-// a routine subscription retires the subscription with it.
+// UnregisterEventScope removes the subscription with the given scope key
+// and retires it: events already matched and queued for it are not
+// delivered to it.
 func (s *Service) UnregisterEventScope(key string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.scopeKeys[key] {
-		return
+	if i := s.subIndex(key); i >= 0 {
+		s.subs[i].retired.Store(true)
+		s.subs = slices.Delete(s.subs, i, i+1)
 	}
-	delete(s.scopeKeys, key)
-	delete(s.subs, key)
-	for i, sc := range s.scopes {
-		if sc.Key() == key {
-			s.scopes = append(s.scopes[:i], s.scopes[i+1:]...)
-			break
-		}
-	}
+}
+
+// subIndex returns the position of the subscription with the given scope
+// key in s.subs, or -1. The caller holds s.mu.
+func (s *Service) subIndex(key string) int {
+	return slices.IndexFunc(s.subs, func(sub *Subscription) bool { return sub.scope.Key() == key })
 }
 
 // SetMetricPullInterval changes the SRM pull period; the change applies
@@ -363,16 +343,10 @@ func (s *Service) deliver(d *delivered) {
 		s.startSeen.Store(true)
 		return
 	}
-	// Routine subscriptions own their scope keys: each matched key pairs
-	// the event with exactly one typed handler. A matched key without an
-	// owning subscription (a scope registered directly via
-	// RegisterEventScope) keeps the event alive in Stats but delivers
-	// nowhere.
-	for _, key := range d.scopes {
-		s.mu.Lock()
-		sub := s.subs[key]
-		s.mu.Unlock()
-		if sub != nil {
+	// The subscriptions matched on enqueue travel with the event; one
+	// unregistered since is skipped.
+	for _, sub := range d.subs {
+		if !sub.retired.Load() {
 			s.invokeSub(sub, d.data)
 		}
 	}
@@ -388,24 +362,25 @@ func (s *Service) invokeSub(sub *Subscription, data *eventData) {
 	}
 }
 
-// enqueue matches an event against the registered subscopes and queues it
-// with the matched keys; events matching nothing are dropped (§4.1).
+// enqueue matches an event against the registered subscriptions and
+// queues it with the matched ones; events matching nothing are dropped
+// (§4.1).
 func (s *Service) enqueue(d *eventData) {
 	s.mu.Lock()
 	g := s.graphs[d.job]
-	var keys []string
-	for _, sc := range s.scopes {
-		if sc.matches(d, g) {
-			keys = append(keys, sc.Key())
+	var subs []*Subscription
+	for _, sub := range s.subs {
+		if sub.scope.matches(d, g) {
+			subs = append(subs, sub)
 		}
 	}
 	s.mu.Unlock()
-	if len(keys) == 0 {
+	if len(subs) == 0 {
 		atomic.AddUint64(&s.dropped, 1)
 		return
 	}
 	atomic.AddUint64(&s.matched, 1)
-	s.queue.push(&delivered{data: d, scopes: keys})
+	s.queue.push(&delivered{data: d, subs: subs})
 }
 
 // pullLoop periodically queries SRM for all managed jobs' metrics.

@@ -2,11 +2,14 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"streamorca/internal/adl"
+	"streamorca/internal/graph"
 	"streamorca/internal/ids"
 	"streamorca/internal/metrics"
 	"streamorca/internal/ops"
@@ -275,20 +278,22 @@ func TestEventDeliveredOnceWithAllMatchingScopeKeys(t *testing.T) {
 	}
 }
 
+// TestScopeRegistrationErrors: Subscribe rejects an empty and a duplicate
+// scope key, and a key can be subscribed again once unregistered.
 func TestScopeRegistrationErrors(t *testing.T) {
 	h := newHarness(t)
-	if err := h.svc.RegisterEventScope(NewOperatorMetricScope("")); err == nil {
+	if err := h.rec.observe(h.svc, NewOperatorMetricScope("")); err == nil {
 		t.Fatal("empty key accepted")
 	}
-	if err := h.svc.RegisterEventScope(NewOperatorMetricScope("k")); err != nil {
+	if err := h.rec.observe(h.svc, NewOperatorMetricScope("k")); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.svc.RegisterEventScope(NewPEFailureScope("k")); err == nil {
+	if err := h.rec.observe(h.svc, NewPEFailureScope("k")); err == nil {
 		t.Fatal("duplicate key accepted")
 	}
 	h.svc.UnregisterEventScope("k")
-	if err := h.svc.RegisterEventScope(NewPEFailureScope("k")); err != nil {
-		t.Fatalf("re-register after unregister: %v", err)
+	if err := h.rec.observe(h.svc, NewPEFailureScope("k")); err != nil {
+		t.Fatalf("re-subscribe after unregister: %v", err)
 	}
 	h.svc.UnregisterEventScope("never-registered") // no-op
 }
@@ -620,40 +625,168 @@ func TestStopIsIdempotentAndStopsDelivery(t *testing.T) {
 	}
 }
 
+// TestScopeFilterSemanticsTable pins the §4.1 subscope rule on eventData,
+// no platform needed: every scope type × every builder with a matching and
+// a non-matching row, composite filters against a real graph and without
+// one, and every type against an event of every kind.
 func TestScopeFilterSemanticsTable(t *testing.T) {
-	// Pure matching-semantics checks on eventData, no platform needed.
 	d := &eventData{
 		kind: KindOperatorMetric, app: "A", operator: "x.op", operatorKind: "Split",
 		pe: 7, metric: "queueSize", custom: false,
 	}
+	custom := &eventData{kind: KindOperatorMetric, app: "A", operator: "x.op", metric: "myGauge", custom: true}
+	pm := &eventData{kind: KindPEMetric, app: "A", pe: 7, metric: metrics.PETupleBytesProcessed}
+	port := &eventData{
+		kind: KindPortMetric, app: "A", operator: "x.op", operatorKind: "Split",
+		pe: 7, port: 0, dir: metrics.Input, metric: metrics.PortFinalPunctsQueued,
+	}
+	pf := &eventData{kind: KindPEFailure, app: "A", pe: 7, host: "h1"}
+	hf := &eventData{kind: KindHostFailure, host: "h1"}
+	sub := &eventData{kind: KindJobSubmitted, app: "A"}
+	can := &eventData{kind: KindJobCancelled, app: "A"}
+	tm := &eventData{kind: KindTimer, name: "tick"}
+	ue := &eventData{kind: KindUserEvent, name: "reload"}
+
+	// The Figure 2 graph: c1.op3 is a Split inside instance c1 of
+	// composite1; op1 is a top-level Beacon.
+	app := figure2App(t, "G")
+	peIDs := map[int]ids.PEID{}
+	for _, p := range app.PEs {
+		peIDs[p.Index] = ids.PEID(p.Index + 1)
+	}
+	g, err := graph.Build(app, 1, peIDs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inComp := &eventData{kind: KindOperatorMetric, app: "G", operator: "c1.op3", operatorKind: ops.KindSplit}
+	topLevel := &eventData{kind: KindOperatorMetric, app: "G", operator: "op1", operatorKind: ops.KindBeacon}
+	noOp := &eventData{kind: KindOperatorMetric, app: "G"}
+	portInComp := &eventData{kind: KindPortMetric, app: "G", operator: "c1.op3", dir: metrics.Output}
+
 	cases := []struct {
 		name  string
 		scope Scope
+		d     *eventData
+		g     *graph.Graph
 		want  bool
 	}{
-		{"no filters matches", NewOperatorMetricScope("k"), true},
-		{"same attr disjunctive", NewOperatorMetricScope("k").AddApplicationFilter("B", "A"), true},
-		{"wrong app", NewOperatorMetricScope("k").AddApplicationFilter("B"), false},
-		{"cross attr conjunctive", NewOperatorMetricScope("k").AddApplicationFilter("A").AddOperatorTypeFilter("Merge"), false},
-		{"kind and app", NewOperatorMetricScope("k").AddApplicationFilter("A").AddOperatorTypeFilter("Split"), true},
-		{"metric name", NewOperatorMetricScope("k").AddOperatorMetric("queueSize"), true},
-		{"wrong metric", NewOperatorMetricScope("k").AddOperatorMetric("nTuplesProcessed"), false},
-		{"custom only rejects builtin", NewOperatorMetricScope("k").CustomMetricsOnly(), false},
-		{"pe filter", NewOperatorMetricScope("k").AddPEFilter(7, 9), true},
-		{"wrong pe", NewOperatorMetricScope("k").AddPEFilter(9), false},
-		{"operator name", NewOperatorMetricScope("k").AddOperatorNameFilter("x.op"), true},
-		{"wrong kind scope", NewPEFailureScope("k"), false},
+		// OperatorMetricScope.
+		{"no filters matches", NewOperatorMetricScope("k"), d, nil, true},
+		{"same attr disjunctive", NewOperatorMetricScope("k").AddApplicationFilter("B", "A"), d, nil, true},
+		{"wrong app", NewOperatorMetricScope("k").AddApplicationFilter("B"), d, nil, false},
+		{"cross attr conjunctive", NewOperatorMetricScope("k").AddApplicationFilter("A").AddOperatorTypeFilter("Merge"), d, nil, false},
+		{"kind and app", NewOperatorMetricScope("k").AddApplicationFilter("A").AddOperatorTypeFilter("Split"), d, nil, true},
+		{"wrong operator type", NewOperatorMetricScope("k").AddOperatorTypeFilter("Merge"), d, nil, false},
+		{"metric name", NewOperatorMetricScope("k").AddOperatorMetric("queueSize"), d, nil, true},
+		{"wrong metric", NewOperatorMetricScope("k").AddOperatorMetric("nTuplesProcessed"), d, nil, false},
+		{"custom only rejects builtin", NewOperatorMetricScope("k").CustomMetricsOnly(), d, nil, false},
+		{"custom only admits custom", NewOperatorMetricScope("k").CustomMetricsOnly(), custom, nil, true},
+		{"pe filter", NewOperatorMetricScope("k").AddPEFilter(7, 9), d, nil, true},
+		{"wrong pe", NewOperatorMetricScope("k").AddPEFilter(9), d, nil, false},
+		{"operator name", NewOperatorMetricScope("k").AddOperatorNameFilter("x.op"), d, nil, true},
+		{"wrong operator name", NewOperatorMetricScope("k").AddOperatorNameFilter("y.op"), d, nil, false},
+		{"composite type", NewOperatorMetricScope("k").AddCompositeTypeFilter("other", "composite1"), inComp, g, true},
+		{"wrong composite type", NewOperatorMetricScope("k").AddCompositeTypeFilter("other"), inComp, g, false},
+		{"composite type outside composites", NewOperatorMetricScope("k").AddCompositeTypeFilter("composite1"), topLevel, g, false},
+		{"composite type without operator", NewOperatorMetricScope("k").AddCompositeTypeFilter("composite1"), noOp, g, false},
+		{"composite type without graph", NewOperatorMetricScope("k").AddCompositeTypeFilter("composite1"), inComp, nil, false},
+		{"composite instance", NewOperatorMetricScope("k").AddCompositeInstanceFilter("c2", "c1"), inComp, g, true},
+		{"wrong composite instance", NewOperatorMetricScope("k").AddCompositeInstanceFilter("c2"), inComp, g, false},
+		{"composite instance outside composites", NewOperatorMetricScope("k").AddCompositeInstanceFilter("c1"), topLevel, g, false},
+		{"composite instance without graph", NewOperatorMetricScope("k").AddCompositeInstanceFilter("c1"), inComp, nil, false},
+		{"composite type and instance", NewOperatorMetricScope("k").AddCompositeTypeFilter("composite1").AddCompositeInstanceFilter("c1"), inComp, g, true},
+		{"composite type but wrong instance", NewOperatorMetricScope("k").AddCompositeTypeFilter("composite1").AddCompositeInstanceFilter("c2"), inComp, g, false},
+		{"wrong kind scope", NewPEFailureScope("k"), d, nil, false},
+
+		// PEMetricScope.
+		{"pe metric app", NewPEMetricScope("k").AddApplicationFilter("B", "A"), pm, nil, true},
+		{"pe metric wrong app", NewPEMetricScope("k").AddApplicationFilter("B"), pm, nil, false},
+		{"pe metric pe", NewPEMetricScope("k").AddPEFilter(9, 7), pm, nil, true},
+		{"pe metric wrong pe", NewPEMetricScope("k").AddPEFilter(9), pm, nil, false},
+		{"pe metric name", NewPEMetricScope("k").AddPEMetric(metrics.PETupleBytesProcessed), pm, nil, true},
+		{"pe metric wrong name", NewPEMetricScope("k").AddPEMetric(metrics.PERestarts), pm, nil, false},
+		{"pe metric conjunctive", NewPEMetricScope("k").AddPEFilter(7).AddPEMetric(metrics.PERestarts), pm, nil, false},
+
+		// PortMetricScope.
+		{"port app", NewPortMetricScope("k").AddApplicationFilter("A"), port, nil, true},
+		{"port wrong app", NewPortMetricScope("k").AddApplicationFilter("B"), port, nil, false},
+		{"port operator type", NewPortMetricScope("k").AddOperatorTypeFilter("Split"), port, nil, true},
+		{"port wrong operator type", NewPortMetricScope("k").AddOperatorTypeFilter("Merge"), port, nil, false},
+		{"port operator name", NewPortMetricScope("k").AddOperatorNameFilter("x.op"), port, nil, true},
+		{"port wrong operator name", NewPortMetricScope("k").AddOperatorNameFilter("y.op"), port, nil, false},
+		{"port composite type", NewPortMetricScope("k").AddCompositeTypeFilter("composite1"), portInComp, g, true},
+		{"port wrong composite type", NewPortMetricScope("k").AddCompositeTypeFilter("other"), portInComp, g, false},
+		{"port composite type without graph", NewPortMetricScope("k").AddCompositeTypeFilter("composite1"), portInComp, nil, false},
+		{"port index", NewPortMetricScope("k").AddPortFilter(1, 0), port, nil, true},
+		{"port wrong index", NewPortMetricScope("k").AddPortFilter(1, 2), port, nil, false},
+		{"port direction", NewPortMetricScope("k").SetDirection(metrics.Input), port, nil, true},
+		{"port wrong direction", NewPortMetricScope("k").SetDirection(metrics.Output), port, nil, false},
+		{"port last direction wins", NewPortMetricScope("k").SetDirection(metrics.Output).SetDirection(metrics.Input), port, nil, true},
+		{"port metric name", NewPortMetricScope("k").AddPortMetric(metrics.PortFinalPunctsQueued), port, nil, true},
+		{"port wrong metric name", NewPortMetricScope("k").AddPortMetric(metrics.PortTuplesProcessed), port, nil, false},
+		{"port combined", NewPortMetricScope("k").AddPortFilter(0).AddOperatorNameFilter("x.op").SetDirection(metrics.Input), port, nil, true},
+
+		// PEFailureScope.
+		{"pe failure app", NewPEFailureScope("k").AddApplicationFilter("A"), pf, nil, true},
+		{"pe failure wrong app", NewPEFailureScope("k").AddApplicationFilter("B"), pf, nil, false},
+		{"pe failure pe", NewPEFailureScope("k").AddPEFilter(7), pf, nil, true},
+		{"pe failure wrong pe", NewPEFailureScope("k").AddPEFilter(9), pf, nil, false},
+		{"pe failure host", NewPEFailureScope("k").AddHostFilter("h2", "h1"), pf, nil, true},
+		{"pe failure wrong host", NewPEFailureScope("k").AddHostFilter("h2"), pf, nil, false},
+		{"pe failure app but wrong host", NewPEFailureScope("k").AddApplicationFilter("A").AddHostFilter("h2"), pf, nil, false},
+
+		// HostFailureScope.
+		{"host failure host", NewHostFailureScope("k").AddHostFilter("h1"), hf, nil, true},
+		{"host failure wrong host", NewHostFailureScope("k").AddHostFilter("h2"), hf, nil, false},
+
+		// JobEventScope, both directions.
+		{"job submission", NewJobEventScope("k"), sub, nil, true},
+		{"job cancellation", NewJobEventScope("k"), can, nil, true},
+		{"job submissions only admits submission", NewJobEventScope("k").SubmissionsOnly(), sub, nil, true},
+		{"job submissions only rejects cancellation", NewJobEventScope("k").SubmissionsOnly(), can, nil, false},
+		{"job cancellations only admits cancellation", NewJobEventScope("k").CancellationsOnly(), can, nil, true},
+		{"job cancellations only rejects submission", NewJobEventScope("k").CancellationsOnly(), sub, nil, false},
+		{"job last direction wins", NewJobEventScope("k").SubmissionsOnly().CancellationsOnly(), can, nil, true},
+		{"job app", NewJobEventScope("k").AddApplicationFilter("A"), can, nil, true},
+		{"job wrong app", NewJobEventScope("k").AddApplicationFilter("B"), sub, nil, false},
+
+		// TimerScope and UserEventScope.
+		{"timer name", NewTimerScope("k").AddTimerFilter("once", "tick"), tm, nil, true},
+		{"timer wrong name", NewTimerScope("k").AddTimerFilter("once"), tm, nil, false},
+		{"user event name", NewUserEventScope("k").AddNameFilter("reload"), ue, nil, true},
+		{"user event wrong name", NewUserEventScope("k").AddNameFilter("ignored"), ue, nil, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := tc.scope.matches(d, nil); got != tc.want {
+			if got := tc.scope.matches(tc.d, tc.g); got != tc.want {
 				t.Fatalf("matches = %v, want %v", got, tc.want)
 			}
 		})
 	}
-	// Composite filters require a graph; absent graph means no match.
-	if NewOperatorMetricScope("k").AddCompositeTypeFilter("c").matches(d, nil) {
-		t.Fatal("composite filter matched without graph")
+
+	// An unfiltered scope of each type admits exactly its own kinds.
+	events := []*eventData{{kind: KindOrcaStart}, d, pm, port, pf, hf, sub, can, tm, ue}
+	own := []struct {
+		scope Scope
+		kinds []EventKind
+	}{
+		{NewOperatorMetricScope("k"), []EventKind{KindOperatorMetric}},
+		{NewPEMetricScope("k"), []EventKind{KindPEMetric}},
+		{NewPortMetricScope("k"), []EventKind{KindPortMetric}},
+		{NewPEFailureScope("k"), []EventKind{KindPEFailure}},
+		{NewHostFailureScope("k"), []EventKind{KindHostFailure}},
+		{NewJobEventScope("k"), []EventKind{KindJobSubmitted, KindJobCancelled}},
+		{NewTimerScope("k"), []EventKind{KindTimer}},
+		{NewUserEventScope("k"), []EventKind{KindUserEvent}},
+	}
+	for _, o := range own {
+		t.Run(fmt.Sprintf("%T kinds", o.scope), func(t *testing.T) {
+			for _, e := range events {
+				if got, want := o.scope.matches(e, g), slices.Contains(o.kinds, e.kind); got != want {
+					t.Errorf("%s event: matches = %v, want %v", e.kind, got, want)
+				}
+			}
+		})
 	}
 }
 

@@ -39,7 +39,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"streamorca/internal/ids"
 	"streamorca/internal/metrics"
 	"streamorca/internal/pe"
 	"streamorca/internal/tuple"
@@ -349,11 +348,4 @@ func (l *Link) shipFrame(items []pe.Item, i int) int {
 		pe.PutBatch(b)
 	}
 	return j
-}
-
-// LinkID names a link deterministically so it can be removed and re-added
-// when either endpoint PE restarts. incarnation distinguishes successive
-// lives of the downstream PE.
-func LinkID(from ids.PEID, fromOp string, fromPort int, to ids.PEID, toOp string, toPort int, incarnation int) string {
-	return fmt.Sprintf("%s/%s:%d->%s/%s:%d#%d", from, fromOp, fromPort, to, toOp, toPort, incarnation)
 }

@@ -175,14 +175,3 @@ func TestLinkSendAfterCloseDropped(t *testing.T) {
 	}
 	link.Close() // idempotent
 }
-
-func TestLinkID(t *testing.T) {
-	a := LinkID(1, "op1", 0, 2, "op2", 1, 0)
-	b := LinkID(1, "op1", 0, 2, "op2", 1, 1)
-	if a == b {
-		t.Fatal("incarnation not reflected in link id")
-	}
-	if !strings.Contains(a, "op1") || !strings.Contains(a, "op2") {
-		t.Fatalf("link id %q", a)
-	}
-}

@@ -34,7 +34,6 @@ package tuple
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -647,10 +646,4 @@ func (m Mark) String() string {
 	default:
 		return fmt.Sprintf("Mark(%d)", uint8(m))
 	}
-}
-
-// SortAttributes orders attributes by name; used by tools that need a
-// canonical rendering of schemas.
-func SortAttributes(attrs []Attribute) {
-	sort.Slice(attrs, func(i, j int) bool { return attrs[i].Name < attrs[j].Name })
 }

@@ -259,14 +259,6 @@ func TestCodecPropertyRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSortAttributes(t *testing.T) {
-	attrs := []Attribute{{"z", Int}, {"a", Float}, {"m", Bool}}
-	SortAttributes(attrs)
-	if attrs[0].Name != "a" || attrs[1].Name != "m" || attrs[2].Name != "z" {
-		t.Fatalf("SortAttributes order: %+v", attrs)
-	}
-}
-
 func BenchmarkEncode(b *testing.B) {
 	s := MustSchema(Attribute{"id", Int}, Attribute{"price", Float}, Attribute{"sym", String})
 	tp := Build(s).Int("id", 12345).Float("price", 101.25).Str("sym", "IBM").Done()
