@@ -30,8 +30,8 @@
 // The tuple run is the only unit the dataplane moves. Every operator
 // with inputs has one inbox, a bounded swap buffer its consume
 // goroutine drains whole: an idle queue hands over one tuple at once, a
-// busy one a run, with no timer in between (the capacity, QueueCap, and
-// the queueSize gauge count tuples). The loop cuts each drained run into
+// busy one a run, with no timer in between (its capacity and the
+// queueSize gauge count tuples). The loop cuts each drained run into
 // chunks — consecutive tuples of one port, a transport frame's worth at
 // most — and an operator opts into receiving a chunk as one call by
 // implementing streams.BatchOperator: ProcessBatch(port, *tuple.Batch)

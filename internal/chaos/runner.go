@@ -26,12 +26,13 @@ type Runner struct {
 	Store *ckpt.FaultStore
 	// Logf receives one line per applied event; nil discards them.
 	Logf func(format string, args ...any)
-	// KillWait bounds how long a KillPE event waits for its target to
-	// be running before giving up (default 250ms). PE ids are stable
-	// across restarts, so waiting out a concurrent restart keeps the
-	// number of applied kills deterministic run over run.
-	KillWait time.Duration
 }
+
+// killWait bounds how long a KillPE event waits for its target to be
+// running before giving up. PE ids are stable across restarts, so
+// waiting out a concurrent restart keeps the number of applied kills
+// deterministic run over run.
+const killWait = 250 * time.Millisecond
 
 // Report counts what a Run did.
 type Report struct {
@@ -57,17 +58,13 @@ func (r *Runner) Run(s Schedule) *Report {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	killWait := r.KillWait
-	if killWait <= 0 {
-		killWait = 250 * time.Millisecond
-	}
 	rep := &Report{PerKind: make(map[Kind]int)}
 	start := clock.Now()
 	for i, ev := range s.Events {
 		if wait := ev.Offset - clock.Now().Sub(start); wait > 0 {
 			clock.Sleep(wait)
 		}
-		applied, detail := r.apply(ev, i, clock, killWait)
+		applied, detail := r.apply(ev, i, clock)
 		if applied {
 			rep.Applied++
 			rep.PerKind[ev.Kind]++
@@ -82,10 +79,10 @@ func (r *Runner) Run(s Schedule) *Report {
 
 // apply fires one event, reporting whether it took effect and a detail
 // suffix for the log line.
-func (r *Runner) apply(ev Event, i int, clock vclock.Clock, killWait time.Duration) (bool, string) {
+func (r *Runner) apply(ev Event, i int, clock vclock.Clock) (bool, string) {
 	switch ev.Kind {
 	case KillPE:
-		id, ok := r.resolvePE(ev.Target, clock, killWait)
+		id, ok := r.resolvePE(ev.Target, clock)
 		if !ok {
 			return false, " (no running PE)"
 		}
@@ -162,7 +159,7 @@ func (r *Runner) apply(ev Event, i int, clock vclock.Clock, killWait time.Durati
 // ordered list of all PEs of all jobs (PE ids are stable across
 // restarts), then waits — bounded — for that PE to be running, so a
 // kill landing during a concurrent restart still applies.
-func (r *Runner) resolvePE(target int, clock vclock.Clock, killWait time.Duration) (ids.PEID, bool) {
+func (r *Runner) resolvePE(target int, clock vclock.Clock) (ids.PEID, bool) {
 	deadline := clock.Now().Add(killWait)
 	for {
 		var pes []sam.PERuntimeInfo

@@ -82,9 +82,6 @@ func (c *Cluster) AddHost(name string, tags ...string) error {
 	}
 	h := &host{name: name, tags: tags, up: true, pes: make(map[ids.PEID]*pe.PE), done: make(chan struct{})}
 	c.hosts[name] = h
-	if c.srm != nil {
-		c.srm.RegisterHost(name, tags)
-	}
 	go c.metricsLoop(h, h.done)
 	return nil
 }
@@ -334,9 +331,6 @@ func (c *Cluster) ReviveHost(name string) error {
 		go c.metricsLoop(h, h.done)
 	}
 	h.up = true
-	if c.srm != nil {
-		c.srm.ReportHostUp(name)
-	}
 	return nil
 }
 

@@ -232,20 +232,16 @@ func (b *AppBuilder) HostPool(p adl.HostPool) {
 type FusionMode int
 
 // Fusion strategies. FuseByTag is the default: colocation groups fuse,
-// everything else gets its own PE. FuseAuto additionally merges connected
-// partitions greedily down to Options.TargetPEs, emulating the
-// measurement-driven COLA partitioner the paper cites [18].
+// everything else gets its own PE.
 const (
 	FuseByTag FusionMode = iota
 	FuseNone
 	FuseAll
-	FuseAuto
 )
 
 // Options configures Build.
 type Options struct {
-	Fusion    FusionMode
-	TargetPEs int // only for FuseAuto; <=0 means one PE per colocation group
+	Fusion FusionMode
 	// Registry resolves operator kinds for build-time validation
 	// against each kind's operator model; nil means opapi.Default.
 	Registry *opapi.Registry
@@ -288,7 +284,7 @@ func (b *AppBuilder) Build(opts Options) (*adl.Application, error) {
 		}
 		app.Operators = append(app.Operators, op)
 	}
-	pes, err := partition(b.ops, b.conns, opts)
+	pes, err := partition(b.ops, opts)
 	if err != nil {
 		return nil, err
 	}

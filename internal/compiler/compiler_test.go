@@ -79,20 +79,6 @@ func TestBuildFigure2FuseAll(t *testing.T) {
 	}
 }
 
-func TestBuildFigure2FuseAuto(t *testing.T) {
-	app := buildFigure2(t, Options{Fusion: FuseAuto, TargetPEs: 3})
-	if len(app.PEs) != 3 {
-		t.Fatalf("FuseAuto(3) produced %d PEs", len(app.PEs))
-	}
-	total := 0
-	for _, pe := range app.PEs {
-		total += len(pe.Operators)
-	}
-	if total != 12 {
-		t.Fatalf("fusion lost operators: %d", total)
-	}
-}
-
 func TestColocationFusesAcrossComposites(t *testing.T) {
 	// The paper's Figure 3: operators from different composite instances
 	// can share a PE. Tag c1.op4 and c2.op4 together.
@@ -138,27 +124,6 @@ func TestIsolateGetsOwnPEUnderFuseAll(t *testing.T) {
 	isoPE := app.PEOfOperator("iso")
 	if len(app.OperatorsInPE(isoPE)) != 1 {
 		t.Fatal("isolated operator shares a PE")
-	}
-}
-
-func TestIsolateSurvivesFuseAuto(t *testing.T) {
-	b := NewApp("X")
-	prev := b.AddOperator("src", "Beacon").Out(intSchema)
-	iso := b.AddOperator("iso", "Functor").In(intSchema).Out(intSchema).Isolate()
-	b.Connect(prev, 0, iso, 0)
-	prev = iso
-	for _, n := range []string{"a", "b", "c", "d"} {
-		next := b.AddOperator(n, "Functor").In(intSchema).Out(intSchema)
-		b.Connect(prev, 0, next, 0)
-		prev = next
-	}
-	app, err := b.Build(Options{Fusion: FuseAuto, TargetPEs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	isoPE := app.PEOfOperator("iso")
-	if got := app.OperatorsInPE(isoPE); len(got) != 1 {
-		t.Fatalf("isolated op fused: %v", got)
 	}
 }
 
@@ -295,8 +260,8 @@ func TestNoOperatorsFails(t *testing.T) {
 }
 
 func TestBuildDeterministic(t *testing.T) {
-	a1 := buildFigure2(t, Options{Fusion: FuseAuto, TargetPEs: 4})
-	a2 := buildFigure2(t, Options{Fusion: FuseAuto, TargetPEs: 4})
+	a1 := buildFigure2(t, Options{Fusion: FuseByTag})
+	a2 := buildFigure2(t, Options{Fusion: FuseByTag})
 	d1, _ := a1.Marshal()
 	d2, _ := a2.Marshal()
 	if string(d1) != string(d2) {

@@ -10,15 +10,11 @@ import (
 // partition fuses operators into PEs according to the fusion mode and the
 // per-operator constraints (colocation tags, isolation, pools). The result
 // is deterministic for a given builder program.
-func partition(ops []*OpHandle, conns []adl.Connection, opts Options) ([]adl.PE, error) {
+func partition(ops []*OpHandle, opts Options) ([]adl.PE, error) {
 	if len(ops) == 0 {
 		return nil, fmt.Errorf("compiler: application has no operators")
 	}
 	uf := newUnionFind(len(ops))
-	index := make(map[string]int, len(ops))
-	for i, h := range ops {
-		index[h.name] = i
-	}
 
 	// Colocation tags always fuse, regardless of mode.
 	tagRoot := make(map[string]int)
@@ -51,10 +47,6 @@ func partition(ops []*OpHandle, conns []adl.Connection, opts Options) ([]adl.PE,
 			} else {
 				uf.union(first, i)
 			}
-		}
-	case FuseAuto:
-		if err := fuseAuto(ops, conns, index, uf, opts.TargetPEs); err != nil {
-			return nil, err
 		}
 	default:
 		return nil, fmt.Errorf("compiler: unknown fusion mode %d", opts.Fusion)
@@ -99,69 +91,6 @@ func partition(ops []*OpHandle, conns []adl.Connection, opts Options) ([]adl.PE,
 		pes = append(pes, pe)
 	}
 	return pes, nil
-}
-
-// fuseAuto greedily merges connected partitions until at most target PEs
-// remain, preferring to merge the two smallest connected groups — a
-// size-balancing heuristic in the spirit of COLA [18]. Isolated operators
-// never merge.
-func fuseAuto(ops []*OpHandle, conns []adl.Connection, index map[string]int, uf *unionFind, target int) error {
-	if target <= 0 {
-		return nil
-	}
-	count := func() int {
-		seen := make(map[int]bool)
-		for i := range ops {
-			seen[uf.find(i)] = true
-		}
-		return len(seen)
-	}
-	size := func(root int) int {
-		n := 0
-		for i := range ops {
-			if uf.find(i) == root {
-				n++
-			}
-		}
-		return n
-	}
-	for count() > target {
-		// Candidate merges: connected pairs of distinct, non-isolated groups.
-		type cand struct{ a, b, cost int }
-		best := cand{-1, -1, 1 << 30}
-		for _, c := range conns {
-			fi, ok1 := index[c.FromOp]
-			ti, ok2 := index[c.ToOp]
-			if !ok1 || !ok2 {
-				continue
-			}
-			ra, rb := uf.find(fi), uf.find(ti)
-			if ra == rb || ops[fi].isolate || ops[ti].isolate {
-				continue
-			}
-			if hasIsolated(ops, uf, ra) || hasIsolated(ops, uf, rb) {
-				continue
-			}
-			cost := size(ra) + size(rb)
-			if cost < best.cost || (cost == best.cost && (ra < best.a || (ra == best.a && rb < best.b))) {
-				best = cand{ra, rb, cost}
-			}
-		}
-		if best.a < 0 {
-			return nil // nothing mergeable; accept more PEs than target
-		}
-		uf.union(best.a, best.b)
-	}
-	return nil
-}
-
-func hasIsolated(ops []*OpHandle, uf *unionFind, root int) bool {
-	for i, h := range ops {
-		if h.isolate && uf.find(i) == root {
-			return true
-		}
-	}
-	return false
 }
 
 func minOf(xs []int) int {

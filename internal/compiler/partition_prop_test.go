@@ -17,14 +17,12 @@ type randomProgram struct {
 	tags   []int // colocation tag per op; -1 = none, -2 = isolated
 	chain  bool  // connect ops in a chain
 	fusion FusionMode
-	target int
 }
 
 func genProgram(r *rand.Rand) randomProgram {
 	p := randomProgram{
 		nOps:   1 + r.Intn(24),
-		fusion: FusionMode(r.Intn(4)),
-		target: 1 + r.Intn(6),
+		fusion: FusionMode(r.Intn(3)),
 		chain:  r.Intn(2) == 0,
 	}
 	nTags := 1 + r.Intn(4)
@@ -73,7 +71,7 @@ func TestPartitionProperties(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		p := genProgram(r)
 		b, names := p.build()
-		app, err := b.Build(Options{Fusion: p.fusion, TargetPEs: p.target})
+		app, err := b.Build(Options{Fusion: p.fusion})
 		if err != nil {
 			// The only legitimate failure for these programs is an
 			// isolated+colocated conflict, which genProgram never emits.
@@ -118,33 +116,6 @@ func TestPartitionProperties(t *testing.T) {
 	}
 }
 
-// TestFuseAutoRespectsTargetWhenFeasible: with a connected chain and no
-// isolation, FuseAuto must reach exactly the requested PE count whenever
-// target <= nOps.
-func TestFuseAutoRespectsTargetWhenFeasible(t *testing.T) {
-	check := func(nOpsRaw, targetRaw uint8) bool {
-		nOps := 1 + int(nOpsRaw)%20
-		target := 1 + int(targetRaw)%nOps
-		b := NewApp("Auto")
-		var prev *OpHandle
-		for i := 0; i < nOps; i++ {
-			h := b.AddOperator(fmt.Sprintf("op%02d", i), "Functor").In(intSchema).Out(intSchema)
-			if prev != nil {
-				b.Connect(prev, 0, h, 0)
-			}
-			prev = h
-		}
-		app, err := b.Build(Options{Fusion: FuseAuto, TargetPEs: target})
-		if err != nil {
-			return false
-		}
-		return len(app.PEs) == target
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestGeneratedADLAlwaysRoundTrips: every generated ADL must survive a
 // marshal/unmarshal cycle with identical partitioning.
 func TestGeneratedADLAlwaysRoundTrips(t *testing.T) {
@@ -152,7 +123,7 @@ func TestGeneratedADLAlwaysRoundTrips(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		p := genProgram(r)
 		b, names := p.build()
-		app, err := b.Build(Options{Fusion: p.fusion, TargetPEs: p.target})
+		app, err := b.Build(Options{Fusion: p.fusion})
 		if err != nil {
 			return false
 		}

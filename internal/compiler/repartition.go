@@ -41,7 +41,7 @@ func Repartition(app *adl.Application, opts Options) (*adl.Application, error) {
 			isolatePE: isolateHost[op.Name],
 		})
 	}
-	pes, err := partition(handles, out.Connects, opts)
+	pes, err := partition(handles, opts)
 	if err != nil {
 		return nil, fmt.Errorf("compiler: repartition: %w", err)
 	}

@@ -28,7 +28,7 @@ func TestRepartitionFuseAll(t *testing.T) {
 	if len(app.PEs) != 3 {
 		t.Fatalf("fixture PEs = %d", len(app.PEs))
 	}
-	got, err := Repartition(app, Options{Fusion: FuseAuto, TargetPEs: 1})
+	got, err := Repartition(app, Options{Fusion: FuseAll})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,20 +35,13 @@ func (s *Service) submitInternal(appName string, params map[string]string, confi
 	if err != nil {
 		return ids.InvalidJob, err
 	}
-	jobADL, ok1 := s.cfg.SAM.JobADL(job)
-	peIDs, hosts, ok2 := s.cfg.SAM.PEPlacement(job)
-	if !ok1 || !ok2 {
-		_ = s.cfg.SAM.CancelJob(job) //orcalint:ignore actuationcheck best-effort rollback; the vanished-job error below is the one the caller acts on
-		return ids.InvalidJob, fmt.Errorf("core: job %s vanished during submission", job)
-	}
-	g, err := graph.Build(jobADL, job, peIDs, hosts)
+	g, err := s.buildGraph(job)
 	if err != nil {
 		_ = s.cfg.SAM.CancelJob(job) //orcalint:ignore actuationcheck best-effort rollback; the graph-build error below is the one the caller acts on
 		return ids.InvalidJob, fmt.Errorf("core: graph for %s: %w", appName, err)
 	}
 	s.mu.Lock()
 	s.graphs[job] = g
-	s.managed[job] = appName
 	s.mu.Unlock()
 	s.enqueue(&eventData{
 		kind: KindJobSubmitted, job: job, app: appName,
@@ -65,19 +58,19 @@ func (s *Service) CancelJob(job ids.JobID) error {
 
 func (s *Service) cancelInternal(job ids.JobID, configID string) error {
 	s.mu.Lock()
-	appName, ok := s.managed[job]
+	g, ok := s.graphs[job]
 	s.mu.Unlock()
 	if !ok {
 		s.recordActuation("CancelJob", job.String(), ErrUnmanagedJob)
 		return ErrUnmanagedJob
 	}
+	appName := g.App()
 	err := s.cfg.SAM.CancelJob(job)
 	s.recordActuation("CancelJob", job.String(), err)
 	if err != nil {
 		return err
 	}
 	s.mu.Lock()
-	delete(s.managed, job)
 	delete(s.graphs, job)
 	s.mu.Unlock()
 	if configID == "" {
@@ -93,29 +86,15 @@ func (s *Service) cancelInternal(job ids.JobID, configID string) error {
 }
 
 // RestartPE restarts a PE of a managed job (the failover actuation of
-// §5.2) and updates the stream graph's physical view.
+// §5.2).
 func (s *Service) RestartPE(pe ids.PEID) error {
-	job, ok := s.jobOfPE(pe)
-	if !ok {
+	if s.graphOfPE(pe) == nil {
 		s.recordActuation("RestartPE", pe.String(), ErrUnmanagedJob)
 		return ErrUnmanagedJob
 	}
 	err := s.cfg.SAM.RestartPE(pe)
 	s.recordActuation("RestartPE", pe.String(), err)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	if g, ok := s.graphs[job]; ok {
-		g.SetPEState(pe, "running")
-		if _, hosts, ok := s.cfg.SAM.PEPlacement(job); ok {
-			if info, found := g.PE(pe); found {
-				g.SetPEHost(pe, hosts[info.Index])
-			}
-		}
-	}
-	s.mu.Unlock()
-	return nil
+	return err
 }
 
 // CheckpointPE captures an on-demand state snapshot of a managed PE.
@@ -124,7 +103,7 @@ func (s *Service) RestartPE(pe ids.PEID) error {
 // intact instead of rebuilding them from fresh traffic. It fails when
 // the platform runs without a checkpoint store.
 func (s *Service) CheckpointPE(pe ids.PEID) error {
-	if _, ok := s.jobOfPE(pe); !ok {
+	if s.graphOfPE(pe) == nil {
 		s.recordActuation("CheckpointPE", pe.String(), ErrUnmanagedJob)
 		return ErrUnmanagedJob
 	}
@@ -135,28 +114,19 @@ func (s *Service) CheckpointPE(pe ids.PEID) error {
 
 // StopPE stops a PE of a managed job without restarting it.
 func (s *Service) StopPE(pe ids.PEID) error {
-	job, ok := s.jobOfPE(pe)
-	if !ok {
+	if s.graphOfPE(pe) == nil {
 		s.recordActuation("StopPE", pe.String(), ErrUnmanagedJob)
 		return ErrUnmanagedJob
 	}
 	err := s.cfg.SAM.StopPE(pe)
 	s.recordActuation("StopPE", pe.String(), err)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	if g, ok := s.graphs[job]; ok {
-		g.SetPEState(pe, "stopped")
-	}
-	s.mu.Unlock()
-	return nil
+	return err
 }
 
 // KillPE injects a crash into a managed job's PE (fault injection for
 // tests and experiments).
 func (s *Service) KillPE(pe ids.PEID, reason string) error {
-	if _, ok := s.jobOfPE(pe); !ok {
+	if s.graphOfPE(pe) == nil {
 		s.recordActuation("KillPE", pe.String(), ErrUnmanagedJob)
 		return ErrUnmanagedJob
 	}
@@ -169,44 +139,36 @@ func (s *Service) KillPE(pe ids.PEID, reason string) error {
 // parallel region — the elastic-fission actuation. SAM recompiles the
 // job's ADL, migrates the replicas' per-key state between
 // partitionings through the checkpoint store, and restarts the region
-// at the new width; on success the job's stream graph is rebuilt so
-// inspection reflects the new topology. Like every actuation, the call
-// is journalled under the current event's transaction id.
+// at the new width. The job's stream graph is then rebuilt so inspection
+// reflects the new topology — also after an error, since a resize whose
+// deploy failed has still swapped in the resized ADL. Like every
+// actuation, the call is journalled under the current event's
+// transaction id.
 func (s *Service) ResizeRegion(job ids.JobID, region string, width int) error {
 	target := fmt.Sprintf("%s/%s->%d", job, region, width)
-	s.mu.Lock()
-	_, ok := s.managed[job]
-	s.mu.Unlock()
-	if !ok {
+	if !s.manages(job) {
 		s.recordActuation("ResizeRegion", target, ErrUnmanagedJob)
 		return ErrUnmanagedJob
 	}
 	err := s.cfg.SAM.ResizeRegion(job, region, width)
 	s.recordActuation("ResizeRegion", target, err)
-	if err != nil {
+	g, gerr := s.buildGraph(job)
+	if gerr != nil {
+		s.cfg.Logf("core: rebuild graph after resize of %s: %v", job, gerr)
 		return err
 	}
-	jobADL, ok1 := s.cfg.SAM.JobADL(job)
-	peIDs, hosts, ok2 := s.cfg.SAM.PEPlacement(job)
-	if ok1 && ok2 {
-		if g, gerr := graph.Build(jobADL, job, peIDs, hosts); gerr == nil {
-			s.mu.Lock()
-			s.graphs[job] = g
-			s.mu.Unlock()
-		} else {
-			s.cfg.Logf("core: rebuild graph after resize of %s: %v", job, gerr)
-		}
+	s.mu.Lock()
+	if _, ok := s.graphs[job]; ok { // not cancelled meanwhile
+		s.graphs[job] = g
 	}
-	return nil
+	s.mu.Unlock()
+	return err
 }
 
 // RegionWidth reports the current width of a managed job's parallel
 // region, for routines that track how far they have scaled.
 func (s *Service) RegionWidth(job ids.JobID, region string) (int, bool) {
-	s.mu.Lock()
-	_, ok := s.managed[job]
-	s.mu.Unlock()
-	if !ok {
+	if !s.manages(job) {
 		return 0, false
 	}
 	app, ok := s.cfg.SAM.JobADL(job)
@@ -223,10 +185,7 @@ func (s *Service) RegionWidth(job ids.JobID, region string) (int, bool) {
 // ControlOperator sends a control command to an operator of a managed
 // job.
 func (s *Service) ControlOperator(job ids.JobID, opName, cmd string, args map[string]string) error {
-	s.mu.Lock()
-	_, ok := s.managed[job]
-	s.mu.Unlock()
-	if !ok {
+	if !s.manages(job) {
 		s.recordActuation("ControlOperator", opName, ErrUnmanagedJob)
 		return ErrUnmanagedJob
 	}
@@ -301,9 +260,9 @@ func (s *Service) Graph(job ids.JobID) (*graph.Graph, bool) {
 func (s *Service) ManagedJobs() []JobSummary {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]JobSummary, 0, len(s.managed))
-	for job, app := range s.managed {
-		out = append(out, JobSummary{Job: job, App: app})
+	out := make([]JobSummary, 0, len(s.graphs))
+	for job, g := range s.graphs {
+		out = append(out, JobSummary{Job: job, App: g.App()})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Job < out[j].Job })
 	return out
@@ -315,8 +274,8 @@ func (s *Service) JobsOfApp(appName string) []ids.JobID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []ids.JobID
-	for job, app := range s.managed {
-		if app == appName {
+	for job, g := range s.graphs {
+		if g.App() == appName {
 			out = append(out, job)
 		}
 	}
@@ -342,8 +301,8 @@ func (s *Service) CompositesInPE(pe ids.PEID) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, g := range s.graphs {
-		if _, ok := g.PE(pe); ok {
-			return g.CompositesInPE(pe)
+		if comps := g.CompositesInPE(pe); comps != nil {
+			return comps
 		}
 	}
 	return nil
@@ -374,23 +333,50 @@ func (s *Service) PEOfOperator(job ids.JobID, opName string) (ids.PEID, bool) {
 
 // HostOfPE returns the host a managed PE runs on.
 func (s *Service) HostOfPE(pe ids.PEID) (string, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, g := range s.graphs {
-		if h, ok := g.HostOfPE(pe); ok {
-			return h, true
-		}
+	if g := s.graphOfPE(pe); g != nil {
+		return g.HostOfPE(pe)
 	}
 	return "", false
 }
 
-func (s *Service) jobOfPE(pe ids.PEID) (ids.JobID, bool) {
+// manages reports whether the service started the job.
+func (s *Service) manages(job ids.JobID) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for job, g := range s.graphs {
-		if _, ok := g.PE(pe); ok {
-			return job, true
+	_, ok := s.graphs[job]
+	return ok
+}
+
+// graphOfPE returns the stream graph of the managed job the PE belongs
+// to, or nil. It reads graph structure only: s.mu is never held across
+// a call into SAM.
+func (s *Service) graphOfPE(pe ids.PEID) *graph.Graph {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, g := range s.graphs {
+		if g.OperatorsInPE(pe) != nil {
+			return g
 		}
 	}
-	return ids.InvalidJob, false
+	return nil
+}
+
+// buildGraph builds a job's stream graph from the ADL and PE ids SAM runs
+// it with. PE hosts and states stay SAM's: the graph reads them from the
+// job's current SAM record on each query.
+func (s *Service) buildGraph(job ids.JobID) (*graph.Graph, error) {
+	app, ok1 := s.cfg.SAM.JobADL(job)
+	peIDs, _, ok2 := s.cfg.SAM.PEPlacement(job)
+	if !ok1 || !ok2 {
+		return nil, fmt.Errorf("core: job %s is gone from SAM", job)
+	}
+	return graph.Build(app, job, peIDs, func(pe ids.PEID) (host, state string) {
+		info, _ := s.cfg.SAM.Job(job)
+		for _, p := range info.PEs {
+			if p.ID == pe {
+				return p.Host, p.State
+			}
+		}
+		return "", ""
+	})
 }

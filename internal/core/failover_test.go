@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"streamorca/internal/ids"
 	"streamorca/internal/metrics"
 	"streamorca/internal/ops"
+	"streamorca/internal/sam"
 	"streamorca/internal/tuple"
 )
 
@@ -397,6 +399,134 @@ func TestStalenessRankedFailover(t *testing.T) {
 	case <-router.restarts: // failed active restarted too
 	case <-time.After(10 * time.Second):
 		t.Fatal("active PE never restarted")
+	}
+}
+
+// TestPlatformRestartIsLiveInGraph: SAM restarts a PE on its own (the ADL
+// Restart flag) and only then notifies the orchestrator. The stream
+// graph's physical view must say what SAM says, not what the late
+// failure notification said.
+func TestPlatformRestartIsLiveInGraph(t *testing.T) {
+	h := newHarness(t)
+	ops.ResetCollector("live")
+	app := simpleApp(t, "Live", "live", "0")
+	for i := range app.PEs {
+		app.PEs[i].Restart = true
+	}
+	if err := h.svc.RegisterApplication(app); err != nil {
+		t.Fatal(err)
+	}
+	h.observe(t, NewPEFailureScope("pf"))
+	h.start(t)
+	job, err := h.svc.SubmitApplication("Live", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "flow", func() bool { return ops.Collector("live").Len() > 2 })
+	sinkPE, ok := h.svc.PEOfOperator(job, "sink")
+	if !ok {
+		t.Fatal("no sink PE")
+	}
+	if err := h.inst.SAM.KillPE(sinkPE, "fault"); err != nil {
+		t.Fatal(err)
+	}
+	// SAM notifies after its restart: once the event is delivered, the
+	// notification can no longer race the check below.
+	waitFor(t, "failure delivered", func() bool { return h.rec.countKind(KindPEFailure) >= 1 })
+	var want sam.PERuntimeInfo
+	waitFor(t, "SAM restarted the PE", func() bool {
+		info, _ := h.inst.SAM.Job(job)
+		for _, p := range info.PEs {
+			if p.ID == sinkPE {
+				want = p
+			}
+		}
+		return want.State == "running" && want.Restarts >= 1
+	})
+	g, _ := h.svc.Graph(job)
+	got, _ := g.PE(sinkPE)
+	host, _ := g.HostOfPE(sinkPE)
+	if got.State != want.State || host != want.Host {
+		t.Fatalf("graph says %q on %q, SAM says %q on %q", got.State, host, want.State, want.Host)
+	}
+}
+
+// TestFailedResizeKeepsRegionManaged: a resize whose deploy fails has
+// still swapped in the resized ADL at SAM, so the replica it added is a
+// PE of the job. The orchestrator must manage it: RestartPE may fail on
+// its merits, never with ErrUnmanagedJob.
+func TestFailedResizeKeepsRegionManaged(t *testing.T) {
+	h := newHarness(t) // one host: with it down, no deploy can place
+	s := tuple.MustSchema(
+		tuple.Attribute{Name: "user", Type: tuple.String},
+		tuple.Attribute{Name: "score", Type: tuple.Float},
+	)
+	b := compiler.NewApp("Rsz")
+	src := b.AddOperator("src", ops.KindBeacon).Param("period", "1h").Out(s)
+	agg := b.AddOperator("agg", ops.KindAggregate).
+		Param("window", "1h").Param("groupBy", "user").Param("valueAttr", "score").
+		In(s).Out(s).Parallel(1)
+	sink := b.AddOperator("sink", ops.KindCountSink).In(s)
+	b.Connect(src, 0, agg, 0)
+	b.Connect(agg, 0, sink, 0)
+	app, err := b.Build(compiler.Options{Fusion: compiler.FuseNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.svc.RegisterApplication(app); err != nil {
+		t.Fatal(err)
+	}
+	h.start(t)
+	job, err := h.svc.SubmitApplication("Rsz", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Handlers read the graph, lock-free, while the resize swaps it.
+	stop, readerDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			g, _ := h.svc.Graph(job)
+			for _, pe := range g.PEIDs() {
+				g.PE(pe)
+				h.svc.HostOfPE(pe)
+			}
+		}
+	}()
+	if err := h.inst.Cluster.KillHost("h1"); err != nil {
+		t.Fatal(err)
+	}
+	err = h.svc.ResizeRegion(job, "agg", 2)
+	close(stop)
+	<-readerDone
+	if err == nil {
+		t.Fatal("resize deployed with every host down")
+	}
+	if err := h.inst.Cluster.ReviveHost("h1"); err != nil {
+		t.Fatal(err)
+	}
+	resized, ok := h.inst.SAM.JobADL(job)
+	if !ok || resized.Region("agg").Width != 2 {
+		t.Fatal("SAM did not keep the resized ADL")
+	}
+	idx := resized.PEOfOperator(resized.Region("agg").Replicas[1])
+	added := ids.InvalidPE
+	info, _ := h.inst.SAM.Job(job)
+	for _, p := range info.PEs {
+		if p.Index == idx {
+			added = p.ID
+		}
+	}
+	if added == ids.InvalidPE {
+		t.Fatal("SAM has no PE for the added replica")
+	}
+	if err := h.svc.RestartPE(added); errors.Is(err, ErrUnmanagedJob) {
+		t.Fatalf("RestartPE(%s) after a failed resize: %v", added, err)
 	}
 }
 

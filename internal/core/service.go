@@ -25,7 +25,7 @@ const DefaultPullInterval = 15 * time.Second
 
 // ErrUnmanagedJob is returned when the ORCA logic attempts to act on a job
 // the service did not start (§3).
-var ErrUnmanagedJob = errors.New("core: job is not managed by this orchestrator")
+var ErrUnmanagedJob = errors.New("core: this orchestrator does not manage the job")
 
 // Config assembles an ORCA service.
 type Config struct {
@@ -58,7 +58,7 @@ type Stats struct {
 	RegisteredApps int
 }
 
-// JobSummary identifies one managed job.
+// JobSummary identifies one job the service manages.
 type JobSummary struct {
 	Job ids.JobID
 	App string
@@ -77,8 +77,7 @@ type Service struct {
 	apps      map[string]*adl.Application // registered, by name
 	subs      []*Subscription             // event subscriptions, in registration order
 	startSubs []*Subscription
-	graphs    map[ids.JobID]*graph.Graph
-	managed   map[ids.JobID]string // job -> app name
+	graphs    map[ids.JobID]*graph.Graph // one per job the service manages
 	timers    map[string]vclock.Timer
 
 	metricEpoch  uint64
@@ -148,7 +147,6 @@ func NewRoutineService(cfg Config, routines ...Routine) (*Service, error) {
 		clock:      cfg.Clock,
 		apps:       make(map[string]*adl.Application),
 		graphs:     make(map[ids.JobID]*graph.Graph),
-		managed:    make(map[ids.JobID]string),
 		timers:     make(map[string]vclock.Timer),
 		failEpochs: make(map[string]uint64),
 		queue:      newEventQueue(),
@@ -383,7 +381,8 @@ func (s *Service) enqueue(d *eventData) {
 	s.queue.push(&delivered{data: d, subs: subs})
 }
 
-// pullLoop periodically queries SRM for all managed jobs' metrics.
+// pullLoop periodically queries SRM for the metrics of every job the
+// service manages.
 func (s *Service) pullLoop() {
 	defer s.done.Done()
 	for {
@@ -400,13 +399,13 @@ func (s *Service) pullLoop() {
 }
 
 // PullMetricsNow performs one SRM metric pull immediately: all samples of
-// the managed jobs are fetched in one round, stamped with a fresh shared
-// epoch, matched, and enqueued. Experiment drivers call it directly for
-// deterministic rounds.
+// the jobs the service manages are fetched in one round, stamped with a
+// fresh shared epoch, matched, and enqueued. Experiment drivers call it
+// directly for deterministic rounds.
 func (s *Service) PullMetricsNow() {
 	s.mu.Lock()
-	jobs := make([]ids.JobID, 0, len(s.managed))
-	for j := range s.managed {
+	jobs := make([]ids.JobID, 0, len(s.graphs))
+	for j := range s.graphs {
 		jobs = append(jobs, j)
 	}
 	s.metricEpoch++
@@ -450,15 +449,10 @@ func sampleToEvent(m metrics.Sample, epoch uint64) *eventData {
 }
 
 // onPEFailure receives SAM's push notification (§4.2): it assigns an
-// epoch derived from the crash reason and detection timestamp, updates
-// the graph, and enqueues the event.
+// epoch derived from the crash reason and detection timestamp and
+// enqueues the event. The graph needs no update: PE states are SAM's.
 func (s *Service) onPEFailure(f sam.PEFailure) {
 	epoch := s.failureEpoch(f.Reason, f.At)
-	s.mu.Lock()
-	if g, ok := s.graphs[f.Job]; ok {
-		g.SetPEState(f.PE, "crashed")
-	}
-	s.mu.Unlock()
 	s.enqueue(&eventData{
 		kind: KindPEFailure, job: f.Job, app: f.App, pe: f.PE, host: f.Host,
 		ctx: &PEFailureContext{
@@ -570,7 +564,7 @@ func (s *Service) RaiseUserEvent(name string, payload map[string]string) {
 // Stats returns service counters.
 func (s *Service) Stats() Stats {
 	s.mu.Lock()
-	managed := len(s.managed)
+	jobs := len(s.graphs)
 	apps := len(s.apps)
 	me := s.metricEpoch
 	fe := s.nextFailure
@@ -584,7 +578,7 @@ func (s *Service) Stats() Stats {
 		HandlerErrors:  atomic.LoadUint64(&s.handlerErrs),
 		MetricEpoch:    me,
 		FailureEpoch:   fe,
-		ManagedJobs:    managed,
+		ManagedJobs:    jobs,
 		RegisteredApps: apps,
 	}
 }

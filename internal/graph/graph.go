@@ -4,12 +4,17 @@
 // composite containment, stream connections) and the physical view (PE
 // partitions, hosts, PE states). Event handlers combine it with event
 // contexts to disambiguate logical and physical layouts before actuating.
+//
+// A Graph is immutable after Build and safe for concurrent use. It owns
+// only structure; a PE's host and state belong to the platform, and the
+// graph reads them through the lookup Build was given, so they are as
+// current as the platform's own tables. A topology change (a resize) is a
+// new Graph.
 package graph
 
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"streamorca/internal/adl"
 	"streamorca/internal/ids"
@@ -41,17 +46,13 @@ type PEInfo struct {
 }
 
 // Graph is the queryable representation of one running application.
-// Structure (operators, composites, connections) is immutable after Build;
-// PE placement and state are updated by the ORCA service as the platform
-// reports changes. All methods are safe for concurrent use.
 type Graph struct {
-	app string
-	job ids.JobID
-
-	mu    sync.RWMutex
+	app   string
+	job   ids.JobID
+	live  func(ids.PEID) (host, state string)
 	ops   map[string]*OperatorInfo
 	comps map[string]*CompositeInfo
-	pes   map[ids.PEID]*PEInfo
+	pes   map[ids.PEID]*PEInfo // Host and State unset: live answers them
 	conns []adl.Connection
 
 	// Memoised containment chains: the §4.1 point that the filter API can
@@ -60,12 +61,14 @@ type Graph struct {
 	kindChains map[string][]string
 }
 
-// Build constructs a graph from a validated ADL plus the physical identity
-// SAM assigned at submission: partition index → global PE id and host.
-func Build(app *adl.Application, job ids.JobID, peIDs map[int]ids.PEID, hosts map[int]string) (*Graph, error) {
+// Build constructs a graph from a validated ADL plus the PE ids SAM
+// assigned at submission (partition index → global PE id). live reports
+// a PE's current host and state; nil leaves both empty.
+func Build(app *adl.Application, job ids.JobID, peIDs map[int]ids.PEID, live func(ids.PEID) (host, state string)) (*Graph, error) {
 	g := &Graph{
 		app:        app.Name,
 		job:        job,
+		live:       live,
 		ops:        make(map[string]*OperatorInfo, len(app.Operators)),
 		comps:      make(map[string]*CompositeInfo, len(app.Composites)),
 		pes:        make(map[ids.PEID]*PEInfo, len(app.PEs)),
@@ -81,11 +84,7 @@ func Build(app *adl.Application, job ids.JobID, peIDs map[int]ids.PEID, hosts ma
 		if !ok {
 			return nil, fmt.Errorf("graph: no PE id for partition %d of %s", pe.Index, app.Name)
 		}
-		g.pes[id] = &PEInfo{
-			ID: id, Index: pe.Index, Host: hosts[pe.Index],
-			Operators: append([]string(nil), pe.Operators...),
-			State:     "running",
-		}
+		g.pes[id] = &PEInfo{ID: id, Index: pe.Index, Operators: append([]string(nil), pe.Operators...)}
 		for _, opName := range pe.Operators {
 			src := app.OperatorByName(opName)
 			if src == nil {
@@ -112,8 +111,6 @@ func (g *Graph) Job() ids.JobID { return g.job }
 
 // Operator returns a copy of the named operator's info.
 func (g *Graph) Operator(name string) (OperatorInfo, bool) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
 	if op, ok := g.ops[name]; ok {
 		return *op, true
 	}
@@ -122,30 +119,29 @@ func (g *Graph) Operator(name string) (OperatorInfo, bool) {
 
 // Composite returns a copy of the named composite instance's info.
 func (g *Graph) Composite(name string) (CompositeInfo, bool) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
 	if c, ok := g.comps[name]; ok {
 		return *c, true
 	}
 	return CompositeInfo{}, false
 }
 
-// PE returns a copy of the identified PE's info.
+// PE returns a copy of the identified PE's info, with its current host
+// and state.
 func (g *Graph) PE(id ids.PEID) (PEInfo, bool) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	if p, ok := g.pes[id]; ok {
-		cp := *p
-		cp.Operators = append([]string(nil), p.Operators...)
-		return cp, true
+	p, ok := g.pes[id]
+	if !ok {
+		return PEInfo{}, false
 	}
-	return PEInfo{}, false
+	cp := *p
+	cp.Operators = append([]string(nil), p.Operators...)
+	if g.live != nil {
+		cp.Host, cp.State = g.live(id)
+	}
+	return cp, true
 }
 
 // OperatorNames returns every operator name, sorted.
 func (g *Graph) OperatorNames() []string {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
 	names := make([]string, 0, len(g.ops))
 	for n := range g.ops {
 		names = append(names, n)
@@ -156,8 +152,6 @@ func (g *Graph) OperatorNames() []string {
 
 // PEIDs returns every PE id, sorted.
 func (g *Graph) PEIDs() []ids.PEID {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
 	out := make([]ids.PEID, 0, len(g.pes))
 	for id := range g.pes {
 		out = append(out, id)
@@ -168,8 +162,6 @@ func (g *Graph) PEIDs() []ids.PEID {
 
 // OperatorsInPE answers "which stream operators reside in PE x?" (§4.2).
 func (g *Graph) OperatorsInPE(id ids.PEID) []OperatorInfo {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
 	p, ok := g.pes[id]
 	if !ok {
 		return nil
@@ -187,8 +179,6 @@ func (g *Graph) OperatorsInPE(id ids.PEID) []OperatorInfo {
 // CompositesInPE answers "which composites reside in PE x?": the set of
 // composite instances with at least one operator fused into the PE.
 func (g *Graph) CompositesInPE(id ids.PEID) []string {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
 	p, ok := g.pes[id]
 	if !ok {
 		return nil
@@ -210,8 +200,6 @@ func (g *Graph) CompositesInPE(id ids.PEID) []string {
 // EnclosingComposite answers "what is the enclosing composite operator
 // instance name for operator y?".
 func (g *Graph) EnclosingComposite(opName string) (string, bool) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
 	op, ok := g.ops[opName]
 	if !ok || op.Composite == "" {
 		return "", false
@@ -221,8 +209,6 @@ func (g *Graph) EnclosingComposite(opName string) (string, bool) {
 
 // PEOfOperator answers "what is the PE id for operator instance y?".
 func (g *Graph) PEOfOperator(opName string) (ids.PEID, bool) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
 	op, ok := g.ops[opName]
 	if !ok {
 		return ids.InvalidPE, false
@@ -230,30 +216,21 @@ func (g *Graph) PEOfOperator(opName string) (ids.PEID, bool) {
 	return op.PE, true
 }
 
-// HostOfPE returns the host a PE is placed on.
+// HostOfPE returns the host a PE is currently placed on.
 func (g *Graph) HostOfPE(id ids.PEID) (string, bool) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	p, ok := g.pes[id]
-	if !ok {
-		return "", false
-	}
-	return p.Host, true
+	p, ok := g.PE(id)
+	return p.Host, ok
 }
 
 // CompositeChain returns the composite instances enclosing the operator,
 // innermost first.
 func (g *Graph) CompositeChain(opName string) []string {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
 	return append([]string(nil), g.chains[opName]...)
 }
 
 // CompositeKindChain returns the composite types enclosing the operator,
 // innermost first.
 func (g *Graph) CompositeKindChain(opName string) []string {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
 	return append([]string(nil), g.kindChains[opName]...)
 }
 
@@ -261,8 +238,6 @@ func (g *Graph) CompositeKindChain(opName string) []string {
 // in a composite instance of the given type. This is the memoised check
 // behind composite-type scope filters (§4.1).
 func (g *Graph) InCompositeType(opName, kind string) bool {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
 	for _, k := range g.kindChains[opName] {
 		if k == kind {
 			return true
@@ -273,8 +248,6 @@ func (g *Graph) InCompositeType(opName, kind string) bool {
 
 // Upstream returns the names of operators feeding opName.
 func (g *Graph) Upstream(opName string) []string {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
 	var out []string
 	for _, c := range g.conns {
 		if c.ToOp == opName {
@@ -287,8 +260,6 @@ func (g *Graph) Upstream(opName string) []string {
 
 // Downstream returns the names of operators fed by opName.
 func (g *Graph) Downstream(opName string) []string {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
 	var out []string
 	for _, c := range g.conns {
 		if c.FromOp == opName {
@@ -297,22 +268,4 @@ func (g *Graph) Downstream(opName string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// SetPEState records a PE lifecycle change reported by the platform.
-func (g *Graph) SetPEState(id ids.PEID, state string) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if p, ok := g.pes[id]; ok {
-		p.State = state
-	}
-}
-
-// SetPEHost records a placement change (e.g. restart on another host).
-func (g *Graph) SetPEHost(id ids.PEID, host string) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if p, ok := g.pes[id]; ok {
-		p.Host = host
-	}
 }

@@ -67,14 +67,19 @@ func buildFigure2(t *testing.T) *Graph {
 	if err := app.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	g, err := Build(app, 5,
-		map[int]ids.PEID{0: 101, 1: 102, 2: 103},
-		map[int]string{0: "hostA", 1: "hostA", 2: "hostB"})
+	g, err := Build(app, 5, map[int]ids.PEID{0: 101, 1: 102, 2: 103}, fakePlatform{
+		101: {"hostA", "running"}, 102: {"hostA", "running"}, 103: {"hostB", "running"},
+	}.live)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return g
 }
+
+// fakePlatform stands in for SAM's PE table: PE id → host and state.
+type fakePlatform map[ids.PEID][2]string
+
+func (f fakePlatform) live(id ids.PEID) (host, state string) { return f[id][0], f[id][1] }
 
 func TestBuildIdentity(t *testing.T) {
 	g := buildFigure2(t)
@@ -177,19 +182,33 @@ func TestUpstreamDownstream(t *testing.T) {
 	}
 }
 
+// TestStateAndHostUpdates: the graph keeps no copy of a PE's host or
+// state; a change on the platform shows on the next read.
 func TestStateAndHostUpdates(t *testing.T) {
-	g := buildFigure2(t)
-	g.SetPEState(102, "crashed")
+	platform := fakePlatform{102: {"hostA", "running"}}
+	g, err := Build(figure2(), 5, map[int]ids.PEID{0: 101, 1: 102, 2: 103}, platform.live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, _ := g.PE(102); p.State != "running" || p.Host != "hostA" {
+		t.Fatalf("PE = %+v", p)
+	}
+	platform[102] = [2]string{"hostC", "crashed"}
 	if p, _ := g.PE(102); p.State != "crashed" {
 		t.Fatalf("PE state = %q", p.State)
 	}
-	g.SetPEHost(102, "hostC")
 	if h, _ := g.HostOfPE(102); h != "hostC" {
 		t.Fatalf("host after update = %q", h)
 	}
-	// Updates to unknown PEs are ignored.
-	g.SetPEState(999, "x")
-	g.SetPEHost(999, "x")
+	// A PE the platform no longer knows has no host or state; one outside
+	// the graph is not found.
+	delete(platform, 102)
+	if p, ok := g.PE(102); !ok || p.State != "" || p.Host != "" {
+		t.Fatalf("forgotten PE = %+v, %v", p, ok)
+	}
+	if _, ok := g.PE(999); ok {
+		t.Fatal("unknown PE found")
+	}
 }
 
 func TestPECopiesAreIndependent(t *testing.T) {

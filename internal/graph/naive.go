@@ -32,8 +32,6 @@ func NaiveMatch(g *Graph, opName, metricName string, q NaiveQuery) bool {
 	if q.MetricName != "" && metricName != q.MetricName {
 		return false
 	}
-	g.mu.RLock()
-	defer g.mu.RUnlock()
 	op, ok := g.ops[opName]
 	if !ok {
 		return false

@@ -32,8 +32,6 @@ type Options struct {
 	Hosts []HostSpec
 	// MetricsInterval is the HC→SRM push period (paper default: 3 s).
 	MetricsInterval time.Duration
-	// QueueCap bounds operator input queues, in tuples (default 256).
-	QueueCap int
 	// Registry resolves operator kinds; nil means opapi.Default.
 	Registry *opapi.Registry
 	// Checkpoint is the operator-state snapshot store; nil disables
@@ -81,7 +79,6 @@ func NewInstance(opts Options) (*Instance, error) {
 		Cluster:      cl,
 		SRM:          resMgr,
 		Registry:     opts.Registry,
-		QueueCap:     opts.QueueCap,
 		Logf:         opts.Logf,
 		Ckpt:         opts.Checkpoint,
 		CkptInterval: opts.CheckpointInterval,

@@ -35,7 +35,7 @@ func TestInstanceEndToEnd(t *testing.T) {
 	}
 	defer inst.Close()
 
-	if got := len(inst.SRM.Hosts()); got != 2 {
+	if got := len(inst.Cluster.Hosts()); got != 2 {
 		t.Fatalf("SRM knows %d hosts", got)
 	}
 	schema := tuple.MustSchema(tuple.Attribute{Name: "seq", Type: tuple.Int})

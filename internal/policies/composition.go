@@ -172,14 +172,3 @@ func (p *Composition) Cancellations() []string {
 	defer p.mu.Unlock()
 	return append([]string(nil), p.cancels...)
 }
-
-// ActiveC3 returns the attribute → job map of running C3 jobs.
-func (p *Composition) ActiveC3() map[string]ids.JobID {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make(map[string]ids.JobID, len(p.activeC3))
-	for a, j := range p.activeC3 {
-		out[a] = j
-	}
-	return out
-}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -13,15 +12,6 @@ import (
 	"streamorca/internal/ids"
 	"streamorca/internal/metrics"
 )
-
-// StatusChange records one active-replica transition (the status file
-// updates a GUI would poll in the paper's Figure 9 demo).
-type StatusChange struct {
-	At        time.Time
-	NewActive ids.JobID
-	OldActive ids.JobID
-	Reason    string
-}
 
 // DefaultStalenessDebounce is how many consecutive over-limit
 // snapshot-age observations the staleness gate demands before it
@@ -87,7 +77,6 @@ type Failover struct {
 	restarts    int
 	refreshes   int
 	promotionTx uint64 // TxID of the event whose handler last promoted
-	log         []StatusChange
 }
 
 // Name implements core.Routine.
@@ -268,7 +257,6 @@ func (p *Failover) promoteFreshest(ctx *core.PEFailureContext, act *core.Actions
 		p.mu.Unlock()
 		return core.ErrSkipped
 	}
-	oldActive := p.active
 	best := ids.InvalidJob
 	var bestAge int64
 	var bestKnown bool
@@ -300,9 +288,6 @@ func (p *Failover) promoteFreshest(ctx *core.PEFailureContext, act *core.Actions
 	p.active = best
 	p.failovers++
 	p.promotionTx = ctx.TxID
-	p.log = append(p.log, StatusChange{
-		At: ctx.At, NewActive: best, OldActive: oldActive, Reason: ctx.Reason,
-	})
 	p.mu.Unlock()
 	p.writeStatus()
 	return nil
@@ -422,13 +407,4 @@ func (p *Failover) ReplicaStaleness(job ids.JobID) (time.Duration, bool) {
 	defer p.mu.Unlock()
 	ms, ok := p.stalenessLocked(job)
 	return time.Duration(ms) * time.Millisecond, ok
-}
-
-// Log returns the status-change history, oldest first.
-func (p *Failover) Log() []StatusChange {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := append([]StatusChange(nil), p.log...)
-	sort.Slice(out, func(i, j int) bool { return out[i].At.Before(out[j].At) })
-	return out
 }

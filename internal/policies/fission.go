@@ -75,7 +75,7 @@ type Fission struct {
 	// strictly above it count as overload too — the backpressure
 	// signal for loads that saturate without raising the offered rate.
 	// The depth is in tuples (a queued transport frame counts its
-	// tuples), bounded by roughly the platform's QueueCap.
+	// tuples), bounded by roughly a PE's input queue capacity.
 	WidenAboveQueue int64
 	// WidenDebounce is the number of consecutive overload observations
 	// required before a resize; default DefaultFissionDebounce.
@@ -91,7 +91,6 @@ type Fission struct {
 	mu         sync.Mutex
 	job        ids.JobID
 	splitPE    ids.PEID
-	width      int
 	widenings  int
 	lastIngest int64
 	lastEgress int64
@@ -136,7 +135,7 @@ func (p *Fission) Setup(sc *core.SetupContext) error {
 		return fmt.Errorf("fission: job %s has no PE for region ingress %q", job, region.Split)
 	}
 	p.mu.Lock()
-	p.job, p.splitPE, p.width = job, splitPE, region.Width
+	p.job, p.splitPE = job, splitPE
 	p.mu.Unlock()
 	p.gate = p.widenGate()
 	return sc.Subscribe(
@@ -228,22 +227,23 @@ func (p *Fission) overloaded(ingestRate int64) bool {
 }
 
 // widen is the actuation: grow the region by one replica, up to
-// MaxWidth. At the cap it skips, leaving the debounce streak consumed
-// only by real actuations.
+// MaxWidth. The current width is the platform's, never a copy. At the
+// cap it skips, leaving the debounce streak consumed only by real
+// actuations.
 func (p *Fission) widen(ctx *core.PEMetricContext, act *core.Actions) error {
-	p.mu.Lock()
-	if p.width >= p.MaxWidth {
-		p.mu.Unlock()
+	job := p.Job()
+	from, ok := act.RegionWidth(job, p.Region)
+	if !ok {
+		return fmt.Errorf("fission: job %s has no region %q", job, p.Region)
+	}
+	if from >= p.MaxWidth {
 		return core.ErrSkipped
 	}
-	job, from := p.job, p.width
-	p.mu.Unlock()
 	next := from + 1
 	if err := act.ResizeRegion(job, p.Region, next); err != nil {
 		return fmt.Errorf("fission: widen %s/%s to %d: %w", job, p.Region, next, err)
 	}
 	p.mu.Lock()
-	p.width = next
 	p.widenings++
 	p.log = append(p.log, WidthChange{
 		At: ctx.At, From: from, To: next,
@@ -258,13 +258,6 @@ func (p *Fission) Job() ids.JobID {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.job
-}
-
-// Width returns the region width as last actuated by this routine.
-func (p *Fission) Width() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.width
 }
 
 // Widenings returns how many resizes the routine has actuated.

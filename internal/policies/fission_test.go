@@ -65,6 +65,16 @@ func rateCtx(job ids.JobID, pe ids.PEID, metric string, v int64) *core.PEMetricC
 	return &core.PEMetricContext{Job: job, App: "FZ", PE: pe, Metric: metric, Value: v}
 }
 
+// width is the region's width on the platform, the only copy there is.
+func width(t *testing.T, p *Fission, svc *core.Service) int {
+	t.Helper()
+	w, ok := svc.RegionWidth(p.Job(), p.Region)
+	if !ok {
+		t.Fatal("no region width")
+	}
+	return w
+}
+
 func splitPEOf(t *testing.T, p *Fission, svc *core.Service) ids.PEID {
 	t.Helper()
 	pe, ok := svc.PEOfOperator(p.Job(), p.Region+"/split")
@@ -77,8 +87,8 @@ func splitPEOf(t *testing.T, p *Fission, svc *core.Service) ids.PEID {
 func TestFissionWidensAfterDebounce(t *testing.T) {
 	p := &Fission{App: "FZ", Region: "agg", WidenAboveRate: 1000, MaxWidth: 3}
 	svc, _ := fissionFixture(t, p)
-	if p.Width() != 1 {
-		t.Fatalf("initial width = %d", p.Width())
+	if w := width(t, p, svc); w != 1 {
+		t.Fatalf("initial width = %d", w)
 	}
 	split := splitPEOf(t, p, svc)
 	drive := func(metric string, v int64) {
@@ -104,11 +114,8 @@ func TestFissionWidensAfterDebounce(t *testing.T) {
 	}
 	// The second consecutive breach actuates a real resize.
 	drive(metrics.PEIngestRate, 1600)
-	if p.Widenings() != 1 || p.Width() != 2 {
-		t.Fatalf("widenings=%d width=%d", p.Widenings(), p.Width())
-	}
-	if w, ok := svc.RegionWidth(p.Job(), "agg"); !ok || w != 2 {
-		t.Fatalf("platform width = %d ok=%v", w, ok)
+	if w := width(t, p, svc); p.Widenings() != 1 || w != 2 {
+		t.Fatalf("widenings=%d width=%d", p.Widenings(), w)
 	}
 	log := p.Log()
 	if len(log) != 1 || log[0].From != 1 || log[0].To != 2 || log[0].IngestPerSec != 1600 {
@@ -129,11 +136,8 @@ func TestFissionRespectsMaxWidth(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		_ = p.gate(rateCtx(p.Job(), split, metrics.PEIngestRate, 500), svc.Actions())
 	}
-	if p.Widenings() != 1 || p.Width() != 2 {
-		t.Fatalf("cap ignored: widenings=%d width=%d", p.Widenings(), p.Width())
-	}
-	if w, _ := svc.RegionWidth(p.Job(), "agg"); w != 2 {
-		t.Fatalf("platform width = %d", w)
+	if w := width(t, p, svc); p.Widenings() != 1 || w != 2 {
+		t.Fatalf("cap ignored: widenings=%d width=%d", p.Widenings(), w)
 	}
 }
 
@@ -152,8 +156,8 @@ func TestFissionQueueDepthTrigger(t *testing.T) {
 	}
 	_ = p.gate(rateCtx(p.Job(), split, metrics.PEIngestRate, 10), svc.Actions())
 	_ = p.gate(rateCtx(p.Job(), split, metrics.PEIngestRate, 10), svc.Actions())
-	if p.Widenings() != 1 || p.Width() != 2 {
-		t.Fatalf("queue overload did not widen: widenings=%d width=%d", p.Widenings(), p.Width())
+	if w := width(t, p, svc); p.Widenings() != 1 || w != 2 {
+		t.Fatalf("queue overload did not widen: widenings=%d width=%d", p.Widenings(), w)
 	}
 	if p.Log()[0].QueueDepth != 500 {
 		t.Fatalf("log = %+v", p.Log())
@@ -180,23 +184,20 @@ func TestFissionCooldownSuppressesResizes(t *testing.T) {
 	}
 	breach()
 	breach()
-	if p.Width() != 2 {
-		t.Fatalf("width = %d", p.Width())
+	if w := width(t, p, svc); w != 2 {
+		t.Fatalf("width = %d", w)
 	}
 	// Still overloaded, but inside the cooldown: no second resize.
 	breach()
 	breach()
 	breach()
-	if p.Width() != 2 {
-		t.Fatalf("resized within cooldown: width = %d", p.Width())
+	if w := width(t, p, svc); w != 2 {
+		t.Fatalf("resized within cooldown: width = %d", w)
 	}
 	clock.Advance(10 * time.Minute)
 	breach()
 	breach()
-	if p.Width() != 3 {
-		t.Fatalf("width after cooldown = %d", p.Width())
-	}
-	if w, _ := svc.RegionWidth(p.Job(), "agg"); w != 3 {
-		t.Fatalf("platform width = %d", w)
+	if w := width(t, p, svc); w != 3 {
+		t.Fatalf("width after cooldown = %d", w)
 	}
 }

@@ -254,10 +254,6 @@ func TestFailoverActiveFailurePromotesOldestBackup(t *testing.T) {
 		t.Fatalf("promoted %v, want oldest backup %v", p.Active(), jobs[1])
 	}
 	waitFor(t, "restart", func() bool { return p.Restarts() == 1 })
-	log := p.Log()
-	if len(log) != 1 || log[0].OldActive != jobs[0] || log[0].NewActive != jobs[1] {
-		t.Fatalf("log = %+v", log)
-	}
 }
 
 func TestFailoverBackupFailureKeepsActive(t *testing.T) {

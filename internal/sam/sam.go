@@ -32,7 +32,6 @@ type Config struct {
 	Cluster  *cluster.Cluster
 	SRM      *srm.SRM
 	Registry *opapi.Registry
-	QueueCap int
 	Logf     func(format string, args ...any)
 	// Ckpt is the operator-state checkpoint store. nil disables
 	// checkpointing: restarted PEs come back empty (the paper's §5.2
@@ -671,8 +670,7 @@ func (s *SAM) peConfig(j *job, rp *jpe, restore bool) (pe.Config, error) {
 	inPart := make(map[string]bool, len(part.Operators))
 	cfg := pe.Config{
 		ID: rp.id, Job: j.id, App: j.app.Name, Host: rp.host,
-		Clock: s.cfg.Clock, Registry: s.cfg.Registry,
-		QueueCap: s.cfg.QueueCap, Logf: s.cfg.Logf,
+		Clock: s.cfg.Clock, Registry: s.cfg.Registry, Logf: s.cfg.Logf,
 	}
 	for _, name := range part.Operators {
 		inPart[name] = true

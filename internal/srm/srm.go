@@ -1,9 +1,12 @@
 // Package srm implements the Streams Resource Manager daemon (§2.2): it
-// tracks which hosts are available, maintains status for system components
-// and PEs, detects and notifies process/host failures, and serves as the
-// central collector for every built-in and custom metric in the system.
-// The ORCA service pulls metrics from SRM — never from the operators —
-// which is why metric-scope orchestration stays off the tuple hot path.
+// relays the host controllers' process and host failure reports to their
+// subscribers (SAM, the ORCA service), and serves as the central
+// collector for every built-in and custom metric in the system. The ORCA
+// service pulls metrics from SRM — never from the operators — which is
+// why metric-scope orchestration stays off the tuple hot path.
+//
+// SRM keeps no host or PE table of its own: which hosts are up is the
+// cluster's to answer, and which PEs run where is SAM's.
 package srm
 
 import (
@@ -14,13 +17,6 @@ import (
 	"streamorca/internal/ids"
 	"streamorca/internal/metrics"
 )
-
-// HostStatus is SRM's view of one host.
-type HostStatus struct {
-	Name string
-	Tags []string
-	Up   bool
-}
 
 // PEExit describes a PE leaving the running state, as reported by the
 // host controller that supervised it.
@@ -43,7 +39,6 @@ type HostDown struct {
 // SRM is the resource manager daemon.
 type SRM struct {
 	mu       sync.RWMutex
-	hosts    map[string]*HostStatus
 	store    map[sampleKey]metrics.Sample
 	exitSubs []func(PEExit)
 	downSubs []func(HostDown)
@@ -61,63 +56,19 @@ type sampleKey struct {
 
 // New returns an empty SRM.
 func New() *SRM {
-	return &SRM{
-		hosts: make(map[string]*HostStatus),
-		store: make(map[sampleKey]metrics.Sample),
-	}
+	return &SRM{store: make(map[sampleKey]metrics.Sample)}
 }
 
-// RegisterHost records a host joining the instance.
-func (s *SRM) RegisterHost(name string, tags []string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.hosts[name] = &HostStatus{Name: name, Tags: append([]string(nil), tags...), Up: true}
-}
-
-// Hosts returns the status of every known host, sorted by name.
-func (s *SRM) Hosts() []HostStatus {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]HostStatus, 0, len(s.hosts))
-	for _, h := range s.hosts {
-		cp := *h
-		cp.Tags = append([]string(nil), h.Tags...)
-		out = append(out, cp)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// HostUp reports whether the host is known and alive.
-func (s *SRM) HostUp(name string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	h, ok := s.hosts[name]
-	return ok && h.Up
-}
-
-// ReportHostDown marks a host failed and notifies subscribers. The host
+// ReportHostDown notifies subscribers of a host failure. The host
 // controller's PE exits arrive separately with the same detection time so
 // downstream consumers (the ORCA service) can correlate them into one
 // epoch (§4.2).
 func (s *SRM) ReportHostDown(name string, at time.Time) {
-	s.mu.Lock()
-	if h, ok := s.hosts[name]; ok {
-		h.Up = false
-	}
+	s.mu.RLock()
 	subs := append([]func(HostDown){}, s.downSubs...)
-	s.mu.Unlock()
+	s.mu.RUnlock()
 	for _, fn := range subs {
 		fn(HostDown{Host: name, At: at})
-	}
-}
-
-// ReportHostUp marks a host alive again (host recovery).
-func (s *SRM) ReportHostUp(name string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if h, ok := s.hosts[name]; ok {
-		h.Up = true
 	}
 }
 

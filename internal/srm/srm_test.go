@@ -15,33 +15,8 @@ func sample(job ids.JobID, pe ids.PEID, op, name string, v int64) metrics.Sample
 	}
 }
 
-func TestHostRegistryAndStatus(t *testing.T) {
-	s := New()
-	s.RegisterHost("h2", []string{"ssd"})
-	s.RegisterHost("h1", nil)
-	hosts := s.Hosts()
-	if len(hosts) != 2 || hosts[0].Name != "h1" || hosts[1].Name != "h2" {
-		t.Fatalf("Hosts() = %+v", hosts)
-	}
-	if !s.HostUp("h1") || s.HostUp("ghost") {
-		t.Fatal("HostUp wrong")
-	}
-	s.ReportHostDown("h1", time.Unix(10, 0))
-	if s.HostUp("h1") {
-		t.Fatal("host still up after failure")
-	}
-	s.ReportHostUp("h1")
-	if !s.HostUp("h1") {
-		t.Fatal("host not up after recovery")
-	}
-	// Unknown hosts are ignored.
-	s.ReportHostDown("ghost", time.Now())
-	s.ReportHostUp("ghost")
-}
-
 func TestHostDownNotifiesSubscribers(t *testing.T) {
 	s := New()
-	s.RegisterHost("h1", nil)
 	var got []HostDown
 	s.OnHostDown(func(d HostDown) { got = append(got, d) })
 	at := time.Unix(99, 0)
@@ -124,15 +99,5 @@ func TestPEExitFanout(t *testing.T) {
 	s.ReportPEExit(e)
 	if len(a) != 1 || len(b) != 1 || a[0] != e || b[0] != e {
 		t.Fatalf("fanout: %+v %+v", a, b)
-	}
-}
-
-func TestHostsCopyIsolated(t *testing.T) {
-	s := New()
-	s.RegisterHost("h1", []string{"tag"})
-	hosts := s.Hosts()
-	hosts[0].Tags[0] = "mutated"
-	if s.Hosts()[0].Tags[0] != "tag" {
-		t.Fatal("Hosts() exposed internal storage")
 	}
 }

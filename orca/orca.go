@@ -235,7 +235,6 @@ const (
 	FuseByTag = compiler.FuseByTag
 	FuseNone  = compiler.FuseNone
 	FuseAll   = compiler.FuseAll
-	FuseAuto  = compiler.FuseAuto
 )
 
 // Stream graph inspection.

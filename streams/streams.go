@@ -80,7 +80,6 @@ const (
 	FuseByTag = compiler.FuseByTag
 	FuseNone  = compiler.FuseNone
 	FuseAll   = compiler.FuseAll
-	FuseAuto  = compiler.FuseAuto
 )
 
 // NewApp starts building an application.

@@ -60,12 +60,12 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	sink := b.AddOperator("sink", "CollectSink").In(schema).Param("collectorId", "public-out")
 	b.Connect(src, 0, mid, 0)
 	b.Connect(mid, 0, sink, 0)
-	app, err := b.Build(streams.BuildOptions{Fusion: streams.FuseAuto, TargetPEs: 2})
+	app, err := b.Build(streams.BuildOptions{Fusion: streams.FuseNone})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(app.PEs) != 2 {
-		t.Fatalf("FuseAuto produced %d PEs", len(app.PEs))
+	if len(app.PEs) != 3 {
+		t.Fatalf("FuseNone produced %d PEs", len(app.PEs))
 	}
 
 	streams.Collector("public-out").Reset()
