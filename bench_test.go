@@ -20,16 +20,11 @@ import (
 	"streamorca/internal/extjob"
 	"streamorca/internal/graph"
 	"streamorca/internal/ids"
-	"streamorca/internal/ops"
 	"streamorca/internal/sam"
 	"streamorca/internal/tuple"
 	"streamorca/orca"
 	"streamorca/streams"
 )
-
-var benchSeq atomic.Int64
-
-func buniq(p string) string { return fmt.Sprintf("bench-%s-%d", p, benchSeq.Add(1)) }
 
 var benchSchema = streams.MustSchema(streams.Attribute{Name: "seq", Type: streams.Int})
 
@@ -53,12 +48,14 @@ func benchInstance(b *testing.B, hosts ...string) *streams.Instance {
 	return inst
 }
 
-// awaitFinal spins until the collector has seen the pipeline's final
-// punctuation, failing the benchmark after 30 s instead of hanging.
-func awaitFinal(b *testing.B, collector string) {
+// awaitFinal spins until the instance's collector has seen the
+// pipeline's final punctuation, failing the benchmark after 30 s
+// instead of hanging.
+func awaitFinal(b *testing.B, inst *streams.Instance, collector string) {
 	b.Helper()
+	coll := streams.Collector(inst, collector)
 	deadline := time.Now().Add(30 * time.Second)
-	for ops.Collector(collector).Finals() != 1 {
+	for coll.Finals() != 1 {
 		if time.Now().After(deadline) {
 			b.Fatalf("collector %s: no final punctuation within 30s", collector)
 		}
@@ -140,7 +137,7 @@ func BenchmarkE8EventDelivery(b *testing.B) {
 			}))
 	})
 	svc, err := orca.NewRoutineService(orca.Config{
-		Name: buniq("orca"), SAM: inst.SAM, SRM: inst.SRM, PullInterval: time.Hour,
+		Name: "orca", SAM: inst.SAM, SRM: inst.SRM, PullInterval: time.Hour,
 	}, logic)
 	if err != nil {
 		b.Fatal(err)
@@ -168,7 +165,7 @@ func BenchmarkE8EventDelivery(b *testing.B) {
 func BenchmarkE9DependencyScheduler(b *testing.B) {
 	inst := benchInstance(b, "h1", "h2")
 	svc, err := orca.NewRoutineService(orca.Config{
-		Name: buniq("orca"), SAM: inst.SAM, SRM: inst.SRM, PullInterval: time.Hour,
+		Name: "orca", SAM: inst.SAM, SRM: inst.SRM, PullInterval: time.Hour,
 	}, benchNoop())
 	if err != nil {
 		b.Fatal(err)
@@ -226,17 +223,14 @@ func BenchmarkE9DependencyScheduler(b *testing.B) {
 func BenchmarkE10Embedded(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		inst := benchInstance(b, "h1")
-		modelID, storeID := buniq("m"), buniq("s")
-		extjob.SetModel(modelID, extjob.NewModel("flash", "screen"))
-		collector := buniq("c")
-		ops.ResetCollector(collector)
+		extjob.ModelIn(inst.SAM.Objects(), "m", "flash", "screen")
 		app, err := baseline.EmbeddedSentimentApp(baseline.EmbeddedConfig{
 			SentimentConfig: apps.SentimentConfig{
-				Name: "Embedded", Collector: collector, ModelID: modelID, StoreID: storeID,
+				Name: "Embedded", Collector: "c", ModelID: "m", StoreID: "s",
 				Seed: 42, Count: 4000, Causes: "flash,screen",
 				ShiftAt: 2000, CausesAfter: "antenna", RecentWindow: 200,
 			},
-			RunnerID: buniq("r"), Threshold: 1.0,
+			RunnerID: "r", Threshold: 1.0,
 			Suppression: 50 * time.Millisecond, JobLatency: 5 * time.Millisecond, MinSupport: 10,
 		})
 		if err != nil {
@@ -245,7 +239,7 @@ func BenchmarkE10Embedded(b *testing.B) {
 		if _, err := inst.SAM.SubmitJob(app, sam.SubmitOptions{}); err != nil {
 			b.Fatal(err)
 		}
-		awaitFinal(b, collector)
+		awaitFinal(b, inst, "c")
 		inst.Close()
 	}
 }
@@ -255,12 +249,9 @@ func BenchmarkE10Embedded(b *testing.B) {
 func BenchmarkE10Orchestrated(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		inst := benchInstance(b, "h1")
-		modelID, storeID := buniq("m"), buniq("s")
-		extjob.SetModel(modelID, extjob.NewModel("flash", "screen"))
-		collector := buniq("c")
-		ops.ResetCollector(collector)
+		extjob.ModelIn(inst.SAM.Objects(), "m", "flash", "screen")
 		app, err := apps.SentimentApp(apps.SentimentConfig{
-			Name: "Clean", Collector: collector, ModelID: modelID, StoreID: storeID,
+			Name: "Clean", Collector: "c", ModelID: "m", StoreID: "s",
 			Seed: 42, Count: 4000, Causes: "flash,screen",
 			ShiftAt: 2000, CausesAfter: "antenna", RecentWindow: 200,
 		})
@@ -268,7 +259,7 @@ func BenchmarkE10Orchestrated(b *testing.B) {
 			b.Fatal(err)
 		}
 		svc, err := orca.NewRoutineService(orca.Config{
-			Name: buniq("orca"), SAM: inst.SAM, SRM: inst.SRM, PullInterval: time.Hour,
+			Name: "orca", SAM: inst.SAM, SRM: inst.SRM, PullInterval: time.Hour,
 		}, benchNoop())
 		if err != nil {
 			b.Fatal(err)
@@ -282,7 +273,7 @@ func BenchmarkE10Orchestrated(b *testing.B) {
 		if _, err := svc.SubmitApplication("Clean", nil); err != nil {
 			b.Fatal(err)
 		}
-		awaitFinal(b, collector)
+		awaitFinal(b, inst, "c")
 		svc.Stop()
 		inst.Close()
 	}

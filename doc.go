@@ -234,9 +234,9 @@
 //
 // internal/load is the heavy-traffic regression harness. Two driver
 // models inject tuples into a running application through a
-// "LoadSource" operator (fed via a registered injector, a bounded swap
-// buffer that outlives the PE, so a chaos-killed source PE reattaches
-// mid-run):
+// "LoadSource" operator (fed via a named injector of the platform
+// instance's object set, a bounded swap buffer that outlives the PE, so
+// a chaos-killed source PE reattaches mid-run):
 //
 //   - Open loop (load.RunOpenLoop): a constant offered rate,
 //     coordinated-omission-correct. Tuple i is stamped with its

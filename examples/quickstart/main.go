@@ -180,10 +180,8 @@ func main() {
 
 	// Let some data flow, then inject a failure into the stateful
 	// scaler's PE.
-	coll := streams.Collector("quickstart")
-	for coll.Len() < 20 {
-		time.Sleep(time.Millisecond)
-	}
+	coll := streams.Collector(inst, "quickstart")
+	waitFor("the first 20 tuples", func() bool { return coll.Len() >= 20 })
 	jobs := svc.ManagedJobs()
 	g, _ := svc.Graph(jobs[0].Job)
 	scalePE, _ := g.PEOfOperator("scale")
@@ -198,13 +196,15 @@ func main() {
 	if err := svc.KillPE(scalePE, "demo fault injection"); err != nil {
 		log.Fatal(err)
 	}
-	<-policy.restarted
+	select {
+	case <-policy.restarted:
+	case <-time.After(waitLimit):
+		log.Fatalf("the routine did not restart the scaler within %v", waitLimit)
+	}
 
 	// Confirm the flow resumes after the restart, with restored state.
 	before := coll.Len()
-	for coll.Len() <= before {
-		time.Sleep(time.Millisecond)
-	}
+	waitFor("the flow to resume", func() bool { return coll.Len() > before })
 	fmt.Printf("flow resumed after restart: %d tuples delivered\n", coll.Len())
 	if n := restoredCount.Load(); n > 0 {
 		fmt.Printf("scaler state survived the crash: restored counter = %d scaled tuples\n", n)
@@ -212,4 +212,20 @@ func main() {
 		log.Fatal("scaler state was not restored")
 	}
 	fmt.Println("quickstart OK")
+}
+
+// waitLimit bounds every wait of the demo: a pipeline that stalls ends
+// the program instead of hanging it.
+const waitLimit = 10 * time.Second
+
+// waitFor polls cond every millisecond, exiting the program if it does
+// not hold within waitLimit.
+func waitFor(what string, cond func() bool) {
+	deadline := time.Now().Add(waitLimit)
+	for !cond() {
+		if time.Now().After(deadline) {
+			log.Fatalf("timed out after %v waiting for %s", waitLimit, what)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }

@@ -52,24 +52,12 @@ func TestProfileStoreDedup(t *testing.T) {
 	if len(snap) != 1 || snap[0].User != "u1" || !snap[0].HasAge {
 		t.Fatalf("Snapshot = %+v", snap)
 	}
-	s.Reset()
-	if s.Len() != 0 {
-		t.Fatal("Reset failed")
-	}
-}
-
-func TestGetProfileStoreShared(t *testing.T) {
-	a := GetProfileStore("apps-test-shared")
-	b := GetProfileStore("apps-test-shared")
-	if a != b {
-		t.Fatal("registry returned distinct stores")
-	}
 }
 
 func TestSentimentAppEndToEnd(t *testing.T) {
 	inst := newInst(t)
-	extjob.SetModel("sa-model", extjob.NewModel("flash", "screen"))
-	ops.ResetCollector("sa-coll")
+	objs := inst.SAM.Objects()
+	extjob.ModelIn(objs, "sa-model", "flash", "screen")
 	app, err := SentimentApp(SentimentConfig{
 		Name: "SA", Collector: "sa-coll", ModelID: "sa-model", StoreID: "sa-store",
 		Product: "iPhone", Seed: 1, Count: 500, Causes: "flash,screen",
@@ -88,10 +76,10 @@ func TestSentimentAppEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "pipeline completion", func() bool { return ops.Collector("sa-coll").Finals() == 1 })
+	coll := ops.Collector(objs, "sa-coll")
+	waitFor(t, "pipeline completion", func() bool { return coll.Finals() == 1 })
 	// All causes were known: the display stream carries known=true rows,
 	// the corpus collected negative tweets, the metrics counted them.
-	coll := ops.Collector("sa-coll")
 	if coll.Len() == 0 {
 		t.Fatal("no cause-matched output")
 	}
@@ -100,8 +88,8 @@ func TestSentimentAppEndToEnd(t *testing.T) {
 			t.Fatalf("unexpected unknown cause: %s", tp.Format())
 		}
 	}
-	if extjob.GetStore("sa-store").Len() != coll.Len() {
-		t.Fatalf("corpus %d != matched %d", extjob.GetStore("sa-store").Len(), coll.Len())
+	if n := extjob.StoreIn(objs, "sa-store").Len(); n != coll.Len() {
+		t.Fatalf("corpus %d != matched %d", n, coll.Len())
 	}
 	inst.FlushMetrics()
 	var known, unknown int64
@@ -122,7 +110,6 @@ func TestSentimentAppEndToEnd(t *testing.T) {
 
 func TestTrendAppProducesWindowStats(t *testing.T) {
 	inst := newInst(t)
-	ops.ResetCollector("ta-coll")
 	app, err := TrendApp(TrendConfig{
 		Name: "TA", Symbols: "IBM,HPQ", Seed: 2, Count: 400,
 		Period: 0, Window: time.Hour,
@@ -138,8 +125,8 @@ func TestTrendAppProducesWindowStats(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "trend output", func() bool { return ops.Collector("ta-coll").Finals() == 1 })
-	coll := ops.Collector("ta-coll")
+	coll := ops.Collector(inst.SAM.Objects(), "ta-coll")
+	waitFor(t, "trend output", func() bool { return coll.Finals() == 1 })
 	if coll.Len() != 400 {
 		t.Fatalf("outputs = %d", coll.Len())
 	}
@@ -157,9 +144,8 @@ func TestTrendAppProducesWindowStats(t *testing.T) {
 
 func TestSocialAppsComposeViaImportExport(t *testing.T) {
 	inst := newInst(t)
-	storeID := "social-test-store"
-	GetProfileStore(storeID).Reset()
-	cfg := SocialConfig{StoreID: storeID, Seed: 3, Period: 100 * time.Microsecond}
+	objs := inst.SAM.Objects()
+	cfg := SocialConfig{StoreID: "social-test-store", Seed: 3, Period: 100 * time.Microsecond}
 	c1, err := C1App("C1T", "twitter", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -174,10 +160,10 @@ func TestSocialAppsComposeViaImportExport(t *testing.T) {
 	if _, err := inst.SAM.SubmitJob(c2, sam.SubmitOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "profiles in store", func() bool { return GetProfileStore(storeID).Len() > 100 })
+	store := ProfileStoreIn(objs, cfg.StoreID)
+	waitFor(t, "profiles in store", func() bool { return store.Len() > 100 })
 
 	// C3 snapshots the store and finishes with a final punctuation.
-	ops.ResetCollector("social-seg")
 	c3, err := C3App("C3A", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -187,8 +173,9 @@ func TestSocialAppsComposeViaImportExport(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "segmentation done", func() bool { return ops.Collector("social-seg").Finals() == 1 })
-	rows := ops.Collector("social-seg").Tuples()
+	seg := ops.Collector(objs, "social-seg")
+	waitFor(t, "segmentation done", func() bool { return seg.Finals() == 1 })
+	rows := seg.Tuples()
 	if len(rows) != 2 {
 		t.Fatalf("segment rows = %d", len(rows))
 	}

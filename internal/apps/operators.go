@@ -364,8 +364,8 @@ func (m *causeMatcher) Open(ctx opapi.Context) error {
 	if modelID == "" || storeID == "" {
 		return fmt.Errorf("CauseMatcher %s: modelId and storeId required", ctx.Name())
 	}
-	m.model = extjob.GetModel(modelID)
-	m.store = extjob.GetStore(storeID)
+	m.model = extjob.ModelIn(opapi.ObjectsOf(ctx), modelID)
+	m.store = extjob.StoreIn(opapi.ObjectsOf(ctx), storeID)
 	window, err := p.BindInt("recentWindow", 200)
 	if err != nil {
 		return fmt.Errorf("CauseMatcher %s: %w", ctx.Name(), err)
@@ -643,7 +643,7 @@ func (e *profileEnricher) Open(ctx opapi.Context) error {
 	if id == "" {
 		return fmt.Errorf("ProfileEnricher %s: storeId required", ctx.Name())
 	}
-	e.store = GetProfileStore(id)
+	e.store = ProfileStoreIn(opapi.ObjectsOf(ctx), id)
 	in := ctx.InputSchema(0)
 	var err error
 	if e.user, err = in.TypedRef("user", tuple.String); err != nil {
@@ -712,7 +712,7 @@ func (s *segmentSource) Open(ctx opapi.Context) error {
 		return fmt.Errorf("SegmentSource %s: attribute must be age|gender|location, got %q", ctx.Name(), p.Get("attribute", ""))
 	}
 	s.attr = attr
-	s.store = GetProfileStore(id)
+	s.store = ProfileStoreIn(opapi.ObjectsOf(ctx), id)
 	return nil
 }
 

@@ -8,6 +8,8 @@ package apps
 
 import (
 	"sync"
+
+	"streamorca/internal/opapi"
 )
 
 // ProfileRecord is one deduplicated user profile in the shared data store
@@ -61,26 +63,8 @@ func (s *ProfileStore) Snapshot() []ProfileRecord {
 	return out
 }
 
-// Reset clears the store.
-func (s *ProfileStore) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.profiles = make(map[string]ProfileRecord)
-}
-
-var (
-	profileRegMu sync.Mutex
-	profileRegs  = make(map[string]*ProfileStore)
-)
-
-// GetProfileStore returns (creating if needed) the named shared store.
-func GetProfileStore(id string) *ProfileStore {
-	profileRegMu.Lock()
-	defer profileRegMu.Unlock()
-	s, ok := profileRegs[id]
-	if !ok {
-		s = NewProfileStore()
-		profileRegs[id] = s
-	}
-	return s
+// ProfileStoreIn returns the named store of an object set, creating it
+// on first use.
+func ProfileStoreIn(objs *opapi.Objects, id string) *ProfileStore {
+	return opapi.Obtain(objs, id, NewProfileStore)
 }

@@ -9,7 +9,6 @@ package baseline
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"streamorca/internal/adl"
@@ -20,7 +19,6 @@ import (
 	"streamorca/internal/opapi"
 	"streamorca/internal/ops"
 	"streamorca/internal/tuple"
-	"streamorca/internal/vclock"
 )
 
 // Operator kinds of the embedded-adaptation graph.
@@ -194,9 +192,12 @@ func (j *jobTrigger) Open(ctx opapi.Context) error {
 	if err := cfg.Err(); err != nil {
 		return fmt.Errorf("JobTrigger %s: %w", ctx.Name(), err)
 	}
-	j.runner = GetRunner(runnerID, ctx.Clock(), latency)
-	j.model = extjob.GetModel(modelID)
-	j.store = extjob.GetStore(storeID)
+	// The runner is the instance's, so a restarted trigger sees the job
+	// its predecessor started.
+	objs := opapi.ObjectsOf(ctx)
+	j.runner = opapi.Obtain(objs, runnerID, func() *extjob.Runner { return extjob.NewRunner(ctx.Clock(), latency) })
+	j.model = extjob.ModelIn(objs, modelID)
+	j.store = extjob.StoreIn(objs, storeID)
 	return nil
 }
 
@@ -215,24 +216,6 @@ func (j *jobTrigger) Process(port int, t tuple.Tuple) error {
 	j.last = now
 	j.ctx.CustomMetric(MetricJobsTriggered).Inc()
 	return nil
-}
-
-var (
-	runnerMu sync.Mutex
-	runners  = make(map[string]*extjob.Runner)
-)
-
-// GetRunner returns (creating if needed) a shared batch-job runner, so
-// tests can observe the embedded graph's actuations.
-func GetRunner(id string, clock vclock.Clock, latency time.Duration) *extjob.Runner {
-	runnerMu.Lock()
-	defer runnerMu.Unlock()
-	r, ok := runners[id]
-	if !ok {
-		r = extjob.NewRunner(clock, latency)
-		runners[id] = r
-	}
-	return r
 }
 
 // EmbeddedConfig parameterises the embedded-adaptation sentiment graph.

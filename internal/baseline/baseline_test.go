@@ -47,10 +47,9 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // known afterwards.
 func TestEmbeddedGraphAdapts(t *testing.T) {
 	inst := newInst(t)
-	modelID, storeID, runnerID := "bl-model", "bl-store", "bl-runner"
-	extjob.SetModel(modelID, extjob.NewModel("flash", "screen"))
-	extjob.GetStore(storeID).Reset()
-	ops.ResetCollector("bl-coll")
+	objs := inst.SAM.Objects()
+	modelID, storeID := "bl-model", "bl-store"
+	model := extjob.ModelIn(objs, modelID, "flash", "screen")
 
 	app, err := EmbeddedSentimentApp(EmbeddedConfig{
 		SentimentConfig: apps.SentimentConfig{
@@ -59,7 +58,7 @@ func TestEmbeddedGraphAdapts(t *testing.T) {
 			Seed: 42, Count: 4000, Causes: "flash,screen",
 			ShiftAt: 2000, CausesAfter: "antenna", RecentWindow: 200,
 		},
-		RunnerID: runnerID, Threshold: 1.0,
+		RunnerID: "bl-runner", Threshold: 1.0,
 		Suppression: 50 * time.Millisecond, JobLatency: 5 * time.Millisecond,
 		MinSupport: 10,
 	})
@@ -84,10 +83,8 @@ func TestEmbeddedGraphAdapts(t *testing.T) {
 	if _, err := inst.SAM.SubmitJob(app, sam.SubmitOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "pipeline completion", func() bool { return ops.Collector("bl-coll").Finals() == 1 })
-	runner := GetRunner(runnerID, nil, 0)
-	waitFor(t, "embedded batch job", func() bool { return runner.Completed() >= 1 })
-	model := extjob.GetModel(modelID)
+	coll := ops.Collector(objs, "bl-coll")
+	waitFor(t, "pipeline completion", func() bool { return coll.Finals() == 1 })
 	waitFor(t, "model refresh", func() bool { return model.Version() >= 2 })
 	if !model.Contains("antenna") {
 		t.Fatalf("embedded adaptation missed the new cause: %v", model.Causes())

@@ -1,7 +1,6 @@
 package chaos_test
 
 import (
-	"strconv"
 	"testing"
 	"time"
 
@@ -164,9 +163,7 @@ func TestRunnerHostAndStoreEvents(t *testing.T) {
 // chaos harness.
 func TestRunnerKillsPE(t *testing.T) {
 	inst := newChaosInstance(t, "h1", "h2")
-	coll := "chaos-runner-" + strconv.Itoa(int(time.Now().UnixNano()))
-	ops.ResetCollector(coll)
-	if _, err := inst.SAM.SubmitJob(chaosApp(t, "ChaosKill", coll), sam.SubmitOptions{}); err != nil {
+	if _, err := inst.SAM.SubmitJob(chaosApp(t, "ChaosKill", "chaos-runner"), sam.SubmitOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	r := &chaos.Runner{Cluster: inst.Cluster, SAM: inst.SAM, Logf: t.Logf}

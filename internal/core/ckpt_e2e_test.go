@@ -56,12 +56,11 @@ func TestHandlePEFailureRestoresAggregateState(t *testing.T) {
 	store := ckpt.NewMemStore()
 	h := ckptHarness(t, store)
 	coll := "ckpt-e2e"
-	ops.ResetCollector(coll)
 	app := aggApp(t, "CkptE2E", coll)
 	if err := h.svc.RegisterApplication(app); err != nil {
 		t.Fatal(err)
 	}
-	coll2 := ops.Collector(coll)
+	coll2 := h.coll(coll)
 	// preLen carries the collector length once the dead PE's in-flight
 	// output drained: the handler quiesces, records the boundary, and
 	// only then restarts — so the tuple at index preLen is the restored
@@ -99,7 +98,7 @@ func TestHandlePEFailureRestoresAggregateState(t *testing.T) {
 	}
 
 	lastCount := func() int64 {
-		tp, ok := ops.Collector(coll).Last()
+		tp, ok := h.coll(coll).Last()
 		if !ok {
 			return 0
 		}
@@ -157,7 +156,6 @@ func TestCancelJobDropsCheckpoints(t *testing.T) {
 	store := ckpt.NewMemStore()
 	h := ckptHarness(t, store)
 	coll := "ckpt-cancel"
-	ops.ResetCollector(coll)
 	app := aggApp(t, "CkptCancel", coll)
 	if err := h.svc.RegisterApplication(app); err != nil {
 		t.Fatal(err)
@@ -170,7 +168,7 @@ func TestCancelJobDropsCheckpoints(t *testing.T) {
 	}
 	g, _ := h.svc.Graph(job)
 	aggPE, _ := g.PEOfOperator("agg")
-	waitFor(t, "flow", func() bool { return ops.Collector(coll).Len() > 2 })
+	waitFor(t, "flow", func() bool { return h.coll(coll).Len() > 2 })
 	if err := h.svc.CheckpointPE(aggPE); err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"streamorca/internal/ids"
-	"streamorca/internal/ops"
 )
 
 // figure7 registers the paper's Figure 7 application set: four source
@@ -17,7 +16,6 @@ import (
 func figure7(t *testing.T, h *harness) {
 	t.Helper()
 	for _, name := range []string{"fb", "tw", "fox", "msnbc", "sn", "all"} {
-		ops.ResetCollector("f7-" + name)
 		if err := h.svc.RegisterApplication(simpleApp(t, name, "f7-"+name, "0")); err != nil {
 			t.Fatal(err)
 		}

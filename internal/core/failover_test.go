@@ -22,7 +22,6 @@ import (
 // reflects the new placement.
 func TestHostFailureRestartRelocatesPE(t *testing.T) {
 	h := newHarness(t, "h1", "h2")
-	ops.ResetCollector("rel")
 	app := simpleApp(t, "Rel", "rel", "0")
 	// Pin both PEs to h1 initially via an explicit pool listing both
 	// hosts but ordered so h1 wins the first placements.
@@ -41,7 +40,7 @@ func TestHostFailureRestartRelocatesPE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "flow", func() bool { return ops.Collector("rel").Len() > 2 })
+	waitFor(t, "flow", func() bool { return h.coll("rel").Len() > 2 })
 	g, _ := h.svc.Graph(job)
 
 	// Find a PE on h1 (placement spreads, so at least one is there).
@@ -84,8 +83,8 @@ func TestHostFailureRestartRelocatesPE(t *testing.T) {
 			}
 		}
 	}
-	n := ops.Collector("rel").Len()
-	waitFor(t, "flow after relocation", func() bool { return ops.Collector("rel").Len() > n })
+	n := h.coll("rel").Len()
+	waitFor(t, "flow after relocation", func() bool { return h.coll("rel").Len() > n })
 }
 
 // TestRestartUnderTraffic hammers restart while tuples flow to catch
@@ -93,7 +92,6 @@ func TestHostFailureRestartRelocatesPE(t *testing.T) {
 // several rapid restarts of the middle PE.
 func TestRestartUnderTraffic(t *testing.T) {
 	h := newHarness(t)
-	ops.ResetCollector("rut")
 	app := pipelineApp(t, "RUT", "rut")
 	if err := h.svc.RegisterApplication(app); err != nil {
 		t.Fatal(err)
@@ -108,7 +106,7 @@ func TestRestartUnderTraffic(t *testing.T) {
 	if !ok {
 		t.Fatal("no mid PE")
 	}
-	waitFor(t, "initial flow", func() bool { return ops.Collector("rut").Len() > 5 })
+	waitFor(t, "initial flow", func() bool { return h.coll("rut").Len() > 5 })
 	for i := 0; i < 5; i++ {
 		if err := h.svc.KillPE(midPE, "stress"); err != nil {
 			t.Fatal(err)
@@ -120,8 +118,8 @@ func TestRestartUnderTraffic(t *testing.T) {
 		if err := h.svc.RestartPE(midPE); err != nil {
 			t.Fatal(err)
 		}
-		n := ops.Collector("rut").Len()
-		waitFor(t, "flow resumed", func() bool { return ops.Collector("rut").Len() > n })
+		n := h.coll("rut").Len()
+		waitFor(t, "flow resumed", func() bool { return h.coll("rut").Len() > n })
 	}
 }
 
@@ -306,13 +304,12 @@ func TestStalenessRankedFailover(t *testing.T) {
 	}
 	var jobs []ids.JobID
 	for i := 0; i < 3; i++ {
-		ops.ResetCollector(collID(i))
 		job, err := h.svc.SubmitApplication("SRF", map[string]string{"coll": collID(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		jobs = append(jobs, job)
-		router.colls[job] = ops.Collector(collID(i))
+		router.colls[job] = h.coll(collID(i))
 	}
 	router.mu.Lock()
 	router.jobs = append([]ids.JobID(nil), jobs...)
@@ -408,7 +405,6 @@ func TestStalenessRankedFailover(t *testing.T) {
 // failure notification said.
 func TestPlatformRestartIsLiveInGraph(t *testing.T) {
 	h := newHarness(t)
-	ops.ResetCollector("live")
 	app := simpleApp(t, "Live", "live", "0")
 	for i := range app.PEs {
 		app.PEs[i].Restart = true
@@ -422,7 +418,7 @@ func TestPlatformRestartIsLiveInGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "flow", func() bool { return ops.Collector("live").Len() > 2 })
+	waitFor(t, "flow", func() bool { return h.coll("live").Len() > 2 })
 	sinkPE, ok := h.svc.PEOfOperator(job, "sink")
 	if !ok {
 		t.Fatal("no sink PE")

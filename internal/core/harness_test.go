@@ -173,6 +173,11 @@ type harness struct {
 	rec   *recorder
 }
 
+// coll returns the named collection of the harness's instance.
+func (h *harness) coll(id string) *ops.Collection {
+	return ops.Collector(h.inst.SAM.Objects(), id)
+}
+
 func newHarness(t *testing.T, hostNames ...string) *harness {
 	t.Helper()
 	return newStoreHarness(t, nil, hostNames...)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"streamorca/internal/compiler"
-	"streamorca/internal/ops"
 )
 
 // TestTxIDsAreAssignedInDeliveryOrder covers the §7 extension: every
@@ -41,7 +40,6 @@ func TestTxIDsAreAssignedInDeliveryOrder(t *testing.T) {
 // actuations from outside carry tx 0.
 func TestActuationJournalTagsHandlerActions(t *testing.T) {
 	h := newHarness(t)
-	ops.ResetCollector("aj")
 	if err := h.svc.RegisterApplication(simpleApp(t, "AJ", "aj", "0")); err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +139,6 @@ func TestActuationJournalRecordsFailures(t *testing.T) {
 func TestRepartitionApplication(t *testing.T) {
 	h := newHarness(t)
 	h.start(t)
-	ops.ResetCollector("rp")
 	app := simpleApp(t, "RP", "rp", "8") // FuseNone: 2 PEs
 	if err := h.svc.RegisterApplication(app); err != nil {
 		t.Fatal(err)
@@ -158,7 +155,7 @@ func TestRepartitionApplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "completion", func() bool { return ops.Collector("rp").Finals() == 1 })
+	waitFor(t, "completion", func() bool { return h.coll("rp").Finals() == 1 })
 	g, _ := h.svc.Graph(job)
 	if len(g.PEIDs()) != 1 {
 		t.Fatalf("running PEs = %v", g.PEIDs())

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"streamorca/internal/ops"
 	"streamorca/internal/platform"
 	"streamorca/internal/vclock"
 )
@@ -113,7 +112,6 @@ func TestRoutineTypedSubscriptionsDispatch(t *testing.T) {
 		)
 	})
 	_, svc, clock := newRoutineHarness(t, r)
-	ops.ResetCollector("rt")
 	if err := svc.RegisterApplication(simpleApp(t, "RT", "rt", "0")); err != nil {
 		t.Fatal(err)
 	}

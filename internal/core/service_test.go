@@ -77,7 +77,6 @@ func TestRegisterApplication(t *testing.T) {
 func TestSubmitApplicationBuildsGraphAndManages(t *testing.T) {
 	h := newHarness(t)
 	h.start(t)
-	ops.ResetCollector("sub1")
 	if err := h.svc.RegisterApplication(simpleApp(t, "Sub", "sub1", "5")); err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +84,7 @@ func TestSubmitApplicationBuildsGraphAndManages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "tuples", func() bool { return ops.Collector("sub1").Len() == 5 })
+	waitFor(t, "tuples", func() bool { return h.coll("sub1").Len() == 5 })
 	g, ok := h.svc.Graph(job)
 	if !ok {
 		t.Fatal("no graph for managed job")
@@ -115,7 +114,6 @@ func TestSubmitApplicationBuildsGraphAndManages(t *testing.T) {
 func TestJobEventsRequireScope(t *testing.T) {
 	h := newHarness(t)
 	h.start(t)
-	ops.ResetCollector("je")
 	if err := h.svc.RegisterApplication(simpleApp(t, "JE", "je", "1")); err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +147,6 @@ func TestJobEventsRequireScope(t *testing.T) {
 func TestActingOnUnmanagedJobFails(t *testing.T) {
 	h := newHarness(t)
 	h.start(t)
-	ops.ResetCollector("um")
 	// Submit directly through SAM: the orchestrator did not start it.
 	app := simpleApp(t, "Um", "um", "0")
 	job, err := h.inst.SAM.SubmitJob(app, sam.SubmitOptions{})
@@ -192,13 +189,11 @@ func TestFigure5ScopeMatching(t *testing.T) {
 			AddOperatorMetric(metrics.OpQueueSize),
 		NewPEFailureScope("failureScope").AddApplicationFilter("Figure2"))
 	h.start(t)
-	ops.ResetCollector("Figure2-sink1")
-	ops.ResetCollector("Figure2-sink2")
 	if _, err := h.svc.SubmitApplication("Figure2", nil); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "pipeline output", func() bool {
-		return ops.Collector("Figure2-sink1").Finals() == 1 && ops.Collector("Figure2-sink2").Finals() == 1
+		return h.coll("Figure2-sink1").Finals() == 1 && h.coll("Figure2-sink2").Finals() == 1
 	})
 	h.inst.FlushMetrics()
 	h.svc.PullMetricsNow()
@@ -255,11 +250,10 @@ func TestEventDeliveredOnceWithAllMatchingScopeKeys(t *testing.T) {
 		NewOperatorMetricScope("byKind").
 			AddOperatorTypeFilter(ops.KindBeacon).AddOperatorMetric(metrics.OpTuplesSubmitted))
 	h.start(t)
-	ops.ResetCollector("multi")
 	if _, err := h.svc.SubmitApplication("Multi", nil); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "done", func() bool { return ops.Collector("multi").Finals() == 1 })
+	waitFor(t, "done", func() bool { return h.coll("multi").Finals() == 1 })
 	h.inst.FlushMetrics()
 	h.svc.PullMetricsNow()
 	waitFor(t, "metric event", func() bool { return h.rec.countKind(KindOperatorMetric) >= 1 })
@@ -307,7 +301,6 @@ func TestPEFailureEventAndEpochGrouping(t *testing.T) {
 		NewPEFailureScope("pf").AddApplicationFilter("F"),
 		NewHostFailureScope("hf"))
 	h.start(t)
-	ops.ResetCollector("f1")
 	job, err := h.svc.SubmitApplication("F", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -349,7 +342,6 @@ func TestPEFailureEventAndEpochGrouping(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.observe(t, NewPEFailureScope("pf2").AddApplicationFilter("F2"))
-	ops.ResetCollector("f2")
 	if _, err := h.svc.SubmitApplication("F2", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +467,6 @@ func TestEventsDeliveredInOrderOneAtATime(t *testing.T) {
 func TestRestartStopControlOnManagedJob(t *testing.T) {
 	h := newHarness(t)
 	h.start(t)
-	ops.ResetCollector("act")
 	app := simpleApp(t, "Act", "act", "0")
 	if err := h.svc.RegisterApplication(app); err != nil {
 		t.Fatal(err)
@@ -484,7 +475,7 @@ func TestRestartStopControlOnManagedJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "flow", func() bool { return ops.Collector("act").Len() > 2 })
+	waitFor(t, "flow", func() bool { return h.coll("act").Len() > 2 })
 	g, _ := h.svc.Graph(job)
 	sinkPE, _ := g.PEOfOperator("sink")
 	if err := h.svc.KillPE(sinkPE, "fault"); err != nil {
@@ -501,8 +492,8 @@ func TestRestartStopControlOnManagedJob(t *testing.T) {
 	if info.State != "running" {
 		t.Fatalf("PE state after restart = %q", info.State)
 	}
-	n := ops.Collector("act").Len()
-	waitFor(t, "flow after restart", func() bool { return ops.Collector("act").Len() > n })
+	n := h.coll("act").Len()
+	waitFor(t, "flow after restart", func() bool { return h.coll("act").Len() > n })
 	if err := h.svc.StopPE(sinkPE); err != nil {
 		t.Fatal(err)
 	}
@@ -536,8 +527,6 @@ func TestInspectionQueries(t *testing.T) {
 	if err := h.svc.RegisterApplication(app); err != nil {
 		t.Fatal(err)
 	}
-	ops.ResetCollector("Insp-sink1")
-	ops.ResetCollector("Insp-sink2")
 	job, err := h.svc.SubmitApplication("Insp", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -590,14 +579,13 @@ func TestStatsAndPullInterval(t *testing.T) {
 	h := newHarness(t)
 	h.observe(t, NewOperatorMetricScope("m").AddOperatorMetric(metrics.OpTuplesSubmitted))
 	h.start(t)
-	ops.ResetCollector("st")
 	if err := h.svc.RegisterApplication(simpleApp(t, "St", "st", "4")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := h.svc.SubmitApplication("St", nil); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "done", func() bool { return ops.Collector("st").Finals() == 1 })
+	waitFor(t, "done", func() bool { return h.coll("st").Finals() == 1 })
 	h.inst.FlushMetrics()
 	// The pull loop runs on the manual clock: shorten the interval and
 	// advance to trigger a pull.
@@ -850,7 +838,6 @@ func TestKindStrings(t *testing.T) {
 // (the §1 example of a built-in metric: connection/byte throughput).
 func TestPEMetricScopeDeliversByteCounters(t *testing.T) {
 	h := newHarness(t)
-	ops.ResetCollector("pm")
 	if err := h.svc.RegisterApplication(simpleApp(t, "PM", "pm", "50")); err != nil {
 		t.Fatal(err)
 	}
@@ -861,7 +848,7 @@ func TestPEMetricScopeDeliversByteCounters(t *testing.T) {
 	if _, err := h.svc.SubmitApplication("PM", nil); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "done", func() bool { return ops.Collector("pm").Finals() == 1 })
+	waitFor(t, "done", func() bool { return h.coll("pm").Finals() == 1 })
 	h.inst.FlushMetrics()
 	h.svc.PullMetricsNow()
 	waitFor(t, "pe metric events", func() bool { return h.rec.countKind(KindPEMetric) >= 2 })
@@ -887,7 +874,6 @@ func TestPEMetricScopeDeliversByteCounters(t *testing.T) {
 // scopes (conjunctive with the application filter).
 func TestPEFailureScopeHostFilter(t *testing.T) {
 	h := newHarness(t, "h1", "h2")
-	ops.ResetCollector("hf1")
 	app := simpleApp(t, "HF", "hf1", "0")
 	if err := h.svc.RegisterApplication(app); err != nil {
 		t.Fatal(err)

@@ -34,9 +34,7 @@ func runChaos(p Params, kinds []chaos.Kind) (*Outcome, error) {
 	if p.Rate > 0 {
 		tick = time.Duration(float64(time.Second) / p.Rate)
 	}
-	collID := uniq("chaos")
-	coll := ops.Collector(collID)
-	app, err := aggPipeline("ChaosSmoke", collID, tick)
+	app, err := aggPipeline("ChaosSmoke", "chaos", tick)
 	if err != nil {
 		return nil, err
 	}
@@ -56,6 +54,7 @@ func runChaos(p Params, kinds []chaos.Kind) (*Outcome, error) {
 		return nil, err
 	}
 	defer r.close()
+	coll := ops.Collector(r.inst.SAM.Objects(), "chaos")
 
 	if !waitUntil(budget/4, time.Millisecond, func() bool { return coll.Len() >= 5 }) {
 		return nil, fmt.Errorf("chaos: pipeline never warmed up")

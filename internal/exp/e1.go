@@ -30,12 +30,9 @@ func sentiment(p Params) (*Outcome, error) {
 		pullEvery   = 4 * time.Millisecond
 	)
 	budget := p.budget(30 * time.Second)
-	modelID := uniq("e1-model")
-	storeID := uniq("e1-store")
-	extjob.SetModel(modelID, extjob.NewModel("flash", "screen"))
-
+	const modelID, storeID = "e1-model", "e1-store"
 	app, err := apps.SentimentApp(apps.SentimentConfig{
-		Name: "Sentiment", Collector: uniq("e1-display"),
+		Name: "Sentiment", Collector: "e1-display",
 		ModelID: modelID, StoreID: storeID,
 		Product: "iPhone", Seed: 42,
 		Count: 0, Period: tweetPeriod,
@@ -47,17 +44,22 @@ func sentiment(p Params) (*Outcome, error) {
 	}
 	policy := &policies.ModelRecompute{
 		App: "Sentiment", MatcherOp: apps.MatcherOp,
-		ModelID: modelID, StoreID: storeID,
 		Threshold: threshold, Suppression: suppression,
 		Runner: extjob.NewRunner(nil, jobLatency), MinSupport: 10,
 	}
-	r, err := boot(rigSpec{name: "sentiment", hosts: 2, routine: policy, app: app})
+	// The application boots from a pre-computed model (§5.1).
+	shareModel := func(r *rig) error {
+		policy.Model = extjob.ModelIn(r.inst.SAM.Objects(), modelID, "flash", "screen")
+		policy.Store = extjob.StoreIn(r.inst.SAM.Objects(), storeID)
+		return nil
+	}
+	r, err := boot(rigSpec{name: "sentiment", hosts: 2, routine: policy, app: app, prepare: shareModel})
 	if err != nil {
 		return nil, err
 	}
 	defer r.close()
 
-	model := extjob.GetModel(modelID)
+	model := policy.Model
 	// crossed is the first epoch where the ratio exceeded the threshold,
 	// recovered the first post-adaptation epoch back below 1.0.
 	var crossed, recovered uint64

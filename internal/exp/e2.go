@@ -28,12 +28,11 @@ type trendRig struct {
 	policy *policies.Failover
 	jobs   []ids.JobID
 	// agg is each replica's stateful aggregation PE.
-	agg    []ids.PEID
-	prefix string
+	agg []ids.PEID
 }
 
 func (t *trendRig) coll(replica int) *ops.Collection {
-	return ops.Collector(apps.ReplicaCollector(t.prefix, replica))
+	return ops.Collector(t.inst.SAM.Objects(), apps.ReplicaCollector(t.name, replica))
 }
 
 // lastCount is a replica's most recent window fill.
@@ -49,11 +48,11 @@ func bootTrend(spec rigSpec, seed int64, maxAge, budget time.Duration) (*trendRi
 	if err != nil {
 		return nil, err
 	}
-	t := &trendRig{prefix: uniq(spec.name)}
+	t := &trendRig{}
 	t.policy = &policies.Failover{
 		App: "TrendCalculator", Replicas: 3, MaxSnapshotAge: maxAge,
 		SubmitParams: func(i int) map[string]string {
-			return map[string]string{"collector": apps.ReplicaCollector(t.prefix, i)}
+			return map[string]string{"collector": apps.ReplicaCollector(spec.name, i)}
 		},
 	}
 	spec.hosts, spec.routine, spec.app = 4, t.policy, app

@@ -25,22 +25,22 @@ func composition(p Params) (*Outcome, error) {
 		pullEvery = 4 * time.Millisecond
 	)
 	budget := p.budget(30 * time.Second)
-	storeID := uniq("e3-profiles")
+	const storeID = "e3-profiles"
 	social := apps.SocialConfig{StoreID: storeID, Seed: 11, Period: profilePeriod}
 	c1 := map[string]string{"TwitterStreamReader": "twitter", "MySpaceStreamReader": "myspace"}
 	c2Names := []string{"TwitterQuery", "BlogQuery", "FacebookQuery"}
 
-	collPrefix := uniq("e3-seg")
 	policy := &policies.Composition{
 		C2Configs: []string{"cfg-TwitterQuery", "cfg-BlogQuery", "cfg-FacebookQuery"},
 		C3App:     "AttributeAggregator",
 		C3Collector: func(attr string) string {
-			return fmt.Sprintf("%s-%s", collPrefix, attr)
+			return "e3-seg-" + attr
 		},
 		Threshold: threshold,
 	}
 	// Applications and dependency configurations register before start.
-	register := func(svc *core.Service) error {
+	register := func(r *rig) error {
+		svc := r.svc
 		add := func(app *adl.Application, err error, cfg core.AppConfig) error {
 			if err == nil {
 				err = svc.RegisterApplication(app)
@@ -126,7 +126,7 @@ func composition(p Params) (*Outcome, error) {
 	time.Sleep(2 * pullEvery)
 	halt()
 	subs, cancels, final := policy.Submissions(), policy.Cancellations(), jobCount()
-	profiles := apps.GetProfileStore(storeID).Len()
+	profiles := apps.ProfileStoreIn(r.inst.SAM.Objects(), storeID).Len()
 
 	if !covers(subs) {
 		return nil, fmt.Errorf("composition: no C3 submission for some attribute of %v (subs %v)", wantAttrs, subs)

@@ -49,7 +49,7 @@ func fission(p Params) (*Outcome, error) {
 // closes the stream and drains. The platform is returned still up, for
 // inspection; the caller closes it.
 func driveFission(p Params, spec rigSpec, width int) (*rig, *offering, error) {
-	injID, meterID := uniq("fission-inj"), uniq("fission-meter")
+	const injID, meterID = "fission-inj", "fission-meter"
 	b := compiler.NewApp("Fission")
 	src := b.AddOperator("src", load.KindLoadSource).Out(eventSchema).Param("injectorId", injID)
 	work := b.AddOperator("work", load.KindKeyedWorker).In(eventSchema).Out(eventSchema).
@@ -73,7 +73,7 @@ func driveFission(p Params, spec rigSpec, width int) (*rig, *offering, error) {
 		r.close()
 		return nil, nil, err
 	}
-	o, err := offer(offerSpec{Params: p, injID: injID, meterID: meterID}, budget/4, nil)
+	o, err := offer(offerSpec{Params: p, objs: r.inst.SAM.Objects(), injID: injID, meterID: meterID}, budget/4, nil)
 	if err != nil {
 		r.close()
 		return nil, nil, err

@@ -8,7 +8,6 @@ import (
 	"os"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"streamorca/internal/adl"
@@ -17,20 +16,13 @@ import (
 	"streamorca/internal/core"
 	"streamorca/internal/ids"
 	"streamorca/internal/load"
+	"streamorca/internal/opapi"
 	"streamorca/internal/ops"
 	"streamorca/internal/platform"
 	"streamorca/internal/sam"
 	"streamorca/internal/tuple"
 	"streamorca/internal/workload"
 )
-
-// runSeq uniquifies the shared-registry ids (models, stores, collectors)
-// across scenario runs within one process.
-var runSeq atomic.Int64
-
-func uniq(prefix string) string {
-	return fmt.Sprintf("%s-%d", prefix, runSeq.Add(1))
-}
 
 // waitUntil polls cond every step until it holds or the deadline passes;
 // it reports whether the condition held.
@@ -89,9 +81,10 @@ type rigSpec struct {
 	routine core.Routine
 	// app is registered with the service before it starts; prepare, run
 	// at the same point, registers whatever else the routine needs
-	// (further applications, dependency configurations).
+	// (further applications, dependency configurations, objects of the
+	// instance's set).
 	app     *adl.Application
-	prepare func(*core.Service) error
+	prepare func(*rig) error
 }
 
 // rig is one booted platform instance plus routine service; every
@@ -164,7 +157,7 @@ func boot(spec rigSpec) (r *rig, err error) {
 		}
 	}
 	if spec.prepare != nil {
-		if err = spec.prepare(r.svc); err != nil {
+		if err = spec.prepare(r); err != nil {
 			return
 		}
 	}
@@ -350,13 +343,15 @@ func eventMaker(seed int64, keys int, skew float64) (func(i int64) tuple.Tuple, 
 }
 
 // offerSpec is one offered load: seeded Zipf-keyed events into the
-// LoadSource behind injID, metered by the LatencySink behind meterID.
+// LoadSource behind injID, metered by the LatencySink behind meterID,
+// both of the object set objs.
 // The load is the Params', defaults already resolved by the caller: Keys
 // and Skew shape the key space, and Rate tuples/sec are offered open
 // loop for Duration — or, with Users > 0, that many closed-loop users
 // each pause Think between sends.
 type offerSpec struct {
 	Params
+	objs           *opapi.Objects
 	injID, meterID string
 }
 
@@ -381,8 +376,8 @@ type offering struct {
 // failed meanwhile (reported once the driver has finished).
 func offer(spec offerSpec, budget time.Duration, meanwhile func(*load.Meter) error) (*offering, error) {
 	mk, share := eventMaker(spec.Seed, spec.Keys, spec.Skew)
-	inj := load.InjectorFor(spec.injID)
-	o := &offering{meter: load.MeterFor(spec.meterID), hotKeyShare: share, start: time.Now()}
+	inj := load.InjectorIn(spec.objs, spec.injID)
+	o := &offering{meter: load.MeterIn(spec.objs, spec.meterID), hotKeyShare: share, start: time.Now()}
 	o.meter.Arm(o.start, 200*time.Millisecond)
 
 	stop := make(chan struct{})

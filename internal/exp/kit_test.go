@@ -53,7 +53,7 @@ func submitOnly(app *adl.Application) core.Routine {
 // platform under submitOnly and waits until it runs.
 func bootIdle(t *testing.T) (*rig, ids.JobID) {
 	t.Helper()
-	app, err := aggPipeline("KitTest", uniq("kit"), time.Millisecond)
+	app, err := aggPipeline("KitTest", "kit", time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestSampleStopsOnHalt(t *testing.T) {
 // tests).
 func TestDrainGivesUpOnAQuietMeter(t *testing.T) {
 	start := time.Now()
-	drain(load.MeterFor(uniq("kit-meter")), 10, 5*time.Millisecond, time.Minute)
+	drain(load.MeterIn(opapi.NewObjects(), "kit-meter"), 10, 5*time.Millisecond, time.Minute)
 	if waited := time.Since(start); waited < 20*time.Millisecond || waited > 10*time.Second {
 		t.Fatalf("drain of a silent meter took %v, want about four 5ms beats", waited)
 	}
@@ -224,7 +224,7 @@ func offerRig(t *testing.T) offerSpec {
 	t.Helper()
 	spec := offerSpec{
 		Params: Params{Seed: 1, Keys: 100, Skew: 1.1, Duration: 200 * time.Millisecond},
-		injID:  uniq("kit-inj"), meterID: uniq("kit-meter"),
+		injID:  "kit-inj", meterID: "kit-meter",
 	}
 	b := compiler.NewApp("KitOffer")
 	src := b.AddOperator("src", load.KindLoadSource).Out(eventSchema).Param("injectorId", spec.injID)
@@ -243,6 +243,7 @@ func offerRig(t *testing.T) offerSpec {
 	if _, err := r.up(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
+	spec.objs = r.inst.SAM.Objects()
 	return spec
 }
 
@@ -261,7 +262,7 @@ func TestOfferDrivesClosesAndDrains(t *testing.T) {
 		if o.lastAt.Before(o.start) || o.hotKeyShare <= 0 {
 			t.Fatalf("last delivery %v before start %v, or no hot-key share (%v)", o.lastAt, o.start, o.hotKeyShare)
 		}
-		if load.InjectorFor(spec.injID).Push(tuple.New(eventSchema), nil) {
+		if load.InjectorIn(spec.objs, spec.injID).Push(tuple.New(eventSchema), nil) {
 			t.Fatal("injector still open after offer returned")
 		}
 		return o
@@ -289,7 +290,7 @@ func TestOfferDrivesClosesAndDrains(t *testing.T) {
 func TestOfferBudgetExpiry(t *testing.T) {
 	spec := offerSpec{
 		Params: Params{Seed: 1, Keys: 100, Skew: 1.1, Rate: 100_000, Duration: time.Minute},
-		injID:  uniq("kit-inj"), meterID: uniq("kit-meter"),
+		objs:   opapi.NewObjects(), injID: "kit-inj", meterID: "kit-meter",
 	}
 	start := time.Now()
 	_, err := offer(spec, 50*time.Millisecond, nil)

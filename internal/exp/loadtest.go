@@ -70,7 +70,7 @@ func runLoad(name string, p Params, faults int, faultWindow time.Duration) (*Out
 	if p.Duration <= 0 {
 		return nil, fmt.Errorf("%s: need a duration > 0", name)
 	}
-	injID, meterID := uniq("load-inj"), uniq("load-meter")
+	const injID, meterID = "load-inj", "load-meter"
 	workers := []string{"w0", "w1", "w2"}
 
 	b := compiler.NewApp("LoadTest")
@@ -148,7 +148,7 @@ func runLoad(name string, p Params, faults int, faultWindow time.Duration) (*Out
 			return err
 		}
 	}
-	st, err := offer(offerSpec{Params: p, injID: injID, meterID: meterID}, budget, shake)
+	st, err := offer(offerSpec{Params: p, objs: r.inst.SAM.Objects(), injID: injID, meterID: meterID}, budget, shake)
 	if err != nil {
 		return nil, err
 	}

@@ -19,15 +19,10 @@ func TestOverheadScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkOutcome(t, "overhead", out)
-	m := out.Metrics
-	if m["baseline_tps"] <= 0 || m["with_orca_tps"] <= 0 {
+	// runOverhead itself fails a run whose orchestrator halved the
+	// throughput or consumed no metric events.
+	if m := out.Metrics; m["baseline_tps"] <= 0 || m["with_orca_tps"] <= 0 {
 		t.Fatalf("throughputs: %v", m)
-	}
-	if m["with_orca_tps"] < m["baseline_tps"]/2 {
-		t.Fatalf("orchestrator halved throughput: %v", m)
-	}
-	if m["metric_events"] == 0 {
-		t.Fatal("orchestrator consumed no metric events; measurement invalid")
 	}
 }
 

@@ -36,7 +36,7 @@ func runReaction(trials int, budget time.Duration) (*Outcome, error) {
 		src := b.AddOperator("src", ops.KindBeacon).Out(seqSchema).
 			Param("count", "0").Param("period", "500us")
 		sink := b.AddOperator("sink", ops.KindCollectSink).In(seqSchema).
-			Param("collectorId", uniq("reaction")).Param("limit", "10")
+			Param("collectorId", "reaction").Param("limit", "10")
 		b.Connect(src, 0, sink, 0)
 		app, err := b.Build(compiler.Options{Fusion: compiler.FuseNone})
 		if err != nil {

@@ -50,14 +50,13 @@ func recovery(p Params) (*Outcome, error) {
 	// warm is the window fill to reach before the checkpoint.
 	const warm = 100
 	budget := p.budget(30 * time.Second)
-	collID := uniq("recovery")
-	coll := ops.Collector(collID)
-	app, err := aggPipeline("RecoverySmoke", collID, stretch(time.Millisecond, 4))
+	app, err := aggPipeline("RecoverySmoke", "recovery", stretch(time.Millisecond, 4))
 	if err != nil {
 		return nil, err
 	}
 	// The routine quiesces the sink before restarting, so every output
 	// after preMax is stored comes from the restored container.
+	var coll *ops.Collection
 	var preMax atomic.Int64
 	var restarted atomic.Bool
 	routine := &policies.Restart{
@@ -74,7 +73,8 @@ func recovery(p Params) (*Outcome, error) {
 		},
 		Restarted: func(*core.PEFailureContext) { restarted.Store(true) },
 	}
-	r, err := boot(rigSpec{name: "recovery", hosts: 2, store: fsStore, dir: p.StoreDir, routine: routine, app: app})
+	r, err := boot(rigSpec{name: "recovery", hosts: 2, store: fsStore, dir: p.StoreDir, routine: routine, app: app,
+		prepare: func(r *rig) error { coll = ops.Collector(r.inst.SAM.Objects(), "recovery"); return nil }})
 	if err != nil {
 		return nil, err
 	}

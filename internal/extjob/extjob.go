@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"streamorca/internal/opapi"
 	"streamorca/internal/vclock"
 )
 
@@ -99,13 +100,6 @@ func (s *Store) Snapshot() []string {
 	return append([]string(nil), s.texts...)
 }
 
-// Reset clears the corpus.
-func (s *Store) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.texts = nil
-}
-
 // ExtractCause parses the complaint cause out of a tweet following the
 // corpus convention "... because of the <cause>". It returns "" when the
 // document carries no cause.
@@ -125,9 +119,8 @@ type Runner struct {
 	clock   vclock.Clock
 	latency time.Duration
 
-	mu        sync.Mutex
-	running   bool
-	completed int
+	mu      sync.Mutex
+	running bool
 }
 
 // NewRunner builds a runner whose jobs take latency of (virtual) time.
@@ -143,13 +136,6 @@ func (r *Runner) Running() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.running
-}
-
-// Completed returns how many jobs have finished.
-func (r *Runner) Completed() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.completed
 }
 
 // Submit starts a recomputation job over the store: after the job
@@ -188,7 +174,6 @@ func (r *Runner) Submit(store *Store, model *Model, minSupport int, onDone func(
 		model.publish(causes)
 		r.mu.Lock()
 		r.running = false
-		r.completed++
 		r.mu.Unlock()
 		if onDone != nil {
 			onDone()
@@ -197,42 +182,15 @@ func (r *Runner) Submit(store *Store, model *Model, minSupport int, onDone func(
 	return nil
 }
 
-// Shared registries let stream operators (configured by string params)
-// and orchestrator policies address the same model/store instances, like
-// a shared filesystem path would in the paper's deployment.
-var (
-	regMu  sync.Mutex
-	models = make(map[string]*Model)
-	stores = make(map[string]*Store)
-)
-
-// GetModel returns (creating if needed) the named shared model.
-func GetModel(id string) *Model {
-	regMu.Lock()
-	defer regMu.Unlock()
-	m, ok := models[id]
-	if !ok {
-		m = NewModel()
-		models[id] = m
-	}
-	return m
+// ModelIn returns the named model of an object set, the namespace stream
+// operators and routines share like a shared filesystem path in the
+// paper's deployment; first use creates it pre-loaded with causes.
+func ModelIn(objs *opapi.Objects, id string, causes ...string) *Model {
+	return opapi.Obtain(objs, id, func() *Model { return NewModel(causes...) })
 }
 
-// SetModel installs a pre-loaded model under a name (boot-time state).
-func SetModel(id string, m *Model) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	models[id] = m
-}
-
-// GetStore returns (creating if needed) the named shared corpus.
-func GetStore(id string) *Store {
-	regMu.Lock()
-	defer regMu.Unlock()
-	s, ok := stores[id]
-	if !ok {
-		s = NewStore()
-		stores[id] = s
-	}
-	return s
+// StoreIn returns the named corpus of an object set, creating it empty
+// on first use.
+func StoreIn(objs *opapi.Objects, id string) *Store {
+	return opapi.Obtain(objs, id, NewStore)
 }

@@ -32,10 +32,6 @@ func TestStoreAppendSnapshot(t *testing.T) {
 	if len(snap) != 2 {
 		t.Fatal("snapshot not isolated")
 	}
-	s.Reset()
-	if s.Len() != 0 {
-		t.Fatal("Reset failed")
-	}
 }
 
 func TestExtractCause(t *testing.T) {
@@ -86,8 +82,8 @@ func TestRunnerRecomputesModelAfterLatency(t *testing.T) {
 	if model.Contains("flash") {
 		t.Fatal("recomputation did not replace the model")
 	}
-	if r.Running() || r.Completed() != 1 {
-		t.Fatalf("runner state: running=%v completed=%d", r.Running(), r.Completed())
+	if r.Running() {
+		t.Fatal("runner still running after publishing")
 	}
 }
 
@@ -98,23 +94,5 @@ func TestRunnerSubmitValidation(t *testing.T) {
 	}
 	if err := r.Submit(NewStore(), nil, 1, nil); err == nil {
 		t.Fatal("nil model accepted")
-	}
-}
-
-func TestRegistries(t *testing.T) {
-	m1 := GetModel("reg-test-model")
-	m2 := GetModel("reg-test-model")
-	if m1 != m2 {
-		t.Fatal("GetModel not shared")
-	}
-	pre := NewModel("x")
-	SetModel("reg-test-model", pre)
-	if GetModel("reg-test-model") != pre {
-		t.Fatal("SetModel ignored")
-	}
-	s1 := GetStore("reg-test-store")
-	s2 := GetStore("reg-test-store")
-	if s1 != s2 {
-		t.Fatal("GetStore not shared")
 	}
 }

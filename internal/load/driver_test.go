@@ -61,7 +61,7 @@ func TestOpenLoopCoordinatedOmission(t *testing.T) {
 		stall = 500 * time.Millisecond
 	)
 	run := func(name string, stallDur time.Duration) (Stats, *Histogram) {
-		in := InjectorFor("co-" + name)
+		in := newInjector()
 		h := NewHistogram()
 		done := drain(in, h, 400, stallDur)
 		st, err := RunOpenLoop(OpenLoopConfig{
@@ -106,7 +106,7 @@ func TestOpenLoopCoordinatedOmission(t *testing.T) {
 
 // TestOpenLoopOffersScheduledCount pins the schedule arithmetic.
 func TestOpenLoopOffersScheduledCount(t *testing.T) {
-	in := InjectorFor("ol-count")
+	in := newInjector()
 	h := NewHistogram()
 	done := drain(in, h, -1, 0)
 	st, err := RunOpenLoop(OpenLoopConfig{
@@ -132,7 +132,7 @@ func TestOpenLoopRejectsBadConfig(t *testing.T) {
 	if _, err := RunOpenLoop(OpenLoopConfig{}); err == nil {
 		t.Fatal("want error for missing injector")
 	}
-	if _, err := RunOpenLoop(OpenLoopConfig{Injector: InjectorFor("bad"), Make: makeSeq}); err == nil {
+	if _, err := RunOpenLoop(OpenLoopConfig{Injector: newInjector(), Make: makeSeq}); err == nil {
 		t.Fatal("want error for zero rate")
 	}
 }
@@ -140,7 +140,7 @@ func TestOpenLoopRejectsBadConfig(t *testing.T) {
 // TestClosedLoopThinkTimeBoundsRate verifies the closed-loop model:
 // Users/Think bounds the offered rate, and every push is recorded.
 func TestClosedLoopThinkTimeBoundsRate(t *testing.T) {
-	in := InjectorFor("cl")
+	in := newInjector()
 	h := NewHistogram()
 	done := drain(in, h, -1, 0)
 	const (

@@ -26,9 +26,9 @@ const (
 const injectorCap = 256
 
 // Injector is the hand-off between external drivers and a LoadSource
-// operator, resolved from a process-global registry by the operator's
-// injectorId parameter — the same pattern as the sink collector
-// registry, and for the same reason: the buffer must outlive PE
+// operator, resolved by the operator's injectorId parameter from its
+// platform instance's object set (opapi.Objects), like a sink's
+// collection and for the same reason: the buffer must outlive PE
 // restarts so a chaos-killed source PE reattaches mid-run.
 //
 // It is a swap buffer, the mechanism of pe's inbox and the link's
@@ -144,29 +144,22 @@ func (in *Injector) Close() {
 	signal(in.space)
 }
 
-var (
-	injectorsMu sync.Mutex
-	injectors   = map[string]*Injector{}
-)
-
-// InjectorFor returns the process-global injector with the given id,
-// creating it on first use.
-func InjectorFor(id string) *Injector {
-	injectorsMu.Lock()
-	defer injectorsMu.Unlock()
-	in, ok := injectors[id]
-	if !ok {
-		in = newInjector()
-		injectors[id] = in
-	}
-	return in
+// InjectorIn returns the named injector of an object set, creating it
+// on first use.
+func InjectorIn(objs *opapi.Objects, id string) *Injector {
+	return opapi.Obtain(objs, id, newInjector)
 }
+
+// InjectorFor returns the named injector of opapi.DefaultObjects, where
+// a LoadSource looks when its instance's set has none: for a driver that
+// names its injector before the instance exists.
+func InjectorFor(id string) *Injector { return InjectorIn(nil, id) }
 
 // loadSource forwards tuples from its injector to output port 0.
 //
 // Parameters:
 //
-//	injectorId string  registry id the driver pushes into (required)
+//	injectorId string  id of the injector the driver pushes into (required)
 type loadSource struct {
 	opapi.Base
 	ctx opapi.Context
@@ -183,7 +176,7 @@ func (s *loadSource) Open(ctx opapi.Context) error {
 	if id == "" {
 		return fmt.Errorf("LoadSource %s: injectorId is required", ctx.Name())
 	}
-	s.inj = InjectorFor(id)
+	s.inj = InjectorIn(opapi.ObjectsOf(ctx), id)
 	return nil
 }
 
@@ -219,7 +212,7 @@ func (s *loadSource) Run(stop <-chan struct{}) error {
 //
 // Parameters:
 //
-//	meterId string  meter registry id (required)
+//	meterId string  id of the meter to record into (required)
 //	tsAttr  string  Timestamp attribute stamped at injection (default "ts")
 type latencySink struct {
 	opapi.Base
@@ -243,7 +236,7 @@ func (s *latencySink) Open(ctx opapi.Context) error {
 	if err != nil {
 		return fmt.Errorf("LatencySink %s: %w", ctx.Name(), err)
 	}
-	s.meter = MeterFor(id)
+	s.meter = MeterIn(opapi.ObjectsOf(ctx), id)
 	s.tsRef = ref
 	return nil
 }
@@ -278,12 +271,12 @@ func init() {
 	opapi.Default.RegisterOp(KindLoadSource,
 		func() opapi.Operator { return &loadSource{} },
 		&opapi.OpModel{
-			Doc:     "Source fed by external load drivers through a registered injector.",
+			Doc:     "Source fed by external load drivers through a named injector.",
 			Inputs:  opapi.PortSpec{},
 			Outputs: opapi.ExactlyPorts(1),
 			Params: []opapi.ParamSpec{
 				{Name: "injectorId", Type: opapi.ParamString, Required: true,
-					Doc: "injector registry id the driver pushes into"},
+					Doc: "id of the injector the driver pushes into"},
 			},
 		})
 	opapi.Default.RegisterOp(KindLatencySink,
@@ -294,7 +287,7 @@ func init() {
 			Outputs: opapi.PortSpec{},
 			Params: []opapi.ParamSpec{
 				{Name: "meterId", Type: opapi.ParamString, Required: true,
-					Doc: "meter registry id latencies are recorded into"},
+					Doc: "id of the meter latencies are recorded into"},
 				{Name: "tsAttr", Type: opapi.ParamString, Default: "ts",
 					Doc: "Timestamp attribute stamped at injection"},
 			},

@@ -232,16 +232,16 @@ func (s *countSink) await(t testing.TB, n int64) {
 	}
 }
 
-// ingestPE starts a one-PE job: a LoadSource on the named injector fused
-// to sink.
-func ingestPE(t testing.TB, injectorID string, sink *countSink) *pe.PE {
+// ingestPE starts a one-PE job: a LoadSource on the named injector of
+// objs fused to sink.
+func ingestPE(t testing.TB, objs *opapi.Objects, injectorID string, sink *countSink) *pe.PE {
 	t.Helper()
 	reg := opapi.NewRegistry()
 	reg.Register(KindLoadSource, func() opapi.Operator { return &loadSource{} })
 	reg.Register("CountSink", func() opapi.Operator { return sink })
 	schemas := []*tuple.Schema{driverSchema}
 	p, err := pe.New(pe.Config{
-		ID: 1, Job: 1, App: "ingest", Host: "h1", Registry: reg,
+		ID: 1, Job: 1, App: "ingest", Host: "h1", Registry: reg, Objects: objs,
 		Ops: []pe.OpSpec{
 			{Name: "src", Kind: KindLoadSource, Params: opapi.Params{"injectorId": injectorID}, Outputs: schemas},
 			{Name: "sink", Kind: "CountSink", Inputs: schemas},
@@ -261,9 +261,10 @@ func ingestPE(t testing.TB, injectorID string, sink *countSink) *pe.PE {
 // PE — tuples pushed while no source runs wait in it, and the restarted
 // source delivers them, in order, behind what the first one delivered.
 func TestLoadSourceReattachesAfterKill(t *testing.T) {
-	in := InjectorFor("reattach")
+	objs := opapi.NewObjects()
+	in := InjectorIn(objs, "reattach")
 	sink := &countSink{}
-	first := ingestPE(t, "reattach", sink)
+	first := ingestPE(t, objs, "reattach", sink)
 	for i := int64(0); i < 100; i++ {
 		in.Push(makeSeq(i), nil)
 	}
@@ -274,7 +275,7 @@ func TestLoadSourceReattachesAfterKill(t *testing.T) {
 			in.Push(makeSeq(i), nil)
 		}
 	})
-	second := ingestPE(t, "reattach", sink)
+	second := ingestPE(t, objs, "reattach", sink)
 	defer second.Stop()
 	sink.await(t, 150)
 	if got := sink.last.Load(); got != 149 {
@@ -288,9 +289,10 @@ func TestLoadSourceReattachesAfterKill(t *testing.T) {
 // Steady state it allocates nothing: the injector's two buffers, the
 // source's outBuf and the pooled pe.Batch are all reused.
 func BenchmarkIngestHandoff(b *testing.B) {
-	in := InjectorFor("bench-ingest")
+	objs := opapi.NewObjects()
+	in := InjectorIn(objs, "bench-ingest")
 	sink := &countSink{}
-	p := ingestPE(b, "bench-ingest", sink)
+	p := ingestPE(b, objs, "bench-ingest", sink)
 	defer p.Stop()
 	ring := make([]tuple.Tuple, 1024)
 	for i := range ring {

@@ -4,12 +4,14 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"streamorca/internal/opapi"
 )
 
 // Meter accumulates what a LatencySink observes for one run: the
 // latency histogram plus per-window delivery counts for windowed
-// throughput. Meters live in a process-global registry (like the sink
-// collector registry) so they survive PE restarts — a chaos-killed
+// throughput. Meters live in the platform instance's object set (like
+// a sink's collection) so they survive PE restarts — a chaos-killed
 // sink PE reattaches to the same Meter and the run's statistics stay
 // continuous.
 type Meter struct {
@@ -77,21 +79,9 @@ func (m *Meter) WindowRates(now time.Time) []float64 {
 	return rates
 }
 
-var (
-	metersMu sync.Mutex
-	meters   = map[string]*Meter{}
-)
-
-// MeterFor returns the process-global meter with the given id, creating
-// it on first use. LatencySink operators resolve their meter by id at
-// Open, so drivers and sinks share one Meter across PE restarts.
-func MeterFor(id string) *Meter {
-	metersMu.Lock()
-	defer metersMu.Unlock()
-	m, ok := meters[id]
-	if !ok {
-		m = &Meter{Hist: NewHistogram()}
-		meters[id] = m
-	}
-	return m
+// MeterIn returns the named meter of an object set, creating it on
+// first use. LatencySink operators resolve their meter by id at Open,
+// so drivers and sinks share one Meter across PE restarts.
+func MeterIn(objs *opapi.Objects, id string) *Meter {
+	return opapi.Obtain(objs, id, func() *Meter { return &Meter{Hist: NewHistogram()} })
 }

@@ -24,6 +24,7 @@ type fakeCtx struct {
 	marks   map[int][]tuple.Mark
 	om      *metrics.OpMetrics
 	clock   vclock.Clock
+	objs    *opapi.Objects
 }
 
 func newFakeCtx(params opapi.Params, ins, outs []*tuple.Schema) *fakeCtx {
@@ -31,6 +32,7 @@ func newFakeCtx(params opapi.Params, ins, outs []*tuple.Schema) *fakeCtx {
 		name: "test", params: params, ins: ins, outs: outs,
 		emitted: make(map[int][]tuple.Tuple), marks: make(map[int][]tuple.Mark),
 		om: metrics.NewOpMetrics(), clock: vclock.NewManual(time.Unix(0, 0)),
+		objs: opapi.NewObjects(),
 	}
 }
 
@@ -46,6 +48,7 @@ func (c *fakeCtx) Clock() vclock.Clock                    { return c.clock }
 func (c *fakeCtx) Done() <-chan struct{}                  { return nil }
 func (c *fakeCtx) Logf(string, ...any)                    {}
 func (c *fakeCtx) CustomMetric(n string) *metrics.Counter { return c.om.Custom.Counter(n) }
+func (c *fakeCtx) Objects() *opapi.Objects                { return c.objs }
 
 func (c *fakeCtx) Submit(i int, t tuple.Tuple) error {
 	if i < 0 || i >= len(c.outs) {
@@ -417,7 +420,6 @@ func TestAggregateOpenErrors(t *testing.T) {
 }
 
 func TestCollectSinkAndRegistry(t *testing.T) {
-	ResetCollector("c1")
 	ctx := newFakeCtx(opapi.Params{"collectorId": "c1"}, []*tuple.Schema{mixedS}, nil)
 	s := &collectSink{}
 	if err := s.Open(ctx); err != nil {
@@ -426,7 +428,7 @@ func TestCollectSinkAndRegistry(t *testing.T) {
 	_ = s.Process(0, mixed(1, 0, "", false))
 	_ = s.Process(0, mixed(2, 0, "", false))
 	_ = s.ProcessMark(0, tuple.FinalMark)
-	c := Collector("c1")
+	c := Collector(ctx.objs, "c1")
 	if c.Len() != 2 || c.Finals() != 1 {
 		t.Fatalf("collection: len=%d finals=%d", c.Len(), c.Finals())
 	}
@@ -434,17 +436,12 @@ func TestCollectSinkAndRegistry(t *testing.T) {
 	if !ok || last.Int("seq") != 2 {
 		t.Fatalf("Last() = %v, %v", last.Format(), ok)
 	}
-	c.Reset()
-	if c.Len() != 0 || c.Finals() != 0 {
-		t.Fatal("Reset did not clear")
-	}
-	if _, ok := c.Last(); ok {
+	if _, ok := Collector(ctx.objs, "c2").Last(); ok {
 		t.Fatal("Last on empty collection")
 	}
 }
 
 func TestCollectSinkLimit(t *testing.T) {
-	ResetCollector("lim")
 	ctx := newFakeCtx(opapi.Params{"collectorId": "lim", "limit": "2"}, []*tuple.Schema{mixedS}, nil)
 	s := &collectSink{}
 	if err := s.Open(ctx); err != nil {
@@ -453,8 +450,7 @@ func TestCollectSinkLimit(t *testing.T) {
 	for i := int64(0); i < 5; i++ {
 		_ = s.Process(0, mixed(i, 0, "", false))
 	}
-	c := Collector("lim")
-	got := c.Tuples()
+	got := Collector(ctx.objs, "lim").Tuples()
 	if len(got) != 2 || got[0].Int("seq") != 3 || got[1].Int("seq") != 4 {
 		t.Fatalf("limited collection: %v", got)
 	}
@@ -620,9 +616,9 @@ func (c *droppingCtx) Submit(i int, t tuple.Tuple) error { c.last = t; return ni
 // TestCollectSinkKeepsCopies: the collection outlives the call, so what
 // it keeps must not live in the frame's block.
 func TestCollectSinkKeepsCopies(t *testing.T) {
-	ResetCollector("copies")
 	s := &collectSink{}
-	if err := s.Open(newFakeCtx(opapi.Params{"collectorId": "copies"}, []*tuple.Schema{intS}, nil)); err != nil {
+	ctx := newFakeCtx(opapi.Params{"collectorId": "copies"}, []*tuple.Schema{intS}, nil)
+	if err := s.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
 	frame, blk := tuple.Lease(intS, nil, 3)
@@ -637,7 +633,7 @@ func TestCollectSinkKeepsCopies(t *testing.T) {
 	for _, tu := range again {
 		tu.SetIntAt(0, -1)
 	}
-	for i, got := range Collector("copies").Tuples() {
+	for i, got := range Collector(ctx.objs, "copies").Tuples() {
 		if got.Block() != nil || got.Int("seq") != int64(i+1) {
 			t.Fatalf("collected tuple %d reads %d from block %v", i, got.Int("seq"), got.Block())
 		}

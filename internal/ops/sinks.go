@@ -54,14 +54,6 @@ func (c *Collection) Finals() int {
 	return c.finals
 }
 
-// Reset clears the collection.
-func (c *Collection) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.tuples = nil
-	c.finals = 0
-}
-
 func (c *Collection) add(t tuple.Tuple) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -77,25 +69,11 @@ func (c *Collection) addFinal() {
 	c.finals++
 }
 
-var (
-	collectionsMu sync.Mutex
-	collections   = make(map[string]*Collection)
-)
-
-// Collector returns (creating if needed) the named collection.
-func Collector(id string) *Collection {
-	collectionsMu.Lock()
-	defer collectionsMu.Unlock()
-	c, ok := collections[id]
-	if !ok {
-		c = &Collection{}
-		collections[id] = c
-	}
-	return c
+// Collector returns the named collection of an object set, creating it
+// on first use.
+func Collector(objs *opapi.Objects, id string) *Collection {
+	return opapi.Obtain(objs, id, func() *Collection { return &Collection{} })
 }
-
-// ResetCollector clears the named collection; tests call it between runs.
-func ResetCollector(id string) { Collector(id).Reset() }
 
 // collectSink stores received tuples into the Collection named by the
 // "collectorId" parameter (default: the operator's own instance name).
@@ -115,7 +93,7 @@ func (s *collectSink) Open(ctx opapi.Context) error {
 	if err != nil {
 		return fmt.Errorf("CollectSink %s: %w", ctx.Name(), err)
 	}
-	s.coll = Collector(id)
+	s.coll = Collector(opapi.ObjectsOf(ctx), id)
 	s.coll.mu.Lock()
 	s.coll.limit = int(limit)
 	s.coll.mu.Unlock()

@@ -92,6 +92,9 @@ func (c *opContext) CustomMetric(name string) *metrics.Counter {
 
 func (c *opContext) Clock() vclock.Clock { return c.rt.pe.cfg.Clock }
 
+// Objects is the capability opapi.ObjectsOf looks for.
+func (c *opContext) Objects() *opapi.Objects { return c.rt.pe.cfg.Objects }
+
 func (c *opContext) Done() <-chan struct{} { return c.rt.pe.kill }
 
 func (c *opContext) Logf(format string, args ...any) {

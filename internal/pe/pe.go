@@ -86,7 +86,8 @@ type Config struct {
 	Wires    []Wire
 	Clock    vclock.Clock
 	Registry *opapi.Registry
-	QueueCap int // per-operator input queue capacity, in tuples; default 256
+	Objects  *opapi.Objects // what opapi.ObjectsOf returns; nil means opapi.DefaultObjects
+	QueueCap int            // per-operator input queue capacity, in tuples; default 256
 	Logf     func(format string, args ...any)
 	// OnExit is invoked exactly once, from the PE's own goroutine, when
 	// the container leaves the Running state. crashed is false for a
@@ -257,6 +258,9 @@ func (s *outletSet) each(items []Item) {
 func New(cfg Config) (*PE, error) {
 	if cfg.Registry == nil {
 		cfg.Registry = opapi.Default
+	}
+	if cfg.Objects == nil {
+		cfg.Objects = opapi.DefaultObjects
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = vclock.Real()

@@ -4,8 +4,11 @@ import (
 	"testing"
 	"time"
 
+	"streamorca/internal/apps"
 	"streamorca/internal/compiler"
+	"streamorca/internal/extjob"
 	"streamorca/internal/ids"
+	"streamorca/internal/load"
 	"streamorca/internal/ops"
 	"streamorca/internal/sam"
 	"streamorca/internal/tuple"
@@ -26,20 +29,11 @@ func TestNewInstanceRejectsDuplicateHosts(t *testing.T) {
 }
 
 func TestInstanceEndToEnd(t *testing.T) {
-	inst, err := NewInstance(Options{
-		Hosts:           []HostSpec{{Name: "h1", Tags: []string{"ssd"}}, {Name: "h2"}},
-		MetricsInterval: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inst.Close()
-
+	inst := newInst(t)
 	if got := len(inst.Cluster.Hosts()); got != 2 {
 		t.Fatalf("SRM knows %d hosts", got)
 	}
 	schema := tuple.MustSchema(tuple.Attribute{Name: "seq", Type: tuple.Int})
-	ops.ResetCollector("plat")
 	b := compiler.NewApp("Plat")
 	src := b.AddOperator("src", ops.KindBeacon).Out(schema).Param("count", "5")
 	sink := b.AddOperator("sink", ops.KindCollectSink).In(schema).Param("collectorId", "plat")
@@ -52,13 +46,8 @@ func TestInstanceEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for ops.Collector("plat").Finals() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("pipeline never finished")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	coll := ops.Collector(inst.SAM.Objects(), "plat")
+	waitFor(t, "pipeline end", func() bool { return coll.Finals() == 1 })
 	// FlushMetrics makes samples visible without waiting out the interval.
 	inst.FlushMetrics()
 	if len(inst.SRM.Query([]ids.JobID{job})) == 0 {
@@ -75,5 +64,97 @@ func TestInstanceUsesProvidedClock(t *testing.T) {
 	defer inst.Close()
 	if !inst.Clock.Now().Equal(time.Unix(1000, 0)) {
 		t.Fatal("instance ignored the provided clock")
+	}
+}
+
+func newInst(t *testing.T) *Instance {
+	t.Helper()
+	inst, err := NewInstance(Options{Hosts: []HostSpec{{Name: "h1"}, {Name: "h2"}}, MetricsInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(inst.Close)
+	return inst
+}
+
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestInstancesDoNotShareObjects: two platform instances in one process
+// run the sentiment application with the same collector, model and store
+// ids, and each sees only its own tuples, model and corpus. An injector a
+// driver makes before any instance exists feeds the instance's
+// LoadSource through the default set — the path a driver that names its
+// injector before booting takes.
+func TestInstancesDoNotShareObjects(t *testing.T) {
+	// The default set is the process's: the injector stays open, so a
+	// repeated run finds it drained and reusable.
+	inj := load.InjectorFor("iso-inj")
+	insts := []*Instance{newInst(t), newInst(t)}
+	for i, inst := range insts {
+		extjob.ModelIn(inst.SAM.Objects(), "iso-model", "flash", "screen")
+		app, err := apps.SentimentApp(apps.SentimentConfig{
+			Name: "SA", Collector: "iso-coll", ModelID: "iso-model", StoreID: "iso-store",
+			Seed: 1, Count: 300 * int64(i+1), Causes: "flash,screen", RecentWindow: 100,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := inst.SAM.SubmitJob(app, sam.SubmitOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var colls []*ops.Collection
+	var stores []*extjob.Store
+	for _, inst := range insts {
+		coll := ops.Collector(inst.SAM.Objects(), "iso-coll")
+		waitFor(t, "pipeline completion", func() bool { return coll.Finals() == 1 })
+		store := extjob.StoreIn(inst.SAM.Objects(), "iso-store")
+		if coll.Len() == 0 || store.Len() != coll.Len() {
+			t.Fatalf("corpus %d, matched %d: want equal and non-zero", store.Len(), coll.Len())
+		}
+		colls, stores = append(colls, coll), append(stores, store)
+	}
+	if colls[0].Len() >= colls[1].Len() {
+		t.Fatalf("300 tweets matched %d, 600 matched %d: the instances share a collection", colls[0].Len(), colls[1].Len())
+	}
+
+	// Recomputing one instance's model leaves the other's at version 1.
+	model := extjob.ModelIn(insts[0].SAM.Objects(), "iso-model")
+	if err := extjob.NewRunner(nil, 0).Submit(stores[0], model, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the recomputed model", func() bool { return model.Version() == 2 })
+	if v := extjob.ModelIn(insts[1].SAM.Objects(), "iso-model").Version(); v != 1 {
+		t.Fatalf("the other instance's model is at version %d", v)
+	}
+
+	seqS := tuple.MustSchema(tuple.Attribute{Name: "seq", Type: tuple.Int})
+	b := compiler.NewApp("Inject")
+	src := b.AddOperator("src", load.KindLoadSource).Out(seqS).Param("injectorId", "iso-inj")
+	sink := b.AddOperator("sink", ops.KindCollectSink).In(seqS).Param("collectorId", "iso-load")
+	b.Connect(src, 0, sink, 0)
+	app, err := b.Build(compiler.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := insts[0].SAM.SubmitJob(app, sam.SubmitOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range 5 {
+		inj.Push(tuple.Build(seqS).Int("seq", int64(i)).Done(), nil)
+	}
+	fed := ops.Collector(insts[0].SAM.Objects(), "iso-load")
+	waitFor(t, "injected tuples", func() bool { return fed.Len() == 5 })
+	if n := ops.Collector(insts[1].SAM.Objects(), "iso-load").Len(); n != 0 {
+		t.Fatalf("the other instance collected %d injected tuples", n)
 	}
 }

@@ -68,15 +68,12 @@ func recomputeFixture(t *testing.T) (*ModelRecompute, *core.Service, *vclock.Man
 	t.Helper()
 	inst := newInst(t, "h1")
 	clock := vclock.NewManual(time.Unix(0, 0))
-	modelID, storeID := "pol-model-"+t.Name(), "pol-store-"+t.Name()
-	extjob.SetModel(modelID, extjob.NewModel("flash"))
-	store := extjob.GetStore(storeID)
-	store.Reset()
+	store := extjob.NewStore()
 	for i := 0; i < 20; i++ {
 		store.Append("I hate my phone because of the antenna")
 	}
 	p := &ModelRecompute{
-		App: "X", MatcherOp: "m", ModelID: modelID, StoreID: storeID,
+		App: "X", MatcherOp: "m", Model: extjob.NewModel("flash"), Store: store,
 		Threshold: 1.0, Suppression: 10 * time.Minute,
 		Runner: extjob.NewRunner(clock, time.Minute), MinSupport: 5,
 	}
@@ -210,13 +207,10 @@ func failoverFixture(t *testing.T) (*Failover, *core.Service, *platform.Instance
 	if err != nil {
 		t.Fatal(err)
 	}
-	prefix := "pol-fo-" + t.Name()
 	p := &Failover{
 		App: "TC", Replicas: 3,
 		SubmitParams: func(i int) map[string]string {
-			id := apps.ReplicaCollector(prefix, i)
-			ops.ResetCollector(id)
-			return map[string]string{"collector": id}
+			return map[string]string{"collector": apps.ReplicaCollector("pol-fo", i)}
 		},
 	}
 	svc, err := core.NewRoutineService(core.Config{
@@ -313,13 +307,10 @@ func failoverCkptFixture(t *testing.T, maxAge time.Duration) (*Failover, *core.S
 	if err != nil {
 		t.Fatal(err)
 	}
-	prefix := "pol-cf-" + t.Name()
 	p := &Failover{
 		App: "TC", Replicas: 3, MaxSnapshotAge: maxAge,
 		SubmitParams: func(i int) map[string]string {
-			id := apps.ReplicaCollector(prefix, i)
-			ops.ResetCollector(id)
-			return map[string]string{"collector": id}
+			return map[string]string{"collector": apps.ReplicaCollector("pol-cf", i)}
 		},
 	}
 	svc, err := core.NewRoutineService(core.Config{
@@ -486,13 +477,10 @@ func TestFailoverStatusFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := t.TempDir() + "/status.txt"
-	prefix := "pol-sf"
 	p := &Failover{
 		App: "TC", Replicas: 3, StatusPath: path,
 		SubmitParams: func(i int) map[string]string {
-			id := apps.ReplicaCollector(prefix, i)
-			ops.ResetCollector(id)
-			return map[string]string{"collector": id}
+			return map[string]string{"collector": apps.ReplicaCollector("pol-sf", i)}
 		},
 	}
 	svc, err := core.NewRoutineService(core.Config{

@@ -41,9 +41,10 @@ type ModelRecompute struct {
 	SubmitParams map[string]string
 	// MatcherOp is the cause matcher's instance name.
 	MatcherOp string
-	// ModelID and StoreID address the shared model and corpus.
-	ModelID string
-	StoreID string
+	// Model and Store are the shared model and corpus the application's
+	// cause matcher reads and appends to.
+	Model *extjob.Model
+	Store *extjob.Store
 	// Threshold is the actuation ratio (paper: 1.0).
 	Threshold float64
 	// Suppression bounds re-trigger frequency (paper: 10 minutes).
@@ -124,7 +125,7 @@ func (p *ModelRecompute) recompute(ctx *core.OperatorMetricContext, act *core.Ac
 	if p.Runner.Running() {
 		return core.ErrSkipped
 	}
-	if err := p.Runner.Submit(extjob.GetStore(p.StoreID), extjob.GetModel(p.ModelID), p.MinSupport, nil); err != nil {
+	if err := p.Runner.Submit(p.Store, p.Model, p.MinSupport, nil); err != nil {
 		return fmt.Errorf("modelRecompute: batch job: %w", err)
 	}
 	p.mu.Lock()

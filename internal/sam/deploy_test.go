@@ -11,6 +11,7 @@ import (
 	"streamorca/internal/ids"
 	"streamorca/internal/opapi"
 	"streamorca/internal/ops"
+	"streamorca/internal/platform"
 	"streamorca/internal/sam"
 	"streamorca/internal/tuple"
 )
@@ -57,14 +58,13 @@ func init() {
 }
 
 // burstApp builds <kind>(count=n) fanning out to sinks CollectSinks, one
-// PE each; sink i collects under "<collector>/i", emptied here.
+// PE each; sink i collects under "<collector>/i".
 func burstApp(t *testing.T, kind, collector string, n int64, sinks int) *adl.Application {
 	t.Helper()
 	b := compiler.NewApp("Burst")
 	src := b.AddOperator("src", kind).Out(intS).Param("count", itoa(n))
 	for i := 0; i < sinks; i++ {
 		id := fmt.Sprintf("%s/%d", collector, i)
-		ops.ResetCollector(id)
 		sink := b.AddOperator(fmt.Sprintf("sink%d", i), ops.KindCollectSink).In(intS).Param("collectorId", id)
 		b.Connect(src, 0, sink, 0)
 	}
@@ -80,11 +80,11 @@ func burstApp(t *testing.T, kind, collector string, n int64, sinks int) *adl.App
 
 // awaitBurst waits, with a deadline, for every sink's final mark and
 // then checks that the burst reached each whole and in order, once.
-func awaitBurst(t *testing.T, round int, collector string, n, sinks int) {
+func awaitBurst(t *testing.T, inst *platform.Instance, round int, collector string, n, sinks int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for i := 0; i < sinks; i++ {
-		coll := ops.Collector(fmt.Sprintf("%s/%d", collector, i))
+		coll := ops.Collector(inst.SAM.Objects(), fmt.Sprintf("%s/%d", collector, i))
 		for coll.Finals() == 0 {
 			if time.Now().After(deadline) {
 				t.Fatalf("round %d: no final mark at sink %d after 5s (%d of %d tuples)", round, i, coll.Len(), n)
@@ -117,7 +117,7 @@ func TestSubmitWiresBeforeSourcesStart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		awaitBurst(t, round, id, n, 1)
+		awaitBurst(t, inst, round, id, n, 1)
 		if err := inst.SAM.CancelJob(jobID); err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func TestRestartWiresBeforeSourceStarts(t *testing.T) {
 		if err := inst.SAM.RestartPE(srcPE); err != nil {
 			t.Fatal(err)
 		}
-		awaitBurst(t, round, id, n, sinks)
+		awaitBurst(t, inst, round, id, n, sinks)
 		if err := inst.SAM.CancelJob(jobID); err != nil {
 			t.Fatal(err)
 		}
@@ -199,9 +199,8 @@ func TestFailedSubmitLeavesNothingBehind(t *testing.T) {
 	}
 	// The hosts are as good as new: the same application, with a value
 	// the filter accepts, runs.
-	ops.ResetCollector("deploy-bad")
 	if _, err := inst.SAM.SubmitJob(app, sam.SubmitOptions{Params: map[string]string{"min": "0"}}); err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "tuples at the sink", func() bool { return ops.Collector("deploy-bad").Len() > 3 })
+	waitCond(t, "tuples at the sink", func() bool { return ops.Collector(inst.SAM.Objects(), "deploy-bad").Len() > 3 })
 }

@@ -67,7 +67,7 @@ func newCkptInstance(t *testing.T, store ckpt.Store, hostNames ...string) *platf
 // feedKeys pushes count tuples per key through the injector and waits
 // until the sink has seen them all, so no region state is in flight
 // when the resize starts.
-func feedKeys(t *testing.T, inj *load.Injector, collector string, keys map[string]int64, expectAtSink int) {
+func feedKeys(t *testing.T, inst *platform.Instance, inj *load.Injector, collector string, keys map[string]int64, expectAtSink int) {
 	t.Helper()
 	seq := int64(0)
 	for k, n := range keys {
@@ -77,7 +77,7 @@ func feedKeys(t *testing.T, inj *load.Injector, collector string, keys map[strin
 		}
 	}
 	waitCond(t, fmt.Sprintf("%d tuples at sink", expectAtSink), func() bool {
-		return ops.Collector(collector).Len() == expectAtSink
+		return ops.Collector(inst.SAM.Objects(), collector).Len() == expectAtSink
 	})
 }
 
@@ -212,8 +212,7 @@ func total(keys map[string]int64) int {
 func TestResizeGrowMigratesEveryKey(t *testing.T) {
 	store := ckpt.NewMemStore()
 	inst := newCkptInstance(t, store, "h1", "h2", "h3")
-	ops.ResetCollector("rzGrow")
-	inj := load.InjectorFor("rzGrowInj")
+	inj := load.InjectorIn(inst.SAM.Objects(), "rzGrowInj")
 
 	jobID, err := inst.SAM.SubmitJob(regionApp(t, "Grow", "rzGrowInj", "rzGrow", 2), sam.SubmitOptions{})
 	if err != nil {
@@ -221,7 +220,7 @@ func TestResizeGrowMigratesEveryKey(t *testing.T) {
 	}
 	runningRegionPEs(t, inst, jobID)
 	fed := fedBatch(30, "u")
-	feedKeys(t, inj, "rzGrow", fed, total(fed))
+	feedKeys(t, inst, inj, "rzGrow", fed, total(fed))
 
 	if err := inst.SAM.ResizeRegion(jobID, "work", 3); err != nil {
 		t.Fatal(err)
@@ -240,7 +239,7 @@ func TestResizeGrowMigratesEveryKey(t *testing.T) {
 
 	// The widened region still moves tuples end to end.
 	more := fedBatch(10, "v")
-	feedKeys(t, inj, "rzGrow", more, total(fed)+total(more))
+	feedKeys(t, inst, inj, "rzGrow", more, total(fed)+total(more))
 }
 
 // TestResizeShrinkMergesWithoutDuplicates: a 3->2 resize folds the
@@ -249,8 +248,7 @@ func TestResizeGrowMigratesEveryKey(t *testing.T) {
 func TestResizeShrinkMergesWithoutDuplicates(t *testing.T) {
 	store := ckpt.NewMemStore()
 	inst := newCkptInstance(t, store, "h1", "h2", "h3")
-	ops.ResetCollector("rzShrink")
-	inj := load.InjectorFor("rzShrinkInj")
+	inj := load.InjectorIn(inst.SAM.Objects(), "rzShrinkInj")
 
 	jobID, err := inst.SAM.SubmitJob(regionApp(t, "Shrink", "rzShrinkInj", "rzShrink", 3), sam.SubmitOptions{})
 	if err != nil {
@@ -258,7 +256,7 @@ func TestResizeShrinkMergesWithoutDuplicates(t *testing.T) {
 	}
 	runningRegionPEs(t, inst, jobID)
 	fed := fedBatch(30, "u")
-	feedKeys(t, inj, "rzShrink", fed, total(fed))
+	feedKeys(t, inst, inj, "rzShrink", fed, total(fed))
 
 	wideKeys, _ := replicaKeys(t, inst, jobID, "work")
 	retired := wideKeys[2]
@@ -283,7 +281,7 @@ func TestResizeShrinkMergesWithoutDuplicates(t *testing.T) {
 	}
 
 	more := fedBatch(10, "v")
-	feedKeys(t, inj, "rzShrink", more, total(fed)+total(more))
+	feedKeys(t, inst, inj, "rzShrink", more, total(fed)+total(more))
 }
 
 // TestResizeCorruptSnapshotColdStarts: a snapshot that fails to parse
@@ -295,8 +293,7 @@ func TestResizeShrinkMergesWithoutDuplicates(t *testing.T) {
 func TestResizeCorruptSnapshotColdStarts(t *testing.T) {
 	store := ckpt.NewMemStore()
 	inst := newCkptInstance(t, store, "h1", "h2", "h3")
-	ops.ResetCollector("rzCorrupt")
-	inj := load.InjectorFor("rzCorruptInj")
+	inj := load.InjectorIn(inst.SAM.Objects(), "rzCorruptInj")
 
 	jobID, err := inst.SAM.SubmitJob(regionApp(t, "Corrupt", "rzCorruptInj", "rzCorrupt", 2), sam.SubmitOptions{})
 	if err != nil {
@@ -304,7 +301,7 @@ func TestResizeCorruptSnapshotColdStarts(t *testing.T) {
 	}
 	runningRegionPEs(t, inst, jobID)
 	fed := fedBatch(20, "u")
-	feedKeys(t, inj, "rzCorrupt", fed, total(fed))
+	feedKeys(t, inst, inj, "rzCorrupt", fed, total(fed))
 
 	// Stop replica 0 so the resize's pre-stop checkpoint skips it, then
 	// plant garbage under its snapshot key: migration must hit the
@@ -345,7 +342,7 @@ func TestResizeCorruptSnapshotColdStarts(t *testing.T) {
 	// The region is live and its state is fresh: new tuples flow, and a
 	// checkpoint taken afterwards holds only the new keys.
 	more := fedBatch(12, "w")
-	feedKeys(t, inj, "rzCorrupt", more, total(fed)+total(more))
+	feedKeys(t, inst, inj, "rzCorrupt", more, total(fed)+total(more))
 	placement, _, _ = inst.SAM.PEPlacement(jobID)
 	app, _ = inst.SAM.JobADL(jobID)
 	perReplica := make([]map[string]int64, len(replicas))

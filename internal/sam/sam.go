@@ -161,7 +161,8 @@ type Listener struct {
 
 // SAM is the application manager daemon.
 type SAM struct {
-	cfg Config
+	cfg  Config
+	objs *opapi.Objects
 
 	mu        sync.Mutex
 	nextJob   int64
@@ -215,6 +216,7 @@ func New(cfg Config) *SAM {
 	}
 	s := &SAM{
 		cfg:       cfg,
+		objs:      opapi.NewObjects(),
 		jobs:      make(map[ids.JobID]*job),
 		reserved:  make(map[string]ids.JobID),
 		listeners: make(map[string]Listener),
@@ -226,6 +228,10 @@ func New(cfg Config) *SAM {
 	}
 	return s
 }
+
+// Objects returns the instance's out-of-band object set, which every PE
+// SAM deploys hands to its operators.
+func (s *SAM) Objects() *opapi.Objects { return s.objs }
 
 // AddListener registers an orchestrator's callback set under its name.
 func (s *SAM) AddListener(name string, l Listener) {
@@ -670,7 +676,7 @@ func (s *SAM) peConfig(j *job, rp *jpe, restore bool) (pe.Config, error) {
 	inPart := make(map[string]bool, len(part.Operators))
 	cfg := pe.Config{
 		ID: rp.id, Job: j.id, App: j.app.Name, Host: rp.host,
-		Clock: s.cfg.Clock, Registry: s.cfg.Registry, Logf: s.cfg.Logf,
+		Clock: s.cfg.Clock, Registry: s.cfg.Registry, Objects: s.objs, Logf: s.cfg.Logf,
 	}
 	for _, name := range part.Operators {
 		inPart[name] = true

@@ -73,13 +73,12 @@ func waitCond(t *testing.T, what string, cond func() bool) {
 
 func TestSubmitJobRunsPipelineAcrossPEs(t *testing.T) {
 	inst := newInstance(t, "h1", "h2")
-	ops.ResetCollector("p1")
 	app := pipelineApp(t, "Pipe", "p1", 20)
 	jobID, err := inst.SAM.SubmitJob(app, sam.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "20 tuples at sink", func() bool { return ops.Collector("p1").Len() == 20 })
+	waitCond(t, "20 tuples at sink", func() bool { return ops.Collector(inst.SAM.Objects(), "p1").Len() == 20 })
 	info, ok := inst.SAM.Job(jobID)
 	if !ok || info.App != "Pipe" || len(info.PEs) != 3 {
 		t.Fatalf("JobInfo = %+v", info)
@@ -114,13 +113,12 @@ func TestSubmitRejectsInvalidAndUnplaceable(t *testing.T) {
 
 func TestCancelJobStopsEverything(t *testing.T) {
 	inst := newInstance(t, "h1")
-	ops.ResetCollector("c2")
 	app := pipelineApp(t, "Cancel", "c2", 0) // unbounded source
 	jobID, err := inst.SAM.SubmitJob(app, sam.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "some tuples", func() bool { return ops.Collector("c2").Len() > 3 })
+	waitCond(t, "some tuples", func() bool { return ops.Collector(inst.SAM.Objects(), "c2").Len() > 3 })
 	inst.FlushMetrics()
 	if len(inst.SRM.Query([]ids.JobID{jobID})) == 0 {
 		t.Fatal("no SRM samples before cancel")
@@ -134,9 +132,9 @@ func TestCancelJobStopsEverything(t *testing.T) {
 	if got := inst.SRM.Query([]ids.JobID{jobID}); len(got) != 0 {
 		t.Fatalf("SRM kept %d samples after cancel", len(got))
 	}
-	n := ops.Collector("c2").Len()
+	n := ops.Collector(inst.SAM.Objects(), "c2").Len()
 	time.Sleep(20 * time.Millisecond)
-	if ops.Collector("c2").Len() != n {
+	if ops.Collector(inst.SAM.Objects(), "c2").Len() != n {
 		t.Fatal("tuples still flowing after cancel")
 	}
 	if err := inst.SAM.CancelJob(jobID); err == nil {
@@ -146,7 +144,6 @@ func TestCancelJobStopsEverything(t *testing.T) {
 
 func TestPEFailureNotifiesOwnerAndRestartResumes(t *testing.T) {
 	inst := newInstance(t, "h1")
-	ops.ResetCollector("c3")
 	var mu sync.Mutex
 	var failures []sam.PEFailure
 	inst.SAM.AddListener("orca1", sam.Listener{
@@ -161,7 +158,7 @@ func TestPEFailureNotifiesOwnerAndRestartResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "flow", func() bool { return ops.Collector("c3").Len() > 3 })
+	waitCond(t, "flow", func() bool { return ops.Collector(inst.SAM.Objects(), "c3").Len() > 3 })
 
 	info, _ := inst.SAM.Job(jobID)
 	var sinkPE ids.PEID
@@ -188,11 +185,11 @@ func TestPEFailureNotifiesOwnerAndRestartResumes(t *testing.T) {
 		t.Fatalf("failure operators = %v", f.Operators)
 	}
 
-	n := ops.Collector("c3").Len()
+	n := ops.Collector(inst.SAM.Objects(), "c3").Len()
 	if err := inst.SAM.RestartPE(sinkPE); err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "flow after restart", func() bool { return ops.Collector("c3").Len() > n })
+	waitCond(t, "flow after restart", func() bool { return ops.Collector(inst.SAM.Objects(), "c3").Len() > n })
 	info, _ = inst.SAM.Job(jobID)
 	for _, p := range info.PEs {
 		if p.ID == sinkPE && (p.Restarts != 1 || p.State != "running") {
@@ -203,7 +200,6 @@ func TestPEFailureNotifiesOwnerAndRestartResumes(t *testing.T) {
 
 func TestAutoRestartFlag(t *testing.T) {
 	inst := newInstance(t, "h1")
-	ops.ResetCollector("c4")
 	app := pipelineApp(t, "Auto", "c4", 0)
 	for i := range app.PEs {
 		app.PEs[i].Restart = true
@@ -212,7 +208,7 @@ func TestAutoRestartFlag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "flow", func() bool { return ops.Collector("c4").Len() > 3 })
+	waitCond(t, "flow", func() bool { return ops.Collector(inst.SAM.Objects(), "c4").Len() > 3 })
 	info, _ := inst.SAM.Job(jobID)
 	var srcPE ids.PEID
 	for _, p := range info.PEs {
@@ -232,19 +228,18 @@ func TestAutoRestartFlag(t *testing.T) {
 		}
 		return false
 	})
-	n := ops.Collector("c4").Len()
-	waitCond(t, "flow after auto restart", func() bool { return ops.Collector("c4").Len() > n })
+	n := ops.Collector(inst.SAM.Objects(), "c4").Len()
+	waitCond(t, "flow after auto restart", func() bool { return ops.Collector(inst.SAM.Objects(), "c4").Len() > n })
 }
 
 func TestStopPE(t *testing.T) {
 	inst := newInstance(t, "h1")
-	ops.ResetCollector("c5")
 	app := pipelineApp(t, "Stop", "c5", 0)
 	jobID, err := inst.SAM.SubmitJob(app, sam.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "flow", func() bool { return ops.Collector("c5").Len() > 0 })
+	waitCond(t, "flow", func() bool { return ops.Collector(inst.SAM.Objects(), "c5").Len() > 0 })
 	info, _ := inst.SAM.Job(jobID)
 	var sinkPE ids.PEID
 	for _, p := range info.PEs {
@@ -271,7 +266,6 @@ func TestStopPE(t *testing.T) {
 
 func TestImportExportAcrossJobs(t *testing.T) {
 	inst := newInstance(t, "h1")
-	ops.ResetCollector("imp")
 
 	bx := compiler.NewApp("Exporter")
 	src := bx.AddOperator("src", ops.KindBeacon).Out(intS).Param("count", "0").Param("period", "200us")
@@ -296,15 +290,15 @@ func TestImportExportAcrossJobs(t *testing.T) {
 	if _, err = inst.SAM.SubmitJob(imApp, sam.SubmitOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "imported tuples", func() bool { return ops.Collector("imp").Len() > 3 })
+	waitCond(t, "imported tuples", func() bool { return ops.Collector(inst.SAM.Objects(), "imp").Len() > 3 })
 
 	// Cancelling the exporter must stop the flow without killing the importer.
 	if err := inst.SAM.CancelJob(exJob); err != nil {
 		t.Fatal(err)
 	}
-	n := ops.Collector("imp").Len()
+	n := ops.Collector(inst.SAM.Objects(), "imp").Len()
 	time.Sleep(20 * time.Millisecond)
-	if ops.Collector("imp").Len() != n {
+	if ops.Collector(inst.SAM.Objects(), "imp").Len() != n {
 		t.Fatal("import flow continued after exporter cancel")
 	}
 
@@ -312,7 +306,7 @@ func TestImportExportAcrossJobs(t *testing.T) {
 	if _, err := inst.SAM.SubmitJob(exApp, sam.SubmitOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "reconnected flow", func() bool { return ops.Collector("imp").Len() > n })
+	waitCond(t, "reconnected flow", func() bool { return ops.Collector(inst.SAM.Objects(), "imp").Len() > n })
 }
 
 func TestExclusivePoolsSeparateReplicas(t *testing.T) {
@@ -327,7 +321,6 @@ func TestExclusivePoolsSeparateReplicas(t *testing.T) {
 	}
 	usedHosts := map[string]bool{}
 	for i, name := range []string{"R0", "R1", "R2"} {
-		ops.ResetCollector("ex" + name)
 		jobID, err := inst.SAM.SubmitJob(mk(name, "ex"+name), sam.SubmitOptions{})
 		if err != nil {
 			t.Fatalf("replica %d: %v", i, err)
@@ -348,7 +341,6 @@ func TestExclusivePoolsSeparateReplicas(t *testing.T) {
 
 func TestSubmissionParamsReachOperators(t *testing.T) {
 	inst := newInstance(t, "h1")
-	ops.ResetCollector("par")
 	b := compiler.NewApp("Par")
 	src := b.AddOperator("src", ops.KindBeacon).Out(intS).Param("count", "{{n}}")
 	sink := b.AddOperator("sink", ops.KindCollectSink).In(intS).Param("collectorId", "par")
@@ -360,15 +352,14 @@ func TestSubmissionParamsReachOperators(t *testing.T) {
 	if _, err := inst.SAM.SubmitJob(app, sam.SubmitOptions{Params: map[string]string{"n": "7"}}); err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "final", func() bool { return ops.Collector("par").Finals() == 1 })
-	if got := ops.Collector("par").Len(); got != 7 {
+	waitCond(t, "final", func() bool { return ops.Collector(inst.SAM.Objects(), "par").Finals() == 1 })
+	if got := ops.Collector(inst.SAM.Objects(), "par").Len(); got != 7 {
 		t.Fatalf("submission param ignored: %d tuples", got)
 	}
 }
 
 func TestControlOperator(t *testing.T) {
 	inst := newInstance(t, "h1")
-	ops.ResetCollector("ctl")
 	b := compiler.NewApp("Ctl")
 	src := b.AddOperator("src", ops.KindBeacon).Out(intS).Param("count", "0").Param("period", "200us")
 	filt := b.AddOperator("filt", ops.KindDynamicFilter).In(intS).Out(intS).
@@ -384,14 +375,14 @@ func TestControlOperator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "flow", func() bool { return ops.Collector("ctl").Len() > 0 })
+	waitCond(t, "flow", func() bool { return ops.Collector(inst.SAM.Objects(), "ctl").Len() > 0 })
 	if err := inst.SAM.ControlOperator(jobID, "filt", "setPredicate",
 		map[string]string{"attr": "seq", "op": "lt", "value": "0"}); err != nil {
 		t.Fatal(err)
 	}
-	n := ops.Collector("ctl").Len()
+	n := ops.Collector(inst.SAM.Objects(), "ctl").Len()
 	time.Sleep(20 * time.Millisecond)
-	if got := ops.Collector("ctl").Len(); got > n+2 {
+	if got := ops.Collector(inst.SAM.Objects(), "ctl").Len(); got > n+2 {
 		t.Fatalf("control command did not throttle flow: %d -> %d", n, got)
 	}
 	if err := inst.SAM.ControlOperator(jobID, "ghost", "x", nil); err == nil {
@@ -404,7 +395,6 @@ func TestControlOperator(t *testing.T) {
 
 func TestJobsAndPlacementQueries(t *testing.T) {
 	inst := newInstance(t, "h1")
-	ops.ResetCollector("q")
 	app := pipelineApp(t, "Query", "q", 0)
 	jobID, err := inst.SAM.SubmitJob(app, sam.SubmitOptions{})
 	if err != nil {
@@ -431,7 +421,6 @@ func TestJobsAndPlacementQueries(t *testing.T) {
 
 func TestLinkCountTracksCancel(t *testing.T) {
 	inst := newInstance(t, "h1")
-	ops.ResetCollector("lc")
 	app := pipelineApp(t, "Links", "lc", 0) // 3 PEs -> 2 static links
 	jobID, err := inst.SAM.SubmitJob(app, sam.SubmitOptions{})
 	if err != nil {
@@ -457,12 +446,11 @@ func TestLinkCountTracksCancel(t *testing.T) {
 // tuple fails to encode.
 func TestCodecErrorDiscardsCounted(t *testing.T) {
 	inst := newInstance(t, "h1")
-	ops.ResetCollector("cx")
 	jobID, err := inst.SAM.SubmitJob(pipelineApp(t, "Codec", "cx", 5), sam.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "the beacon's 5 tuples at sink", func() bool { return ops.Collector("cx").Len() == 5 })
+	waitCond(t, "the beacon's 5 tuples at sink", func() bool { return ops.Collector(inst.SAM.Objects(), "cx").Len() == 5 })
 
 	wide := tuple.MustSchema(
 		tuple.Attribute{Name: "seq", Type: tuple.Int},
@@ -490,7 +478,7 @@ func TestCodecErrorDiscardsCounted(t *testing.T) {
 			t.Fatalf("PE of %s: %s = %d, want %d", p.Operators[0], metrics.PETuplesDroppedCodec, got, want)
 		}
 	}
-	if got := ops.Collector("cx").Len(); got != 5 {
+	if got := ops.Collector(inst.SAM.Objects(), "cx").Len(); got != 5 {
 		t.Fatalf("sink saw %d tuples, want the beacon's 5 and none of the discarded", got)
 	}
 }
@@ -512,13 +500,12 @@ func TestCheckpointAgeMetricFlowsThroughSRM(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(inst.Close)
-	ops.ResetCollector("age")
 	app := pipelineApp(t, "Age", "age", 0)
 	jobID, err := inst.SAM.SubmitJob(app, sam.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "flow", func() bool { return ops.Collector("age").Len() > 3 })
+	waitCond(t, "flow", func() bool { return ops.Collector(inst.SAM.Objects(), "age").Len() > 3 })
 
 	ages := func() map[ids.PEID]int64 {
 		inst.FlushMetrics()
@@ -611,7 +598,6 @@ func restartJournal(s *sam.SAM, id ids.PEID) []sam.AttemptRecord {
 func TestRestartRetriesUntilHostReturns(t *testing.T) {
 	retry := sam.RetryPolicy{MaxAttempts: 40, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}
 	inst := newRetryInstance(t, retry, nil, "h1")
-	ops.ResetCollector("rr1")
 	app := pipelineApp(t, "RetryHost", "rr1", 0)
 	jobID, err := inst.SAM.SubmitJob(app, sam.SubmitOptions{})
 	if err != nil {
@@ -668,7 +654,6 @@ func TestRestartExhaustionMarksUnplaceable(t *testing.T) {
 			mu.Unlock()
 		}
 	}})
-	ops.ResetCollector("rr2")
 	app := pipelineApp(t, "RetryExhaust", "rr2", 0)
 	jobID, err := inst.SAM.SubmitJob(app, sam.SubmitOptions{Owner: "orc"})
 	if err != nil {
@@ -740,7 +725,6 @@ func TestCheckpointRetriesInjectedStoreFaults(t *testing.T) {
 	store := ckpt.NewFaultStore(ckpt.NewMemStore(), nil)
 	retry := sam.RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond}
 	inst := newRetryInstance(t, retry, store, "h1")
-	ops.ResetCollector("rr3")
 	app := pipelineApp(t, "RetryCkpt", "rr3", 0)
 	jobID, err := inst.SAM.SubmitJob(app, sam.SubmitOptions{})
 	if err != nil {

@@ -108,12 +108,11 @@ func TestPublicOrchestrationSurface(t *testing.T) {
 		return policy.started
 	})
 
-	streams.Collector("orca-public").Reset()
 	job, err := svc.SubmitApplication("papp", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "flow", func() bool { return streams.Collector("orca-public").Len() > 3 })
+	waitFor(t, "flow", func() bool { return streams.Collector(inst, "orca-public").Len() > 3 })
 
 	// Inspection through the facade.
 	g, ok := svc.Graph(job)

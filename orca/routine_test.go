@@ -75,7 +75,6 @@ func TestPublicRoutineSurface(t *testing.T) {
 	if err := svc.RegisterApplication(app); err != nil {
 		t.Fatal(err)
 	}
-	streams.Collector("orca-routine").Reset()
 	if err := svc.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +86,7 @@ func TestPublicRoutineSurface(t *testing.T) {
 	if len(jobs) != 1 || jobs[0].App != "rapp" {
 		t.Fatalf("managed jobs after Start = %+v", jobs)
 	}
-	waitFor(t, "flow", func() bool { return streams.Collector("orca-routine").Len() > 3 })
+	waitFor(t, "flow", func() bool { return streams.Collector(inst, "orca-routine").Len() > 3 })
 
 	// Debounce: the first bump is absorbed, the second fires.
 	svc.RaiseUserEvent("bump", nil)

@@ -311,13 +311,17 @@ type ManualClock = vclock.Manual
 // NewManualClock returns a deterministic clock positioned at start.
 func NewManualClock(start time.Time) *ManualClock { return vclock.NewManual(start) }
 
-// Collector returns the named output collection written by CollectSink
-// operators.
-func Collector(id string) *ops.Collection { return ops.Collector(id) }
+// Collector returns the named output collection that CollectSink
+// operators of the instance write. Collections, injectors and meters
+// belong to the instance they are reached through: two instances in one
+// process never share one.
+func Collector(inst *Instance, id string) *ops.Collection {
+	return ops.Collector(inst.SAM.Objects(), id)
+}
 
 // Load generation and latency measurement: external drivers push tuples
 // into a running application through a "LoadSource" operator (resolved
-// from the injector registry by its injectorId parameter) and a
+// from the instance's injectors by its injectorId parameter) and a
 // "LatencySink" operator records source-to-sink latency from a
 // Timestamp attribute stamped at injection. See the root package doc's
 // "Load generation and latency measurement" section.
@@ -346,15 +350,16 @@ type (
 // NewLatencyHistogram returns an empty latency histogram.
 func NewLatencyHistogram() *LatencyHistogram { return load.NewHistogram() }
 
-// LoadInjectorFor returns the process-global injector with the given
-// id, shared with the LoadSource operator configured with the same
+// LoadInjectorFor returns the instance's injector with the given id,
+// shared with the LoadSource operator configured with the same
 // injectorId.
-func LoadInjectorFor(id string) *LoadInjector { return load.InjectorFor(id) }
+func LoadInjectorFor(inst *Instance, id string) *LoadInjector {
+	return load.InjectorIn(inst.SAM.Objects(), id)
+}
 
-// LoadMeterFor returns the process-global meter with the given id,
-// shared with the LatencySink operator configured with the same
-// meterId.
-func LoadMeterFor(id string) *LoadMeter { return load.MeterFor(id) }
+// LoadMeterFor returns the instance's meter with the given id, shared
+// with the LatencySink operator configured with the same meterId.
+func LoadMeterFor(inst *Instance, id string) *LoadMeter { return load.MeterIn(inst.SAM.Objects(), id) }
 
 // RunOpenLoop drives an injector at a constant offered rate,
 // coordinated-omission-correctly.

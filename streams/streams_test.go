@@ -68,15 +68,15 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatalf("FuseNone produced %d PEs", len(app.PEs))
 	}
 
-	streams.Collector("public-out").Reset()
 	publicOpCount.Store(0)
 	job, err := inst.SAM.SubmitJob(app, streams.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "completion", func() bool { return streams.Collector("public-out").Finals() == 1 })
-	if streams.Collector("public-out").Len() != 25 || publicOpCount.Load() != 25 {
-		t.Fatalf("tuples: sink=%d custom=%d", streams.Collector("public-out").Len(), publicOpCount.Load())
+	out := streams.Collector(inst, "public-out")
+	waitFor(t, "completion", func() bool { return out.Finals() == 1 })
+	if out.Len() != 25 || publicOpCount.Load() != 25 {
+		t.Fatalf("tuples: sink=%d custom=%d", out.Len(), publicOpCount.Load())
 	}
 	info, ok := inst.SAM.Job(job)
 	if !ok || info.App != "public" {
@@ -273,14 +273,14 @@ func TestCheckpointStorePublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	streams.Collector("public-ckpt").Reset()
 	publicRestored.Store(0)
 	job, err := inst.SAM.SubmitJob(app, streams.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = inst.SAM.CancelJob(job) }()
-	waitFor(t, "flow", func() bool { return streams.Collector("public-ckpt").Len() > 20 })
+	coll := streams.Collector(inst, "public-ckpt")
+	waitFor(t, "flow", func() bool { return coll.Len() > 20 })
 
 	var midPE streams.PEID
 	info, _ := inst.SAM.Job(job)
@@ -312,6 +312,6 @@ func TestCheckpointStorePublicAPI(t *testing.T) {
 	if publicRestored.Load() <= 0 {
 		t.Fatalf("restored total = %d", publicRestored.Load())
 	}
-	n := streams.Collector("public-ckpt").Len()
-	waitFor(t, "flow after restore", func() bool { return streams.Collector("public-ckpt").Len() > n })
+	n := coll.Len()
+	waitFor(t, "flow after restore", func() bool { return coll.Len() > n })
 }
