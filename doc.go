@@ -65,7 +65,7 @@
 // buffered outputs are discarded rather than forwarded — restart-based
 // recovery replays from upstream, and forwarding the partial effects would
 // double-deliver them — the PE crashes, and the chunk and everything
-// queued behind it is logged and counted on nTuplesDropped, as is every
+// queued behind it is journalled and counted on nTuplesDropped, as is every
 // tuple offered to an operator that has finalised or a container that has
 // died. The hot built-ins (Functor, Filter, Aggregate ingest, CountSink,
 // LatencySink) implement the interface with tight column-slice loops; the
@@ -146,7 +146,7 @@
 // operator's own synchronisation for sources — but not consistent
 // across operators or PEs. A corrupt, truncated, or version-skewed
 // snapshot is detected (bad magic, CRC mismatch, version check),
-// logged, and discarded: a bad snapshot never blocks a restart, it just
+// journalled, and discarded: a bad snapshot never blocks a restart, it just
 // makes the restart cold. Cancelling a job deletes its snapshots.
 //
 // # Checkpoint-aware failover
@@ -216,7 +216,8 @@
 // budgets. Actuation resilience comes from streams.RetryPolicy
 // (InstanceOptions.Retry): SAM's RestartPE and CheckpointPE retry
 // transient failures with exponential backoff and seeded jitter,
-// journalling every attempt (SAM.AttemptJournal), and a PE whose retry
+// journalling every attempt in the instance's event ring (SAM.Journal,
+// internal/journal), and a PE whose retry
 // budget is exhausted is marked unplaceable and announced through a
 // degradation PEFailure event (its Reason starts with
 // sam.RestartAbandoned; handlers test PEFailureContext.Abandoned)

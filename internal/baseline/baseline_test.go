@@ -106,7 +106,6 @@ func (c *detectorCtx) InputSchema(int) *tuple.Schema        { return apps.CauseS
 func (c *detectorCtx) OutputSchema(int) *tuple.Schema       { return TriggerSchema }
 func (c *detectorCtx) Clock() vclock.Clock                  { return vclock.Real() }
 func (c *detectorCtx) Done() <-chan struct{}                { return nil }
-func (c *detectorCtx) Logf(string, ...any)                  {}
 func (c *detectorCtx) CustomMetric(string) *metrics.Counter { return &metrics.Counter{} }
 
 func (c *detectorCtx) Submit(int, tuple.Tuple) error {

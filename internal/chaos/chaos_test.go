@@ -1,6 +1,7 @@
 package chaos_test
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -134,7 +135,7 @@ func newChaosInstance(t *testing.T, hosts ...string) *platform.Instance {
 func TestRunnerHostAndStoreEvents(t *testing.T) {
 	inst := newChaosInstance(t, "h1", "h2")
 	store := ckpt.NewFaultStore(ckpt.NewMemStore(), nil)
-	r := &chaos.Runner{Cluster: inst.Cluster, SAM: inst.SAM, Store: store, Logf: t.Logf}
+	r := &chaos.Runner{Cluster: inst.Cluster, SAM: inst.SAM, Store: store}
 	rep := r.Run(chaos.Schedule{Events: []chaos.Event{
 		{Offset: 0, Kind: chaos.KillHost, Target: 0},
 		{Offset: time.Millisecond, Kind: chaos.KillHost, Target: 1}, // last live host: skipped
@@ -145,6 +146,16 @@ func TestRunnerHostAndStoreEvents(t *testing.T) {
 	}})
 	if rep.Applied != 4 || rep.Skipped != 2 {
 		t.Fatalf("report = %+v", rep)
+	}
+	// Every event is journalled; a skipped one says why.
+	var skipped []string
+	for _, e := range inst.SAM.Journal().Events() {
+		if e.Source == "chaos" && e.Err != "" {
+			skipped = append(skipped, e.Action+": "+e.Err)
+		}
+	}
+	if want := []string{"kill-host: last live host", "revive-host: already up"}; !slices.Equal(skipped, want) {
+		t.Fatalf("journalled skips = %q, want %q", skipped, want)
 	}
 	if !inst.Cluster.HostUp("h1") || !inst.Cluster.HostUp("h2") {
 		t.Fatal("hosts not all up after kill+revive")
@@ -166,7 +177,7 @@ func TestRunnerKillsPE(t *testing.T) {
 	if _, err := inst.SAM.SubmitJob(chaosApp(t, "ChaosKill", "chaos-runner"), sam.SubmitOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	r := &chaos.Runner{Cluster: inst.Cluster, SAM: inst.SAM, Logf: t.Logf}
+	r := &chaos.Runner{Cluster: inst.Cluster, SAM: inst.SAM}
 	rep := r.Run(chaos.Schedule{Events: []chaos.Event{
 		{Offset: 0, Kind: chaos.KillPE, Target: 1},
 	}})

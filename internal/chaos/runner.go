@@ -8,6 +8,7 @@ import (
 	"streamorca/internal/ckpt"
 	"streamorca/internal/cluster"
 	"streamorca/internal/ids"
+	"streamorca/internal/journal"
 	"streamorca/internal/sam"
 	"streamorca/internal/vclock"
 )
@@ -20,12 +21,11 @@ type Runner struct {
 	Clock vclock.Clock
 	// Cluster receives host kills, revivals, and metric delays.
 	Cluster *cluster.Cluster
-	// SAM resolves and kills PE targets.
+	// SAM resolves and kills PE targets; Run journals every event in
+	// its ring.
 	SAM *sam.SAM
 	// Store receives the Ckpt* fault arms; nil skips those events.
 	Store *ckpt.FaultStore
-	// Logf receives one line per applied event; nil discards them.
-	Logf func(format string, args ...any)
 }
 
 // killWait bounds how long a KillPE event waits for its target to be
@@ -46,17 +46,14 @@ type Report struct {
 }
 
 // Run fires every event of the schedule in order, sleeping the
-// inter-event gaps on the runner clock, and returns what was applied.
-// It blocks until the last event fired; run it from its own goroutine
-// to overlap with the workload.
+// inter-event gaps on the runner clock, journals each one under Source
+// "chaos" in the SAM's ring (Err says why a skipped event did not take
+// effect), and returns what was applied. It blocks until the last event
+// fired; run it from its own goroutine to overlap with the workload.
 func (r *Runner) Run(s Schedule) *Report {
 	clock := r.Clock
 	if clock == nil {
 		clock = vclock.Real()
-	}
-	logf := r.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
 	}
 	rep := &Report{PerKind: make(map[Kind]int)}
 	start := clock.Now()
@@ -64,94 +61,94 @@ func (r *Runner) Run(s Schedule) *Report {
 		if wait := ev.Offset - clock.Now().Sub(start); wait > 0 {
 			clock.Sleep(wait)
 		}
-		applied, detail := r.apply(ev, i, clock)
-		if applied {
+		e := r.apply(ev, i, clock)
+		e.Source, e.Action, e.Note = "chaos", ev.Kind.String(), ev.String()
+		r.SAM.Journal().Add(e)
+		if e.Err == "" {
 			rep.Applied++
 			rep.PerKind[ev.Kind]++
-			logf("chaos: event %d applied: %s%s", i, ev, detail)
 		} else {
 			rep.Skipped++
-			logf("chaos: event %d skipped: %s%s", i, ev, detail)
 		}
 	}
 	return rep
 }
 
-// apply fires one event, reporting whether it took effect and a detail
-// suffix for the log line.
-func (r *Runner) apply(ev Event, i int, clock vclock.Clock) (bool, string) {
+// apply fires one event and returns its journal entry: the target it
+// hit, or in Err why it did not take effect.
+func (r *Runner) apply(ev Event, i int, clock vclock.Clock) journal.Event {
 	switch ev.Kind {
 	case KillPE:
 		id, ok := r.resolvePE(ev.Target, clock)
 		if !ok {
-			return false, " (no running PE)"
+			return journal.Event{Err: "no running PE"}
 		}
 		if err := r.SAM.KillPE(id, fmt.Sprintf("chaos: injected PE kill (event %d)", i)); err != nil {
-			return false, fmt.Sprintf(" (%v)", err)
+			return journal.Event{Err: err.Error()}
 		}
-		return true, fmt.Sprintf(" -> %s", id)
+		return journal.Event{PE: id}
 	case KillHost:
 		name, ok := r.hostName(ev.Target)
 		if !ok {
-			return false, " (no such host)"
+			return journal.Event{Err: "no such host"}
 		}
 		if !r.Cluster.HostUp(name) {
-			return false, " (already down)"
+			return journal.Event{Err: "already down"}
 		}
 		if r.upHosts() <= 1 {
-			return false, " (last live host)"
+			return journal.Event{Err: "last live host"}
 		}
 		if err := r.Cluster.KillHost(name); err != nil {
-			return false, fmt.Sprintf(" (%v)", err)
+			return journal.Event{Err: err.Error()}
 		}
-		return true, fmt.Sprintf(" -> %s", name)
+		return journal.Event{Target: name}
 	case ReviveHost:
 		name, ok := r.hostName(ev.Target)
 		if !ok {
-			return false, " (no such host)"
+			return journal.Event{Err: "no such host"}
 		}
 		if r.Cluster.HostUp(name) {
-			return false, " (already up)"
+			return journal.Event{Err: "already up"}
 		}
 		if err := r.Cluster.ReviveHost(name); err != nil {
-			return false, fmt.Sprintf(" (%v)", err)
+			return journal.Event{Err: err.Error()}
 		}
-		return true, fmt.Sprintf(" -> %s", name)
+		return journal.Event{Target: name}
 	case MetricDelay:
 		name, ok := r.hostName(ev.Target)
 		if !ok {
-			return false, " (no such host)"
+			return journal.Event{Err: "no such host"}
 		}
 		if err := r.Cluster.DelayMetrics(name, ev.Amount); err != nil {
-			return false, fmt.Sprintf(" (%v)", err)
+			return journal.Event{Err: err.Error()}
 		}
-		return true, fmt.Sprintf(" -> %s", name)
+		return journal.Event{Target: name}
 	case CkptFail:
 		if r.Store == nil {
-			return false, " (no fault store)"
+			return journal.Event{Err: "no fault store"}
 		}
 		r.Store.FailSaves(1)
-		return true, ""
+		return journal.Event{}
 	case CkptTear:
 		if r.Store == nil {
-			return false, " (no fault store)"
+			return journal.Event{Err: "no fault store"}
 		}
 		r.Store.TearSaves(1)
-		return true, ""
+		return journal.Event{}
 	case CkptDrop:
 		if r.Store == nil {
-			return false, " (no fault store)"
+			return journal.Event{Err: "no fault store"}
 		}
 		r.Store.DropSaves(1)
-		return true, ""
+		return journal.Event{}
 	case CkptLatency:
 		if r.Store == nil {
-			return false, " (no fault store)"
+			return journal.Event{Err: "no fault store"}
 		}
 		r.Store.SetLatency(ev.Amount)
-		return true, ""
+		return journal.Event{}
 	default:
-		return false, " (unknown kind)"
+		return journal.Event{Err: "unknown kind"}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"streamorca/internal/compiler"
 	"streamorca/internal/graph"
 	"streamorca/internal/ids"
+	"streamorca/internal/journal"
 	"streamorca/internal/sam"
 )
 
@@ -31,7 +32,7 @@ func (s *Service) submitInternal(appName string, params map[string]string, confi
 		return ids.InvalidJob, fmt.Errorf("core: application %q is not registered with orchestrator %q", appName, s.cfg.Name)
 	}
 	job, err := s.cfg.SAM.SubmitJob(app, sam.SubmitOptions{Params: params, Owner: s.cfg.Name})
-	s.recordActuation("SubmitApplication", appName, err)
+	s.record(journal.Event{Action: "SubmitApplication", Job: job, Target: appName}, err)
 	if err != nil {
 		return ids.InvalidJob, err
 	}
@@ -61,12 +62,12 @@ func (s *Service) cancelInternal(job ids.JobID, configID string) error {
 	g, ok := s.graphs[job]
 	s.mu.Unlock()
 	if !ok {
-		s.recordActuation("CancelJob", job.String(), ErrUnmanagedJob)
+		s.record(journal.Event{Action: "CancelJob", Job: job}, ErrUnmanagedJob)
 		return ErrUnmanagedJob
 	}
 	appName := g.App()
 	err := s.cfg.SAM.CancelJob(job)
-	s.recordActuation("CancelJob", job.String(), err)
+	s.record(journal.Event{Action: "CancelJob", Job: job, Target: appName}, err)
 	if err != nil {
 		return err
 	}
@@ -89,11 +90,11 @@ func (s *Service) cancelInternal(job ids.JobID, configID string) error {
 // §5.2).
 func (s *Service) RestartPE(pe ids.PEID) error {
 	if s.graphOfPE(pe) == nil {
-		s.recordActuation("RestartPE", pe.String(), ErrUnmanagedJob)
+		s.record(journal.Event{Action: "RestartPE", PE: pe}, ErrUnmanagedJob)
 		return ErrUnmanagedJob
 	}
 	err := s.cfg.SAM.RestartPE(pe)
-	s.recordActuation("RestartPE", pe.String(), err)
+	s.record(journal.Event{Action: "RestartPE", PE: pe}, err)
 	return err
 }
 
@@ -104,22 +105,22 @@ func (s *Service) RestartPE(pe ids.PEID) error {
 // the platform runs without a checkpoint store.
 func (s *Service) CheckpointPE(pe ids.PEID) error {
 	if s.graphOfPE(pe) == nil {
-		s.recordActuation("CheckpointPE", pe.String(), ErrUnmanagedJob)
+		s.record(journal.Event{Action: "CheckpointPE", PE: pe}, ErrUnmanagedJob)
 		return ErrUnmanagedJob
 	}
 	err := s.cfg.SAM.CheckpointPE(pe)
-	s.recordActuation("CheckpointPE", pe.String(), err)
+	s.record(journal.Event{Action: "CheckpointPE", PE: pe}, err)
 	return err
 }
 
 // StopPE stops a PE of a managed job without restarting it.
 func (s *Service) StopPE(pe ids.PEID) error {
 	if s.graphOfPE(pe) == nil {
-		s.recordActuation("StopPE", pe.String(), ErrUnmanagedJob)
+		s.record(journal.Event{Action: "StopPE", PE: pe}, ErrUnmanagedJob)
 		return ErrUnmanagedJob
 	}
 	err := s.cfg.SAM.StopPE(pe)
-	s.recordActuation("StopPE", pe.String(), err)
+	s.record(journal.Event{Action: "StopPE", PE: pe}, err)
 	return err
 }
 
@@ -127,11 +128,11 @@ func (s *Service) StopPE(pe ids.PEID) error {
 // tests and experiments).
 func (s *Service) KillPE(pe ids.PEID, reason string) error {
 	if s.graphOfPE(pe) == nil {
-		s.recordActuation("KillPE", pe.String(), ErrUnmanagedJob)
+		s.record(journal.Event{Action: "KillPE", PE: pe}, ErrUnmanagedJob)
 		return ErrUnmanagedJob
 	}
 	err := s.cfg.SAM.KillPE(pe, reason)
-	s.recordActuation("KillPE", pe.String(), err)
+	s.record(journal.Event{Action: "KillPE", PE: pe}, err)
 	return err
 }
 
@@ -145,16 +146,16 @@ func (s *Service) KillPE(pe ids.PEID, reason string) error {
 // actuation, the call is journalled under the current event's
 // transaction id.
 func (s *Service) ResizeRegion(job ids.JobID, region string, width int) error {
-	target := fmt.Sprintf("%s/%s->%d", job, region, width)
+	ev := journal.Event{Action: "ResizeRegion", Job: job, Target: region, Note: fmt.Sprintf("width %d", width)}
 	if !s.manages(job) {
-		s.recordActuation("ResizeRegion", target, ErrUnmanagedJob)
+		s.record(ev, ErrUnmanagedJob)
 		return ErrUnmanagedJob
 	}
 	err := s.cfg.SAM.ResizeRegion(job, region, width)
-	s.recordActuation("ResizeRegion", target, err)
+	s.record(ev, err)
 	g, gerr := s.buildGraph(job)
 	if gerr != nil {
-		s.cfg.Logf("core: rebuild graph after resize of %s: %v", job, gerr)
+		s.record(journal.Event{Action: "rebuild-graph", Job: job}, gerr)
 		return err
 	}
 	s.mu.Lock()
@@ -186,11 +187,11 @@ func (s *Service) RegionWidth(job ids.JobID, region string) (int, bool) {
 // job.
 func (s *Service) ControlOperator(job ids.JobID, opName, cmd string, args map[string]string) error {
 	if !s.manages(job) {
-		s.recordActuation("ControlOperator", opName, ErrUnmanagedJob)
+		s.record(journal.Event{Action: "ControlOperator", Job: job, Target: opName}, ErrUnmanagedJob)
 		return ErrUnmanagedJob
 	}
 	err := s.cfg.SAM.ControlOperator(job, opName, cmd, args)
-	s.recordActuation("ControlOperator", opName, err)
+	s.record(journal.Event{Action: "ControlOperator", Job: job, Target: opName}, err)
 	return err
 }
 
@@ -204,11 +205,11 @@ func (s *Service) MakeExclusiveHostPools(appName string) error {
 	app, ok := s.apps[appName]
 	if !ok {
 		err := fmt.Errorf("core: application %q is not registered", appName)
-		s.recordActuation("MakeExclusiveHostPools", appName, err)
+		s.record(journal.Event{Action: "MakeExclusiveHostPools", Target: appName}, err)
 		return err
 	}
 	app.MakeExclusive()
-	s.recordActuation("MakeExclusiveHostPools", appName, nil)
+	s.record(journal.Event{Action: "MakeExclusiveHostPools", Target: appName}, nil)
 	return nil
 }
 
@@ -223,11 +224,11 @@ func (s *Service) RepartitionApplication(appName string, opts compiler.Options) 
 	app, ok := s.apps[appName]
 	if !ok {
 		err := fmt.Errorf("core: application %q is not registered", appName)
-		s.recordActuation("RepartitionApplication", appName, err)
+		s.record(journal.Event{Action: "RepartitionApplication", Target: appName}, err)
 		return err
 	}
 	rewritten, err := compiler.Repartition(app, opts)
-	s.recordActuation("RepartitionApplication", appName, err)
+	s.record(journal.Event{Action: "RepartitionApplication", Target: appName}, err)
 	if err != nil {
 		return err
 	}

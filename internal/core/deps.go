@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"streamorca/internal/ids"
+	"streamorca/internal/journal"
 	"streamorca/internal/vclock"
 )
 
@@ -188,11 +189,11 @@ func (s *Service) StartApp(configID string) error {
 	for {
 		id, wait, done, err := dm.nextSubmission(configID, needed, edges)
 		if err != nil {
-			s.recordActuation("StartApp", configID, err)
+			s.record(journal.Event{Action: "StartApp", Target: configID}, err)
 			return err
 		}
 		if done {
-			s.recordActuation("StartApp", configID, nil)
+			s.record(journal.Event{Action: "StartApp", Target: configID}, nil)
 			return nil
 		}
 		if wait > 0 {
@@ -319,7 +320,7 @@ func (s *Service) StopApp(configID string) error {
 	dm.mu.Unlock()
 
 	err := s.cancelInternal(job, configID)
-	s.recordActuation("StopApp", configID, err)
+	s.record(journal.Event{Action: "StopApp", Job: job, Target: configID}, err)
 	if err != nil {
 		return err
 	}
@@ -385,7 +386,7 @@ func (dm *depManager) gcFire(id string) {
 	dm.mu.Unlock()
 
 	if err := dm.svc.cancelInternal(job, id); err != nil {
-		dm.svc.cfg.Logf("orca %s: gc cancel %s: %v", dm.svc.cfg.Name, id, err)
+		dm.svc.record(journal.Event{Action: "gc-cancel", Job: job, Target: id}, err)
 		return
 	}
 	dm.collectGarbageFrom(id)

@@ -72,6 +72,20 @@ func (k EventKind) String() string {
 	}
 }
 
+// Tx carries an event's delivery transaction id, embedded in every
+// event context.
+type Tx struct {
+	// TxID is a per-service, monotonically increasing sequence assigned
+	// at delivery (§7's reliable-delivery extension). Actuations invoked
+	// from the handler are journalled under this id.
+	TxID uint64
+}
+
+func (t *Tx) setTx(id uint64) { t.TxID = id }
+
+// txContext is what every event context is: something assignTx stamps.
+type txContext interface{ setTx(uint64) }
+
 // OrcaStartContext accompanies the start notification — the only event
 // that is always in scope (§4.1).
 type OrcaStartContext struct {
@@ -79,11 +93,7 @@ type OrcaStartContext struct {
 	Name string
 	// At is the service start time.
 	At time.Time
-	// TxID is the event's delivery transaction id — a per-service,
-	// monotonically increasing sequence assigned at delivery (§7's
-	// reliable-delivery extension). Actuations invoked from the handler
-	// are journalled under this id.
-	TxID uint64
+	Tx
 }
 
 // OperatorMetricContext describes one operator metric observation. Epoch
@@ -101,11 +111,7 @@ type OperatorMetricContext struct {
 	Value        int64
 	Epoch        uint64
 	At           time.Time
-	// TxID is the event's delivery transaction id — a per-service,
-	// monotonically increasing sequence assigned at delivery (§7's
-	// reliable-delivery extension). Actuations invoked from the handler
-	// are journalled under this id.
-	TxID uint64
+	Tx
 }
 
 // PEMetricContext describes one PE-scoped metric observation.
@@ -117,11 +123,7 @@ type PEMetricContext struct {
 	Value  int64
 	Epoch  uint64
 	At     time.Time
-	// TxID is the event's delivery transaction id — a per-service,
-	// monotonically increasing sequence assigned at delivery (§7's
-	// reliable-delivery extension). Actuations invoked from the handler
-	// are journalled under this id.
-	TxID uint64
+	Tx
 }
 
 // PortMetricContext describes one operator-port metric observation.
@@ -137,11 +139,7 @@ type PortMetricContext struct {
 	Value        int64
 	Epoch        uint64
 	At           time.Time
-	// TxID is the event's delivery transaction id — a per-service,
-	// monotonically increasing sequence assigned at delivery (§7's
-	// reliable-delivery extension). Actuations invoked from the handler
-	// are journalled under this id.
-	TxID uint64
+	Tx
 }
 
 // PEFailureContext describes a PE crash pushed from SAM. All failures
@@ -156,11 +154,7 @@ type PEFailureContext struct {
 	Operators []string // fused operators resident in the failed PE
 	Epoch     uint64
 	At        time.Time
-	// TxID is the event's delivery transaction id — a per-service,
-	// monotonically increasing sequence assigned at delivery (§7's
-	// reliable-delivery extension). Actuations invoked from the handler
-	// are journalled under this id.
-	TxID uint64
+	Tx
 }
 
 // Abandoned reports whether the event is SAM's degradation notification
@@ -177,11 +171,7 @@ type HostFailureContext struct {
 	Host  string
 	Epoch uint64
 	At    time.Time
-	// TxID is the event's delivery transaction id — a per-service,
-	// monotonically increasing sequence assigned at delivery (§7's
-	// reliable-delivery extension). Actuations invoked from the handler
-	// are journalled under this id.
-	TxID uint64
+	Tx
 }
 
 // JobContext accompanies job submission and cancellation events. ConfigID
@@ -197,22 +187,14 @@ type JobContext struct {
 	// apart without registering one scope per direction.
 	Cancelled bool
 	At        time.Time
-	// TxID is the event's delivery transaction id — a per-service,
-	// monotonically increasing sequence assigned at delivery (§7's
-	// reliable-delivery extension). Actuations invoked from the handler
-	// are journalled under this id.
-	TxID uint64
+	Tx
 }
 
 // TimerContext accompanies timer-expiration events.
 type TimerContext struct {
 	Name string
 	At   time.Time
-	// TxID is the event's delivery transaction id — a per-service,
-	// monotonically increasing sequence assigned at delivery (§7's
-	// reliable-delivery extension). Actuations invoked from the handler
-	// are journalled under this id.
-	TxID uint64
+	Tx
 }
 
 // UserEventContext accompanies user-generated events raised through the
@@ -221,11 +203,7 @@ type UserEventContext struct {
 	Name    string
 	Payload map[string]string
 	At      time.Time
-	// TxID is the event's delivery transaction id — a per-service,
-	// monotonically increasing sequence assigned at delivery (§7's
-	// reliable-delivery extension). Actuations invoked from the handler
-	// are journalled under this id.
-	TxID uint64
+	Tx
 }
 
 // eventData is the neutral representation the scope matcher operates on;
@@ -243,7 +221,7 @@ type eventData struct {
 	metric       string
 	custom       bool
 	name         string // timer or user event name
-	ctx          any
+	ctx          txContext
 }
 
 // delivered is one queued event with the subscriptions it matched.

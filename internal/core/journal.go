@@ -1,75 +1,29 @@
 package core
 
 import (
-	"fmt"
-	"sync"
-	"time"
+	"slices"
+
+	"streamorca/internal/journal"
 )
 
 // This file implements the paper's §7 fault-tolerance extension: every
 // delivered event carries a transaction id, and every actuation performed
-// through the ORCA service is journalled together with the transaction id
-// of the event whose handler issued it. With the journal, event delivery
-// becomes auditable and actuations become replayable: after an
-// orchestrator restart, the last journalled transaction id tells exactly
-// which event handling completed its side effects.
+// through the ORCA service is journalled — in the platform instance's
+// event ring, under the orchestrator's name — together with the
+// transaction id of the event whose handler issued it. With the journal,
+// event delivery becomes auditable and actuations become replayable:
+// after an orchestrator restart, the last journalled transaction id tells
+// exactly which event handling completed its side effects.
 
-// ActuationRecord is one journalled actuation.
-type ActuationRecord struct {
-	// Seq is the journal position (1-based, monotonically increasing).
-	Seq uint64
-	// TxID is the transaction id of the event being handled when the
-	// actuation was issued; 0 when the actuation came from outside a
-	// handler (e.g. a background submission thread).
-	TxID uint64
-	// Action names the actuation (e.g. "SubmitApplication").
-	Action string
-	// Target describes what was acted on (application, job, PE...).
-	Target string
-	// Err is the actuation's error message, "" on success.
-	Err string
-	// At is the actuation time.
-	At time.Time
-}
-
-// journal stores actuation records; it keeps the most recent maxJournal
-// entries.
-type journal struct {
-	mu      sync.Mutex
-	seq     uint64
-	entries []ActuationRecord
-	limit   int
-}
-
-// maxJournal bounds in-memory journal growth.
-const maxJournal = 4096
-
-func newJournal() *journal { return &journal{limit: maxJournal} }
-
-func (j *journal) record(txID uint64, action, target string, err error, at time.Time) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.seq++
-	rec := ActuationRecord{Seq: j.seq, TxID: txID, Action: action, Target: target, At: at}
-	if err != nil {
-		rec.Err = err.Error()
-	}
-	j.entries = append(j.entries, rec)
-	if len(j.entries) > j.limit {
-		j.entries = j.entries[len(j.entries)-j.limit:]
-	}
-}
-
-func (j *journal) snapshot() []ActuationRecord {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return append([]ActuationRecord(nil), j.entries...)
-}
-
-// ActuationJournal returns the recorded actuations, oldest first (up to
-// the retention limit).
-func (s *Service) ActuationJournal() []ActuationRecord {
-	return s.journal.snapshot()
+// ActuationJournal returns what this orchestrator journalled, oldest
+// first: its actuations, and the handler errors and panics it contained.
+// It is the platform ring (sam.SAM.Journal) filtered on Source == Name,
+// so it keeps at most journal.Limit events, fewer when the platform
+// wrote some of the latest.
+func (s *Service) ActuationJournal() []journal.Event {
+	return slices.DeleteFunc(s.cfg.SAM.Journal().Events(), func(e journal.Event) bool {
+		return e.Source != s.cfg.Name
+	})
 }
 
 // CurrentTxID returns the transaction id of the event currently being
@@ -77,36 +31,20 @@ func (s *Service) ActuationJournal() []ActuationRecord {
 // its own state to make adaptation decisions replay-safe.
 func (s *Service) CurrentTxID() uint64 { return s.currentTx.Load() }
 
-// recordActuation journals one actuation under the current transaction.
-func (s *Service) recordActuation(action, target string, err error) {
-	s.journal.record(s.currentTx.Load(), action, target, err, s.clock.Now())
+// record journals one event of this orchestrator under the current
+// transaction, failed when err is non-nil.
+func (s *Service) record(e journal.Event, err error) {
+	e.Source, e.TxID = s.cfg.Name, s.currentTx.Load()
+	if err != nil {
+		e.Err = err.Error()
+	}
+	s.cfg.SAM.Journal().Add(e)
 }
 
 // assignTx stamps the event's context with the next transaction id and
 // returns it.
 func (s *Service) assignTx(d *eventData) uint64 {
 	tx := s.nextTx.Add(1)
-	switch ctx := d.ctx.(type) {
-	case *OrcaStartContext:
-		ctx.TxID = tx
-	case *OperatorMetricContext:
-		ctx.TxID = tx
-	case *PEMetricContext:
-		ctx.TxID = tx
-	case *PortMetricContext:
-		ctx.TxID = tx
-	case *PEFailureContext:
-		ctx.TxID = tx
-	case *HostFailureContext:
-		ctx.TxID = tx
-	case *JobContext:
-		ctx.TxID = tx
-	case *TimerContext:
-		ctx.TxID = tx
-	case *UserEventContext:
-		ctx.TxID = tx
-	default:
-		panic(fmt.Sprintf("core: unknown context type %T", d.ctx))
-	}
+	d.ctx.setTx(tx)
 	return tx
 }

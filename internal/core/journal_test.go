@@ -109,7 +109,7 @@ func TestActuationJournalTagsHandlerActions(t *testing.T) {
 	}
 }
 
-// journalHas reports whether the actuation journal holds an action.
+// journalHas reports whether the service's actuation journal holds an action.
 func journalHas(svc *Service, action string) bool {
 	for _, rec := range svc.ActuationJournal() {
 		if rec.Action == action {

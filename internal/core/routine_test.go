@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"streamorca/internal/journal"
 	"streamorca/internal/platform"
 	"streamorca/internal/vclock"
 )
@@ -254,7 +255,7 @@ func TestComposeChildErrorNamed(t *testing.T) {
 	}
 }
 
-// TestRoutineHandlerErrorsCounted: a handler error is logged and counted
+// TestRoutineHandlerErrorsCounted: a handler error is journalled and counted
 // in Stats.HandlerErrors; ErrSkipped is not.
 func TestRoutineHandlerErrorsCounted(t *testing.T) {
 	r := NewRoutine("errs", func(sc *SetupContext) error {
@@ -278,6 +279,15 @@ func TestRoutineHandlerErrorsCounted(t *testing.T) {
 	waitFor(t, "events drained", func() bool { return svc.Stats().Delivered >= 4 }) // start + 3
 	if got := svc.Stats().HandlerErrors; got != 1 {
 		t.Fatalf("HandlerErrors = %d, want 1 (ErrSkipped must not count)", got)
+	}
+	var errs []journal.Event
+	for _, e := range svc.ActuationJournal() {
+		if e.Action == "handler-error" {
+			errs = append(errs, e)
+		}
+	}
+	if len(errs) != 1 || errs[0].Target != "errs" || errs[0].Err != "handler failure" || errs[0].TxID == 0 {
+		t.Fatalf("journalled handler errors = %+v, want the one failure under its event's tx", errs)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"streamorca/internal/cluster"
 	"streamorca/internal/graph"
 	"streamorca/internal/ids"
+	"streamorca/internal/journal"
 	"streamorca/internal/metrics"
 	"streamorca/internal/sam"
 	"streamorca/internal/srm"
@@ -40,8 +41,6 @@ type Config struct {
 	Clock vclock.Clock
 	// PullInterval overrides DefaultPullInterval.
 	PullInterval time.Duration
-	// Logf receives service diagnostics; nil discards them.
-	Logf func(format string, args ...any)
 }
 
 // Stats exposes service counters for monitoring and the experiments.
@@ -106,7 +105,6 @@ type Service struct {
 
 	nextTx    atomic.Uint64
 	currentTx atomic.Uint64
-	journal   *journal
 
 	deps *depManager
 }
@@ -138,9 +136,6 @@ func NewRoutineService(cfg Config, routines ...Routine) (*Service, error) {
 	if cfg.PullInterval <= 0 {
 		cfg.PullInterval = DefaultPullInterval
 	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
-	}
 	s := &Service{
 		cfg:        cfg,
 		routines:   routines,
@@ -154,7 +149,6 @@ func NewRoutineService(cfg Config, routines ...Routine) (*Service, error) {
 	}
 	s.actions = &Actions{Service: s}
 	s.pullInterval.Store(int64(cfg.PullInterval))
-	s.journal = newJournal()
 	s.deps = newDepManager(s)
 	return s, nil
 }
@@ -260,7 +254,7 @@ func (s *Service) Stop() {
 
 // runStopHooks runs the registered teardown hooks exactly once, in
 // reverse registration order (last set up, first torn down). A panicking
-// hook is contained and logged so the remaining hooks — and the shutdown
+// hook is contained and journalled so the remaining hooks — and the shutdown
 // itself — still run.
 func (s *Service) runStopHooks() {
 	s.stopOnce.Do(func() {
@@ -271,7 +265,7 @@ func (s *Service) runStopHooks() {
 			func() {
 				defer func() {
 					if r := recover(); r != nil {
-						s.cfg.Logf("orca %s: stop hook panic: %v", s.cfg.Name, r)
+						s.record(journal.Event{Action: "stop-hook-panic"}, fmt.Errorf("%v", r))
 					}
 				}()
 				hooks[i](s.actions)
@@ -321,16 +315,15 @@ func (s *Service) dispatchLoop() {
 }
 
 func (s *Service) deliver(d *delivered) {
+	atomic.AddUint64(&s.delivered, 1)
+	s.currentTx.Store(s.assignTx(d.data))
 	defer func() {
 		if r := recover(); r != nil {
 			atomic.AddUint64(&s.panics, 1)
-			s.cfg.Logf("orca %s: handler panic on %s event: %v", s.cfg.Name, d.data.kind, r)
+			s.record(journal.Event{Action: "handler-panic", Note: d.data.kind.String()}, fmt.Errorf("%v", r))
 		}
+		s.currentTx.Store(0)
 	}()
-	atomic.AddUint64(&s.delivered, 1)
-	tx := s.assignTx(d.data)
-	s.currentTx.Store(tx)
-	defer s.currentTx.Store(0)
 	if d.data.kind == KindOrcaStart {
 		s.mu.Lock()
 		subs := append([]*Subscription(nil), s.startSubs...)
@@ -351,12 +344,12 @@ func (s *Service) deliver(d *delivered) {
 }
 
 // invokeSub runs one routine subscription's handler. ErrSkipped reports
-// "condition not met" and is not an error; anything else is logged and
-// counted in Stats.HandlerErrors.
+// "condition not met" and is not an error; anything else is journalled
+// and counted in Stats.HandlerErrors.
 func (s *Service) invokeSub(sub *Subscription, data *eventData) {
 	if err := sub.invoke(s, data.ctx); err != nil && !errors.Is(err, ErrSkipped) {
 		atomic.AddUint64(&s.handlerErrs, 1)
-		s.cfg.Logf("orca %s: routine %q: %s handler: %v", s.cfg.Name, sub.routine, data.kind, err)
+		s.record(journal.Event{Action: "handler-error", Target: sub.routine, Note: data.kind.String()}, err)
 	}
 }
 

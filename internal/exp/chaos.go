@@ -89,8 +89,8 @@ func runChaos(p Params, kinds []chaos.Kind) (*Outcome, error) {
 	}
 	// Journalled restart attempts, and the ones that ended in success.
 	attempted, succeeded := 0, 0
-	for _, rec := range r.inst.SAM.AttemptJournal() {
-		if rec.Action == "restart" {
+	for _, rec := range r.inst.SAM.Journal().Events() {
+		if rec.Source == "sam" && rec.Action == "restart" {
 			attempted++
 			if rec.Err == "" {
 				succeeded++

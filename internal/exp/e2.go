@@ -119,7 +119,6 @@ func failover(p Params) (*Outcome, error) {
 	}
 
 	killed := policy.ReplicaIndex(policy.Active())
-	killedLen := t.coll(killed).Len()
 	out := &Outcome{
 		CSV: []string{"elapsed_ms,active_replica,win_r0,win_r1,win_r2,out_r0,out_r1,out_r2"},
 		OK:  "failover OK: a backup was promoted and the failed replica refilled its window from empty",
@@ -143,7 +142,13 @@ func failover(p Params) (*Outcome, error) {
 	failoverLatency := time.Since(start)
 	promoted := policy.ReplicaIndex(policy.Active())
 
-	// Output gap: until the failed replica produces output again.
+	// Output gap: until the failed replica produces output again. Tuples
+	// in flight to its sink when the PE died can land after the kill, so
+	// output counts only once the routine has restarted the PE.
+	if !waitUntil(budget/3, 100*time.Microsecond, func() bool { return policy.Restarts() >= 1 }) {
+		return nil, fmt.Errorf("failover: failed replica never restarted")
+	}
+	killedLen := t.coll(killed).Len()
 	if !waitUntil(budget/3, 100*time.Microsecond, func() bool { return t.coll(killed).Len() > killedLen }) {
 		return nil, fmt.Errorf("failover: failed replica never resumed output")
 	}

@@ -40,12 +40,12 @@ const (
 	// PETuplesDropped counts tuples that reached the container but never
 	// an operator: the failed chunk and the undelivered rest of the
 	// drained run when a failure or a kill ends the consume loop
-	// part-way (logged as well), and every tuple offered to an operator
+	// part-way (journalled as well), and every tuple offered to an operator
 	// that had already finalised or to a dead container.
 	PETuplesDropped = "nTuplesDropped"
 	// PETuplesDroppedCodec counts, on the sending PE, tuples a cross-PE
-	// link discarded because they failed to encode or to decode (logged
-	// as well); a link between matching schemas never steps it.
+	// link discarded because they failed to encode or to decode; a link
+	// between matching schemas never steps it.
 	PETuplesDroppedCodec = "nTuplesDroppedCodecError"
 	PERestarts           = "nRestarts"
 	// PERestartAttempts is the cumulative count of restart attempts SAM

@@ -233,8 +233,6 @@ type Context interface {
 	// performing long waits must select on it (or use Sleep) so shutdown
 	// is never blocked behind a pending clock wait.
 	Done() <-chan struct{}
-	// Logf writes to the PE's log.
-	Logf(format string, args ...any)
 }
 
 // RunSubmitter is an optional capability of a Context: an operator that

@@ -46,7 +46,6 @@ func (c *fakeCtx) InputSchema(i int) *tuple.Schema        { return c.ins[i] }
 func (c *fakeCtx) OutputSchema(i int) *tuple.Schema       { return c.outs[i] }
 func (c *fakeCtx) Clock() vclock.Clock                    { return c.clock }
 func (c *fakeCtx) Done() <-chan struct{}                  { return nil }
-func (c *fakeCtx) Logf(string, ...any)                    {}
 func (c *fakeCtx) CustomMetric(n string) *metrics.Counter { return c.om.Custom.Counter(n) }
 func (c *fakeCtx) Objects() *opapi.Objects                { return c.objs }
 

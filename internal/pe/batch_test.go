@@ -2,13 +2,13 @@ package pe
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"streamorca/internal/ids"
+	"streamorca/internal/journal"
 	"streamorca/internal/metrics"
 	"streamorca/internal/opapi"
 	"streamorca/internal/tuple"
@@ -235,11 +235,10 @@ func TestBatchDeliveryMarksInterleave(t *testing.T) {
 // without ProcessBatch, whose run is unrolled into Process calls: the
 // run is still the unit of failure. A mid-run Process failure crashes
 // the PE, none of the run counts as processed, and the run plus
-// everything queued behind it is counted on nTuplesDropped and logged
+// everything queued behind it is counted on nTuplesDropped and journalled
 // instead of vanishing silently.
 func TestPartialBatchLossPerTuple(t *testing.T) {
-	var logMu sync.Mutex
-	var logs []string
+	ring := journal.New(nil)
 	reg := opapi.NewRegistry()
 	reg.Register("MidFailer", func() opapi.Operator { return &midFailer{failAt: 5} })
 	exitCh := make(chan exit, 1)
@@ -248,11 +247,7 @@ func TestPartialBatchLossPerTuple(t *testing.T) {
 		Ops:      []OpSpec{{Name: "fail", Kind: "MidFailer", Inputs: []*tuple.Schema{intSchema}}},
 		Registry: reg,
 		OnExit:   func(id ids.PEID, crashed bool, reason string) { exitCh <- exit{id, crashed, reason} },
-		Logf: func(format string, args ...any) {
-			logMu.Lock()
-			logs = append(logs, fmt.Sprintf(format, args...))
-			logMu.Unlock()
-		},
+		Journal:  ring,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -272,14 +267,12 @@ func TestPartialBatchLossPerTuple(t *testing.T) {
 	if got := peCounter(p, metrics.PETuplesProcessed); got != 0 {
 		t.Fatalf("nTuplesProcessed = %d, want 0 (the failed run is not processed)", got)
 	}
-	logMu.Lock()
-	defer logMu.Unlock()
-	for _, l := range logs {
-		if strings.Contains(l, "dropped 16 undelivered tuple(s)") {
+	for _, e := range ring.Events() {
+		if e.Action == "drop-run" && e.Target == "fail" && strings.Contains(e.Note, "dropped 16 undelivered tuple(s)") {
 			return
 		}
 	}
-	t.Fatalf("no batch-loss log line; got %q", logs)
+	t.Fatalf("no batch-loss journal event; got %+v", ring.Events())
 }
 
 // TestPartialBatchLossBatchPath pins the same contract for a

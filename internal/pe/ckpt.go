@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"streamorca/internal/ckpt"
+	"streamorca/internal/journal"
 	"streamorca/internal/metrics"
 	"streamorca/internal/opapi"
 )
@@ -109,12 +110,12 @@ func (rt *opRuntime) captureQuiescent(st opapi.StatefulOperator, e *ckpt.Encoder
 
 // restoreState loads the PE's snapshot (if any) and hands each section
 // to its operator. A missing snapshot is a clean cold start; a corrupt
-// or version-skewed one is logged and discarded — recovery availability
+// or version-skewed one is journalled and discarded — recovery availability
 // beats state fidelity, so a bad snapshot never blocks a restart.
 func (p *PE) restoreState() {
 	data, ok, err := p.cfg.Ckpt.Store.Load(p.cfg.Ckpt.Key)
 	if err != nil {
-		p.cfg.Logf("pe %s: load checkpoint: %v", p.cfg.ID, err)
+		p.note(journal.Event{Action: "load-checkpoint", Target: p.cfg.Ckpt.Key, Err: err.Error()})
 		return
 	}
 	if !ok {
@@ -122,15 +123,15 @@ func (p *PE) restoreState() {
 	}
 	snap, err := ckpt.Parse(data)
 	if err != nil {
-		p.cfg.Logf("pe %s: discarding checkpoint %q: %v", p.cfg.ID, p.cfg.Ckpt.Key, err)
+		p.note(journal.Event{Action: "discard-checkpoint", Target: p.cfg.Ckpt.Key, Err: err.Error()})
 		return
 	}
 	restored := 0
 	for _, sec := range snap.Sections() {
 		rt, ok := p.byName[sec.Name]
 		if !ok || rt.spec.Kind != sec.Kind {
-			p.cfg.Logf("pe %s: checkpoint section %s/%s has no matching operator, skipping",
-				p.cfg.ID, sec.Name, sec.Kind)
+			p.note(journal.Event{Action: "skip-section", Target: sec.Name,
+				Note: "no operator of kind " + sec.Kind})
 			continue
 		}
 		st, ok := rt.op.(opapi.StatefulOperator)
@@ -139,7 +140,7 @@ func (p *PE) restoreState() {
 		}
 		err := p.restoreSection(st, sec)
 		if err != nil {
-			p.cfg.Logf("pe %s: restore %s: %v (starting fresh)", p.cfg.ID, sec.Name, err)
+			p.note(journal.Event{Action: "restore-section", Target: sec.Name, Err: err.Error(), Note: "starting fresh"})
 			continue
 		}
 		restored++
@@ -157,7 +158,6 @@ func (p *PE) restoreState() {
 			at = p.cfg.Clock.Now()
 		}
 		p.noteStateAnchorAt(at)
-		p.cfg.Logf("pe %s: restored %d operator state(s) from checkpoint", p.cfg.ID, restored)
 	}
 }
 
@@ -189,7 +189,7 @@ func (p *PE) ckptLoop() {
 		select {
 		case <-tk.C():
 			if _, err := p.Checkpoint(); err != nil {
-				p.cfg.Logf("pe %s: periodic checkpoint: %v", p.cfg.ID, err)
+				p.note(journal.Event{Action: "checkpoint", Err: err.Error()})
 			}
 		case <-p.kill:
 			return

@@ -3,12 +3,13 @@ package pe
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"streamorca/internal/ckpt"
+	"streamorca/internal/ids"
+	"streamorca/internal/journal"
 	"streamorca/internal/metrics"
 	"streamorca/internal/opapi"
 	"streamorca/internal/tuple"
@@ -175,13 +176,13 @@ func TestCheckpointAfterFinals(t *testing.T) {
 }
 
 // TestRestoreDiscardsCorruptSnapshot: a corrupt or mismatched snapshot
-// is logged and skipped; the PE starts fresh instead of failing.
+// is journalled and skipped; the PE starts fresh instead of failing.
 func TestRestoreDiscardsCorruptSnapshot(t *testing.T) {
 	store := ckpt.NewMemStore()
 	if err := store.Save("bad", []byte("not a snapshot at all")); err != nil {
 		t.Fatal(err)
 	}
-	var logged []string
+	ring := journal.New(nil)
 	acc := &accumulator{}
 	p, err := New(Config{
 		ID: 8, Job: 1, App: "ckpt", Host: "h1",
@@ -189,7 +190,7 @@ func TestRestoreDiscardsCorruptSnapshot(t *testing.T) {
 		Wires:    []Wire{{"src", 0, "acc", 0}},
 		Registry: ckptRegistry(acc, 3),
 		Ckpt:     CkptConfig{Store: store, Key: "bad", Restore: true},
-		Logf:     func(format string, args ...any) { logged = append(logged, format) },
+		Journal:  ring,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -201,16 +202,15 @@ func TestRestoreDiscardsCorruptSnapshot(t *testing.T) {
 	if got := p.PEMetrics().Counter(metrics.PEStateRestores).Value(); got != 0 {
 		t.Fatalf("nStateRestores = %d", got)
 	}
-	joined := strings.Join(logged, "\n")
-	if !strings.Contains(joined, "discarding checkpoint") {
-		t.Fatalf("discard not logged: %q", joined)
+	if !discarded(ring, 8, "bad") {
+		t.Fatalf("discard not journalled: %+v", ring.Events())
 	}
 	p.Stop()
 }
 
 // TestRestoreSurvivesTornFSSnapshot: a snapshot file truncated after
 // commit (torn storage below the rename's guarantee) is detected by the
-// CRC, logged, and discarded — the replacement container cold-starts
+// CRC, journalled, and discarded — the replacement container cold-starts
 // and runs instead of failing, so a damaged store never blocks a
 // restart.
 func TestRestoreSurvivesTornFSSnapshot(t *testing.T) {
@@ -240,7 +240,7 @@ func TestRestoreSurvivesTornFSSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var logged []string
+	ring := journal.New(nil)
 	acc2 := &accumulator{}
 	p2, err := New(Config{
 		ID: 7, Job: 1, App: "ckpt", Host: "h1",
@@ -248,7 +248,7 @@ func TestRestoreSurvivesTornFSSnapshot(t *testing.T) {
 		Wires:    []Wire{{"src", 0, "acc", 0}},
 		Registry: ckptRegistry(acc2, 3),
 		Ckpt:     CkptConfig{Store: store, Key: "torn", Restore: true},
-		Logf:     func(format string, args ...any) { logged = append(logged, format) },
+		Journal:  ring,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -260,10 +260,21 @@ func TestRestoreSurvivesTornFSSnapshot(t *testing.T) {
 	if got := p2.PEMetrics().Counter(metrics.PEStateRestores).Value(); got != 0 {
 		t.Fatalf("nStateRestores = %d, want 0 (torn snapshot must not restore)", got)
 	}
-	if joined := strings.Join(logged, "\n"); !strings.Contains(joined, "discarding checkpoint") {
-		t.Fatalf("discard not logged: %q", joined)
+	if !discarded(ring, 7, "torn") {
+		t.Fatalf("discard not journalled: %+v", ring.Events())
 	}
 	p2.Stop()
+}
+
+// discarded reports whether the ring records PE id discarding the
+// snapshot under key, with the reason.
+func discarded(ring *journal.Ring, id ids.PEID, key string) bool {
+	for _, e := range ring.Events() {
+		if e.Source == "pe" && e.PE == id && e.Action == "discard-checkpoint" && e.Target == key && e.Err != "" {
+			return true
+		}
+	}
+	return false
 }
 
 // TestRestoreSkipsKindMismatch: a section whose operator kind changed

@@ -96,7 +96,3 @@ func (c *opContext) Clock() vclock.Clock { return c.rt.pe.cfg.Clock }
 func (c *opContext) Objects() *opapi.Objects { return c.rt.pe.cfg.Objects }
 
 func (c *opContext) Done() <-chan struct{} { return c.rt.pe.kill }
-
-func (c *opContext) Logf(format string, args ...any) {
-	c.rt.pe.cfg.Logf("[%s/%s] %s", c.rt.pe.cfg.App, c.rt.spec.Name, fmt.Sprintf(format, args...))
-}

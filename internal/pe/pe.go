@@ -34,6 +34,7 @@ import (
 
 	"streamorca/internal/ckpt"
 	"streamorca/internal/ids"
+	"streamorca/internal/journal"
 	"streamorca/internal/metrics"
 	"streamorca/internal/opapi"
 	"streamorca/internal/tuple"
@@ -88,7 +89,10 @@ type Config struct {
 	Registry *opapi.Registry
 	Objects  *opapi.Objects // what opapi.ObjectsOf returns; nil means opapi.DefaultObjects
 	QueueCap int            // per-operator input queue capacity, in tuples; default 256
-	Logf     func(format string, args ...any)
+	// Journal records the container's lifecycle and recovery events
+	// (kills, crashes, dropped runs, skipped snapshot sections); nil
+	// discards them. SAM passes the instance's ring.
+	Journal *journal.Ring
 	// OnExit is invoked exactly once, from the PE's own goroutine, when
 	// the container leaves the Running state. crashed is false for a
 	// clean Stop.
@@ -268,9 +272,6 @@ func New(cfg Config) (*PE, error) {
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 256
 	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
-	}
 	p := &PE{
 		cfg:       cfg,
 		byName:    make(map[string]*opRuntime, len(cfg.Ops)),
@@ -431,7 +432,7 @@ func (p *PE) Stop() {
 	p.wg.Wait()
 	for _, rt := range p.ops {
 		if err := rt.op.Close(); err != nil {
-			p.cfg.Logf("pe %s: close %s: %v", p.cfg.ID, rt.spec.Name, err)
+			p.note(journal.Event{Action: "close", Target: rt.spec.Name, Err: err.Error()})
 		}
 	}
 	p.fireExit(false, "stopped")
@@ -444,6 +445,7 @@ func (p *PE) Stop() {
 // fails.
 func (p *PE) Kill(reason string) {
 	if !p.retire(Crashed, reason) && p.state.CompareAndSwap(int32(Running), int32(Crashed)) {
+		p.note(journal.Event{Action: "kill", Note: reason})
 		p.crashed(reason)
 	}
 }
@@ -475,9 +477,15 @@ func (p *PE) retire(to State, reason string) bool {
 // crash is the internal failure path for operator errors and panics.
 func (p *PE) crash(reason string) {
 	if p.state.CompareAndSwap(int32(Running), int32(Crashed)) {
-		p.cfg.Logf("pe %s: crash: %s", p.cfg.ID, reason)
+		p.note(journal.Event{Action: "crash", Note: reason})
 		p.crashed(reason)
 	}
+}
+
+// note journals one event of this container.
+func (p *PE) note(e journal.Event) {
+	e.Source, e.Job, e.PE = "pe", p.cfg.Job, p.cfg.ID
+	p.cfg.Journal.Add(e)
 }
 
 // crashed records the cause of a container that has just entered Crashed,
@@ -734,7 +742,7 @@ func (rt *opRuntime) put(q *queued, w int) {
 // separate PEs, each with its own consumeLoop.) Each iteration drains
 // the inbox whole. When the container dies or the operator fails
 // part-way through a drained run, the tuples not yet processed — the
-// failed chunk and everything behind it — are logged and counted on the
+// failed chunk and everything behind it — are journalled and counted on the
 // PE's nTuplesDropped instead of vanishing silently; what is left
 // behind the last final mark is not a loss. Nor is such a run released:
 // its holds on leased blocks are forgotten, never dropped early.
@@ -746,8 +754,8 @@ func (rt *opRuntime) consumeLoop() {
 		}
 		if !rt.finalised.Load() && rt.owed > 0 {
 			rt.pe.cTuplesDropped.Add(int64(rt.owed))
-			rt.pe.cfg.Logf("pe %s: operator %s: dropped %d undelivered tuple(s) of a drained run",
-				rt.pe.cfg.ID, rt.spec.Name, rt.owed)
+			rt.pe.note(journal.Event{Action: "drop-run", Target: rt.spec.Name,
+				Note: fmt.Sprintf("dropped %d undelivered tuple(s) of a drained run", rt.owed)})
 		}
 	}()
 	defer func() {

@@ -45,8 +45,6 @@ type Options struct {
 	// virtual-clock tests rely on; sam.DefaultRetryPolicy() opts into
 	// bounded retries with exponential backoff.
 	Retry sam.RetryPolicy
-	// Logf receives platform diagnostics; nil discards them.
-	Logf func(format string, args ...any)
 }
 
 // Instance is one running platform.
@@ -79,7 +77,6 @@ func NewInstance(opts Options) (*Instance, error) {
 		Cluster:      cl,
 		SRM:          resMgr,
 		Registry:     opts.Registry,
-		Logf:         opts.Logf,
 		Ckpt:         opts.Checkpoint,
 		CkptInterval: opts.CheckpointInterval,
 		Retry:        opts.Retry,

@@ -111,7 +111,7 @@ func (p *Composition) observeNewProfiles(ctx *core.OperatorMetricContext) (float
 }
 
 // submitC3 spawns the segmentation job for the metric's attribute. A
-// rejected submission is an error (logged and counted by the service)
+// rejected submission is an error (journalled and counted by the service)
 // and leaves the aggregate untouched, so the next metric round retries.
 func (p *Composition) submitC3(ctx *core.OperatorMetricContext, act *core.Actions) error {
 	attr := metricToAttr[ctx.Metric]

@@ -28,7 +28,7 @@ type Restart struct {
 	Restarted func(*core.PEFailureContext)
 	// Strict makes the handler return a failed restart's error, which
 	// the service counts as a handler error. Without it the failure is
-	// left to SAM's attempt journal and the caller's recovery sweep.
+	// left to SAM's journalled attempts and the caller's recovery sweep.
 	Strict bool
 
 	abandoned atomic.Int64

@@ -1,27 +1,36 @@
 package policies
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"streamorca/internal/compiler"
 	"streamorca/internal/core"
 	"streamorca/internal/ids"
+	"streamorca/internal/journal"
 	"streamorca/internal/ops"
 	"streamorca/internal/platform"
 	"streamorca/internal/sam"
 	"streamorca/internal/tuple"
 )
 
-// restartFixture runs an unbounded two-PE pipeline on one host under the
-// given Restart routine, on a platform whose restarts get two attempts.
-func restartFixture(t *testing.T, r *Restart) (*core.Service, *platform.Instance, ids.JobID) {
+// twoAttempts is the retry policy of the restart fixtures that exhaust it.
+var twoAttempts = sam.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond}
+
+// restartFixture runs an unbounded source → sink pipeline, partitioned
+// by fusion, on one host under the given Restart routine and retry
+// policy.
+func restartFixture(t *testing.T, r *Restart, retry sam.RetryPolicy, fusion compiler.FusionMode) (*core.Service, *platform.Instance, ids.JobID) {
 	t.Helper()
 	inst, err := platform.NewInstance(platform.Options{
 		Hosts:           []platform.HostSpec{{Name: "h1"}},
 		MetricsInterval: time.Hour,
-		Retry:           sam.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond},
+		Retry:           retry,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +41,7 @@ func restartFixture(t *testing.T, r *Restart) (*core.Service, *platform.Instance
 	src := b.AddOperator("src", ops.KindBeacon).Out(s).Param("count", "0").Param("period", "1ms")
 	sink := b.AddOperator("sink", ops.KindCountSink).In(s)
 	b.Connect(src, 0, sink, 0)
-	app, err := b.Build(compiler.Options{Fusion: compiler.FuseNone})
+	app, err := b.Build(compiler.Options{Fusion: fusion})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +101,7 @@ func TestRestartRunsHooksAroundTheRestart(t *testing.T) {
 	}
 	r := &Restart{App: "RestartHooks", Submit: true, Before: note("before"), Restarted: note("restarted")}
 	var svc *core.Service
-	svc, inst, job = restartFixture(t, r)
+	svc, inst, job = restartFixture(t, r, twoAttempts, compiler.FuseNone)
 	pe, ok := svc.PEOfOperator(job, "sink")
 	if !ok {
 		t.Fatal("no sink PE")
@@ -126,7 +135,7 @@ func TestRestartCountsAbandonedWithoutReactuating(t *testing.T) {
 			App: "RestartAbandoned", Submit: true, Strict: strict,
 			Restarted: func(*core.PEFailureContext) { restarted++ },
 		}
-		svc, inst, _ := restartFixture(t, r)
+		svc, inst, _ := restartFixture(t, r, twoAttempts, compiler.FuseNone)
 		if err := inst.Cluster.KillHost("h1"); err != nil {
 			t.Fatal(err)
 		}
@@ -146,5 +155,76 @@ func TestRestartCountsAbandonedWithoutReactuating(t *testing.T) {
 		if restarted != 0 {
 			t.Fatalf("strict=%v: Restarted ran %d time(s) for restarts that failed", strict, restarted)
 		}
+	}
+}
+
+// TestPEHistoryReadsInOrder reads one PE's recovery from the journal.
+// Its only host dies, killing it, and SAM sees the crash. The routine's
+// RestartPE fails while the host is down, with a backoff after each
+// failure. The host comes back within the retry budget, an attempt
+// succeeds, SAM journals the restart, and the orchestrator journals the
+// RestartPE actuation under the transaction id of the failure event
+// whose handler issued it.
+func TestPEHistoryReadsInOrder(t *testing.T) {
+	var failureTx atomic.Uint64
+	r := &Restart{App: "PEHistory", Submit: true, Before: func(ctx *core.PEFailureContext) { failureTx.Store(ctx.TxID) }}
+	retry := sam.DefaultRetryPolicy()
+	retry.MaxAttempts = 10 // about a second of backoff: room to revive the host
+	svc, inst, job := restartFixture(t, r, retry, compiler.FuseAll)
+	info, _ := inst.SAM.Job(job)
+	if len(info.PEs) != 1 {
+		t.Fatalf("fused job has %d PEs, want 1", len(info.PEs))
+	}
+	id := info.PEs[0].ID
+	// How many in-flight runs a kill catches (journalled as drop-run)
+	// depends on timing; the lifecycle around them does not.
+	history := func() []journal.Event {
+		return slices.DeleteFunc(inst.SAM.Journal().Events(), func(e journal.Event) bool {
+			return e.PE != id || e.Action == "drop-run"
+		})
+	}
+	has := func(action string, failed bool) func() bool {
+		return func() bool {
+			return slices.ContainsFunc(history(), func(e journal.Event) bool {
+				return e.Action == action && (e.Err != "") == failed
+			})
+		}
+	}
+	if err := inst.Cluster.KillHost("h1"); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "a failed restart attempt", has("restart", true))
+	if err := inst.Cluster.ReviveHost("h1"); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the RestartPE actuation", has("RestartPE", false))
+
+	h := history()
+	n := len(h)
+	fail := func(why string) {
+		t.Helper()
+		var lines []string
+		for _, e := range h {
+			lines = append(lines, fmt.Sprintf("%s:%s attempt=%d backoff=%s err=%q tx=%d", e.Source, e.Action, e.Attempt, e.Backoff, e.Err, e.TxID))
+		}
+		t.Fatalf("%s; history of %s:\n%s", why, id, strings.Join(lines, "\n"))
+	}
+	if n < 6 || h[0].Source != "pe" || h[0].Action != "kill" || h[1].Source != "sam" || h[1].Action != "crashed" {
+		fail("want kill, crashed, restart attempts, restarted, RestartPE")
+	}
+	for i, e := range h[2 : n-2] {
+		last := i == n-5
+		if e.Source != "sam" || e.Action != "restart" || e.Attempt != i+1 || (e.Err == "") != last || (e.Backoff > 0) == last {
+			fail(fmt.Sprintf("attempt %d: want a failed attempt with a backoff, or the last and successful one without", i+1))
+		}
+	}
+	if h[n-2].Source != "sam" || h[n-2].Action != "restarted" {
+		fail("no restarted after the successful attempt")
+	}
+	if act := h[n-1]; act.Source != "restartOrca" || act.Action != "RestartPE" || act.Err != "" || act.TxID == 0 || act.TxID != failureTx.Load() {
+		fail(fmt.Sprintf("the RestartPE actuation must carry the failure event's tx %d", failureTx.Load()))
+	}
+	if got := svc.ActuationJournal(); !slices.ContainsFunc(got, func(e journal.Event) bool { return e.Seq == h[n-1].Seq }) {
+		t.Fatalf("ActuationJournal lacks the RestartPE actuation: %+v", got)
 	}
 }

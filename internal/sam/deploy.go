@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"streamorca/internal/journal"
 	"streamorca/internal/pe"
 )
 
@@ -61,7 +62,7 @@ func (s *SAM) deploy(j *job, parts []int, restore bool) (err error) {
 			continue
 		}
 		if derr := cfg.Ckpt.Store.Delete(cfg.Ckpt.Key); derr != nil {
-			s.cfg.Logf("sam: drop stale checkpoint %s: %v", cfg.Ckpt.Key, derr)
+			s.note(journal.Event{Action: "drop-checkpoint", Job: j.id, PE: cfg.ID, Target: cfg.Ckpt.Key}, derr)
 		}
 	}
 	for _, c := range containers {

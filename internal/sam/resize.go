@@ -9,6 +9,7 @@ import (
 	"streamorca/internal/ckpt"
 	"streamorca/internal/compiler"
 	"streamorca/internal/ids"
+	"streamorca/internal/journal"
 	"streamorca/internal/opapi"
 	"streamorca/internal/pe"
 )
@@ -106,7 +107,7 @@ func (s *SAM) ResizeRegion(jobID ids.JobID, region string, width int) error {
 	for _, or := range oldReplicas {
 		if or.running && s.cfg.Ckpt != nil {
 			if _, err := or.container.Checkpoint(); err != nil {
-				s.cfg.Logf("sam: resize %s/%s: pre-stop checkpoint of %s: %v", jobID, region, or.name, err)
+				s.note(journal.Event{Action: "resize-checkpoint", Job: jobID, Target: region + "/" + or.name}, err)
 			}
 		}
 	}
@@ -117,12 +118,12 @@ func (s *SAM) ResizeRegion(jobID ids.JobID, region string, width int) error {
 		// migrated into the surviving partitions.
 		garbage := removedKeys
 		if err := s.migrateRegionState(oldReplicas, newR, kind, newKeys, width); err != nil {
-			s.cfg.Logf("sam: resize %s/%s: state migration failed (%v); cold-starting region", jobID, region, err)
+			s.note(journal.Event{Action: "resize-migrate", Job: jobID, Target: region, Note: "cold-starting region"}, err)
 			garbage = append(append([]string(nil), newKeys...), removedKeys...)
 		}
 		for _, k := range garbage {
 			if derr := s.cfg.Ckpt.Delete(k); derr != nil {
-				s.cfg.Logf("sam: resize %s/%s: drop snapshot %s: %v", jobID, region, k, derr)
+				s.note(journal.Event{Action: "drop-checkpoint", Job: jobID, Target: k}, derr)
 			}
 		}
 	}
@@ -146,7 +147,7 @@ func (s *SAM) ResizeRegion(jobID ids.JobID, region string, width int) error {
 	if err := s.deploy(j, regionParts(resized, newR), true); err != nil {
 		return fmt.Errorf("sam: resize region %q of %s: %w", region, jobID, err)
 	}
-	s.cfg.Logf("sam: resized region %q of %s: width %d -> %d", region, jobID, old.Width, width)
+	s.note(journal.Event{Action: "resized", Job: jobID, Target: region, Note: fmt.Sprintf("width %d -> %d", old.Width, width)}, nil)
 	return nil
 }
 

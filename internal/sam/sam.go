@@ -19,6 +19,7 @@ import (
 	"streamorca/internal/ckpt"
 	"streamorca/internal/cluster"
 	"streamorca/internal/ids"
+	"streamorca/internal/journal"
 	"streamorca/internal/metrics"
 	"streamorca/internal/opapi"
 	"streamorca/internal/pe"
@@ -32,7 +33,6 @@ type Config struct {
 	Cluster  *cluster.Cluster
 	SRM      *srm.SRM
 	Registry *opapi.Registry
-	Logf     func(format string, args ...any)
 	// Ckpt is the operator-state checkpoint store. nil disables
 	// checkpointing: restarted PEs come back empty (the paper's §5.2
 	// loss semantics). With a store, RestartPE restores every stateful
@@ -66,23 +66,6 @@ type RetryPolicy struct {
 // attempts with 5ms-based exponential backoff capped at 250ms.
 func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{MaxAttempts: 3, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 250 * time.Millisecond}
-}
-
-// AttemptRecord journals one actuation attempt.
-type AttemptRecord struct {
-	// Seq orders records across the journal.
-	Seq int
-	// Action is "restart" or "checkpoint".
-	Action string
-	PE     ids.PEID
-	// Attempt numbers the try within its actuation, starting at 1.
-	Attempt int
-	// Err is empty on success.
-	Err string
-	At  time.Time
-	// Backoff is the pause slept before the next attempt; zero on the
-	// final attempt of an actuation.
-	Backoff time.Duration
 }
 
 // permanentError marks failures retrying cannot fix (unknown PE, wrong
@@ -161,8 +144,9 @@ type Listener struct {
 
 // SAM is the application manager daemon.
 type SAM struct {
-	cfg  Config
-	objs *opapi.Objects
+	cfg     Config
+	objs    *opapi.Objects
+	journal *journal.Ring
 
 	mu        sync.Mutex
 	nextJob   int64
@@ -173,12 +157,10 @@ type SAM struct {
 	links     map[string]*xlink
 	nextLink  int64
 
-	// retryMu guards the attempt journal and jitter source; separate from
-	// mu because attempts are recorded while actuations run unlocked.
-	retryMu    sync.Mutex
-	retryRng   *rand.Rand
-	attempts   []AttemptRecord
-	attemptSeq int
+	// retryMu guards the jitter source; separate from mu because
+	// backoffs are drawn while actuations run unlocked.
+	retryMu  sync.Mutex
+	retryRng *rand.Rand
 }
 
 type job struct {
@@ -211,12 +193,10 @@ func New(cfg Config) *SAM {
 	if cfg.Registry == nil {
 		cfg.Registry = opapi.Default
 	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
-	}
 	s := &SAM{
 		cfg:       cfg,
 		objs:      opapi.NewObjects(),
+		journal:   journal.New(cfg.Clock),
 		jobs:      make(map[ids.JobID]*job),
 		reserved:  make(map[string]ids.JobID),
 		listeners: make(map[string]Listener),
@@ -232,6 +212,19 @@ func New(cfg Config) *SAM {
 // Objects returns the instance's out-of-band object set, which every PE
 // SAM deploys hands to its operators.
 func (s *SAM) Objects() *opapi.Objects { return s.objs }
+
+// Journal returns the instance's event ring: SAM, every PE it deploys,
+// the orchestrators and the chaos runner write to it.
+func (s *SAM) Journal() *journal.Ring { return s.journal }
+
+// note journals one SAM event, failed when err is non-nil.
+func (s *SAM) note(e journal.Event, err error) {
+	e.Source = "sam"
+	if err != nil {
+		e.Err = err.Error()
+	}
+	s.journal.Add(e)
+}
 
 // AddListener registers an orchestrator's callback set under its name.
 func (s *SAM) AddListener(name string, l Listener) {
@@ -291,7 +284,7 @@ func (s *SAM) SubmitJob(app *adl.Application, opts SubmitOptions) (ids.JobID, er
 		_ = s.CancelJob(jobID) //orcalint:ignore actuationcheck deploy already rolled the containers back, this only forgets the job; the deploy error is what the caller sees
 		return ids.InvalidJob, fmt.Errorf("sam: submit %s: %w", app.Name, err)
 	}
-	s.cfg.Logf("sam: submitted %s as %s", app.Name, jobID)
+	s.note(journal.Event{Action: "submitted", Job: jobID, Target: app.Name}, nil)
 	return jobID, nil
 }
 
@@ -323,13 +316,13 @@ func (s *SAM) CancelJob(id ids.JobID) error {
 	// A cancelled job never restarts, so its snapshots are garbage.
 	for _, k := range ckptKeys {
 		if err := s.cfg.Ckpt.Delete(k); err != nil {
-			s.cfg.Logf("sam: drop checkpoint %s: %v", k, err)
+			s.note(journal.Event{Action: "drop-checkpoint", Job: id, Target: k}, err)
 		}
 	}
 	if s.cfg.SRM != nil {
 		s.cfg.SRM.DropJob(id)
 	}
-	s.cfg.Logf("sam: cancelled %s (%s)", id, j.app.Name)
+	s.note(journal.Event{Action: "cancelled", Job: id, Target: j.app.Name}, nil)
 	return nil
 }
 
@@ -361,8 +354,8 @@ func (s *SAM) RestartPE(id ids.PEID) error {
 
 // retry runs one actuation on a PE under Config.Retry: up to max
 // attempts (at least one), stopping at success or a permanent error,
-// each attempt journalled together with the backoff slept after it. It
-// returns the attempts made and the last error.
+// each attempt journalled under action together with the backoff slept
+// after it. It returns the attempts made and the last error.
 func (s *SAM) retry(action string, id ids.PEID, max int, once func(ids.PEID) error) (attempts int, err error) {
 	for attempts = 1; ; attempts++ {
 		err = once(id)
@@ -371,17 +364,17 @@ func (s *SAM) retry(action string, id ids.PEID, max int, once func(ids.PEID) err
 		if !final {
 			backoff = s.retryBackoff(s.cfg.Retry, attempts)
 		}
-		s.recordAttempt(action, id, attempts, err, backoff)
+		s.note(journal.Event{Action: action, PE: id, Attempt: attempts, Backoff: backoff}, err)
 		if final {
 			return attempts, err
 		}
-		s.cfg.Logf("sam: %s %s attempt %d/%d failed (%v); retrying in %s", action, id, attempts, max, err, backoff)
 		s.cfg.Clock.Sleep(backoff)
 	}
 }
 
 // settleRestart applies the outcome of a restart actuation: success
-// clears the unplaceable mark and updates the attempt gauge; exhausting
+// clears the unplaceable mark, updates the attempt gauge and journals
+// the restart; exhausting
 // the retry budget on a transient failure marks the PE unplaceable and
 // notifies the owning orchestrator once.
 func (s *SAM) settleRestart(id ids.PEID, attempts int, err error) {
@@ -397,7 +390,9 @@ func (s *SAM) settleRestart(id ids.PEID, attempts int, err error) {
 		if rp.container != nil {
 			rp.container.PEMetrics().Counter(metrics.PERestartAttempts).Set(int64(rp.attempts))
 		}
+		host := rp.host
 		s.mu.Unlock()
+		s.note(journal.Event{Action: "restarted", Job: j.id, PE: id, Target: host}, nil)
 		return
 	}
 	if isPermanent(err) || rp.unplaceable {
@@ -413,7 +408,7 @@ func (s *SAM) settleRestart(id ids.PEID, attempts int, err error) {
 		Operators: append([]string(nil), j.app.OperatorsInPE(rp.index)...),
 	}
 	s.mu.Unlock()
-	s.cfg.Logf("sam: PE %s unplaceable: %s", id, failure.Reason)
+	s.note(journal.Event{Action: "unplaceable", Job: j.id, PE: id, Note: failure.Reason}, nil)
 	if listener.PEFailed != nil {
 		listener.PEFailed(failure)
 	}
@@ -441,30 +436,6 @@ func (s *SAM) retryBackoff(pol RetryPolicy, attempt int) time.Duration {
 	return d + jitter
 }
 
-// recordAttempt appends one actuation attempt to the journal.
-func (s *SAM) recordAttempt(action string, id ids.PEID, attempt int, err error, backoff time.Duration) {
-	s.retryMu.Lock()
-	defer s.retryMu.Unlock()
-	s.attemptSeq++
-	rec := AttemptRecord{
-		Seq: s.attemptSeq, Action: action, PE: id,
-		Attempt: attempt, At: s.cfg.Clock.Now(), Backoff: backoff,
-	}
-	if err != nil {
-		rec.Err = err.Error()
-	}
-	s.attempts = append(s.attempts, rec)
-}
-
-// AttemptJournal returns a copy of every journalled actuation attempt,
-// in order. The chaos harness derives restart attempted/succeeded
-// counts from it.
-func (s *SAM) AttemptJournal() []AttemptRecord {
-	s.retryMu.Lock()
-	defer s.retryMu.Unlock()
-	return append([]AttemptRecord(nil), s.attempts...)
-}
-
 // restartPEOnce is one restart attempt: retire the PE's container and
 // links, then deploy its partition again, restoring state.
 func (s *SAM) restartPEOnce(id ids.PEID) error {
@@ -482,9 +453,7 @@ func (s *SAM) restartPEOnce(id ids.PEID) error {
 	s.mu.Lock()
 	rp.restarts++
 	rp.container.PEMetrics().Counter(metrics.PERestarts).Set(int64(rp.restarts))
-	host := rp.host
 	s.mu.Unlock()
-	s.cfg.Logf("sam: restarted %s on %s", id, host)
 	return nil
 }
 
@@ -512,11 +481,9 @@ func (s *SAM) checkpointPEOnce(id ids.PEID) error {
 	}
 	c := rp.container
 	s.mu.Unlock()
-	n, err := c.Checkpoint()
-	if err != nil {
+	if _, err := c.Checkpoint(); err != nil {
 		return fmt.Errorf("sam: checkpoint PE %s: %w", id, err)
 	}
-	s.cfg.Logf("sam: checkpointed %s (%d bytes)", id, n)
 	return nil
 }
 
@@ -637,6 +604,7 @@ func (s *SAM) handlePEExit(e srm.PEExit) {
 		return
 	}
 	rp.state = "crashed"
+	s.note(journal.Event{Action: "crashed", Job: j.id, PE: e.PE, Target: e.Host, Note: e.Reason}, nil)
 	autoRestart := false
 	for _, part := range j.app.PEs {
 		if part.Index == rp.index {
@@ -652,9 +620,7 @@ func (s *SAM) handlePEExit(e srm.PEExit) {
 	s.mu.Unlock()
 
 	if autoRestart {
-		if err := s.RestartPE(e.PE); err != nil {
-			s.cfg.Logf("sam: auto-restart %s: %v", e.PE, err)
-		}
+		_ = s.RestartPE(e.PE) //orcalint:ignore actuationcheck every attempt, and giving up, is journalled
 	}
 	if listener.PEFailed != nil {
 		listener.PEFailed(failure)
@@ -676,7 +642,7 @@ func (s *SAM) peConfig(j *job, rp *jpe, restore bool) (pe.Config, error) {
 	inPart := make(map[string]bool, len(part.Operators))
 	cfg := pe.Config{
 		ID: rp.id, Job: j.id, App: j.app.Name, Host: rp.host,
-		Clock: s.cfg.Clock, Registry: s.cfg.Registry, Objects: s.objs, Logf: s.cfg.Logf,
+		Clock: s.cfg.Clock, Registry: s.cfg.Registry, Objects: s.objs, Journal: s.journal,
 	}
 	for _, name := range part.Operators {
 		inPart[name] = true

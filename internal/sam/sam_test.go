@@ -1,6 +1,7 @@
 package sam_test
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"streamorca/internal/ckpt"
 	"streamorca/internal/compiler"
 	"streamorca/internal/ids"
+	"streamorca/internal/journal"
 	"streamorca/internal/metrics"
 	"streamorca/internal/ops"
 	"streamorca/internal/pe"
@@ -581,15 +583,41 @@ func newRetryInstance(t *testing.T, retry sam.RetryPolicy, store ckpt.Store, hos
 	return inst
 }
 
-// restartJournal filters the attempt journal down to one PE's restarts.
-func restartJournal(s *sam.SAM, id ids.PEID) []sam.AttemptRecord {
-	var out []sam.AttemptRecord
-	for _, rec := range s.AttemptJournal() {
-		if rec.Action == "restart" && rec.PE == id {
-			out = append(out, rec)
+// attempts filters the journal down to one PE's attempts at action.
+func attempts(s *sam.SAM, action string, id ids.PEID) []journal.Event {
+	return slices.DeleteFunc(s.Journal().Events(), func(e journal.Event) bool {
+		return e.Source != "sam" || e.Action != action || e.PE != id
+	})
+}
+
+// TestJournalKeepsTheNewestAttempts: the journal is bounded. Past
+// journal.Limit restart and checkpoint attempts it holds exactly the
+// newest Limit, in order, Seq contiguous.
+func TestJournalKeepsTheNewestAttempts(t *testing.T) {
+	inst := newRetryInstance(t, sam.RetryPolicy{}, nil, "h1")
+	const n = journal.Limit + 100
+	for i := range n {
+		// An unknown PE fails permanently: one journalled attempt each.
+		if i%2 == 0 {
+			_ = inst.SAM.RestartPE(9999)
+		} else {
+			_ = inst.SAM.CheckpointPE(9999)
 		}
 	}
-	return out
+	evs := inst.SAM.Journal().Events()
+	if len(evs) != journal.Limit {
+		t.Fatalf("journal holds %d events after %d attempts, want %d", len(evs), n, journal.Limit)
+	}
+	for i, e := range evs {
+		seq := uint64(n - journal.Limit + i + 1)
+		action := "restart"
+		if seq%2 == 0 {
+			action = "checkpoint"
+		}
+		if e.Seq != seq || e.Action != action || e.PE != 9999 || e.Attempt != 1 || e.Err == "" {
+			t.Fatalf("event %d = %+v, want attempt %d, a failed %s", i, e, seq, action)
+		}
+	}
 }
 
 // TestRestartRetriesUntilHostReturns: a restart that keeps failing
@@ -619,7 +647,7 @@ func TestRestartRetriesUntilHostReturns(t *testing.T) {
 	if err := inst.SAM.RestartPE(target); err != nil {
 		t.Fatalf("restart did not outlast the outage: %v", err)
 	}
-	recs := restartJournal(inst.SAM, target)
+	recs := attempts(inst.SAM, "restart", target)
 	if len(recs) < 2 {
 		t.Fatalf("expected retries in the journal, got %+v", recs)
 	}
@@ -681,7 +709,7 @@ func TestRestartExhaustionMarksUnplaceable(t *testing.T) {
 		t.Fatalf("degradation notifications = %+v", abandoned)
 	}
 	mu.Unlock()
-	if got := len(restartJournal(inst.SAM, target)); got != 2 {
+	if got := len(attempts(inst.SAM, "restart", target)); got != 2 {
 		t.Fatalf("journalled attempts = %d, want 2", got)
 	}
 
@@ -689,7 +717,7 @@ func TestRestartExhaustionMarksUnplaceable(t *testing.T) {
 	if err := inst.SAM.RestartPE(target); err == nil {
 		t.Fatal("restart with no live host succeeded")
 	}
-	if got := len(restartJournal(inst.SAM, target)); got != 3 {
+	if got := len(attempts(inst.SAM, "restart", target)); got != 3 {
 		t.Fatalf("journalled attempts = %d, want 3 (single attempt while unplaceable)", got)
 	}
 	mu.Lock()
@@ -736,12 +764,7 @@ func TestCheckpointRetriesInjectedStoreFaults(t *testing.T) {
 	if err := inst.SAM.CheckpointPE(target); err != nil {
 		t.Fatalf("checkpoint did not outlast two injected failures: %v", err)
 	}
-	var recs []sam.AttemptRecord
-	for _, rec := range inst.SAM.AttemptJournal() {
-		if rec.Action == "checkpoint" && rec.PE == target {
-			recs = append(recs, rec)
-		}
-	}
+	recs := attempts(inst.SAM, "checkpoint", target)
 	if len(recs) != 3 || recs[0].Err == "" || recs[1].Err == "" || recs[2].Err != "" {
 		t.Fatalf("checkpoint journal = %+v", recs)
 	}
@@ -749,13 +772,7 @@ func TestCheckpointRetriesInjectedStoreFaults(t *testing.T) {
 	if err := inst.SAM.CheckpointPE(ids.PEID(9999)); err == nil {
 		t.Fatal("checkpoint of unknown PE succeeded")
 	}
-	n := 0
-	for _, rec := range inst.SAM.AttemptJournal() {
-		if rec.Action == "checkpoint" && rec.PE == ids.PEID(9999) {
-			n++
-		}
-	}
-	if n != 1 {
+	if n := len(attempts(inst.SAM, "checkpoint", 9999)); n != 1 {
 		t.Fatalf("unknown-PE checkpoint journalled %d attempts, want 1", n)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"streamorca/internal/ids"
+	"streamorca/internal/journal"
 	"streamorca/internal/metrics"
 	"streamorca/internal/transport"
 )
@@ -99,7 +100,7 @@ func (s *SAM) compatible(src *job, exOp string, exPort int, dst *job, imOp strin
 	outSchema, err1 := srcPE.container.OutputSchema(exOp, exPort)
 	inSchema, err2 := dstPE.container.InputSchema(imOp, imPort)
 	if err1 != nil || err2 != nil || !outSchema.Equal(inSchema) {
-		s.cfg.Logf("sam: skipping import link %s:%d -> %s:%d: schema mismatch", exOp, exPort, imOp, imPort)
+		s.note(journal.Event{Action: "skip-link", Job: dst.id, Target: fmt.Sprintf("%s:%d -> %s:%d", exOp, exPort, imOp, imPort), Note: "schema mismatch"}, nil)
 		return false
 	}
 	return true
@@ -152,16 +153,14 @@ func (s *SAM) establishLocked(l *xlink) error {
 		return err
 	}
 	// The link calls onErr once per tuple it discards on a codec error;
-	// the loss is the sending PE's to account for.
+	// the loss is the sending PE's to account for, on its counter alone
+	// (no per-tuple path writes to the journal).
 	dropped := srcPE.container.PEMetrics().Counter(metrics.PETuplesDroppedCodec)
 	link := transport.NewLink(
 		schema, inlet,
 		srcPE.container.PEMetrics().Counter(metrics.PETupleBytesSubmitted),
 		dstPE.container.PEMetrics().Counter(metrics.PETupleBytesProcessed),
-		func(err error) {
-			dropped.Inc()
-			s.cfg.Logf("sam: link %s: %v", l.id, err)
-		},
+		func(error) { dropped.Inc() },
 	)
 	if err := srcPE.container.AddOutlet(l.fromOp, l.fromPort, l.id, link.SendRun); err != nil {
 		link.Discard()

@@ -61,6 +61,7 @@ import (
 	"streamorca/internal/compiler"
 	"streamorca/internal/core"
 	"streamorca/internal/graph"
+	"streamorca/internal/journal"
 )
 
 // Routine surface — the composable adaptation-routine API.
@@ -220,10 +221,11 @@ type (
 
 // Extensions beyond the paper's implementation.
 type (
-	// ActuationRecord is one journalled actuation (§7's reliable-delivery
-	// extension: every actuation is tagged with the transaction id of the
-	// event whose handler issued it).
-	ActuationRecord = core.ActuationRecord
+	// JournalEvent is one event of the platform instance's journal. An
+	// orchestrator's actuations are the events under its name (§7's
+	// reliable-delivery extension: every actuation is tagged with the
+	// transaction id of the event whose handler issued it).
+	JournalEvent = journal.Event
 	// RepartitionOptions selects the fusion strategy for
 	// Service.RepartitionApplication (§4.3's recompile extension). It is
 	// the same type as streams.BuildOptions.
