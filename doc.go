@@ -68,9 +68,11 @@
 // queued behind it is journalled and counted on nTuplesDropped, as is every
 // tuple offered to an operator that has finalised or a container that has
 // died. The hot built-ins (Functor, Filter, Aggregate ingest, CountSink,
-// LatencySink) implement the interface with tight column-slice loops; the
-// orcalint batchspi analyzer guards the signature contracts (a mis-typed
-// ProcessBatch would otherwise silently fall back to the per-tuple path).
+// LatencySink) implement the interface with tight column-slice loops.
+// Registration guards the signature contracts: RegisterOp panics on an
+// operator with a ProcessBatch, SaveState/RestoreState or
+// MergeState/SplitState method that does not satisfy its SPI, which would
+// otherwise silently never be selected.
 //
 // # Operator model
 //
@@ -325,18 +327,16 @@
 // discovered by interface assertion, and actuations report failures
 // through errors the retry machinery consumes. Each of those drifts
 // silently — a misspelled Bind key takes its default forever, a
-// misspelled metric name matches nothing, a SaveState without
-// RestoreState checkpoints state that is never restored, a discarded
-// actuation error hides a failed restart. internal/lint encodes these
-// invariants as orcalint analyzers (paramdrift, metrickey, batchspi,
-// statespi, actuationcheck), built on the standard library's go/types
-// against
-// build-cache export data so the module keeps its zero-dependency
-// property. cmd/orcalint runs the suite over any package pattern and
-// fails on the first finding; -list prints the analyzer catalog. CI
-// runs it over the whole tree. A finding that is genuinely intended —
-// a best-effort rollback, a deliberately external restore path — is
-// suppressed in the source with
+// misspelled metric name matches nothing, a discarded actuation error
+// hides a failed restart. A near-miss SPI method is rejected by
+// RegisterOp at init (see above); internal/lint encodes the rest as
+// orcalint analyzers (paramdrift, metrickey, actuationcheck), built on
+// the standard library's go/types against build-cache export data so
+// the module keeps its zero-dependency property. cmd/orcalint runs the
+// suite over any package pattern and fails on the first finding; -list
+// prints the analyzer catalog. CI runs it over the whole tree. A
+// finding that is genuinely intended — a best-effort rollback or
+// snapshot — is suppressed in the source with
 //
 //	//orcalint:ignore <analyzer>[,<analyzer>] <reason>
 //

@@ -48,7 +48,7 @@ type Analyzer struct {
 }
 
 // Analyzers lists every orcalint analyzer, in catalog order.
-var Analyzers = []*Analyzer{ActuationCheck, BatchSPI, MetricKey, ParamDrift, StateSPI}
+var Analyzers = []*Analyzer{ActuationCheck, MetricKey, ParamDrift}
 
 // Summary returns the first line of the analyzer's documentation.
 func (a *Analyzer) Summary() string {

@@ -17,7 +17,5 @@ func testFixture(t *testing.T, a *Analyzer, fixture string) {
 }
 
 func TestParamDrift(t *testing.T)     { testFixture(t, ParamDrift, "paramdrift") }
-func TestBatchSPI(t *testing.T)       { testFixture(t, BatchSPI, "batchspi") }
 func TestMetricKey(t *testing.T)      { testFixture(t, MetricKey, "metrickey") }
-func TestStateSPI(t *testing.T)       { testFixture(t, StateSPI, "statespi") }
 func TestActuationCheck(t *testing.T) { testFixture(t, ActuationCheck, "actuationcheck") }

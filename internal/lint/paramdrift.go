@@ -23,9 +23,9 @@ model's ParamSpec list against every Params binding call
 equivalents) in the operator type's methods. It reports parameters that
 are bound but undeclared (the compiler would reject every legitimate
 use of the name at Build time), declared but never bound (a misspelled
-Bind key silently takes its default forever), bound under a different
-type than declared, and a PartitionKey naming a parameter the model
-does not declare.`,
+Bind key silently takes its default forever), and bound under a
+different type than declared. (RegisterOp itself rejects a PartitionKey
+naming an undeclared parameter.)`,
 	Run: runParamDrift,
 }
 
@@ -97,12 +97,10 @@ type bindCall struct {
 // registration pairs a RegisterOp call's declarative model with the
 // operator type its factory constructs.
 type registration struct {
-	kind         string
-	pos          token.Pos
-	params       []declaredParam
-	partitionKey string
-	partitionPos token.Pos
-	opType       *types.Named
+	kind   string
+	pos    token.Pos
+	params []declaredParam
+	opType *types.Named
 }
 
 func runParamDrift(pass *Pass) error {
@@ -166,30 +164,21 @@ func modelLiteral(e ast.Expr) (*ast.CompositeLit, bool) {
 	return lit, ok
 }
 
-// readModel extracts the declared parameters and partition key from an
-// OpModel composite literal. A Params field given as a call to a local
-// helper that returns a []ParamSpec literal (the shared-parameter-block
-// idiom) is followed through one hop.
+// readModel extracts the declared parameters from an OpModel composite
+// literal. A Params field given as a call to a local helper that
+// returns a []ParamSpec literal (the shared-parameter-block idiom) is
+// followed through one hop.
 func readModel(pass *Pass, decls map[*types.Func]*ast.FuncDecl, model *ast.CompositeLit, reg *registration) {
 	for _, elt := range model.Elts {
 		kv, ok := elt.(*ast.KeyValueExpr)
 		if !ok {
 			continue
 		}
-		key, ok := kv.Key.(*ast.Ident)
-		if !ok {
+		if key, ok := kv.Key.(*ast.Ident); !ok || key.Name != "Params" {
 			continue
 		}
-		switch key.Name {
-		case "Params":
-			if lit := paramListLiteral(pass, decls, kv.Value); lit != nil {
-				reg.params = append(reg.params, readParamSpecs(pass, lit)...)
-			}
-		case "PartitionKey":
-			if v, ok := stringConst(pass.TypesInfo, kv.Value); ok {
-				reg.partitionKey = v
-				reg.partitionPos = kv.Value.Pos()
-			}
+		if lit := paramListLiteral(pass, decls, kv.Value); lit != nil {
+			reg.params = append(reg.params, readParamSpecs(pass, lit)...)
 		}
 	}
 }
@@ -365,15 +354,8 @@ func checkRegistration(pass *Pass, reg *registration) {
 		names = append(names, p.name)
 	}
 	sort.Strings(names)
-	if reg.partitionKey != "" {
-		if _, ok := declared[reg.partitionKey]; !ok {
-			pass.Reportf(reg.partitionPos,
-				"kind %q: PartitionKey names param %q, which the OpModel does not declare (declared: %s)",
-				reg.kind, reg.partitionKey, orNone(names))
-		}
-	}
 	if reg.opType == nil {
-		return // factory not statically resolvable: model-only checks done
+		return // factory not statically resolvable: nothing to compare
 	}
 	binds, dynamic := collectBinds(pass, reg.opType)
 	bound := make(map[string]bool, len(binds))

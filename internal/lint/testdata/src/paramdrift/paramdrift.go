@@ -20,15 +20,6 @@ func init() {
 		},
 	})
 
-	// PartitionKey naming a param the model does not declare.
-	opapi.Default.RegisterOp("BadKey", func() opapi.Operator { return &keyed{} }, &opapi.OpModel{
-		Doc: "fixture operator with a dangling partition key",
-		Params: []opapi.ParamSpec{
-			{Name: "attr", Type: opapi.ParamString},
-		},
-		PartitionKey: "key", // want `PartitionKey names param "key", which the OpModel does not declare`
-	})
-
 	// Clean operator: declarations and binds agree — no diagnostics.
 	opapi.Default.RegisterOp("Clean", newClean, &opapi.OpModel{
 		Doc:    "fixture operator with matching params",
@@ -60,15 +51,6 @@ func (d *drifted) Open(ctx opapi.Context) error {
 	cfg := p.Bind()
 	cfg.Str("mode", "a") // want `param "mode" is declared enum but bound as string`
 	return cfg.Err()
-}
-
-type keyed struct {
-	opapi.Base
-}
-
-func (k *keyed) Open(ctx opapi.Context) error {
-	ctx.Params().Get("attr", "")
-	return nil
 }
 
 type clean struct {

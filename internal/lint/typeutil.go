@@ -11,9 +11,7 @@ const (
 	opapiPath   = "streamorca/internal/opapi"
 	corePath    = "streamorca/internal/core"
 	samPath     = "streamorca/internal/sam"
-	ckptPath    = "streamorca/internal/ckpt"
 	metricsPath = "streamorca/internal/metrics"
-	tuplePath   = "streamorca/internal/tuple"
 )
 
 // unparen strips any number of enclosing parentheses.
@@ -53,14 +51,6 @@ func intConst(info *types.Info, e ast.Expr) (int64, bool) {
 func isStringLiteral(e ast.Expr) bool {
 	lit, ok := unparen(e).(*ast.BasicLit)
 	return ok && lit.Kind.String() == "STRING"
-}
-
-// deref returns the element type of a pointer, or t itself.
-func deref(t types.Type) types.Type {
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		return p.Elem()
-	}
-	return t
 }
 
 // namedType returns the named type of t (through aliases and one
@@ -123,57 +113,4 @@ func methodRecv(f *types.Func) types.Type {
 // given package.
 func funcIsFrom(f *types.Func, pkgPath string) bool {
 	return f != nil && f.Pkg() != nil && f.Pkg().Path() == pkgPath
-}
-
-// lookupMethod finds a method named name in the method set of *T,
-// embedded promotions included.
-func lookupMethod(named *types.Named, name string) *types.Func {
-	ms := types.NewMethodSet(types.NewPointer(named))
-	for i := 0; i < ms.Len(); i++ {
-		if f, ok := ms.At(i).Obj().(*types.Func); ok && f.Name() == name {
-			return f
-		}
-	}
-	return nil
-}
-
-// sigMatches reports whether f's signature has exactly the given
-// parameter types (each "pkgPath.Name" with a leading "*" for
-// pointers, or a bare basic-type name) and returns exactly one error.
-func sigMatches(f *types.Func, params ...string) bool {
-	sig, ok := f.Type().(*types.Signature)
-	if !ok || sig.Params().Len() != len(params) || sig.Results().Len() != 1 {
-		return false
-	}
-	if !isErrorType(sig.Results().At(0).Type()) {
-		return false
-	}
-	for i, want := range params {
-		if typeString(sig.Params().At(i).Type()) != want {
-			return false
-		}
-	}
-	return true
-}
-
-func typeString(t types.Type) string {
-	switch tt := types.Unalias(t).(type) {
-	case *types.Pointer:
-		return "*" + typeString(tt.Elem())
-	case *types.Named:
-		obj := tt.Origin().Obj()
-		if obj.Pkg() != nil {
-			return obj.Pkg().Path() + "." + obj.Name()
-		}
-		return obj.Name()
-	case *types.Basic:
-		return tt.Name()
-	default:
-		return t.String()
-	}
-}
-
-func isErrorType(t types.Type) bool {
-	n, ok := types.Unalias(t).(*types.Named)
-	return ok && n.Obj().Name() == "error" && n.Obj().Pkg() == nil
 }

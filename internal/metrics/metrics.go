@@ -21,7 +21,6 @@ const (
 	OpTuplesSubmitted = "nTuplesSubmitted"
 	OpPunctsProcessed = "nPunctsProcessed"
 	OpQueueSize       = "queueSize" // tuples pending in the operator's inbox, refreshed at snapshot time
-	OpExceptions      = "nExceptionsCaught"
 )
 
 // Built-in port metric names.
@@ -162,7 +161,7 @@ type OpMetrics struct {
 // pre-created so they always appear in snapshots.
 func NewOpMetrics() *OpMetrics {
 	m := &OpMetrics{Builtin: NewSet(), Custom: NewSet()}
-	for _, n := range []string{OpTuplesProcessed, OpTuplesSubmitted, OpPunctsProcessed, OpQueueSize, OpExceptions} {
+	for _, n := range []string{OpTuplesProcessed, OpTuplesSubmitted, OpPunctsProcessed, OpQueueSize} {
 		m.Builtin.Counter(n)
 	}
 	return m

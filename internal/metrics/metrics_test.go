@@ -93,7 +93,7 @@ func TestSetConcurrentCreate(t *testing.T) {
 
 func TestNewOpMetricsPrecreatesBuiltins(t *testing.T) {
 	m := NewOpMetrics()
-	for _, n := range []string{OpTuplesProcessed, OpTuplesSubmitted, OpPunctsProcessed, OpQueueSize, OpExceptions} {
+	for _, n := range []string{OpTuplesProcessed, OpTuplesSubmitted, OpPunctsProcessed, OpQueueSize} {
 		if _, ok := m.Builtin.Lookup(n); !ok {
 			t.Fatalf("built-in %q missing", n)
 		}

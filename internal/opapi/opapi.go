@@ -7,6 +7,7 @@ package opapi
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -301,8 +302,9 @@ type Operator interface {
 //
 //   - ProcessBatch(port, b) must be semantically equivalent to calling
 //     Process(port, t) for each tuple of b in order. Process stays
-//     mandatory (the batchspi analyzer enforces the pair): it is the
-//     operator's meaning, and what callers outside the PE runtime use.
+//     mandatory (the compiler enforces the pair, since BatchOperator
+//     embeds Operator): it is the operator's meaning, and what callers
+//     outside the PE runtime use.
 //   - The Batch and the slice Tuples returns are valid only for the
 //     duration of the call; the runtime reuses the view. The tuples
 //     follow Process's retain rule: keeping one past the call requires
@@ -462,21 +464,30 @@ func NewRegistry() *Registry { return &Registry{entries: make(map[string]registr
 // error.
 func (r *Registry) Register(kind string, f Factory) { r.RegisterOp(kind, f, nil) }
 
-// RegisterOp adds a kind together with its operator model. The model
-// (when non-nil) must be well-formed — malformed models panic, like
-// duplicate kinds, because registration is init-time code. The registry
-// fills in model.Kind and owns the model afterwards; callers must not
-// mutate it.
+// RegisterOp adds a kind together with its operator model. It calls
+// the factory once, at registration, so a factory must have no side
+// effects. It panics when that instance is nil or has a method named
+// like an optional SPI's that does not satisfy that SPI (see checkSPI),
+// and when the model (if non-nil) is malformed: like a duplicate kind,
+// each is a programming error in init-time code. The registry fills in
+// model.Kind and owns the model afterwards; callers must not mutate it.
 func (r *Registry) RegisterOp(kind string, f Factory, model *OpModel) {
 	if kind == "" || f == nil {
 		panic("opapi: empty kind or nil factory")
+	}
+	op := f()
+	if op == nil {
+		panic(fmt.Sprintf("opapi: kind %q: factory returned nil", kind))
+	}
+	if err := checkSPI(op); err != nil {
+		panic(fmt.Sprintf("opapi: kind %q: %v", kind, err))
 	}
 	if model != nil {
 		if model.Kind == "" {
 			model.Kind = kind
 		}
 		if err := model.check(); err != nil {
-			panic("opapi: " + err.Error())
+			panic(fmt.Sprintf("opapi: kind %q (%T): %v", kind, op, err))
 		}
 	}
 	r.mu.Lock()
@@ -485,6 +496,40 @@ func (r *Registry) RegisterOp(kind string, f Factory, model *OpModel) {
 		panic(fmt.Sprintf("opapi: operator kind %q registered twice", kind))
 	}
 	r.entries[kind] = registryEntry{factory: f, model: model}
+}
+
+// optionalSPIs are the interfaces the PE selects by type assertion,
+// each with the method names that mark an attempt to implement it.
+var optionalSPIs = []struct {
+	iface   reflect.Type
+	methods []string
+}{
+	{reflect.TypeFor[BatchOperator](), []string{"ProcessBatch"}},
+	{reflect.TypeFor[StatefulOperator](), []string{"SaveState", "RestoreState"}},
+	{reflect.TypeFor[PartitionedStateOperator](), []string{"MergeState", "SplitState"}},
+}
+
+// checkSPI rejects an operator with a method named like an optional
+// SPI's that does not satisfy that SPI: it compiles, but the PE's type
+// assertion never selects it. The names are looked up on *T as well as
+// T, so a value whose SPI methods have pointer receivers is caught too.
+func checkSPI(op Operator) error {
+	t := reflect.TypeOf(op)
+	pt := t
+	if t.Kind() != reflect.Pointer {
+		pt = reflect.PointerTo(t)
+	}
+	for _, spi := range optionalSPIs {
+		if t.Implements(spi.iface) {
+			continue
+		}
+		for _, m := range spi.methods {
+			if _, ok := pt.MethodByName(m); ok {
+				return fmt.Errorf("type %v has %s but does not implement opapi.%s", t, m, spi.iface.Name())
+			}
+		}
+	}
+	return nil
 }
 
 // New instantiates an operator of the given kind.

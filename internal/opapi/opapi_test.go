@@ -1,9 +1,12 @@
 package opapi
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"streamorca/internal/ckpt"
 	"streamorca/internal/tuple"
 	"streamorca/internal/vclock"
 )
@@ -97,6 +100,94 @@ func TestRegistryEmptyKindPanics(t *testing.T) {
 		}
 	}()
 	r.Register("", func() Operator { return &dummyOp{} })
+}
+
+// Operators whose methods nearly match an optional SPI. Each compiles
+// as an Operator, but the PE's type assertion would never select it.
+// (ProcessBatch without Process, or with a Process that drops its
+// error, is no case here: the compiler rejects it as an Operator.)
+type (
+	batchByValue    struct{ Base }
+	saveOnly        struct{ Base }
+	restoreOnly     struct{ Base }
+	saveNoError     struct{ Base }
+	mergeOnly       struct{ stateful }
+	migrateNoBase   struct{ Base }
+	ptrBatch        struct{ Base }
+	stateful        struct{ Base }
+	completeBatch   struct{ Base }
+	completeMigrate struct{ stateful }
+)
+
+func (*batchByValue) ProcessBatch(int, tuple.Batch) error         { return nil }
+func (*saveOnly) SaveState(*ckpt.Encoder) error                   { return nil }
+func (*restoreOnly) RestoreState(*ckpt.Decoder) error             { return nil }
+func (*saveNoError) SaveState(*ckpt.Encoder)                      {}
+func (*mergeOnly) MergeState(*ckpt.Decoder) error                 { return nil }
+func (*migrateNoBase) MergeState(*ckpt.Decoder) error             { return nil }
+func (*migrateNoBase) SplitState(*ckpt.Encoder, int, int) error   { return nil }
+func (*ptrBatch) ProcessBatch(int, *tuple.Batch) error            { return nil }
+func (*stateful) SaveState(*ckpt.Encoder) error                   { return nil }
+func (*stateful) RestoreState(*ckpt.Decoder) error                { return nil }
+func (*completeBatch) ProcessBatch(int, *tuple.Batch) error       { return nil }
+func (*completeMigrate) MergeState(*ckpt.Decoder) error           { return nil }
+func (*completeMigrate) SplitState(*ckpt.Encoder, int, int) error { return nil }
+
+// registerPanicCase is one RegisterOp call that must panic with a
+// message naming its kind and containing want.
+type registerPanicCase struct {
+	kind    string
+	factory Factory
+	model   *OpModel
+	want    string
+}
+
+func checkRegisterPanics(t *testing.T, cases []registerPanicCase) {
+	t.Helper()
+	for _, tc := range cases {
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, fmt.Sprintf("kind %q", tc.kind)) || !strings.Contains(msg, tc.want) {
+					t.Errorf("%s: panic %q, want the kind and %q", tc.kind, msg, tc.want)
+				}
+			}()
+			NewRegistry().RegisterOp(tc.kind, tc.factory, tc.model)
+		}()
+	}
+}
+
+func TestRegisterOpRejectsBatchSPINearMisses(t *testing.T) {
+	checkRegisterPanics(t, []registerPanicCase{
+		{"ByValueBatch", func() Operator { return &batchByValue{} }, nil, "*opapi.batchByValue has ProcessBatch but does not implement opapi.BatchOperator"},
+		// A value whose ProcessBatch has a pointer receiver.
+		{"ValueBatch", func() Operator { return ptrBatch{} }, nil, "opapi.ptrBatch has ProcessBatch but does not implement opapi.BatchOperator"},
+	})
+	NewRegistry().Register("Batch", func() Operator { return &completeBatch{} })
+}
+
+func TestRegisterOpRejectsStateSPINearMisses(t *testing.T) {
+	checkRegisterPanics(t, []registerPanicCase{
+		{"SaveOnly", func() Operator { return &saveOnly{} }, nil, "*opapi.saveOnly has SaveState but does not implement opapi.StatefulOperator"},
+		{"RestoreOnly", func() Operator { return &restoreOnly{} }, nil, "*opapi.restoreOnly has RestoreState but does not implement opapi.StatefulOperator"},
+		{"SaveNoError", func() Operator { return &saveNoError{} }, nil, "*opapi.saveNoError has SaveState but does not implement opapi.StatefulOperator"},
+		{"MergeOnly", func() Operator { return &mergeOnly{} }, nil, "*opapi.mergeOnly has MergeState but does not implement opapi.PartitionedStateOperator"},
+		{"MigrateNoBase", func() Operator { return &migrateNoBase{} }, nil, "*opapi.migrateNoBase has MergeState but does not implement opapi.PartitionedStateOperator"},
+	})
+	r := NewRegistry()
+	r.Register("Stateful", func() Operator { return &stateful{} })
+	r.Register("Migrate", func() Operator { return &completeMigrate{} })
+}
+
+func TestRegisterOpRejectsNilFactoryAndBadModel(t *testing.T) {
+	checkRegisterPanics(t, []registerPanicCase{
+		{"Nil", func() Operator { return nil }, nil, "factory returned nil"},
+		// A PartitionKey naming an undeclared param (model.check).
+		{"BadKey", func() Operator { return &dummyOp{} }, &OpModel{
+			Params:       []ParamSpec{{Name: "attr", Type: ParamString}},
+			PartitionKey: "key",
+		}, `(*opapi.dummyOp): model BadKey: partition key names undeclared param "key"`},
+	})
 }
 
 func TestRegistryKindsSorted(t *testing.T) {

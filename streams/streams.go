@@ -199,7 +199,11 @@ func Bound(v float64) *float64 { return opapi.Bound(v) }
 
 // RegisterOperator adds a custom operator kind to the default registry
 // without a descriptor; applications using the kind build, but their
-// configuration is not validated. Prefer RegisterOperatorModel.
+// configuration is not validated. Prefer RegisterOperatorModel. Both
+// call factory once and panic on a nil operator, or on one with a
+// ProcessBatch, SaveState/RestoreState or MergeState/SplitState method
+// that does not satisfy BatchOperator, StatefulOperator or
+// PartitionedStateOperator.
 func RegisterOperator(kind string, factory func() Operator) {
 	opapi.Default.Register(kind, func() opapi.Operator { return factory() })
 }
