@@ -52,9 +52,11 @@
 // into same-PE consumers and as one run into cross-PE links, so a fused
 // chain never degrades to per-tuple handoff — which is what makes a
 // fused hop cheaper than a cross-PE one. A source has no chunk: its
-// Submit forwards at once, and one that holds several tuples hands them
-// over as a run through the context's optional opapi.RunSubmitter
-// (SubmitRun: every tuple checked as Submit checks it, one flush). The
+// Submit forwards at once. An operator that holds several tuples — a
+// source draining a buffer, a batch operator's chunk of outputs — hands
+// them over as one run with opapi.SubmitAll (SubmitRun where the context
+// is an opapi.RunSubmitter: every tuple checked as Submit checks it,
+// one buffered run). The
 // same swap-buffer hand-over — append under a mutex, take everything
 // pending, wake on the empty→non-empty edge, no timer — carries runs
 // through load.Injector in front of the source and through

@@ -262,6 +262,8 @@ func (s *tweetSource) Open(ctx opapi.Context) error {
 func (s *tweetSource) Run(stop <-chan struct{}) error {
 	count, period := s.count, s.period
 	schema := s.ctx.OutputSchema(0)
+	clk := s.ctx.Clock()
+	start := clk.Now()
 	for i := int64(0); count == 0 || i < count; i++ {
 		select {
 		case <-stop:
@@ -277,7 +279,7 @@ func (s *tweetSource) Run(stop <-chan struct{}) error {
 		if err := s.ctx.Submit(0, t); err != nil {
 			return err
 		}
-		if !opapi.Sleep(s.ctx.Clock(), period, stop) {
+		if period > 0 && !opapi.SleepUntil(clk, start.Add(time.Duration(i+1)*period), stop) {
 			return nil
 		}
 	}
@@ -290,6 +292,7 @@ type sentimentClassifier struct {
 	opapi.Base
 	ctx       opapi.Context
 	text, neg tuple.FieldRef
+	outs      []tuple.Tuple // ProcessBatch's scratch, cleared after each run
 }
 
 func (c *sentimentClassifier) Open(ctx opapi.Context) error {
@@ -313,22 +316,20 @@ func (c *sentimentClassifier) Process(port int, t tuple.Tuple) error {
 }
 
 // ProcessBatch classifies the run with the counter resolved once and
-// bumped in one add; the per-tuple clone stays (the classified copy
-// escapes downstream).
+// bumped in one add, and submits the classified copies as one run; the
+// per-tuple clone stays (the classified copy escapes downstream).
 func (c *sentimentClassifier) ProcessBatch(port int, b *tuple.Batch) error {
 	text, neg := c.text, c.neg
-	classified := int64(0)
 	for _, t := range b.Tuples() {
 		out := t.Clone()
 		neg.SetBool(out, strings.Contains(text.Str(t), "hate"))
-		classified++
-		if err := c.ctx.Submit(0, out); err != nil {
-			c.ctx.CustomMetric(MetricTweetsClassified).Add(classified)
-			return err
-		}
+		c.outs = append(c.outs, out)
 	}
-	c.ctx.CustomMetric(MetricTweetsClassified).Add(classified)
-	return nil
+	c.ctx.CustomMetric(MetricTweetsClassified).Add(int64(len(c.outs)))
+	err := opapi.SubmitAll(c.ctx, 0, c.outs)
+	clear(c.outs)
+	c.outs = c.outs[:0]
+	return err
 }
 
 // causeMatcher correlates negative tweets with the known-cause model
@@ -521,6 +522,8 @@ func (s *tickSource) Open(ctx opapi.Context) error {
 func (s *tickSource) Run(stop <-chan struct{}) error {
 	count, period := s.count, s.period
 	schema := s.ctx.OutputSchema(0)
+	clk := s.ctx.Clock()
+	start := clk.Now()
 	for i := int64(0); count == 0 || i < count; i++ {
 		select {
 		case <-stop:
@@ -535,7 +538,7 @@ func (s *tickSource) Run(stop <-chan struct{}) error {
 		if err := s.ctx.Submit(0, t); err != nil {
 			return err
 		}
-		if !opapi.Sleep(s.ctx.Clock(), period, stop) {
+		if period > 0 && !opapi.SleepUntil(clk, start.Add(time.Duration(i+1)*period), stop) {
 			return nil
 		}
 	}
@@ -598,6 +601,8 @@ func (s *profileSource) Open(ctx opapi.Context) error {
 func (s *profileSource) Run(stop <-chan struct{}) error {
 	count, period := s.count, s.period
 	schema := s.ctx.OutputSchema(0)
+	clk := s.ctx.Clock()
+	start := clk.Now()
 	for i := int64(0); count == 0 || i < count; i++ {
 		select {
 		case <-stop:
@@ -615,7 +620,7 @@ func (s *profileSource) Run(stop <-chan struct{}) error {
 		if err := s.ctx.Submit(0, t); err != nil {
 			return err
 		}
-		if !opapi.Sleep(s.ctx.Clock(), period, stop) {
+		if period > 0 && !opapi.SleepUntil(clk, start.Add(time.Duration(i+1)*period), stop) {
 			return nil
 		}
 	}

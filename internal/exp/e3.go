@@ -18,7 +18,7 @@ import (
 // outcome's series is Figure 10: the running-job count over time.
 func composition(p Params) (*Outcome, error) {
 	const (
-		profilePeriod = 100 * time.Microsecond // each C1 reader's emission delay
+		profilePeriod = 100 * time.Microsecond // each C1 reader's emission period
 		// threshold is the new-profile count that spawns a C3 job
 		// (paper example: 1500).
 		threshold = 1500
@@ -118,14 +118,19 @@ func composition(p Params) (*Outcome, error) {
 		return true
 	}
 	// Done when every attribute's C3 job came and went and the graph is
-	// back at its base size.
+	// back at its base size. The readers keep running, so the policy's
+	// next C3 round may grow the graph again at any time: the contraction
+	// is judged on what the wait saw when it held, not read afterwards.
+	var cancels []string
+	final := 0
 	waitUntil(budget, pullEvery, func() bool {
-		return covers(policy.Cancellations()) && jobCount() == baseJobs
+		cancels, final = policy.Cancellations(), jobCount()
+		return covers(cancels) && final == baseJobs
 	})
 	// One more beat, so the series records the contraction it waited for.
 	time.Sleep(2 * pullEvery)
 	halt()
-	subs, cancels, final := policy.Submissions(), policy.Cancellations(), jobCount()
+	subs := policy.Submissions()
 	profiles := apps.ProfileStoreIn(r.inst.SAM.Objects(), storeID).Len()
 
 	if !covers(subs) {

@@ -181,26 +181,16 @@ func (s *loadSource) Open(ctx opapi.Context) error {
 }
 
 // Run forwards the injector's pending tuples a run at a time: one take,
-// then one SubmitRun where the context offers it (the PE's does) and a
-// Submit per tuple where it does not.
+// then one opapi.SubmitAll.
 func (s *loadSource) Run(stop <-chan struct{}) error {
-	rs, _ := s.ctx.(opapi.RunSubmitter)
 	var run []tuple.Tuple
 	for {
 		var ok bool
 		if run, ok = s.inj.take(run, stop); !ok {
 			return nil // closed and drained (final punctuation), or stopped
 		}
-		if rs != nil {
-			if err := rs.SubmitRun(0, run); err != nil {
-				return err
-			}
-		} else {
-			for _, t := range run {
-				if err := s.ctx.Submit(0, t); err != nil {
-					return err
-				}
-			}
+		if err := opapi.SubmitAll(s.ctx, 0, run); err != nil {
+			return err
 		}
 		clear(run)
 	}

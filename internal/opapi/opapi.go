@@ -218,9 +218,8 @@ type Context interface {
 	OutputSchema(i int) *tuple.Schema
 	// Submit sends a tuple on output port i. From a processing goroutine
 	// the tuple is forwarded once the current chunk of input has been
-	// processed; from a Source's Run goroutine, at once. A source that
-	// holds several tuples hands them over together through the
-	// optional RunSubmitter.
+	// processed; from a Source's Run goroutine, at once. An operator
+	// that holds several tuples hands them over together with SubmitAll.
 	Submit(i int, t tuple.Tuple) error
 	// SubmitMark sends a punctuation on output port i. Final marks are
 	// normally managed by the runtime; sources emit them via Run's return.
@@ -237,15 +236,32 @@ type Context interface {
 }
 
 // RunSubmitter is an optional capability of a Context: an operator that
-// already holds a run of tuples for one port — a source draining an
-// external buffer — type-asserts its Context to it and falls back to a
-// Submit per tuple when the assertion fails. The PE's context has it.
+// holds a run of tuples for one port — a source draining an external
+// buffer, a batch operator's outputs for one ProcessBatch call — hands
+// it over through SubmitAll, which uses SubmitRun where the Context has
+// it (the PE's does). A batch operator loses nothing by it: its chunk
+// is the unit of failure, so a run refused whole drops no tuple that a
+// Submit per tuple would have delivered.
 type RunSubmitter interface {
 	// SubmitRun sends ts, in order, on output port i as one hand-over:
 	// every tuple gets Submit's checks, a run with a bad tuple is
 	// refused whole, and a source's run is forwarded at once as one
 	// unit. ts remains the caller's.
 	SubmitRun(i int, ts []tuple.Tuple) error
+}
+
+// SubmitAll sends ts, in order, on output port i: one SubmitRun where
+// ctx is a RunSubmitter, a Submit per tuple where it is not.
+func SubmitAll(ctx Context, i int, ts []tuple.Tuple) error {
+	if rs, ok := ctx.(RunSubmitter); ok {
+		return rs.SubmitRun(i, ts)
+	}
+	for _, t := range ts {
+		if err := ctx.Submit(i, t); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Sleep waits d on the clock, returning early with false when stop
@@ -262,6 +278,15 @@ func Sleep(clock vclock.Clock, d time.Duration, stop <-chan struct{}) bool {
 	case <-stop:
 		return false
 	}
+}
+
+// SleepUntil waits on the clock until at, returning early with false
+// when stop closes first; an instant already past returns at once. A
+// periodic source paces on start + i·period with it, so a wake-up that
+// runs late shortens the next wait instead of adding up, and no tick is
+// ever skipped.
+func SleepUntil(clock vclock.Clock, at time.Time, stop <-chan struct{}) bool {
+	return Sleep(clock, at.Sub(clock.Now()), stop)
 }
 
 // Operator is a stream operator instance. The PE runtime serialises all

@@ -23,6 +23,7 @@ type filter struct {
 	opapi.Base
 	ctx  opapi.Context
 	pred func(tuple.Tuple) bool
+	pass []tuple.Tuple // ProcessBatch's scratch, cleared after each run
 }
 
 func (f *filter) Open(ctx opapi.Context) error {
@@ -48,25 +49,29 @@ func (f *filter) Process(port int, t tuple.Tuple) error {
 	return nil
 }
 
-// ProcessBatch runs the compiled predicate over the whole run and
-// accounts discards once, keeping the per-tuple work to predicate +
-// submit.
+// ProcessBatch runs the compiled predicate over the whole run, submits
+// the passing tuples as one run and accounts discards once.
 func (f *filter) ProcessBatch(port int, b *tuple.Batch) error {
-	pred := f.pred
-	dropped := 0
+	var err error
+	f.pass, err = passRun(f.ctx, f.pred, b, f.pass)
+	return err
+}
+
+// passRun submits, as one run, the tuples of b that pred passes, and
+// counts the rest on MetricTuplesDropped; pass is the caller's scratch,
+// returned cleared.
+func passRun(ctx opapi.Context, pred func(tuple.Tuple) bool, b *tuple.Batch, pass []tuple.Tuple) ([]tuple.Tuple, error) {
 	for _, t := range b.Tuples() {
-		if !pred(t) {
-			dropped++
-			continue
-		}
-		if err := f.ctx.Submit(0, t); err != nil {
-			return err
+		if pred(t) {
+			pass = append(pass, t)
 		}
 	}
-	if dropped > 0 {
-		f.ctx.CustomMetric(MetricTuplesDropped).Add(int64(dropped))
+	if dropped := b.Len() - len(pass); dropped > 0 {
+		ctx.CustomMetric(MetricTuplesDropped).Add(int64(dropped))
 	}
-	return nil
+	err := opapi.SubmitAll(ctx, 0, pass)
+	clear(pass)
+	return pass[:0], err
 }
 
 // dynamicFilter is a filter whose predicate can be replaced at runtime by
@@ -78,6 +83,7 @@ type dynamicFilter struct {
 	ctx  opapi.Context
 	mu   sync.Mutex
 	pred func(tuple.Tuple) bool
+	pass []tuple.Tuple // ProcessBatch's scratch, cleared after each run
 }
 
 func (f *dynamicFilter) Open(ctx opapi.Context) error {
@@ -114,20 +120,9 @@ func (f *dynamicFilter) ProcessBatch(port int, b *tuple.Batch) error {
 	f.mu.Lock()
 	pred := f.pred
 	f.mu.Unlock()
-	dropped := 0
-	for _, t := range b.Tuples() {
-		if !pred(t) {
-			dropped++
-			continue
-		}
-		if err := f.ctx.Submit(0, t); err != nil {
-			return err
-		}
-	}
-	if dropped > 0 {
-		f.ctx.CustomMetric(MetricTuplesDropped).Add(int64(dropped))
-	}
-	return nil
+	var err error
+	f.pass, err = passRun(f.ctx, pred, b, f.pass)
+	return err
 }
 
 func (f *dynamicFilter) Control(cmd string, args map[string]string) error {
@@ -356,12 +351,13 @@ func (f *functor) Process(port int, t tuple.Tuple) error {
 }
 
 // ProcessBatch projects the whole run through column-wise loops: one
-// leased block covers every output tuple (Submit queues each output
-// under a hold of the carrier's, so the birth hold is dropped on return
-// and the block comes back once downstream is done with the run; the
-// headers are copied by Submit and reused here), and each compiled copy
-// / arithmetic spec walks its column across all tuples — the type switch
-// and ref bounds run once per column instead of once per tuple.
+// leased block covers every output tuple (SubmitAll queues the outputs
+// as one run under a hold of the carrier's, so the birth hold is dropped
+// on return and the block comes back once downstream is done with the
+// run; the headers are copied by SubmitAll and reused here), and each
+// compiled copy / arithmetic spec walks its column across all tuples —
+// the type switch and ref bounds run once per column instead of once
+// per tuple.
 func (f *functor) ProcessBatch(port int, b *tuple.Batch) error {
 	outs, lease := tuple.Lease(f.ctx.OutputSchema(0), f.outs, b.Len())
 	f.outs = outs
@@ -410,12 +406,7 @@ func (f *functor) ProcessBatch(port int, b *tuple.Batch) error {
 			ref.SetStr(outs[i], val)
 		}
 	}
-	for i := range outs {
-		if err := f.ctx.Submit(0, outs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return opapi.SubmitAll(f.ctx, 0, outs)
 }
 
 // split routes each input tuple to one (or all) of its output ports.
@@ -503,14 +494,8 @@ func (m *merge) Open(ctx opapi.Context) error { m.ctx = ctx; return nil }
 
 func (m *merge) Process(port int, t tuple.Tuple) error { return m.ctx.Submit(0, t) }
 
-// ProcessBatch forwards the run tuple by tuple; with a batch-capable
-// downstream the runtime coalesces the submits back into one batch, so
-// a merge between two batch operators keeps the frame intact.
+// ProcessBatch forwards the chunk as one run, so a merge between two
+// batch operators keeps the frame intact.
 func (m *merge) ProcessBatch(port int, b *tuple.Batch) error {
-	for _, t := range b.Tuples() {
-		if err := m.ctx.Submit(0, t); err != nil {
-			return err
-		}
-	}
-	return nil
+	return opapi.SubmitAll(m.ctx, 0, b.Tuples())
 }

@@ -58,6 +58,8 @@ func (b *beacon) Run(stop <-chan struct{}) error {
 		}
 		seqRef = ref
 	}
+	clk := b.ctx.Clock()
+	start, first := clk.Now(), b.next.Load()
 	for {
 		i := b.next.Load()
 		if b.count != 0 && i >= b.count {
@@ -78,7 +80,7 @@ func (b *beacon) Run(stop <-chan struct{}) error {
 		// Advance after the emit: a checkpoint between Submit and Add
 		// re-emits the in-flight tuple on restart rather than skipping it.
 		b.next.Store(i + 1)
-		if !opapi.Sleep(b.ctx.Clock(), b.period, stop) {
+		if b.period > 0 && !opapi.SleepUntil(clk, start.Add(time.Duration(i+1-first)*b.period), stop) {
 			return nil
 		}
 	}

@@ -2,11 +2,13 @@ package pe
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"streamorca/internal/ids"
 	"streamorca/internal/metrics"
 	"streamorca/internal/opapi"
+	"streamorca/internal/ops"
 	"streamorca/internal/tuple"
 )
 
@@ -356,5 +358,100 @@ func TestRunHoldsCountRuns(t *testing.T) {
 			}()
 			blk.Release()
 		}()
+	}
+}
+
+// TestHandOverKeepsEveryTuple: a fused Functor → Functor → sink chain
+// fed leased 64-tuple runs delivers every seq once and in order while an
+// outlet comes and goes on the first Functor's port, moving that port
+// between handing its buffer over whole and copying it. Each attachment
+// of the outlet sees a gapless stretch of the stream, and every block —
+// the runs fed in and both Functors' outputs — is recycled at the end.
+func TestHandOverKeepsEveryTuple(t *testing.T) {
+	const runs, toggle, shift = 200, 5, 1000000
+	k := &keeper{}
+	reg := opapi.NewRegistry()
+	reg.Register("Functor", func() opapi.Operator { op, _ := opapi.Default.New(ops.KindFunctor); return op })
+	reg.Register("Keeper", func() opapi.Operator { return k })
+	ints := []*tuple.Schema{intSchema}
+	p, err := New(Config{
+		ID: 1, Job: 1, App: "lease", Host: "h1", Registry: reg,
+		Ops: []OpSpec{
+			{Name: "f1", Kind: "Functor", Params: opapi.Params{"addInt": fmt.Sprint("v:", shift)}, Inputs: ints, Outputs: ints},
+			{Name: "f2", Kind: "Functor", Params: opapi.Params{"addInt": fmt.Sprint("v:", -shift)}, Inputs: ints, Outputs: ints},
+			{Name: "sink", Kind: "Keeper", Inputs: ints},
+		},
+		Wires: []Wire{{"f1", 0, "f2", 0}, {"f2", 0, "sink", 0}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inlet, err := p.ExternalBatchInlet("f1", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Start(); err != nil {
+		t.Fatal(err)
+	}
+	type tap struct {
+		seen []int64
+		kept []tuple.Tuple
+	}
+	var taps []*tap
+	var spies [][]tuple.Tuple
+	for r := 0; r < runs; r++ {
+		if id := fmt.Sprint("tap", r/(2*toggle)); r%(2*toggle) == 0 {
+			tp := &tap{}
+			taps = append(taps, tp)
+			if err := p.AddOutlet("f1", 0, id, func(run []Item) {
+				for _, it := range run {
+					tp.seen = append(tp.seen, it.T.Int("v")-shift)
+					tp.kept = append(tp.kept, it.T)
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+		} else if r%(2*toggle) == toggle {
+			if err := p.RemoveOutlet("f1", 0, id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b, spy := leasedBatch(r*maxChunk, maxChunk)
+		spies = append(spies, spy)
+		inlet(b)
+	}
+	const total = runs * maxChunk
+	waitCond(t, "every tuple through the chain", func() bool { return peCounter(p, metrics.PETuplesProcessed) == 3*total })
+	p.Stop()
+	if len(k.seen) != total {
+		t.Fatalf("sink saw %d tuples, want %d", len(k.seen), total)
+	}
+	for i, v := range k.seen {
+		if v != int64(i) {
+			t.Fatalf("sink tuple %d reads %d", i, v)
+		}
+	}
+	tapped, last := 0, int64(-1)
+	for n, tp := range taps {
+		for i, v := range tp.seen {
+			if v <= last || (i > 0 && v != tp.seen[i-1]+1) {
+				t.Fatalf("attachment %d: tuple %d reads %d after %d", n, i, v, last)
+			}
+			last = v
+		}
+		tapped += len(tp.seen)
+		spies = append(spies, tp.kept)
+	}
+	if tapped == 0 || tapped == total {
+		t.Fatalf("the outlet saw %d of %d tuples: the run never took both paths", tapped, total)
+	}
+	if poisoning {
+		for _, spy := range append(spies, k.kept) {
+			for _, tp := range spy {
+				if v := tp.Int("v"); v != poisonNum {
+					t.Fatalf("a tuple's block was not recycled: it reads %d", v)
+				}
+			}
+		}
 	}
 }

@@ -11,9 +11,12 @@
 // whole; the drained run is cut into chunks of at most maxChunk tuples
 // of one port, each handed over as one ProcessBatch call (or unrolled
 // into Process calls); Context.Submit coalesces for every operator for
-// the length of a chunk, and a source, which has no chunk, hands over a
-// run it already holds with SubmitRun (opapi.RunSubmitter): one flush,
-// one inbox entry per fused consumer, one call per outlet.
+// the length of a chunk, and an operator that holds a run — a source
+// draining a buffer, a batch operator's outputs — submits it whole with
+// SubmitRun (opapi.SubmitAll): one schema check per new schema pointer,
+// one flush, one inbox entry per fused consumer, one call per outlet.
+// A port with a lone fused consumer and no outlet hands its buffer of
+// emits over as that consumer's batch instead of copying it.
 // Config.QueueCap and the queueSize gauge count tuples, so a queued
 // 64-tuple frame weighs 64. Batch, GetBatch, PutBatch, ExternalInlet
 // and ExternalBatchInlet are thin adapters over that path, kept for the
@@ -180,9 +183,12 @@ type opRuntime struct {
 	// at every Submit or SubmitRun for a source. Operator's own
 	// goroutine only.
 	outBuf [][]Item
-	om     *metrics.OpMetrics
-	inPM   []*metrics.Set // per input port
-	outPM  []*metrics.Set // per output port
+	// okSchema is, per output port, the last submitted schema pointer
+	// that checkSubmit found equal to the port's. Submitting goroutine only.
+	okSchema []*tuple.Schema
+	om       *metrics.OpMetrics
+	inPM     []*metrics.Set // per input port
+	outPM    []*metrics.Set // per output port
 	// Hot-path counter cells resolved once at construction (see the PE
 	// struct's cTuples* fields for the rationale).
 	cProcessed *metrics.Counter   // builtin nTuplesProcessed
@@ -237,7 +243,7 @@ func (s *outletSet) remove(id string) {
 	s.rebuild()
 }
 
-// rebuild replaces the snapshot with a freshly allocated slice: each()
+// rebuild replaces the snapshot with a freshly allocated slice: flush
 // iterates its copy of the old snapshot outside the lock, so the backing
 // array must never be reused.
 func (s *outletSet) rebuild() {
@@ -248,14 +254,12 @@ func (s *outletSet) rebuild() {
 	s.next = next
 }
 
-// each hands the items, as one run, to every attached outlet.
-func (s *outletSet) each(items []Item) {
+// snapshot returns the attached outlets. The slice is never written
+// again, so the caller ranges over it outside the lock.
+func (s *outletSet) snapshot() []Outlet {
 	s.mu.RLock()
-	outs := s.next
-	s.mu.RUnlock()
-	for _, fn := range outs {
-		fn(items)
-	}
+	defer s.mu.RUnlock()
+	return s.next
 }
 
 // New assembles a PE from its configuration; Start launches it.
@@ -304,6 +308,7 @@ func New(cfg Config) (*PE, error) {
 			op:        op,
 			in:        newInbox(cfg.QueueCap),
 			outBuf:    make([][]Item, len(spec.Outputs)),
+			okSchema:  make([]*tuple.Schema, len(spec.Outputs)),
 			om:        metrics.NewOpMetrics(),
 			intra:     make([][]intraTarget, len(spec.Outputs)),
 			outlets:   make([]*outletSet, len(spec.Outputs)),
@@ -905,7 +910,10 @@ func (rt *opRuntime) deliverMark(port int, m tuple.Mark) bool {
 // receives its port's items as one queue entry, every external outlet
 // receives them as one run, and the submission counters advance by the
 // tuple count in one step per port. Each target takes its own holds
-// before the buffer drops the ones emit took.
+// before the buffer drops the ones emit took — except where a run of
+// more than one item has one fused target and no outlet: the buffer
+// itself, holds and all, becomes that target's batch, and the pooled
+// batch's empty slice the next buffer.
 func (rt *opRuntime) flush() {
 	for port, buf := range rt.outBuf {
 		if len(buf) == 0 {
@@ -915,6 +923,13 @@ func (rt *opRuntime) flush() {
 		rt.cSubmitted.Add(int64(nt))
 		rt.pOut[port].Add(int64(nt))
 		rt.pe.cTuplesOut.Add(int64(nt))
+		outs := rt.outlets[port].snapshot()
+		if tgts := rt.intra[port]; len(buf) > 1 && len(tgts) == 1 && len(outs) == 0 {
+			q := queued{port: tgts[0].port, batch: GetBatch()}
+			q.batch.Items, rt.outBuf[port] = buf, q.batch.Items
+			tgts[0].op.put(&q, nt)
+			continue
+		}
 		for _, tgt := range rt.intra[port] {
 			q := queued{port: tgt.port}
 			if len(buf) == 1 {
@@ -927,7 +942,9 @@ func (rt *opRuntime) flush() {
 			}
 			tgt.op.put(&q, nt)
 		}
-		rt.outlets[port].each(buf)
+		for _, out := range outs {
+			out(buf)
+		}
 		releaseRun(buf)
 		clear(buf)
 		rt.outBuf[port] = buf[:0]

@@ -323,3 +323,46 @@ func TestSubmitRunArrivesAsOneBatch(t *testing.T) {
 		})
 	}
 }
+
+// TestSubmitSchemaMemo: a port remembers the last schema pointer that
+// passed its check, and that changes no decision. After port 0 has
+// admitted its schema, an invalid tuple and a schema one attribute off
+// are still refused with the same messages, every time; an equal schema
+// under another pointer is admitted; and neither port's memo admits
+// anything on the other port.
+func TestSubmitSchemaMemo(t *testing.T) {
+	floats := tuple.MustSchema(tuple.Attribute{Name: "f", Type: tuple.Float})
+	oneOff := tuple.MustSchema(tuple.Attribute{Name: "v", Type: tuple.Float})
+	twin := tuple.MustSchema(tuple.Attribute{Name: "v", Type: tuple.Int})
+	reg := opapi.NewRegistry()
+	reg.Register("Script", func() opapi.Operator { return &scriptSource{} })
+	p, err := New(Config{ID: 1, Job: 1, App: "memo", Host: "h1", Registry: reg,
+		Ops: []OpSpec{{Name: "src", Kind: "Script", Outputs: []*tuple.Schema{intSchema, floats}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := p.byName["src"].ctx
+	mismatch := func(port int, got, want *tuple.Schema) string {
+		return fmt.Sprintf("pe: src port %d schema mismatch: got %s want %s", port, got, want)
+	}
+	for i, step := range []struct {
+		port int
+		t    tuple.Tuple
+		want string // Submit's error; "<nil>" admits
+	}{
+		{0, tuple.New(intSchema), "<nil>"},
+		{0, tuple.Tuple{}, "pe: src submitted an invalid tuple on port 0"},
+		{0, tuple.New(oneOff), mismatch(0, oneOff, intSchema)},
+		{0, tuple.New(oneOff), mismatch(0, oneOff, intSchema)},
+		{0, tuple.New(twin), "<nil>"},
+		{1, tuple.New(twin), mismatch(1, twin, floats)},
+		{1, tuple.New(intSchema), mismatch(1, intSchema, floats)},
+		{1, tuple.New(floats), "<nil>"},
+		{0, tuple.New(floats), mismatch(0, floats, intSchema)},
+		{0, tuple.New(intSchema), "<nil>"},
+	} {
+		if got := fmt.Sprint(ctx.Submit(step.port, step.t)); got != step.want {
+			t.Fatalf("step %d: Submit on port %d = %s, want %s", i, step.port, got, step.want)
+		}
+	}
+}
