@@ -3,6 +3,7 @@ package apps
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"streamorca/internal/ckpt"
@@ -260,30 +261,13 @@ func (s *tweetSource) Open(ctx opapi.Context) error {
 }
 
 func (s *tweetSource) Run(stop <-chan struct{}) error {
-	count, period := s.count, s.period
-	schema := s.ctx.OutputSchema(0)
-	clk := s.ctx.Clock()
-	start := clk.Now()
-	for i := int64(0); count == 0 || i < count; i++ {
-		select {
-		case <-stop:
-			return nil
-		default:
-		}
+	return opapi.Generate(s.ctx, stop, new(atomic.Int64), s.count, s.period, func(_ int64, t tuple.Tuple) {
 		tw := s.gen.Next()
-		t := tuple.New(schema)
 		s.user.SetStr(t, tw.User)
 		s.text.SetStr(t, tw.Text)
 		s.product.SetStr(t, tw.Product)
 		s.neg.SetBool(t, tw.Negative)
-		if err := s.ctx.Submit(0, t); err != nil {
-			return err
-		}
-		if period > 0 && !opapi.SleepUntil(clk, start.Add(time.Duration(i+1)*period), stop) {
-			return nil
-		}
-	}
-	return nil
+	})
 }
 
 // sentimentClassifier derives sentiment from the tweet text (rather than
@@ -520,29 +504,12 @@ func (s *tickSource) Open(ctx opapi.Context) error {
 }
 
 func (s *tickSource) Run(stop <-chan struct{}) error {
-	count, period := s.count, s.period
-	schema := s.ctx.OutputSchema(0)
-	clk := s.ctx.Clock()
-	start := clk.Now()
-	for i := int64(0); count == 0 || i < count; i++ {
-		select {
-		case <-stop:
-			return nil
-		default:
-		}
+	return opapi.Generate(s.ctx, stop, new(atomic.Int64), s.count, s.period, func(_ int64, t tuple.Tuple) {
 		tk := s.gen.Next()
-		t := tuple.New(schema)
 		s.sym.SetStr(t, tk.Symbol)
 		s.price.SetFloat(t, tk.Price)
 		s.seq.SetInt(t, tk.Seq)
-		if err := s.ctx.Submit(0, t); err != nil {
-			return err
-		}
-		if period > 0 && !opapi.SleepUntil(clk, start.Add(time.Duration(i+1)*period), stop) {
-			return nil
-		}
-	}
-	return nil
+	})
 }
 
 // profileSource emits synthetic social-media profiles (a C1 reader
@@ -599,32 +566,15 @@ func (s *profileSource) Open(ctx opapi.Context) error {
 }
 
 func (s *profileSource) Run(stop <-chan struct{}) error {
-	count, period := s.count, s.period
-	schema := s.ctx.OutputSchema(0)
-	clk := s.ctx.Clock()
-	start := clk.Now()
-	for i := int64(0); count == 0 || i < count; i++ {
-		select {
-		case <-stop:
-			return nil
-		default:
-		}
+	return opapi.Generate(s.ctx, stop, new(atomic.Int64), s.count, s.period, func(_ int64, t tuple.Tuple) {
 		pr := s.gen.Next()
-		t := tuple.New(schema)
 		s.user.SetStr(t, pr.User)
 		s.source.SetStr(t, pr.Source)
 		s.neg.SetBool(t, pr.Negative)
 		s.hAge.SetBool(t, pr.HasAge)
 		s.hGen.SetBool(t, pr.HasGen)
 		s.hLoc.SetBool(t, pr.HasLoc)
-		if err := s.ctx.Submit(0, t); err != nil {
-			return err
-		}
-		if period > 0 && !opapi.SleepUntil(clk, start.Add(time.Duration(i+1)*period), stop) {
-			return nil
-		}
-	}
-	return nil
+	})
 }
 
 // profileEnricher is a C2 application's integration stage: it enriches

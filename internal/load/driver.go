@@ -6,7 +6,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"streamorca/internal/opapi"
 	"streamorca/internal/tuple"
+	"streamorca/internal/vclock"
 )
 
 // OpenLoopConfig parameterises RunOpenLoop.
@@ -79,7 +81,7 @@ func tsRefFor(t tuple.Tuple, attr string) (tuple.FieldRef, error) {
 func stopOrDeadline(parent <-chan struct{}, d time.Duration) (<-chan struct{}, func()) {
 	done := make(chan struct{})
 	var once sync.Once
-	timer := time.AfterFunc(d, func() { once.Do(func() { close(done) }) })
+	timer := vclock.Real().AfterFunc(d, func() { once.Do(func() { close(done) }) })
 	quit := make(chan struct{})
 	go func() {
 		select {
@@ -122,24 +124,14 @@ func RunOpenLoop(cfg OpenLoopConfig) (Stats, error) {
 	start := time.Now()
 	done, cleanup := stopOrDeadline(cfg.Stop, cfg.Duration+grace)
 	defer cleanup()
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
 
 	var tsRef tuple.FieldRef
 	for i := int64(0); i < n; i++ {
 		intended := start.Add(time.Duration(float64(i) * stepNs))
-		if wait := time.Until(intended); wait > 0 {
-			timer.Reset(wait)
-			select {
-			case <-timer.C:
-			case <-done:
-				st.Missed = n - i
-				st.Elapsed = time.Since(start)
-				return st, nil
-			}
+		if !opapi.SleepUntil(vclock.Real(), intended, done) {
+			st.Missed = n - i
+			st.Elapsed = time.Since(start)
+			return st, nil
 		}
 		t := cfg.Make(i)
 		if !tsRef.Valid() {
@@ -219,12 +211,8 @@ func RunClosedLoop(cfg ClosedLoopConfig) (Stats, error) {
 					return
 				}
 				offered.Add(1)
-				if cfg.Think > 0 {
-					select {
-					case <-time.After(cfg.Think):
-					case <-done:
-						return
-					}
+				if !opapi.Sleep(vclock.Real(), cfg.Think, done) {
+					return
 				}
 			}
 		}()

@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"streamorca/internal/ckpt"
@@ -281,12 +282,43 @@ func Sleep(clock vclock.Clock, d time.Duration, stop <-chan struct{}) bool {
 }
 
 // SleepUntil waits on the clock until at, returning early with false
-// when stop closes first; an instant already past returns at once. A
-// periodic source paces on start + i·period with it, so a wake-up that
-// runs late shortens the next wait instead of adding up, and no tick is
-// ever skipped.
+// when stop closes first; an instant already past returns at once.
 func SleepUntil(clock vclock.Clock, at time.Time, stop <-chan struct{}) bool {
 	return Sleep(clock, at.Sub(clock.Now()), stop)
+}
+
+// Generate is a periodic source's Run loop. From the cursor's value on,
+// until stop closes or the cursor reaches count (0 = unbounded), it
+// fills tuple i of output port 0's schema and submits it; a Submit
+// error ends the loop. The cursor passes i only after the submit, so a
+// checkpoint taken between the two re-emits the in-flight tuple on
+// restart instead of skipping it. It paces on start + (i+1−first)·period,
+// first being the cursor at the call, so a wake-up that runs late
+// shortens the next wait instead of adding up, and no tick is ever
+// skipped. A zero period reads no clock.
+func Generate(ctx Context, stop <-chan struct{}, cursor *atomic.Int64, count int64, period time.Duration, fill func(i int64, t tuple.Tuple)) error {
+	schema, first := ctx.OutputSchema(0), cursor.Load()
+	var start time.Time
+	if period > 0 {
+		start = ctx.Clock().Now()
+	}
+	for i := first; count == 0 || i < count; i++ {
+		select {
+		case <-stop:
+			return nil
+		default:
+		}
+		t := tuple.New(schema)
+		fill(i, t)
+		if err := ctx.Submit(0, t); err != nil {
+			return err
+		}
+		cursor.Store(i + 1)
+		if period > 0 && !SleepUntil(ctx.Clock(), start.Add(time.Duration(i+1-first)*period), stop) {
+			return nil
+		}
+	}
+	return nil
 }
 
 // Operator is a stream operator instance. The PE runtime serialises all

@@ -622,7 +622,7 @@ func TestCollectSinkKeepsCopies(t *testing.T) {
 	}
 	frame, blk := tuple.Lease(intS, nil, 3)
 	for i, tu := range frame {
-		tu.SetIntAt(0, int64(i+1))
+		intS.MustRef("seq").SetInt(tu, int64(i+1))
 		if err := s.Process(0, tu); err != nil {
 			t.Fatal(err)
 		}
@@ -630,7 +630,7 @@ func TestCollectSinkKeepsCopies(t *testing.T) {
 	blk.Release()
 	again, _ := tuple.Lease(intS, nil, 3) // the frame's storage, reused
 	for _, tu := range again {
-		tu.SetIntAt(0, -1)
+		intS.MustRef("seq").SetInt(tu, -1)
 	}
 	for i, got := range Collector(ctx.objs, "copies").Tuples() {
 		if got.Block() != nil || got.Int("seq") != int64(i+1) {

@@ -49,41 +49,19 @@ func (b *beacon) Open(ctx opapi.Context) error {
 }
 
 func (b *beacon) Run(stop <-chan struct{}) error {
-	schema := b.ctx.OutputSchema(0)
 	var seqRef tuple.FieldRef
-	if schema.Index(b.seqAttr) >= 0 {
+	if schema := b.ctx.OutputSchema(0); schema.Index(b.seqAttr) >= 0 {
 		ref, err := schema.TypedRef(b.seqAttr, tuple.Int)
 		if err != nil {
 			return err
 		}
 		seqRef = ref
 	}
-	clk := b.ctx.Clock()
-	start, first := clk.Now(), b.next.Load()
-	for {
-		i := b.next.Load()
-		if b.count != 0 && i >= b.count {
-			return nil
-		}
-		select {
-		case <-stop:
-			return nil
-		default:
-		}
-		t := tuple.New(schema)
+	return opapi.Generate(b.ctx, stop, &b.next, b.count, b.period, func(i int64, t tuple.Tuple) {
 		if seqRef.Valid() {
 			seqRef.SetInt(t, i)
 		}
-		if err := b.ctx.Submit(0, t); err != nil {
-			return err
-		}
-		// Advance after the emit: a checkpoint between Submit and Add
-		// re-emits the in-flight tuple on restart rather than skipping it.
-		b.next.Store(i + 1)
-		if b.period > 0 && !opapi.SleepUntil(clk, start.Add(time.Duration(i+1-first)*b.period), stop) {
-			return nil
-		}
-	}
+	})
 }
 
 // SaveState snapshots the sequence cursor.

@@ -183,7 +183,7 @@ func TestKillMidRunForgetsHolds(t *testing.T) {
 	queued, spyQueued := leasedBatch(200, 8)
 	inlet(queued)
 	one, lease := tuple.Lease(intSchema, nil, 1)
-	one[0].SetIntAt(0, 300)
+	intSchema.MustRef("v").SetInt(one[0], 300)
 	single(TupleItem(one[0]))
 	lease.Release() // the inbox entry has its own hold
 	p.Kill("test kill")
@@ -218,7 +218,7 @@ func (f *leasingFailer) ProcessBatch(port int, b *tuple.Batch) error {
 	f.outs = outs // spied on by the test
 	defer lease.Release()
 	for i, in := range b.Tuples() {
-		outs[i].SetIntAt(0, in.Int("v")+1000)
+		intSchema.MustRef("v").SetInt(outs[i], in.Int("v")+1000)
 		if i == b.Len()/2 {
 			return errors.New("half boom")
 		}
@@ -305,7 +305,7 @@ func TestRetireReleasesQueuedEntries(t *testing.T) {
 			b, spyBatch := leasedBatch(0, 8)
 			batchInlet(b)
 			one, lease := tuple.Lease(intSchema, nil, 1)
-			one[0].SetIntAt(0, 50)
+			intSchema.MustRef("v").SetInt(one[0], 50)
 			inlet(TupleItem(one[0]))
 			lease.Release()
 			inlet(MarkItem(tuple.WindowMark))

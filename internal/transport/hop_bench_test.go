@@ -29,35 +29,20 @@ func (s *benchSink) Process(int, tuple.Tuple) error {
 	return nil
 }
 
-// BenchmarkIntraPEHop measures one fused hop: enqueue into a neighbour
-// operator's channel, no serialization.
+// relay passes each tuple on: both hop benchmarks feed one through an
+// external inlet, so they differ only in the hop behind it.
+type relay struct {
+	opapi.Base
+	ctx opapi.Context
+}
+
+func (r *relay) Open(ctx opapi.Context) error       { r.ctx = ctx; return nil }
+func (r *relay) Process(_ int, t tuple.Tuple) error { return r.ctx.Submit(0, t) }
+
+// BenchmarkIntraPEHop measures one fused hop: a relay's submit into a
+// neighbour operator's queue in the same PE, no serialization.
 func BenchmarkIntraPEHop(b *testing.B) {
-	sink := &benchSink{want: b.N, done: make(chan struct{})}
-	reg := opapi.NewRegistry()
-	reg.Register("BenchSink", func() opapi.Operator { return sink })
-	p, err := pe.New(pe.Config{
-		ID: 1, Job: 1, App: "bench",
-		Ops:      []pe.OpSpec{{Name: "sink", Kind: "BenchSink", Inputs: []*tuple.Schema{intSchema}}},
-		Registry: reg,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := p.Start(); err != nil {
-		b.Fatal(err)
-	}
-	defer p.Stop()
-	inlet, err := p.ExternalInlet("sink", 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	t := tuple.Build(intSchema).Int("v", 42).Done()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		inlet(pe.TupleItem(t))
-	}
-	<-sink.done
+	benchHop(b, intSchema, tuple.Build(intSchema).Int("v", 42).Done(), true)
 }
 
 // BenchmarkCrossPEHop measures the same hop through the serializing
@@ -66,7 +51,7 @@ func BenchmarkIntraPEHop(b *testing.B) {
 // synchronisation, codec buffers, and decoded tuple storage amortise
 // across the batch.
 func BenchmarkCrossPEHop(b *testing.B) {
-	benchCrossPE(b, intSchema, tuple.Build(intSchema).Int("v", 42).Done())
+	benchHop(b, intSchema, tuple.Build(intSchema).Int("v", 42).Done(), false)
 }
 
 // BenchmarkCrossPEHopMixed is the same hop with a realistic mixed
@@ -82,36 +67,56 @@ func BenchmarkCrossPEHopMixed(b *testing.B) {
 	t := tuple.Build(mixed).
 		Str("sym", "IBM").Float("price", 101.25).Int("seq", 7).
 		Time("at", time.Unix(0, 1345999999123456789).UTC()).Done()
-	benchCrossPE(b, mixed, t)
+	benchHop(b, mixed, t, false)
 }
 
-func benchCrossPE(b *testing.B, schema *tuple.Schema, t tuple.Tuple) {
+// benchHop feeds b.N tuples into a relay whose output reaches a sink:
+// wired in the same PE when fused, else through a link into a second PE.
+func benchHop(b *testing.B, schema *tuple.Schema, t tuple.Tuple, fused bool) {
 	sink := &benchSink{want: b.N, done: make(chan struct{})}
 	reg := opapi.NewRegistry()
+	reg.Register("Relay", func() opapi.Operator { return &relay{} })
 	reg.Register("BenchSink", func() opapi.Operator { return sink })
-	p, err := pe.New(pe.Config{
-		ID: 1, Job: 1, App: "bench",
-		Ops:      []pe.OpSpec{{Name: "sink", Kind: "BenchSink", Inputs: []*tuple.Schema{schema}}},
-		Registry: reg,
-	})
+	one := []*tuple.Schema{schema}
+	relaySpec := pe.OpSpec{Name: "relay", Kind: "Relay", Inputs: one, Outputs: one}
+	sinkSpec := pe.OpSpec{Name: "sink", Kind: "BenchSink", Inputs: one}
+	newPE := func(specs []pe.OpSpec, wires []pe.Wire) *pe.PE {
+		p, err := pe.New(pe.Config{ID: 1, Job: 1, App: "bench", Ops: specs, Wires: wires, Registry: reg})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return p
+	}
+	var pes []*pe.PE
+	if fused {
+		pes = append(pes, newPE([]pe.OpSpec{relaySpec, sinkSpec}, []pe.Wire{{FromOp: "relay", ToOp: "sink"}}))
+	} else {
+		pes = append(pes, newPE([]pe.OpSpec{relaySpec}, nil), newPE([]pe.OpSpec{sinkSpec}, nil))
+		inlet, err := pes[1].ExternalBatchInlet("sink", 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var sent, recv metrics.Counter
+		link := transport.NewLink(schema, inlet, &sent, &recv, nil)
+		defer link.Close()
+		if err := pes[0].AddOutlet("relay", 0, "link", link.SendRun); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, p := range pes {
+		if err := p.Start(); err != nil {
+			b.Fatal(err)
+		}
+		defer p.Stop()
+	}
+	inlet, err := pes[0].ExternalInlet("relay", 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := p.Start(); err != nil {
-		b.Fatal(err)
-	}
-	defer p.Stop()
-	inlet, err := p.ExternalBatchInlet("sink", 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var sent, recv metrics.Counter
-	link := transport.NewLink(schema, inlet, &sent, &recv, nil)
-	defer link.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		link.Send(pe.TupleItem(t))
+		inlet(pe.TupleItem(t))
 	}
 	<-sink.done
 }

@@ -30,7 +30,7 @@ func leasedItems(base, n int) ([]pe.Item, []tuple.Tuple, *tuple.Block) {
 	ts, blk := tuple.Lease(intOnly, nil, n)
 	items := make([]pe.Item, n)
 	for i, t := range ts {
-		t.SetIntAt(0, int64(base+i))
+		intOnly.MustRef("v").SetInt(t, int64(base+i))
 		items[i] = pe.TupleItem(t)
 	}
 	return items, ts, blk

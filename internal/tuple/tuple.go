@@ -397,47 +397,6 @@ func (t Tuple) slotOf(name string, want Type) (int, error) {
 	return t.schema.slot[i], nil
 }
 
-// Index-based accessors: i is the attribute index in schema order, mapped
-// through the schema's compiled slot table. The caller is responsible for
-// matching the accessor to Attr(i).Type (no per-call type check); note
-// that IntAt on a Timestamp attribute reads the raw unix-nanos.
-
-// IntAt reads the i-th attribute as int64.
-func (t Tuple) IntAt(i int) int64 { return t.nums[t.schema.slot[i]] }
-
-// FloatAt reads the i-th attribute as float64.
-func (t Tuple) FloatAt(i int) float64 { return math.Float64frombits(uint64(t.nums[t.schema.slot[i]])) }
-
-// StringAt reads the i-th attribute as string.
-func (t Tuple) StringAt(i int) string { return t.strs[t.schema.slot[i]] }
-
-// BoolAt reads the i-th attribute as bool.
-func (t Tuple) BoolAt(i int) bool { return t.nums[t.schema.slot[i]] != 0 }
-
-// TimeAt reads the i-th attribute as a timestamp.
-func (t Tuple) TimeAt(i int) time.Time { return timeFromNanos(t.nums[t.schema.slot[i]]) }
-
-// SetIntAt stores an int64 into the i-th attribute.
-func (t Tuple) SetIntAt(i int, v int64) { t.nums[t.schema.slot[i]] = v }
-
-// SetFloatAt stores a float64 into the i-th attribute.
-func (t Tuple) SetFloatAt(i int, v float64) { t.nums[t.schema.slot[i]] = int64(math.Float64bits(v)) }
-
-// SetStringAt stores a string into the i-th attribute.
-func (t Tuple) SetStringAt(i int, v string) { t.strs[t.schema.slot[i]] = v }
-
-// SetBoolAt stores a bool into the i-th attribute.
-func (t Tuple) SetBoolAt(i int, v bool) {
-	if v {
-		t.nums[t.schema.slot[i]] = 1
-	} else {
-		t.nums[t.schema.slot[i]] = 0
-	}
-}
-
-// SetTimeAt stores a timestamp into the i-th attribute.
-func (t Tuple) SetTimeAt(i int, v time.Time) { t.nums[t.schema.slot[i]] = nanosFromTime(v) }
-
 // SetInt stores an int64 attribute.
 func (t Tuple) SetInt(name string, v int64) error {
 	k, err := t.slotOf(name, Int)
@@ -544,17 +503,18 @@ func (t Tuple) Format() string {
 		if i > 0 {
 			b.WriteString(", ")
 		}
+		k := t.schema.slot[i]
 		switch a.Type {
 		case Int:
-			fmt.Fprintf(&b, "%s=%d", a.Name, t.IntAt(i))
+			fmt.Fprintf(&b, "%s=%d", a.Name, t.nums[k])
 		case Float:
-			fmt.Fprintf(&b, "%s=%v", a.Name, t.FloatAt(i))
+			fmt.Fprintf(&b, "%s=%v", a.Name, math.Float64frombits(uint64(t.nums[k])))
 		case String:
-			fmt.Fprintf(&b, "%s=%q", a.Name, t.StringAt(i))
+			fmt.Fprintf(&b, "%s=%q", a.Name, t.strs[k])
 		case Bool:
-			fmt.Fprintf(&b, "%s=%v", a.Name, t.BoolAt(i))
+			fmt.Fprintf(&b, "%s=%v", a.Name, t.nums[k] != 0)
 		case Timestamp:
-			fmt.Fprintf(&b, "%s=%s", a.Name, t.TimeAt(i).UTC().Format(time.RFC3339Nano))
+			fmt.Fprintf(&b, "%s=%s", a.Name, timeFromNanos(t.nums[k]).UTC().Format(time.RFC3339Nano))
 		}
 	}
 	b.WriteByte('}')
