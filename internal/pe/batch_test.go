@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"streamorca/internal/ids"
 	"streamorca/internal/journal"
@@ -125,6 +126,15 @@ func peCounter(p *PE, name string) int64 {
 		return -1
 	}
 	return c.Value()
+}
+
+// TestItemIs40Bytes pins the carrier element: a 32-byte tuple header
+// and the mark, padded. Every queue on a hop copies it per tuple
+// (ARCHITECTURE.md, "Tuple storage ownership", counts the bytes).
+func TestItemIs40Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Item{}); n != 40 {
+		t.Fatalf("unsafe.Sizeof(Item{}) = %d, want 40", n)
+	}
 }
 
 // TestBatchDelivery: a frame-sized batch reaches a BatchOperator as one

@@ -74,10 +74,10 @@ func Encode(dst []byte, t Tuple) ([]byte, error) {
 	if !t.Valid() {
 		return dst, fmt.Errorf("%s: encoding invalid tuple", codecPrefix)
 	}
-	for _, v := range t.nums {
+	for _, v := range t.nums() {
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
 	}
-	for _, s := range t.strs {
+	for _, s := range t.strs() {
 		dst = binary.AppendUvarint(dst, uint64(len(s)))
 		dst = append(dst, s...)
 	}
@@ -91,8 +91,8 @@ func EncodedSize(t Tuple) int {
 	if !t.Valid() {
 		return 0
 	}
-	n := 8 * len(t.nums)
-	for _, s := range t.strs {
+	n := 8 * len(t.nums())
+	for _, s := range t.strs() {
 		// A uvarint carries 7 bits per byte; the zero length takes one.
 		n += (bits.Len64(uint64(len(s))|1)+6)/7 + len(s)
 	}
@@ -115,19 +115,20 @@ func DecodeInto(t *Tuple, data []byte) (int, error) {
 		// not classify it as ErrTruncated.
 		return 0, fmt.Errorf("%s: decode into invalid tuple", codecPrefix)
 	}
-	off := 8 * len(t.nums)
+	nums, strs := t.nums(), t.strs()
+	off := 8 * len(nums)
 	if len(data) < off {
-		return 0, fmt.Errorf("%w: %d bytes for %d numeric slots", ErrTruncated, len(data), len(t.nums))
+		return 0, fmt.Errorf("%w: %d bytes for %d numeric slots", ErrTruncated, len(data), len(nums))
 	}
-	for i := range t.nums {
-		t.nums[i] = int64(binary.LittleEndian.Uint64(data[8*i:]))
+	for i := range nums {
+		nums[i] = int64(binary.LittleEndian.Uint64(data[8*i:]))
 	}
 	for _, k := range t.schema.boolSlots {
-		if t.nums[k] != 0 {
-			t.nums[k] = 1
+		if nums[k] != 0 {
+			nums[k] = 1
 		}
 	}
-	for i := range t.strs {
+	for i := range strs {
 		l, n := binary.Uvarint(data[off:])
 		if n <= 0 {
 			return 0, fmt.Errorf("%w: length of string slot %d", ErrTruncated, i)
@@ -138,7 +139,7 @@ func DecodeInto(t *Tuple, data []byte) (int, error) {
 			return 0, fmt.Errorf("%w: string slot %d of %d bytes exceeds input", ErrTruncated, i, l)
 		}
 		off += n
-		t.strs[i] = string(data[off : off+int(l)])
+		strs[i] = string(data[off : off+int(l)])
 		off += int(l)
 	}
 	return off, nil

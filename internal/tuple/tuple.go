@@ -6,12 +6,17 @@
 // # Columnar storage layout
 //
 // Tuples are unboxed: a Schema compiles, at construction time, every
-// attribute to a fixed slot in one of two typed arrays, and a Tuple is just
-// those arrays plus the schema pointer:
+// attribute to a fixed slot in one of two typed arrays:
 //
 //	nums []int64   Int (value), Float (IEEE-754 bits), Bool (0/1),
 //	               Timestamp (unix-nanos; math.MinInt64 = the zero time)
 //	strs []string  String
+//
+// A Tuple is a 32-byte header: the schema pointer, one pointer to the
+// first slot of each array, and its Block. The slot counts live in the
+// schema; an access rebuilds the array from the pointer and that count,
+// so every index is still bounds-checked. Headers are what every queue
+// on a hop copies, so their size is paid per tuple per step.
 //
 // No attribute value is ever stored behind an interface, so building,
 // copying, encoding, and decoding a tuple of fixed-width attributes does
@@ -34,9 +39,11 @@ package tuple
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 )
 
 // Type enumerates attribute types supported by the platform.
@@ -251,40 +258,40 @@ func (r FieldRef) Valid() bool { return r.typ.valid() }
 func (r FieldRef) Type() Type { return r.typ }
 
 // Int reads the referenced int64 attribute.
-func (r FieldRef) Int(t Tuple) int64 { return t.nums[r.slot] }
+func (r FieldRef) Int(t Tuple) int64 { return t.nums()[r.slot] }
 
 // Float reads the referenced float64 attribute.
-func (r FieldRef) Float(t Tuple) float64 { return math.Float64frombits(uint64(t.nums[r.slot])) }
+func (r FieldRef) Float(t Tuple) float64 { return math.Float64frombits(uint64(t.nums()[r.slot])) }
 
 // Str reads the referenced string attribute.
-func (r FieldRef) Str(t Tuple) string { return t.strs[r.slot] }
+func (r FieldRef) Str(t Tuple) string { return t.strs()[r.slot] }
 
 // Bool reads the referenced bool attribute.
-func (r FieldRef) Bool(t Tuple) bool { return t.nums[r.slot] != 0 }
+func (r FieldRef) Bool(t Tuple) bool { return t.nums()[r.slot] != 0 }
 
 // Time reads the referenced timestamp attribute.
-func (r FieldRef) Time(t Tuple) time.Time { return timeFromNanos(t.nums[r.slot]) }
+func (r FieldRef) Time(t Tuple) time.Time { return timeFromNanos(t.nums()[r.slot]) }
 
 // SetInt stores an int64 through the ref.
-func (r FieldRef) SetInt(t Tuple, v int64) { t.nums[r.slot] = v }
+func (r FieldRef) SetInt(t Tuple, v int64) { t.nums()[r.slot] = v }
 
 // SetFloat stores a float64 through the ref.
-func (r FieldRef) SetFloat(t Tuple, v float64) { t.nums[r.slot] = int64(math.Float64bits(v)) }
+func (r FieldRef) SetFloat(t Tuple, v float64) { t.nums()[r.slot] = int64(math.Float64bits(v)) }
 
 // SetStr stores a string through the ref.
-func (r FieldRef) SetStr(t Tuple, v string) { t.strs[r.slot] = v }
+func (r FieldRef) SetStr(t Tuple, v string) { t.strs()[r.slot] = v }
 
 // SetBool stores a bool through the ref.
 func (r FieldRef) SetBool(t Tuple, v bool) {
 	if v {
-		t.nums[r.slot] = 1
+		t.nums()[r.slot] = 1
 	} else {
-		t.nums[r.slot] = 0
+		t.nums()[r.slot] = 0
 	}
 }
 
 // SetTime stores a timestamp through the ref.
-func (r FieldRef) SetTime(t Tuple, v time.Time) { t.nums[r.slot] = nanosFromTime(v) }
+func (r FieldRef) SetTime(t Tuple, v time.Time) { t.nums()[r.slot] = nanosFromTime(v) }
 
 func timeFromNanos(n int64) time.Time {
 	if n == zeroTimeNanos {
@@ -308,26 +315,50 @@ func nanosFromTime(v time.Time) int64 {
 // valid while whoever handed it over holds the block — for an operator,
 // the Process or ProcessBatch call — and is overwritten when the frame's
 // block is reused: Clone to keep one. Values read out of it stay good.
+//
+// The header holds a pointer to each array's first slot, not a slice, so
+// reflect.DeepEqual on two tuples compares only their first slots:
+// compare through the accessors or Format.
 type Tuple struct {
 	schema *Schema
-	nums   []int64
-	strs   []string
-	blk    *Block // the leased block the storage is carved from; nil: the GC's
+	np     *int64  // nums slot 0, nil when the schema has no numeric slot
+	sp     *string // strs slot 0, nil when the schema has no string slot
+	blk    *Block  // the leased block the storage is carved from; nil: the GC's
+}
+
+// nums returns the tuple's numeric slots, nil for an invalid tuple. The
+// schema's count is length and capacity; the array size is only a ceiling
+// (unsafe.Slice would add a multiply and two overflow checks per access).
+func (t Tuple) nums() []int64 {
+	if t.np == nil {
+		return nil
+	}
+	n := t.schema.nNums
+	return (*[1 << 27]int64)(unsafe.Pointer(t.np))[:n:n]
+}
+
+// strs returns the tuple's string slots, nil for an invalid tuple.
+func (t Tuple) strs() []string {
+	if t.sp == nil {
+		return nil
+	}
+	n := t.schema.nStrs
+	return (*[1 << 26]string)(unsafe.Pointer(t.sp))[:n:n]
+}
+
+// first points at a slot array's first element, nil for an empty one.
+func first[E any](s []E) *E {
+	if len(s) == 0 {
+		return nil
+	}
+	return &s[0]
 }
 
 // New returns a zero-valued tuple of the given schema.
 func New(s *Schema) Tuple {
-	t := Tuple{schema: s}
-	if s.nNums > 0 {
-		t.nums = make([]int64, s.nNums)
-		for _, k := range s.tsSlots {
-			t.nums[k] = zeroTimeNanos
-		}
-	}
-	if s.nStrs > 0 {
-		t.strs = make([]string, s.nStrs)
-	}
-	return t
+	var t [1]Tuple
+	carve(t[:], s, make([]int64, s.nNums), make([]string, s.nStrs), nil)
+	return t[0]
 }
 
 // NewBlock returns count zero-valued tuples of the schema sharing one
@@ -348,15 +379,9 @@ func NewBlock(s *Schema, count int) []Tuple {
 // must be zeroed, and plants the zero-time sentinels.
 func carve(ts []Tuple, s *Schema, nums []int64, strs []string, b *Block) {
 	for i := range ts {
-		ts[i] = Tuple{schema: s, blk: b}
-		if s.nNums > 0 {
-			ts[i].nums = nums[i*s.nNums : (i+1)*s.nNums : (i+1)*s.nNums]
-			for _, k := range s.tsSlots {
-				ts[i].nums[k] = zeroTimeNanos
-			}
-		}
-		if s.nStrs > 0 {
-			ts[i].strs = strs[i*s.nStrs : (i+1)*s.nStrs : (i+1)*s.nStrs]
+		ts[i] = Tuple{schema: s, np: first(nums[i*s.nNums:]), sp: first(strs[i*s.nStrs:]), blk: b}
+		for _, k := range s.tsSlots {
+			nums[i*s.nNums+k] = zeroTimeNanos
 		}
 	}
 }
@@ -374,14 +399,7 @@ func (t Tuple) Valid() bool { return t.schema != nil }
 // Clone returns an independent copy of the tuple, in storage of its own
 // that no block reuse touches.
 func (t Tuple) Clone() Tuple {
-	out := Tuple{schema: t.schema}
-	if len(t.nums) > 0 {
-		out.nums = append(make([]int64, 0, len(t.nums)), t.nums...)
-	}
-	if len(t.strs) > 0 {
-		out.strs = append(make([]string, 0, len(t.strs)), t.strs...)
-	}
-	return out
+	return Tuple{schema: t.schema, np: first(slices.Clone(t.nums())), sp: first(slices.Clone(t.strs()))}
 }
 
 // slotOf resolves a name to its storage slot, enforcing the wanted type;
@@ -403,7 +421,7 @@ func (t Tuple) SetInt(name string, v int64) error {
 	if err != nil {
 		return err
 	}
-	t.nums[k] = v
+	t.nums()[k] = v
 	return nil
 }
 
@@ -413,7 +431,7 @@ func (t Tuple) SetFloat(name string, v float64) error {
 	if err != nil {
 		return err
 	}
-	t.nums[k] = int64(math.Float64bits(v))
+	t.nums()[k] = int64(math.Float64bits(v))
 	return nil
 }
 
@@ -423,7 +441,7 @@ func (t Tuple) SetString(name, v string) error {
 	if err != nil {
 		return err
 	}
-	t.strs[k] = v
+	t.strs()[k] = v
 	return nil
 }
 
@@ -434,9 +452,9 @@ func (t Tuple) SetBool(name string, v bool) error {
 		return err
 	}
 	if v {
-		t.nums[k] = 1
+		t.nums()[k] = 1
 	} else {
-		t.nums[k] = 0
+		t.nums()[k] = 0
 	}
 	return nil
 }
@@ -447,14 +465,14 @@ func (t Tuple) SetTime(name string, v time.Time) error {
 	if err != nil {
 		return err
 	}
-	t.nums[k] = nanosFromTime(v)
+	t.nums()[k] = nanosFromTime(v)
 	return nil
 }
 
 // Int reads an int64 attribute, returning 0 if missing or mistyped.
 func (t Tuple) Int(name string) int64 {
 	if k, err := t.slotOf(name, Int); err == nil {
-		return t.nums[k]
+		return t.nums()[k]
 	}
 	return 0
 }
@@ -462,7 +480,7 @@ func (t Tuple) Int(name string) int64 {
 // Float reads a float64 attribute, returning 0 if missing or mistyped.
 func (t Tuple) Float(name string) float64 {
 	if k, err := t.slotOf(name, Float); err == nil {
-		return math.Float64frombits(uint64(t.nums[k]))
+		return math.Float64frombits(uint64(t.nums()[k]))
 	}
 	return 0
 }
@@ -470,7 +488,7 @@ func (t Tuple) Float(name string) float64 {
 // String reads a string attribute, returning "" if missing or mistyped.
 func (t Tuple) String(name string) string {
 	if k, err := t.slotOf(name, String); err == nil {
-		return t.strs[k]
+		return t.strs()[k]
 	}
 	return ""
 }
@@ -478,7 +496,7 @@ func (t Tuple) String(name string) string {
 // Bool reads a bool attribute, returning false if missing or mistyped.
 func (t Tuple) Bool(name string) bool {
 	if k, err := t.slotOf(name, Bool); err == nil {
-		return t.nums[k] != 0
+		return t.nums()[k] != 0
 	}
 	return false
 }
@@ -487,7 +505,7 @@ func (t Tuple) Bool(name string) bool {
 // mistyped.
 func (t Tuple) Time(name string) time.Time {
 	if k, err := t.slotOf(name, Timestamp); err == nil {
-		return timeFromNanos(t.nums[k])
+		return timeFromNanos(t.nums()[k])
 	}
 	return time.Time{}
 }
@@ -497,6 +515,7 @@ func (t Tuple) Format() string {
 	if !t.Valid() {
 		return "{invalid}"
 	}
+	nums, strs := t.nums(), t.strs()
 	var b strings.Builder
 	b.WriteByte('{')
 	for i, a := range t.schema.attrs {
@@ -506,15 +525,15 @@ func (t Tuple) Format() string {
 		k := t.schema.slot[i]
 		switch a.Type {
 		case Int:
-			fmt.Fprintf(&b, "%s=%d", a.Name, t.nums[k])
+			fmt.Fprintf(&b, "%s=%d", a.Name, nums[k])
 		case Float:
-			fmt.Fprintf(&b, "%s=%v", a.Name, math.Float64frombits(uint64(t.nums[k])))
+			fmt.Fprintf(&b, "%s=%v", a.Name, math.Float64frombits(uint64(nums[k])))
 		case String:
-			fmt.Fprintf(&b, "%s=%q", a.Name, t.strs[k])
+			fmt.Fprintf(&b, "%s=%q", a.Name, strs[k])
 		case Bool:
-			fmt.Fprintf(&b, "%s=%v", a.Name, t.nums[k] != 0)
+			fmt.Fprintf(&b, "%s=%v", a.Name, nums[k] != 0)
 		case Timestamp:
-			fmt.Fprintf(&b, "%s=%s", a.Name, timeFromNanos(t.nums[k]).UTC().Format(time.RFC3339Nano))
+			fmt.Fprintf(&b, "%s=%s", a.Name, timeFromNanos(nums[k]).UTC().Format(time.RFC3339Nano))
 		}
 	}
 	b.WriteByte('}')

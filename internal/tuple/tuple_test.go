@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func testSchema(t *testing.T) *Schema {
@@ -287,5 +288,76 @@ func BenchmarkDecode(b *testing.B) {
 		if _, err := DecodeInto(&out, buf); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestTupleHeaderIs32Bytes pins the header: the schema, one pointer per
+// slot array and the block. Every carrier on a hop copies it per tuple
+// (ARCHITECTURE.md, "Tuple storage ownership", counts the bytes).
+func TestTupleHeaderIs32Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Tuple{}); n != 32 {
+		t.Fatalf("unsafe.Sizeof(Tuple{}) = %d, want 32", n)
+	}
+}
+
+// TestFieldRefOnNarrowerSchemaPanics: a ref resolved on a wider schema
+// indexes past a narrower tuple's slot count, which the schema's count
+// bounds-checks instead of reading a neighbour's slots.
+func TestFieldRefOnNarrowerSchemaPanics(t *testing.T) {
+	wide := MustSchema(Attribute{"a", Int}, Attribute{"b", Int}, Attribute{"x", String}, Attribute{"y", String})
+	narrow := MustSchema(Attribute{"a", Int}, Attribute{"x", String})
+	b, y := wide.MustRef("b"), wide.MustRef("y")
+	// Neighbours on both sides of the narrow tuple, so an unchecked
+	// read would land in a live slot rather than fault.
+	ts := NewBlock(narrow, 3)
+	tu := ts[1]
+	mustPanic(t, "Int", func() { b.Int(tu) })
+	mustPanic(t, "SetInt", func() { b.SetInt(tu, 1) })
+	mustPanic(t, "Str", func() { y.Str(tu) })
+	mustPanic(t, "SetStr", func() { y.SetStr(tu, "z") })
+	for i, o := range ts {
+		if o.Int("a") != 0 || o.String("x") != "" {
+			t.Fatalf("tuple %d written through a foreign ref: %s", i, o.Format())
+		}
+	}
+}
+
+// TestDegenerateSchemasRoundTrip: schemas with no attributes, only
+// numbers or only strings build, copy, lease, encode, decode and format
+// with a nil pointer for each empty slot array.
+func TestDegenerateSchemasRoundTrip(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		s      *Schema
+		set    func(Tuple)
+		format string
+	}{
+		{"empty", MustSchema(), func(Tuple) {}, "{}"},
+		{"nums only", MustSchema(Attribute{"n", Int}, Attribute{"ok", Bool}),
+			func(tu Tuple) { _ = tu.SetInt("n", -3); _ = tu.SetBool("ok", true) }, "{n=-3, ok=true}"},
+		{"strs only", MustSchema(Attribute{"a", String}, Attribute{"b", String}),
+			func(tu Tuple) { _ = tu.SetString("a", "hi") }, `{a="hi", b=""}`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			leased, blk := Lease(c.s, nil, 2)
+			defer blk.Release()
+			for i, tu := range []Tuple{New(c.s), NewBlock(c.s, 2)[1], leased[1], New(c.s).Clone()} {
+				if (tu.np == nil) != (c.s.nNums == 0) || (tu.sp == nil) != (c.s.nStrs == 0) {
+					t.Fatalf("tuple %d: np %p, sp %p for %d nums, %d strs", i, tu.np, tu.sp, c.s.nNums, c.s.nStrs)
+				}
+				c.set(tu)
+				wire, err := Encode(nil, tu)
+				if err != nil || len(wire) != EncodedSize(tu) {
+					t.Fatalf("tuple %d: Encode = %d bytes, %v; EncodedSize %d", i, len(wire), err, EncodedSize(tu))
+				}
+				back := New(c.s)
+				if n, err := DecodeInto(&back, wire); err != nil || n != len(wire) {
+					t.Fatalf("tuple %d: DecodeInto = %d, %v", i, n, err)
+				}
+				if got := back.Clone().Format(); got != c.format || tu.Format() != c.format {
+					t.Fatalf("tuple %d: Format = %q, round trip %q; want %q", i, tu.Format(), got, c.format)
+				}
+			}
+		})
 	}
 }
