@@ -86,10 +86,10 @@
 // missing/mistyped/out-of-range parameters, port-arity violations, and
 // connections between disagreeing schemas all accumulate into one
 // operator-qualified error before SAM ever places a PE. Operators bind
-// their configuration at Open through error-reporting accessors
-// (Params.BindInt, BindEnum, Binder), so malformed values that slip
-// past compile-time checks (e.g. substituted at submission time) fail
-// loudly instead of silently falling back to defaults. `adltool
+// their configuration at Open through one error-accumulating Binder
+// (Params.Bind), so malformed values that slip past compile-time checks
+// (e.g. substituted at submission time) fail loudly instead of silently
+// falling back to defaults. `adltool
 // catalog` dumps the full registered catalog.
 //
 // # Authoring adaptation routines
@@ -184,7 +184,7 @@
 //
 //	refresh := orca.Threshold(p.observeSnapshotAge, -1, // -1: any anchored age
 //	    perPE(func() orca.Handler[orca.PEMetricContext] {
-//	        return orca.Debounce(p.StalenessDebounce, p.overLimit, p.checkpointActive)
+//	        return orca.Debounce(StalenessDebounce, p.overLimit, p.checkpointActive)
 //	    }))
 //	sc.Subscribe(orca.OnPEMetric(
 //	    orca.NewPEMetricScope("snapshotAge").
@@ -197,8 +197,8 @@
 // Threshold passes every anchored active-replica observation (limit -1)
 // down to a per-PE Debounce whose holds predicate checks the
 // MaxSnapshotAge breach. Healthy observations reach the Debounce too
-// and reset its streak; only StalenessDebounce consecutive breaching
-// observations of the same PE fire the CheckpointPE actuation
+// and reset its streak; only StalenessDebounce (two) consecutive
+// breaching observations of the same PE fire the CheckpointPE actuation
 // (journalled, like every actuation).
 //
 // # Chaos and fault injection
@@ -309,10 +309,10 @@
 // adaptation routine (internal/policies.Fission), built from the same
 // subscription-and-guard vocabulary as every other routine. It watches
 // the region's offered load — the split PE's ingestRatePerSec gauge,
-// width-independent by construction — plus egress rates and operator
-// queue depths, and composes a Threshold (anchor the ingress
-// observation, fold the load picture), a Debounce (demand sustained
-// overload, not a one-pull spike), and a SuppressFor cooldown (let the
+// width-independent by construction — plus operator queue depths for
+// its width log, and composes a Threshold (anchor the ingress
+// observation), a Debounce (demand sustained overload, not a one-pull
+// spike), and a SuppressFor cooldown (let the
 // last resize warm up) around the ResizeRegion actuation, growing the
 // region one replica at a time up to a cap. The orcarun fission
 // scenario runs the whole loop live — probes the region's capacity at

@@ -50,13 +50,14 @@ func init() {
 
 func (o *scaleOp) Open(ctx streams.OpContext) error {
 	o.ctx = ctx
-	// Error-reporting bind: a malformed delta fails Open instead of
-	// silently running with the default.
-	delta, err := ctx.Params().BindInt("delta", 1)
-	if err != nil {
+	// A malformed delta fails Open instead of silently running with
+	// the default.
+	cfg := ctx.Params().Bind()
+	o.delta = cfg.Int("delta", 1)
+	if err := cfg.Err(); err != nil {
 		return err
 	}
-	o.delta = delta
+	var err error
 	o.seq, err = ctx.OutputSchema(0).TypedRef("seq", streams.Int)
 	return err
 }

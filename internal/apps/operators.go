@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"streamorca/internal/ckpt"
 	"streamorca/internal/extjob"
 	"streamorca/internal/opapi"
 	"streamorca/internal/tuple"
@@ -223,8 +222,7 @@ type tweetSource struct {
 
 func (s *tweetSource) Open(ctx opapi.Context) error {
 	s.ctx = ctx
-	p := ctx.Params()
-	bound := p.Bind()
+	bound := ctx.Params().Bind()
 	cfg := workload.TweetConfig{
 		Seed:          bound.Int("seed", 1),
 		Product:       bound.Str("product", "phone"),
@@ -233,14 +231,14 @@ func (s *tweetSource) Open(ctx opapi.Context) error {
 	}
 	s.count = bound.Int("count", 0)
 	s.period = bound.Duration("period", 0)
-	if err := bound.Err(); err != nil {
-		return fmt.Errorf("TweetSource %s: %w", ctx.Name(), err)
-	}
-	if v := p.Get("causes", ""); v != "" {
+	if v := bound.Str("causes", ""); v != "" {
 		cfg.Causes = strings.Split(v, ",")
 	}
-	if v := p.Get("causesAfter", ""); v != "" {
+	if v := bound.Str("causesAfter", ""); v != "" {
 		cfg.CausesAfter = strings.Split(v, ",")
+	}
+	if err := bound.Err(); err != nil {
+		return fmt.Errorf("TweetSource %s: %w", ctx.Name(), err)
 	}
 	s.gen = workload.NewTweetGen(cfg)
 	out := ctx.OutputSchema(0)
@@ -322,10 +320,7 @@ func (c *sentimentClassifier) ProcessBatch(port int, b *tuple.Batch) error {
 // gauges (recentKnownCauses, recentUnknownCauses) over the last
 // recentWindow negative tweets, which give Figure 8 its post-adaptation
 // drop. Negative tweet texts are appended to the batch corpus for later
-// model recomputation. The sliding window and the cumulative counters
-// are checkpointable state, so a restarted matcher neither forgets its
-// recent-match ratio nor resets the totals the orchestrator's metric
-// scopes watch.
+// model recomputation.
 //
 // Parameters: modelId, storeId, recentWindow (default 200).
 type causeMatcher struct {
@@ -343,23 +338,23 @@ type causeMatcher struct {
 
 func (m *causeMatcher) Open(ctx opapi.Context) error {
 	m.ctx = ctx
-	p := ctx.Params()
-	modelID := p.Get("modelId", "")
-	storeID := p.Get("storeId", "")
+	cfg := ctx.Params().Bind()
+	modelID := cfg.Str("modelId", "")
+	storeID := cfg.Str("storeId", "")
+	m.window = int(cfg.Int("recentWindow", 200))
+	if err := cfg.Err(); err != nil {
+		return fmt.Errorf("CauseMatcher %s: %w", ctx.Name(), err)
+	}
 	if modelID == "" || storeID == "" {
 		return fmt.Errorf("CauseMatcher %s: modelId and storeId required", ctx.Name())
 	}
 	m.model = extjob.ModelIn(opapi.ObjectsOf(ctx), modelID)
 	m.store = extjob.StoreIn(opapi.ObjectsOf(ctx), storeID)
-	window, err := p.BindInt("recentWindow", 200)
-	if err != nil {
-		return fmt.Errorf("CauseMatcher %s: %w", ctx.Name(), err)
-	}
-	m.window = int(window)
 	if m.window <= 0 {
 		m.window = 200
 	}
 	in, out := ctx.InputSchema(0), ctx.OutputSchema(0)
+	var err error
 	if m.inNeg, err = in.TypedRef("negative", tuple.Bool); err != nil {
 		return fmt.Errorf("CauseMatcher %s: %w", ctx.Name(), err)
 	}
@@ -414,50 +409,6 @@ func (m *causeMatcher) Process(port int, t tuple.Tuple) error {
 	return m.ctx.Submit(0, out)
 }
 
-// SaveState snapshots the cumulative cause counters and the sliding
-// window of recent match outcomes. The shared model and corpus live in
-// extjob registries outside the PE and survive on their own.
-func (m *causeMatcher) SaveState(e *ckpt.Encoder) error {
-	e.PutInt(m.ctx.CustomMetric(MetricTotalKnownCauses).Value())
-	e.PutInt(m.ctx.CustomMetric(MetricTotalUnknownCauses).Value())
-	e.PutUint(uint64(len(m.recent)))
-	for _, known := range m.recent {
-		e.PutBool(known)
-	}
-	return nil
-}
-
-// RestoreState reinstates the counters and rebuilds the window (and its
-// derived gauges) from the snapshot.
-func (m *causeMatcher) RestoreState(d *ckpt.Decoder) error {
-	totalKnown := d.Int()
-	totalUnknown := d.Int()
-	n := d.Uint()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	// Clamp before converting: n is decoder-controlled, and a hostile
-	// value past maxint would go negative through int().
-	recent := make([]bool, 0, min(n, uint64(m.window)))
-	nKnown := 0
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
-		known := d.Bool()
-		recent = append(recent, known)
-		if known {
-			nKnown++
-		}
-	}
-	if err := d.Err(); err != nil {
-		return err
-	}
-	m.recent, m.nKnown = recent, nKnown
-	m.ctx.CustomMetric(MetricTotalKnownCauses).Set(totalKnown)
-	m.ctx.CustomMetric(MetricTotalUnknownCauses).Set(totalUnknown)
-	m.ctx.CustomMetric(MetricRecentKnownCauses).Set(int64(m.nKnown))
-	m.ctx.CustomMetric(MetricRecentUnknownCauses).Set(int64(len(m.recent) - m.nKnown))
-	return nil
-}
-
 // tickSource emits synthetic stock trades from workload.TickGen.
 //
 // Parameters: symbols (csv), seed, count (0 = unbounded), period, start,
@@ -473,8 +424,7 @@ type tickSource struct {
 
 func (s *tickSource) Open(ctx opapi.Context) error {
 	s.ctx = ctx
-	p := ctx.Params()
-	bound := p.Bind()
+	bound := ctx.Params().Bind()
 	cfg := workload.TickConfig{
 		Seed:  bound.Int("seed", 1),
 		Start: bound.Float("start", 100),
@@ -482,11 +432,11 @@ func (s *tickSource) Open(ctx opapi.Context) error {
 	}
 	s.count = bound.Int("count", 0)
 	s.period = bound.Duration("period", 0)
+	if v := bound.Str("symbols", ""); v != "" {
+		cfg.Symbols = strings.Split(v, ",")
+	}
 	if err := bound.Err(); err != nil {
 		return fmt.Errorf("TickSource %s: %w", ctx.Name(), err)
-	}
-	if v := p.Get("symbols", ""); v != "" {
-		cfg.Symbols = strings.Split(v, ",")
 	}
 	s.gen = workload.NewTickGen(cfg)
 	out := ctx.OutputSchema(0)
@@ -594,7 +544,7 @@ type profileEnricher struct {
 
 func (e *profileEnricher) Open(ctx opapi.Context) error {
 	e.ctx = ctx
-	id := ctx.Params().Get("storeId", "")
+	id := ctx.Params().Bind().Str("storeId", "")
 	if id == "" {
 		return fmt.Errorf("ProfileEnricher %s: storeId required", ctx.Name())
 	}
@@ -657,16 +607,18 @@ type segmentSource struct {
 
 func (s *segmentSource) Open(ctx opapi.Context) error {
 	s.ctx = ctx
-	p := ctx.Params()
-	id := p.Get("storeId", "")
+	cfg := ctx.Params().Bind()
+	id := cfg.Str("storeId", "")
+	s.attr = cfg.Enum("attribute", "", segmentAttributes...)
+	if err := cfg.Err(); err != nil {
+		return fmt.Errorf("SegmentSource %s: %w", ctx.Name(), err)
+	}
 	if id == "" {
 		return fmt.Errorf("SegmentSource %s: storeId required", ctx.Name())
 	}
-	attr, err := p.BindEnum("attribute", "", segmentAttributes...)
-	if err != nil || attr == "" {
-		return fmt.Errorf("SegmentSource %s: attribute must be age|gender|location, got %q", ctx.Name(), p.Get("attribute", ""))
+	if s.attr == "" {
+		return fmt.Errorf("SegmentSource %s: attribute required (age|gender|location)", ctx.Name())
 	}
-	s.attr = attr
 	s.store = ProfileStoreIn(opapi.ObjectsOf(ctx), id)
 	return nil
 }

@@ -178,19 +178,18 @@ type jobTrigger struct {
 
 func (j *jobTrigger) Open(ctx opapi.Context) error {
 	j.ctx = ctx
-	p := ctx.Params()
-	runnerID := p.Get("runnerId", "")
-	modelID := p.Get("modelId", "")
-	storeID := p.Get("storeId", "")
-	if runnerID == "" || modelID == "" || storeID == "" {
-		return fmt.Errorf("JobTrigger %s: runnerId, modelId and storeId required", ctx.Name())
-	}
-	cfg := p.Bind()
+	cfg := ctx.Params().Bind()
+	runnerID := cfg.Str("runnerId", "")
+	modelID := cfg.Str("modelId", "")
+	storeID := cfg.Str("storeId", "")
 	latency := cfg.Duration("jobLatency", 20*time.Millisecond)
 	j.minSupport = int(cfg.Int("minSupport", 10))
 	j.suppression = cfg.Duration("suppression", 10*time.Minute)
 	if err := cfg.Err(); err != nil {
 		return fmt.Errorf("JobTrigger %s: %w", ctx.Name(), err)
+	}
+	if runnerID == "" || modelID == "" || storeID == "" {
+		return fmt.Errorf("JobTrigger %s: runnerId, modelId and storeId required", ctx.Name())
 	}
 	// The runner is the instance's, so a restarted trigger sees the job
 	// its predecessor started.

@@ -97,10 +97,7 @@ type detectorCtx struct {
 }
 
 func (c *detectorCtx) Name() string                         { return "op8" }
-func (c *detectorCtx) Kind() string                         { return KindThresholdDetector }
-func (c *detectorCtx) App() string                          { return "test" }
 func (c *detectorCtx) Params() opapi.Params                 { return opapi.Params{"threshold": "1.0", "window": "20"} }
-func (c *detectorCtx) NumInputs() int                       { return 1 }
 func (c *detectorCtx) NumOutputs() int                      { return 1 }
 func (c *detectorCtx) InputSchema(int) *tuple.Schema        { return apps.CauseSchema }
 func (c *detectorCtx) OutputSchema(int) *tuple.Schema       { return TriggerSchema }

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"strings"
 	"time"
 )
 
@@ -114,15 +113,6 @@ func (s Schedule) Fingerprint() string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// String renders the whole schedule, one event per line.
-func (s Schedule) String() string {
-	lines := make([]string, len(s.Events))
-	for i, e := range s.Events {
-		lines[i] = e.String()
-	}
-	return strings.Join(lines, "\n")
-}
-
 // GenOptions parameterises schedule generation.
 type GenOptions struct {
 	// Duration is the injection window; events spread across it in
@@ -142,11 +132,12 @@ type GenOptions struct {
 	// Store reports whether a fault-wrapping checkpoint store is
 	// attached; false prunes the Ckpt* kinds.
 	Store bool
-	// MinUpHosts is the floor of simulated live hosts KillHost respects
-	// (default 1): the generator re-targets rather than stranding every
-	// PE with no host to restart onto.
-	MinUpHosts int
 }
+
+// minUpHosts is the floor of simulated live hosts KillHost respects:
+// the generator re-targets rather than stranding every PE with no host
+// to restart onto.
+const minUpHosts = 1
 
 // Generate builds a deterministic schedule from a seed. The same seed
 // and options always produce the same schedule.
@@ -156,9 +147,6 @@ func Generate(seed int64, opts GenOptions) Schedule {
 	}
 	if opts.Count <= 0 {
 		opts.Count = 10
-	}
-	if opts.MinUpHosts <= 0 {
-		opts.MinUpHosts = 1
 	}
 	kinds := opts.Kinds
 	if kinds == nil {
@@ -217,7 +205,7 @@ func Generate(seed int64, opts GenOptions) Schedule {
 		// valid rather than skipping the slot, keeping Count exact.
 		switch ev.Kind {
 		case KillHost:
-			if upCount <= opts.MinUpHosts {
+			if upCount <= minUpHosts {
 				ev.Kind = fallbackKind(usable)
 			} else if t, ok := pick(func(i int) bool { return hostUp[i] }); ok {
 				ev.Target = t

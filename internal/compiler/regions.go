@@ -62,7 +62,7 @@ func (b *AppBuilder) expandRegion(h *OpHandle, reg *opapi.Registry) ([]*OpHandle
 	if model == nil || model.PartitionKey == "" {
 		return nil, fmt.Errorf("compiler: operator %q: kind %s declares no partition key, cannot be parallelised", h.name, h.kind)
 	}
-	key := h.params.Get(model.PartitionKey, "")
+	key := h.params[model.PartitionKey]
 	if key == "" {
 		return nil, fmt.Errorf("compiler: operator %q: parallel region needs the %s parameter (the partition-key attribute)", h.name, model.PartitionKey)
 	}

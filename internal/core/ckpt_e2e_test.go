@@ -71,14 +71,25 @@ func TestHandlePEFailureRestoresAggregateState(t *testing.T) {
 	h.rec.onEvent = func(svc *Service, kind EventKind, ctx any, scopes []string) {
 		if kind == KindPEFailure {
 			fc := ctx.(*PEFailureContext)
-			stable := coll2.Len()
-			for i := 0; i < 50; i++ {
+			// The dead PE's in-flight output has drained once the
+			// collection stays unchanged for quiet; it must within
+			// drainBudget.
+			const quiet, drainBudget = 50 * time.Millisecond, 5 * time.Second
+			first, n, changes := coll2.Len(), coll2.Len(), 0
+			start := time.Now()
+			for last := start; time.Since(last) < quiet; {
+				if time.Since(start) > drainBudget {
+					t.Errorf("collection never quiet for %v within %v of the kill: length %d -> %d over %d changes",
+						quiet, drainBudget, first, n, changes)
+					preLen <- -1
+					return
+				}
 				time.Sleep(time.Millisecond)
-				if n := coll2.Len(); n != stable {
-					stable, i = n, 0
+				if m := coll2.Len(); m != n {
+					n, last, changes = m, time.Now(), changes+1
 				}
 			}
-			preLen <- coll2.Len()
+			preLen <- n
 			if err := svc.RestartPE(fc.PE); err != nil {
 				t.Errorf("restart %s: %v", fc.PE, err)
 				return
@@ -123,6 +134,9 @@ func TestHandlePEFailureRestoresAggregateState(t *testing.T) {
 	case boundary = <-preLen:
 	case <-time.After(10 * time.Second):
 		t.Fatal("failure event never delivered")
+	}
+	if boundary < 0 {
+		t.FailNow()
 	}
 	select {
 	case <-restarted:

@@ -153,9 +153,6 @@ func NewRoutineService(cfg Config, routines ...Routine) (*Service, error) {
 	return s, nil
 }
 
-// Name returns the orchestrator's name.
-func (s *Service) Name() string { return s.cfg.Name }
-
 // Clock returns the service clock (useful to ORCA logic for timestamps).
 func (s *Service) Clock() vclock.Clock { return s.clock }
 

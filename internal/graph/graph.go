@@ -117,14 +117,6 @@ func (g *Graph) Operator(name string) (OperatorInfo, bool) {
 	return OperatorInfo{}, false
 }
 
-// Composite returns a copy of the named composite instance's info.
-func (g *Graph) Composite(name string) (CompositeInfo, bool) {
-	if c, ok := g.comps[name]; ok {
-		return *c, true
-	}
-	return CompositeInfo{}, false
-}
-
 // PE returns a copy of the identified PE's info, with its current host
 // and state.
 func (g *Graph) PE(id ids.PEID) (PEInfo, bool) {

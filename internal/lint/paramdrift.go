@@ -10,37 +10,27 @@ import (
 )
 
 // ParamDrift reports drift between an operator kind's declarative
-// OpModel and the Bind*/Binder calls its implementation actually
-// performs.
+// OpModel and the Binder calls its implementation actually performs.
 var ParamDrift = &Analyzer{
 	Name: "paramdrift",
-	Doc: `operator OpModel parameter declarations must match the Bind* calls in the operator's methods
+	Doc: `operator OpModel parameter declarations must match the Binder calls in the operator's methods
 
 For every RegisterOp(kind, factory, &OpModel{...}) whose factory
 resolves to a local operator type, the analyzer cross-checks the
-model's ParamSpec list against every Params binding call
-(BindInt/BindFloat/BindBool/BindDuration/BindEnum/Get and the Binder
-equivalents) in the operator type's methods. It reports parameters that
-are bound but undeclared (the compiler would reject every legitimate
-use of the name at Build time), declared but never bound (a misspelled
-Bind key silently takes its default forever), and bound under a
-different type than declared. (RegisterOp itself rejects a PartitionKey
-naming an undeclared parameter.)`,
+model's ParamSpec list against every Binder read (Str, Int, Float,
+Bool, Duration, Enum) in the operator type's methods. It reports
+parameters that are bound but undeclared (the compiler would reject
+every legitimate use of the name at Build time), declared but never
+bound (a misspelled Bind key silently takes its default forever), and
+bound under a different type than declared. (RegisterOp itself rejects
+a PartitionKey naming an undeclared parameter.)`,
 	Run: runParamDrift,
 }
 
-// bindKind maps binding method names to the ParamType they imply.
+// binderMethods maps Binder's read methods to the ParamType they imply.
 var binderMethods = map[string]paramType{
 	"Int": paramInt, "Float": paramFloat, "Bool": paramBool,
 	"Duration": paramDuration, "Enum": paramEnum, "Str": paramString,
-}
-
-var paramsMethods = map[string]paramType{
-	"BindInt": paramInt, "BindFloat": paramFloat, "BindBool": paramBool,
-	"BindDuration": paramDuration, "BindEnum": paramEnum,
-	// Get reads the raw submitted string of a param of any declared
-	// type, so it counts as a binding but implies no type.
-	"Get": paramAny,
 }
 
 // paramType mirrors opapi.ParamType's constant values; the analyzer
@@ -49,8 +39,8 @@ var paramsMethods = map[string]paramType{
 type paramType int64
 
 const (
-	// paramAny marks a binding that implies no particular declared type.
-	paramAny paramType = 0
+	// paramUnknown marks a declared Type the analyzer could not fold.
+	paramUnknown paramType = 0
 
 	paramString paramType = iota
 	paramInt
@@ -312,25 +302,12 @@ func collectBinds(pass *Pass, opType *types.Named) ([]bindCall, bool) {
 					return true
 				}
 				m := calledMethod(pass.TypesInfo, call)
-				if m == nil || !funcIsFrom(m, opapiPath) || len(call.Args) < 1 {
+				if m == nil || !funcIsFrom(m, opapiPath) || len(call.Args) < 1 ||
+					!typeIs(methodRecv(m), opapiPath, "Binder") {
 					return true
 				}
-				var typ paramType
-				recvT := methodRecv(m)
-				switch {
-				case typeIs(recvT, opapiPath, "Binder"):
-					t, ok := binderMethods[m.Name()]
-					if !ok {
-						return true
-					}
-					typ = t
-				case typeIs(recvT, opapiPath, "Params"):
-					t, ok := paramsMethods[m.Name()]
-					if !ok {
-						return true
-					}
-					typ = t
-				default:
+				typ, ok := binderMethods[m.Name()]
+				if !ok {
 					return true
 				}
 				key, ok := stringConst(pass.TypesInfo, call.Args[0])
@@ -368,7 +345,7 @@ func checkRegistration(pass *Pass, reg *registration) {
 				reg.kind, reg.opType.Obj().Name(), b.key, orNone(names))
 			continue
 		}
-		if d.typ != paramAny && b.typ != paramAny && d.typ != b.typ {
+		if d.typ != paramUnknown && d.typ != b.typ {
 			pass.Reportf(b.pos,
 				"kind %q: param %q is declared %s but bound as %s",
 				reg.kind, b.key, d.typ, b.typ)

@@ -1,5 +1,5 @@
 // Package paramdrift is an orcalint fixture: operator registrations
-// whose OpModel declarations drift from the Bind calls in their
+// whose OpModel declarations drift from the Binder calls in their
 // implementations. The code compiles; every defect here is invisible to
 // the compiler and caught only by the analyzer.
 package paramdrift
@@ -41,14 +41,9 @@ type drifted struct {
 }
 
 func (d *drifted) Open(ctx opapi.Context) error {
-	p := ctx.Params()
-	if _, err := p.BindInt("rate", 1); err != nil {
-		return err
-	}
-	if _, err := p.BindInt("burst", 0); err != nil { // want `binds param "burst", which its OpModel does not declare`
-		return err
-	}
-	cfg := p.Bind()
+	cfg := ctx.Params().Bind()
+	cfg.Int("rate", 1)
+	cfg.Int("burst", 0)  // want `binds param "burst", which its OpModel does not declare`
 	cfg.Str("mode", "a") // want `param "mode" is declared enum but bound as string`
 	return cfg.Err()
 }
@@ -70,14 +65,10 @@ func cleanParams() []opapi.ParamSpec {
 }
 
 func (c *clean) Open(ctx opapi.Context) error {
-	p := ctx.Params()
-	limit, err := p.BindInt("limit", 10)
-	if err != nil {
-		return err
-	}
-	c.limit = limit
-	p.Get("label", "")
-	return nil
+	cfg := ctx.Params().Bind()
+	c.limit = cfg.Int("limit", 10)
+	cfg.Str("label", "")
+	return cfg.Err()
 }
 
 type dynamic struct {
@@ -86,7 +77,7 @@ type dynamic struct {
 
 func (d *dynamic) Open(ctx opapi.Context) error {
 	for _, key := range []string{"extra"} {
-		ctx.Params().Get(key, "")
+		ctx.Params().Bind().Str(key, "")
 	}
 	return nil
 }

@@ -26,10 +26,6 @@ type OpenLoopConfig struct {
 	// Duration is the schedule length; the driver offers
 	// Rate*Duration tuples at instants start + i/Rate.
 	Duration time.Duration
-	// Grace bounds how long past the schedule end the driver keeps
-	// pushing a back-pressured backlog before giving up (default:
-	// Duration, minimum 1s).
-	Grace time.Duration
 	// Stop aborts the run early when closed (optional).
 	Stop <-chan struct{}
 }
@@ -112,13 +108,9 @@ func RunOpenLoop(cfg OpenLoopConfig) (Stats, error) {
 	if n < 1 {
 		n = 1
 	}
-	grace := cfg.Grace
-	if grace <= 0 {
-		grace = cfg.Duration
-	}
-	if grace < time.Second {
-		grace = time.Second
-	}
+	// The grace past the schedule end for pushing a back-pressured
+	// backlog before giving up: Duration, at least 1s.
+	grace := max(cfg.Duration, time.Second)
 	stepNs := float64(time.Second) / cfg.Rate
 
 	start := time.Now()

@@ -3,9 +3,8 @@
 // and closed-loop (N users with think time) drivers that inject tuples
 // into a running application through a LoadSource operator, a
 // LatencySink operator that measures source-to-sink latency from a
-// timestamp attribute stamped at injection, a mergeable log-bucketed
-// histogram for tail percentiles, and a shared bench-report schema all
-// BENCH_*.json files use.
+// timestamp attribute stamped at injection, and a mergeable
+// log-bucketed histogram for tail percentiles.
 //
 // The open-loop driver is the heavy-traffic regression gate's core:
 // latency is charged against each tuple's *intended* send instant

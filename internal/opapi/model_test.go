@@ -8,72 +8,58 @@ import (
 	"streamorca/internal/tuple"
 )
 
+// TestParamsBindAccessors is the one table over Binder: each typed
+// accessor reads a valid, an absent, an empty ("use the default") and a
+// malformed value, and Err joins every error the reads recorded.
 func TestParamsBindAccessors(t *testing.T) {
 	p := Params{
-		"i": "42", "f": "2.5", "b": "true", "d": "3s", "e": "fast",
-		"badi": "x", "badf": "x", "badb": "x", "badd": "x", "bade": "turbo",
-		"empty": "",
+		"s": "hello", "i": "42", "f": "2.5", "b": "true", "d": "3s", "e": "fast",
+		"empty": "", "bad": "x",
 	}
-	if v, err := p.BindInt("i", 0); v != 42 || err != nil {
-		t.Fatalf("BindInt = %d, %v", v, err)
-	}
-	if v, err := p.BindInt("missing", 7); v != 7 || err != nil {
-		t.Fatalf("BindInt absent = %d, %v", v, err)
-	}
-	if v, err := p.BindInt("empty", 7); v != 7 || err != nil {
-		t.Fatalf("BindInt empty = %d, %v", v, err)
-	}
-	if _, err := p.BindInt("badi", 7); err == nil {
-		t.Fatal("BindInt swallowed malformed value")
-	}
-	if v, err := p.BindFloat("f", 0); v != 2.5 || err != nil {
-		t.Fatalf("BindFloat = %g, %v", v, err)
-	}
-	if _, err := p.BindFloat("badf", 0); err == nil {
-		t.Fatal("BindFloat swallowed malformed value")
-	}
-	if v, err := p.BindBool("b", false); !v || err != nil {
-		t.Fatalf("BindBool = %v, %v", v, err)
-	}
-	if _, err := p.BindBool("badb", false); err == nil {
-		t.Fatal("BindBool swallowed malformed value")
-	}
-	if v, err := p.BindDuration("d", 0); v != 3*time.Second || err != nil {
-		t.Fatalf("BindDuration = %v, %v", v, err)
-	}
-	if _, err := p.BindDuration("badd", 0); err == nil {
-		t.Fatal("BindDuration swallowed malformed value")
-	}
-	if v, err := p.BindEnum("e", "slow", "fast", "slow"); v != "fast" || err != nil {
-		t.Fatalf("BindEnum = %q, %v", v, err)
-	}
-	if v, err := p.BindEnum("missing", "slow", "fast", "slow"); v != "slow" || err != nil {
-		t.Fatalf("BindEnum absent = %q, %v", v, err)
-	}
-	if _, err := p.BindEnum("bade", "slow", "fast", "slow"); err == nil {
-		t.Fatal("BindEnum accepted out-of-set value")
-	}
-}
-
-func TestBinderAccumulates(t *testing.T) {
-	p := Params{"n": "1", "bad1": "x", "bad2": "y"}
-	b := p.Bind()
-	if b.Int("n", 0) != 1 || b.Str("s", "dflt") != "dflt" {
-		t.Fatal("Binder values wrong")
-	}
-	b.Int("bad1", 0)
-	b.Duration("bad2", 0)
-	err := b.Err()
-	if err == nil {
-		t.Fatal("Binder.Err lost the errors")
-	}
-	for _, want := range []string{`param "bad1"`, `param "bad2"`} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("joined error missing %q: %v", want, err)
+	for _, a := range []struct {
+		name           string
+		read           func(b *Binder, key string) any
+		valid          string
+		want, def, bad any // bad is what the malformed read returns
+	}{
+		{"Int", func(b *Binder, k string) any { return b.Int(k, 7) }, "i", int64(42), int64(7), int64(7)},
+		{"Float", func(b *Binder, k string) any { return b.Float(k, 1.5) }, "f", 2.5, 1.5, 1.5},
+		{"Bool", func(b *Binder, k string) any { return b.Bool(k, false) }, "b", true, false, false},
+		{"Duration", func(b *Binder, k string) any { return b.Duration(k, time.Minute) }, "d", 3 * time.Second, time.Minute, time.Minute},
+		{"Enum", func(b *Binder, k string) any { return b.Enum(k, "slow", "fast", "slow") }, "e", "fast", "slow", "slow"},
+		// Every string is well formed: Str reads "x" and records nothing.
+		{"Str", func(b *Binder, k string) any { return b.Str(k, "dflt") }, "s", "hello", "dflt", "x"},
+	} {
+		for _, c := range []struct {
+			key     string
+			want    any
+			wantErr bool
+		}{
+			{a.valid, a.want, false},
+			{"missing", a.def, false},
+			{"empty", a.def, false},
+			{"bad", a.bad, a.name != "Str"},
+		} {
+			b := p.Bind()
+			got := a.read(b, c.key)
+			if got != c.want || (b.Err() != nil) != c.wantErr {
+				t.Errorf("%s(%q) = %v, err %v; want %v, error %v", a.name, c.key, got, b.Err(), c.want, c.wantErr)
+			}
 		}
 	}
-	if (Params{"n": "1"}).Bind().Err() != nil {
-		t.Fatal("clean Binder reported an error")
+
+	b := p.Bind()
+	b.Int("bad", 0)
+	b.Duration("d", 0)
+	b.Enum("bad", "", "a", "b")
+	err := b.Err()
+	for _, want := range []string{`param "bad": invalid int64 value "x"`, `param "bad": value "x" not in {a, b}`} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Err() = %v, want it to contain %q", err, want)
+		}
+	}
+	if strings.Contains(err.Error(), `"d"`) {
+		t.Errorf("Err() = %v reports the well-formed param", err)
 	}
 }
 

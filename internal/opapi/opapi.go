@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -25,20 +26,6 @@ import (
 // application builder and submission-time parameters).
 type Params map[string]string
 
-// Get returns the value for key, or def when absent.
-func (p Params) Get(key, def string) string {
-	if v, ok := p[key]; ok {
-		return v
-	}
-	return def
-}
-
-// The silent Int/Float/Bool/Duration accessors (absent-or-malformed →
-// default) were deprecated when the error-reporting Bind* family landed
-// and have been removed after their release of overlap; bind typed
-// parameters with BindInt/BindFloat/BindBool/BindDuration/BindEnum or an
-// accumulating Binder so misconfiguration surfaces as an Open error.
-
 // lookup returns the raw value, treating absent and empty entries as
 // "use the default".
 func (p Params) lookup(key string) (string, bool) {
@@ -46,85 +33,17 @@ func (p Params) lookup(key string) (string, bool) {
 	return v, ok && v != ""
 }
 
-// BindInt returns the integer value for key, def when absent or empty,
-// and an error when the value is present but malformed. It is the
-// error-reporting replacement for Int.
-func (p Params) BindInt(key string, def int64) (int64, error) {
-	v, ok := p.lookup(key)
-	if !ok {
-		return def, nil
-	}
-	n, err := strconv.ParseInt(v, 10, 64)
-	if err != nil {
-		return def, fmt.Errorf("param %q: invalid int64 value %q", key, v)
-	}
-	return n, nil
-}
-
-// BindFloat returns the float value for key, def when absent or empty,
-// and an error when the value is present but malformed.
-func (p Params) BindFloat(key string, def float64) (float64, error) {
-	v, ok := p.lookup(key)
-	if !ok {
-		return def, nil
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return def, fmt.Errorf("param %q: invalid float64 value %q", key, v)
-	}
-	return f, nil
-}
-
-// BindBool returns the boolean value for key, def when absent or empty,
-// and an error when the value is present but malformed.
-func (p Params) BindBool(key string, def bool) (bool, error) {
-	v, ok := p.lookup(key)
-	if !ok {
-		return def, nil
-	}
-	b, err := strconv.ParseBool(v)
-	if err != nil {
-		return def, fmt.Errorf("param %q: invalid boolean value %q", key, v)
-	}
-	return b, nil
-}
-
-// BindDuration returns the duration value for key, def when absent or
-// empty, and an error when the value is present but malformed.
-func (p Params) BindDuration(key string, def time.Duration) (time.Duration, error) {
-	v, ok := p.lookup(key)
-	if !ok {
-		return def, nil
-	}
-	d, err := time.ParseDuration(v)
-	if err != nil {
-		return def, fmt.Errorf("param %q: invalid duration value %q", key, v)
-	}
-	return d, nil
-}
-
-// BindEnum returns the value for key when it is one of allowed, def
-// when absent or empty, and an error otherwise.
-func (p Params) BindEnum(key, def string, allowed ...string) (string, error) {
-	v, ok := p.lookup(key)
-	if !ok {
-		return def, nil
-	}
-	for _, a := range allowed {
-		if v == a {
-			return v, nil
-		}
-	}
-	return def, fmt.Errorf("param %q: value %q not in {%s}", key, v, strings.Join(allowed, ", "))
-}
-
-// Binder accumulates binding errors across several parameter reads, so
-// an operator's Open can bind its whole configuration and check once:
+// Binder is the one typed way to read parameters. It accumulates
+// binding errors across several reads, so an operator's Open binds its
+// whole configuration and checks once:
 //
 //	cfg := ctx.Params().Bind()
 //	count := cfg.Int("count", 0)
 //	period := cfg.Duration("period", 0)
 //	if err := cfg.Err(); err != nil { return err }
+//
+// Every accessor returns def when the key is absent or empty, and def
+// plus a recorded error when the value is present but malformed.
 type Binder struct {
 	p    Params
 	errs []error
@@ -144,45 +63,53 @@ func (b *Binder) Str(key, def string) string {
 	return def
 }
 
-// Int binds an integer parameter, recording malformed values.
+// Int binds an integer parameter.
 func (b *Binder) Int(key string, def int64) int64 {
-	v, err := b.p.BindInt(key, def)
-	b.record(err)
-	return v
+	return bind(b, key, def, "int64", func(v string) (int64, error) { return strconv.ParseInt(v, 10, 64) })
 }
 
-// Float binds a float parameter, recording malformed values.
+// Float binds a float parameter.
 func (b *Binder) Float(key string, def float64) float64 {
-	v, err := b.p.BindFloat(key, def)
-	b.record(err)
-	return v
+	return bind(b, key, def, "float64", func(v string) (float64, error) { return strconv.ParseFloat(v, 64) })
 }
 
-// Bool binds a boolean parameter, recording malformed values.
+// Bool binds a boolean parameter.
 func (b *Binder) Bool(key string, def bool) bool {
-	v, err := b.p.BindBool(key, def)
-	b.record(err)
-	return v
+	return bind(b, key, def, "boolean", strconv.ParseBool)
 }
 
-// Duration binds a duration parameter, recording malformed values.
+// Duration binds a duration parameter.
 func (b *Binder) Duration(key string, def time.Duration) time.Duration {
-	v, err := b.p.BindDuration(key, def)
-	b.record(err)
-	return v
+	return bind(b, key, def, "duration", time.ParseDuration)
 }
 
-// Enum binds an enumerated parameter, recording out-of-set values.
+// Enum binds an enumerated parameter; a value outside allowed is an
+// error.
 func (b *Binder) Enum(key, def string, allowed ...string) string {
-	v, err := b.p.BindEnum(key, def, allowed...)
-	b.record(err)
+	v, ok := b.p.lookup(key)
+	if !ok {
+		return def
+	}
+	if !slices.Contains(allowed, v) {
+		b.errs = append(b.errs, fmt.Errorf("param %q: value %q not in {%s}", key, v, strings.Join(allowed, ", ")))
+		return def
+	}
 	return v
 }
 
-func (b *Binder) record(err error) {
-	if err != nil {
-		b.errs = append(b.errs, err)
+// bind parses key's value, returning def when it is absent or empty and
+// recording an error when parse rejects it.
+func bind[T any](b *Binder, key string, def T, typ string, parse func(string) (T, error)) T {
+	v, ok := b.p.lookup(key)
+	if !ok {
+		return def
 	}
+	x, err := parse(v)
+	if err != nil {
+		b.errs = append(b.errs, fmt.Errorf("param %q: invalid %s value %q", key, typ, v))
+		return def
+	}
+	return x
 }
 
 // Err returns every binding error accumulated so far, joined, or nil.
@@ -203,14 +130,8 @@ func (p Params) Clone() Params {
 type Context interface {
 	// Name returns the fully qualified logical instance name.
 	Name() string
-	// Kind returns the operator type name.
-	Kind() string
-	// App returns the application name.
-	App() string
 	// Params returns the operator's configuration.
 	Params() Params
-	// NumInputs returns the number of input ports.
-	NumInputs() int
 	// NumOutputs returns the number of output ports.
 	NumOutputs() int
 	// InputSchema returns the schema of input port i.

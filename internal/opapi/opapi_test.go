@@ -11,43 +11,6 @@ import (
 	"streamorca/internal/vclock"
 )
 
-func TestParamsAccessors(t *testing.T) {
-	p := Params{
-		"s": "hello", "i": "42", "f": "2.5", "b": "true", "d": "3s",
-		"badi": "x", "badf": "x", "badb": "x", "badd": "x",
-	}
-	if p.Get("s", "d") != "hello" || p.Get("missing", "d") != "d" {
-		t.Fatal("Get wrong")
-	}
-	if v, err := p.BindInt("i", 0); v != 42 || err != nil {
-		t.Fatalf("BindInt = %d, %v", v, err)
-	}
-	if v, err := p.BindInt("missing", 7); v != 7 || err != nil {
-		t.Fatalf("BindInt missing = %d, %v", v, err)
-	}
-	if v, err := p.BindInt("badi", 7); v != 7 || err == nil {
-		t.Fatalf("BindInt malformed = %d, %v", v, err)
-	}
-	if v, err := p.BindFloat("f", 0); v != 2.5 || err != nil {
-		t.Fatalf("BindFloat = %v, %v", v, err)
-	}
-	if _, err := p.BindFloat("badf", 1.5); err == nil {
-		t.Fatal("BindFloat malformed must error")
-	}
-	if v, err := p.BindBool("b", false); !v || err != nil {
-		t.Fatalf("BindBool = %v, %v", v, err)
-	}
-	if _, err := p.BindBool("badb", true); err == nil {
-		t.Fatal("BindBool malformed must error")
-	}
-	if v, err := p.BindDuration("d", 0); v != 3*time.Second || err != nil {
-		t.Fatalf("BindDuration = %v, %v", v, err)
-	}
-	if _, err := p.BindDuration("badd", time.Minute); err == nil {
-		t.Fatal("BindDuration malformed must error")
-	}
-}
-
 func TestParamsClone(t *testing.T) {
 	p := Params{"k": "v"}
 	c := p.Clone()

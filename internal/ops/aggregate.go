@@ -57,15 +57,16 @@ type sample struct {
 
 func (a *aggregate) Open(ctx opapi.Context) error {
 	a.ctx = ctx
-	p := ctx.Params()
-	var err error
-	if a.window, err = p.BindDuration("window", 0); err != nil {
+	cfg := ctx.Params().Bind()
+	a.window = cfg.Duration("window", 0)
+	valueAttr := cfg.Str("valueAttr", "")
+	a.groupBy = cfg.Str("groupBy", "")
+	if err := cfg.Err(); err != nil {
 		return fmt.Errorf("Aggregate %s: %w", ctx.Name(), err)
 	}
 	if a.window <= 0 {
 		return fmt.Errorf("Aggregate %s: window parameter required", ctx.Name())
 	}
-	valueAttr := p.Get("valueAttr", "")
 	if valueAttr == "" {
 		return fmt.Errorf("Aggregate %s: valueAttr parameter required", ctx.Name())
 	}
@@ -74,7 +75,6 @@ func (a *aggregate) Open(ctx opapi.Context) error {
 		return fmt.Errorf("Aggregate %s: valueAttr %q must be a float64 input attribute", ctx.Name(), valueAttr)
 	}
 	a.valueRef = ref
-	a.groupBy = p.Get("groupBy", "")
 	if a.groupBy != "" {
 		if ref, err := ctx.InputSchema(0).TypedRef(a.groupBy, tuple.String); err == nil {
 			a.groupRef = ref

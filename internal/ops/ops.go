@@ -1,10 +1,9 @@
 // Package ops provides the built-in operator library (the equivalent of
 // the SPL standard toolkit): sources, relational operators, windowed
-// aggregation, throttling, and sinks. Every kind registers into
-// opapi.Default at init together with its operator model, so the
-// compiler validates applications against the library's parameter and
-// port declarations at Build time and the runtime resolves kinds by
-// name.
+// aggregation and sinks. Every kind registers into opapi.Default at init
+// together with its operator model, so the compiler validates
+// applications against the library's parameter and port declarations at
+// Build time and the runtime resolves kinds by name.
 package ops
 
 import "streamorca/internal/opapi"
@@ -17,10 +16,8 @@ const (
 	KindFunctor       = "Functor"
 	KindSplit         = "Split"
 	KindMerge         = "Merge"
-	KindThrottle      = "Throttle"
 	KindAggregate     = "Aggregate"
 	KindCollectSink   = "CollectSink"
-	KindFileSink      = "FileSink"
 	KindCountSink     = "CountSink"
 )
 
@@ -97,14 +94,6 @@ func init() {
 		Inputs:  opapi.AtLeastPorts(1),
 		Outputs: opapi.ExactlyPorts(1),
 	})
-	opapi.Default.RegisterOp(KindThrottle, func() opapi.Operator { return &throttle{} }, &opapi.OpModel{
-		Doc:     "delays each tuple by a fixed period",
-		Inputs:  opapi.ExactlyPorts(1),
-		Outputs: opapi.ExactlyPorts(1),
-		Params: []opapi.ParamSpec{
-			{Name: "period", Type: opapi.ParamDuration, Default: "0", Min: opapi.Bound(0), Doc: "sleep per tuple"},
-		},
-	})
 	opapi.Default.RegisterOp(KindAggregate, func() opapi.Operator { return &aggregate{} }, &opapi.OpModel{
 		Doc:          "per-group sliding-window summary statistics over one numeric attribute",
 		Inputs:       opapi.ExactlyPorts(1),
@@ -122,13 +111,6 @@ func init() {
 		Params: []opapi.ParamSpec{
 			{Name: "collectorId", Type: opapi.ParamString, Doc: "collection to append to (default: instance name)"},
 			{Name: "limit", Type: opapi.ParamInt, Default: "0", Min: opapi.Bound(0), Doc: "keep only the most recent N tuples; 0 = all"},
-		},
-	})
-	opapi.Default.RegisterOp(KindFileSink, func() opapi.Operator { return &fileSink{} }, &opapi.OpModel{
-		Doc:    "appends one formatted line per tuple to a file",
-		Inputs: opapi.ExactlyPorts(1),
-		Params: []opapi.ParamSpec{
-			{Name: "path", Type: opapi.ParamString, Required: true, Doc: "output file"},
 		},
 	})
 	opapi.Default.RegisterOp(KindCountSink, func() opapi.Operator { return &countSink{} }, &opapi.OpModel{

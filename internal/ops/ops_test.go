@@ -1,13 +1,12 @@
 package ops
 
 import (
+	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
+	"streamorca/internal/ckpt"
 	"streamorca/internal/metrics"
 	"streamorca/internal/opapi"
 	"streamorca/internal/tuple"
@@ -37,10 +36,7 @@ func newFakeCtx(params opapi.Params, ins, outs []*tuple.Schema) *fakeCtx {
 }
 
 func (c *fakeCtx) Name() string                           { return c.name }
-func (c *fakeCtx) Kind() string                           { return "test" }
-func (c *fakeCtx) App() string                            { return "testApp" }
 func (c *fakeCtx) Params() opapi.Params                   { return c.params }
-func (c *fakeCtx) NumInputs() int                         { return len(c.ins) }
 func (c *fakeCtx) NumOutputs() int                        { return len(c.outs) }
 func (c *fakeCtx) InputSchema(i int) *tuple.Schema        { return c.ins[i] }
 func (c *fakeCtx) OutputSchema(i int) *tuple.Schema       { return c.outs[i] }
@@ -132,22 +128,24 @@ func TestFilterNumericPredicates(t *testing.T) {
 		{"gt", "4", true}, {"gt", "5", false},
 		{"ge", "5", true}, {"ge", "6", false},
 	}
-	for _, tc := range cases {
-		ctx := newFakeCtx(opapi.Params{"attr": "seq", "op": tc.op, "value": tc.val},
-			[]*tuple.Schema{mixedS}, []*tuple.Schema{mixedS})
-		f := &filter{}
-		if err := f.Open(ctx); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Process(0, mixed(5, 0, "", false)); err != nil {
-			t.Fatal(err)
-		}
-		got := len(ctx.emitted[0]) == 1
-		if got != tc.pass {
-			t.Fatalf("op=%s val=%s: pass=%v want %v", tc.op, tc.val, got, tc.pass)
-		}
-		if !tc.pass && ctx.om.Custom.Counter("nTuplesDropped").Value() != 1 {
-			t.Fatalf("op=%s: drop metric not maintained", tc.op)
+	for _, attr := range []string{"seq", "price"} {
+		for _, tc := range cases {
+			ctx := newFakeCtx(opapi.Params{"attr": attr, "op": tc.op, "value": tc.val},
+				[]*tuple.Schema{mixedS}, []*tuple.Schema{mixedS})
+			f := &filter{}
+			if err := f.Open(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Process(0, mixed(5, 5, "", false)); err != nil {
+				t.Fatal(err)
+			}
+			got := len(ctx.emitted[0]) == 1
+			if got != tc.pass {
+				t.Fatalf("%s op=%s val=%s: pass=%v want %v", attr, tc.op, tc.val, got, tc.pass)
+			}
+			if !tc.pass && ctx.om.Custom.Counter("nTuplesDropped").Value() != 1 {
+				t.Fatalf("%s op=%s: drop metric not maintained", attr, tc.op)
+			}
 		}
 	}
 }
@@ -331,26 +329,6 @@ func TestMergeForwards(t *testing.T) {
 	}
 }
 
-func TestThrottleSleepsPerTuple(t *testing.T) {
-	ctx := newFakeCtx(opapi.Params{"period": "10ms"}, []*tuple.Schema{mixedS}, []*tuple.Schema{mixedS})
-	manual := ctx.clock.(*vclock.Manual)
-	th := &throttle{}
-	if err := th.Open(ctx); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		_ = th.Process(0, mixed(1, 0, "", false))
-		close(done)
-	}()
-	manual.BlockUntilWaiters(1)
-	manual.Advance(10 * time.Millisecond)
-	<-done
-	if len(ctx.emitted[0]) != 1 {
-		t.Fatal("throttle lost the tuple")
-	}
-}
-
 var aggOutS = tuple.MustSchema(
 	tuple.Attribute{Name: "sym", Type: tuple.String},
 	tuple.Attribute{Name: "min", Type: tuple.Float},
@@ -401,6 +379,56 @@ func TestAggregateGroupsAreIndependent(t *testing.T) {
 	out := ctx.emitted[0][1]
 	if out.String("sym") != "AAPL" || out.Int("count") != 1 || out.Float("avg") != 99 {
 		t.Fatalf("groups mixed: %s", out.Format())
+	}
+}
+
+// snapshot runs fill into a one-section checkpoint and returns the
+// section's decoder.
+func snapshot(t *testing.T, fill func(*ckpt.Encoder) error) *ckpt.Decoder {
+	t.Helper()
+	w := ckpt.NewWriter()
+	defer w.Close()
+	if err := w.Section("op", "test", fill); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := ckpt.Parse(bytes.Clone(w.Finish()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap.Sections()[0].Decoder()
+}
+
+// TestAggregateSplitMergeMovesGroups: the parts of a width-2 split,
+// merged into another replica, carry every group window, and a group
+// both sides hold keeps all its samples.
+func TestAggregateSplitMergeMovesGroups(t *testing.T) {
+	open := func() (*aggregate, *fakeCtx) {
+		ctx := newFakeCtx(opapi.Params{"window": "1h", "groupBy": "sym", "valueAttr": "price"},
+			[]*tuple.Schema{mixedS}, []*tuple.Schema{aggOutS})
+		a := &aggregate{}
+		if err := a.Open(ctx); err != nil {
+			t.Fatal(err)
+		}
+		return a, ctx
+	}
+	from, _ := open()
+	syms := []string{"IBM", "AAPL", "MSFT", "GOOG", "ORCL"}
+	for i, sym := range syms {
+		_ = from.Process(0, mixed(0, float64(i+1), sym, false))
+	}
+	to, ctx := open()
+	_ = to.Process(0, mixed(0, 9, "IBM", false))
+	for part := 0; part < 2; part++ {
+		if err := to.MergeState(snapshot(t, func(e *ckpt.Encoder) error { return from.SplitState(e, part, 2) })); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(to.groups) != len(syms) {
+		t.Fatalf("merged %d groups, want %d", len(to.groups), len(syms))
+	}
+	_ = to.Process(0, mixed(0, 5, "IBM", false))
+	if out := ctx.emitted[0][1]; out.Int("count") != 3 || out.Float("min") != 1 || out.Float("max") != 9 {
+		t.Fatalf("merged IBM window: %s", out.Format())
 	}
 }
 
@@ -455,34 +483,6 @@ func TestCollectSinkLimit(t *testing.T) {
 	}
 }
 
-func TestFileSink(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "out.txt")
-	ctx := newFakeCtx(opapi.Params{"path": path}, []*tuple.Schema{mixedS}, nil)
-	s := &fileSink{}
-	if err := s.Open(ctx); err != nil {
-		t.Fatal(err)
-	}
-	_ = s.Process(0, mixed(7, 0, "IBM", false))
-	_ = s.ProcessMark(0, tuple.FinalMark)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "seq=7") || !strings.Contains(string(data), `sym="IBM"`) {
-		t.Fatalf("file contents: %q", data)
-	}
-}
-
-func TestFileSinkRequiresPath(t *testing.T) {
-	ctx := newFakeCtx(nil, []*tuple.Schema{mixedS}, nil)
-	if err := (&fileSink{}).Open(ctx); err == nil {
-		t.Fatal("FileSink accepted missing path")
-	}
-}
-
 func TestCountSink(t *testing.T) {
 	ctx := newFakeCtx(nil, []*tuple.Schema{mixedS}, nil)
 	s := &countSink{}
@@ -495,12 +495,24 @@ func TestCountSink(t *testing.T) {
 	if ctx.om.Custom.Counter("nTuplesSeen").Value() != 3 {
 		t.Fatal("nTuplesSeen wrong")
 	}
+	// The count survives a restart into a fresh container's metric.
+	ctx2 := newFakeCtx(nil, []*tuple.Schema{mixedS}, nil)
+	s2 := &countSink{}
+	if err := s2.Open(ctx2); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.RestoreState(snapshot(t, s.SaveState)); err != nil {
+		t.Fatal(err)
+	}
+	if got := ctx2.om.Custom.Counter("nTuplesSeen").Value(); got != 3 {
+		t.Fatalf("restored nTuplesSeen = %d, want 3", got)
+	}
 }
 
 func TestAllKindsRegistered(t *testing.T) {
 	for _, kind := range []string{
 		KindBeacon, KindFilter, KindDynamicFilter, KindFunctor, KindSplit,
-		KindMerge, KindThrottle, KindAggregate, KindCollectSink, KindFileSink, KindCountSink,
+		KindMerge, KindAggregate, KindCollectSink, KindCountSink,
 	} {
 		if _, err := opapi.Default.New(kind); err != nil {
 			t.Fatalf("kind %s not registered: %v", kind, err)
@@ -525,7 +537,6 @@ func TestMalformedParamsFailOpen(t *testing.T) {
 	}{
 		{"beacon count", &beacon{}, newFakeCtx(opapi.Params{"count": "ten"}, nil, []*tuple.Schema{intS})},
 		{"beacon period", &beacon{}, newFakeCtx(opapi.Params{"period": "soon"}, nil, []*tuple.Schema{intS})},
-		{"throttle period", &throttle{}, newFakeCtx(opapi.Params{"period": "x"}, []*tuple.Schema{intS}, []*tuple.Schema{intS})},
 		{"filter op", &filter{}, newFakeCtx(opapi.Params{"attr": "seq", "op": "startswith", "value": "1"}, []*tuple.Schema{intS}, []*tuple.Schema{intS})},
 		{"split mode", &split{}, newFakeCtx(opapi.Params{"mode": "random"}, []*tuple.Schema{intS}, []*tuple.Schema{intS})},
 		{"aggregate window", &aggregate{}, newFakeCtx(opapi.Params{"window": "wide", "valueAttr": "price"}, []*tuple.Schema{mixedS}, []*tuple.Schema{mixedS})},

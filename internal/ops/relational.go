@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -28,12 +29,13 @@ type filter struct {
 
 func (f *filter) Open(ctx opapi.Context) error {
 	f.ctx = ctx
-	p := ctx.Params()
-	op, err := p.BindEnum("op", "eq", comparisonOps...)
-	if err != nil {
+	cfg := ctx.Params().Bind()
+	op := cfg.Enum("op", "eq", comparisonOps...)
+	attr, value := cfg.Str("attr", ""), cfg.Str("value", "")
+	if err := cfg.Err(); err != nil {
 		return fmt.Errorf("Filter %s: %w", ctx.Name(), err)
 	}
-	pred, err := buildPredicate(ctx.InputSchema(0), p.Get("attr", ""), op, p.Get("value", ""))
+	pred, err := buildPredicate(ctx.InputSchema(0), attr, op, value)
 	if err != nil {
 		return fmt.Errorf("Filter %s: %w", ctx.Name(), err)
 	}
@@ -88,12 +90,13 @@ type dynamicFilter struct {
 
 func (f *dynamicFilter) Open(ctx opapi.Context) error {
 	f.ctx = ctx
-	p := ctx.Params()
-	op, err := p.BindEnum("op", "eq", comparisonOps...)
-	if err != nil {
+	cfg := ctx.Params().Bind()
+	op := cfg.Enum("op", "eq", comparisonOps...)
+	attr, value := cfg.Str("attr", ""), cfg.Str("value", "")
+	if err := cfg.Err(); err != nil {
 		return fmt.Errorf("DynamicFilter %s: %w", ctx.Name(), err)
 	}
-	pred, err := buildPredicate(ctx.InputSchema(0), p.Get("attr", ""), op, p.Get("value", ""))
+	pred, err := buildPredicate(ctx.InputSchema(0), attr, op, value)
 	if err != nil {
 		return fmt.Errorf("DynamicFilter %s: %w", ctx.Name(), err)
 	}
@@ -157,21 +160,21 @@ func buildPredicate(schema *tuple.Schema, attr, op, value string) (func(tuple.Tu
 		if err != nil {
 			return nil, fmt.Errorf("attribute %q: bad int value %q", attr, value)
 		}
-		cmp, err := intCmp(op)
+		holds, err := ordered[int64](op)
 		if err != nil {
 			return nil, err
 		}
-		return func(t tuple.Tuple) bool { return cmp(ref.Int(t), want) }, nil
+		return func(t tuple.Tuple) bool { return holds(ref.Int(t), want) }, nil
 	case tuple.Float:
 		want, err := strconv.ParseFloat(value, 64)
 		if err != nil {
 			return nil, fmt.Errorf("attribute %q: bad float value %q", attr, value)
 		}
-		cmp, err := floatCmp(op)
+		holds, err := ordered[float64](op)
 		if err != nil {
 			return nil, err
 		}
-		return func(t tuple.Tuple) bool { return cmp(ref.Float(t), want) }, nil
+		return func(t tuple.Tuple) bool { return holds(ref.Float(t), want) }, nil
 	case tuple.String:
 		switch op {
 		case "eq":
@@ -201,39 +204,21 @@ func buildPredicate(schema *tuple.Schema, attr, op, value string) (func(tuple.Tu
 	}
 }
 
-func intCmp(op string) (func(a, b int64) bool, error) {
+// ordered returns the comparison that op names, over an ordered type.
+func ordered[T cmp.Ordered](op string) (func(a, b T) bool, error) {
 	switch op {
 	case "eq":
-		return func(a, b int64) bool { return a == b }, nil
+		return func(a, b T) bool { return a == b }, nil
 	case "ne":
-		return func(a, b int64) bool { return a != b }, nil
+		return func(a, b T) bool { return a != b }, nil
 	case "lt":
-		return func(a, b int64) bool { return a < b }, nil
+		return func(a, b T) bool { return a < b }, nil
 	case "le":
-		return func(a, b int64) bool { return a <= b }, nil
+		return func(a, b T) bool { return a <= b }, nil
 	case "gt":
-		return func(a, b int64) bool { return a > b }, nil
+		return func(a, b T) bool { return a > b }, nil
 	case "ge":
-		return func(a, b int64) bool { return a >= b }, nil
-	default:
-		return nil, fmt.Errorf("unknown comparison %q", op)
-	}
-}
-
-func floatCmp(op string) (func(a, b float64) bool, error) {
-	switch op {
-	case "eq":
-		return func(a, b float64) bool { return a == b }, nil
-	case "ne":
-		return func(a, b float64) bool { return a != b }, nil
-	case "lt":
-		return func(a, b float64) bool { return a < b }, nil
-	case "le":
-		return func(a, b float64) bool { return a <= b }, nil
-	case "gt":
-		return func(a, b float64) bool { return a > b }, nil
-	case "ge":
-		return func(a, b float64) bool { return a >= b }, nil
+		return func(a, b T) bool { return a >= b }, nil
 	default:
 		return nil, fmt.Errorf("unknown comparison %q", op)
 	}
@@ -269,9 +254,9 @@ type fieldCopy struct {
 
 func (f *functor) Open(ctx opapi.Context) error {
 	f.ctx = ctx
-	p := ctx.Params()
+	cfg := ctx.Params().Bind()
 	in, out := ctx.InputSchema(0), ctx.OutputSchema(0)
-	if spec := p.Get("addInt", ""); spec != "" {
+	if spec := cfg.Str("addInt", ""); spec != "" {
 		attr, val, err := splitSpec(spec)
 		if err != nil {
 			return fmt.Errorf("Functor %s: addInt: %w", ctx.Name(), err)
@@ -283,7 +268,7 @@ func (f *functor) Open(ctx opapi.Context) error {
 			return fmt.Errorf("Functor %s: addInt: %w", ctx.Name(), err)
 		}
 	}
-	if spec := p.Get("scale", ""); spec != "" {
+	if spec := cfg.Str("scale", ""); spec != "" {
 		attr, val, err := splitSpec(spec)
 		if err != nil {
 			return fmt.Errorf("Functor %s: scale: %w", ctx.Name(), err)
@@ -295,7 +280,7 @@ func (f *functor) Open(ctx opapi.Context) error {
 			return fmt.Errorf("Functor %s: scale: %w", ctx.Name(), err)
 		}
 	}
-	if spec := p.Get("setStr", ""); spec != "" {
+	if spec := cfg.Str("setStr", ""); spec != "" {
 		attr, val, err := splitSpec(spec)
 		if err != nil {
 			return fmt.Errorf("Functor %s: setStr: %w", ctx.Name(), err)
@@ -427,11 +412,12 @@ type split struct {
 
 func (s *split) Open(ctx opapi.Context) error {
 	s.ctx = ctx
-	var err error
-	if s.mode, err = ctx.Params().BindEnum("mode", "roundrobin", splitModes...); err != nil {
+	cfg := ctx.Params().Bind()
+	s.mode = cfg.Enum("mode", "roundrobin", splitModes...)
+	s.attr = cfg.Str("attr", "")
+	if err := cfg.Err(); err != nil {
 		return fmt.Errorf("Split %s: %w", ctx.Name(), err)
 	}
-	s.attr = ctx.Params().Get("attr", "")
 	switch s.mode {
 	case "roundrobin", "duplicate":
 	case "hash":

@@ -1,9 +1,7 @@
 package ops
 
 import (
-	"bufio"
 	"fmt"
-	"os"
 	"sync"
 
 	"streamorca/internal/ckpt"
@@ -88,9 +86,10 @@ type collectSink struct {
 }
 
 func (s *collectSink) Open(ctx opapi.Context) error {
-	id := ctx.Params().Get("collectorId", ctx.Name())
-	limit, err := ctx.Params().BindInt("limit", 0)
-	if err != nil {
+	cfg := ctx.Params().Bind()
+	id := cfg.Str("collectorId", ctx.Name())
+	limit := cfg.Int("limit", 0)
+	if err := cfg.Err(); err != nil {
 		return fmt.Errorf("CollectSink %s: %w", ctx.Name(), err)
 	}
 	s.coll = Collector(opapi.ObjectsOf(ctx), id)
@@ -109,53 +108,6 @@ func (s *collectSink) Process(port int, t tuple.Tuple) error {
 func (s *collectSink) ProcessMark(port int, m tuple.Mark) error {
 	if m == tuple.FinalMark {
 		s.coll.addFinal()
-	}
-	return nil
-}
-
-// fileSink appends one formatted line per tuple to a file.
-//
-// Parameters:
-//
-//	path string  output file (required)
-type fileSink struct {
-	opapi.Base
-	f *os.File
-	w *bufio.Writer
-}
-
-func (s *fileSink) Open(ctx opapi.Context) error {
-	path := ctx.Params().Get("path", "")
-	if path == "" {
-		return fmt.Errorf("FileSink %s: path parameter required", ctx.Name())
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("FileSink %s: %w", ctx.Name(), err)
-	}
-	s.f = f
-	s.w = bufio.NewWriter(f)
-	return nil
-}
-
-func (s *fileSink) Process(port int, t tuple.Tuple) error {
-	_, err := fmt.Fprintln(s.w, t.Format())
-	return err
-}
-
-func (s *fileSink) ProcessMark(port int, m tuple.Mark) error {
-	if m == tuple.FinalMark {
-		return s.w.Flush()
-	}
-	return nil
-}
-
-func (s *fileSink) Close() error {
-	if s.w != nil {
-		_ = s.w.Flush()
-	}
-	if s.f != nil {
-		return s.f.Close()
 	}
 	return nil
 }

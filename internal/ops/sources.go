@@ -79,30 +79,3 @@ func (b *beacon) RestoreState(d *ckpt.Decoder) error {
 	b.next.Store(v)
 	return nil
 }
-
-// throttle delays each tuple by a fixed period, shaping downstream rates.
-//
-// Parameters:
-//
-//	period string  Go duration to sleep per tuple (default 0)
-type throttle struct {
-	opapi.Base
-	ctx    opapi.Context
-	period time.Duration
-}
-
-func (t *throttle) Open(ctx opapi.Context) error {
-	t.ctx = ctx
-	var err error
-	if t.period, err = ctx.Params().BindDuration("period", 0); err != nil {
-		return fmt.Errorf("Throttle %s: %w", ctx.Name(), err)
-	}
-	return nil
-}
-
-func (t *throttle) Process(port int, tp tuple.Tuple) error {
-	if !opapi.Sleep(t.ctx.Clock(), t.period, t.ctx.Done()) {
-		return nil // shutting down: drop
-	}
-	return t.ctx.Submit(0, tp)
-}

@@ -15,12 +15,9 @@ type opContext struct {
 }
 
 func (c *opContext) Name() string { return c.rt.spec.Name }
-func (c *opContext) Kind() string { return c.rt.spec.Kind }
-func (c *opContext) App() string  { return c.rt.pe.cfg.App }
 
 func (c *opContext) Params() opapi.Params { return c.rt.spec.Params }
 
-func (c *opContext) NumInputs() int  { return len(c.rt.spec.Inputs) }
 func (c *opContext) NumOutputs() int { return len(c.rt.spec.Outputs) }
 
 func (c *opContext) InputSchema(i int) *tuple.Schema {

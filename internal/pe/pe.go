@@ -159,9 +159,6 @@ type PE struct {
 	killOnce sync.Once
 	exitOnce sync.Once
 	wg       sync.WaitGroup
-
-	reason string
-	mu     sync.Mutex
 }
 
 type opRuntime struct {
@@ -363,30 +360,11 @@ func New(cfg Config) (*PE, error) {
 // ID returns the PE id.
 func (p *PE) ID() ids.PEID { return p.cfg.ID }
 
-// Job returns the owning job id.
-func (p *PE) Job() ids.JobID { return p.cfg.Job }
-
 // Host returns the host the PE is placed on.
 func (p *PE) Host() string { return p.cfg.Host }
 
 // State returns the current lifecycle state.
 func (p *PE) State() State { return State(p.state.Load()) }
-
-// CrashReason returns the recorded failure cause, if any.
-func (p *PE) CrashReason() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.reason
-}
-
-// OperatorNames lists the fused operators.
-func (p *PE) OperatorNames() []string {
-	names := make([]string, len(p.ops))
-	for i, rt := range p.ops {
-		names[i] = rt.spec.Name
-	}
-	return names
-}
 
 // Start opens every operator, restores checkpointed state when
 // configured, and launches the processing goroutines.
@@ -430,7 +408,7 @@ func (p *PE) Start() error {
 // that was never started is only retired (see retire): nobody was told
 // it ran, so OnExit does not fire.
 func (p *PE) Stop() {
-	if p.retire(Stopped, "") || !p.state.CompareAndSwap(int32(Running), int32(Stopped)) {
+	if p.retire(Stopped) || !p.state.CompareAndSwap(int32(Running), int32(Stopped)) {
 		return
 	}
 	p.die()
@@ -449,7 +427,7 @@ func (p *PE) Stop() {
 // container that was never started retires it (no OnExit); Start then
 // fails.
 func (p *PE) Kill(reason string) {
-	if !p.retire(Crashed, reason) && p.state.CompareAndSwap(int32(Running), int32(Crashed)) {
+	if !p.retire(Crashed) && p.state.CompareAndSwap(int32(Running), int32(Crashed)) {
 		p.note(journal.Event{Action: "kill", Note: reason})
 		p.crashed(reason)
 	}
@@ -461,13 +439,10 @@ func (p *PE) Kill(reason string) {
 // inboxes close, waking them, and the queued tuples are counted as
 // dropped and their entries released. It reports whether the container
 // was Created.
-func (p *PE) retire(to State, reason string) bool {
+func (p *PE) retire(to State) bool {
 	if !p.state.CompareAndSwap(int32(Created), int32(to)) {
 		return false
 	}
-	p.mu.Lock()
-	p.reason = reason
-	p.mu.Unlock()
 	p.die()
 	for _, rt := range p.ops {
 		run, w, _ := rt.in.take(nil)
@@ -493,12 +468,10 @@ func (p *PE) note(e journal.Event) {
 	p.cfg.Journal.Add(e)
 }
 
-// crashed records the cause of a container that has just entered Crashed,
-// releases its goroutines and fires the exit callback once they are gone.
+// crashed releases the goroutines of a container that has just entered
+// Crashed and fires the exit callback, with the cause, once they are
+// gone.
 func (p *PE) crashed(reason string) {
-	p.mu.Lock()
-	p.reason = reason
-	p.mu.Unlock()
 	p.die()
 	go func() {
 		p.wg.Wait()

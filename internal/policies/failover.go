@@ -13,10 +13,10 @@ import (
 	"streamorca/internal/metrics"
 )
 
-// DefaultStalenessDebounce is how many consecutive over-limit
-// snapshot-age observations the staleness gate demands before it
-// refreshes the active replica's checkpoint.
-const DefaultStalenessDebounce = 2
+// StalenessDebounce is how many consecutive over-limit snapshot-age
+// observations the staleness gate demands before it refreshes the
+// active replica's checkpoint.
+const StalenessDebounce = 2
 
 // Failover is the §5.2 adaptation routine, rebuilt around operator-state
 // checkpointing: it runs N replicas of the Trend Calculator in exclusive
@@ -56,10 +56,6 @@ type Failover struct {
 	// snapshot may grow before the staleness gate checkpoints it again;
 	// 0 disables the gate (snapshot ages are still observed and ranked).
 	MaxSnapshotAge time.Duration
-	// StalenessDebounce is the number of consecutive over-limit
-	// observations the gate requires before refreshing; default
-	// DefaultStalenessDebounce.
-	StalenessDebounce int
 
 	// restart is the routine that brings the failed PE back after the
 	// promotion decision.
@@ -92,9 +88,6 @@ func (p *Failover) Setup(sc *core.SetupContext) error {
 	act := sc.Actions()
 	if p.Replicas <= 0 {
 		p.Replicas = 3
-	}
-	if p.StalenessDebounce <= 0 {
-		p.StalenessDebounce = DefaultStalenessDebounce
 	}
 	if err := act.MakeExclusiveHostPools(p.App); err != nil {
 		return fmt.Errorf("failover: exclusive pools for %s: %w", p.App, err)
@@ -168,7 +161,7 @@ func (p *Failover) stalenessGate() core.Handler[core.PEMetricContext] {
 		mu.Lock()
 		h := perPE[ctx.PE]
 		if h == nil {
-			h = core.Debounce(p.StalenessDebounce,
+			h = core.Debounce(StalenessDebounce,
 				func(ctx *core.PEMetricContext) bool { return float64(ctx.Value) > limitMs },
 				p.refreshActiveSnapshot)
 			perPE[ctx.PE] = h

@@ -24,13 +24,13 @@ type WidthChange struct {
 	QueueDepth int64
 }
 
-// Defaults for the fission routine's tunables.
+// The fission routine's constants.
 const (
 	// DefaultFissionMaxWidth caps auto-fission at three replicas.
 	DefaultFissionMaxWidth = 3
-	// DefaultFissionDebounce is how many consecutive overload
-	// observations the widen gate demands before it resizes.
-	DefaultFissionDebounce = 2
+	// FissionDebounce is how many consecutive overload observations the
+	// widen gate demands before it resizes.
+	FissionDebounce = 2
 )
 
 // Fission is the elastic data-parallel adaptation routine — the
@@ -43,18 +43,16 @@ const (
 // The routine submits an application containing a key-partitioned
 // parallel region and watches the region's ingress: the split PE's
 // ingestRatePerSec gauge is the offered load entering the region,
-// independent of the current width. It also observes egressRatePerSec
-// on the same PE and the application's operator queueSize gauges, so
-// the recorded width changes carry the load picture that justified
-// them. When the ingress rate stays above WidenAboveRate — or, when
-// configured, the region's worst queue depth stays above
-// WidenAboveQueue — for WidenDebounce consecutive observations, the
-// routine actuates ResizeRegion to width+1, up to MaxWidth. The guard
-// composition is the usual one: a Threshold anchors the observation
-// and folds it into policy state, a Debounce rides out one-pull
-// spikes, and an optional SuppressFor cooldown keeps a sustained
-// overload from issuing a resize on every pull round while the
-// previous resize is still warming up.
+// independent of the current width. It also observes the application's
+// operator queueSize gauges, so the recorded width changes carry the
+// queue depth beside the rate that justified them. When the ingress
+// rate stays above WidenAboveRate for FissionDebounce consecutive
+// observations, the routine actuates ResizeRegion to width+1, up to
+// MaxWidth. The guard composition is the usual one: a Threshold anchors
+// the observation, a Debounce rides out one-pull spikes, and an
+// optional SuppressFor cooldown keeps a sustained overload from issuing
+// a resize on every pull round while the previous resize is still
+// warming up.
 type Fission struct {
 	// App names the registered application to submit. It must contain
 	// the parallel region named by Region (an operator declared with
@@ -71,15 +69,6 @@ type Fission struct {
 	// WidenAboveRate is the region ingress rate (tuples/sec, strictly
 	// above) that counts as overload. Required.
 	WidenAboveRate int64
-	// WidenAboveQueue, when positive, makes a region queue depth
-	// strictly above it count as overload too — the backpressure
-	// signal for loads that saturate without raising the offered rate.
-	// The depth is in tuples (a queued transport frame counts its
-	// tuples), bounded by roughly a PE's input queue capacity.
-	WidenAboveQueue int64
-	// WidenDebounce is the number of consecutive overload observations
-	// required before a resize; default DefaultFissionDebounce.
-	WidenDebounce int
 	// Cooldown, when positive, suppresses further widening for that
 	// long after a successful resize.
 	Cooldown time.Duration
@@ -92,8 +81,6 @@ type Fission struct {
 	job        ids.JobID
 	splitPE    ids.PEID
 	widenings  int
-	lastIngest int64
-	lastEgress int64
 	queue      int64 // worst queueSize of the newest pull epoch
 	queueEpoch uint64
 	log        []WidthChange
@@ -104,16 +91,13 @@ func (p *Fission) Name() string { return "fission" }
 
 // Setup submits the application, locates the region's ingress PE (the
 // auto-inserted split), builds the widen gate, and subscribes to the
-// job's rate gauges and queue depths. Every failure — unknown
+// job's ingress rates and queue depths. Every failure — unknown
 // application, missing region, rejected submission — propagates out of
 // Service.Start.
 func (p *Fission) Setup(sc *core.SetupContext) error {
 	act := sc.Actions()
 	if p.MaxWidth <= 0 {
 		p.MaxWidth = DefaultFissionMaxWidth
-	}
-	if p.WidenDebounce <= 0 {
-		p.WidenDebounce = DefaultFissionDebounce
 	}
 	if p.WidenAboveRate <= 0 {
 		return fmt.Errorf("fission: WidenAboveRate must be positive")
@@ -142,7 +126,7 @@ func (p *Fission) Setup(sc *core.SetupContext) error {
 		core.OnPEMetric(
 			core.NewPEMetricScope("fissionRates").
 				AddApplicationFilter(p.App).
-				AddPEMetric(metrics.PEIngestRate, metrics.PEEgressRate),
+				AddPEMetric(metrics.PEIngestRate),
 			p.gate),
 		core.OnOperatorMetric(
 			core.NewOperatorMetricScope("fissionQueues").
@@ -154,52 +138,39 @@ func (p *Fission) Setup(sc *core.SetupContext) error {
 			}))
 }
 
-// widenGate builds the widen handler: every rate delivery folds into
-// the policy's load picture, and only anchored ingress observations of
-// the region's split PE (Threshold, limit -1: rates are never
-// negative) reach the Debounce, whose holds predicate checks the
+// widenGate builds the widen handler: only anchored ingress
+// observations of the region's split PE (Threshold, limit -1: rates are
+// never negative) reach the Debounce, whose holds predicate checks the
 // overload condition. A healthy observation resets the streak;
-// WidenDebounce consecutive overloaded ones actuate the resize,
+// FissionDebounce consecutive overloaded ones actuate the resize,
 // optionally cooled down by SuppressFor.
 func (p *Fission) widenGate() core.Handler[core.PEMetricContext] {
 	widen := core.Handler[core.PEMetricContext](p.widen)
 	if p.Cooldown > 0 {
 		widen = core.SuppressFor(p.Cooldown, widen)
 	}
-	debounced := core.Debounce(p.WidenDebounce,
-		func(ctx *core.PEMetricContext) bool { return p.overloaded(ctx.Value) },
+	debounced := core.Debounce(FissionDebounce,
+		func(ctx *core.PEMetricContext) bool { return ctx.Value > p.WidenAboveRate },
 		widen)
 	return core.Threshold(
 		func(ctx *core.PEMetricContext) (float64, bool) {
-			rate, ingress := p.observeRate(ctx)
-			return float64(rate), ingress
+			return float64(ctx.Value), p.isIngress(ctx)
 		},
 		-1,
 		debounced)
 }
 
-// observeRate folds one rate observation into the load picture and
-// reports whether it is an ingress observation of the region's split
-// PE — the only deliveries the widen gate evaluates.
-func (p *Fission) observeRate(ctx *core.PEMetricContext) (int64, bool) {
+// isIngress reports whether a rate observation is the ingress of the
+// region's split PE — the only deliveries the widen gate evaluates.
+func (p *Fission) isIngress(ctx *core.PEMetricContext) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if ctx.Job != p.job || ctx.PE != p.splitPE {
-		return ctx.Value, false
-	}
-	switch ctx.Metric {
-	case metrics.PEIngestRate:
-		p.lastIngest = ctx.Value
-		return ctx.Value, true
-	case metrics.PEEgressRate:
-		p.lastEgress = ctx.Value
-	}
-	return ctx.Value, false
+	return ctx.Job == p.job && ctx.PE == p.splitPE && ctx.Metric == metrics.PEIngestRate
 }
 
 // observeQueue tracks the job's worst operator queue depth per metric
-// epoch — queues from one pull round compare against each other, and a
-// new round starts the high-water mark over.
+// epoch for the width log — queues from one pull round compare against
+// each other, and a new round starts the high-water mark over.
 func (p *Fission) observeQueue(ctx *core.OperatorMetricContext) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -212,18 +183,6 @@ func (p *Fission) observeQueue(ctx *core.OperatorMetricContext) {
 	if ctx.Value > p.queue {
 		p.queue = ctx.Value
 	}
-}
-
-// overloaded is the widen gate's holds predicate: the ingress rate
-// breaches WidenAboveRate, or (when configured) the region's newest
-// worst queue depth breaches WidenAboveQueue.
-func (p *Fission) overloaded(ingestRate int64) bool {
-	if ingestRate > p.WidenAboveRate {
-		return true
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.WidenAboveQueue > 0 && p.queue > p.WidenAboveQueue
 }
 
 // widen is the actuation: grow the region by one replica, up to
@@ -265,22 +224,6 @@ func (p *Fission) Widenings() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.widenings
-}
-
-// Rates returns the latest observed region ingress and egress rates
-// (tuples/sec).
-func (p *Fission) Rates() (ingest, egress int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.lastIngest, p.lastEgress
-}
-
-// QueueDepth returns the worst operator queue depth observed in the
-// newest metric pull round.
-func (p *Fission) QueueDepth() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.queue
 }
 
 // Log returns the width-change history, oldest first.

@@ -409,7 +409,7 @@ func TestFailoverStalenessGateRefreshesActive(t *testing.T) {
 	time.Sleep(5 * time.Millisecond) // age past MaxSnapshotAge
 	pullAges(t, p, svc, inst, jobs[0])
 	if got := p.SnapshotRefreshes(); got != 0 {
-		t.Fatalf("refreshed after one breach (debounce %d): %d", p.StalenessDebounce, got)
+		t.Fatalf("refreshed after one breach (debounce %d): %d", StalenessDebounce, got)
 	}
 	time.Sleep(5 * time.Millisecond)
 	pullAges(t, p, svc, inst, ids.InvalidJob)

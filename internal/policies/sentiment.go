@@ -134,13 +134,6 @@ func (p *ModelRecompute) recompute(ctx *core.OperatorMetricContext, act *core.Ac
 	return nil
 }
 
-// Job returns the managed job id.
-func (p *ModelRecompute) Job() ids.JobID {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.job
-}
-
 // Triggers returns how many batch jobs the policy launched.
 func (p *ModelRecompute) Triggers() int {
 	p.mu.Lock()

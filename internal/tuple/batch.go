@@ -41,9 +41,6 @@ func (b *Batch) Schema() *Schema { return b.schema }
 // Len returns the number of tuples in the batch.
 func (b *Batch) Len() int { return len(b.ts) }
 
-// At returns the i-th tuple of the batch.
-func (b *Batch) At(i int) Tuple { return b.ts[i] }
-
 // Tuples returns the batch's tuple run for range loops. The slice is
 // only valid under the same lifetime rules as the batch itself.
 func (b *Batch) Tuples() []Tuple { return b.ts }

@@ -200,15 +200,6 @@ func (s *Schema) String() string {
 	return b.String()
 }
 
-// Names returns the attribute names in schema order.
-func (s *Schema) Names() []string {
-	names := make([]string, len(s.attrs))
-	for i, a := range s.attrs {
-		names[i] = a.Name
-	}
-	return names
-}
-
 // FieldRef is a compiled reference to one attribute of one schema: the
 // result of resolving an attribute name (and checking its type) once at
 // setup time. Its accessors index straight into the tuple's typed storage

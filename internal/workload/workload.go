@@ -214,8 +214,6 @@ type KeyConfig struct {
 	// user activity sits around 1.0–1.2. Unlike math/rand's Zipf, any
 	// s >= 0 is valid. Negative values are treated as 0.
 	Skew float64
-	// Prefix names the keys: Prefix + zero-padded rank (default "user").
-	Prefix string
 }
 
 // KeyGen draws Zipf-skewed keys for load generation: rank 0 is the
@@ -236,9 +234,6 @@ func NewKeyGen(cfg KeyConfig) *KeyGen {
 	if cfg.Skew < 0 {
 		cfg.Skew = 0
 	}
-	if cfg.Prefix == "" {
-		cfg.Prefix = "user"
-	}
 	cdf := make([]float64, cfg.N)
 	var total float64
 	for i := 0; i < cfg.N; i++ {
@@ -257,9 +252,9 @@ func (g *KeyGen) NextIndex() int {
 	return sort.SearchFloat64s(g.cdf, g.rng.Float64())
 }
 
-// Next draws the next key name.
+// Next draws the next key name: "user" and the zero-padded rank.
 func (g *KeyGen) Next() string {
-	return fmt.Sprintf("%s%06d", g.cfg.Prefix, g.NextIndex())
+	return fmt.Sprintf("user%06d", g.NextIndex())
 }
 
 // N returns the key-space size after defaulting.

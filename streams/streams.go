@@ -33,9 +33,8 @@
 //
 // Custom operators get the same protection by registering a descriptor
 // with RegisterOperatorModel; see the quickstart example. Inside an
-// operator, bind configuration at Open with the Params error-reporting
-// accessors (BindInt, BindEnum, or a Binder) rather than the deprecated
-// silent variants.
+// operator, bind configuration at Open with a Binder (Params.Bind),
+// which reports every malformed value through its Err.
 //
 // See package orca for writing runtime adaptation routines against
 // running applications.
@@ -157,9 +156,8 @@ type (
 	// OperatorBase provides no-op defaults to embed.
 	OperatorBase = opapi.Base
 	// Params are operator configuration values. Bind parameters at Open
-	// with the error-reporting accessors (BindInt, BindEnum, or a
-	// Binder) so malformed values fail loudly instead of silently
-	// falling back to defaults.
+	// with a Binder (Params.Bind) so malformed values fail loudly
+	// instead of silently falling back to defaults.
 	Params = opapi.Params
 )
 
