@@ -10,7 +10,7 @@ import (
 
 // TestParamsBindAccessors is the one table over Binder: each typed
 // accessor reads a valid, an absent, an empty ("use the default") and a
-// malformed value, and Err joins every error the reads recorded.
+// malformed value on a fresh Binder, and only the malformed read errors.
 func TestParamsBindAccessors(t *testing.T) {
 	p := Params{
 		"s": "hello", "i": "42", "f": "2.5", "b": "true", "d": "3s", "e": "fast",
@@ -47,8 +47,25 @@ func TestParamsBindAccessors(t *testing.T) {
 			}
 		}
 	}
+}
 
-	b := p.Bind()
+// TestParamsAccessors reads every kind through one Binder, as an operator's
+// Open does: each read returns its own value and a clean run leaves Err nil.
+func TestParamsAccessors(t *testing.T) {
+	b := Params{"s": "hello", "i": "42", "f": "2.5", "b": "true", "d": "3s", "e": "fast"}.Bind()
+	if s, i, f, bl, d, e := b.Str("s", ""), b.Int("i", 0), b.Float("f", 0), b.Bool("b", false),
+		b.Duration("d", 0), b.Enum("e", "slow", "fast", "slow"); s != "hello" || i != 42 || f != 2.5 || !bl || d != 3*time.Second || e != "fast" {
+		t.Fatalf("reads = %q %d %g %v %v %q", s, i, f, bl, d, e)
+	}
+	if err := b.Err(); err != nil {
+		t.Fatalf("clean Binder reported %v", err)
+	}
+}
+
+// TestBinderAccumulates checks that Err joins every error the reads on one
+// Binder recorded, and leaves out the well-formed reads between them.
+func TestBinderAccumulates(t *testing.T) {
+	b := Params{"d": "3s", "bad": "x"}.Bind()
 	b.Int("bad", 0)
 	b.Duration("d", 0)
 	b.Enum("bad", "", "a", "b")
