@@ -20,8 +20,10 @@ import (
 	"streamorca/internal/extjob"
 	"streamorca/internal/graph"
 	"streamorca/internal/ids"
+	"streamorca/internal/platform/platformtest"
 	"streamorca/internal/sam"
 	"streamorca/internal/tuple"
+	"streamorca/internal/wait"
 	"streamorca/orca"
 	"streamorca/streams"
 )
@@ -32,34 +34,14 @@ func benchNoop() orca.Routine {
 	return orca.NewRoutine("noop", func(*orca.SetupContext) error { return nil })
 }
 
-func benchInstance(b *testing.B, hosts ...string) *streams.Instance {
-	b.Helper()
-	specs := make([]streams.HostSpec, len(hosts))
-	for i, h := range hosts {
-		specs[i] = streams.HostSpec{Name: h}
-	}
-	inst, err := streams.NewInstance(streams.InstanceOptions{
-		Hosts: specs, MetricsInterval: time.Hour,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(inst.Close)
-	return inst
-}
-
 // awaitFinal spins until the instance's collector has seen the
 // pipeline's final punctuation, failing the benchmark after 30 s
 // instead of hanging.
 func awaitFinal(b *testing.B, inst *streams.Instance, collector string) {
 	b.Helper()
 	coll := streams.Collector(inst, collector)
-	deadline := time.Now().Add(30 * time.Second)
-	for coll.Finals() != 1 {
-		if time.Now().After(deadline) {
-			b.Fatalf("collector %s: no final punctuation within 30s", collector)
-		}
-		time.Sleep(100 * time.Microsecond)
+	if !wait.Until(30*time.Second, 100*time.Microsecond, func() bool { return coll.Finals() == 1 }) {
+		b.Fatalf("collector %s: no final punctuation within 30s", collector)
 	}
 }
 
@@ -127,7 +109,7 @@ func BenchmarkE7NaiveSQL(b *testing.B) {
 // BenchmarkE8EventDelivery measures user events through the full match →
 // queue → dispatch pipeline (§4.2).
 func BenchmarkE8EventDelivery(b *testing.B) {
-	inst := benchInstance(b, "h1")
+	inst := platformtest.Boot(b, streams.InstanceOptions{})
 	var delivered atomic.Int64
 	logic := orca.NewRoutine("count", func(sc *orca.SetupContext) error {
 		return sc.Subscribe(orca.OnUserEvent(orca.NewUserEventScope("all"),
@@ -151,19 +133,15 @@ func BenchmarkE8EventDelivery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		svc.RaiseUserEvent("tick", nil)
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for delivered.Load() < int64(b.N) {
-		if time.Now().After(deadline) {
-			b.Fatalf("%d of %d user events delivered within 30s", delivered.Load(), b.N)
-		}
-		time.Sleep(50 * time.Microsecond)
+	if !wait.Until(30*time.Second, 50*time.Microsecond, func() bool { return delivered.Load() >= int64(b.N) }) {
+		b.Fatalf("%d of %d user events delivered within 30s", delivered.Load(), b.N)
 	}
 }
 
 // BenchmarkE9DependencyScheduler measures one Figure 7 start/stop/GC
 // cycle of the application-set manager per iteration.
 func BenchmarkE9DependencyScheduler(b *testing.B) {
-	inst := benchInstance(b, "h1", "h2")
+	inst := platformtest.Boot(b, streams.InstanceOptions{Hosts: platformtest.Hosts("h1", "h2")})
 	svc, err := orca.NewRoutineService(orca.Config{
 		Name: "orca", SAM: inst.SAM, SRM: inst.SRM, PullInterval: time.Hour,
 	}, benchNoop())
@@ -207,12 +185,8 @@ func BenchmarkE9DependencyScheduler(b *testing.B) {
 			b.Fatal(err)
 		}
 		// Wait out the GC of fb/tw so the next iteration resubmits.
-		deadline := time.Now().Add(5 * time.Second)
-		for len(svc.RunningConfigs()) != 0 {
-			if time.Now().After(deadline) {
-				b.Fatal("GC never drained")
-			}
-			time.Sleep(100 * time.Microsecond)
+		if !wait.Until(5*time.Second, 100*time.Microsecond, func() bool { return len(svc.RunningConfigs()) == 0 }) {
+			b.Fatal("GC never drained")
 		}
 	}
 }
@@ -222,7 +196,7 @@ func BenchmarkE9DependencyScheduler(b *testing.B) {
 // logic rides the data path.
 func BenchmarkE10Embedded(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		inst := benchInstance(b, "h1")
+		inst := platformtest.Boot(b, streams.InstanceOptions{})
 		extjob.ModelIn(inst.SAM.Objects(), "m", "flash", "screen")
 		app, err := baseline.EmbeddedSentimentApp(baseline.EmbeddedConfig{
 			SentimentConfig: apps.SentimentConfig{
@@ -248,7 +222,7 @@ func BenchmarkE10Embedded(b *testing.B) {
 // control operators, the adaptation living in a reusable ORCA policy.
 func BenchmarkE10Orchestrated(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		inst := benchInstance(b, "h1")
+		inst := platformtest.Boot(b, streams.InstanceOptions{})
 		extjob.ModelIn(inst.SAM.Objects(), "m", "flash", "screen")
 		app, err := apps.SentimentApp(apps.SentimentConfig{
 			Name: "Clean", Collector: "c", ModelID: "m", StoreID: "s",

@@ -220,7 +220,8 @@ func main() {
 const waitLimit = 10 * time.Second
 
 // waitFor polls cond every millisecond, exiting the program if it does
-// not hold within waitLimit.
+// not hold within waitLimit. The repo's tests share internal/wait; the
+// example keeps its own because it uses only the public API.
 func waitFor(what string, cond func() bool) {
 	deadline := time.Now().Add(waitLimit)
 	for !cond() {

@@ -9,33 +9,10 @@ import (
 	"streamorca/internal/opapi"
 	"streamorca/internal/ops"
 	"streamorca/internal/platform"
+	"streamorca/internal/platform/platformtest"
 	"streamorca/internal/sam"
+	"streamorca/internal/wait"
 )
-
-func newInst(t *testing.T) *platform.Instance {
-	t.Helper()
-	inst, err := platform.NewInstance(platform.Options{
-		Hosts:           []platform.HostSpec{{Name: "h1"}, {Name: "h2"}, {Name: "h3"}},
-		MetricsInterval: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(inst.Close)
-	return inst
-}
-
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
-}
 
 func TestProfileStoreDedup(t *testing.T) {
 	s := NewProfileStore()
@@ -55,7 +32,7 @@ func TestProfileStoreDedup(t *testing.T) {
 }
 
 func TestSentimentAppEndToEnd(t *testing.T) {
-	inst := newInst(t)
+	inst := platformtest.Boot(t, platform.Options{Hosts: platformtest.Hosts("h1", "h2", "h3")})
 	objs := inst.SAM.Objects()
 	extjob.ModelIn(objs, "sa-model", "flash", "screen")
 	app, err := SentimentApp(SentimentConfig{
@@ -77,7 +54,7 @@ func TestSentimentAppEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	coll := ops.Collector(objs, "sa-coll")
-	waitFor(t, "pipeline completion", func() bool { return coll.Finals() == 1 })
+	wait.For(t, "pipeline completion", func() bool { return coll.Finals() == 1 })
 	// All causes were known: the display stream carries known=true rows,
 	// the corpus collected negative tweets, the metrics counted them.
 	if coll.Len() == 0 {
@@ -109,7 +86,7 @@ func TestSentimentAppEndToEnd(t *testing.T) {
 }
 
 func TestTrendAppProducesWindowStats(t *testing.T) {
-	inst := newInst(t)
+	inst := platformtest.Boot(t, platform.Options{Hosts: platformtest.Hosts("h1", "h2", "h3")})
 	app, err := TrendApp(TrendConfig{
 		Name: "TA", Symbols: "IBM,HPQ", Seed: 2, Count: 400,
 		Period: 0, Window: time.Hour,
@@ -126,7 +103,7 @@ func TestTrendAppProducesWindowStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	coll := ops.Collector(inst.SAM.Objects(), "ta-coll")
-	waitFor(t, "trend output", func() bool { return coll.Finals() == 1 })
+	wait.For(t, "trend output", func() bool { return coll.Finals() == 1 })
 	if coll.Len() != 400 {
 		t.Fatalf("outputs = %d", coll.Len())
 	}
@@ -143,7 +120,7 @@ func TestTrendAppProducesWindowStats(t *testing.T) {
 }
 
 func TestSocialAppsComposeViaImportExport(t *testing.T) {
-	inst := newInst(t)
+	inst := platformtest.Boot(t, platform.Options{Hosts: platformtest.Hosts("h1", "h2", "h3")})
 	objs := inst.SAM.Objects()
 	cfg := SocialConfig{StoreID: "social-test-store", Seed: 3, Period: 100 * time.Microsecond}
 	c1, err := C1App("C1T", "twitter", cfg)
@@ -161,7 +138,7 @@ func TestSocialAppsComposeViaImportExport(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := ProfileStoreIn(objs, cfg.StoreID)
-	waitFor(t, "profiles in store", func() bool { return store.Len() > 100 })
+	wait.For(t, "profiles in store", func() bool { return store.Len() > 100 })
 
 	// C3 snapshots the store and finishes with a final punctuation.
 	c3, err := C3App("C3A", cfg)
@@ -174,7 +151,7 @@ func TestSocialAppsComposeViaImportExport(t *testing.T) {
 		t.Fatal(err)
 	}
 	seg := ops.Collector(objs, "social-seg")
-	waitFor(t, "segmentation done", func() bool { return seg.Finals() == 1 })
+	wait.For(t, "segmentation done", func() bool { return seg.Finals() == 1 })
 	rows := seg.Tuples()
 	if len(rows) != 2 {
 		t.Fatalf("segment rows = %d", len(rows))
@@ -192,7 +169,7 @@ func TestSocialAppsComposeViaImportExport(t *testing.T) {
 }
 
 func TestC3AppRejectsBadAttribute(t *testing.T) {
-	inst := newInst(t)
+	inst := platformtest.Boot(t, platform.Options{Hosts: platformtest.Hosts("h1", "h2", "h3")})
 	cfg := SocialConfig{StoreID: "social-bad", Period: time.Millisecond}
 	c3, err := C3App("C3Bad", cfg)
 	if err != nil {

@@ -10,35 +10,12 @@ import (
 	"streamorca/internal/opapi"
 	"streamorca/internal/ops"
 	"streamorca/internal/platform"
+	"streamorca/internal/platform/platformtest"
 	"streamorca/internal/sam"
 	"streamorca/internal/tuple"
 	"streamorca/internal/vclock"
+	"streamorca/internal/wait"
 )
-
-func newInst(t *testing.T) *platform.Instance {
-	t.Helper()
-	inst, err := platform.NewInstance(platform.Options{
-		Hosts:           []platform.HostSpec{{Name: "h1"}},
-		MetricsInterval: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(inst.Close)
-	return inst
-}
-
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
-}
 
 // TestEmbeddedGraphAdapts is the E10 equivalence check: the Figure 1
 // embedded-adaptation graph reaches the same adaptation outcome as the
@@ -46,7 +23,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // actuator, the batch job recomputes the model, and the new cause is
 // known afterwards.
 func TestEmbeddedGraphAdapts(t *testing.T) {
-	inst := newInst(t)
+	inst := platformtest.Boot(t, platform.Options{})
 	objs := inst.SAM.Objects()
 	modelID, storeID := "bl-model", "bl-store"
 	model := extjob.ModelIn(objs, modelID, "flash", "screen")
@@ -84,8 +61,8 @@ func TestEmbeddedGraphAdapts(t *testing.T) {
 		t.Fatal(err)
 	}
 	coll := ops.Collector(objs, "bl-coll")
-	waitFor(t, "pipeline completion", func() bool { return coll.Finals() == 1 })
-	waitFor(t, "model refresh", func() bool { return model.Version() >= 2 })
+	wait.For(t, "pipeline completion", func() bool { return coll.Finals() == 1 })
+	wait.For(t, "model refresh", func() bool { return model.Version() >= 2 })
 	if !model.Contains("antenna") {
 		t.Fatalf("embedded adaptation missed the new cause: %v", model.Causes())
 	}

@@ -11,8 +11,10 @@ import (
 	"streamorca/internal/compiler"
 	"streamorca/internal/ops"
 	"streamorca/internal/platform"
+	"streamorca/internal/platform/platformtest"
 	"streamorca/internal/sam"
 	"streamorca/internal/tuple"
+	"streamorca/internal/wait"
 )
 
 func TestGenerateDeterministic(t *testing.T) {
@@ -113,27 +115,10 @@ func chaosApp(t *testing.T, name, collector string) *adl.Application {
 	return app
 }
 
-func newChaosInstance(t *testing.T, hosts ...string) *platform.Instance {
-	t.Helper()
-	specs := make([]platform.HostSpec, len(hosts))
-	for i, n := range hosts {
-		specs[i] = platform.HostSpec{Name: n}
-	}
-	inst, err := platform.NewInstance(platform.Options{
-		Hosts:           specs,
-		MetricsInterval: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(inst.Close)
-	return inst
-}
-
 // TestRunnerHostAndStoreEvents drives host and store faults through a
 // live cluster and checks both the report and the resulting state.
 func TestRunnerHostAndStoreEvents(t *testing.T) {
-	inst := newChaosInstance(t, "h1", "h2")
+	inst := platformtest.Boot(t, platform.Options{Hosts: platformtest.Hosts("h1", "h2")})
 	store := ckpt.NewFaultStore(ckpt.NewMemStore(), nil)
 	r := &chaos.Runner{Cluster: inst.Cluster, SAM: inst.SAM, Store: store}
 	rep := r.Run(chaos.Schedule{Events: []chaos.Event{
@@ -173,7 +158,7 @@ func TestRunnerHostAndStoreEvents(t *testing.T) {
 // PE ordering: the injected kill lands and the crash reason names the
 // chaos harness.
 func TestRunnerKillsPE(t *testing.T) {
-	inst := newChaosInstance(t, "h1", "h2")
+	inst := platformtest.Boot(t, platform.Options{Hosts: platformtest.Hosts("h1", "h2")})
 	if _, err := inst.SAM.SubmitJob(chaosApp(t, "ChaosKill", "chaos-runner"), sam.SubmitOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -184,8 +169,7 @@ func TestRunnerKillsPE(t *testing.T) {
 	if rep.Applied != 1 {
 		t.Fatalf("report = %+v", rep)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	wait.For(t, "one crashed PE after the injected kill", func() bool {
 		crashed := 0
 		for _, job := range inst.SAM.Jobs() {
 			for _, p := range job.PEs {
@@ -194,12 +178,6 @@ func TestRunnerKillsPE(t *testing.T) {
 				}
 			}
 		}
-		if crashed == 1 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no crashed PE after injected kill: %+v", inst.SAM.Jobs())
-		}
-		time.Sleep(time.Millisecond)
-	}
+		return crashed == 1
+	})
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"streamorca/internal/wait"
 )
 
 // writeAggState emulates the Aggregate operator's snapshot payload:
@@ -101,7 +103,7 @@ func TestEncodeReusesPooledBuffers(t *testing.T) {
 		w.Close()
 	}
 	encode() // warm the pool with grown buffers
-	if raceEnabled {
+	if wait.Race {
 		return // the size check above has run; the pool cannot honour the pin
 	}
 	if allocs := testing.AllocsPerRun(20, encode); allocs > 4 {

@@ -11,6 +11,7 @@ import (
 	"streamorca/internal/srm"
 	"streamorca/internal/tuple"
 	"streamorca/internal/vclock"
+	"streamorca/internal/wait"
 )
 
 var intS = tuple.MustSchema(tuple.Attribute{Name: "v", Type: tuple.Int})
@@ -164,19 +165,11 @@ func TestKillHostKillsAllPEsWithSharedReason(t *testing.T) {
 	if err := c.KillHost("h1"); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	wait.For(t, "3 PE exits after the host kill", func() bool {
 		mu.Lock()
-		n := len(exits)
-		mu.Unlock()
-		if n == 3 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d PE exits after host kill", n)
-		}
-		time.Sleep(time.Millisecond)
-	}
+		defer mu.Unlock()
+		return len(exits) == 3
+	})
 	mu.Lock()
 	defer mu.Unlock()
 	reason := exits[0].Reason
@@ -226,14 +219,10 @@ func TestMetricsLoopPushesToSRM(t *testing.T) {
 	}
 	// The HC's ticker registers asynchronously; keep advancing one period
 	// until a push lands.
-	deadline := time.Now().Add(5 * time.Second)
-	for len(s.Query([]ids.JobID{4})) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no samples after metric interval")
-		}
+	wait.For(t, "samples after a metric interval", func() bool {
 		clock.Advance(time.Second)
-		time.Sleep(time.Millisecond)
-	}
+		return len(s.Query([]ids.JobID{4})) != 0
+	})
 }
 
 func TestFlushMetrics(t *testing.T) {
@@ -306,14 +295,10 @@ func TestKillHostStopsLoopReviveRestartsIt(t *testing.T) {
 	}
 	// The revived HC's ticker registers asynchronously; keep advancing
 	// one period until its push lands.
-	deadline := time.Now().Add(5 * time.Second)
-	for len(s.Query([]ids.JobID{21})) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("revived host pushes no metrics")
-		}
+	wait.For(t, "metrics from the revived host", func() bool {
 		clock.Advance(time.Second)
-		time.Sleep(time.Millisecond)
-	}
+		return len(s.Query([]ids.JobID{21})) != 0
+	})
 }
 
 // TestDelayMetricsPausesPeriodicPushes: an injected metric delay holds

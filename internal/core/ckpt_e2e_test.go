@@ -10,14 +10,10 @@ import (
 	"streamorca/internal/ids"
 	"streamorca/internal/metrics"
 	"streamorca/internal/ops"
+	"streamorca/internal/platform"
 	"streamorca/internal/tuple"
+	"streamorca/internal/wait"
 )
-
-// ckptHarness is newHarness plus a checkpoint store on the platform.
-func ckptHarness(t *testing.T, store ckpt.Store, hostNames ...string) *harness {
-	t.Helper()
-	return newStoreHarness(t, store, hostNames...)
-}
 
 // aggApp builds Beacon -> Aggregate -> CollectSink across three PEs.
 // The manual clock never advances, so the aggregate's sliding window
@@ -54,7 +50,7 @@ func aggApp(t *testing.T, name, collector string) *adl.Application {
 // continue past the pre-failure value rather than restarting at 1).
 func TestHandlePEFailureRestoresAggregateState(t *testing.T) {
 	store := ckpt.NewMemStore()
-	h := ckptHarness(t, store)
+	h := rig(t, platform.Options{Checkpoint: store})
 	coll := "ckpt-e2e"
 	app := aggApp(t, "CkptE2E", coll)
 	if err := h.svc.RegisterApplication(app); err != nil {
@@ -71,23 +67,11 @@ func TestHandlePEFailureRestoresAggregateState(t *testing.T) {
 	h.rec.onEvent = func(svc *Service, kind EventKind, ctx any, scopes []string) {
 		if kind == KindPEFailure {
 			fc := ctx.(*PEFailureContext)
-			// The dead PE's in-flight output has drained once the
-			// collection stays unchanged for quiet; it must within
-			// drainBudget.
-			const quiet, drainBudget = 50 * time.Millisecond, 5 * time.Second
-			first, n, changes := coll2.Len(), coll2.Len(), 0
-			start := time.Now()
-			for last := start; time.Since(last) < quiet; {
-				if time.Since(start) > drainBudget {
-					t.Errorf("collection never quiet for %v within %v of the kill: length %d -> %d over %d changes",
-						quiet, drainBudget, first, n, changes)
-					preLen <- -1
-					return
-				}
-				time.Sleep(time.Millisecond)
-				if m := coll2.Len(); m != n {
-					n, last, changes = m, time.Now(), changes+1
-				}
+			n, ok := quiet(coll2, 50*time.Millisecond)
+			if !ok {
+				t.Errorf("collection never quiet for 50ms after the kill: length %d", n)
+				preLen <- -1
+				return
 			}
 			preLen <- n
 			if err := svc.RestartPE(fc.PE); err != nil {
@@ -115,41 +99,39 @@ func TestHandlePEFailureRestoresAggregateState(t *testing.T) {
 		}
 		return tp.Int("count")
 	}
-	waitFor(t, "window to accumulate", func() bool { return lastCount() >= 50 })
+	wait.For(t, "window to accumulate", func() bool { return lastCount() >= 50 })
 
 	// Observe the fill BEFORE capturing: the captured state can only be
 	// at or past this value, so the continuity assertion below holds for
 	// every restored run and no cold one.
 	countAtCkpt := lastCount()
-	// On-demand snapshot through the orchestrator actuation.
-	if err := h.svc.CheckpointPE(aggPE); err != nil {
-		t.Fatal(err)
+	// On-demand snapshot through the orchestrator actuation, with a
+	// deadline: a capture once starved behind a full inbox for a minute.
+	wait.Within(t, "CheckpointPE", func() {
+		if err := h.svc.CheckpointPE(aggPE); err != nil {
+			t.Error(err)
+		}
+	})
+	if t.Failed() {
+		t.FailNow()
 	}
 
 	if err := h.svc.KillPE(aggPE, "injected stateful-PE failure"); err != nil {
 		t.Fatal(err)
 	}
 	var boundary int
-	select {
-	case boundary = <-preLen:
-	case <-time.After(10 * time.Second):
-		t.Fatal("failure event never delivered")
-	}
+	wait.Within(t, "the failure event", func() { boundary = <-preLen })
 	if boundary < 0 {
 		t.FailNow()
 	}
-	select {
-	case <-restarted:
-	case <-time.After(10 * time.Second):
-		t.Fatal("policy never restarted the PE")
-	}
+	wait.Within(t, "the policy's restart", func() { <-restarted })
 
 	// Continuity: the restored window's FIRST output resumes past the
 	// checkpointed fill. A cold restart would emit count 1 there (and,
 	// since this window never expires, would eventually catch up — which
 	// is why the assertion pins the first post-restart tuple, not an
 	// eventual value).
-	waitFor(t, "post-restart output", func() bool { return coll2.Len() > boundary })
+	wait.For(t, "post-restart output", func() bool { return coll2.Len() > boundary })
 	if got := coll2.Tuples()[boundary].Int("count"); got <= countAtCkpt {
 		t.Fatalf("first post-restart count %d <= checkpointed %d: window restarted cold", got, countAtCkpt)
 	}
@@ -168,7 +150,7 @@ func TestHandlePEFailureRestoresAggregateState(t *testing.T) {
 // PEs' snapshots from the store.
 func TestCancelJobDropsCheckpoints(t *testing.T) {
 	store := ckpt.NewMemStore()
-	h := ckptHarness(t, store)
+	h := rig(t, platform.Options{Checkpoint: store})
 	coll := "ckpt-cancel"
 	app := aggApp(t, "CkptCancel", coll)
 	if err := h.svc.RegisterApplication(app); err != nil {
@@ -182,7 +164,7 @@ func TestCancelJobDropsCheckpoints(t *testing.T) {
 	}
 	g, _ := h.svc.Graph(job)
 	aggPE, _ := g.PEOfOperator("agg")
-	waitFor(t, "flow", func() bool { return h.coll(coll).Len() > 2 })
+	wait.For(t, "flow", func() bool { return h.coll(coll).Len() > 2 })
 	if err := h.svc.CheckpointPE(aggPE); err != nil {
 		t.Fatal(err)
 	}

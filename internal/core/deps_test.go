@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"streamorca/internal/ids"
+	"streamorca/internal/platform"
+	"streamorca/internal/wait"
 )
 
 // figure7 registers the paper's Figure 7 application set: four source
@@ -53,7 +55,7 @@ func running(h *harness, id string) bool {
 }
 
 func TestRegisterAppConfigValidation(t *testing.T) {
-	h := newHarness(t)
+	h := rig(t, platform.Options{})
 	if err := h.svc.RegisterAppConfig(AppConfig{ID: "", AppName: "x"}); err == nil {
 		t.Fatal("empty id accepted")
 	}
@@ -72,7 +74,7 @@ func TestRegisterAppConfigValidation(t *testing.T) {
 }
 
 func TestRegisterDependencyValidation(t *testing.T) {
-	h := newHarness(t)
+	h := rig(t, platform.Options{})
 	if err := h.svc.RegisterApplication(simpleApp(t, "App", "rd", "0")); err != nil {
 		t.Fatal(err)
 	}
@@ -110,13 +112,13 @@ func TestRegisterDependencyValidation(t *testing.T) {
 // submitting `all` starts the four sources immediately, prunes sn, sleeps
 // 80 virtual seconds, then submits all.
 func TestFigure7SubmissionOrderAndTiming(t *testing.T) {
-	h := newHarness(t)
+	h := rig(t, platform.Options{})
 	h.observe(t, NewJobEventScope("jobs"))
 	h.start(t)
 	figure7(t, h)
 
 	done := startAppAsync(h, "all")
-	waitFor(t, "roots submitted", func() bool {
+	wait.For(t, "roots submitted", func() bool {
 		return running(h, "fb") && running(h, "tw") && running(h, "fox") && running(h, "msnbc")
 	})
 	if running(h, "sn") {
@@ -141,7 +143,7 @@ func TestFigure7SubmissionOrderAndTiming(t *testing.T) {
 		t.Fatal("all not running after StartApp returned")
 	}
 
-	waitFor(t, "job events", func() bool { return h.rec.countKind(KindJobSubmitted) == 5 })
+	wait.For(t, "job events", func() bool { return h.rec.countKind(KindJobSubmitted) == 5 })
 	var order []string
 	for _, e := range h.rec.snapshot() {
 		if e.kind == KindJobSubmitted {
@@ -160,11 +162,11 @@ func TestFigure7SubmissionOrderAndTiming(t *testing.T) {
 // TestFigure7SnSubmitsWithShorterWait checks §4.4's tie-break: sn's 20 s
 // requirement is already satisfied once fb and tw have been up for 80 s.
 func TestFigure7SnSubmitsWithShorterWait(t *testing.T) {
-	h := newHarness(t)
+	h := rig(t, platform.Options{})
 	h.start(t)
 	figure7(t, h)
 	done := startAppAsync(h, "all")
-	waitFor(t, "roots", func() bool { return running(h, "fb") && running(h, "tw") })
+	wait.For(t, "roots", func() bool { return running(h, "fb") && running(h, "tw") })
 	h.clock.BlockUntilWaiters(2) // the pull loop waits too: 2 = it + the StartApp sleeper
 	h.clock.Advance(80 * time.Second)
 	if err := <-done; err != nil {
@@ -180,11 +182,11 @@ func TestFigure7SnSubmitsWithShorterWait(t *testing.T) {
 }
 
 func TestFigure7SnWaitsTwentySeconds(t *testing.T) {
-	h := newHarness(t)
+	h := rig(t, platform.Options{})
 	h.start(t)
 	figure7(t, h)
 	done := startAppAsync(h, "sn")
-	waitFor(t, "sn roots", func() bool { return running(h, "fb") && running(h, "tw") })
+	wait.For(t, "sn roots", func() bool { return running(h, "fb") && running(h, "tw") })
 	if running(h, "sn") || running(h, "fox") || running(h, "msnbc") {
 		t.Fatal("pruning failed: unrelated apps submitted or sn early")
 	}
@@ -199,11 +201,11 @@ func TestFigure7SnWaitsTwentySeconds(t *testing.T) {
 }
 
 func TestStarvationPrevention(t *testing.T) {
-	h := newHarness(t)
+	h := rig(t, platform.Options{})
 	h.start(t)
 	figure7(t, h)
 	done := startAppAsync(h, "sn")
-	waitFor(t, "roots", func() bool { return running(h, "fb") && running(h, "tw") })
+	wait.For(t, "roots", func() bool { return running(h, "fb") && running(h, "tw") })
 	h.clock.BlockUntilWaiters(2) // the pull loop waits too: 2 = it + the StartApp sleeper
 	h.clock.Advance(20 * time.Second)
 	if err := <-done; err != nil {
@@ -220,11 +222,11 @@ func TestStarvationPrevention(t *testing.T) {
 }
 
 func TestGarbageCollectionWithTimeoutsAndNonGCable(t *testing.T) {
-	h := newHarness(t)
+	h := rig(t, platform.Options{})
 	h.start(t)
 	figure7(t, h)
 	done := startAppAsync(h, "all")
-	waitFor(t, "roots", func() bool { return running(h, "fox") })
+	wait.For(t, "roots", func() bool { return running(h, "fox") })
 	h.clock.BlockUntilWaiters(2) // the pull loop waits too: 2 = it + the StartApp sleeper
 	h.clock.Advance(80 * time.Second)
 	if err := <-done; err != nil {
@@ -247,7 +249,7 @@ func TestGarbageCollectionWithTimeoutsAndNonGCable(t *testing.T) {
 	}
 	// Fire the GC timeouts.
 	h.clock.Advance(30 * time.Second)
-	waitFor(t, "gc cancellations", func() bool {
+	wait.For(t, "gc cancellations", func() bool {
 		return !running(h, "fb") && !running(h, "tw") && !running(h, "msnbc")
 	})
 	if !running(h, "fox") {
@@ -259,12 +261,12 @@ func TestGarbageCollectionWithTimeoutsAndNonGCable(t *testing.T) {
 }
 
 func TestGCResurrection(t *testing.T) {
-	h := newHarness(t)
+	h := rig(t, platform.Options{})
 	h.start(t)
 	figure7(t, h)
 	// Bring up sn (and fb, tw).
 	done := startAppAsync(h, "sn")
-	waitFor(t, "roots", func() bool { return running(h, "fb") && running(h, "tw") })
+	wait.For(t, "roots", func() bool { return running(h, "fb") && running(h, "tw") })
 	h.clock.BlockUntilWaiters(2) // the pull loop waits too: 2 = it + the StartApp sleeper
 	h.clock.Advance(20 * time.Second)
 	if err := <-done; err != nil {
@@ -301,7 +303,7 @@ func TestGCResurrection(t *testing.T) {
 }
 
 func TestStopAppErrors(t *testing.T) {
-	h := newHarness(t)
+	h := rig(t, platform.Options{})
 	h.start(t)
 	figure7(t, h)
 	if err := h.svc.StopApp("sn"); err == nil {
@@ -313,7 +315,7 @@ func TestStopAppErrors(t *testing.T) {
 }
 
 func TestDirectCancelKeepsDependencyViewConsistent(t *testing.T) {
-	h := newHarness(t)
+	h := rig(t, platform.Options{})
 	h.start(t)
 	figure7(t, h)
 	if err := h.svc.StartApp("fb"); err != nil {
@@ -340,7 +342,7 @@ func TestDirectCancelKeepsDependencyViewConsistent(t *testing.T) {
 }
 
 func TestStartAppIdempotentWhenRunning(t *testing.T) {
-	h := newHarness(t)
+	h := rig(t, platform.Options{})
 	h.start(t)
 	figure7(t, h)
 	if err := h.svc.StartApp("fb"); err != nil {
@@ -356,12 +358,12 @@ func TestStartAppIdempotentWhenRunning(t *testing.T) {
 }
 
 func TestGCFireSkipsReusedApp(t *testing.T) {
-	h := newHarness(t)
+	h := rig(t, platform.Options{})
 	h.start(t)
 	figure7(t, h)
 	// sn up, then stopped: fb/tw queued.
 	done := startAppAsync(h, "sn")
-	waitFor(t, "roots", func() bool { return running(h, "fb") && running(h, "tw") })
+	wait.For(t, "roots", func() bool { return running(h, "fb") && running(h, "tw") })
 	h.clock.BlockUntilWaiters(2) // the pull loop waits too: 2 = it + the StartApp sleeper
 	h.clock.Advance(20 * time.Second)
 	if err := <-done; err != nil {

@@ -13,15 +13,18 @@ import (
 	"streamorca/internal/ids"
 	"streamorca/internal/metrics"
 	"streamorca/internal/ops"
+	"streamorca/internal/platform"
+	"streamorca/internal/platform/platformtest"
 	"streamorca/internal/sam"
 	"streamorca/internal/tuple"
+	"streamorca/internal/wait"
 )
 
 // TestHostFailureRestartRelocatesPE: when a PE's host dies, RestartPE
 // re-places the PE onto a surviving host of the pool and the stream graph
 // reflects the new placement.
 func TestHostFailureRestartRelocatesPE(t *testing.T) {
-	h := newHarness(t, "h1", "h2")
+	h := rig(t, platform.Options{Hosts: platformtest.Hosts("h1", "h2")})
 	app := simpleApp(t, "Rel", "rel", "0")
 	// Pin both PEs to h1 initially via an explicit pool listing both
 	// hosts but ordered so h1 wins the first placements.
@@ -40,7 +43,7 @@ func TestHostFailureRestartRelocatesPE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "flow", func() bool { return h.coll("rel").Len() > 2 })
+	platformtest.Delivered(t, h.inst, "rel", 3)
 	g, _ := h.svc.Graph(job)
 
 	// Find a PE on h1 (placement spreads, so at least one is there).
@@ -61,7 +64,7 @@ func TestHostFailureRestartRelocatesPE(t *testing.T) {
 	if err := h.inst.Cluster.KillHost("h1"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "failure events", func() bool { return h.rec.countKind(KindPEFailure) >= 1 })
+	wait.For(t, "failure events", func() bool { return h.rec.countKind(KindPEFailure) >= 1 })
 
 	// Restart: must land on h2, the only surviving host.
 	if err := h.svc.RestartPE(victim); err != nil {
@@ -84,14 +87,14 @@ func TestHostFailureRestartRelocatesPE(t *testing.T) {
 		}
 	}
 	n := h.coll("rel").Len()
-	waitFor(t, "flow after relocation", func() bool { return h.coll("rel").Len() > n })
+	platformtest.Delivered(t, h.inst, "rel", n+1)
 }
 
 // TestRestartUnderTraffic hammers restart while tuples flow to catch
 // wiring races: the pipeline must keep making progress after each of
 // several rapid restarts of the middle PE.
 func TestRestartUnderTraffic(t *testing.T) {
-	h := newHarness(t)
+	h := rig(t, platform.Options{})
 	app := pipelineApp(t, "RUT", "rut")
 	if err := h.svc.RegisterApplication(app); err != nil {
 		t.Fatal(err)
@@ -106,12 +109,12 @@ func TestRestartUnderTraffic(t *testing.T) {
 	if !ok {
 		t.Fatal("no mid PE")
 	}
-	waitFor(t, "initial flow", func() bool { return h.coll("rut").Len() > 5 })
+	platformtest.Delivered(t, h.inst, "rut", 6)
 	for i := 0; i < 5; i++ {
 		if err := h.svc.KillPE(midPE, "stress"); err != nil {
 			t.Fatal(err)
 		}
-		waitFor(t, "crash observed", func() bool {
+		wait.For(t, "crash observed", func() bool {
 			info, _ := g.PE(midPE)
 			return info.State == "crashed"
 		})
@@ -119,7 +122,7 @@ func TestRestartUnderTraffic(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := h.coll("rut").Len()
-		waitFor(t, "flow resumed", func() bool { return h.coll("rut").Len() > n })
+		platformtest.Delivered(t, h.inst, "rut", n+1)
 	}
 }
 
@@ -226,14 +229,7 @@ func (p *stalenessRouter) promoteFreshest(ctx *PEFailureContext, act *Actions) e
 func (p *stalenessRouter) restartFailed(ctx *PEFailureContext, act *Actions) error {
 	// Drain the dead PE's in-flight output so everything past the
 	// boundary comes from the restored container.
-	coll := p.colls[ctx.Job]
-	stable := coll.Len()
-	for i := 0; i < 50; i++ {
-		time.Sleep(time.Millisecond)
-		if n := coll.Len(); n != stable {
-			stable, i = n, 0
-		}
-	}
+	stable, _ := quiet(p.colls[ctx.Job], 50*time.Millisecond)
 	if err := act.RestartPE(ctx.PE); err != nil {
 		return err
 	}
@@ -276,7 +272,7 @@ func replicaAggApp(t *testing.T, name string) *adl.Application {
 // continues past the checkpointed fill, and nStateRestores increments
 // on the promoted PE).
 func TestStalenessRankedFailover(t *testing.T) {
-	h := newStoreHarness(t, ckpt.NewMemStore())
+	h := rig(t, platform.Options{Checkpoint: ckpt.NewMemStore()})
 	app := replicaAggApp(t, "SRF")
 	if err := h.svc.RegisterApplication(app); err != nil {
 		t.Fatal(err)
@@ -325,7 +321,7 @@ func TestStalenessRankedFailover(t *testing.T) {
 	}
 	for _, j := range jobs {
 		coll := router.colls[j]
-		waitFor(t, "replica warm", func() bool { return lastCount(coll) >= 30 })
+		wait.For(t, "replica warm", func() bool { return lastCount(coll) >= 30 })
 	}
 
 	// Backup 1 snapshots first; ten virtual seconds later backup 2
@@ -343,13 +339,9 @@ func TestStalenessRankedFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	var mark restartMark
-	select {
-	case mark = <-router.restarts:
-	case <-time.After(10 * time.Second):
-		t.Fatal("backup PE never restarted")
-	}
+	wait.Within(t, "the backup PE's restart", func() { mark = <-router.restarts })
 	coll2 := router.colls[jobs[2]]
-	waitFor(t, "post-restore output", func() bool { return coll2.Len() > mark.boundary })
+	wait.For(t, "post-restore output", func() bool { return coll2.Len() > mark.boundary })
 	if got := coll2.Tuples()[mark.boundary].Int("count"); got <= countAtCkpt {
 		t.Fatalf("restored window refilled cold: first post-restart count %d <= checkpointed %d", got, countAtCkpt)
 	}
@@ -357,7 +349,7 @@ func TestStalenessRankedFailover(t *testing.T) {
 	// One pull round delivers every replica's snapshot age.
 	h.inst.FlushMetrics()
 	h.svc.PullMetricsNow()
-	waitFor(t, "ages observed", func() bool {
+	wait.For(t, "ages observed", func() bool {
 		router.mu.Lock()
 		defer router.mu.Unlock()
 		_, ok1 := router.staleness(jobs[1])
@@ -392,11 +384,7 @@ func TestStalenessRankedFailover(t *testing.T) {
 	if got := c.PEMetrics().Counter(metrics.PEStateRestores).Value(); got < 1 {
 		t.Fatalf("promoted PE nStateRestores = %d, want >= 1", got)
 	}
-	select {
-	case <-router.restarts: // failed active restarted too
-	case <-time.After(10 * time.Second):
-		t.Fatal("active PE never restarted")
-	}
+	wait.Within(t, "the active PE's restart", func() { <-router.restarts }) // failed active restarted too
 }
 
 // TestPlatformRestartIsLiveInGraph: SAM restarts a PE on its own (the ADL
@@ -404,7 +392,7 @@ func TestStalenessRankedFailover(t *testing.T) {
 // graph's physical view must say what SAM says, not what the late
 // failure notification said.
 func TestPlatformRestartIsLiveInGraph(t *testing.T) {
-	h := newHarness(t)
+	h := rig(t, platform.Options{})
 	app := simpleApp(t, "Live", "live", "0")
 	for i := range app.PEs {
 		app.PEs[i].Restart = true
@@ -418,7 +406,7 @@ func TestPlatformRestartIsLiveInGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "flow", func() bool { return h.coll("live").Len() > 2 })
+	platformtest.Delivered(t, h.inst, "live", 3)
 	sinkPE, ok := h.svc.PEOfOperator(job, "sink")
 	if !ok {
 		t.Fatal("no sink PE")
@@ -428,9 +416,9 @@ func TestPlatformRestartIsLiveInGraph(t *testing.T) {
 	}
 	// SAM notifies after its restart: once the event is delivered, the
 	// notification can no longer race the check below.
-	waitFor(t, "failure delivered", func() bool { return h.rec.countKind(KindPEFailure) >= 1 })
+	wait.For(t, "failure delivered", func() bool { return h.rec.countKind(KindPEFailure) >= 1 })
 	var want sam.PERuntimeInfo
-	waitFor(t, "SAM restarted the PE", func() bool {
+	wait.For(t, "SAM restarted the PE", func() bool {
 		info, _ := h.inst.SAM.Job(job)
 		for _, p := range info.PEs {
 			if p.ID == sinkPE {
@@ -452,7 +440,7 @@ func TestPlatformRestartIsLiveInGraph(t *testing.T) {
 // PE of the job. The orchestrator must manage it: RestartPE may fail on
 // its merits, never with ErrUnmanagedJob.
 func TestFailedResizeKeepsRegionManaged(t *testing.T) {
-	h := newHarness(t) // one host: with it down, no deploy can place
+	h := rig(t, platform.Options{}) // one host: with it down, no deploy can place
 	s := tuple.MustSchema(
 		tuple.Attribute{Name: "user", Type: tuple.String},
 		tuple.Attribute{Name: "score", Type: tuple.Float},

@@ -7,12 +7,13 @@ import (
 	"time"
 
 	"streamorca/internal/adl"
-	"streamorca/internal/ckpt"
 	"streamorca/internal/compiler"
 	"streamorca/internal/ops"
 	"streamorca/internal/platform"
+	"streamorca/internal/platform/platformtest"
 	"streamorca/internal/tuple"
 	"streamorca/internal/vclock"
+	"streamorca/internal/wait"
 )
 
 var (
@@ -178,41 +179,25 @@ func (h *harness) coll(id string) *ops.Collection {
 	return ops.Collector(h.inst.SAM.Objects(), id)
 }
 
-func newHarness(t *testing.T, hostNames ...string) *harness {
+// rig boots a platform on a manual clock at testEpoch and wires a
+// routine-mode service to it that pulls metrics only when a test says
+// so: the given routines, or else the harness's recorder.
+func rig(t *testing.T, opts platform.Options, routines ...Routine) *harness {
 	t.Helper()
-	return newStoreHarness(t, nil, hostNames...)
-}
-
-// newStoreHarness is newHarness plus an optional checkpoint store on the
-// platform.
-func newStoreHarness(t *testing.T, store ckpt.Store, hostNames ...string) *harness {
-	t.Helper()
-	if len(hostNames) == 0 {
-		hostNames = []string{"h1"}
-	}
 	clock := vclock.NewManual(testEpoch)
-	specs := make([]platform.HostSpec, len(hostNames))
-	for i, n := range hostNames {
-		specs[i] = platform.HostSpec{Name: n}
-	}
-	inst, err := platform.NewInstance(platform.Options{
-		Clock:           clock,
-		Hosts:           specs,
-		MetricsInterval: time.Hour, // tests flush explicitly
-		Checkpoint:      store,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(inst.Close)
+	opts.Clock = clock
+	inst := platformtest.Boot(t, opts)
 	rec := &recorder{}
+	if len(routines) == 0 {
+		routines = []Routine{rec.routine()}
+	}
 	svc, err := NewRoutineService(Config{
 		Name:         "testOrca",
 		SAM:          inst.SAM,
 		SRM:          inst.SRM,
 		Clock:        clock,
-		PullInterval: time.Hour, // tests pull explicitly
-	}, rec.routine())
+		PullInterval: time.Hour,
+	}, routines...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,23 +218,37 @@ func (h *harness) start(t *testing.T) {
 	if err := h.svc.Start(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "start event", func() bool {
+	wait.For(t, "start event", func() bool {
 		h.rec.mu.Lock()
 		defer h.rec.mu.Unlock()
 		return h.rec.started == 1
 	})
 }
 
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
+// quiet waits until coll's length has not changed for d and returns it;
+// ok is false when that takes longer than wait.Deadline. A routine's
+// handler uses it to let a dead PE's in-flight output drain: it runs on
+// the dispatcher, so it reports rather than fails.
+func quiet(coll *ops.Collection, d time.Duration) (n int, ok bool) {
+	n, since := coll.Len(), time.Now()
+	ok = wait.Until(wait.Deadline, time.Millisecond, func() bool {
+		if m := coll.Len(); m != n {
+			n, since = m, time.Now()
 		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
+		return time.Since(since) >= d
+	})
+	return n, ok
+}
+
+// settle raises a user event and waits until the recorder has it.
+// Events are delivered one at a time in order, so by then every event
+// queued before it has been delivered (an unscoped one is dropped when
+// raised). The harness must observe a user-event scope.
+func (h *harness) settle(t *testing.T) {
+	t.Helper()
+	n := h.rec.countKind(KindUserEvent)
+	h.svc.RaiseUserEvent("settle", nil)
+	wait.For(t, "the settle event", func() bool { return h.rec.countKind(KindUserEvent) > n })
 }
 
 // figure2App builds the paper's Figure 2 application with real operators:

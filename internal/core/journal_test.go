@@ -5,18 +5,20 @@ import (
 	"testing"
 
 	"streamorca/internal/compiler"
+	"streamorca/internal/platform"
+	"streamorca/internal/wait"
 )
 
 // TestTxIDsAreAssignedInDeliveryOrder covers the §7 extension: every
 // delivered event carries a monotonically increasing transaction id.
 func TestTxIDsAreAssignedInDeliveryOrder(t *testing.T) {
-	h := newHarness(t)
+	h := rig(t, platform.Options{})
 	h.observe(t, NewUserEventScope("all"))
 	h.start(t)
 	for _, n := range []string{"a", "b", "c"} {
 		h.svc.RaiseUserEvent(n, nil)
 	}
-	waitFor(t, "events", func() bool { return h.rec.countKind(KindUserEvent) == 3 })
+	wait.For(t, "events", func() bool { return h.rec.countKind(KindUserEvent) == 3 })
 	var last uint64
 	for _, e := range h.rec.snapshot() {
 		var tx uint64
@@ -39,7 +41,7 @@ func TestTxIDsAreAssignedInDeliveryOrder(t *testing.T) {
 // event handler are journalled under that event's transaction id;
 // actuations from outside carry tx 0.
 func TestActuationJournalTagsHandlerActions(t *testing.T) {
-	h := newHarness(t)
+	h := rig(t, platform.Options{})
 	if err := h.svc.RegisterApplication(simpleApp(t, "AJ", "aj", "0")); err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +66,7 @@ func TestActuationJournalTagsHandlerActions(t *testing.T) {
 	// submission is journalled before the job is managed: wait for the
 	// journal record, the managed job, and the handler to have returned
 	// (the cancel below must run outside its transaction).
-	waitFor(t, "handler's submission", func() bool {
+	wait.For(t, "handler's submission", func() bool {
 		return journalHas(h.svc, "SubmitApplication") && len(h.svc.ManagedJobs()) == 1 && h.svc.CurrentTxID() == 0
 	})
 
@@ -123,7 +125,7 @@ func journalHas(svc *Service, action string) bool {
 // with their error, so replay can distinguish attempted from effective
 // actions.
 func TestActuationJournalRecordsFailures(t *testing.T) {
-	h := newHarness(t)
+	h := rig(t, platform.Options{})
 	h.start(t)
 	if err := h.svc.CancelJob(424242); err == nil {
 		t.Fatal("expected ErrUnmanagedJob")
@@ -137,7 +139,7 @@ func TestActuationJournalRecordsFailures(t *testing.T) {
 // TestRepartitionApplication covers the §4.3 extension: rewriting the
 // registered artifact's partitioning before submission.
 func TestRepartitionApplication(t *testing.T) {
-	h := newHarness(t)
+	h := rig(t, platform.Options{})
 	h.start(t)
 	app := simpleApp(t, "RP", "rp", "8") // FuseNone: 2 PEs
 	if err := h.svc.RegisterApplication(app); err != nil {
@@ -155,7 +157,7 @@ func TestRepartitionApplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "completion", func() bool { return h.coll("rp").Finals() == 1 })
+	wait.For(t, "completion", func() bool { return h.coll("rp").Finals() == 1 })
 	g, _ := h.svc.Graph(job)
 	if len(g.PEIDs()) != 1 {
 		t.Fatalf("running PEs = %v", g.PEIDs())

@@ -13,38 +13,11 @@ import (
 	"streamorca/internal/journal"
 	"streamorca/internal/platform"
 	"streamorca/internal/vclock"
+	"streamorca/internal/wait"
 )
 
-// newRoutineHarness boots a platform plus a routine-mode service on a
-// manual clock.
-func newRoutineHarness(t *testing.T, routines ...Routine) (*platform.Instance, *Service, *vclock.Manual) {
-	t.Helper()
-	clock := vclock.NewManual(testEpoch)
-	inst, err := platform.NewInstance(platform.Options{
-		Clock:           clock,
-		Hosts:           []platform.HostSpec{{Name: "h1"}},
-		MetricsInterval: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(inst.Close)
-	svc, err := NewRoutineService(Config{
-		Name:         "routineOrca",
-		SAM:          inst.SAM,
-		SRM:          inst.SRM,
-		Clock:        clock,
-		PullInterval: time.Hour,
-	}, routines...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(svc.Stop)
-	return inst, svc, clock
-}
-
 func TestNewRoutineServiceValidation(t *testing.T) {
-	h := newHarness(t)
+	h := rig(t, platform.Options{})
 	cfg := Config{Name: "x", SAM: h.inst.SAM, SRM: h.inst.SRM}
 	if _, err := NewRoutineService(cfg); err == nil {
 		t.Fatal("no routines accepted")
@@ -112,24 +85,25 @@ func TestRoutineTypedSubscriptionsDispatch(t *testing.T) {
 			}),
 		)
 	})
-	_, svc, clock := newRoutineHarness(t, r)
+	h := rig(t, platform.Options{}, r)
+	svc, clock := h.svc, h.clock
 	if err := svc.RegisterApplication(simpleApp(t, "RT", "rt", "0")); err != nil {
 		t.Fatal(err)
 	}
 	if err := svc.Start(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "start subscription", func() bool {
+	wait.For(t, "start subscription", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
-		return startName == "routineOrca"
+		return startName == "testOrca"
 	})
 
 	job, err := svc.SubmitApplication("RT", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "job event", func() bool {
+	wait.For(t, "job event", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		return len(submitted) == 1 && submitted[0] == "RT"
@@ -137,13 +111,13 @@ func TestRoutineTypedSubscriptionsDispatch(t *testing.T) {
 
 	svc.RaiseUserEvent("ignored", nil) // filtered out by the scope
 	svc.RaiseUserEvent("go", nil)
-	waitFor(t, "user event", func() bool {
+	wait.For(t, "user event", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		return len(users) == 1
 	})
 	clock.Advance(time.Second)
-	waitFor(t, "timer from handler actuation", func() bool {
+	wait.For(t, "timer from handler actuation", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		return len(timers) == 1 && timers[0] == "fromUser"
@@ -154,11 +128,7 @@ func TestRoutineTypedSubscriptionsDispatch(t *testing.T) {
 	if err := svc.KillPE(sinkPE, "routine fault"); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-restarted:
-	case <-time.After(10 * time.Second):
-		t.Fatal("failure handler never restarted the PE")
-	}
+	wait.Within(t, "the failure handler's restart", func() { <-restarted })
 	mu.Lock()
 	defer mu.Unlock()
 	if len(failures) != 1 || failures[0] != "routine fault" {
@@ -174,7 +144,7 @@ func TestRoutineSetupErrorAbortsStart(t *testing.T) {
 		_, err := sc.Actions().SubmitApplication("Ghost", nil)
 		return err
 	})
-	_, svc, _ := newRoutineHarness(t, r)
+	svc := rig(t, platform.Options{}, r).svc
 	err := svc.Start()
 	if err == nil {
 		t.Fatal("Start succeeded despite setup error")
@@ -198,7 +168,7 @@ func TestRoutineSetupDuplicateScopeKey(t *testing.T) {
 			OnTimer(NewTimerScope("k"), func(*TimerContext, *Actions) error { return nil }),
 		)
 	})
-	_, svc, _ := newRoutineHarness(t, r)
+	svc := rig(t, platform.Options{}, r).svc
 	err := svc.Start()
 	if err == nil || !strings.Contains(err.Error(), `"k"`) {
 		t.Fatalf("duplicate scope key not rejected: %v", err)
@@ -220,7 +190,7 @@ func TestComposeRunsRoutinesInOrder(t *testing.T) {
 	if composed.Name() != "a+b+c" {
 		t.Fatalf("composite name = %q", composed.Name())
 	}
-	_, svc, _ := newRoutineHarness(t, composed)
+	svc := rig(t, platform.Options{}, composed).svc
 	if err := svc.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +204,7 @@ func TestComposeRunsRoutinesInOrder(t *testing.T) {
 func TestComposeNilRoutineSurfacesAsSetupError(t *testing.T) {
 	ok := NewRoutine("fine", func(sc *SetupContext) error { return nil })
 	composed := Compose(ok, nil)
-	_, svc, _ := newRoutineHarness(t, composed)
+	svc := rig(t, platform.Options{}, composed).svc
 	err := svc.Start()
 	if err == nil || !strings.Contains(err.Error(), "routine 1 is nil") {
 		t.Fatalf("nil composed routine not reported: %v", err)
@@ -248,7 +218,7 @@ func TestComposeChildErrorNamed(t *testing.T) {
 		t.Error("routine after the failing one was set up")
 		return nil
 	})
-	_, svc, _ := newRoutineHarness(t, Compose(ok, bad, never))
+	svc := rig(t, platform.Options{}, Compose(ok, bad, never)).svc
 	err := svc.Start()
 	if err == nil || !strings.Contains(err.Error(), `routine "explodes"`) || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("composite error = %v", err)
@@ -269,14 +239,14 @@ func TestRoutineHandlerErrorsCounted(t *testing.T) {
 			return nil
 		}))
 	})
-	_, svc, _ := newRoutineHarness(t, r)
+	svc := rig(t, platform.Options{}, r).svc
 	if err := svc.Start(); err != nil {
 		t.Fatal(err)
 	}
 	svc.RaiseUserEvent("fail", nil)
 	svc.RaiseUserEvent("skip", nil)
 	svc.RaiseUserEvent("ok", nil)
-	waitFor(t, "events drained", func() bool { return svc.Stats().Delivered >= 4 }) // start + 3
+	wait.For(t, "events drained", func() bool { return svc.Stats().Delivered >= 4 }) // start + 3
 	if got := svc.Stats().HandlerErrors; got != 1 {
 		t.Fatalf("HandlerErrors = %d, want 1 (ErrSkipped must not count)", got)
 	}
@@ -329,7 +299,7 @@ func TestStopHooksRunOnceInReverseOrder(t *testing.T) {
 		},
 		onClose: func(act *Actions) { note("second-close", act) },
 	}
-	_, svc, _ := newRoutineHarness(t, first, second)
+	svc := rig(t, platform.Options{}, first, second).svc
 	if err := svc.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +332,7 @@ func TestStopHooksSkippedOnFailedStart(t *testing.T) {
 			return fmt.Errorf("boom")
 		}),
 	)
-	_, svc, _ := newRoutineHarness(t, bad)
+	svc := rig(t, platform.Options{}, bad).svc
 	if err := svc.Start(); err == nil {
 		t.Fatal("failed setup did not abort Start")
 	}
@@ -388,7 +358,7 @@ func TestComposeDelegatesClose(t *testing.T) {
 			},
 		}
 	}
-	_, svc, _ := newRoutineHarness(t, Compose(mk("a"), NewRoutine("plain", func(*SetupContext) error { return nil }), mk("b")))
+	svc := rig(t, platform.Options{}, Compose(mk("a"), NewRoutine("plain", func(*SetupContext) error { return nil }), mk("b"))).svc
 	if err := svc.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +376,7 @@ func TestComposeDelegatesClose(t *testing.T) {
 // guards directly.
 func guardActions(t *testing.T) (*Actions, *vclock.Manual) {
 	t.Helper()
-	h := newHarness(t)
+	h := rig(t, platform.Options{})
 	return h.svc.Actions(), h.clock
 }
 
@@ -536,7 +506,7 @@ func TestScopeRegistrationConcurrentWithDispatch(t *testing.T) {
 			return nil
 		}))
 	})
-	_, svc, _ := newRoutineHarness(t, r)
+	svc := rig(t, platform.Options{}, r).svc
 	if err := svc.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -562,7 +532,7 @@ func TestScopeRegistrationConcurrentWithDispatch(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	waitFor(t, "all events drained", func() bool { return handled.Load() == rounds })
+	wait.For(t, "all events drained", func() bool { return handled.Load() == rounds })
 }
 
 // blockingService starts a service whose "block" subscription parks its
@@ -587,7 +557,7 @@ func blockingService(t *testing.T, got func(name string)) (svc *Service, entered
 				return nil
 			}))
 	})
-	_, svc, _ = newRoutineHarness(t, r)
+	svc = rig(t, platform.Options{}, r).svc
 	if err := svc.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -610,7 +580,7 @@ func TestUnregisterSkipsQueuedEvents(t *testing.T) {
 	svc.UnregisterEventScope("block")
 	close(release)
 	svc.RaiseUserEvent("after", nil)
-	waitFor(t, "queue drained", func() bool { return after.Load() == 1 })
+	wait.For(t, "queue drained", func() bool { return after.Load() == 1 })
 	mu.Lock()
 	defer mu.Unlock()
 	if !slices.Equal(got, []string{"first"}) {
@@ -637,7 +607,7 @@ func TestUnsubscribedKeyReusedSkipsQueuedEvents(t *testing.T) {
 	}
 	close(release)
 	svc.RaiseUserEvent("after", nil)
-	waitFor(t, "queue drained", func() bool { return after.Load() == 1 })
+	wait.For(t, "queue drained", func() bool { return after.Load() == 1 })
 	if n := late.Load(); n != 0 {
 		t.Fatalf("subscription registered after the match handled %d queued events", n)
 	}

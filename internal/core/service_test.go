@@ -13,11 +13,14 @@ import (
 	"streamorca/internal/ids"
 	"streamorca/internal/metrics"
 	"streamorca/internal/ops"
+	"streamorca/internal/platform"
+	"streamorca/internal/platform/platformtest"
 	"streamorca/internal/sam"
+	"streamorca/internal/wait"
 )
 
 func TestNewServiceValidation(t *testing.T) {
-	h := newHarness(t)
+	h := rig(t, platform.Options{})
 	noop := NewRoutine("noop", func(*SetupContext) error { return nil })
 	if _, err := NewRoutineService(Config{SAM: h.inst.SAM, SRM: h.inst.SRM}, noop); err == nil {
 		t.Fatal("empty name accepted")
@@ -38,7 +41,7 @@ func TestNewServiceValidation(t *testing.T) {
 }
 
 func TestStartDeliversOrcaStartFirstAndOnce(t *testing.T) {
-	h := newHarness(t)
+	h := rig(t, platform.Options{})
 	h.start(t)
 	evs := h.rec.snapshot()
 	if len(evs) == 0 || evs[0].kind != KindOrcaStart {
@@ -54,7 +57,7 @@ func TestStartDeliversOrcaStartFirstAndOnce(t *testing.T) {
 }
 
 func TestRegisterApplication(t *testing.T) {
-	h := newHarness(t)
+	h := rig(t, platform.Options{})
 	app := simpleApp(t, "A", "ra", "1")
 	if err := h.svc.RegisterApplication(app); err != nil {
 		t.Fatal(err)
@@ -75,7 +78,7 @@ func TestRegisterApplication(t *testing.T) {
 }
 
 func TestSubmitApplicationBuildsGraphAndManages(t *testing.T) {
-	h := newHarness(t)
+	h := rig(t, platform.Options{})
 	h.start(t)
 	if err := h.svc.RegisterApplication(simpleApp(t, "Sub", "sub1", "5")); err != nil {
 		t.Fatal(err)
@@ -84,7 +87,7 @@ func TestSubmitApplicationBuildsGraphAndManages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "tuples", func() bool { return h.coll("sub1").Len() == 5 })
+	wait.For(t, "tuples", func() bool { return h.coll("sub1").Len() == 5 })
 	g, ok := h.svc.Graph(job)
 	if !ok {
 		t.Fatal("no graph for managed job")
@@ -112,7 +115,7 @@ func TestSubmitApplicationBuildsGraphAndManages(t *testing.T) {
 }
 
 func TestJobEventsRequireScope(t *testing.T) {
-	h := newHarness(t)
+	h := rig(t, platform.Options{})
 	h.start(t)
 	if err := h.svc.RegisterApplication(simpleApp(t, "JE", "je", "1")); err != nil {
 		t.Fatal(err)
@@ -122,7 +125,7 @@ func TestJobEventsRequireScope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "drop counted", func() bool { return h.svc.Stats().DroppedEvents >= 1 })
+	wait.For(t, "drop counted", func() bool { return h.svc.Stats().DroppedEvents >= 1 })
 	if h.rec.countKind(KindJobSubmitted) != 0 {
 		t.Fatal("unscoped job event delivered")
 	}
@@ -132,7 +135,7 @@ func TestJobEventsRequireScope(t *testing.T) {
 	if err := h.svc.CancelJob(job); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "cancel event", func() bool { return h.rec.countKind(KindJobCancelled) == 1 })
+	wait.For(t, "cancel event", func() bool { return h.rec.countKind(KindJobCancelled) == 1 })
 	evs := h.rec.snapshot()
 	last := evs[len(evs)-1]
 	jc := last.ctx.(*JobContext)
@@ -145,7 +148,7 @@ func TestJobEventsRequireScope(t *testing.T) {
 }
 
 func TestActingOnUnmanagedJobFails(t *testing.T) {
-	h := newHarness(t)
+	h := rig(t, platform.Options{})
 	h.start(t)
 	// Submit directly through SAM: the orchestrator did not start it.
 	app := simpleApp(t, "Um", "um", "0")
@@ -177,7 +180,7 @@ func TestActingOnUnmanagedJobFails(t *testing.T) {
 // operators inside composite1 instances, plus a PE failure subscope with
 // an application filter.
 func TestFigure5ScopeMatching(t *testing.T) {
-	h := newHarness(t)
+	h := rig(t, platform.Options{})
 	app := figure2App(t, "Figure2")
 	if err := h.svc.RegisterApplication(app); err != nil {
 		t.Fatal(err)
@@ -192,12 +195,12 @@ func TestFigure5ScopeMatching(t *testing.T) {
 	if _, err := h.svc.SubmitApplication("Figure2", nil); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "pipeline output", func() bool {
+	wait.For(t, "pipeline output", func() bool {
 		return h.coll("Figure2-sink1").Finals() == 1 && h.coll("Figure2-sink2").Finals() == 1
 	})
 	h.inst.FlushMetrics()
 	h.svc.PullMetricsNow()
-	waitFor(t, "metric events", func() bool { return h.rec.countKind(KindOperatorMetric) >= 4 })
+	wait.For(t, "metric events", func() bool { return h.rec.countKind(KindOperatorMetric) >= 4 })
 	got := map[string]bool{}
 	var epoch uint64
 	for _, e := range h.rec.snapshot() {
@@ -229,7 +232,7 @@ func TestFigure5ScopeMatching(t *testing.T) {
 	}
 	// A second pull increments the epoch.
 	h.svc.PullMetricsNow()
-	waitFor(t, "second round", func() bool {
+	wait.For(t, "second round", func() bool {
 		for _, e := range h.rec.snapshot() {
 			if e.kind == KindOperatorMetric && e.ctx.(*OperatorMetricContext).Epoch == epoch+1 {
 				return true
@@ -240,7 +243,7 @@ func TestFigure5ScopeMatching(t *testing.T) {
 }
 
 func TestEventDeliveredOnceWithAllMatchingScopeKeys(t *testing.T) {
-	h := newHarness(t)
+	h := rig(t, platform.Options{})
 	if err := h.svc.RegisterApplication(simpleApp(t, "Multi", "multi", "3")); err != nil {
 		t.Fatal(err)
 	}
@@ -253,10 +256,10 @@ func TestEventDeliveredOnceWithAllMatchingScopeKeys(t *testing.T) {
 	if _, err := h.svc.SubmitApplication("Multi", nil); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "done", func() bool { return h.coll("multi").Finals() == 1 })
+	wait.For(t, "done", func() bool { return h.coll("multi").Finals() == 1 })
 	h.inst.FlushMetrics()
 	h.svc.PullMetricsNow()
-	waitFor(t, "metric event", func() bool { return h.rec.countKind(KindOperatorMetric) >= 1 })
+	wait.For(t, "metric event", func() bool { return h.rec.countKind(KindOperatorMetric) >= 1 })
 	n := 0
 	for _, e := range h.rec.snapshot() {
 		if e.kind != KindOperatorMetric {
@@ -275,7 +278,7 @@ func TestEventDeliveredOnceWithAllMatchingScopeKeys(t *testing.T) {
 // TestScopeRegistrationErrors: Subscribe rejects an empty and a duplicate
 // scope key, and a key can be subscribed again once unregistered.
 func TestScopeRegistrationErrors(t *testing.T) {
-	h := newHarness(t)
+	h := rig(t, platform.Options{})
 	if err := h.rec.observe(h.svc, NewOperatorMetricScope("")); err == nil {
 		t.Fatal("empty key accepted")
 	}
@@ -293,7 +296,7 @@ func TestScopeRegistrationErrors(t *testing.T) {
 }
 
 func TestPEFailureEventAndEpochGrouping(t *testing.T) {
-	h := newHarness(t, "h1", "h2")
+	h := rig(t, platform.Options{Hosts: platformtest.Hosts("h1", "h2")})
 	if err := h.svc.RegisterApplication(simpleApp(t, "F", "f1", "0")); err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +315,7 @@ func TestPEFailureEventAndEpochGrouping(t *testing.T) {
 	if err := h.svc.KillPE(sinkPE, "injected"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "pe failure event", func() bool { return h.rec.countKind(KindPEFailure) == 1 })
+	wait.For(t, "pe failure event", func() bool { return h.rec.countKind(KindPEFailure) == 1 })
 	var first *PEFailureContext
 	for _, e := range h.rec.snapshot() {
 		if e.kind == KindPEFailure {
@@ -348,7 +351,7 @@ func TestPEFailureEventAndEpochGrouping(t *testing.T) {
 	if err := h.inst.Cluster.KillHost("h2"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "host failure fan-out", func() bool {
+	wait.For(t, "host failure fan-out", func() bool {
 		return h.rec.countKind(KindPEFailure) == 3 && h.rec.countKind(KindHostFailure) == 1
 	})
 	var hostEpoch uint64
@@ -381,8 +384,8 @@ func TestPEFailureEventAndEpochGrouping(t *testing.T) {
 }
 
 func TestTimers(t *testing.T) {
-	h := newHarness(t)
-	h.observe(t, NewTimerScope("timers").AddTimerFilter("once", "tick"))
+	h := rig(t, platform.Options{})
+	h.observe(t, NewTimerScope("timers").AddTimerFilter("once", "tick"), NewUserEventScope("settle"))
 	h.start(t)
 	if err := h.svc.StartTimer("", time.Second); err == nil {
 		t.Fatal("empty timer name accepted")
@@ -391,18 +394,18 @@ func TestTimers(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.clock.Advance(10 * time.Second)
-	waitFor(t, "one-shot timer", func() bool { return h.rec.countKind(KindTimer) == 1 })
+	wait.For(t, "one-shot timer", func() bool { return h.rec.countKind(KindTimer) == 1 })
 
 	if err := h.svc.StartPeriodicTimer("tick", 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	h.clock.Advance(5 * time.Second)
-	waitFor(t, "tick 1", func() bool { return h.rec.countKind(KindTimer) == 2 })
+	wait.For(t, "tick 1", func() bool { return h.rec.countKind(KindTimer) == 2 })
 	h.clock.Advance(5 * time.Second)
-	waitFor(t, "tick 2", func() bool { return h.rec.countKind(KindTimer) == 3 })
+	wait.For(t, "tick 2", func() bool { return h.rec.countKind(KindTimer) == 3 })
 	h.svc.CancelTimer("tick")
-	h.clock.Advance(20 * time.Second)
-	time.Sleep(10 * time.Millisecond)
+	h.clock.Advance(20 * time.Second) // fires due timers on this goroutine
+	h.settle(t)
 	if h.rec.countKind(KindTimer) != 3 {
 		t.Fatal("cancelled timer fired")
 	}
@@ -414,19 +417,19 @@ func TestTimers(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.clock.Advance(time.Second)
-	time.Sleep(10 * time.Millisecond)
+	h.settle(t)
 	if h.rec.countKind(KindTimer) != 3 {
 		t.Fatal("unscoped timer delivered")
 	}
 }
 
 func TestUserEvents(t *testing.T) {
-	h := newHarness(t)
+	h := rig(t, platform.Options{})
 	h.observe(t, NewUserEventScope("user").AddNameFilter("reload"))
 	h.start(t)
 	h.svc.RaiseUserEvent("reload", map[string]string{"model": "v2"})
 	h.svc.RaiseUserEvent("ignored", nil)
-	waitFor(t, "user event", func() bool { return h.rec.countKind(KindUserEvent) == 1 })
+	wait.For(t, "user event", func() bool { return h.rec.countKind(KindUserEvent) == 1 })
 	for _, e := range h.rec.snapshot() {
 		if e.kind == KindUserEvent {
 			ctx := e.ctx.(*UserEventContext)
@@ -438,12 +441,13 @@ func TestUserEvents(t *testing.T) {
 }
 
 func TestEventsDeliveredInOrderOneAtATime(t *testing.T) {
-	h := newHarness(t)
+	h := rig(t, platform.Options{})
 	seen := make(chan string, 64)
+	gate := make(chan struct{})
 	h.rec.onEvent = func(svc *Service, kind EventKind, ctx any, scopes []string) {
 		if kind == KindUserEvent {
 			seen <- ctx.(*UserEventContext).Name
-			time.Sleep(2 * time.Millisecond) // hold the dispatcher
+			<-gate // hold the dispatcher until every event has queued behind this one
 		}
 	}
 	h.observe(t, NewUserEventScope("all"))
@@ -452,20 +456,18 @@ func TestEventsDeliveredInOrderOneAtATime(t *testing.T) {
 	for _, n := range names {
 		h.svc.RaiseUserEvent(n, nil)
 	}
+	close(gate)
 	for _, want := range names {
-		select {
-		case got := <-seen:
-			if got != want {
-				t.Fatalf("out of order: got %s want %s", got, want)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("event never delivered")
+		var got string
+		wait.Within(t, "event "+want, func() { got = <-seen })
+		if got != want {
+			t.Fatalf("out of order: got %s want %s", got, want)
 		}
 	}
 }
 
 func TestRestartStopControlOnManagedJob(t *testing.T) {
-	h := newHarness(t)
+	h := rig(t, platform.Options{})
 	h.start(t)
 	app := simpleApp(t, "Act", "act", "0")
 	if err := h.svc.RegisterApplication(app); err != nil {
@@ -475,13 +477,13 @@ func TestRestartStopControlOnManagedJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "flow", func() bool { return h.coll("act").Len() > 2 })
+	platformtest.Delivered(t, h.inst, "act", 3)
 	g, _ := h.svc.Graph(job)
 	sinkPE, _ := g.PEOfOperator("sink")
 	if err := h.svc.KillPE(sinkPE, "fault"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "crashed in graph", func() bool {
+	wait.For(t, "crashed in graph", func() bool {
 		info, _ := g.PE(sinkPE)
 		return info.State == "crashed"
 	})
@@ -493,7 +495,7 @@ func TestRestartStopControlOnManagedJob(t *testing.T) {
 		t.Fatalf("PE state after restart = %q", info.State)
 	}
 	n := h.coll("act").Len()
-	waitFor(t, "flow after restart", func() bool { return h.coll("act").Len() > n })
+	platformtest.Delivered(t, h.inst, "act", n+1)
 	if err := h.svc.StopPE(sinkPE); err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +506,7 @@ func TestRestartStopControlOnManagedJob(t *testing.T) {
 }
 
 func TestMakeExclusiveHostPools(t *testing.T) {
-	h := newHarness(t)
+	h := rig(t, platform.Options{})
 	if err := h.svc.MakeExclusiveHostPools("ghost"); err == nil {
 		t.Fatal("unknown app accepted")
 	}
@@ -521,7 +523,7 @@ func TestMakeExclusiveHostPools(t *testing.T) {
 }
 
 func TestInspectionQueries(t *testing.T) {
-	h := newHarness(t)
+	h := rig(t, platform.Options{})
 	h.start(t)
 	app := figure2App(t, "Insp")
 	if err := h.svc.RegisterApplication(app); err != nil {
@@ -559,7 +561,7 @@ func TestInspectionQueries(t *testing.T) {
 }
 
 func TestHandlerPanicIsRecovered(t *testing.T) {
-	h := newHarness(t)
+	h := rig(t, platform.Options{})
 	h.observe(t, NewUserEventScope("all"))
 	h.rec.onEvent = func(svc *Service, kind EventKind, ctx any, scopes []string) {
 		if kind == KindUserEvent && ctx.(*UserEventContext).Name == "boom" {
@@ -569,14 +571,14 @@ func TestHandlerPanicIsRecovered(t *testing.T) {
 	h.start(t)
 	h.svc.RaiseUserEvent("boom", nil)
 	h.svc.RaiseUserEvent("after", nil)
-	waitFor(t, "delivery continues after panic", func() bool { return h.rec.countKind(KindUserEvent) == 2 })
+	wait.For(t, "delivery continues after panic", func() bool { return h.rec.countKind(KindUserEvent) == 2 })
 	if h.svc.Stats().HandlerPanics != 1 {
 		t.Fatalf("panics = %d", h.svc.Stats().HandlerPanics)
 	}
 }
 
 func TestStatsAndPullInterval(t *testing.T) {
-	h := newHarness(t)
+	h := rig(t, platform.Options{})
 	h.observe(t, NewOperatorMetricScope("m").AddOperatorMetric(metrics.OpTuplesSubmitted))
 	h.start(t)
 	if err := h.svc.RegisterApplication(simpleApp(t, "St", "st", "4")); err != nil {
@@ -585,14 +587,19 @@ func TestStatsAndPullInterval(t *testing.T) {
 	if _, err := h.svc.SubmitApplication("St", nil); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "done", func() bool { return h.coll("st").Finals() == 1 })
+	wait.For(t, "done", func() bool { return h.coll("st").Finals() == 1 })
 	h.inst.FlushMetrics()
-	// The pull loop runs on the manual clock: shorten the interval and
-	// advance to trigger a pull.
+	// The pull loop runs on the manual clock, parked on the old
+	// hour-long period: the new one applies from the tick after it.
 	h.svc.SetMetricPullInterval(time.Second)
-	waitFor(t, "pull fires", func() bool {
-		h.clock.Advance(time.Second)
+	wait.For(t, "the pull the old period owes", func() bool {
+		h.clock.Advance(time.Hour)
 		return h.rec.countKind(KindOperatorMetric) >= 1
+	})
+	pulled := h.rec.countKind(KindOperatorMetric)
+	wait.For(t, "a pull one new period later", func() bool {
+		h.clock.Advance(time.Second)
+		return h.rec.countKind(KindOperatorMetric) > pulled
 	})
 	st := h.svc.Stats()
 	if st.ManagedJobs != 1 || st.RegisteredApps != 1 || st.MetricEpoch == 0 || st.Delivered == 0 {
@@ -601,15 +608,16 @@ func TestStatsAndPullInterval(t *testing.T) {
 }
 
 func TestStopIsIdempotentAndStopsDelivery(t *testing.T) {
-	h := newHarness(t)
+	h := rig(t, platform.Options{})
 	h.observe(t, NewUserEventScope("all"))
 	h.start(t)
 	h.svc.Stop()
 	h.svc.Stop()
+	// Stop closed the queue and waited for the dispatcher to exit, so
+	// a late event is refused, not delivered later.
 	h.svc.RaiseUserEvent("late", nil)
-	time.Sleep(10 * time.Millisecond)
-	if h.rec.countKind(KindUserEvent) != 0 {
-		t.Fatal("event delivered after Stop")
+	if d := h.svc.Stats().QueueDepth; d != 0 || h.rec.countKind(KindUserEvent) != 0 {
+		t.Fatalf("event delivered or queued (depth %d) after Stop", d)
 	}
 }
 
@@ -837,7 +845,7 @@ func TestKindStrings(t *testing.T) {
 // TestPEMetricScopeDeliversByteCounters covers the PE-scoped metric path
 // (the §1 example of a built-in metric: connection/byte throughput).
 func TestPEMetricScopeDeliversByteCounters(t *testing.T) {
-	h := newHarness(t)
+	h := rig(t, platform.Options{})
 	if err := h.svc.RegisterApplication(simpleApp(t, "PM", "pm", "50")); err != nil {
 		t.Fatal(err)
 	}
@@ -848,10 +856,10 @@ func TestPEMetricScopeDeliversByteCounters(t *testing.T) {
 	if _, err := h.svc.SubmitApplication("PM", nil); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "done", func() bool { return h.coll("pm").Finals() == 1 })
+	wait.For(t, "done", func() bool { return h.coll("pm").Finals() == 1 })
 	h.inst.FlushMetrics()
 	h.svc.PullMetricsNow()
-	waitFor(t, "pe metric events", func() bool { return h.rec.countKind(KindPEMetric) >= 2 })
+	wait.For(t, "pe metric events", func() bool { return h.rec.countKind(KindPEMetric) >= 2 })
 	var sawBytes bool
 	for _, e := range h.rec.snapshot() {
 		if e.kind != KindPEMetric {
@@ -873,7 +881,7 @@ func TestPEMetricScopeDeliversByteCounters(t *testing.T) {
 // TestPEFailureScopeHostFilter: host-attribute filtering on failure
 // scopes (conjunctive with the application filter).
 func TestPEFailureScopeHostFilter(t *testing.T) {
-	h := newHarness(t, "h1", "h2")
+	h := rig(t, platform.Options{Hosts: platformtest.Hosts("h1", "h2")})
 	app := simpleApp(t, "HF", "hf1", "0")
 	if err := h.svc.RegisterApplication(app); err != nil {
 		t.Fatal(err)
@@ -904,7 +912,7 @@ func TestPEFailureScopeHostFilter(t *testing.T) {
 	if err := h.svc.KillPE(onH2, "delivered"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "h2 failure", func() bool { return h.rec.countKind(KindPEFailure) >= 1 })
+	wait.For(t, "h2 failure", func() bool { return h.rec.countKind(KindPEFailure) >= 1 })
 	for _, e := range h.rec.snapshot() {
 		if e.kind == KindPEFailure {
 			ctx := e.ctx.(*PEFailureContext)

@@ -9,6 +9,7 @@ import (
 	"streamorca/internal/chaos"
 	"streamorca/internal/ops"
 	"streamorca/internal/policies"
+	"streamorca/internal/wait"
 )
 
 // chaosFaults is the number of scheduled fault events.
@@ -56,7 +57,7 @@ func runChaos(p Params, kinds []chaos.Kind) (*Outcome, error) {
 	defer r.close()
 	coll := ops.Collector(r.inst.SAM.Objects(), "chaos")
 
-	if !waitUntil(budget/4, time.Millisecond, func() bool { return coll.Len() >= 5 }) {
+	if !wait.Until(budget/4, time.Millisecond, func() bool { return coll.Len() >= 5 }) {
 		return nil, fmt.Errorf("chaos: pipeline never warmed up")
 	}
 
@@ -78,7 +79,7 @@ func runChaos(p Params, kinds []chaos.Kind) (*Outcome, error) {
 		return nil, err
 	}
 	preLen := coll.Len()
-	if !waitUntil(budget/4, time.Millisecond, func() bool { return coll.Len() > preLen }) {
+	if !wait.Until(budget/4, time.Millisecond, func() bool { return coll.Len() > preLen }) {
 		return nil, fmt.Errorf("chaos: no output after recovery sweep")
 	}
 

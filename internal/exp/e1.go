@@ -7,6 +7,7 @@ import (
 	"streamorca/internal/apps"
 	"streamorca/internal/extjob"
 	"streamorca/internal/policies"
+	"streamorca/internal/wait"
 )
 
 // sentiment is experiment E1 (Figure 8), adaptation to the incoming
@@ -73,7 +74,7 @@ func sentiment(p Params) (*Outcome, error) {
 	}
 	halt := sample(pullEvery, r.pull)
 	defer halt()
-	if waitUntil(budget, pullEvery, func() bool {
+	if wait.Until(budget, pullEvery, func() bool {
 		if crossed == 0 {
 			crossed = firstEpoch(func(pt policies.RatioPoint) bool { return pt.Ratio > threshold })
 		}

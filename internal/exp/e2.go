@@ -8,6 +8,7 @@ import (
 	"streamorca/internal/ids"
 	"streamorca/internal/ops"
 	"streamorca/internal/policies"
+	"streamorca/internal/wait"
 )
 
 // The Trend Calculator scenarios (failover, staleness-failover) compress
@@ -69,7 +70,7 @@ func bootTrend(spec rigSpec, seed int64, maxAge, budget time.Duration) (*trendRi
 		t.agg = append(t.agg, pe)
 	}
 	full := int64(trendWindow / trendTick)
-	warm := waitUntil(budget/2, time.Millisecond, func() bool {
+	warm := wait.Until(budget/2, time.Millisecond, func() bool {
 		for i := 0; i < 3; i++ {
 			if t.lastCount(i) < full*8/10 {
 				return false
@@ -136,7 +137,7 @@ func failover(p Params) (*Outcome, error) {
 	}
 
 	// Failover latency: until the policy promotes a backup.
-	if !waitUntil(budget/3, 100*time.Microsecond, func() bool { return policy.Failovers() >= 1 }) {
+	if !wait.Until(budget/3, 100*time.Microsecond, func() bool { return policy.Failovers() >= 1 }) {
 		return nil, fmt.Errorf("failover: failover never happened")
 	}
 	failoverLatency := time.Since(start)
@@ -145,11 +146,11 @@ func failover(p Params) (*Outcome, error) {
 	// Output gap: until the failed replica produces output again. Tuples
 	// in flight to its sink when the PE died can land after the kill, so
 	// output counts only once the routine has restarted the PE.
-	if !waitUntil(budget/3, 100*time.Microsecond, func() bool { return policy.Restarts() >= 1 }) {
+	if !wait.Until(budget/3, 100*time.Microsecond, func() bool { return policy.Restarts() >= 1 }) {
 		return nil, fmt.Errorf("failover: failed replica never restarted")
 	}
 	killedLen := t.coll(killed).Len()
-	if !waitUntil(budget/3, 100*time.Microsecond, func() bool { return t.coll(killed).Len() > killedLen }) {
+	if !wait.Until(budget/3, 100*time.Microsecond, func() bool { return t.coll(killed).Len() > killedLen }) {
 		return nil, fmt.Errorf("failover: failed replica never resumed output")
 	}
 	outputGap := time.Since(start)
@@ -158,7 +159,7 @@ func failover(p Params) (*Outcome, error) {
 	// is back to >=95% of a healthy replica's.
 	halt := sample(sampleEvery, record)
 	defer halt()
-	refilled := waitUntil(budget/2, time.Millisecond, func() bool {
+	refilled := wait.Until(budget/2, time.Millisecond, func() bool {
 		kc, hc := t.lastCount(killed), t.lastCount(promoted)
 		return kc >= 0 && hc > 0 && kc*100 >= hc*95
 	})

@@ -8,6 +8,7 @@ import (
 	"streamorca/internal/apps"
 	"streamorca/internal/core"
 	"streamorca/internal/policies"
+	"streamorca/internal/wait"
 )
 
 // composition is experiment E3 (Figure 10), on-demand dynamic
@@ -87,7 +88,7 @@ func composition(p Params) (*Outcome, error) {
 	// The steady state is 2 C1 readers + 3 C2 queries.
 	const baseJobs = 5
 	jobCount := func() int { return len(r.inst.SAM.Jobs()) }
-	if !waitUntil(budget/3, time.Millisecond, func() bool { return jobCount() == baseJobs }) {
+	if !wait.Until(budget/3, time.Millisecond, func() bool { return jobCount() == baseJobs }) {
 		return nil, fmt.Errorf("composition: C1/C2 set never came up (%d jobs)", jobCount())
 	}
 
@@ -123,7 +124,7 @@ func composition(p Params) (*Outcome, error) {
 	// is judged on what the wait saw when it held, not read afterwards.
 	var cancels []string
 	final := 0
-	waitUntil(budget, pullEvery, func() bool {
+	wait.Until(budget, pullEvery, func() bool {
 		cancels, final = policy.Cancellations(), jobCount()
 		return covers(cancels) && final == baseJobs
 	})

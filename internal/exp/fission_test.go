@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"streamorca/internal/wait"
 )
 
 // TestFissionScenarioSmoke runs a shrunk elastic-fission scenario end
@@ -14,7 +16,7 @@ import (
 // widths and per-replica traffic shares.
 func TestFissionScenarioSmoke(t *testing.T) {
 	scale := fissionScale{probeRate: 3000, probeDuration: 300 * time.Millisecond, maxWidth: 2, minSpeedup: 1.3}
-	if raceEnabled {
+	if wait.Race {
 		scale.probeRate = 1500
 	}
 	out, err := runFission(Params{Seed: 7, Keys: 5000, Duration: time.Second, Skew: -1}, scale)

@@ -21,26 +21,14 @@ import (
 	"streamorca/internal/platform"
 	"streamorca/internal/sam"
 	"streamorca/internal/tuple"
+	"streamorca/internal/wait"
 	"streamorca/internal/workload"
 )
-
-// waitUntil polls cond every step until it holds or the deadline passes;
-// it reports whether the condition held.
-func waitUntil(timeout, step time.Duration, cond func() bool) bool {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return true
-		}
-		time.Sleep(step)
-	}
-	return cond()
-}
 
 // stretch scales a real-time period k-fold under the race detector: the
 // instrumented dataplane cannot sustain the normal tick rates.
 func stretch(d time.Duration, k int) time.Duration {
-	if raceEnabled {
+	if wait.Race {
 		return d * time.Duration(k)
 	}
 	return d
@@ -236,7 +224,7 @@ func (r *rig) down(job ids.JobID) []ids.PEID {
 
 // awaitRunning waits until the job exists with every PE running.
 func (r *rig) awaitRunning(job ids.JobID, timeout time.Duration) bool {
-	return waitUntil(timeout, time.Millisecond, func() bool {
+	return wait.Until(timeout, time.Millisecond, func() bool {
 		_, ok := r.inst.SAM.Job(job)
 		return ok && len(r.down(job)) == 0
 	})
@@ -257,7 +245,7 @@ func (r *rig) sweep(timeout time.Duration) ([]ids.PEID, error) {
 			}
 		}
 	}
-	waitUntil(timeout, 5*time.Millisecond, func() bool {
+	wait.Until(timeout, 5*time.Millisecond, func() bool {
 		down := r.down(ids.InvalidJob)
 		for _, id := range down {
 			_ = r.svc.RestartPE(id) //orcalint:ignore actuationcheck the sweep retries until its deadline; stragglers are returned as lost forever

@@ -16,6 +16,7 @@ import (
 	"streamorca/internal/opapi"
 	"streamorca/internal/ops"
 	"streamorca/internal/tuple"
+	"streamorca/internal/wait"
 )
 
 func atoi(t *testing.T, s string) int {
@@ -78,9 +79,7 @@ func TestAwaitRunning(t *testing.T) {
 	if err := r.svc.KillPE(pe, "test"); err != nil {
 		t.Fatal(err)
 	}
-	if !waitUntil(10*time.Second, time.Millisecond, func() bool { return len(r.down(job)) == 1 }) {
-		t.Fatalf("killed PE never reported down: %v", r.down(job))
-	}
+	wait.For(t, "the killed PE reported down", func() bool { return len(r.down(job)) == 1 })
 	start := time.Now()
 	if r.awaitRunning(job, 50*time.Millisecond) {
 		t.Fatal("awaitRunning reported a job with a killed PE as running")
@@ -110,9 +109,7 @@ func TestSweepRecoversHostsStoreAndPEs(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.store.FailSaves(1000)
-	if !waitUntil(10*time.Second, time.Millisecond, func() bool { return len(r.down(job)) > 0 }) {
-		t.Fatal("host outage took no PE down")
-	}
+	wait.For(t, "a PE down after the host outage", func() bool { return len(r.down(job)) > 0 })
 	lost, err := r.sweep(10 * time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -175,9 +172,7 @@ func TestSweepReportsStragglers(t *testing.T) {
 	if err := r.svc.KillPE(pe, "test"); err != nil {
 		t.Fatal(err)
 	}
-	if !waitUntil(10*time.Second, time.Millisecond, func() bool { return len(r.down(job)) == 1 }) {
-		t.Fatalf("killed PE never reported down: %v", r.down(job))
-	}
+	wait.For(t, "the killed PE reported down", func() bool { return len(r.down(job)) == 1 })
 	lost, err := r.sweep(100 * time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
@@ -194,11 +189,11 @@ func TestSweepReportsStragglers(t *testing.T) {
 func TestSampleStopsOnHalt(t *testing.T) {
 	var n atomic.Int64
 	halt := sample(time.Millisecond, func() { n.Add(1) })
-	if !waitUntil(10*time.Second, time.Millisecond, func() bool { return n.Load() >= 3 }) {
-		t.Fatal("sampler never ran")
-	}
+	wait.For(t, "three sampler runs", func() bool { return n.Load() >= 3 })
 	halt()
 	after := n.Load()
+	// A late call would come from a ticker still running after halt
+	// returned; only time can show that none does.
 	time.Sleep(20 * time.Millisecond)
 	if got := n.Load(); got != after {
 		t.Fatalf("fn ran %d more time(s) after halt", got-after)

@@ -12,6 +12,7 @@ import (
 	"streamorca/internal/metrics"
 	"streamorca/internal/ops"
 	"streamorca/internal/policies"
+	"streamorca/internal/wait"
 )
 
 func loadtest(p Params) (*Outcome, error) { return runLoad("loadtest", p, 0, 0) }
@@ -50,7 +51,7 @@ func addShares(m map[string]float64, tuples map[string]int64) {
 // generation, payloads, the fault schedule, and the retry jitter.
 func runLoad(name string, p Params, faults int, faultWindow time.Duration) (*Outcome, error) {
 	budget := p.budget(60 * time.Second)
-	if raceEnabled && p.Rate == 0 {
+	if wait.Race && p.Rate == 0 {
 		p.Rate = 500
 	}
 	p.Rate = cmp.Or(p.Rate, 2000)
@@ -141,7 +142,7 @@ func runLoad(name string, p Params, faults int, faultWindow time.Duration) (*Out
 	var shake func(*load.Meter) error
 	if faults > 0 {
 		shake = func(meter *load.Meter) (err error) {
-			if !waitUntil(budget/4, time.Millisecond, func() bool { return meter.Delivered() >= 20 }) {
+			if !wait.Until(budget/4, time.Millisecond, func() bool { return meter.Delivered() >= 20 }) {
 				return fmt.Errorf("%s: pipeline never warmed up under load", name)
 			}
 			fingerprint, injected, err = r.shake(p.Seed, faults, faultWindow, nil, len(app.PEs), budget/2)

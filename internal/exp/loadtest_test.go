@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"streamorca/internal/wait"
 )
 
 // TestLoadtestOpenLoopSmoke runs a shrunk open-loop load test end to
@@ -13,7 +15,7 @@ import (
 // partition visibly carrying the Zipf hot keys.
 func TestLoadtestOpenLoopSmoke(t *testing.T) {
 	p := Params{Seed: 11, Rate: 400, Duration: 600 * time.Millisecond, Keys: 2000, Skew: -1}
-	if raceEnabled {
+	if wait.Race {
 		p.Rate = 200
 	}
 	out, err := loadtest(p)
@@ -93,7 +95,7 @@ func shrunkChaosLoad(seed int64, rate float64, d time.Duration, keys, faults int
 // across the kills.
 func TestChaosLoadSmoke(t *testing.T) {
 	rate := 300.0
-	if raceEnabled {
+	if wait.Race {
 		rate = 150
 	}
 	out, err := shrunkChaosLoad(5, rate, 1200*time.Millisecond, 2000, 8, 400*time.Millisecond)

@@ -10,6 +10,7 @@ import (
 	"streamorca/internal/ops"
 	"streamorca/internal/sam"
 	"streamorca/internal/tuple"
+	"streamorca/internal/wait"
 )
 
 var seqSchema = tuple.MustSchema(tuple.Attribute{Name: "seq", Type: tuple.Int})
@@ -65,7 +66,7 @@ func runOverhead(n int64, budget time.Duration) (*Outcome, error) {
 			return 0, 0, err
 		}
 		coll := ops.Collector(r.inst.SAM.Objects(), "overhead")
-		if !waitUntil(budget/6, 200*time.Microsecond, func() bool { return coll.Finals() == 1 }) {
+		if !wait.Until(budget/6, 200*time.Microsecond, func() bool { return coll.Finals() == 1 }) {
 			return 0, 0, fmt.Errorf("overhead: %d-tuple pipeline (orchestrator %v) did not finish within %v",
 				n, withOrca, budget/6)
 		}

@@ -12,6 +12,7 @@ import (
 	"streamorca/internal/ops"
 	"streamorca/internal/policies"
 	"streamorca/internal/tuple"
+	"streamorca/internal/wait"
 )
 
 // aggSchema is what an Aggregate emits: the window's mean and fill.
@@ -80,7 +81,7 @@ func recovery(p Params) (*Outcome, error) {
 	}
 	defer r.close()
 
-	if !waitUntil(budget/2, time.Millisecond, func() bool { return lastCount(coll) >= warm }) {
+	if !wait.Until(budget/2, time.Millisecond, func() bool { return lastCount(coll) >= warm }) {
 		return nil, fmt.Errorf("recovery: window never warmed (count %d, want %d)", lastCount(coll), warm)
 	}
 	job, err := r.up(budget / 2)
@@ -102,11 +103,11 @@ func recovery(p Params) (*Outcome, error) {
 	if err := r.svc.KillPE(aggPE, "injected stateful-PE failure"); err != nil {
 		return nil, err
 	}
-	if !waitUntil(budget/2, time.Millisecond, restarted.Load) {
+	if !wait.Until(budget/2, time.Millisecond, restarted.Load) {
 		return nil, fmt.Errorf("recovery: routine never restarted the PE")
 	}
 	preLen := coll.Len()
-	if !waitUntil(budget/2, time.Millisecond, func() bool { return coll.Len() > preLen }) {
+	if !wait.Until(budget/2, time.Millisecond, func() bool { return coll.Len() > preLen }) {
 		return nil, fmt.Errorf("recovery: no output after restart")
 	}
 	firstPost := coll.Tuples()[preLen].Int("count")

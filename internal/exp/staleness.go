@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"streamorca/internal/metrics"
+	"streamorca/internal/wait"
 )
 
 // stalenessFailover is the checkpoint-aware failover scenario: three
@@ -42,7 +43,7 @@ func stalenessFailover(p Params) (*Outcome, error) {
 		return fail("seed active snapshot: %w", err)
 	}
 	time.Sleep(maxAge + 2*trendTick)
-	if !waitUntil(budget/3, 5*trendTick, func() bool {
+	if !wait.Until(budget/3, 5*trendTick, func() bool {
 		t.pull()
 		return policy.SnapshotRefreshes() > 0
 	}) {
@@ -65,10 +66,10 @@ func stalenessFailover(p Params) (*Outcome, error) {
 	if err := svc.KillPE(backup2Agg, "injected backup failure"); err != nil {
 		return nil, err
 	}
-	if !waitUntil(budget/3, time.Millisecond, func() bool { return policy.Restarts() >= 1 }) {
+	if !wait.Until(budget/3, time.Millisecond, func() bool { return policy.Restarts() >= 1 }) {
 		return fail("backup never restarted")
 	}
-	if !waitUntil(budget/3, time.Millisecond, func() bool { return t.coll(2).Len() >= postKill+5 }) {
+	if !wait.Until(budget/3, time.Millisecond, func() bool { return t.coll(2).Len() >= postKill+5 }) {
 		return fail("backup never resumed output")
 	}
 	// Restored-not-refilled: every post-restart window fill stays near
@@ -86,7 +87,7 @@ func stalenessFailover(p Params) (*Outcome, error) {
 
 	// One pull round feeds the promotion ranking both backups' ages.
 	t.pull()
-	if !waitUntil(budget/3, time.Millisecond, func() bool {
+	if !wait.Until(budget/3, time.Millisecond, func() bool {
 		_, ok1 := policy.ReplicaStaleness(jobs[1])
 		_, ok2 := policy.ReplicaStaleness(jobs[2])
 		return ok1 && ok2
@@ -106,7 +107,7 @@ func stalenessFailover(p Params) (*Outcome, error) {
 	if err := svc.KillPE(activeAgg, "injected failure of active replica"); err != nil {
 		return nil, err
 	}
-	if !waitUntil(budget/3, 100*time.Microsecond, func() bool { return policy.Failovers() >= 1 }) {
+	if !wait.Until(budget/3, 100*time.Microsecond, func() bool { return policy.Failovers() >= 1 }) {
 		return fail("failover never happened")
 	}
 	promoted := policy.ReplicaIndex(policy.Active())

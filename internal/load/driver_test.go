@@ -36,7 +36,7 @@ func drain(in *Injector, h *Histogram, stallAt int64, stall time.Duration) <-cha
 			}
 			for _, t := range run {
 				if n == stallAt && stall > 0 {
-					time.Sleep(stall)
+					time.Sleep(stall) // the consumer stall the driver must ride out
 				}
 				h.Record(time.Since(tsRef.Time(t)))
 				n++

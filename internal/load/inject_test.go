@@ -10,24 +10,10 @@ import (
 	"streamorca/internal/opapi"
 	"streamorca/internal/pe"
 	"streamorca/internal/tuple"
+	"streamorca/internal/wait"
 )
 
-const testWait = 5 * time.Second
-
 var seqRef = driverSchema.MustRef("seq")
-
-// within runs fn on its own goroutine and fails the test when it has not
-// returned by the deadline.
-func within(t testing.TB, what string, fn func()) {
-	t.Helper()
-	done := make(chan struct{})
-	go func() { defer close(done); fn() }()
-	select {
-	case <-done:
-	case <-time.After(testWait):
-		t.Fatalf("timed out: %s", what)
-	}
-}
 
 // parked reports whether done stays open for a little while — evidence
 // that the goroutine which closes it is parked.
@@ -46,7 +32,7 @@ func takeN(t *testing.T, in *Injector, n int) []int64 {
 	t.Helper()
 	var got []int64
 	stop := make(chan struct{})
-	timer := time.AfterFunc(testWait, func() { close(stop) })
+	timer := time.AfterFunc(wait.Deadline, func() { close(stop) })
 	defer timer.Stop()
 	for len(got) < n {
 		run, ok := in.take(nil, stop)
@@ -93,7 +79,7 @@ func TestInjectorPerPusherFIFO(t *testing.T) {
 		}
 		next[p]++
 	}
-	within(t, "pushers return", wg.Wait)
+	wait.Within(t, "pushers return", wg.Wait)
 }
 
 // TestInjectorBlocksAtCap: injectorCap pushes go through without a
@@ -101,7 +87,7 @@ func TestInjectorPerPusherFIFO(t *testing.T) {
 // injectorCap — lets it in.
 func TestInjectorBlocksAtCap(t *testing.T) {
 	in := newInjector()
-	within(t, "injectorCap pushes without a taker", func() {
+	wait.Within(t, "injectorCap pushes without a taker", func() {
 		for i := int64(0); i < injectorCap; i++ {
 			in.Push(makeSeq(i), nil)
 		}
@@ -114,7 +100,7 @@ func TestInjectorBlocksAtCap(t *testing.T) {
 	if got := takeN(t, in, injectorCap); int64(len(got)) != injectorCap || got[injectorCap-1] != injectorCap-1 {
 		t.Fatalf("first take handed over %d tuples ending in %d", len(got), got[len(got)-1])
 	}
-	within(t, "parked push resumes after the take", func() { <-done })
+	wait.Within(t, "parked push resumes after the take", func() { <-done })
 	if got := takeN(t, in, 1); got[0] != injectorCap {
 		t.Fatalf("resumed push delivered %d", got[0])
 	}
@@ -140,10 +126,13 @@ func TestInjectorReleasesEveryParkedPusher(t *testing.T) {
 			}(int64(p))
 		}
 		if round == 0 {
-			time.Sleep(10 * time.Millisecond) // once, surely all parked
+			// A parked pusher leaves no trace in the injector, so the
+			// first round sleeps to let all of them park; the later
+			// rounds race the takes on purpose.
+			time.Sleep(10 * time.Millisecond)
 		}
 		takeN(t, in, injectorCap+pushers)
-		within(t, fmt.Sprintf("round %d: all %d pushers return", round, pushers), wg.Wait)
+		wait.Within(t, fmt.Sprintf("round %d: all %d pushers return", round, pushers), wg.Wait)
 		if n := pendingLen(in); n != 0 {
 			t.Fatalf("round %d: %d tuples left pending", round, n)
 		}
@@ -165,7 +154,7 @@ func TestInjectorStopWhileParked(t *testing.T) {
 		t.Fatal("push on a full buffer did not block")
 	}
 	close(stop)
-	within(t, "stopped push returns", func() { <-done })
+	wait.Within(t, "stopped push returns", func() { <-done })
 	if <-res {
 		t.Fatal("stopped push reported true")
 	}
@@ -191,7 +180,7 @@ func TestInjectorClose(t *testing.T) {
 	if got := takeN(t, in, 3); got[0] != 0 || got[2] != 2 {
 		t.Fatalf("closed injector handed over %v", got)
 	}
-	within(t, "end of stream", func() {
+	wait.Within(t, "end of stream", func() {
 		if run, ok := in.take(nil, nil); ok {
 			t.Errorf("closed and drained injector yielded %d tuples", len(run))
 		}
@@ -223,12 +212,8 @@ func (s *countSink) ProcessBatch(port int, b *tuple.Batch) error {
 
 func (s *countSink) await(t testing.TB, n int64) {
 	t.Helper()
-	deadline := time.Now().Add(testWait)
-	for s.n.Load() < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("sink has %d of %d tuples at the deadline", s.n.Load(), n)
-		}
-		time.Sleep(50 * time.Microsecond)
+	if !wait.Until(wait.Deadline, 50*time.Microsecond, func() bool { return s.n.Load() >= n }) {
+		t.Fatalf("sink has %d of %d tuples at the deadline", s.n.Load(), n)
 	}
 }
 
@@ -270,7 +255,7 @@ func TestLoadSourceReattachesAfterKill(t *testing.T) {
 	}
 	sink.await(t, 100)
 	first.Kill("test kill")
-	within(t, "pushes with no source running", func() {
+	wait.Within(t, "pushes with no source running", func() {
 		for i := int64(100); i < 150; i++ {
 			in.Push(makeSeq(i), nil)
 		}

@@ -177,54 +177,23 @@ func (a *aggregate) ingest(t tuple.Tuple, now time.Time) error {
 	return a.ctx.Submit(0, out)
 }
 
-// SaveState snapshots every group's window. Groups are written in
-// sorted key order so identical state always produces identical bytes.
-func (a *aggregate) SaveState(e *ckpt.Encoder) error {
-	keys := make([]string, 0, len(a.groups))
-	for k := range a.groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	e.PutUint(uint64(len(keys)))
-	for _, k := range keys {
-		e.PutStr(k)
-		win := a.groups[k]
-		e.PutUint(uint64(len(win)))
-		for _, s := range win {
-			e.PutTime(s.at)
-			e.PutFloat(s.v)
-		}
-	}
-	return nil
-}
+// SaveState snapshots every group's window: the one part of a width-1
+// split. Groups are written in sorted key order so identical state
+// always produces identical bytes.
+func (a *aggregate) SaveState(e *ckpt.Encoder) error { return a.SplitState(e, 0, 1) }
 
-// RestoreState replaces the group windows with the snapshot's. Expiry
-// needs no special handling: restored samples carry their original
-// timestamps, so the next Process drops whatever aged out while the PE
-// was down.
+// RestoreState replaces the group windows with the snapshot's, merged
+// into an empty set; a snapshot that fails to decode leaves the old
+// windows. Expiry needs no special handling: restored samples carry
+// their original timestamps, so the next Process drops whatever aged
+// out while the PE was down.
 func (a *aggregate) RestoreState(d *ckpt.Decoder) error {
-	n := d.Uint()
-	if err := d.Err(); err != nil {
+	old := a.groups
+	a.groups = nil
+	if err := a.MergeState(d); err != nil {
+		a.groups = old
 		return err
 	}
-	// Every group takes at least 2 bytes, so the payload bounds the size
-	// hint: a hostile count cannot force a large allocation.
-	groups := make(map[string][]sample, min(n, uint64(d.Remaining()/2)))
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
-		k := d.Str()
-		m := d.Uint()
-		var win []sample
-		for j := uint64(0); j < m && d.Err() == nil; j++ {
-			at := d.Time()
-			v := d.Float()
-			win = append(win, sample{at: at, v: v})
-		}
-		groups[k] = win
-	}
-	if err := d.Err(); err != nil {
-		return err
-	}
-	a.groups = groups
 	return nil
 }
 

@@ -432,6 +432,26 @@ func TestAggregateSplitMergeMovesGroups(t *testing.T) {
 	}
 }
 
+// TestAggregateFailedRestoreKeepsWindows: a snapshot that fails to
+// decode part-way leaves the windows as they were.
+func TestAggregateFailedRestoreKeepsWindows(t *testing.T) {
+	ctx := newFakeCtx(opapi.Params{"window": "1h", "groupBy": "sym", "valueAttr": "price"},
+		[]*tuple.Schema{mixedS}, []*tuple.Schema{aggOutS})
+	a := &aggregate{}
+	if err := a.Open(ctx); err != nil {
+		t.Fatal(err)
+	}
+	_ = a.Process(0, mixed(0, 7, "IBM", false))
+	// Two groups declared, the first one's sample missing.
+	torn := snapshot(t, func(e *ckpt.Encoder) error { e.PutUint(2); e.PutStr("AAPL"); e.PutUint(1); return nil })
+	if err := a.RestoreState(torn); err == nil {
+		t.Fatal("torn snapshot restored")
+	}
+	if len(a.groups) != 1 || len(a.groups["IBM"]) != 1 {
+		t.Fatalf("windows after a failed restore: %v", a.groups)
+	}
+}
+
 func TestAggregateOpenErrors(t *testing.T) {
 	for _, p := range []opapi.Params{
 		{"groupBy": "sym", "valueAttr": "price"},                  // no window

@@ -13,6 +13,7 @@ import (
 	"streamorca/internal/metrics"
 	"streamorca/internal/opapi"
 	"streamorca/internal/tuple"
+	"streamorca/internal/wait"
 )
 
 // batchDoubler is a BatchOperator: ProcessBatch doubles whole runs,
@@ -160,7 +161,7 @@ func TestBatchDelivery(t *testing.T) {
 	defer p.Stop()
 
 	feedInts(t, p, "dbl", 16)
-	waitCond(t, "all tuples at sink", func() bool { return len(coll.values()) == 16 })
+	wait.For(t, "all tuples at sink", func() bool { return len(coll.values()) == 16 })
 	for i, v := range coll.values() {
 		if v != int64(i*2) {
 			t.Fatalf("sink[%d] = %d, want %d", i, v, i*2)
@@ -222,7 +223,7 @@ func TestBatchDeliveryMarksInterleave(t *testing.T) {
 	b.Items = append(b.Items, TupleItem(block[4]), TupleItem(block[5]))
 	inlet(b)
 
-	waitCond(t, "final at sink", func() bool {
+	wait.For(t, "final at sink", func() bool {
 		coll.mu.Lock()
 		defer coll.mu.Unlock()
 		return coll.finals == 1

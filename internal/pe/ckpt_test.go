@@ -14,6 +14,7 @@ import (
 	"streamorca/internal/opapi"
 	"streamorca/internal/tuple"
 	"streamorca/internal/vclock"
+	"streamorca/internal/wait"
 )
 
 // accumulator sums every value it sees — the minimal stateful operator.
@@ -92,7 +93,7 @@ func TestCheckpointRestore(t *testing.T) {
 	if err := p1.Start(); err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "source drained", func() bool { return acc1.value() == 45 })
+	wait.For(t, "source drained", func() bool { return acc1.value() == 45 })
 	n, err := p1.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +124,7 @@ func TestCheckpointRestore(t *testing.T) {
 	if err := p2.Start(); err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "restored sum extended", func() bool { return acc2.value() == 90 })
+	wait.For(t, "restored sum extended", func() bool { return acc2.value() == 90 })
 	if got := p2.PEMetrics().Counter(metrics.PEStateRestores).Value(); got != 1 {
 		t.Fatalf("nStateRestores = %d", got)
 	}
@@ -141,7 +142,7 @@ func TestCheckpointAfterFinals(t *testing.T) {
 	}
 	// The bounded source finishes and the accumulator sees its final
 	// punctuation, ending its consume loop.
-	waitCond(t, "consume loop exit", func() bool {
+	wait.For(t, "consume loop exit", func() bool {
 		select {
 		case <-p.byName["acc"].loopDone:
 			return true
@@ -198,7 +199,7 @@ func TestRestoreDiscardsCorruptSnapshot(t *testing.T) {
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "fresh run completes", func() bool { return acc.value() == 3 })
+	wait.For(t, "fresh run completes", func() bool { return acc.value() == 3 })
 	if got := p.PEMetrics().Counter(metrics.PEStateRestores).Value(); got != 0 {
 		t.Fatalf("nStateRestores = %d", got)
 	}
@@ -224,7 +225,7 @@ func TestRestoreSurvivesTornFSSnapshot(t *testing.T) {
 	if err := p1.Start(); err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "source drained", func() bool { return acc1.value() == 45 })
+	wait.For(t, "source drained", func() bool { return acc1.value() == 45 })
 	if _, err := p1.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +257,7 @@ func TestRestoreSurvivesTornFSSnapshot(t *testing.T) {
 	if err := p2.Start(); err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "cold run completes", func() bool { return acc2.value() == 3 })
+	wait.For(t, "cold run completes", func() bool { return acc2.value() == 3 })
 	if got := p2.PEMetrics().Counter(metrics.PEStateRestores).Value(); got != 0 {
 		t.Fatalf("nStateRestores = %d, want 0 (torn snapshot must not restore)", got)
 	}
@@ -353,7 +354,7 @@ func TestCheckpointAgeGauge(t *testing.T) {
 	if got := ageSample(t, p); got != -1 {
 		t.Fatalf("pre-checkpoint sample = %d, want -1", got)
 	}
-	waitCond(t, "source drained", func() bool { return acc.value() == 6 })
+	wait.For(t, "source drained", func() bool { return acc.value() == 6 })
 	if _, err := p.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +384,7 @@ func TestCheckpointAgeAnchorsOnRestore(t *testing.T) {
 	if err := p1.Start(); err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "source drained", func() bool { return acc1.value() == 45 })
+	wait.For(t, "source drained", func() bool { return acc1.value() == 45 })
 	if _, err := p1.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,8 @@ import "sync"
 // everything pending in one swap, so an idle queue hands over one tuple
 // at once and a busy one hands over a run — the "flush on queue drain"
 // of transport.Link's sender side, with no timer and no linger. The
-// consumer is woken on the empty→non-empty edge only; producers block
-// while limit tuples are pending.
+// consumer is woken on the empty→non-empty edge only; producers of
+// tuples and marks block while limit tuples are pending.
 type inbox struct {
 	mu       sync.Mutex
 	notEmpty sync.Cond // the consumer parks here
@@ -26,11 +26,13 @@ func newInbox(limit int) *inbox {
 }
 
 // put appends one entry weighing w tuples, blocking while the inbox is
-// full (limit tuples, or limit weightless entries, pending). It reports
-// false, queueing nothing, once the inbox is closed.
+// full (limit tuples, or limit weightless entries, pending). A sync
+// entry (a capture or a Control call) never blocks: the limit bounds
+// the tuples ahead of it, and a busy operator would starve it. It
+// reports false, queueing nothing, once the inbox is closed.
 func (q *inbox) put(e *queued, w int) bool {
 	q.mu.Lock()
-	for (q.weight >= q.limit || len(q.pending) >= q.limit) && !q.closed {
+	for e.sync == nil && (q.weight >= q.limit || len(q.pending) >= q.limit) && !q.closed {
 		q.notFull.Wait()
 	}
 	if q.closed {

@@ -6,22 +6,10 @@ import (
 	"time"
 
 	"streamorca/internal/tuple"
+	"streamorca/internal/wait"
 )
 
 func intItem(v int64) Item { return TupleItem(tuple.Build(intSchema).Int("v", v).Done()) }
-
-// within runs fn on its own goroutine and fails the test when it has not
-// returned by the deadline.
-func within(t *testing.T, what string, fn func()) {
-	t.Helper()
-	done := make(chan struct{})
-	go func() { defer close(done); fn() }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatalf("timed out: %s", what)
-	}
-}
 
 // blocked reports whether ch stays silent for a little while — evidence
 // that the goroutine feeding it is parked.
@@ -53,7 +41,7 @@ func TestInboxPerProducerFIFO(t *testing.T) {
 			}
 		}(p)
 	}
-	within(t, "consumer drains every producer", func() {
+	wait.Within(t, "consumer drains every producer", func() {
 		next := make([]int64, producers)
 		var run []queued
 		for got := 0; got < producers*each; {
@@ -115,7 +103,7 @@ func TestInboxBlocksAtLimitInTuples(t *testing.T) {
 	if run, w, _ := q.take(nil); len(run) != 1 || w != 4 {
 		t.Fatalf("take = %d entries, weight %d", len(run), w)
 	}
-	within(t, "swap releases the producer", func() {
+	wait.Within(t, "swap releases the producer", func() {
 		if !<-res {
 			t.Error("released put was refused")
 		}
@@ -137,7 +125,7 @@ func TestInboxClose(t *testing.T) {
 		t.Fatal("put went through a full inbox")
 	}
 	q.close()
-	within(t, "close releases the producer", func() {
+	wait.Within(t, "close releases the producer", func() {
 		if <-res {
 			t.Error("put into a closed inbox succeeded")
 		}
@@ -159,7 +147,7 @@ func TestInboxClose(t *testing.T) {
 		t.Fatal("take returned from an empty open inbox")
 	}
 	parked.close()
-	within(t, "close wakes the consumer", func() {
+	wait.Within(t, "close wakes the consumer", func() {
 		if <-got {
 			t.Error("woken consumer was told there is content")
 		}

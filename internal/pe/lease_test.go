@@ -10,6 +10,7 @@ import (
 	"streamorca/internal/opapi"
 	"streamorca/internal/ops"
 	"streamorca/internal/tuple"
+	"streamorca/internal/wait"
 )
 
 // The tests of the storage-ownership protocol spy on leased blocks by
@@ -128,7 +129,7 @@ func TestRetainingOperatorSeesPoison(t *testing.T) {
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "both frames processed", func() bool { return peCounter(p, metrics.PETuplesProcessed) == 20 })
+	wait.For(t, "both frames processed", func() bool { return peCounter(p, metrics.PETuplesProcessed) == 20 })
 	p.Stop()
 	mustBeRecycled(t, "first frame", spyA)
 	mustBeRecycled(t, "second frame", spyB)
@@ -179,7 +180,7 @@ func TestKillMidRunForgetsHolds(t *testing.T) {
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}
-	within(t, "first chunk reaches the operator", func() { <-op.entered })
+	wait.Within(t, "first chunk reaches the operator", func() { <-op.entered })
 	queued, spyQueued := leasedBatch(200, 8)
 	inlet(queued)
 	one, lease := tuple.Lease(intSchema, nil, 1)
@@ -188,7 +189,7 @@ func TestKillMidRunForgetsHolds(t *testing.T) {
 	lease.Release() // the inbox entry has its own hold
 	p.Kill("test kill")
 	late, spyLate := leasedBatch(400, 4)
-	within(t, "put on a dead container returns", func() { inlet(late) })
+	wait.Within(t, "put on a dead container returns", func() { inlet(late) })
 	mustBeRecycled(t, "refused frame", spyLate)
 	mustBeIntact(t, "chunk in the operator's hands", spyHand, 0)
 	close(op.gate)
@@ -421,7 +422,7 @@ func TestHandOverKeepsEveryTuple(t *testing.T) {
 		inlet(b)
 	}
 	const total = runs * maxChunk
-	waitCond(t, "every tuple through the chain", func() bool { return peCounter(p, metrics.PETuplesProcessed) == 3*total })
+	wait.For(t, "every tuple through the chain", func() bool { return peCounter(p, metrics.PETuplesProcessed) == 3*total })
 	p.Stop()
 	if len(k.seen) != total {
 		t.Fatalf("sink saw %d tuples, want %d", len(k.seen), total)

@@ -3,6 +3,7 @@ package pe
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"streamorca/internal/metrics"
 	"streamorca/internal/opapi"
 	"streamorca/internal/tuple"
+	"streamorca/internal/wait"
 )
 
 var intSchema = tuple.MustSchema(tuple.Attribute{Name: "v", Type: tuple.Int})
@@ -157,28 +159,11 @@ func sinkSpec(name string) OpSpec {
 	return OpSpec{Name: name, Kind: "Coll", Inputs: []*tuple.Schema{intSchema}}
 }
 
-func waitCond(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
-}
-
 // waitExit receives the PE's exit notification, with a deadline.
-func waitExit(t *testing.T, ch <-chan exit) exit {
+func waitExit(t *testing.T, ch <-chan exit) (e exit) {
 	t.Helper()
-	select {
-	case e := <-ch:
-		return e
-	case <-time.After(5 * time.Second):
-		t.Fatal("timed out waiting for the PE to exit")
-		return exit{}
-	}
+	wait.Within(t, "the PE's exit", func() { e = <-ch })
+	return e
 }
 
 func TestSinglePEPipeline(t *testing.T) {
@@ -197,7 +182,7 @@ func TestSinglePEPipeline(t *testing.T) {
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "final punctuation at sink", func() bool {
+	wait.For(t, "final punctuation at sink", func() bool {
 		coll.mu.Lock()
 		defer coll.mu.Unlock()
 		return coll.finals == 1
@@ -238,7 +223,7 @@ func TestPEMetricsSnapshot(t *testing.T) {
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "tuples at sink", func() bool { return len(coll.values()) == 10 })
+	wait.For(t, "tuples at sink", func() bool { return len(coll.values()) == 10 })
 	samples := p.MetricsSnapshot()
 	find := func(scope metrics.Scope, op, name string) (int64, bool) {
 		for _, s := range samples {
@@ -289,7 +274,7 @@ func TestCrossPEPipeline(t *testing.T) {
 	if err := up.Start(); err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "cross-PE final", func() bool {
+	wait.For(t, "cross-PE final", func() bool {
 		coll.mu.Lock()
 		defer coll.mu.Unlock()
 		return coll.finals == 1
@@ -326,14 +311,18 @@ func TestRemoveOutletStopsFlow(t *testing.T) {
 	_ = down.Start()
 	_ = up.Start()
 	block <- struct{}{} // allow one tuple
-	waitCond(t, "first tuple", func() bool { return len(coll.values()) == 1 })
+	wait.For(t, "first tuple", func() bool { return len(coll.values()) == 1 })
 	if err := up.RemoveOutlet("src", 0, "l"); err != nil {
 		t.Fatal(err)
 	}
 	block <- struct{}{} // second tuple goes nowhere
-	time.Sleep(10 * time.Millisecond)
-	if got := len(coll.values()); got != 1 {
-		t.Fatalf("sink got %d tuples after outlet removal", got)
+	block <- struct{}{} // taken, so the second Submit has returned
+	// A source forwards inside Submit: anything the second tuple reached
+	// is queued at the sink ahead of this fence.
+	inlet(TupleItem(tuple.Build(intSchema).Int("v", 99).Done()))
+	wait.For(t, "the fence tuple", func() bool { return slices.Contains(coll.values(), 99) })
+	if got := coll.values(); !slices.Equal(got, []int64{0, 99}) {
+		t.Fatalf("sink got %v after outlet removal, want [0 99]", got)
 	}
 	up.Stop()
 	down.Stop()
@@ -418,7 +407,7 @@ func TestKillDropsStateAndSkipsClose(t *testing.T) {
 	})
 	_ = p.Start()
 	gate <- struct{}{}
-	waitCond(t, "one tuple", func() bool { return len(coll.values()) == 1 })
+	wait.For(t, "one tuple", func() bool { return len(coll.values()) == 1 })
 	p.Kill("injected fault")
 	e := waitExit(t, exitCh)
 	if !e.crashed || e.reason != "injected fault" || e.pe != 9 {
@@ -453,15 +442,16 @@ func TestControlCommand(t *testing.T) {
 	})
 	_ = p.Start()
 	gate <- struct{}{} // v=0 passes (min 0)
-	waitCond(t, "v=0", func() bool { return len(coll.values()) == 1 })
+	wait.For(t, "v=0", func() bool { return len(coll.values()) == 1 })
 	if err := p.Control("filt", "setMin", map[string]string{"min": "5"}); err != nil {
 		t.Fatal(err)
 	}
-	gate <- struct{}{} // v=1 now filtered
-	gate <- struct{}{} // v=2 filtered
-	time.Sleep(10 * time.Millisecond)
-	if got := len(coll.values()); got != 1 {
-		t.Fatalf("filter did not apply: %v", coll.values())
+	for range 5 {
+		gate <- struct{}{} // v=1..4 filtered, v=5 passes
+	}
+	wait.For(t, "v=5", func() bool { return len(coll.values()) == 2 })
+	if got := coll.values(); !slices.Equal(got, []int64{0, 5}) {
+		t.Fatalf("filter did not apply: %v", got)
 	}
 	if err := p.Control("filt", "bogus", nil); err == nil {
 		t.Fatal("bogus command accepted")
@@ -485,12 +475,8 @@ func TestDuplicateFinalIgnored(t *testing.T) {
 	inlet, _ := p.ExternalInlet("sink", 0)
 	inlet(MarkItem(tuple.FinalMark))
 	inlet(MarkItem(tuple.FinalMark))
-	waitCond(t, "final", func() bool {
-		coll.mu.Lock()
-		defer coll.mu.Unlock()
-		return coll.finals >= 1
-	})
-	time.Sleep(10 * time.Millisecond)
+	// A finalised sink's loop exits, and no mark reaches it after that.
+	wait.Within(t, "the sink's loop exits", func() { <-p.byName["sink"].loopDone })
 	coll.mu.Lock()
 	finals := coll.finals
 	coll.mu.Unlock()
@@ -600,11 +586,7 @@ func TestStopOrKillBeforeStartReleasesProducers(t *testing.T) {
 			}
 
 			tc.end(p)
-			select {
-			case <-parked:
-			case <-time.After(5 * time.Second):
-				t.Fatal("producer still parked on the inbox of a retired container")
-			}
+			wait.Within(t, "a producer parked on a retired container returns", func() { <-parked })
 			if got := p.State(); got != tc.want {
 				t.Fatalf("state = %v, want %v", got, tc.want)
 			}

@@ -6,6 +6,7 @@ import (
 
 	"streamorca/internal/metrics"
 	"streamorca/internal/vclock"
+	"streamorca/internal/wait"
 )
 
 func peGauge(t *testing.T, samples []metrics.Sample, name string) int64 {
@@ -40,7 +41,7 @@ func TestIngressEgressRateGauges(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Stop()
-	waitCond(t, "all tuples at sink", func() bool {
+	wait.For(t, "all tuples at sink", func() bool {
 		return len(coll.values()) == 10
 	})
 

@@ -11,6 +11,7 @@ import (
 	"streamorca/internal/metrics"
 	"streamorca/internal/opapi"
 	"streamorca/internal/tuple"
+	"streamorca/internal/wait"
 )
 
 // recorder is a controllable BatchOperator that writes down, in order,
@@ -103,7 +104,7 @@ func TestSaturatedSourceFeedsRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Stop()
-	waitCond(t, "final at sink", func() bool {
+	wait.For(t, "final at sink", func() bool {
 		coll.mu.Lock()
 		defer coll.mu.Unlock()
 		return coll.finals == 1
@@ -160,7 +161,7 @@ func TestRunSplitsInPosition(t *testing.T) {
 	in[0](intItem(3))
 	ctlErr := make(chan error, 1)
 	go func() { ctlErr <- p.Control("rec", "poke", nil) }()
-	waitCond(t, "control message queued", func() bool { return pendingLen(rt) == 5 })
+	wait.For(t, "control message queued", func() bool { return pendingLen(rt) == 5 })
 	in[0](intItem(4))
 	rt.in.put(&queued{sync: &syncMsg{fn: func() error { rec.note("sync"); return nil }, done: synced}}, 0)
 	in[0](intItem(5))
@@ -173,7 +174,7 @@ func TestRunSplitsInPosition(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Stop()
-	waitCond(t, "operator finalised", func() bool { return rt.finalised.Load() })
+	wait.For(t, "operator finalised", func() bool { return rt.finalised.Load() })
 	want := []string{
 		"run p0 [1 2]", "mark p0", "run p0 [3]", "control poke", "run p0 [4]", "sync",
 		"run p0 [5]", "run p1 [6 7]", "run p0 [8]", "mark p0", "mark p1",
@@ -181,7 +182,7 @@ func TestRunSplitsInPosition(t *testing.T) {
 	if got := rec.entries(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("delivery order:\n got %q\nwant %q", got, want)
 	}
-	within(t, "control and sync calls answered", func() {
+	wait.Within(t, "control and sync calls answered", func() {
 		if err := <-ctlErr; err != nil {
 			t.Errorf("control: %v", err)
 		}
@@ -226,7 +227,7 @@ func TestKillObservedWithinOneRun(t *testing.T) {
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}
-	within(t, "first run reaches the operator", func() { <-op.entered })
+	wait.Within(t, "first run reaches the operator", func() { <-op.entered })
 	p.Kill("test kill")
 	close(op.gate)
 	if e := waitExit(t, exitCh); !e.crashed {
@@ -271,8 +272,8 @@ func TestRefusedPutCountsDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	inlet(MarkItem(tuple.FinalMark))
-	waitCond(t, "sink finalised", func() bool { return p.byName["sink"].finalised.Load() })
-	within(t, "puts on a finalised operator return", func() {
+	wait.For(t, "sink finalised", func() bool { return p.byName["sink"].finalised.Load() })
+	wait.Within(t, "puts on a finalised operator return", func() {
 		for i := 0; i < 300; i++ { // more than QueueCap
 			inlet(intItem(int64(i)))
 		}
@@ -283,7 +284,7 @@ func TestRefusedPutCountsDrop(t *testing.T) {
 		t.Fatalf("nTuplesDropped = %d after finalisation, want 308", got)
 	}
 	p.Kill("test kill")
-	within(t, "puts on a dead container return", func() { batchInlet(intBatch(5)) })
+	wait.Within(t, "puts on a dead container return", func() { batchInlet(intBatch(5)) })
 	if got := peCounter(p, metrics.PETuplesDropped); got != 313 {
 		t.Fatalf("nTuplesDropped = %d after the kill, want 313", got)
 	}
@@ -337,15 +338,15 @@ func TestCaptureQueuedBehindTuples(t *testing.T) {
 	}
 	rt := p.byName["acc"]
 	inlet(intItem(1))
-	within(t, "first tuple reaches the operator", func() { <-acc.entered })
+	wait.Within(t, "first tuple reaches the operator", func() { <-acc.entered })
 	for v := int64(2); v <= 10; v++ {
 		inlet(intItem(v))
 	}
 	ckptErr := make(chan error, 1)
 	go func() { _, err := p.Checkpoint(); ckptErr <- err }()
-	waitCond(t, "capture message queued", func() bool { return pendingLen(rt) == 10 })
+	wait.For(t, "capture message queued", func() bool { return pendingLen(rt) == 10 })
 	close(acc.gate)
-	within(t, "checkpoint completes", func() {
+	wait.Within(t, "checkpoint completes", func() {
 		if err := <-ckptErr; err != nil {
 			t.Error(err)
 		}
@@ -356,12 +357,54 @@ func TestCaptureQueuedBehindTuples(t *testing.T) {
 
 	inlet(intItem(45))
 	inlet(MarkItem(tuple.FinalMark))
-	within(t, "consume loop exits", func() { <-rt.loopDone })
+	wait.Within(t, "consume loop exits", func() { <-rt.loopDone })
 	if _, err := p.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint after loop exit: %v", err)
 	}
 	if got := snapshotSum(t, store, "behind"); got != 100 {
 		t.Fatalf("quiescent snapshot sum = %d, want 100", got)
+	}
+}
+
+// TestCaptureQueuesPastAFullInbox: a capture is queued even when the
+// tuples pending fill the inbox, so a busy operator cannot starve it. It
+// still runs in order, after those tuples.
+func TestCaptureQueuesPastAFullInbox(t *testing.T) {
+	const limit = 4
+	store := ckpt.NewMemStore()
+	acc := &gatedAcc{entered: make(chan struct{}), gate: make(chan struct{})}
+	reg := opapi.NewRegistry()
+	reg.Register("Acc", func() opapi.Operator { return acc })
+	p, err := New(Config{ID: 7, Job: 1, App: "run", QueueCap: limit, Registry: reg,
+		Ops:  []OpSpec{accSpec("acc")},
+		Ckpt: CkptConfig{Store: store, Key: "full"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer p.Stop()
+	release := sync.OnceFunc(func() { close(acc.gate) })
+	defer release() // before Stop, which waits for the held loop
+	inlet, _ := p.ExternalInlet("acc", 0)
+	inlet(intItem(1))
+	wait.Within(t, "first tuple reaches the operator", func() { <-acc.entered })
+	for v := int64(2); v <= limit+1; v++ {
+		inlet(intItem(v))
+	}
+	ckptErr := make(chan error, 1)
+	go func() { _, err := p.Checkpoint(); ckptErr <- err }()
+	wait.For(t, "capture queued behind a full inbox", func() bool { return pendingLen(p.byName["acc"]) == limit+1 })
+	release()
+	wait.Within(t, "checkpoint completes", func() {
+		if err := <-ckptErr; err != nil {
+			t.Error(err)
+		}
+	})
+	if got := snapshotSum(t, store, "full"); got != 15 {
+		t.Fatalf("snapshot sum = %d, want 15: the capture ran ahead of queued tuples", got)
 	}
 }
 

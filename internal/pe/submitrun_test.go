@@ -11,6 +11,7 @@ import (
 	"streamorca/internal/metrics"
 	"streamorca/internal/opapi"
 	"streamorca/internal/tuple"
+	"streamorca/internal/wait"
 )
 
 // scriptSource is a source whose Run is the test's script, handed the
@@ -155,7 +156,7 @@ func TestSubmitRunRefusedWhole(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer p.Stop()
-		within(t, "script ran", func() {
+		wait.Within(t, "script ran", func() {
 			if err := <-errs; err == nil {
 				t.Error("run on a port that does not exist accepted")
 			}
@@ -198,8 +199,8 @@ func TestSubmitRunCountsInOneStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Stop()
-	within(t, "script ran", func() { <-done })
-	waitCond(t, "final mark at both outlets", func() bool {
+	wait.Within(t, "script ran", func() { <-done })
+	wait.For(t, "final mark at both outlets", func() bool {
 		return len(logs[0].entries()) == n+1 && len(logs[1].entries()) == n+1
 	})
 	mu.Lock()
@@ -262,7 +263,7 @@ func TestSubmitRunKeepsOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Stop()
-	waitCond(t, "final at sink", func() bool { e := sink.entries(); return len(e) > 0 && e[len(e)-1] == "final" })
+	wait.For(t, "final at sink", func() bool { e := sink.entries(); return len(e) > 0 && e[len(e)-1] == "final" })
 	var want []string
 	for v := 1; v <= 7; v++ {
 		want = append(want, fmt.Sprint(10*v), fmt.Sprint(10*v+1), fmt.Sprint(10*v+2))
@@ -298,7 +299,7 @@ func TestSubmitRunArrivesAsOneBatch(t *testing.T) {
 			if err := p.Start(); err != nil {
 				t.Fatal(err)
 			}
-			within(t, "first piece reaches the operator", func() { <-op.entered })
+			wait.Within(t, "first piece reaches the operator", func() { <-op.entered })
 			want, dropped := []int{maxChunk, maxChunk, maxChunk, maxChunk}, int64(0)
 			if kill {
 				p.Kill("test kill")
@@ -308,7 +309,7 @@ func TestSubmitRunArrivesAsOneBatch(t *testing.T) {
 			if kill {
 				waitExit(t, exitCh)
 			} else {
-				waitCond(t, "run processed", func() bool { return peCounter(p, metrics.PETuplesProcessed) == 4*maxChunk })
+				wait.For(t, "run processed", func() bool { return peCounter(p, metrics.PETuplesProcessed) == 4*maxChunk })
 				p.Stop()
 			}
 			op.mu.Lock()

@@ -1,4 +1,4 @@
-package platform
+package platform_test
 
 import (
 	"testing"
@@ -10,26 +10,29 @@ import (
 	"streamorca/internal/ids"
 	"streamorca/internal/load"
 	"streamorca/internal/ops"
+	"streamorca/internal/platform"
+	"streamorca/internal/platform/platformtest"
 	"streamorca/internal/sam"
 	"streamorca/internal/tuple"
 	"streamorca/internal/vclock"
+	"streamorca/internal/wait"
 )
 
 func TestNewInstanceRequiresHosts(t *testing.T) {
-	if _, err := NewInstance(Options{}); err == nil {
+	if _, err := platform.NewInstance(platform.Options{}); err == nil {
 		t.Fatal("instance without hosts accepted")
 	}
 }
 
 func TestNewInstanceRejectsDuplicateHosts(t *testing.T) {
-	_, err := NewInstance(Options{Hosts: []HostSpec{{Name: "h1"}, {Name: "h1"}}})
+	_, err := platform.NewInstance(platform.Options{Hosts: platformtest.Hosts("h1", "h1")})
 	if err == nil {
 		t.Fatal("duplicate hosts accepted")
 	}
 }
 
 func TestInstanceEndToEnd(t *testing.T) {
-	inst := newInst(t)
+	inst := platformtest.Boot(t, platform.Options{Hosts: platformtest.Hosts("h1", "h2")})
 	if got := len(inst.Cluster.Hosts()); got != 2 {
 		t.Fatalf("SRM knows %d hosts", got)
 	}
@@ -47,7 +50,7 @@ func TestInstanceEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	coll := ops.Collector(inst.SAM.Objects(), "plat")
-	waitFor(t, "pipeline end", func() bool { return coll.Finals() == 1 })
+	wait.For(t, "pipeline end", func() bool { return coll.Finals() == 1 })
 	// FlushMetrics makes samples visible without waiting out the interval.
 	inst.FlushMetrics()
 	if len(inst.SRM.Query([]ids.JobID{job})) == 0 {
@@ -57,34 +60,9 @@ func TestInstanceEndToEnd(t *testing.T) {
 
 func TestInstanceUsesProvidedClock(t *testing.T) {
 	clock := vclock.NewManual(time.Unix(1000, 0))
-	inst, err := NewInstance(Options{Clock: clock, Hosts: []HostSpec{{Name: "h1"}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inst.Close()
+	inst := platformtest.Boot(t, platform.Options{Clock: clock})
 	if !inst.Clock.Now().Equal(time.Unix(1000, 0)) {
 		t.Fatal("instance ignored the provided clock")
-	}
-}
-
-func newInst(t *testing.T) *Instance {
-	t.Helper()
-	inst, err := NewInstance(Options{Hosts: []HostSpec{{Name: "h1"}, {Name: "h2"}}, MetricsInterval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(inst.Close)
-	return inst
-}
-
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -98,7 +76,8 @@ func TestInstancesDoNotShareObjects(t *testing.T) {
 	// The default set is the process's: the injector stays open, so a
 	// repeated run finds it drained and reusable.
 	inj := load.InjectorFor("iso-inj")
-	insts := []*Instance{newInst(t), newInst(t)}
+	opts := platform.Options{Hosts: platformtest.Hosts("h1", "h2")}
+	insts := []*platform.Instance{platformtest.Boot(t, opts), platformtest.Boot(t, opts)}
 	for i, inst := range insts {
 		extjob.ModelIn(inst.SAM.Objects(), "iso-model", "flash", "screen")
 		app, err := apps.SentimentApp(apps.SentimentConfig{
@@ -116,7 +95,7 @@ func TestInstancesDoNotShareObjects(t *testing.T) {
 	var stores []*extjob.Store
 	for _, inst := range insts {
 		coll := ops.Collector(inst.SAM.Objects(), "iso-coll")
-		waitFor(t, "pipeline completion", func() bool { return coll.Finals() == 1 })
+		wait.For(t, "pipeline completion", func() bool { return coll.Finals() == 1 })
 		store := extjob.StoreIn(inst.SAM.Objects(), "iso-store")
 		if coll.Len() == 0 || store.Len() != coll.Len() {
 			t.Fatalf("corpus %d, matched %d: want equal and non-zero", store.Len(), coll.Len())
@@ -132,7 +111,7 @@ func TestInstancesDoNotShareObjects(t *testing.T) {
 	if err := extjob.NewRunner(nil, 0).Submit(stores[0], model, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "the recomputed model", func() bool { return model.Version() == 2 })
+	wait.For(t, "the recomputed model", func() bool { return model.Version() == 2 })
 	if v := extjob.ModelIn(insts[1].SAM.Objects(), "iso-model").Version(); v != 1 {
 		t.Fatalf("the other instance's model is at version %d", v)
 	}
@@ -153,7 +132,7 @@ func TestInstancesDoNotShareObjects(t *testing.T) {
 		inj.Push(tuple.Build(seqS).Int("seq", int64(i)).Done(), nil)
 	}
 	fed := ops.Collector(insts[0].SAM.Objects(), "iso-load")
-	waitFor(t, "injected tuples", func() bool { return fed.Len() == 5 })
+	wait.For(t, "injected tuples", func() bool { return fed.Len() == 5 })
 	if n := ops.Collector(insts[1].SAM.Objects(), "iso-load").Len(); n != 0 {
 		t.Fatalf("the other instance collected %d injected tuples", n)
 	}

@@ -10,6 +10,8 @@ import (
 	"streamorca/internal/ids"
 	"streamorca/internal/metrics"
 	"streamorca/internal/ops"
+	"streamorca/internal/platform"
+	"streamorca/internal/platform/platformtest"
 	"streamorca/internal/tuple"
 	"streamorca/internal/vclock"
 )
@@ -41,7 +43,7 @@ func fissionApp(t *testing.T, name string) *adl.Application {
 
 func fissionFixture(t *testing.T, p *Fission) (*core.Service, *vclock.Manual) {
 	t.Helper()
-	inst := newInst(t, "h1", "h2")
+	inst := platformtest.Boot(t, platform.Options{Hosts: platformtest.Hosts("h1", "h2")})
 	clock := vclock.NewManual(time.Unix(0, 0))
 	svc, err := core.NewRoutineService(core.Config{
 		Name: "fzOrca", SAM: inst.SAM, SRM: inst.SRM, Clock: clock, PullInterval: time.Hour,

@@ -15,35 +15,11 @@ import (
 	"streamorca/internal/ids"
 	"streamorca/internal/ops"
 	"streamorca/internal/platform"
+	"streamorca/internal/platform/platformtest"
 	"streamorca/internal/tuple"
 	"streamorca/internal/vclock"
+	"streamorca/internal/wait"
 )
-
-func newInst(t *testing.T, hosts ...string) *platform.Instance {
-	t.Helper()
-	specs := make([]platform.HostSpec, len(hosts))
-	for i, h := range hosts {
-		specs[i] = platform.HostSpec{Name: h}
-	}
-	inst, err := platform.NewInstance(platform.Options{Hosts: specs, MetricsInterval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(inst.Close)
-	return inst
-}
-
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
-}
 
 // --- ModelRecompute unit behaviour (driven with synthetic contexts) ---
 
@@ -66,7 +42,7 @@ func tinyApp(t *testing.T, name string) *adl.Application {
 
 func recomputeFixture(t *testing.T) (*ModelRecompute, *core.Service, *vclock.Manual) {
 	t.Helper()
-	inst := newInst(t, "h1")
+	inst := platformtest.Boot(t, platform.Options{})
 	clock := vclock.NewManual(time.Unix(0, 0))
 	store := extjob.NewStore()
 	for i := 0; i < 20; i++ {
@@ -150,7 +126,7 @@ func TestModelRecomputeSuppression(t *testing.T) {
 	// the runner's sleep as the second one before advancing.
 	clock.BlockUntilWaiters(2)
 	clock.Advance(time.Minute)
-	waitFor(t, "job completion", func() bool { return !p.Runner.Running() })
+	wait.For(t, "job completion", func() bool { return !p.Runner.Running() })
 	// Still crossing within the suppression window: no second job.
 	drive(p, svc, metricCtx("recentKnownCauses", 1, 2))
 	drive(p, svc, metricCtx("recentUnknownCauses", 60, 2))
@@ -178,7 +154,7 @@ func TestModelRecomputeIgnoresOtherMetrics(t *testing.T) {
 // routine whose application is missing fails Service.Start with an
 // error instead of panicking inside an event handler.
 func TestModelRecomputeSetupErrorSurfaces(t *testing.T) {
-	inst := newInst(t, "h1")
+	inst := platformtest.Boot(t, platform.Options{})
 	p := &ModelRecompute{App: "NotRegistered", MatcherOp: "m", Threshold: 1}
 	svc, err := core.NewRoutineService(core.Config{
 		Name: "t", SAM: inst.SAM, SRM: inst.SRM, PullInterval: time.Hour,
@@ -199,7 +175,7 @@ func TestModelRecomputeSetupErrorSurfaces(t *testing.T) {
 
 func failoverFixture(t *testing.T) (*Failover, *core.Service, *platform.Instance) {
 	t.Helper()
-	inst := newInst(t, "h1", "h2", "h3", "h4")
+	inst := platformtest.Boot(t, platform.Options{Hosts: platformtest.Hosts("h1", "h2", "h3", "h4")})
 	app, err := apps.TrendApp(apps.TrendConfig{
 		Name: "TC", Symbols: "IBM", Seed: 1, Count: 0,
 		Period: 500 * time.Microsecond, Window: time.Hour,
@@ -226,7 +202,7 @@ func failoverFixture(t *testing.T) (*Failover, *core.Service, *platform.Instance
 		t.Fatal(err)
 	}
 	t.Cleanup(svc.Stop)
-	waitFor(t, "replicas", func() bool { return len(p.Jobs()) == 3 })
+	wait.For(t, "replicas", func() bool { return len(p.Jobs()) == 3 })
 	return p, svc, inst
 }
 
@@ -243,11 +219,11 @@ func TestFailoverActiveFailurePromotesOldestBackup(t *testing.T) {
 	if err := svc.KillPE(pe, "test"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "failover", func() bool { return p.Failovers() == 1 })
+	wait.For(t, "failover", func() bool { return p.Failovers() == 1 })
 	if p.Active() != jobs[1] {
 		t.Fatalf("promoted %v, want oldest backup %v", p.Active(), jobs[1])
 	}
-	waitFor(t, "restart", func() bool { return p.Restarts() == 1 })
+	wait.For(t, "restart", func() bool { return p.Restarts() == 1 })
 }
 
 func TestFailoverBackupFailureKeepsActive(t *testing.T) {
@@ -257,7 +233,7 @@ func TestFailoverBackupFailureKeepsActive(t *testing.T) {
 	if err := svc.KillPE(pe, "test"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "restart", func() bool { return p.Restarts() == 1 })
+	wait.For(t, "restart", func() bool { return p.Restarts() == 1 })
 	if p.Failovers() != 0 || p.Active() != jobs[0] {
 		t.Fatalf("backup failure changed active: failovers=%d active=%v", p.Failovers(), p.Active())
 	}
@@ -273,12 +249,12 @@ func TestFailoverRestartedReplicaIsYoungest(t *testing.T) {
 	if err := svc.KillPE(pe0, "t1"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "first failover", func() bool { return p.Failovers() == 1 && p.Restarts() == 1 })
+	wait.For(t, "first failover", func() bool { return p.Failovers() == 1 && p.Restarts() == 1 })
 	pe1, _ := svc.PEOfOperator(jobs[1], apps.TrendAggregateOp)
 	if err := svc.KillPE(pe1, "t2"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "second failover", func() bool { return p.Failovers() == 2 })
+	wait.For(t, "second failover", func() bool { return p.Failovers() == 2 })
 	if p.Active() != jobs[2] {
 		t.Fatalf("promoted %v (replica %d), want oldest healthy %v",
 			p.Active(), p.ReplicaIndex(p.Active()), jobs[2])
@@ -289,17 +265,7 @@ func TestFailoverRestartedReplicaIsYoungest(t *testing.T) {
 // so snapshot ages flow and CheckpointPE actuations succeed.
 func failoverCkptFixture(t *testing.T, maxAge time.Duration) (*Failover, *core.Service, *platform.Instance) {
 	t.Helper()
-	inst, err := platform.NewInstance(platform.Options{
-		Hosts: []platform.HostSpec{
-			{Name: "h1"}, {Name: "h2"}, {Name: "h3"}, {Name: "h4"},
-		},
-		MetricsInterval: time.Hour,
-		Checkpoint:      ckpt.NewMemStore(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(inst.Close)
+	inst := platformtest.Boot(t, platform.Options{Hosts: platformtest.Hosts("h1", "h2", "h3", "h4"), Checkpoint: ckpt.NewMemStore()})
 	app, err := apps.TrendApp(apps.TrendConfig{
 		Name: "TC", Symbols: "IBM", Seed: 1, Count: 0,
 		Period: 500 * time.Microsecond, Window: time.Hour,
@@ -326,7 +292,7 @@ func failoverCkptFixture(t *testing.T, maxAge time.Duration) (*Failover, *core.S
 		t.Fatal(err)
 	}
 	t.Cleanup(svc.Stop)
-	waitFor(t, "replicas", func() bool { return len(p.Jobs()) == 3 })
+	wait.For(t, "replicas", func() bool { return len(p.Jobs()) == 3 })
 	return p, svc, inst
 }
 
@@ -340,7 +306,7 @@ func pullAges(t *testing.T, p *Failover, svc *core.Service, inst *platform.Insta
 	if job == ids.InvalidJob {
 		return
 	}
-	waitFor(t, "snapshot age observed", func() bool {
+	wait.For(t, "snapshot age observed", func() bool {
 		_, ok := p.ReplicaStaleness(job)
 		return ok
 	})
@@ -371,7 +337,7 @@ func TestFailoverPromotesFreshestSnapshot(t *testing.T) {
 	if err := svc.KillPE(aggPE(jobs[0]), "active fault"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "failover", func() bool { return p.Failovers() == 1 })
+	wait.For(t, "failover", func() bool { return p.Failovers() == 1 })
 	if p.Active() != jobs[2] {
 		t.Fatalf("promoted replica %d, want 2 (freshest snapshot)", p.ReplicaIndex(p.Active()))
 	}
@@ -406,14 +372,16 @@ func TestFailoverStalenessGateRefreshesActive(t *testing.T) {
 	if err := svc.CheckpointPE(activeAgg); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(5 * time.Millisecond) // age past MaxSnapshotAge
+	// The age is wall-clock time since the capture, so only the clock
+	// can take it past MaxSnapshotAge.
+	time.Sleep(5 * time.Millisecond)
 	pullAges(t, p, svc, inst, jobs[0])
 	if got := p.SnapshotRefreshes(); got != 0 {
 		t.Fatalf("refreshed after one breach (debounce %d): %d", StalenessDebounce, got)
 	}
-	time.Sleep(5 * time.Millisecond)
+	// Nothing re-anchored the snapshot, so the second pull breaches too.
 	pullAges(t, p, svc, inst, ids.InvalidJob)
-	waitFor(t, "staleness refresh", func() bool { return p.SnapshotRefreshes() >= 1 })
+	wait.For(t, "staleness refresh", func() bool { return p.SnapshotRefreshes() >= 1 })
 }
 
 // TestFailoverStalenessGateSemantics drives the composed gate handler
@@ -468,7 +436,7 @@ func TestFailoverStalenessGateSemantics(t *testing.T) {
 }
 
 func TestFailoverStatusFile(t *testing.T) {
-	inst := newInst(t, "h1", "h2", "h3", "h4")
+	inst := platformtest.Boot(t, platform.Options{Hosts: platformtest.Hosts("h1", "h2", "h3", "h4")})
 	app, err := apps.TrendApp(apps.TrendConfig{
 		Name: "TC", Symbols: "IBM", Seed: 1, Count: 0,
 		Period: time.Millisecond, Window: time.Hour,
@@ -496,7 +464,7 @@ func TestFailoverStatusFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Stop()
-	waitFor(t, "status file", func() bool {
+	wait.For(t, "status file", func() bool {
 		data, err := os.ReadFile(path)
 		return err == nil && strings.Contains(string(data), "replica 0") &&
 			strings.Contains(string(data), "active")

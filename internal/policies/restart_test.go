@@ -15,8 +15,10 @@ import (
 	"streamorca/internal/journal"
 	"streamorca/internal/ops"
 	"streamorca/internal/platform"
+	"streamorca/internal/platform/platformtest"
 	"streamorca/internal/sam"
 	"streamorca/internal/tuple"
+	"streamorca/internal/wait"
 )
 
 // twoAttempts is the retry policy of the restart fixtures that exhaust it.
@@ -27,15 +29,7 @@ var twoAttempts = sam.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond,
 // policy.
 func restartFixture(t *testing.T, r *Restart, retry sam.RetryPolicy, fusion compiler.FusionMode) (*core.Service, *platform.Instance, ids.JobID) {
 	t.Helper()
-	inst, err := platform.NewInstance(platform.Options{
-		Hosts:           []platform.HostSpec{{Name: "h1"}},
-		MetricsInterval: time.Hour,
-		Retry:           retry,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(inst.Close)
+	inst := platformtest.Boot(t, platform.Options{Retry: retry})
 	s := tuple.MustSchema(tuple.Attribute{Name: "seq", Type: tuple.Int})
 	b := compiler.NewApp(r.App)
 	src := b.AddOperator("src", ops.KindBeacon).Out(s).Param("count", "0").Param("period", "1ms")
@@ -109,7 +103,7 @@ func TestRestartRunsHooksAroundTheRestart(t *testing.T) {
 	if err := svc.KillPE(pe, "test"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "both hooks", func() bool {
+	wait.For(t, "both hooks", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		return len(calls) == 2
@@ -139,9 +133,9 @@ func TestRestartCountsAbandonedWithoutReactuating(t *testing.T) {
 		if err := inst.Cluster.KillHost("h1"); err != nil {
 			t.Fatal(err)
 		}
-		waitFor(t, "both restarts abandoned", func() bool { return r.Abandoned() == 2 })
+		wait.For(t, "both restarts abandoned", func() bool { return r.Abandoned() == 2 })
 		// Let a wrongly issued re-restart show up before counting.
-		waitFor(t, "event queue drained", func() bool { return svc.Stats().QueueDepth == 0 })
+		wait.For(t, "event queue drained", func() bool { return svc.Stats().QueueDepth == 0 })
 		if got := restartActuations(svc); got != 2 {
 			t.Fatalf("strict=%v: %d RestartPE actuations, want 2 (one per crash, none per abandonment)", strict, got)
 		}
@@ -193,11 +187,11 @@ func TestPEHistoryReadsInOrder(t *testing.T) {
 	if err := inst.Cluster.KillHost("h1"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "a failed restart attempt", has("restart", true))
+	wait.For(t, "a failed restart attempt", has("restart", true))
 	if err := inst.Cluster.ReviveHost("h1"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "the RestartPE actuation", has("RestartPE", false))
+	wait.For(t, "the RestartPE actuation", has("RestartPE", false))
 
 	h := history()
 	n := len(h)

@@ -12,8 +12,10 @@ import (
 	"streamorca/internal/opapi"
 	"streamorca/internal/ops"
 	"streamorca/internal/platform"
+	"streamorca/internal/platform/platformtest"
 	"streamorca/internal/sam"
 	"streamorca/internal/tuple"
+	"streamorca/internal/wait"
 )
 
 // deployRounds is how often each deploy-order case runs: a source that
@@ -82,14 +84,10 @@ func burstApp(t *testing.T, kind, collector string, n int64, sinks int) *adl.App
 // then checks that the burst reached each whole and in order, once.
 func awaitBurst(t *testing.T, inst *platform.Instance, round int, collector string, n, sinks int) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
 	for i := 0; i < sinks; i++ {
 		coll := ops.Collector(inst.SAM.Objects(), fmt.Sprintf("%s/%d", collector, i))
-		for coll.Finals() == 0 {
-			if time.Now().After(deadline) {
-				t.Fatalf("round %d: no final mark at sink %d after 5s (%d of %d tuples)", round, i, coll.Len(), n)
-			}
-			time.Sleep(200 * time.Microsecond)
+		if !wait.Until(wait.Deadline, 200*time.Microsecond, func() bool { return coll.Finals() > 0 }) {
+			t.Fatalf("round %d: no final mark at sink %d (%d of %d tuples)", round, i, coll.Len(), n)
 		}
 		ts := coll.Tuples()
 		if len(ts) != n || coll.Finals() != 1 {
@@ -109,7 +107,7 @@ func awaitBurst(t *testing.T, inst *platform.Instance, round int, collector stri
 // never finalises. Submission must not lose a tuple on a job's own
 // connections.
 func TestSubmitWiresBeforeSourcesStart(t *testing.T) {
-	inst := newInstance(t, "h1", "h2")
+	inst := platformtest.Boot(t, platform.Options{Hosts: platformtest.Hosts("h1", "h2")})
 	const n = 200
 	for round := 0; round < deployRounds; round++ {
 		id := fmt.Sprintf("deploy-submit-%d", round)
@@ -130,7 +128,7 @@ func TestSubmitWiresBeforeSourcesStart(t *testing.T) {
 // along. The source fans out so that rewiring it takes a while: wiring
 // after the start would have to win the race on every link.
 func TestRestartWiresBeforeSourceStarts(t *testing.T) {
-	inst := newInstance(t, "h1", "h2")
+	inst := platformtest.Boot(t, platform.Options{Hosts: platformtest.Hosts("h1", "h2")})
 	const n, sinks = 200, 8
 	for round := 0; round < deployRounds; round++ {
 		id := fmt.Sprintf("deploy-restart-%d", round)
@@ -149,7 +147,7 @@ func TestRestartWiresBeforeSourceStarts(t *testing.T) {
 		if err := inst.SAM.KillPE(srcPE, "deploy test"); err != nil {
 			t.Fatal(err)
 		}
-		waitCond(t, "source PE reported crashed", func() bool {
+		wait.For(t, "source PE reported crashed", func() bool {
 			info, _ := inst.SAM.Job(jobID)
 			for _, p := range info.PEs {
 				if p.ID == srcPE {
@@ -174,7 +172,7 @@ func TestRestartWiresBeforeSourceStarts(t *testing.T) {
 // started — is rolled back whole: no job, no link, and no container,
 // started or not, left on any host.
 func TestFailedSubmitLeavesNothingBehind(t *testing.T) {
-	inst := newInstance(t, "h1", "h2")
+	inst := platformtest.Boot(t, platform.Options{Hosts: platformtest.Hosts("h1", "h2")})
 	b := compiler.NewApp("BadFilter")
 	src := b.AddOperator("src", ops.KindBeacon).Out(intS).Param("period", "1ms")
 	filt := b.AddOperator("filt", ops.KindFilter).In(intS).Out(intS).
@@ -202,5 +200,5 @@ func TestFailedSubmitLeavesNothingBehind(t *testing.T) {
 	if _, err := inst.SAM.SubmitJob(app, sam.SubmitOptions{Params: map[string]string{"min": "0"}}); err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "tuples at the sink", func() bool { return ops.Collector(inst.SAM.Objects(), "deploy-bad").Len() > 3 })
+	platformtest.Delivered(t, inst, "deploy-bad", 4)
 }

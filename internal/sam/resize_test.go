@@ -3,7 +3,6 @@ package sam_test
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"streamorca/internal/adl"
 	"streamorca/internal/ckpt"
@@ -13,8 +12,10 @@ import (
 	"streamorca/internal/opapi"
 	"streamorca/internal/ops"
 	"streamorca/internal/platform"
+	"streamorca/internal/platform/platformtest"
 	"streamorca/internal/sam"
 	"streamorca/internal/tuple"
+	"streamorca/internal/wait"
 )
 
 var keyedS = tuple.MustSchema(
@@ -43,27 +44,6 @@ func regionApp(t *testing.T, name, injID, collector string, width int) *adl.Appl
 	return app
 }
 
-// newCkptInstance is newInstance with a snapshot store and no periodic
-// checkpointing, so the only snapshots in the store are the ones the
-// resize path itself writes (or the test writes deliberately).
-func newCkptInstance(t *testing.T, store ckpt.Store, hostNames ...string) *platform.Instance {
-	t.Helper()
-	specs := make([]platform.HostSpec, len(hostNames))
-	for i, n := range hostNames {
-		specs[i] = platform.HostSpec{Name: n}
-	}
-	inst, err := platform.NewInstance(platform.Options{
-		Hosts:           specs,
-		MetricsInterval: time.Hour,
-		Checkpoint:      store,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(inst.Close)
-	return inst
-}
-
 // feedKeys pushes count tuples per key through the injector and waits
 // until the sink has seen them all, so no region state is in flight
 // when the resize starts.
@@ -76,7 +56,7 @@ func feedKeys(t *testing.T, inst *platform.Instance, inj *load.Injector, collect
 			inj.Push(tuple.Build(keyedS).Str("user", k).Int("seq", seq).Done(), nil)
 		}
 	}
-	waitCond(t, fmt.Sprintf("%d tuples at sink", expectAtSink), func() bool {
+	wait.For(t, fmt.Sprintf("%d tuples at sink", expectAtSink), func() bool {
 		return ops.Collector(inst.SAM.Objects(), collector).Len() == expectAtSink
 	})
 }
@@ -172,22 +152,6 @@ func checkPartitioning(t *testing.T, perReplica []map[string]int64, want map[str
 	}
 }
 
-func runningRegionPEs(t *testing.T, inst *platform.Instance, jobID ids.JobID) {
-	t.Helper()
-	waitCond(t, "all PEs running", func() bool {
-		info, ok := inst.SAM.Job(jobID)
-		if !ok {
-			return false
-		}
-		for _, pe := range info.PEs {
-			if pe.State != "running" {
-				return false
-			}
-		}
-		return true
-	})
-}
-
 func fedBatch(n int, prefix string) map[string]int64 {
 	keys := make(map[string]int64, n)
 	for i := 0; i < n; i++ {
@@ -211,21 +175,21 @@ func total(keys map[string]int64) int {
 // processing at the new width.
 func TestResizeGrowMigratesEveryKey(t *testing.T) {
 	store := ckpt.NewMemStore()
-	inst := newCkptInstance(t, store, "h1", "h2", "h3")
+	inst := platformtest.Boot(t, platform.Options{Hosts: platformtest.Hosts("h1", "h2", "h3"), Checkpoint: store})
 	inj := load.InjectorIn(inst.SAM.Objects(), "rzGrowInj")
 
 	jobID, err := inst.SAM.SubmitJob(regionApp(t, "Grow", "rzGrowInj", "rzGrow", 2), sam.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	runningRegionPEs(t, inst, jobID)
+	platformtest.AwaitRunning(t, inst, jobID)
 	fed := fedBatch(30, "u")
 	feedKeys(t, inst, inj, "rzGrow", fed, total(fed))
 
 	if err := inst.SAM.ResizeRegion(jobID, "work", 3); err != nil {
 		t.Fatal(err)
 	}
-	runningRegionPEs(t, inst, jobID)
+	platformtest.AwaitRunning(t, inst, jobID)
 
 	keys, replicas := replicaKeys(t, inst, jobID, "work")
 	if len(keys) != 3 {
@@ -247,14 +211,14 @@ func TestResizeGrowMigratesEveryKey(t *testing.T) {
 // count lost — and deletes the retired replica's snapshot.
 func TestResizeShrinkMergesWithoutDuplicates(t *testing.T) {
 	store := ckpt.NewMemStore()
-	inst := newCkptInstance(t, store, "h1", "h2", "h3")
+	inst := platformtest.Boot(t, platform.Options{Hosts: platformtest.Hosts("h1", "h2", "h3"), Checkpoint: store})
 	inj := load.InjectorIn(inst.SAM.Objects(), "rzShrinkInj")
 
 	jobID, err := inst.SAM.SubmitJob(regionApp(t, "Shrink", "rzShrinkInj", "rzShrink", 3), sam.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	runningRegionPEs(t, inst, jobID)
+	platformtest.AwaitRunning(t, inst, jobID)
 	fed := fedBatch(30, "u")
 	feedKeys(t, inst, inj, "rzShrink", fed, total(fed))
 
@@ -264,7 +228,7 @@ func TestResizeShrinkMergesWithoutDuplicates(t *testing.T) {
 	if err := inst.SAM.ResizeRegion(jobID, "work", 2); err != nil {
 		t.Fatal(err)
 	}
-	runningRegionPEs(t, inst, jobID)
+	platformtest.AwaitRunning(t, inst, jobID)
 
 	keys, replicas := replicaKeys(t, inst, jobID, "work")
 	if len(keys) != 2 {
@@ -292,14 +256,14 @@ func TestResizeShrinkMergesWithoutDuplicates(t *testing.T) {
 // region.
 func TestResizeCorruptSnapshotColdStarts(t *testing.T) {
 	store := ckpt.NewMemStore()
-	inst := newCkptInstance(t, store, "h1", "h2", "h3")
+	inst := platformtest.Boot(t, platform.Options{Hosts: platformtest.Hosts("h1", "h2", "h3"), Checkpoint: store})
 	inj := load.InjectorIn(inst.SAM.Objects(), "rzCorruptInj")
 
 	jobID, err := inst.SAM.SubmitJob(regionApp(t, "Corrupt", "rzCorruptInj", "rzCorrupt", 2), sam.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	runningRegionPEs(t, inst, jobID)
+	platformtest.AwaitRunning(t, inst, jobID)
 	fed := fedBatch(20, "u")
 	feedKeys(t, inst, inj, "rzCorrupt", fed, total(fed))
 
@@ -313,7 +277,7 @@ func TestResizeCorruptSnapshotColdStarts(t *testing.T) {
 	if err := inst.SAM.StopPE(r0); err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "replica 0 stopped", func() bool {
+	wait.For(t, "replica 0 stopped", func() bool {
 		info, _ := inst.SAM.Job(jobID)
 		for _, pe := range info.PEs {
 			if pe.ID == r0 {
@@ -329,7 +293,7 @@ func TestResizeCorruptSnapshotColdStarts(t *testing.T) {
 	if err := inst.SAM.ResizeRegion(jobID, "work", 3); err != nil {
 		t.Fatalf("resize with corrupt snapshot must cold-start, not fail: %v", err)
 	}
-	runningRegionPEs(t, inst, jobID)
+	platformtest.AwaitRunning(t, inst, jobID)
 
 	// Cold start dropped every region snapshot.
 	newKeys, replicas := replicaKeys(t, inst, jobID, "work")

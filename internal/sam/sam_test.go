@@ -17,8 +17,10 @@ import (
 	"streamorca/internal/ops"
 	"streamorca/internal/pe"
 	"streamorca/internal/platform"
+	"streamorca/internal/platform/platformtest"
 	"streamorca/internal/sam"
 	"streamorca/internal/tuple"
+	"streamorca/internal/wait"
 )
 
 var intS = tuple.MustSchema(tuple.Attribute{Name: "seq", Type: tuple.Int})
@@ -44,43 +46,14 @@ func pipelineApp(t *testing.T, name, collector string, count int64) *adl.Applica
 
 func itoa(v int64) string { return strconv.FormatInt(v, 10) }
 
-func newInstance(t *testing.T, hostNames ...string) *platform.Instance {
-	t.Helper()
-	specs := make([]platform.HostSpec, len(hostNames))
-	for i, n := range hostNames {
-		specs[i] = platform.HostSpec{Name: n}
-	}
-	inst, err := platform.NewInstance(platform.Options{
-		Hosts:           specs,
-		MetricsInterval: time.Hour, // tests flush explicitly
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(inst.Close)
-	return inst
-}
-
-func waitCond(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
-}
-
 func TestSubmitJobRunsPipelineAcrossPEs(t *testing.T) {
-	inst := newInstance(t, "h1", "h2")
+	inst := platformtest.Boot(t, platform.Options{Hosts: platformtest.Hosts("h1", "h2")})
 	app := pipelineApp(t, "Pipe", "p1", 20)
 	jobID, err := inst.SAM.SubmitJob(app, sam.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "20 tuples at sink", func() bool { return ops.Collector(inst.SAM.Objects(), "p1").Len() == 20 })
+	wait.For(t, "20 tuples at sink", func() bool { return ops.Collector(inst.SAM.Objects(), "p1").Len() == 20 })
 	info, ok := inst.SAM.Job(jobID)
 	if !ok || info.App != "Pipe" || len(info.PEs) != 3 {
 		t.Fatalf("JobInfo = %+v", info)
@@ -98,7 +71,7 @@ func TestSubmitJobRunsPipelineAcrossPEs(t *testing.T) {
 }
 
 func TestSubmitRejectsInvalidAndUnplaceable(t *testing.T) {
-	inst := newInstance(t, "h1")
+	inst := platformtest.Boot(t, platform.Options{})
 	bad := &adl.Application{Name: ""}
 	if _, err := inst.SAM.SubmitJob(bad, sam.SubmitOptions{}); err == nil {
 		t.Fatal("invalid ADL submitted")
@@ -114,17 +87,18 @@ func TestSubmitRejectsInvalidAndUnplaceable(t *testing.T) {
 }
 
 func TestCancelJobStopsEverything(t *testing.T) {
-	inst := newInstance(t, "h1")
+	inst := platformtest.Boot(t, platform.Options{})
 	app := pipelineApp(t, "Cancel", "c2", 0) // unbounded source
 	jobID, err := inst.SAM.SubmitJob(app, sam.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "some tuples", func() bool { return ops.Collector(inst.SAM.Objects(), "c2").Len() > 3 })
+	platformtest.Delivered(t, inst, "c2", 4)
 	inst.FlushMetrics()
 	if len(inst.SRM.Query([]ids.JobID{jobID})) == 0 {
 		t.Fatal("no SRM samples before cancel")
 	}
+	cs := containers(t, inst, jobID)
 	if err := inst.SAM.CancelJob(jobID); err != nil {
 		t.Fatal(err)
 	}
@@ -134,18 +108,40 @@ func TestCancelJobStopsEverything(t *testing.T) {
 	if got := inst.SRM.Query([]ids.JobID{jobID}); len(got) != 0 {
 		t.Fatalf("SRM kept %d samples after cancel", len(got))
 	}
-	n := ops.Collector(inst.SAM.Objects(), "c2").Len()
-	time.Sleep(20 * time.Millisecond)
-	if ops.Collector(inst.SAM.Objects(), "c2").Len() != n {
-		t.Fatal("tuples still flowing after cancel")
-	}
+	stopped(t, cs) // so no tuple flows after cancel
 	if err := inst.SAM.CancelJob(jobID); err == nil {
 		t.Fatal("double cancel succeeded")
 	}
 }
 
+// containers returns the containers a job's PEs run in.
+func containers(t *testing.T, inst *platform.Instance, job ids.JobID) []*pe.PE {
+	t.Helper()
+	info, _ := inst.SAM.Job(job)
+	var cs []*pe.PE
+	for _, p := range info.PEs {
+		c, ok := inst.Cluster.PEContainer(p.ID)
+		if !ok {
+			t.Fatalf("PE %s has no container", p.ID)
+		}
+		cs = append(cs, c)
+	}
+	return cs
+}
+
+// stopped fails the test unless every container has stopped: its
+// goroutines have exited, so it emits nothing more.
+func stopped(t *testing.T, cs []*pe.PE) {
+	t.Helper()
+	for _, c := range cs {
+		if c.State() != pe.Stopped {
+			t.Fatalf("PE %s is %v, want stopped", c.ID(), c.State())
+		}
+	}
+}
+
 func TestPEFailureNotifiesOwnerAndRestartResumes(t *testing.T) {
-	inst := newInstance(t, "h1")
+	inst := platformtest.Boot(t, platform.Options{})
 	var mu sync.Mutex
 	var failures []sam.PEFailure
 	inst.SAM.AddListener("orca1", sam.Listener{
@@ -160,7 +156,7 @@ func TestPEFailureNotifiesOwnerAndRestartResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "flow", func() bool { return ops.Collector(inst.SAM.Objects(), "c3").Len() > 3 })
+	platformtest.Delivered(t, inst, "c3", 4)
 
 	info, _ := inst.SAM.Job(jobID)
 	var sinkPE ids.PEID
@@ -172,7 +168,7 @@ func TestPEFailureNotifiesOwnerAndRestartResumes(t *testing.T) {
 	if err := inst.SAM.KillPE(sinkPE, "injected"); err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "failure notification", func() bool {
+	wait.For(t, "failure notification", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		return len(failures) == 1
@@ -191,7 +187,7 @@ func TestPEFailureNotifiesOwnerAndRestartResumes(t *testing.T) {
 	if err := inst.SAM.RestartPE(sinkPE); err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "flow after restart", func() bool { return ops.Collector(inst.SAM.Objects(), "c3").Len() > n })
+	platformtest.Delivered(t, inst, "c3", n+1)
 	info, _ = inst.SAM.Job(jobID)
 	for _, p := range info.PEs {
 		if p.ID == sinkPE && (p.Restarts != 1 || p.State != "running") {
@@ -201,7 +197,7 @@ func TestPEFailureNotifiesOwnerAndRestartResumes(t *testing.T) {
 }
 
 func TestAutoRestartFlag(t *testing.T) {
-	inst := newInstance(t, "h1")
+	inst := platformtest.Boot(t, platform.Options{})
 	app := pipelineApp(t, "Auto", "c4", 0)
 	for i := range app.PEs {
 		app.PEs[i].Restart = true
@@ -210,7 +206,7 @@ func TestAutoRestartFlag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "flow", func() bool { return ops.Collector(inst.SAM.Objects(), "c4").Len() > 3 })
+	platformtest.Delivered(t, inst, "c4", 4)
 	info, _ := inst.SAM.Job(jobID)
 	var srcPE ids.PEID
 	for _, p := range info.PEs {
@@ -221,7 +217,7 @@ func TestAutoRestartFlag(t *testing.T) {
 	if err := inst.SAM.KillPE(srcPE, "boom"); err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "auto restart", func() bool {
+	wait.For(t, "auto restart", func() bool {
 		info, _ := inst.SAM.Job(jobID)
 		for _, p := range info.PEs {
 			if p.ID == srcPE {
@@ -231,17 +227,17 @@ func TestAutoRestartFlag(t *testing.T) {
 		return false
 	})
 	n := ops.Collector(inst.SAM.Objects(), "c4").Len()
-	waitCond(t, "flow after auto restart", func() bool { return ops.Collector(inst.SAM.Objects(), "c4").Len() > n })
+	platformtest.Delivered(t, inst, "c4", n+1)
 }
 
 func TestStopPE(t *testing.T) {
-	inst := newInstance(t, "h1")
+	inst := platformtest.Boot(t, platform.Options{})
 	app := pipelineApp(t, "Stop", "c5", 0)
 	jobID, err := inst.SAM.SubmitJob(app, sam.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "flow", func() bool { return ops.Collector(inst.SAM.Objects(), "c5").Len() > 0 })
+	platformtest.Delivered(t, inst, "c5", 1)
 	info, _ := inst.SAM.Job(jobID)
 	var sinkPE ids.PEID
 	for _, p := range info.PEs {
@@ -252,7 +248,7 @@ func TestStopPE(t *testing.T) {
 	if err := inst.SAM.StopPE(sinkPE); err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "stopped state", func() bool {
+	wait.For(t, "stopped state", func() bool {
 		info, _ := inst.SAM.Job(jobID)
 		for _, p := range info.PEs {
 			if p.ID == sinkPE {
@@ -267,7 +263,7 @@ func TestStopPE(t *testing.T) {
 }
 
 func TestImportExportAcrossJobs(t *testing.T) {
-	inst := newInstance(t, "h1")
+	inst := platformtest.Boot(t, platform.Options{})
 
 	bx := compiler.NewApp("Exporter")
 	src := bx.AddOperator("src", ops.KindBeacon).Out(intS).Param("count", "0").Param("period", "200us")
@@ -292,27 +288,29 @@ func TestImportExportAcrossJobs(t *testing.T) {
 	if _, err = inst.SAM.SubmitJob(imApp, sam.SubmitOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "imported tuples", func() bool { return ops.Collector(inst.SAM.Objects(), "imp").Len() > 3 })
+	platformtest.Delivered(t, inst, "imp", 4)
 
-	// Cancelling the exporter must stop the flow without killing the importer.
+	// Cancelling the exporter must stop the flow without killing the
+	// importer: no container feeds the link, and the link is gone.
+	cs := containers(t, inst, exJob)
 	if err := inst.SAM.CancelJob(exJob); err != nil {
 		t.Fatal(err)
 	}
-	n := ops.Collector(inst.SAM.Objects(), "imp").Len()
-	time.Sleep(20 * time.Millisecond)
-	if ops.Collector(inst.SAM.Objects(), "imp").Len() != n {
-		t.Fatal("import flow continued after exporter cancel")
+	stopped(t, cs)
+	if got := inst.SAM.LinkCount(); got != 0 {
+		t.Fatalf("%d links left after exporter cancel", got)
 	}
+	n := ops.Collector(inst.SAM.Objects(), "imp").Len()
 
 	// Resubmitting the exporter reconnects automatically (§2.1).
 	if _, err := inst.SAM.SubmitJob(exApp, sam.SubmitOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "reconnected flow", func() bool { return ops.Collector(inst.SAM.Objects(), "imp").Len() > n })
+	platformtest.Delivered(t, inst, "imp", n+1)
 }
 
 func TestExclusivePoolsSeparateReplicas(t *testing.T) {
-	inst := newInstance(t, "h1", "h2", "h3")
+	inst := platformtest.Boot(t, platform.Options{Hosts: platformtest.Hosts("h1", "h2", "h3")})
 	mk := func(name, coll string) *adl.Application {
 		app := pipelineApp(t, name, coll, 0)
 		app.MakeExclusive()
@@ -342,7 +340,7 @@ func TestExclusivePoolsSeparateReplicas(t *testing.T) {
 }
 
 func TestSubmissionParamsReachOperators(t *testing.T) {
-	inst := newInstance(t, "h1")
+	inst := platformtest.Boot(t, platform.Options{})
 	b := compiler.NewApp("Par")
 	src := b.AddOperator("src", ops.KindBeacon).Out(intS).Param("count", "{{n}}")
 	sink := b.AddOperator("sink", ops.KindCollectSink).In(intS).Param("collectorId", "par")
@@ -354,14 +352,14 @@ func TestSubmissionParamsReachOperators(t *testing.T) {
 	if _, err := inst.SAM.SubmitJob(app, sam.SubmitOptions{Params: map[string]string{"n": "7"}}); err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "final", func() bool { return ops.Collector(inst.SAM.Objects(), "par").Finals() == 1 })
+	wait.For(t, "final", func() bool { return ops.Collector(inst.SAM.Objects(), "par").Finals() == 1 })
 	if got := ops.Collector(inst.SAM.Objects(), "par").Len(); got != 7 {
 		t.Fatalf("submission param ignored: %d tuples", got)
 	}
 }
 
 func TestControlOperator(t *testing.T) {
-	inst := newInstance(t, "h1")
+	inst := platformtest.Boot(t, platform.Options{})
 	b := compiler.NewApp("Ctl")
 	src := b.AddOperator("src", ops.KindBeacon).Out(intS).Param("count", "0").Param("period", "200us")
 	filt := b.AddOperator("filt", ops.KindDynamicFilter).In(intS).Out(intS).
@@ -377,16 +375,29 @@ func TestControlOperator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "flow", func() bool { return ops.Collector(inst.SAM.Objects(), "ctl").Len() > 0 })
+	platformtest.Delivered(t, inst, "ctl", 1)
 	if err := inst.SAM.ControlOperator(jobID, "filt", "setPredicate",
 		map[string]string{"attr": "seq", "op": "lt", "value": "0"}); err != nil {
 		t.Fatal(err)
 	}
-	n := ops.Collector(inst.SAM.Objects(), "ctl").Len()
-	time.Sleep(20 * time.Millisecond)
-	if got := ops.Collector(inst.SAM.Objects(), "ctl").Len(); got > n+2 {
-		t.Fatalf("control command did not throttle flow: %d -> %d", n, got)
+	// ControlOperator returns once the command ran on the filter, after
+	// the tuples queued ahead of it: the filter has passed all it will.
+	c := containers(t, inst, jobID)[0]
+	filtCount := func(name string) (v int64) {
+		for _, s := range c.MetricsSnapshot() {
+			if s.Operator == "filt" && s.Scope == metrics.OperatorScope && s.Name == name {
+				v = s.Value
+			}
+		}
+		return v
 	}
+	passed, seen := filtCount(metrics.OpTuplesSubmitted), filtCount(metrics.OpTuplesProcessed)
+	wait.For(t, "20 more tuples at the filter", func() bool { return filtCount(metrics.OpTuplesProcessed) >= seen+20 })
+	if got := filtCount(metrics.OpTuplesSubmitted); got != passed {
+		t.Fatalf("control command did not throttle flow: the filter passed %d tuples after it", got-passed)
+	}
+	coll := ops.Collector(inst.SAM.Objects(), "ctl")
+	wait.For(t, "the sink to hold what the filter passed", func() bool { return int64(coll.Len()) == passed })
 	if err := inst.SAM.ControlOperator(jobID, "ghost", "x", nil); err == nil {
 		t.Fatal("control on unknown operator succeeded")
 	}
@@ -396,7 +407,7 @@ func TestControlOperator(t *testing.T) {
 }
 
 func TestJobsAndPlacementQueries(t *testing.T) {
-	inst := newInstance(t, "h1")
+	inst := platformtest.Boot(t, platform.Options{})
 	app := pipelineApp(t, "Query", "q", 0)
 	jobID, err := inst.SAM.SubmitJob(app, sam.SubmitOptions{})
 	if err != nil {
@@ -422,7 +433,7 @@ func TestJobsAndPlacementQueries(t *testing.T) {
 }
 
 func TestLinkCountTracksCancel(t *testing.T) {
-	inst := newInstance(t, "h1")
+	inst := platformtest.Boot(t, platform.Options{})
 	app := pipelineApp(t, "Links", "lc", 0) // 3 PEs -> 2 static links
 	jobID, err := inst.SAM.SubmitJob(app, sam.SubmitOptions{})
 	if err != nil {
@@ -447,12 +458,12 @@ func TestLinkCountTracksCancel(t *testing.T) {
 // transport's TestLinkSchemaMismatchDropped covers), and the invalid
 // tuple fails to encode.
 func TestCodecErrorDiscardsCounted(t *testing.T) {
-	inst := newInstance(t, "h1")
+	inst := platformtest.Boot(t, platform.Options{})
 	jobID, err := inst.SAM.SubmitJob(pipelineApp(t, "Codec", "cx", 5), sam.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "the beacon's 5 tuples at sink", func() bool { return ops.Collector(inst.SAM.Objects(), "cx").Len() == 5 })
+	wait.For(t, "the beacon's 5 tuples at sink", func() bool { return ops.Collector(inst.SAM.Objects(), "cx").Len() == 5 })
 
 	wide := tuple.MustSchema(
 		tuple.Attribute{Name: "seq", Type: tuple.Int},
@@ -493,21 +504,13 @@ func TestCodecErrorDiscardsCounted(t *testing.T) {
 // anchors the fresh container).
 func TestCheckpointAgeMetricFlowsThroughSRM(t *testing.T) {
 	store := ckpt.NewMemStore()
-	inst, err := platform.NewInstance(platform.Options{
-		Hosts:           []platform.HostSpec{{Name: "h1"}},
-		MetricsInterval: time.Hour,
-		Checkpoint:      store,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(inst.Close)
+	inst := platformtest.Boot(t, platform.Options{Checkpoint: store})
 	app := pipelineApp(t, "Age", "age", 0)
 	jobID, err := inst.SAM.SubmitJob(app, sam.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "flow", func() bool { return ops.Collector(inst.SAM.Objects(), "age").Len() > 3 })
+	platformtest.Delivered(t, inst, "age", 4)
 
 	ages := func() map[ids.PEID]int64 {
 		inst.FlushMetrics()
@@ -564,25 +567,6 @@ func TestCheckpointAgeMetricFlowsThroughSRM(t *testing.T) {
 	}
 }
 
-func newRetryInstance(t *testing.T, retry sam.RetryPolicy, store ckpt.Store, hostNames ...string) *platform.Instance {
-	t.Helper()
-	specs := make([]platform.HostSpec, len(hostNames))
-	for i, n := range hostNames {
-		specs[i] = platform.HostSpec{Name: n}
-	}
-	inst, err := platform.NewInstance(platform.Options{
-		Hosts:           specs,
-		MetricsInterval: time.Hour,
-		Checkpoint:      store,
-		Retry:           retry,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(inst.Close)
-	return inst
-}
-
 // attempts filters the journal down to one PE's attempts at action.
 func attempts(s *sam.SAM, action string, id ids.PEID) []journal.Event {
 	return slices.DeleteFunc(s.Journal().Events(), func(e journal.Event) bool {
@@ -594,7 +578,7 @@ func attempts(s *sam.SAM, action string, id ids.PEID) []journal.Event {
 // journal.Limit restart and checkpoint attempts it holds exactly the
 // newest Limit, in order, Seq contiguous.
 func TestJournalKeepsTheNewestAttempts(t *testing.T) {
-	inst := newRetryInstance(t, sam.RetryPolicy{}, nil, "h1")
+	inst := platformtest.Boot(t, platform.Options{})
 	const n = journal.Limit + 100
 	for i := range n {
 		// An unknown PE fails permanently: one journalled attempt each.
@@ -625,7 +609,7 @@ func TestJournalKeepsTheNewestAttempts(t *testing.T) {
 // the retry budget — the transient-outage case retries exist for.
 func TestRestartRetriesUntilHostReturns(t *testing.T) {
 	retry := sam.RetryPolicy{MaxAttempts: 40, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}
-	inst := newRetryInstance(t, retry, nil, "h1")
+	inst := platformtest.Boot(t, platform.Options{Retry: retry})
 	app := pipelineApp(t, "RetryHost", "rr1", 0)
 	jobID, err := inst.SAM.SubmitJob(app, sam.SubmitOptions{})
 	if err != nil {
@@ -636,12 +620,13 @@ func TestRestartRetriesUntilHostReturns(t *testing.T) {
 	if err := inst.Cluster.KillHost("h1"); err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "PE crashed", func() bool {
+	wait.For(t, "PE crashed", func() bool {
 		info, _ := inst.SAM.Job(jobID)
 		return info.PEs[0].State == "crashed"
 	})
 	go func() {
-		time.Sleep(15 * time.Millisecond)
+		// The host returns once the restart has failed at least once.
+		wait.Until(wait.Deadline, time.Millisecond, func() bool { return len(attempts(inst.SAM, "restart", target)) > 0 })
 		_ = inst.Cluster.ReviveHost("h1")
 	}()
 	if err := inst.SAM.RestartPE(target); err != nil {
@@ -672,7 +657,7 @@ func TestRestartRetriesUntilHostReturns(t *testing.T) {
 // attempts, and a later success clears everything.
 func TestRestartExhaustionMarksUnplaceable(t *testing.T) {
 	retry := sam.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond}
-	inst := newRetryInstance(t, retry, nil, "h1")
+	inst := platformtest.Boot(t, platform.Options{Retry: retry})
 	var mu sync.Mutex
 	var abandoned []sam.PEFailure
 	inst.SAM.AddListener("orc", sam.Listener{PEFailed: func(f sam.PEFailure) {
@@ -692,7 +677,7 @@ func TestRestartExhaustionMarksUnplaceable(t *testing.T) {
 	if err := inst.Cluster.KillHost("h1"); err != nil {
 		t.Fatal(err)
 	}
-	waitCond(t, "PE crashed", func() bool {
+	wait.For(t, "PE crashed", func() bool {
 		info, _ := inst.SAM.Job(jobID)
 		return info.PEs[0].State == "crashed"
 	})
@@ -752,7 +737,7 @@ func TestRestartExhaustionMarksUnplaceable(t *testing.T) {
 func TestCheckpointRetriesInjectedStoreFaults(t *testing.T) {
 	store := ckpt.NewFaultStore(ckpt.NewMemStore(), nil)
 	retry := sam.RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond}
-	inst := newRetryInstance(t, retry, store, "h1")
+	inst := platformtest.Boot(t, platform.Options{Retry: retry, Checkpoint: store})
 	app := pipelineApp(t, "RetryCkpt", "rr3", 0)
 	jobID, err := inst.SAM.SubmitJob(app, sam.SubmitOptions{})
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"streamorca/internal/opapi"
 	"streamorca/internal/pe"
 	"streamorca/internal/tuple"
+	"streamorca/internal/wait"
 )
 
 // These tests spy on leased blocks through tuple headers kept against
@@ -149,17 +150,17 @@ func TestFanOutHoldsUntilBothDone(t *testing.T) {
 			b := pe.GetBatch()
 			b.Items = append(b.Items, items...) // carries the birth hold
 			inlet(b)
-			within(t, "both consumers have the frame", func() { <-sink.entered; <-remoteIn })
+			wait.Within(t, "both consumers have the frame", func() { <-sink.entered; <-remoteIn })
 			mustBeIntact(t, "frame held by the fused consumer and the link", spy, 0)
 			if tc.sinkFirst {
 				close(sink.gate)
 				p.Stop()
 				mustBeIntact(t, "frame still pending on the link", spy, 0)
 				close(remoteGate)
-				within(t, "link drains", link.Close)
+				wait.Within(t, "link drains", link.Close)
 			} else {
 				close(remoteGate)
-				within(t, "link drains", link.Flush)
+				wait.Within(t, "link drains", link.Flush)
 				mustBeIntact(t, "frame still in the fused consumer's hands", spy, 0)
 				close(sink.gate)
 				p.Stop()
@@ -194,7 +195,7 @@ func TestPendingHoldsDroppedByDiscardAndClose(t *testing.T) {
 			shipping, spyShipping, leaseA := leasedItems(0, 4)
 			link.SendRun(shipping)
 			leaseA.Release() // the sender is done with its tuples once SendRun returns
-			within(t, "first run reaches the remote", func() { <-entered })
+			wait.Within(t, "first run reaches the remote", func() { <-entered })
 			run, spyRun, leaseB := leasedItems(100, 4)
 			link.SendRun(run[:2])
 			link.SendRun(run[2:]) // same block, a second hold
@@ -213,10 +214,10 @@ func TestPendingHoldsDroppedByDiscardAndClose(t *testing.T) {
 				mustBeRecycled(t, "discarded single item", spyOne)
 				mustBeIntact(t, "run being shipped at the discard", spyShipping, 0)
 				close(gate)
-				within(t, "flusher exits", link.Close)
+				wait.Within(t, "flusher exits", link.Close)
 			} else {
 				close(gate)
-				within(t, "Close drains", link.Close)
+				wait.Within(t, "Close drains", link.Close)
 				mustBeRecycled(t, "delivered run", spyRun)
 				mustBeRecycled(t, "delivered single item", spyOne)
 				want = 9

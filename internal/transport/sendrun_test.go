@@ -10,20 +10,8 @@ import (
 
 	"streamorca/internal/pe"
 	"streamorca/internal/tuple"
+	"streamorca/internal/wait"
 )
-
-// within runs fn on its own goroutine and fails the test when it has not
-// returned by the deadline.
-func within(t *testing.T, what string, fn func()) {
-	t.Helper()
-	done := make(chan struct{})
-	go func() { defer close(done); fn() }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatalf("timed out: %s", what)
-	}
-}
 
 // frameLog is a remote end that writes down every delivered batch, "m"
 // for a mark and the value for a tuple.
@@ -127,10 +115,7 @@ func TestSendRunBlocksAtMaxPending(t *testing.T) {
 	const n = 2*maxPending + 100
 	sent := make(chan struct{})
 	go func() { defer close(sent); link.SendRun(intItems(n)) }()
-	deadline := time.Now().Add(5 * time.Second)
-	for pendingLen(link) != maxPending && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	wait.For(t, "the sender fills the buffer", func() bool { return pendingLen(link) == maxPending })
 	select {
 	case <-sent:
 		t.Fatal("SendRun returned with the buffer full and the flusher held")
@@ -140,8 +125,8 @@ func TestSendRunBlocksAtMaxPending(t *testing.T) {
 		t.Fatalf("pending = %d while blocked, want maxPending = %d", got, maxPending)
 	}
 	close(gate)
-	within(t, "SendRun completes after the drain", func() { <-sent })
-	within(t, "link drains", link.Close)
+	wait.Within(t, "SendRun completes after the drain", func() { <-sent })
+	wait.Within(t, "link drains", link.Close)
 	if delivered != n {
 		t.Fatalf("delivered %d of %d", delivered, n)
 	}
@@ -156,7 +141,7 @@ func TestSendRunOnDeadLinkReturns(t *testing.T) {
 	closed.Close()
 	discarded := NewLink(intOnly, collectRemote(&got), nil, nil, nil)
 	discarded.Discard()
-	within(t, "SendRun on dead links", func() {
+	wait.Within(t, "SendRun on dead links", func() {
 		closed.SendRun(intItems(2 * maxPending))
 		discarded.SendRun(intItems(2 * maxPending))
 	})
@@ -168,12 +153,9 @@ func TestSendRunOnDeadLinkReturns(t *testing.T) {
 	held := NewLink(intOnly, func(b *pe.Batch) { <-gate; pe.PutBatch(b) }, nil, nil, nil)
 	sent := make(chan struct{})
 	go func() { defer close(sent); held.SendRun(intItems(3 * maxPending)) }()
-	deadline := time.Now().Add(5 * time.Second)
-	for pendingLen(held) != maxPending && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	wait.For(t, "the sender fills the buffer", func() bool { return pendingLen(held) == maxPending })
 	held.Discard()
-	within(t, "Discard releases the parked sender", func() { <-sent })
+	wait.Within(t, "Discard releases the parked sender", func() { <-sent })
 	close(gate)
-	within(t, "flusher exits", held.Close)
+	wait.Within(t, "flusher exits", held.Close)
 }

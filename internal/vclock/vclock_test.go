@@ -1,10 +1,13 @@
 package vclock
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"streamorca/internal/wait"
 )
 
 var epoch = time.Date(2012, 8, 27, 0, 0, 0, 0, time.UTC)
@@ -68,7 +71,7 @@ func TestManualTimersFireInDeadlineOrder(t *testing.T) {
 	m.AfterFunc(1*time.Second, record(1))
 	m.AfterFunc(2*time.Second, record(2))
 	m.Advance(5 * time.Second)
-	waitFor(t, func() bool {
+	wait.For(t, "three timers fired", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		return len(order) == 3
@@ -91,9 +94,13 @@ func TestManualAfterFuncStop(t *testing.T) {
 		t.Fatal("second Stop() = true")
 	}
 	m.Advance(2 * time.Second)
-	time.Sleep(10 * time.Millisecond)
-	if fired.Load() {
-		t.Fatal("stopped timer fired")
+	// AfterFunc runs on the advancing goroutine, so once the heap has
+	// drained the stopped timer has had its only chance to fire.
+	m.mu.Lock()
+	left := m.pending.Len()
+	m.mu.Unlock()
+	if left != 0 || fired.Load() {
+		t.Fatalf("stopped timer fired: %v, with %d timers still pending", fired.Load(), left)
 	}
 }
 
@@ -111,11 +118,7 @@ func TestManualSleepWakesOnAdvance(t *testing.T) {
 	default:
 	}
 	m.Advance(time.Minute)
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Sleep did not wake after advance")
-	}
+	wait.Within(t, "Sleep wakes after the advance", func() { <-done })
 }
 
 func TestManualSleepZeroReturnsImmediately(t *testing.T) {
@@ -173,7 +176,7 @@ func TestManualWaitersCount(t *testing.T) {
 		t.Fatalf("Waiters() = %d, want 3", got)
 	}
 	m.Advance(time.Hour)
-	waitFor(t, func() bool { return m.Waiters() == 0 })
+	wait.For(t, "no waiters", func() bool { return m.Waiters() == 0 })
 }
 
 func TestManualAdvanceToFiresIntermediatePeriodicTicks(t *testing.T) {
@@ -195,7 +198,7 @@ func TestManualAdvanceToFiresIntermediatePeriodicTicks(t *testing.T) {
 	}()
 	for i := 0; i < 3; i++ {
 		m.Advance(time.Second)
-		waitFor(t, func() bool { return ticks.Load() == int64(i+1) })
+		wait.For(t, fmt.Sprintf("tick %d", i+1), func() bool { return ticks.Load() == int64(i+1) })
 	}
 	<-done
 }
@@ -211,7 +214,7 @@ func TestRealClockBasics(t *testing.T) {
 	var fired atomic.Bool
 	tm := c.AfterFunc(time.Millisecond, func() { fired.Store(true) })
 	defer tm.Stop()
-	waitFor(t, fired.Load)
+	wait.For(t, "the real AfterFunc", fired.Load)
 	select {
 	case <-c.After(time.Millisecond):
 	case <-time.After(time.Second):
@@ -224,16 +227,4 @@ func TestRealClockBasics(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("real ticker never ticked")
 	}
-}
-
-func waitFor(t *testing.T, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatal("condition never became true")
 }

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"streamorca/internal/platform/platformtest"
+	"streamorca/internal/wait"
 	"streamorca/orca"
 	"streamorca/streams"
 )
@@ -56,27 +58,8 @@ func noopRoutine() orca.Routine {
 	return orca.NewRoutine("noop", func(*orca.SetupContext) error { return nil })
 }
 
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
-}
-
 func TestPublicOrchestrationSurface(t *testing.T) {
-	inst, err := streams.NewInstance(streams.InstanceOptions{
-		Hosts:           []streams.HostSpec{{Name: "h1"}},
-		MetricsInterval: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inst.Close()
+	inst := platformtest.Boot(t, streams.InstanceOptions{})
 
 	schema := streams.MustSchema(streams.Attribute{Name: "seq", Type: streams.Int})
 	b := streams.NewApp("papp")
@@ -102,7 +85,7 @@ func TestPublicOrchestrationSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Stop()
-	waitFor(t, "start", func() bool {
+	wait.For(t, "start", func() bool {
 		policy.mu.Lock()
 		defer policy.mu.Unlock()
 		return policy.started
@@ -112,7 +95,7 @@ func TestPublicOrchestrationSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "flow", func() bool { return streams.Collector(inst, "orca-public").Len() > 3 })
+	wait.For(t, "flow", func() bool { return streams.Collector(inst, "orca-public").Len() > 3 })
 
 	// Inspection through the facade.
 	g, ok := svc.Graph(job)
@@ -131,7 +114,7 @@ func TestPublicOrchestrationSurface(t *testing.T) {
 	if err := svc.KillPE(pe, "public test"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "failure handled", func() bool {
+	wait.For(t, "failure handled", func() bool {
 		policy.mu.Lock()
 		defer policy.mu.Unlock()
 		return len(policy.failures) == 1
@@ -147,13 +130,13 @@ func TestPublicOrchestrationSurface(t *testing.T) {
 	if err := svc.StartTimer("tick", time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "timer", func() bool {
+	wait.For(t, "timer", func() bool {
 		policy.mu.Lock()
 		defer policy.mu.Unlock()
 		return policy.timers == 1
 	})
 	svc.RaiseUserEvent("hello", map[string]string{"k": "v"})
-	waitFor(t, "user event", func() bool {
+	wait.For(t, "user event", func() bool {
 		policy.mu.Lock()
 		defer policy.mu.Unlock()
 		return len(policy.users) == 1 && policy.users[0] == "hello"
@@ -172,14 +155,7 @@ func TestPublicOrchestrationSurface(t *testing.T) {
 // facade — a Closer routine cancels its job during Stop, while the
 // actuation surface is still live.
 func TestPublicCloserRunsOnStop(t *testing.T) {
-	inst, err := streams.NewInstance(streams.InstanceOptions{
-		Hosts:           []streams.HostSpec{{Name: "h1"}},
-		MetricsInterval: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inst.Close()
+	inst := platformtest.Boot(t, streams.InstanceOptions{})
 
 	schema := streams.MustSchema(streams.Attribute{Name: "seq", Type: streams.Int})
 	b := streams.NewApp("closeapp")
@@ -224,14 +200,7 @@ func TestPublicCloserRunsOnStop(t *testing.T) {
 }
 
 func TestPublicDependencyManager(t *testing.T) {
-	inst, err := streams.NewInstance(streams.InstanceOptions{
-		Hosts:           []streams.HostSpec{{Name: "h1"}},
-		MetricsInterval: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inst.Close()
+	inst := platformtest.Boot(t, streams.InstanceOptions{})
 	svc, err := orca.NewRoutineService(orca.Config{
 		Name: "depOrca", SAM: inst.SAM, SRM: inst.SRM, PullInterval: time.Hour,
 	}, noopRoutine())
@@ -278,5 +247,5 @@ func TestPublicDependencyManager(t *testing.T) {
 	if err := svc.StopApp("down"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "GC of up", func() bool { return len(svc.RunningConfigs()) == 0 })
+	wait.For(t, "GC of up", func() bool { return len(svc.RunningConfigs()) == 0 })
 }

@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"streamorca/internal/platform/platformtest"
+	"streamorca/internal/wait"
 	"streamorca/orca"
 	"streamorca/streams"
 )
@@ -15,14 +17,7 @@ import (
 // facade: typed subscriptions, guard combinators, Compose, and
 // setup-error propagation out of Start.
 func TestPublicRoutineSurface(t *testing.T) {
-	inst, err := streams.NewInstance(streams.InstanceOptions{
-		Hosts:           []streams.HostSpec{{Name: "h1"}},
-		MetricsInterval: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inst.Close()
+	inst := platformtest.Boot(t, streams.InstanceOptions{})
 
 	schema := streams.MustSchema(streams.Attribute{Name: "seq", Type: streams.Int})
 	b := streams.NewApp("rapp")
@@ -86,12 +81,12 @@ func TestPublicRoutineSurface(t *testing.T) {
 	if len(jobs) != 1 || jobs[0].App != "rapp" {
 		t.Fatalf("managed jobs after Start = %+v", jobs)
 	}
-	waitFor(t, "flow", func() bool { return streams.Collector(inst, "orca-routine").Len() > 3 })
+	wait.For(t, "flow", func() bool { return streams.Collector(inst, "orca-routine").Len() > 3 })
 
 	// Debounce: the first bump is absorbed, the second fires.
 	svc.RaiseUserEvent("bump", nil)
 	svc.RaiseUserEvent("bump", nil)
-	waitFor(t, "debounced user event", func() bool {
+	wait.For(t, "debounced user event", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		return len(users) == 1
@@ -118,14 +113,7 @@ func TestPublicRoutineSurface(t *testing.T) {
 // TestPublicRoutineSetupErrorSurfaces: a Setup error fails Start through
 // the facade with the routine's name attached.
 func TestPublicRoutineSetupErrorSurfaces(t *testing.T) {
-	inst, err := streams.NewInstance(streams.InstanceOptions{
-		Hosts:           []streams.HostSpec{{Name: "h1"}},
-		MetricsInterval: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inst.Close()
+	inst := platformtest.Boot(t, streams.InstanceOptions{})
 	sentinel := errors.New("no such application")
 	svc, err := orca.NewRoutineService(orca.Config{
 		Name: "failingPublic", SAM: inst.SAM, SRM: inst.SRM, PullInterval: time.Hour,

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"streamorca/internal/platform/platformtest"
+	"streamorca/internal/wait"
 	"streamorca/streams"
 )
 
@@ -31,27 +33,8 @@ func (c *counterOp) Process(port int, t streams.Tuple) error {
 	return c.ctx.Submit(0, t)
 }
 
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
-}
-
 func TestPublicAPIEndToEnd(t *testing.T) {
-	inst, err := streams.NewInstance(streams.InstanceOptions{
-		Hosts:           []streams.HostSpec{{Name: "h1"}, {Name: "h2"}},
-		MetricsInterval: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inst.Close()
+	inst := platformtest.Boot(t, streams.InstanceOptions{Hosts: platformtest.Hosts("h1", "h2")})
 
 	schema := streams.MustSchema(streams.Attribute{Name: "seq", Type: streams.Int})
 	b := streams.NewApp("public")
@@ -74,7 +57,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := streams.Collector(inst, "public-out")
-	waitFor(t, "completion", func() bool { return out.Finals() == 1 })
+	wait.For(t, "completion", func() bool { return out.Finals() == 1 })
 	if out.Len() != 25 || publicOpCount.Load() != 25 {
 		t.Fatalf("tuples: sink=%d custom=%d", out.Len(), publicOpCount.Load())
 	}
@@ -97,13 +80,10 @@ func TestManualClockExported(t *testing.T) {
 	if !clock.Now().Equal(start.Add(time.Minute)) {
 		t.Fatal("manual clock advance wrong")
 	}
-	inst, err := streams.NewInstance(streams.InstanceOptions{
-		Clock: clock, Hosts: []streams.HostSpec{{Name: "h1"}},
-	})
-	if err != nil {
-		t.Fatal(err)
+	inst := platformtest.Boot(t, streams.InstanceOptions{Clock: clock})
+	if !inst.Clock.Now().Equal(start.Add(time.Minute)) {
+		t.Fatal("instance ignored the manual clock")
 	}
-	defer inst.Close()
 }
 
 func TestOperatorKindsIncludeBuiltins(t *testing.T) {
@@ -252,15 +232,7 @@ func (s *statefulPublicOp) RestoreState(d *streams.StateDecoder) error {
 func TestCheckpointStorePublicAPI(t *testing.T) {
 	var _ streams.StatefulOperator = (*statefulPublicOp)(nil)
 	store := streams.NewMemCheckpointStore()
-	inst, err := streams.NewInstance(streams.InstanceOptions{
-		Hosts:           []streams.HostSpec{{Name: "h1"}},
-		MetricsInterval: time.Hour,
-		Checkpoint:      store,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inst.Close()
+	inst := platformtest.Boot(t, streams.InstanceOptions{Checkpoint: store})
 
 	schema := streams.MustSchema(streams.Attribute{Name: "seq", Type: streams.Int})
 	b := streams.NewApp("publicCkpt")
@@ -280,7 +252,7 @@ func TestCheckpointStorePublicAPI(t *testing.T) {
 	}
 	defer func() { _ = inst.SAM.CancelJob(job) }()
 	coll := streams.Collector(inst, "public-ckpt")
-	waitFor(t, "flow", func() bool { return coll.Len() > 20 })
+	wait.For(t, "flow", func() bool { return coll.Len() > 20 })
 
 	var midPE streams.PEID
 	info, _ := inst.SAM.Job(job)
@@ -297,7 +269,7 @@ func TestCheckpointStorePublicAPI(t *testing.T) {
 	if err := inst.SAM.KillPE(midPE, "test fault"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "crash observed", func() bool {
+	wait.For(t, "crash observed", func() bool {
 		info, _ := inst.SAM.Job(job)
 		for _, pe := range info.PEs {
 			if pe.ID == midPE {
@@ -313,5 +285,5 @@ func TestCheckpointStorePublicAPI(t *testing.T) {
 		t.Fatalf("restored total = %d", publicRestored.Load())
 	}
 	n := coll.Len()
-	waitFor(t, "flow after restore", func() bool { return coll.Len() > n })
+	wait.For(t, "flow after restore", func() bool { return coll.Len() > n })
 }
