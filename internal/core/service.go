@@ -83,6 +83,7 @@ type Service struct {
 	failEpochs   map[string]uint64
 	nextFailure  uint64
 	pullInterval atomic.Int64
+	pullReset    chan struct{} // wakes pullLoop to re-arm with a new interval
 
 	queue     *eventQueue
 	stopCh    chan struct{}
@@ -146,6 +147,7 @@ func NewRoutineService(cfg Config, routines ...Routine) (*Service, error) {
 		failEpochs: make(map[string]uint64),
 		queue:      newEventQueue(),
 		stopCh:     make(chan struct{}),
+		pullReset:  make(chan struct{}, 1),
 	}
 	s.actions = &Actions{Service: s}
 	s.pullInterval.Store(int64(cfg.PullInterval))
@@ -289,12 +291,17 @@ func (s *Service) subIndex(key string) int {
 	return slices.IndexFunc(s.subs, func(sub *Subscription) bool { return sub.scope.Key() == key })
 }
 
-// SetMetricPullInterval changes the SRM pull period; the change applies
-// from the next pull (§4.2: developers can change the frequency at any
-// point of the execution).
+// SetMetricPullInterval changes the SRM pull period (§4.2: developers
+// can change the frequency at any point of the execution). The pull
+// loop's wait restarts with the new period, so the next pull is one new
+// period away, not whatever the old one still owes.
 func (s *Service) SetMetricPullInterval(d time.Duration) {
 	if d > 0 {
 		s.pullInterval.Store(int64(d))
+		select {
+		case s.pullReset <- struct{}{}:
+		default: // a wake-up is pending already
+		}
 	}
 }
 
@@ -380,6 +387,7 @@ func (s *Service) pullLoop() {
 		select {
 		case <-s.stopCh:
 			return
+		case <-s.pullReset:
 		case <-s.clock.After(d):
 			if s.startSeen.Load() {
 				s.PullMetricsNow()

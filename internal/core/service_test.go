@@ -589,22 +589,43 @@ func TestStatsAndPullInterval(t *testing.T) {
 	}
 	wait.For(t, "done", func() bool { return h.coll("st").Finals() == 1 })
 	h.inst.FlushMetrics()
-	// The pull loop runs on the manual clock, parked on the old
-	// hour-long period: the new one applies from the tick after it.
 	h.svc.SetMetricPullInterval(time.Second)
-	wait.For(t, "the pull the old period owes", func() bool {
-		h.clock.Advance(time.Hour)
-		return h.rec.countKind(KindOperatorMetric) >= 1
-	})
-	pulled := h.rec.countKind(KindOperatorMetric)
 	wait.For(t, "a pull one new period later", func() bool {
 		h.clock.Advance(time.Second)
-		return h.rec.countKind(KindOperatorMetric) > pulled
+		return h.rec.countKind(KindOperatorMetric) >= 1
 	})
 	st := h.svc.Stats()
 	if st.ManagedJobs != 1 || st.RegisteredApps != 1 || st.MetricEpoch == 0 || st.Delivered == 0 {
 		t.Fatalf("stats = %+v", st)
 	}
+}
+
+// TestShorterPullIntervalWakesTheLoop: a routine that shortens an
+// hour-long pull interval gets its pull one new period later, not after
+// whatever the hour still owes.
+func TestShorterPullIntervalWakesTheLoop(t *testing.T) {
+	h := rig(t, platform.Options{})
+	h.observe(t, NewOperatorMetricScope("m").AddOperatorMetric(metrics.OpTuplesSubmitted))
+	h.start(t)
+	if err := h.svc.RegisterApplication(simpleApp(t, "St", "st", "4")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.svc.SubmitApplication("St", nil); err != nil {
+		t.Fatal(err)
+	}
+	wait.For(t, "done", func() bool { return h.coll("st").Finals() == 1 })
+	h.inst.FlushMetrics()
+	// Re-armed, the loop waits on the new period; the wait it left stays
+	// on the clock until its deadline, so the clock's waiters grow by one.
+	set := func(d time.Duration) {
+		waiting := h.clock.Waiters()
+		h.svc.SetMetricPullInterval(d)
+		wait.For(t, "the pull loop to re-arm", func() bool { return h.clock.Waiters() > waiting })
+	}
+	set(time.Hour)
+	set(time.Second)
+	h.clock.Advance(time.Second)
+	wait.For(t, "one pull a second later", func() bool { return h.rec.countKind(KindOperatorMetric) >= 1 })
 }
 
 func TestStopIsIdempotentAndStopsDelivery(t *testing.T) {

@@ -3,6 +3,7 @@ package ops
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -633,6 +634,80 @@ func TestFunctorBatchLeasesItsOutputBlock(t *testing.T) {
 	}
 	if dropped.last.Block() == nil {
 		t.Fatal("batch outputs are not carved from a leased block")
+	}
+}
+
+// TestFunctorMovesSlotsExactly: a Functor's copies are raw slot moves, so
+// the values whose conversions are lossy or special — the zero time, −0.0,
+// a NaN's payload, both bools, the empty string — arrive bit for bit, and
+// Process and ProcessBatch give the same bytes, between schemas that
+// declare the shared attributes in different orders.
+func TestFunctorMovesSlotsExactly(t *testing.T) {
+	inS := tuple.MustSchema(
+		tuple.Attribute{Name: "at", Type: tuple.Timestamp},
+		tuple.Attribute{Name: "neg", Type: tuple.Float},
+		tuple.Attribute{Name: "empty", Type: tuple.String},
+		tuple.Attribute{Name: "nan", Type: tuple.Float},
+		tuple.Attribute{Name: "yes", Type: tuple.Bool},
+		tuple.Attribute{Name: "sym", Type: tuple.String},
+		tuple.Attribute{Name: "no", Type: tuple.Bool},
+		tuple.Attribute{Name: "seq", Type: tuple.Int},
+		tuple.Attribute{Name: "kind", Type: tuple.Int}, // a String in the output: not copied
+	)
+	outS := tuple.MustSchema(
+		tuple.Attribute{Name: "kind", Type: tuple.String},
+		tuple.Attribute{Name: "seq", Type: tuple.Int},
+		tuple.Attribute{Name: "no", Type: tuple.Bool},
+		tuple.Attribute{Name: "sym", Type: tuple.String},
+		tuple.Attribute{Name: "yes", Type: tuple.Bool},
+		tuple.Attribute{Name: "nan", Type: tuple.Float},
+		tuple.Attribute{Name: "empty", Type: tuple.String},
+		tuple.Attribute{Name: "neg", Type: tuple.Float},
+		tuple.Attribute{Name: "at", Type: tuple.Timestamp},
+	)
+	const nanBits = 0x7ff8000000000abc
+	ins := make([]tuple.Tuple, 3)
+	for i := range ins {
+		ins[i] = tuple.Build(inS).Time("at", time.Time{}).Float("neg", math.Copysign(0, -1)).
+			Float("nan", math.Float64frombits(nanBits)).Bool("yes", true).Bool("no", false).
+			Str("sym", fmt.Sprint("s", i)).Int("seq", int64(i)-1).Int("kind", 7).Done()
+	}
+	var view tuple.Batch
+	view.SetView(ins)
+	perTuple := newFakeCtx(nil, []*tuple.Schema{inS}, []*tuple.Schema{outS})
+	batched := cloningCtx{newFakeCtx(nil, []*tuple.Schema{inS}, []*tuple.Schema{outS})}
+	one, all := &functor{}, &functor{}
+	if err := one.Open(perTuple); err != nil {
+		t.Fatal(err)
+	}
+	if err := all.Open(batched); err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range ins {
+		if err := one.Process(0, in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := all.ProcessBatch(0, &view); err != nil {
+		t.Fatal(err)
+	}
+	if len(perTuple.emitted[0]) != len(ins) || len(batched.emitted[0]) != len(ins) {
+		t.Fatalf("emitted %d per tuple, %d batched, of %d", len(perTuple.emitted[0]), len(batched.emitted[0]), len(ins))
+	}
+	for i, got := range perTuple.emitted[0] {
+		if !got.Time("at").IsZero() || math.Float64bits(got.Float("neg")) != 1<<63 ||
+			math.Float64bits(got.Float("nan")) != nanBits || !got.Bool("yes") || got.Bool("no") ||
+			got.String("empty") != "" || got.String("sym") != fmt.Sprint("s", i) ||
+			got.Int("seq") != int64(i)-1 || got.String("kind") != "" {
+			t.Fatalf("output %d: %s", i, got.Format())
+		}
+		want, err := tuple.Encode(nil, got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b, _ := tuple.Encode(nil, batched.emitted[0][i]); !bytes.Equal(b, want) {
+			t.Fatalf("output %d: batch %x, per tuple %x", i, b, want)
+		}
 	}
 }
 

@@ -242,14 +242,8 @@ type functor struct {
 	scaleBy  float64
 	setRef   tuple.FieldRef
 	setVal   string
-	copies   []fieldCopy   // compiled input-ref -> output-ref pairs
-	outs     []tuple.Tuple // ProcessBatch's header scratch, cleared after each run
-}
-
-// fieldCopy moves one attribute between schemas through refs resolved at
-// Open time, so Process does no name lookups.
-type fieldCopy struct {
-	in, out tuple.FieldRef
+	proj     tuple.Projection // the attributes input and output share
+	outs     []tuple.Tuple    // ProcessBatch's header scratch, cleared after each run
 }
 
 func (f *functor) Open(ctx opapi.Context) error {
@@ -290,12 +284,7 @@ func (f *functor) Open(ctx opapi.Context) error {
 		}
 		f.setVal = val
 	}
-	for i := 0; i < in.NumAttrs(); i++ {
-		a := in.Attr(i)
-		if j := out.Index(a.Name); j >= 0 && out.Attr(j).Type == a.Type {
-			f.copies = append(f.copies, fieldCopy{in: in.MustRef(a.Name), out: out.MustRef(a.Name)})
-		}
-	}
+	f.proj = in.ProjectTo(out)
 	return nil
 }
 
@@ -309,20 +298,30 @@ func splitSpec(spec string) (attr, value string, err error) {
 
 func (f *functor) Process(port int, t tuple.Tuple) error {
 	out := tuple.New(f.ctx.OutputSchema(0))
-	for _, c := range f.copies {
-		switch c.in.Type() {
-		case tuple.Int:
-			c.out.SetInt(out, c.in.Int(t))
-		case tuple.Float:
-			c.out.SetFloat(out, c.in.Float(t))
-		case tuple.String:
-			c.out.SetStr(out, c.in.Str(t))
-		case tuple.Bool:
-			c.out.SetBool(out, c.in.Bool(t))
-		case tuple.Timestamp:
-			c.out.SetTime(out, c.in.Time(t))
-		}
+	f.project(out, t)
+	return f.ctx.Submit(0, out)
+}
+
+// ProcessBatch projects the whole run into one leased block: SubmitAll
+// queues the outputs as one run under a hold of the carrier's, so the
+// birth hold is dropped on return and the block comes back once
+// downstream is done with the run; the headers are copied by SubmitAll
+// and reused here.
+func (f *functor) ProcessBatch(port int, b *tuple.Batch) error {
+	outs, lease := tuple.Lease(f.ctx.OutputSchema(0), f.outs, b.Len())
+	f.outs = outs
+	defer lease.Release()
+	defer clear(outs)
+	for i, in := range b.Tuples() {
+		f.project(outs[i], in)
 	}
+	return opapi.SubmitAll(f.ctx, 0, outs)
+}
+
+// project fills out from in: the shared attributes' slot moves, then the
+// arithmetic specs. Process and ProcessBatch share it.
+func (f *functor) project(out, in tuple.Tuple) {
+	f.proj.Apply(out, in)
 	if f.addRef.Valid() {
 		f.addRef.SetInt(out, f.addRef.Int(out)+f.addDelta)
 	}
@@ -332,66 +331,6 @@ func (f *functor) Process(port int, t tuple.Tuple) error {
 	if f.setRef.Valid() {
 		f.setRef.SetStr(out, f.setVal)
 	}
-	return f.ctx.Submit(0, out)
-}
-
-// ProcessBatch projects the whole run through column-wise loops: one
-// leased block covers every output tuple (SubmitAll queues the outputs
-// as one run under a hold of the carrier's, so the birth hold is dropped
-// on return and the block comes back once downstream is done with the
-// run; the headers are copied by SubmitAll and reused here), and each
-// compiled copy / arithmetic spec walks its column across all tuples —
-// the type switch and ref bounds run once per column instead of once
-// per tuple.
-func (f *functor) ProcessBatch(port int, b *tuple.Batch) error {
-	outs, lease := tuple.Lease(f.ctx.OutputSchema(0), f.outs, b.Len())
-	f.outs = outs
-	defer lease.Release()
-	defer clear(outs)
-	ins := b.Tuples()
-	for _, c := range f.copies {
-		switch c.in.Type() {
-		case tuple.Int:
-			for i := range outs {
-				c.out.SetInt(outs[i], c.in.Int(ins[i]))
-			}
-		case tuple.Float:
-			for i := range outs {
-				c.out.SetFloat(outs[i], c.in.Float(ins[i]))
-			}
-		case tuple.String:
-			for i := range outs {
-				c.out.SetStr(outs[i], c.in.Str(ins[i]))
-			}
-		case tuple.Bool:
-			for i := range outs {
-				c.out.SetBool(outs[i], c.in.Bool(ins[i]))
-			}
-		case tuple.Timestamp:
-			for i := range outs {
-				c.out.SetTime(outs[i], c.in.Time(ins[i]))
-			}
-		}
-	}
-	if f.addRef.Valid() {
-		ref, delta := f.addRef, f.addDelta
-		for i := range outs {
-			ref.SetInt(outs[i], ref.Int(outs[i])+delta)
-		}
-	}
-	if f.scaleRef.Valid() {
-		ref, by := f.scaleRef, f.scaleBy
-		for i := range outs {
-			ref.SetFloat(outs[i], ref.Float(outs[i])*by)
-		}
-	}
-	if f.setRef.Valid() {
-		ref, val := f.setRef, f.setVal
-		for i := range outs {
-			ref.SetStr(outs[i], val)
-		}
-	}
-	return opapi.SubmitAll(f.ctx, 0, outs)
 }
 
 // split routes each input tuple to one (or all) of its output ports.

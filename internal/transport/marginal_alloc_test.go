@@ -160,7 +160,7 @@ func bytesPerTuple(t *testing.T, schema *tuple.Schema, ts []tuple.Tuple, k int, 
 // TestHopAllocatesNoTupleStorage is ROADMAP item 5's structural pin: a
 // chain of k+1 Functors allocates, per tuple in steady state, what a
 // chain of k does — plus, on a schema with a string, the bytes of the
-// string each cross-PE hop decodes, the one thing a hop still allocates.
+// strings each cross-PE hop decodes, the one thing a hop still allocates.
 // Bytes are exact and additive, so the bound is a byte, not a ratio, and
 // no wall clock is involved.
 func TestHopAllocatesNoTupleStorage(t *testing.T) {
@@ -181,8 +181,10 @@ func TestHopAllocatesNoTupleStorage(t *testing.T) {
 		tuple.Attribute{Name: "ts", Type: tuple.Timestamp},
 		tuple.Attribute{Name: "sent", Type: tuple.Timestamp},
 	)
-	// A 13-byte key: the decoded copy takes a 16-byte allocation.
-	const keyBytes = 16
+	// A 13-byte key. A frame's strings decode into one allocation: 64
+	// keys are 832 bytes, which the allocator rounds up to its 896-byte
+	// size class, so 14 B per tuple.
+	const keyBytes = 896.0 / MaxFrameTuples
 	fill := func(s *tuple.Schema) []tuple.Tuple {
 		ts := tuple.NewBlock(s, 16*MaxFrameTuples)
 		at := time.Unix(1700000000, 0)

@@ -18,7 +18,9 @@
 // buffers, and tuple storage amortises to zero steady-state allocations
 // (a frame decodes into a leased tuple.Block, which the receiving side
 // recycles when it puts the batch back; the tuple headers are the link's
-// own scratch, copied into the batch); when the stream is
+// own scratch, copied into the batch; the frame's strings share one
+// allocation, tuple.FrameDecoder's, so a receiver may keep a decoded
+// string, which keeps its frame's string bytes alive); when the stream is
 // sparse the flusher drains immediately ("flush on queue drain"), so an
 // idle link adds only a goroutine handoff of latency. Punctuation flushes
 // the frame under construction and is delivered in position, preserving
@@ -318,11 +320,13 @@ func (l *Link) shipFrame(items []pe.Item, i int) int {
 	block, lease := tuple.Lease(l.schema, l.hdrs, len(offs))
 	l.hdrs = block
 	defer clear(block)
+	var dec tuple.FrameDecoder
+	dec.Start(l.schema, buf, len(offs))
 	b := pe.GetBatch()
 	received := 0
 	start := 0
 	for k, end := range offs {
-		used, err := tuple.DecodeInto(&block[k], buf[start:end])
+		used, err := dec.DecodeInto(&block[k], buf[start:end])
 		if err != nil || used != end-start {
 			if l.onErr != nil {
 				if err == nil {

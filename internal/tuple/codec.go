@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"strings"
 	"sync"
 )
 
@@ -105,11 +106,45 @@ func EncodedSize(t Tuple) int {
 // nothing; string attributes copy their bytes out of data (one allocation
 // per string), which is what makes retaining a decoded string safe. A Bool
 // slot holding any non-zero wire value decodes to true, stored as 1.
+// FrameDecoder is the same decode for the tuples of one frame, with one
+// allocation for all of the frame's strings: a string it decodes is as
+// safe to keep, and keeps the frame's string bytes alive while kept.
 //
 // All malformed-input failures wrap ErrTruncated; passing an invalid
 // tuple is a programming error reported separately. On error the tuple's
 // contents are unspecified but its storage is intact for the next call.
 func DecodeInto(t *Tuple, data []byte) (int, error) {
+	return decode(t, data, nil)
+}
+
+// FrameDecoder decodes the tuples of one frame — the back-to-back
+// encodings of several tuples of one schema, the transport's unit — with
+// all of the frame's string bytes in one allocation: each decoded string
+// is a substring of it. The zero value is ready for Start.
+type FrameDecoder struct {
+	arena strings.Builder
+}
+
+// Start readies d for a frame of n tuples of s, allocating the frame's
+// string arena. Its size is bounded from the frame alone, with no pass
+// over it: every tuple spends 8 bytes per numeric slot and at least one
+// length byte per string on things that are not string bytes.
+func (d *FrameDecoder) Start(s *Schema, frame []byte, n int) {
+	d.arena.Reset()
+	if s.nStrs > 0 {
+		d.arena.Grow(max(len(frame)-n*(8*s.nNums+s.nStrs), 0))
+	}
+}
+
+// DecodeInto is DecodeInto for one of the frame's tuples, whose bytes
+// lie within the frame Start was given: that is what bounds the arena.
+func (d *FrameDecoder) DecodeInto(t *Tuple, data []byte) (int, error) {
+	return decode(t, data, &d.arena)
+}
+
+// decode is the one decode loop of DecodeInto and FrameDecoder: a string
+// is its own allocation when arena is nil, a substring of arena otherwise.
+func decode(t *Tuple, data []byte, arena *strings.Builder) (int, error) {
 	if !t.Valid() {
 		// A caller-side programming error, not malformed wire input: do
 		// not classify it as ErrTruncated.
@@ -139,7 +174,17 @@ func DecodeInto(t *Tuple, data []byte) (int, error) {
 			return 0, fmt.Errorf("%w: string slot %d of %d bytes exceeds input", ErrTruncated, i, l)
 		}
 		off += n
-		strs[i] = string(data[off : off+int(l)])
+		b := data[off : off+int(l)]
+		if arena == nil || len(b) == 0 {
+			strs[i] = string(b)
+		} else {
+			// Written bytes never change, so earlier substrings stay
+			// good; only a malformed frame can outgrow the bound, at
+			// the price of a second allocation.
+			at := arena.Len()
+			arena.Write(b)
+			strs[i] = arena.String()[at:]
+		}
 		off += int(l)
 	}
 	return off, nil

@@ -2,6 +2,7 @@ package tuple
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -94,5 +95,75 @@ func TestDecodeNormalisesBool(t *testing.T) {
 		if !bytes.Equal(re, canon) {
 			t.Fatalf("Bool slot %x re-encoded as %x, want 1", slot, re[liveOff:liveOff+8])
 		}
+	}
+}
+
+// eventSchema is the hop path's shape with an empty string beside the key.
+var eventSchema = MustSchema(
+	Attribute{"user", String}, Attribute{"seq", Int}, Attribute{"empty", String}, Attribute{"ts", Timestamp},
+)
+
+// eventFrame encodes n tuples of s back to back, the i-th keyed prefix
+// and i, and returns the frame and each tuple's end.
+func eventFrame(t *testing.T, s *Schema, n int, prefix string) ([]byte, []int) {
+	t.Helper()
+	var frame []byte
+	var ends []int
+	for i := 0; i < n; i++ {
+		tu := Build(s).Str("user", fmt.Sprintf("%s%03d", prefix, i)).Int("seq", int64(i)).
+			Str("empty", "").Time("ts", time.Unix(0, int64(i))).Done()
+		var err error
+		if frame, err = Encode(frame, tu); err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, len(frame))
+	}
+	return frame, ends
+}
+
+// decodeFrame decodes a frame into ts through one FrameDecoder.
+func decodeFrame(t *testing.T, ts []Tuple, frame []byte, ends []int) {
+	var dec FrameDecoder
+	dec.Start(eventSchema, frame, len(ends))
+	start := 0
+	for k, end := range ends {
+		if n, err := dec.DecodeInto(&ts[k], frame[start:end]); err != nil || n != end-start {
+			t.Fatalf("tuple %d: decoded %d of %d bytes: %v", k, n, end-start, err)
+		}
+		start = end
+	}
+}
+
+// TestFrameDecodeIsOneAllocation: however many strings a frame carries,
+// its decode allocates once, for all of their bytes.
+func TestFrameDecodeIsOneAllocation(t *testing.T) {
+	frame, ends := eventFrame(t, eventSchema, blockTuples, "user-")
+	ts := NewBlock(eventSchema, blockTuples)
+	if n := testing.AllocsPerRun(100, func() { decodeFrame(t, ts, frame, ends) }); n != 1 {
+		t.Fatalf("a %d-tuple frame decodes with %.1f allocations, want 1", blockTuples, n)
+	}
+	if got := ts[63].String("user"); got != "user-063" || ts[63].Int("seq") != 63 {
+		t.Fatalf("last tuple decoded as %s", ts[63].Format())
+	}
+}
+
+// TestFrameStringOutlivesItsBlock: a string read out of a decoded frame
+// is the frame's, not the block's, so it reads the same after the block
+// is recycled (poisoned, under the race detector), leased again and
+// overwritten by another frame — and after the wire bytes are reused.
+func TestFrameStringOutlivesItsBlock(t *testing.T) {
+	frame, ends := eventFrame(t, eventSchema, 8, "first-")
+	ts, blk := Lease(eventSchema, nil, len(ends))
+	decodeFrame(t, ts, frame, ends)
+	kept := ts[5].String("user")
+	blk.Release()
+
+	other, ends2 := eventFrame(t, eventSchema, 8, "other-")
+	ts, blk = Lease(eventSchema, ts, len(ends2))
+	decodeFrame(t, ts, other, ends2)
+	clear(frame)
+	blk.Release()
+	if kept != "first-005" {
+		t.Fatalf("kept string reads %q after its block was reused", kept)
 	}
 }

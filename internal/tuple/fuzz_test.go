@@ -63,6 +63,11 @@ func FuzzEncodeDecode(f *testing.F) {
 		if n != len(buf) {
 			t.Fatalf("decode consumed %d of %d", n, len(buf))
 		}
+		// The frame decoder agrees with DecodeInto: on the encoding as a
+		// one-tuple frame, and on a frame of it, the raw bytes and it.
+		sameAsDecodeInto(t, buf, []int{len(buf)})
+		frame := append(append(bytes.Clone(buf), raw...), buf...)
+		sameAsDecodeInto(t, frame, []int{len(buf), len(buf) + len(raw), len(frame)})
 		sameFloat := out.Float("price") == price || (price != price && out.Float("price") != out.Float("price"))
 		if out.Int("id") != id || !sameFloat || out.String("sym") != sym ||
 			out.Bool("live") != live || !out.Time("at").Equal(in.Time("at")) ||
@@ -105,6 +110,33 @@ func FuzzEncodeDecode(f *testing.F) {
 			t.Fatalf("re-encoding is not a fixed point:\n%x\n%x", re, re2)
 		}
 	})
+}
+
+// sameAsDecodeInto decodes frame, whose tuples end at ends, through one
+// FrameDecoder and each tuple's bytes alone through DecodeInto, and fails
+// unless the two consume as much, fail alike and decode the same tuple.
+func sameAsDecodeInto(t *testing.T, frame []byte, ends []int) {
+	t.Helper()
+	var dec FrameDecoder
+	dec.Start(fuzzSchema, frame, len(ends))
+	start := 0
+	for k, end := range ends {
+		piece := frame[start:end:end] // capacity-clipped: an over-read panics
+		got, want := New(fuzzSchema), New(fuzzSchema)
+		n, err := dec.DecodeInto(&got, piece)
+		wn, werr := DecodeInto(&want, piece)
+		if n != wn || (err == nil) != (werr == nil) {
+			t.Fatalf("tuple %d of the frame: %d bytes, %v; DecodeInto %d bytes, %v", k, n, err, wn, werr)
+		}
+		if err == nil {
+			g, _ := Encode(nil, got)
+			w, _ := Encode(nil, want)
+			if !bytes.Equal(g, w) {
+				t.Fatalf("tuple %d of the frame decoded as %s, DecodeInto as %s", k, got.Format(), want.Format())
+			}
+		}
+		start = end
+	}
 }
 
 // TestDecodeRejectsOverlongString covers the hostile-length guard: a

@@ -393,6 +393,49 @@ func (t Tuple) Clone() Tuple {
 	return Tuple{schema: t.schema, np: first(slices.Clone(t.nums())), sp: first(slices.Clone(t.strs()))}
 }
 
+// Projection moves the attributes two schemas share — same name, same
+// type — from a tuple of one into a tuple of the other, slot to slot. A
+// numeric attribute is one raw int64 move whatever its type, exact for an
+// Int, a Float's bits, a Bool's 0/1 and a Timestamp's nanos or zero-time
+// sentinel; a string is one string header move. Schema.ProjectTo compiles
+// it once, so Apply looks nothing up and switches on no type.
+type Projection struct {
+	nums, strs []slotMove
+}
+
+type slotMove struct{ from, to int }
+
+// ProjectTo compiles the projection of s's tuples onto out's.
+func (s *Schema) ProjectTo(out *Schema) Projection {
+	var p Projection
+	for i, a := range s.attrs {
+		j := out.Index(a.Name)
+		if j < 0 || out.attrs[j].Type != a.Type {
+			continue
+		}
+		m := slotMove{from: s.slot[i], to: out.slot[j]}
+		if a.Type == String {
+			p.strs = append(p.strs, m)
+		} else {
+			p.nums = append(p.nums, m)
+		}
+	}
+	return p
+}
+
+// Apply moves the projected attributes of src, a tuple of the schema that
+// compiled p, into dst, a tuple of the schema it was compiled onto.
+func (p *Projection) Apply(dst, src Tuple) {
+	dn, sn := dst.nums(), src.nums()
+	for _, m := range p.nums {
+		dn[m.to] = sn[m.from]
+	}
+	ds, ss := dst.strs(), src.strs()
+	for _, m := range p.strs {
+		ds[m.to] = ss[m.from]
+	}
+}
+
 // slotOf resolves a name to its storage slot, enforcing the wanted type;
 // the error-reporting core of the name-based compatibility layer.
 func (t Tuple) slotOf(name string, want Type) (int, error) {
